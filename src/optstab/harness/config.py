@@ -12,7 +12,6 @@ Keys
 experiment   stability_scaling | risk_decomposition | lecam_audit |
              lemma_audit | bounds_table
 methods      comma list of gd, sgd, nag, nag_sc, hb, sgld
-loss         logistic (the experiments' loss family)
 source       synthetic | file
 data_path    breast-cancer style CSV (source = file)
 n, d, T      sample size, dimension, iteration horizon
@@ -43,7 +42,6 @@ EXPERIMENTS = ("stability_scaling", "risk_decomposition", "lecam_audit",
 class ExperimentConfig:
     experiment: str = "stability_scaling"
     methods: Tuple[str, ...] = ("gd",)
-    loss: str = "logistic"
     source: str = "synthetic"
     data_path: Optional[str] = None
     n: int = 500

@@ -26,18 +26,19 @@ import numpy as np
 
 from .bounds import DEFAULT_CONSTANTS, UniversalConstants, minimax_bound
 from .losses import (
-    DataPoint,
+    Dataset,
     LossSpec,
     ValidationError,
     lecam_convex_spec,
     lecam_strongly_convex_spec,
-    loss_value,
+    loss_values_matrix,
 )
 
 VARIANTS = ("convex", "strongly_convex")
 ENUMERATION_LIMIT = 24
 
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio section
+_SYMBOLS = Dataset.from_symbols([-1, 1])
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,8 @@ def population_risk(variant: str, v: int, theta1, beta: float, r: float,
     w_minus = 0.5 + d if v == 1 else 0.5 - d
     spec = _loss_spec(variant, beta, r)
     theta1 = np.atleast_1d(np.asarray(theta1, dtype=float))
-    vals_minus = np.array([loss_value(spec, [t], DataPoint.symbol(-1)) for t in theta1])
-    vals_plus = np.array([loss_value(spec, [t], DataPoint.symbol(1)) for t in theta1])
-    return w_minus * vals_minus + (1.0 - w_minus) * vals_plus
+    vals = loss_values_matrix(spec, theta1[:, None], _SYMBOLS)
+    return w_minus * vals[:, 0] + (1.0 - w_minus) * vals[:, 1]
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> Tuple[float, float]:

@@ -13,6 +13,11 @@ strong convexity alpha, domain diameter R).  Five families are supported:
                                s*r: (beta/2)u^2 for |u| <= r/2, (beta*r/4)|u| beyond
 * ``lecam_strongly_convex`` -- pure quadratic (beta/2)(theta[0] - s*r)^2
 
+Each family's math lives in one entry of a private kernel table: a value
+kernel over a batch of parameter vectors and every data row, a mean-gradient
+kernel over a slice of rows, and the constants.  The public functions are
+thin wrappers around it.
+
 All evaluation is pure and re-entrant; specs and datasets are immutable
 once constructed and safe to share across workers.
 """
@@ -20,13 +25,9 @@ once constructed and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-
-SYMBOL_FAMILIES = ("linear_worstcase", "lecam_convex", "lecam_strongly_convex")
-LABELED_FAMILIES = ("logistic",)
-FAMILIES = ("logistic", "quadratic") + SYMBOL_FAMILIES
 
 
 class ValidationError(ValueError):
@@ -184,8 +185,7 @@ class LossSpec:
     @property
     def variant(self) -> str:
         """Data variant this family consumes."""
-        return "labeled" if self.family in LABELED_FAMILIES else "symbol" \
-            if self.family in SYMBOL_FAMILIES else "any"
+        return _KERNELS[self.family].variant
 
 
 def logistic_spec(domain_radius: float = 1.0) -> LossSpec:
@@ -237,22 +237,17 @@ class LossConstants:
 
 
 def _sigmoid(u):
-    # numerically stable logistic function
-    out = np.empty_like(u, dtype=float)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    """Numerically stable logistic function; both branches share exp(-|u|)."""
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
-def _check_point(spec: LossSpec, theta: np.ndarray, z: DataPoint) -> None:
+def _check_dataset(spec: LossSpec, theta: np.ndarray, data: Dataset) -> None:
     want = spec.variant
-    if want != "any" and z.kind != want:
-        raise ValidationError(f"{spec.family} expects {want} points, got {z.kind}")
-    if z.kind == "labeled" and z.x.shape != theta.shape:
-        raise ValidationError(
-            f"dimension mismatch: x has shape {z.x.shape}, theta {theta.shape}")
+    if want != "any" and data.kind != want:
+        raise ValidationError(f"{spec.family} expects {want} data, got {data.kind}")
+    if data.kind == "labeled" and data.X.shape[1] != theta.shape[0]:
+        raise ValidationError("dimension mismatch between data rows and theta")
     if spec.family == "quadratic" and theta.shape != (spec.A.shape[0],):
         raise ValidationError("theta dimension does not match quadratic A")
 
@@ -269,52 +264,97 @@ def _lecam_convex_slope(u: np.ndarray, beta: float, r: float) -> np.ndarray:
     return np.where(au < r / 2, beta * u, 0.25 * beta * r * np.sign(u))
 
 
+@dataclass(frozen=True)
+class _Family:
+    """One loss family's math, batched over parameters and data rows."""
+
+    variant: str         # data it consumes: "labeled", "symbol" or "any"
+    values: Callable     # (spec, thetas (k, d), data) -> (k, n) per-sample losses
+    grad: Callable       # (spec, theta (d,), data, rows) -> mean gradient over data[rows]
+    constants: Callable  # (spec, data or None) -> (L, beta, alpha)
+
+
+def _logistic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
+    U = thetas @ data.X.T
+    return np.logaddexp(0.0, U) - U * data.y
+
+
+def _logistic_grad(spec: LossSpec, theta: np.ndarray, data: Dataset, rows) -> np.ndarray:
+    X = data.X[rows]
+    return X.T @ (_sigmoid(X @ theta) - data.y[rows]) / X.shape[0]
+
+
+def _logistic_constants(spec: LossSpec, data: Optional[Dataset]):
+    if data is not None:
+        if data.kind != "labeled":
+            raise ValidationError("logistic constants need labeled data")
+        if np.linalg.norm(data.X, axis=1).max() > 1.0 + 1e-9:
+            raise ValidationError(
+                "logistic design must have unit-norm rows; run normalize_rows first")
+    return 1.0, 0.25, 0.0
+
+
+def _quadratic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
+    v = 0.5 * np.einsum("ki,ij,kj->k", thetas, spec.A, thetas) - thetas @ spec.b
+    return np.broadcast_to(v[:, None], (thetas.shape[0], data.n))
+
+
+def _quadratic_constants(spec: LossSpec, data: Optional[Dataset]):
+    eig = np.linalg.eigvalsh(spec.A)
+    beta = float(eig[-1])
+    return beta * spec.domain_radius, beta, float(max(eig[0], 0.0))
+
+
+def _symbol_family(value, mean_slope, constants) -> _Family:
+    """A family reading only theta[0] and the symbols s: ``value(spec, t0, s)``
+    broadcasts losses, ``mean_slope(spec, t0, s)`` averages d l / d theta[0]."""
+    def grad(spec, theta, data, rows):
+        g = np.zeros_like(theta)
+        g[0] = mean_slope(spec, theta[0], data.s[rows])
+        return g
+    return _Family("symbol", lambda spec, thetas, data: value(spec, thetas[:, 0:1], data.s),
+                   grad, constants)
+
+
+_KERNELS = {
+    "logistic": _Family("labeled", _logistic_values, _logistic_grad, _logistic_constants),
+    "quadratic": _Family("any", _quadratic_values,
+                         lambda spec, theta, data, rows: spec.A @ theta - spec.b,
+                         _quadratic_constants),
+    "linear_worstcase": _symbol_family(
+        lambda spec, t0, s: spec.L * t0 * s,
+        lambda spec, t0, s: spec.L * s.mean(),
+        lambda spec, data: (spec.L, 0.0, 0.0)),
+    "lecam_convex": _symbol_family(
+        lambda spec, t0, s: _lecam_convex_piece(t0 - spec.r * s, spec.beta, spec.r),
+        lambda spec, t0, s: _lecam_convex_slope(t0 - spec.r * s, spec.beta, spec.r).mean(),
+        # gradient magnitude peaks at the quadratic-piece boundary |u| = r/2
+        lambda spec, data: (0.5 * spec.beta * spec.r, spec.beta, 0.0)),
+    "lecam_strongly_convex": _symbol_family(
+        lambda spec, t0, s: 0.5 * spec.beta * (t0 - spec.r * s) ** 2,
+        lambda spec, t0, s: spec.beta * (t0 - spec.r * s).mean(),
+        # |grad| = beta*|theta[0] - s*r| <= beta*(R/2 + r)
+        lambda spec, data: (spec.beta * (spec.domain_radius / 2 + spec.r), spec.beta,
+                            spec.beta)),
+}
+FAMILIES = tuple(_KERNELS)
+
+
+def _single(z: DataPoint) -> Dataset:
+    """The one-point sample {z}."""
+    if z.kind == "labeled":
+        return Dataset.from_labeled(z.x[None, :], [z.y])
+    return Dataset.from_symbols([z.s])
+
+
 def loss_value(spec: LossSpec, theta, z: DataPoint) -> float:
     """Per-sample loss l(theta; z)."""
-    theta = as_param_vector(theta)
-    _check_point(spec, theta, z)
-    f = spec.family
-    if f == "logistic":
-        u = float(z.x @ theta)
-        return float(np.logaddexp(0.0, u) - z.y * u)
-    if f == "quadratic":
-        return float(0.5 * theta @ spec.A @ theta - spec.b @ theta)
-    if f == "linear_worstcase":
-        return float(z.s * spec.L * theta[0])
-    u = np.array([theta[0] - z.s * spec.r])
-    if f == "lecam_convex":
-        return float(_lecam_convex_piece(u, spec.beta, spec.r)[0])
-    return float(0.5 * spec.beta * u[0] ** 2)  # lecam_strongly_convex
+    return empirical_risk(spec, theta, _single(z))
 
 
 def loss_grad(spec: LossSpec, theta, z: DataPoint) -> np.ndarray:
     """Gradient of the per-sample loss with respect to theta."""
-    theta = as_param_vector(theta)
-    _check_point(spec, theta, z)
-    f = spec.family
-    if f == "logistic":
-        u = np.array([z.x @ theta])
-        return (_sigmoid(u)[0] - z.y) * z.x
-    if f == "quadratic":
-        return spec.A @ theta - spec.b
-    g = np.zeros_like(theta)
-    if f == "linear_worstcase":
-        g[0] = z.s * spec.L
-        return g
-    u = np.array([theta[0] - z.s * spec.r])
-    if f == "lecam_convex":
-        g[0] = _lecam_convex_slope(u, spec.beta, spec.r)[0]
-    else:
-        g[0] = spec.beta * u[0]
-    return g
-
-
-def _check_dataset(spec: LossSpec, theta: np.ndarray, data: Dataset) -> None:
-    want = spec.variant
-    if want != "any" and data.kind != want:
-        raise ValidationError(f"{spec.family} expects {want} data, got {data.kind}")
-    if data.kind == "labeled" and data.X.shape[1] != theta.shape[0]:
-        raise ValidationError("dimension mismatch between data rows and theta")
+    return empirical_risk_grad(spec, theta, _single(z))
 
 
 def loss_values_matrix(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
@@ -325,20 +365,7 @@ def loss_values_matrix(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     _check_dataset(spec, thetas[0], data)
-    f = spec.family
-    if f == "logistic":
-        U = thetas @ data.X.T
-        return np.logaddexp(0.0, U) - U * data.y[None, :]
-    if f == "quadratic":
-        v = 0.5 * np.einsum("ki,ij,kj->k", thetas, spec.A, thetas) - thetas @ spec.b
-        return np.broadcast_to(v[:, None], (thetas.shape[0], data.n))
-    t0 = thetas[:, 0:1]
-    if f == "linear_worstcase":
-        return spec.L * t0 * data.s[None, :]
-    U = t0 - spec.r * data.s[None, :]
-    if f == "lecam_convex":
-        return _lecam_convex_piece(U, spec.beta, spec.r)
-    return 0.5 * spec.beta * U * U
+    return _KERNELS[spec.family].values(spec, thetas, data)
 
 
 def empirical_risk(spec: LossSpec, theta, data: Dataset) -> float:
@@ -356,44 +383,12 @@ def empirical_risk_grad(spec: LossSpec, theta, data: Dataset) -> np.ndarray:
     """Gradient of the empirical risk at theta."""
     theta = as_param_vector(theta)
     _check_dataset(spec, theta, data)
-    f = spec.family
-    if f == "logistic":
-        resid = _sigmoid(data.X @ theta) - data.y
-        return data.X.T @ resid / data.n
-    if f == "quadratic":
-        return spec.A @ theta - spec.b
-    g = np.zeros_like(theta)
-    if f == "linear_worstcase":
-        g[0] = spec.L * data.s.mean()
-        return g
-    u = theta[0] - spec.r * data.s
-    if f == "lecam_convex":
-        g[0] = _lecam_convex_slope(u, spec.beta, spec.r).mean()
-    else:
-        g[0] = spec.beta * u.mean()
-    return g
+    return _KERNELS[spec.family].grad(spec, theta, data, slice(None))
 
 
 def sample_grad(spec: LossSpec, theta: np.ndarray, data: Dataset, i: int) -> np.ndarray:
     """Gradient of the i-th per-sample loss (fast path for stochastic methods)."""
-    f = spec.family
-    if f == "logistic":
-        x = data.X[i]
-        u = np.array([x @ theta])
-        return (_sigmoid(u)[0] - data.y[i]) * x
-    if f == "quadratic":
-        return spec.A @ theta - spec.b
-    g = np.zeros_like(theta)
-    s = data.s[i]
-    if f == "linear_worstcase":
-        g[0] = s * spec.L
-        return g
-    u = np.array([theta[0] - s * spec.r])
-    if f == "lecam_convex":
-        g[0] = _lecam_convex_slope(u, spec.beta, spec.r)[0]
-    else:
-        g[0] = spec.beta * u[0]
-    return g
+    return _KERNELS[spec.family].grad(spec, theta, data, slice(i, i + 1))
 
 
 def loss_constants(spec: LossSpec, data: Optional[Dataset] = None) -> LossConstants:
@@ -407,30 +402,8 @@ def loss_constants(spec: LossSpec, data: Optional[Dataset] = None) -> LossConsta
     is reported as such; step-size rules that divide by beta treat it as
     unconstrained.
     """
-    R = spec.domain_radius
-    f = spec.family
-    if f == "logistic":
-        if data is not None:
-            if data.kind != "labeled":
-                raise ValidationError("logistic constants need labeled data")
-            norms = np.linalg.norm(data.X, axis=1)
-            if norms.max() > 1.0 + 1e-9:
-                raise ValidationError(
-                    "logistic design must have unit-norm rows; run normalize_rows first")
-        return LossConstants(L=1.0, beta=0.25, alpha=0.0, R=R)
-    if f == "quadratic":
-        eig = np.linalg.eigvalsh(spec.A)
-        beta = float(eig[-1])
-        alpha = float(max(eig[0], 0.0))
-        return LossConstants(L=beta * R, beta=beta, alpha=alpha, R=R)
-    if f == "linear_worstcase":
-        return LossConstants(L=spec.L, beta=0.0, alpha=0.0, R=R)
-    if f == "lecam_convex":
-        # gradient magnitude peaks at the quadratic-piece boundary |u| = r/2
-        return LossConstants(L=0.5 * spec.beta * spec.r, beta=spec.beta, alpha=0.0, R=R)
-    # lecam_strongly_convex: |grad| = beta*|theta[0] - s*r| <= beta*(R/2 + r)
-    return LossConstants(L=spec.beta * (R / 2 + spec.r), beta=spec.beta,
-                         alpha=spec.beta, R=R)
+    L, beta, alpha = _KERNELS[spec.family].constants(spec, data)
+    return LossConstants(L=L, beta=beta, alpha=alpha, R=spec.domain_radius)
 
 
 def normalize_rows(X) -> np.ndarray:

@@ -19,9 +19,13 @@ Three product families are audited, plus one scalar recursion:
   0 <= h <= 1 both characteristic roots have modulus sqrt(h), giving
   |a_i| <= i + 1.  (At h = 1 the sequence is exactly i + 1.)
 
-Products are accumulated left-to-right, P <- H P, matching the analysis
-order.  Searches vectorize over parameter samples; results are max
-reductions, so they are order independent and safe to shard.
+Every check, sweep and adversarial search runs through one batched sweep:
+each factor is a companion matrix [[p, q], [1, 0]], products are accumulated
+left-to-right, P <- H_s P, matching the analysis order, for a whole batch of
+parameter draws at once, and each checked step compares a measured quantity
+(the spectral norm, or |P[0, 0]| = |a_s| for the scalar recursion) against
+the lemma's envelope.  Results are max reductions, so they are order
+independent and safe to shard.
 """
 
 from __future__ import annotations
@@ -66,6 +70,86 @@ class LemmaCheck:
     params: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class SweepResult:
+    """Outcome of a parameter sweep: worst norm/bound ratio and any violations."""
+
+    lemma: str
+    max_ratio: float
+    witness: dict
+    counterexamples: List[dict]
+    checks: int
+
+    @property
+    def ok(self) -> bool:
+        return not self.counterexamples
+
+
+def _sweep(top, measure, envelope, shape: Tuple[int, ...], t_max: int, check=None):
+    """Check measure(P_s) <= envelope(s) + TOL along P_s = H_s ... H_1, P_0 = I.
+
+    Axis 0 of ``shape`` indexes draws; ``measure`` maps products (k, ..., 2, 2)
+    to (k,) values.  ``top(s)`` gives the top row (p, q) of the companion
+    factor H_s = [[p, q], [1, 0]], ``envelope(s)`` a scalar or per-draw bound,
+    ``check(s)`` the draws checked at step s as a bool or per-draw mask
+    (default: all, for s >= 1).  A zero bound gives ratio 0 to a value within
+    TOL of 0, else inf.  Returns the worst ratio (first in step, then draw
+    order), its check as (draw, step, value, bound), and every violation as
+    (draw, step, ratio).
+    """
+    H = np.zeros(tuple(shape) + (2, 2))
+    H[..., 1, 0] = 1.0
+    P = np.broadcast_to(np.eye(2), H.shape)
+    n = H.shape[0]
+    worst, at, violations = -np.inf, (None, 0, math.nan, math.nan), []
+    for s in range(t_max + 1):
+        if s:
+            H[..., 0, 0], H[..., 0, 1] = top(s)
+            P = H.copy() if s == 1 else H @ P
+        sel = s >= 1 if check is None else check(s)
+        if not np.any(sel):
+            continue
+        bound = np.broadcast_to(envelope(s), n)
+        if np.ndim(sel):  # a per-draw mask copies out its draws
+            draw = np.flatnonzero(sel)
+            norm, bound = measure(P[draw]), bound[draw]
+        else:
+            draw, norm = range(n), measure(P)
+        ratio = np.divide(norm, bound, out=np.where(norm <= TOL, 0.0, np.inf),
+                          where=bound > 0)
+        j = int(np.argmax(ratio))
+        if ratio[j] > worst:
+            worst, at = float(ratio[j]), (int(draw[j]), s, float(norm[j]), float(bound[j]))
+        violations += [(int(draw[i]), s, float(ratio[i]))
+                       for i in np.flatnonzero(norm > bound + TOL)]
+    return worst, at, violations
+
+
+def _check(lemma: str, scan, t: int, params: dict) -> LemmaCheck:
+    _, (_, _, norm, bound), _ = scan
+    return LemmaCheck(lemma=lemma, norm=norm, bound=bound, ok=norm <= bound + TOL,
+                      t=t, params=params)
+
+
+def _result(lemma: str, scan, checks: int, describe) -> SweepResult:
+    """Name the witness and each counterexample by ``describe(draw, step)``."""
+    worst, (draw, step, _, _), violations = scan
+    return SweepResult(lemma=lemma, max_ratio=worst,
+                       witness={} if draw is None else describe(draw, step),
+                       counterexamples=[dict(describe(j, s), ratio=r)
+                                        for j, s, r in violations],
+                       checks=checks)
+
+
+def _nag_scan(hs: np.ndarray, gamma, t_max: int, check=None):
+    """H_s = [[(1 - g_s) h, g_s h], [1, 0]] with g_s = gamma(s); envelope 2 (s + 1)."""
+    def top(s):
+        g = gamma(s)
+        return (1.0 - g) * hs, g * hs
+    return _sweep(top, _batch_spectral_norm, lambda s: 2.0 * (s + 1), hs.shape,
+                  t_max, check)
+
+
 def nag_lemma_check(h: float, gammas: Sequence[float]) -> LemmaCheck:
     """Check ||H_t ... H_1|| <= 2 (t + 1) for a vanishing-momentum product."""
     gammas = np.asarray(gammas, dtype=float)
@@ -76,14 +160,16 @@ def nag_lemma_check(h: float, gammas: Sequence[float]) -> LemmaCheck:
         raise ValidationError("nag_convex needs 0 <= h <= 1")
     if np.any(np.abs(gammas) >= 1.0):
         raise ValidationError("nag_convex needs -1 < gamma_i < 1")
-    P = np.eye(2)
-    for g in gammas:
-        H = np.array([[(1.0 - g) * h, g * h], [1.0, 0.0]])
-        P = H @ P
-    norm = spectral_norm(P)
-    bound = 2.0 * (t + 1)
-    return LemmaCheck(lemma="nag_convex", norm=norm, bound=bound,
-                      ok=norm <= bound + TOL, t=t, params={"h": h})
+    scan = _nag_scan(np.array([h]), lambda s: gammas[s - 1], t, lambda s: s == t)
+    return _check("nag_convex", scan, t, {"h": h})
+
+
+def _hb_scan(G, A, t_max: int, check=None):
+    """Fixed H = [[1 + g - a, -g], [1, 0]] per draw; envelope 2 / (1 - sqrt(g))."""
+    G, A = np.asarray(G, dtype=float), np.asarray(A, dtype=float)
+    top, bound = (1.0 + G - A, -G), 2.0 / (1.0 - np.sqrt(G))
+    return _sweep(lambda s: top, _batch_spectral_norm, lambda s: bound, G.shape,
+                  t_max, check)
 
 
 def hb_lemma_check(gamma: float, a: float, t: int) -> LemmaCheck:
@@ -94,14 +180,8 @@ def hb_lemma_check(gamma: float, a: float, t: int) -> LemmaCheck:
         raise ValidationError("hb needs 0 <= a <= 1 - gamma")
     if t < 0:
         raise ValidationError("t must be >= 0")
-    H = np.array([[1.0 + gamma - a, -gamma], [1.0, 0.0]])
-    P = np.eye(2)
-    for _ in range(t):
-        P = H @ P
-    norm = spectral_norm(P)
-    bound = 2.0 / (1.0 - math.sqrt(gamma))
-    return LemmaCheck(lemma="hb", norm=norm, bound=bound, ok=norm <= bound + TOL,
-                      t=t, params={"gamma": gamma, "a": a})
+    scan = _hb_scan([gamma], [a], t, lambda s: s == t)
+    return _check("hb", scan, t, {"gamma": gamma, "a": a})
 
 
 def _companion_radius(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -118,6 +198,29 @@ def _companion_radius(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def scnag_h_range(alpha: float, beta: float, eta: float) -> Tuple[float, float]:
     return 1.0 - beta * eta, 1.0 - alpha * eta
+
+
+def _scnag_bound(rho: float, t: int) -> float:
+    """Certified envelope 2 (1 + t) rho^(t-1); the t = 0 product is I, bound 2."""
+    return 2.0 if t == 0 else 2.0 * (1 + t) * rho ** (t - 1)
+
+
+def _scnag_grid(problems, h_samples: int):
+    """Per (kappa, alpha, beta, eta): the momentum g = (sqrt(kappa) - 1) /
+    (sqrt(kappa) + 1), the top rows (p, q) of H = [[(1 + g) h, -g h], [1, 0]]
+    at ``h_samples`` + 2 equispaced h in [1 - beta eta, 1 - alpha eta], and
+    the largest spectral radius rho."""
+    g = np.array([[(math.sqrt(k) - 1.0) / (math.sqrt(k) + 1.0)] for k, *_ in problems])
+    hs = np.array([np.linspace(*scnag_h_range(a, b, e), h_samples + 2)
+                   for _, a, b, e in problems])
+    rho = _companion_radius((1.0 + g) * hs, g * hs).max(axis=1)
+    return g[:, 0].tolist(), ((1.0 + g) * hs, -g * hs), rho.tolist()
+
+
+def _scnag_scan(top, envelope, t_max: int, check=None):
+    """Powers of each draw's fixed H; the value is the worst norm over its h grid."""
+    return _sweep(lambda s: top, lambda P: _batch_spectral_norm(P).max(axis=1),
+                  envelope, top[0].shape, t_max, check)
 
 
 def scnag_lemma_check(kappa: float, alpha: float, beta: float, eta: float, t: int,
@@ -139,30 +242,19 @@ def scnag_lemma_check(kappa: float, alpha: float, beta: float, eta: float, t: in
         raise ValidationError("need 0 < eta <= 1/beta")
     if t < 0:
         raise ValidationError("t must be >= 0")
-    gamma = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
-    lo, hi = scnag_h_range(alpha, beta, eta)
-    hs = np.linspace(lo, hi, h_samples + 2)
-    Ps = np.broadcast_to(np.eye(2), (hs.size, 2, 2)).copy()
-    Hs = np.zeros((hs.size, 2, 2))
-    Hs[:, 0, 0] = (1.0 + gamma) * hs
-    Hs[:, 0, 1] = -gamma * hs
-    Hs[:, 1, 0] = 1.0
-    for _ in range(t):
-        Ps = Hs @ Ps
-    norm = float(_batch_spectral_norm(Ps).max())
-    rho = float(_companion_radius((1.0 + gamma) * hs, gamma * hs).max())
-    bound = 2.0 if t == 0 else 2.0 * (1 + t) * rho ** (t - 1)
+    (gamma,), top, (rho,) = _scnag_grid([(kappa, alpha, beta, eta)], h_samples)
+    scan = _scnag_scan(top, lambda s: _scnag_bound(rho, s), t, lambda s: s == t)
     nominal = 2.0 * (1 + t) * (gamma * (1.0 - alpha * eta)) ** (t / 2.0)
-    return LemmaCheck(
-        lemma="nag_sc", norm=norm, bound=bound, ok=norm <= bound + TOL, t=t,
-        params={"kappa": kappa, "alpha": alpha, "beta": beta, "eta": eta,
-                "gamma": gamma, "rho": rho, "bound_nominal": nominal})
+    return _check("nag_sc", scan, t,
+                  {"kappa": kappa, "alpha": alpha, "beta": beta, "eta": eta,
+                   "gamma": gamma, "rho": rho, "bound_nominal": nominal})
 
 
 def recursion_u(h: float, t: int) -> np.ndarray:
     """Unroll a_{i+1} = 2h a_i - h a_{i-1} (a_0 = 1, a_1 = 2h) for i <= t.
 
     Raises if any |a_i| exceeds i + 1, which cannot happen for 0 <= h <= 1.
+    The batched sweeps read a_i as the top-left entry of [[2h, -h], [1, 0]]^i.
     """
     if not 0.0 <= h <= 1.0:
         raise ValidationError("recursion_u needs 0 <= h <= 1")
@@ -182,19 +274,11 @@ def recursion_u(h: float, t: int) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Outcome of a parameter sweep: worst norm/bound ratio and any violations."""
-
-    lemma: str
-    max_ratio: float
-    witness: dict
-    counterexamples: List[dict]
-    checks: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
+def _recursion_scan(hs: np.ndarray, t_max: int, check):
+    """|a_s| = |P_s[0, 0]| for H = [[2h, -h], [1, 0]] against s + 1."""
+    top = (2.0 * hs, -hs)
+    return _sweep(lambda s: top, lambda P: np.abs(P[:, 0, 0]), lambda s: s + 1.0,
+                  hs.shape, t_max, check)
 
 
 def nag_sweep(draws: int, t_max: int, seed: int = 0) -> SweepResult:
@@ -205,26 +289,9 @@ def nag_sweep(draws: int, t_max: int, seed: int = 0) -> SweepResult:
     """
     rng = np.random.Generator(np.random.Philox(seed))
     hs = rng.uniform(0.0, 1.0, size=draws)
-    Ps = np.broadcast_to(np.eye(2), (draws, 2, 2)).copy()
-    max_ratio, witness = -np.inf, {}
-    counterexamples: List[dict] = []
-    H = np.zeros((draws, 2, 2))
-    H[:, 1, 0] = 1.0
-    for s in range(1, t_max + 1):
-        g = rng.uniform(-1.0, 1.0, size=draws)
-        H[:, 0, 0] = (1.0 - g) * hs
-        H[:, 0, 1] = g * hs
-        Ps = H @ Ps
-        ratios = _batch_spectral_norm(Ps) / (2.0 * (s + 1))
-        i = int(np.argmax(ratios))
-        if ratios[i] > max_ratio:
-            max_ratio = float(ratios[i])
-            witness = {"h": float(hs[i]), "t": s, "draw": i}
-        for j in np.nonzero(ratios > 1.0 + TOL)[0]:
-            counterexamples.append({"h": float(hs[j]), "t": s, "draw": int(j),
-                                    "ratio": float(ratios[j])})
-    return SweepResult(lemma="nag_convex", max_ratio=max_ratio, witness=witness,
-                       counterexamples=counterexamples, checks=draws * t_max)
+    scan = _nag_scan(hs, lambda s: rng.uniform(-1.0, 1.0, size=draws), t_max)
+    return _result("nag_convex", scan, draws * t_max,
+                   lambda j, s: {"h": float(hs[j]), "t": s, "draw": j})
 
 
 def hb_sweep(gammas: Sequence[float], a_points: int, t_max: int) -> SweepResult:
@@ -232,26 +299,9 @@ def hb_sweep(gammas: Sequence[float], a_points: int, t_max: int) -> SweepResult:
     pairs = [(g, a) for g in gammas for a in np.linspace(0.0, 1.0 - g, a_points)]
     G = np.array([p[0] for p in pairs])
     A = np.array([p[1] for p in pairs])
-    H = np.zeros((len(pairs), 2, 2))
-    H[:, 0, 0] = 1.0 + G - A
-    H[:, 0, 1] = -G
-    H[:, 1, 0] = 1.0
-    bounds = 2.0 / (1.0 - np.sqrt(G))
-    Ps = np.broadcast_to(np.eye(2), (len(pairs), 2, 2)).copy()
-    max_ratio, witness = -np.inf, {}
-    counterexamples: List[dict] = []
-    for s in range(1, t_max + 1):
-        Ps = H @ Ps
-        ratios = _batch_spectral_norm(Ps) / bounds
-        i = int(np.argmax(ratios))
-        if ratios[i] > max_ratio:
-            max_ratio = float(ratios[i])
-            witness = {"gamma": float(G[i]), "a": float(A[i]), "t": s}
-        for j in np.nonzero(ratios > 1.0 + TOL)[0]:
-            counterexamples.append({"gamma": float(G[j]), "a": float(A[j]),
-                                    "t": s, "ratio": float(ratios[j])})
-    return SweepResult(lemma="hb", max_ratio=max_ratio, witness=witness,
-                       counterexamples=counterexamples, checks=len(pairs) * t_max)
+    scan = _hb_scan(G, A, t_max)
+    return _result("hb", scan, len(pairs) * t_max,
+                   lambda j, s: {"gamma": float(G[j]), "a": float(A[j]), "t": s})
 
 
 def scnag_sweep(kappas: Sequence[float], h_samples: int, t_max: int,
@@ -261,107 +311,60 @@ def scnag_sweep(kappas: Sequence[float], h_samples: int, t_max: int,
     Powers are accumulated incrementally, so the verdicts match calling
     ``scnag_lemma_check`` at each t individually.
     """
-    max_ratio, witness = -np.inf, {}
-    counterexamples: List[dict] = []
-    checks = 0
-    for kappa in kappas:
-        beta = kappa * alpha
-        eta = 1.0 / beta
-        gamma = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
-        lo, hi = scnag_h_range(alpha, beta, eta)
-        hs = np.linspace(lo, hi, h_samples + 2)
-        rho = float(_companion_radius((1.0 + gamma) * hs, gamma * hs).max())
-        Hs = np.zeros((hs.size, 2, 2))
-        Hs[:, 0, 0] = (1.0 + gamma) * hs
-        Hs[:, 0, 1] = -gamma * hs
-        Hs[:, 1, 0] = 1.0
-        Ps = np.broadcast_to(np.eye(2), (hs.size, 2, 2)).copy()
-        for t in range(1, t_max + 1):
-            Ps = Hs @ Ps
-            norm = float(_batch_spectral_norm(Ps).max())
-            bound = 2.0 * (1 + t) * rho ** (t - 1)
-            checks += 1
-            ratio = norm / bound if bound > 0 else (0.0 if norm <= TOL else np.inf)
-            if ratio > max_ratio:
-                max_ratio = float(ratio)
-                witness = {"kappa": kappa, "t": t}
-            if norm > bound + TOL:
-                counterexamples.append({"kappa": kappa, "t": t, "norm": norm,
-                                        "bound": bound})
-    return SweepResult(lemma="nag_sc", max_ratio=max_ratio, witness=witness,
-                       counterexamples=counterexamples, checks=checks)
+    _, top, rho = _scnag_grid([(k, alpha, k * alpha, 1.0 / (k * alpha)) for k in kappas],
+                              h_samples)
+    scan = _scnag_scan(top, lambda s: [_scnag_bound(r, s) for r in rho], t_max)
+    return _result("nag_sc", scan, len(kappas) * t_max,
+                   lambda j, s: {"kappa": kappas[j], "t": s})
 
 
 def recursion_u_sweep(h_step: float, t_max: int) -> SweepResult:
     """Unroll the scalar recursion on an h grid and confirm |a_i| <= i + 1."""
     hs = np.arange(0.0, 1.0 + h_step / 2, h_step)
-    max_ratio, witness = -np.inf, {}
-    counterexamples: List[dict] = []
-    for h in hs:
-        try:
-            a = recursion_u(float(h), t_max)
-        except RuntimeError:
-            counterexamples.append({"h": float(h)})
-            continue
-        ratios = np.abs(a) / (np.arange(t_max + 1) + 1.0)
-        i = int(np.argmax(ratios))
-        if ratios[i] > max_ratio:
-            max_ratio = float(ratios[i])
-            witness = {"h": float(h), "i": i}
-    return SweepResult(lemma="recursion_u", max_ratio=max_ratio, witness=witness,
-                       counterexamples=counterexamples, checks=hs.size * (t_max + 1))
+    scan = _recursion_scan(hs, t_max, lambda s: True)
+    return _result("recursion_u", scan, hs.size * (t_max + 1),
+                   lambda j, s: {"h": float(hs[j]), "i": s})
 
 
 def adversarial_max(lemma: str, budget: int, seed: int = 0,
                     t_max: int = 64) -> SweepResult:
     """Random search for envelope violations within a lemma's hypothesis box.
 
-    Returns the worst observed norm/bound ratio with witness parameters; any
-    ratio above 1 + 1e-9 is recorded as a counterexample.
+    Each draw takes its parameters and a horizon t ~ U{1..t_max} from one
+    Philox stream, in draw order; hb and nag_sc check the product at t,
+    recursion_u every a_i with i <= t.  Returns the worst observed
+    value/bound ratio with witness parameters; any value above its bound by
+    more than 1e-9 is recorded as a counterexample.
     """
     if budget < 1:
         raise ValidationError("budget must be >= 1")
     if lemma == "nag_convex":
         return nag_sweep(budget, t_max, seed=seed)
+    if lemma not in LEMMAS:
+        raise ValidationError(f"unknown lemma {lemma!r}")
     rng = np.random.Generator(np.random.Philox(seed))
-    max_ratio, witness = -np.inf, {}
-    counterexamples: List[dict] = []
+
+    def horizon() -> int:
+        return int(rng.integers(1, t_max + 1))
+
     if lemma == "hb":
+        draws = []
         for _ in range(budget):
             g = rng.uniform(0.0, 0.999)
-            a = rng.uniform(0.0, 1.0 - g)
-            t = int(rng.integers(1, t_max + 1))
-            res = hb_lemma_check(g, a, t)
-            ratio = res.norm / res.bound
-            if ratio > max_ratio:
-                max_ratio, witness = float(ratio), {"gamma": g, "a": a, "t": t}
-            if not res.ok:
-                counterexamples.append({"gamma": g, "a": a, "t": t, "ratio": ratio})
-        return SweepResult(lemma, max_ratio, witness, counterexamples, budget)
-    if lemma == "nag_sc":
-        for _ in range(budget):
-            kappa = float(np.exp(rng.uniform(0.0, np.log(100.0))))
-            t = int(rng.integers(1, t_max + 1))
-            res = scnag_lemma_check(kappa, 1.0, kappa, 1.0 / kappa, t, h_samples=16)
-            ratio = res.norm / res.bound if res.bound > 0 else (
-                0.0 if res.norm <= TOL else np.inf)
-            if ratio > max_ratio:
-                max_ratio, witness = float(ratio), {"kappa": kappa, "t": t}
-            if not res.ok:
-                counterexamples.append({"kappa": kappa, "t": t, "ratio": ratio})
-        return SweepResult(lemma, max_ratio, witness, counterexamples, budget)
-    if lemma == "recursion_u":
-        for _ in range(budget):
-            h = float(rng.uniform(0.0, 1.0))
-            t = int(rng.integers(1, t_max + 1))
-            try:
-                a = recursion_u(h, t)
-            except RuntimeError:
-                counterexamples.append({"h": h, "t": t})
-                continue
-            ratios = np.abs(a) / (np.arange(t + 1) + 1.0)
-            i = int(np.argmax(ratios))
-            if ratios[i] > max_ratio:
-                max_ratio, witness = float(ratios[i]), {"h": h, "i": i}
-        return SweepResult(lemma, max_ratio, witness, counterexamples, budget)
-    raise ValidationError(f"unknown lemma {lemma!r}")
+            draws.append((g, rng.uniform(0.0, 1.0 - g), horizon()))
+        G, A, T = map(np.array, zip(*draws))
+        scan = _hb_scan(G, A, t_max, lambda s: s == T)
+        describe = lambda j, s: {"gamma": float(G[j]), "a": float(A[j]), "t": s}
+    elif lemma == "nag_sc":
+        K, T = zip(*[(float(np.exp(rng.uniform(0.0, np.log(100.0)))), horizon())
+                     for _ in range(budget)])
+        _, top, rho = _scnag_grid([(k, 1.0, k, 1.0 / k) for k in K], 16)
+        bounds, steps = [_scnag_bound(r, t) for r, t in zip(rho, T)], np.array(T)
+        scan = _scnag_scan(top, lambda s: bounds, t_max, lambda s: s == steps)
+        describe = lambda j, s: {"kappa": K[j], "t": s}
+    else:  # recursion_u
+        hs, T = map(np.array, zip(*[(float(rng.uniform(0.0, 1.0)), horizon())
+                                    for _ in range(budget)]))
+        scan = _recursion_scan(hs, t_max, lambda s: s <= T)
+        describe = lambda j, s: {"h": float(hs[j]), "i": s}
+    return _result(lemma, scan, budget, describe)

@@ -193,7 +193,7 @@ def run(config: OptimizerConfig, spec: LossSpec, data: Dataset,
     theta0 defaults to the zero vector; for symbol datasets the dimension is
     taken from ``dim`` (default 1) since the data carry none.
     """
-    constants = loss_constants(spec, data if spec.family == "logistic" else None)
+    constants = loss_constants(spec, data)
     validate_config(config, constants)
 
     if theta0 is not None:

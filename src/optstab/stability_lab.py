@@ -11,14 +11,12 @@ perturbation.  Two series are recorded per pair:
 
 Repeats redraw the perturbed index and replacement point from a seeded
 stream and are averaged elementwise with standard errors; per-repeat traces
-are retained for audit.  Repeats are independent and may run concurrently;
-aggregation folds them in repeat order, so results are schedule independent.
+are retained for audit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -31,6 +29,7 @@ from .losses import (
     ValidationError,
     empirical_risk,
     empirical_risk_batch,
+    loss_constants,
     loss_values_matrix,
 )
 from .optimizers import IterateTrace, OptimizerConfig, fixed, run
@@ -66,20 +65,16 @@ class StabilityTrace:
         return len(self.param_gap) - 1
 
 
-def estimate_sup_loss_gap(theta, theta_p, spec: LossSpec, holdout: Dataset) -> float:
-    """max over holdout points of |l(theta; z) - l(theta'; z)|."""
+def estimate_sup_loss_gap(theta, theta_p, spec: LossSpec, holdout: Dataset):
+    """max over holdout points of |l(theta; z) - l(theta'; z)|.
+
+    Given (k, d) batches of parameter vectors, returns the k row-wise gaps.
+    """
     if holdout.n < 1:
         raise ValidationError("holdout must be nonempty")
-    thetas = np.vstack([np.atleast_1d(theta), np.atleast_1d(theta_p)])
-    vals = loss_values_matrix(spec, thetas, holdout)
-    return float(np.abs(vals[0] - vals[1]).max())
-
-
-def _sup_gap_series(spec: LossSpec, a: IterateTrace, b: IterateTrace,
-                    holdout: Dataset) -> np.ndarray:
-    va = loss_values_matrix(spec, a.thetas, holdout)
-    vb = loss_values_matrix(spec, b.thetas, holdout)
-    return np.abs(va - vb).max(axis=1)
+    gaps = np.abs(loss_values_matrix(spec, theta, holdout)
+                  - loss_values_matrix(spec, theta_p, holdout)).max(axis=1)
+    return gaps if np.ndim(theta) == 2 else float(gaps[0])
 
 
 def run_pair(config: OptimizerConfig, spec: LossSpec, pair: PerturbedPair,
@@ -88,7 +83,7 @@ def run_pair(config: OptimizerConfig, spec: LossSpec, pair: PerturbedPair,
     tr = run(config, spec, pair.base, theta0=theta0, dim=dim)
     tr_p = run(config, spec, pair.perturbed, theta0=theta0, dim=dim)
     param_gap = np.linalg.norm(tr.thetas - tr_p.thetas, axis=1)
-    sup_gap = _sup_gap_series(spec, tr, tr_p, holdout)
+    sup_gap = estimate_sup_loss_gap(tr.thetas, tr_p.thetas, spec, holdout)
     return StabilityTrace(param_gap=param_gap, sup_loss_gap=sup_gap,
                           trace=tr, trace_perturbed=tr_p)
 
@@ -124,8 +119,7 @@ def _describe_point(z: DataPoint) -> dict:
 
 def repeat_and_average(config: OptimizerConfig, spec: LossSpec, sample: Dataset,
                        pool: Dataset, reps: int, perturbation_seed: int = 0,
-                       theta0=None, dim: Optional[int] = None,
-                       workers: int = 1) -> AveragedStability:
+                       theta0=None, dim: Optional[int] = None) -> AveragedStability:
     """Average gap series over ``reps`` independent perturbations.
 
     Each repeat draws the perturbed index uniformly and the replacement point
@@ -136,25 +130,16 @@ def repeat_and_average(config: OptimizerConfig, spec: LossSpec, sample: Dataset,
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
-
-    def one(i: int) -> Tuple[StabilityTrace, dict]:
+    traces, records = [], []
+    for i in range(reps):
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(perturbation_seed, spawn_key=(i,))))
         k = int(rng.integers(0, sample.n))
         z_new = pool.point(int(rng.integers(0, pool.n)))
         pair = make_perturbed_pair(sample, k, z_new)
         cfg = config.with_seed(config.seed ^ i)
-        trace = run_pair(cfg, spec, pair, holdout=pool, theta0=theta0, dim=dim)
-        return trace, {"repeat": i, "k": k, "z": _describe_point(z_new)}
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(one, range(reps)))
-    else:
-        results = [one(i) for i in range(reps)]
-
-    traces = [t for t, _ in results]
-    records = [r for _, r in results]
+        traces.append(run_pair(cfg, spec, pair, holdout=pool, theta0=theta0, dim=dim))
+        records.append({"repeat": i, "k": k, "z": _describe_point(z_new)})
     pg = np.vstack([t.param_gap for t in traces])
     sg = np.vstack([t.sup_loss_gap for t in traces])
     pg_mean, pg_err = _mean_stderr(pg)
@@ -181,10 +166,12 @@ def _log_grid(t_lo: int, t_hi: int, points: int = 64) -> np.ndarray:
 
 
 def _lstsq_loglog(x: np.ndarray, y: np.ndarray):
+    """Least-squares line y ~ coef[0] x + coef[1]: (sum of squared residuals,
+    coef, residuals)."""
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
-    return float(resid @ resid), coef
+    return float(resid @ resid), coef, resid
 
 
 def detect_saturation(values: np.ndarray, t_lo: int, t_hi: int) -> int:
@@ -206,11 +193,11 @@ def detect_saturation(values: np.ndarray, t_lo: int, t_hi: int) -> int:
         return t_hi
     x = np.log(grid.astype(float))
     y = np.log(v)
-    sse_single, coef_single = _lstsq_loglog(x, y)
+    sse_single, _, _ = _lstsq_loglog(x, y)
     best = None
     for j in range(6, grid.size - 6):
-        sse_head, coef_head = _lstsq_loglog(x[:j], y[:j])
-        sse_tail, coef_tail = _lstsq_loglog(x[j:], y[j:])
+        sse_head, coef_head, _ = _lstsq_loglog(x[:j], y[:j])
+        sse_tail, coef_tail, _ = _lstsq_loglog(x[j:], y[j:])
         if best is None or sse_head + sse_tail < best[0]:
             best = (sse_head + sse_tail, j, coef_head, coef_tail)
     if best is None:
@@ -229,11 +216,7 @@ def fit_power_law(t, v) -> SlopeFit:
         raise ValidationError("slope fit needs at least two points")
     if np.any(t <= 0) or np.any(v <= 0):
         raise ValidationError("slope fit needs strictly positive values in the window")
-    x = np.log(t)
-    y = np.log(v)
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
+    _, coef, resid = _lstsq_loglog(np.log(t), np.log(v))
     rms = float(np.sqrt(np.mean(resid ** 2)))
     return SlopeFit(exponent=float(coef[0]), intercept=float(coef[1]),
                     t_lo=int(round(t[0])), t_hi=int(round(t[-1])), residual_rms=rms)
@@ -300,8 +283,7 @@ def risk_curves(config: OptimizerConfig, spec: LossSpec, train: Dataset,
     opt_error = None
     ref_risk = None
     if reference_budget:
-        from .losses import loss_constants
-        beta = loss_constants(spec, train if spec.family == "logistic" else None).beta
+        beta = loss_constants(spec, train).beta
         eta_ref = 1.0 / beta if beta > 0 else config.schedule.eta0
         ref_cfg = OptimizerConfig(method="gd", schedule=fixed(eta_ref),
                                   T=int(reference_budget), seed=config.seed)

@@ -65,8 +65,9 @@ def test_build_config_overrides_win():
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(ValidationError):
-        build_config({"banana": 1})
+    for values in ({"banana": 1}, {"loss": "quadratic"}):
+        with pytest.raises(ValidationError):
+            build_config(values)
 
 
 def test_config_hash_stable_and_sensitive():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optstab.losses import (
     DataPoint,
@@ -22,6 +24,7 @@ from optstab.losses import (
     loss_value,
     loss_values_matrix,
     normalize_rows,
+    _sigmoid,
     sample_grad,
 )
 
@@ -180,15 +183,23 @@ def test_empirical_risk_lecam_symmetric_pair():
 
 
 def test_empirical_risk_grad_is_mean_of_sample_grads():
-    spec = logistic_spec()
+    from optstab.losses import quadratic_spec
+
     rng = np.random.Generator(np.random.Philox(8))
     X = normalize_rows(rng.standard_normal((6, 3)))
     y = rng.integers(0, 2, size=6).astype(float)
-    data = Dataset.from_labeled(X, y)
+    labeled = Dataset.from_labeled(X, y)
     theta = rng.standard_normal(3)
-    mean_grad = np.mean([sample_grad(spec, theta, data, i) for i in range(6)], axis=0)
-    np.testing.assert_allclose(empirical_risk_grad(spec, theta, data), mean_grad,
-                               atol=1e-14)
+    symbols = Dataset.from_symbols(rng.choice([-1.0, 1.0], size=6))
+    M = rng.standard_normal((3, 3))
+    for spec, data in ((logistic_spec(), labeled),
+                       (quadratic_spec(M @ M.T, rng.standard_normal(3)), labeled),
+                       (linear_worstcase_spec(L=2.0), symbols),
+                       (lecam_convex_spec(beta=1.5, r=0.8), symbols),
+                       (lecam_strongly_convex_spec(beta=1.5, r=0.8), symbols)):
+        mean_grad = np.mean([sample_grad(spec, theta, data, i) for i in range(6)], axis=0)
+        np.testing.assert_allclose(empirical_risk_grad(spec, theta, data), mean_grad,
+                                   atol=1e-14, err_msg=spec.family)
 
 
 def test_empty_dataset_rejected():
@@ -210,6 +221,32 @@ def test_loss_values_matrix_agrees_with_scalar_path():
                 loss_value(spec, thetas[i], data.point(j)), abs=1e-12)
     np.testing.assert_allclose(empirical_risk_batch(spec, thetas, data),
                                V.mean(axis=1))
+
+
+def _masked_sigmoid(u):
+    # the masked two-branch form, kept as the reference for _sigmoid
+    out = np.empty_like(u, dtype=float)
+    pos = u >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    eu = np.exp(u[~pos])
+    out[~pos] = eu / (1.0 + eu)
+    return out
+
+
+def _assert_bitwise_equal(a, b):
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_sigmoid_matches_masked_reference_bitwise():
+    u = np.array([800.0, -800.0, 40.0, -40.0, 1e-3, -1e-3, 0.0])
+    _assert_bitwise_equal(_sigmoid(u), _masked_sigmoid(u))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+def test_sigmoid_matches_masked_reference_on_floats(values):
+    u = np.array(values)
+    _assert_bitwise_equal(_sigmoid(u), _masked_sigmoid(u))
 
 
 # ---------------------------------------------------------------- constants

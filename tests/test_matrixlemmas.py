@@ -5,6 +5,7 @@ import pytest
 
 from optstab.losses import ValidationError
 from optstab.matrixlemmas import (
+    _recursion_scan,
     adversarial_max,
     hb_lemma_check,
     hb_sweep,
@@ -199,6 +200,8 @@ def test_nag_sweep_small_budget_clean():
 def test_hb_sweep_clean():
     res = hb_sweep([g / 10 for g in range(10)], 11, 64)
     assert res.ok
+    # gamma = a = 0 has ratio sqrt(1/2) at every t; ties go to the first check
+    assert res.witness == {"gamma": 0.0, "a": 0.0, "t": 1}
 
 
 def test_scnag_sweep_clean():
@@ -226,3 +229,85 @@ def test_adversarial_max_all_lemmas():
         adversarial_max("unknown", 10)
     with pytest.raises(ValidationError):
         adversarial_max("hb", 0)
+
+
+# ------------------------------------------------- sweep engine equivalence
+
+
+def test_lemma_checks_match_matrix_power_reference():
+    rng = np.random.Generator(np.random.Philox(21))
+    for _ in range(40):
+        h = rng.uniform(0.0, 1.0)
+        gammas = rng.uniform(-0.99, 0.99, size=int(rng.integers(1, 40)))
+        P = np.eye(2)
+        for g in gammas:
+            P = np.array([[(1.0 - g) * h, g * h], [1.0, 0.0]]) @ P
+        ref = np.linalg.norm(P, 2)
+        assert nag_lemma_check(h, gammas).norm == pytest.approx(ref, rel=1e-10)
+
+        gamma = rng.uniform(0.0, 0.999)
+        a = rng.uniform(0.0, 1.0 - gamma)
+        t = int(rng.integers(0, 65))
+        H = np.array([[1.0 + gamma - a, -gamma], [1.0, 0.0]])
+        ref = np.linalg.norm(np.linalg.matrix_power(H, t), 2)
+        assert hb_lemma_check(gamma, a, t).norm == pytest.approx(ref, rel=1e-10)
+
+        kappa = float(np.exp(rng.uniform(0.0, np.log(100.0))))
+        t = int(rng.integers(0, 65))
+        res = scnag_lemma_check(kappa, 1.0, kappa, 1.0 / kappa, t, h_samples=6)
+        g = res.params["gamma"]
+        ref = max(np.linalg.norm(np.linalg.matrix_power(
+            np.array([[(1.0 + g) * h, -g * h], [1.0, 0.0]]), t), 2)
+            for h in np.linspace(0.0, 1.0 - 1.0 / kappa, 8))
+        assert res.norm == pytest.approx(ref, rel=1e-10)
+
+
+def test_adversarial_max_matches_per_draw_reference():
+    # replays the documented stream: per draw its parameters, then t ~ U{1..t_max}
+    budget, t_max, seed = 60, 24, 3
+    rng = np.random.Generator(np.random.Philox(seed))
+    hb_ratios = []
+    for _ in range(budget):
+        g = rng.uniform(0.0, 0.999)
+        a = rng.uniform(0.0, 1.0 - g)
+        t = int(rng.integers(1, t_max + 1))
+        H = np.array([[1.0 + g - a, -g], [1.0, 0.0]])
+        hb_ratios.append(np.linalg.norm(np.linalg.matrix_power(H, t), 2)
+                         * (1.0 - math.sqrt(g)) / 2.0)
+    res = adversarial_max("hb", budget, seed=seed, t_max=t_max)
+    assert res.max_ratio == pytest.approx(max(hb_ratios), rel=1e-10)
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    sc_ratios = []
+    for _ in range(budget):
+        kappa = float(np.exp(rng.uniform(0.0, np.log(100.0))))
+        t = int(rng.integers(1, t_max + 1))
+        check = scnag_lemma_check(kappa, 1.0, kappa, 1.0 / kappa, t, h_samples=16)
+        sc_ratios.append(check.norm / check.bound)
+    res = adversarial_max("nag_sc", budget, seed=seed, t_max=t_max)
+    assert res.max_ratio == pytest.approx(max(sc_ratios), rel=1e-12)
+
+
+def test_recursion_sweep_path_matches_scalar_unroll():
+    eps = np.finfo(float).eps
+    for h in np.linspace(0.0, 1.0, 21):
+        for t in (0, 1, 2, 5, 33, 64):
+            _, (_, step, value, bound), _ = _recursion_scan(np.array([h]), t,
+                                                            lambda s: s == t)
+            assert (step, bound) == (t, t + 1.0)
+            assert value == pytest.approx(abs(recursion_u(float(h), t)[t]),
+                                          rel=0, abs=64 * eps * (t + 1))
+
+
+def test_adversarial_max_pinned_results():
+    pins = {
+        "hb": (0.4693710575956255,
+               {"gamma": 0.18571249529874834, "a": 0.011027184666123709, "t": 6}),
+        "nag_sc": (0.8861242055519083, {"kappa": 95.20420296140193, "t": 53}),
+        "recursion_u": (1.0, {"h": 0.014067035665647709, "i": 0}),
+    }
+    for lemma, (ratio, witness) in pins.items():
+        res = adversarial_max(lemma, 200, seed=0)
+        assert res.max_ratio == pytest.approx(ratio, rel=1e-12), lemma
+        assert res.witness == pytest.approx(witness, rel=1e-12), lemma
+        assert res.checks == 200 and res.ok, lemma
