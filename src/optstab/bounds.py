@@ -99,58 +99,64 @@ def sgld_burn_in(eta0: float, tau: float, L: float) -> int:
     return max(1, math.floor(m) + 1) if m >= 1 else 1
 
 
-def stability_bound(q: BoundQuery) -> float:
-    """Uniform stability bound at iteration T.  Zero at T = 0 for every method.
+def stability_bound_curve(q: BoundQuery, ts) -> np.ndarray:
+    """Uniform stability bound at every horizon T in ``ts`` (``q.T`` is not read).
 
-    Raises NoBoundError for pairs without a formula (e.g. heavy ball in the
-    strongly convex setting).
+    Each formula is written once over the array of horizons; sgld's harmonic
+    tail is a cumulative sum.  Zero at T = 0 for every method.  Raises
+    NoBoundError for pairs without a formula (e.g. heavy ball in the strongly
+    convex setting), whatever the horizons.
     """
+    T = np.asarray(ts, dtype=float)
+    if np.any(T < 0) or np.any(T != np.floor(T)):
+        raise ValidationError("horizons must be integers >= 0")
     L, beta, alpha = q.constants.L, q.constants.beta, q.constants.alpha
-    T, n, sched = q.T, q.n, q.schedule
-    if T == 0:
-        _dispatch_check(q)
-        return 0.0
+    n, sched = q.n, q.schedule
+    curve = None
     if q.setting == CONVEX:
         if q.method in ("gd", "sgd"):
             if sched.kind == "fixed":
-                return 2.0 * sched.eta0 * L * L * T / n
-            return 2.0 * sched.eta0 * L * L * T ** (1.0 - sched.alpha) / n
-        if q.method == "nag" and sched.kind == "fixed":
-            return 4.0 * sched.eta0 * L * L * T * T / n
-        if q.method == "hb" and sched.kind == "fixed":
-            return 4.0 * sched.eta0 * L * L * T / ((1.0 - math.sqrt(q.gamma)) * n)
-        if q.method == "sgld":
+                curve = 2.0 * sched.eta0 * L * L * T / n
+            else:
+                curve = 2.0 * sched.eta0 * L * L * T ** (1.0 - sched.alpha) / n
+        elif q.method == "nag" and sched.kind == "fixed":
+            curve = 4.0 * sched.eta0 * L * L * T * T / n
+        elif q.method == "hb" and sched.kind == "fixed":
+            curve = 4.0 * sched.eta0 * L * L * T / ((1.0 - math.sqrt(q.gamma)) * n)
+        elif q.method == "sgld":
             if sched.kind != "power" or sched.alpha != 1.0:
                 raise NoBoundError("sgld bound needs the eta0/t schedule")
             if q.tau is None or q.tau <= 0:
                 raise NoBoundError("sgld bound needs tau > 0")
             k0 = sgld_burn_in(sched.eta0, q.tau, L)
-            ts = np.arange(k0 + 1, T + 1)
-            tail = sched.eta0 * np.sum(1.0 / ts) if ts.size else 0.0
-            return (L / n) * (min(k0, T) + L * math.sqrt(q.tau * tail))
+            # harmonic[j] = sum_{t=k0+1}^{k0+j} 1/t
+            t_max = int(T.max()) if T.size else 0
+            harmonic = np.concatenate(
+                [[0.0], np.cumsum(1.0 / np.arange(k0 + 1, max(t_max, k0) + 1))])
+            tail = sched.eta0 * harmonic[np.maximum(T - k0, 0).astype(int)]
+            curve = (L / n) * (np.minimum(k0, T) + L * np.sqrt(q.tau * tail))
+    elif sched.kind != "fixed":
+        raise NoBoundError("strongly convex bounds assume a fixed step size")
     else:
         kappa = beta / alpha
         eta = sched.eta0
-        if sched.kind != "fixed":
-            raise NoBoundError("strongly convex bounds assume a fixed step size")
         if q.method == "gd":
-            return (4.0 * L * L / (alpha * n)) * (
+            curve = (4.0 * L * L / (alpha * n)) * (
                 1.0 - (1.0 - eta * beta / (1.0 + kappa)) ** T)
-        if q.method == "sgd":
-            return (2.0 * L * L / (alpha * n)) * (1.0 - (1.0 - eta * alpha / 2.0) ** T)
-        if q.method == "nag_sc":
-            return (4.0 * L * L / (alpha * n)) * (
+        elif q.method == "sgd":
+            curve = (2.0 * L * L / (alpha * n)) * (1.0 - (1.0 - eta * alpha / 2.0) ** T)
+        elif q.method == "nag_sc":
+            curve = (4.0 * L * L / (alpha * n)) * (
                 1.0 - (1.0 - 1.0 / math.sqrt(kappa)) ** T)
-    raise NoBoundError(
-        f"no stability bound available for ({q.method}, {q.setting}, {sched.kind})")
+    if curve is None:
+        raise NoBoundError(
+            f"no stability bound available for ({q.method}, {q.setting}, {sched.kind})")
+    return np.where(T == 0, 0.0, curve)
 
 
-def _dispatch_check(q: BoundQuery) -> None:
-    """Raise NoBoundError for unsupported pairs even when T = 0."""
-    if q.T == 0:
-        probe = BoundQuery(method=q.method, setting=q.setting, constants=q.constants,
-                           schedule=q.schedule, T=1, n=q.n, gamma=q.gamma, tau=q.tau)
-        stability_bound(probe)
+def stability_bound(q: BoundQuery) -> float:
+    """Uniform stability bound at iteration T: the curve evaluated at q.T."""
+    return float(stability_bound_curve(q, [q.T])[0])
 
 
 def stability_bound_table_form(q: BoundQuery) -> float:

@@ -87,12 +87,10 @@ def _stability_scaling(cfg: ExperimentConfig) -> Report:
             except ValidationError as exc:
                 log.warning("slope fit skipped for %s_%s: %s", m, label, exc)
         try:
-            q0 = bounds_mod.BoundQuery(method=m, setting=bounds_mod.CONVEX,
-                                       constants=constants, schedule=oc.schedule,
-                                       T=1, n=sample.n, gamma=oc.gamma, tau=oc.tau)
-            curve = [bounds_mod.stability_bound(dataclasses.replace(q0, T=int(t)))
-                     for t in ts]
-            report.add_series(f"{m}_bound", ts, np.asarray(curve))
+            query = bounds_mod.BoundQuery(method=m, setting=bounds_mod.CONVEX,
+                                          constants=constants, schedule=oc.schedule,
+                                          T=cfg.T, n=sample.n, gamma=oc.gamma, tau=oc.tau)
+            report.add_series(f"{m}_bound", ts, bounds_mod.stability_bound_curve(query, ts))
         except bounds_mod.NoBoundError as exc:
             log.info("no bound overlay for %s: %s", m, exc)
     return report

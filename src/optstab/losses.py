@@ -15,8 +15,11 @@ strong convexity alpha, domain diameter R).  Five families are supported:
 
 Each family's math lives in one entry of a private kernel table: a value
 kernel over a batch of parameter vectors and every data row, a mean-gradient
-kernel over a slice of rows, and the constants.  The public functions are
-thin wrappers around it.
+kernel over all rows or one row per parameter vector, and the constants.
+The public functions are thin wrappers around it.  The gradient functions
+also take a stack (..., d) of parameter vectors and a stack of samples
+(``Dataset.stack``); every vector's gradient is then computed by its own
+matrix-vector products, exactly as for a single vector.
 
 All evaluation is pure and re-entrant; specs and datasets are immutable
 once constructed and safe to share across workers.
@@ -25,7 +28,7 @@ once constructed and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,16 +37,22 @@ class ValidationError(ValueError):
     """A precondition on inputs or configuration was violated."""
 
 
-def as_param_vector(theta) -> np.ndarray:
-    """Coerce to a finite 1-D float array (model parameters)."""
+def _as_params(theta) -> np.ndarray:
+    """Coerce to a finite float array of parameter vectors (..., d)."""
     arr = np.asarray(theta, dtype=float)
     if arr.ndim == 0:
         arr = arr.reshape(1)
-    if arr.ndim != 1:
-        raise ValidationError(f"parameter vector must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError("parameter vector has non-finite entries")
     return arr
+
+
+def as_param_vector(theta) -> np.ndarray:
+    """Coerce to a finite 1-D float array (model parameters)."""
+    arr = np.asarray(theta, dtype=float)
+    if arr.ndim > 1:
+        raise ValidationError(f"parameter vector must be 1-D, got shape {arr.shape}")
+    return _as_params(arr)
 
 
 @dataclass(frozen=True)
@@ -71,7 +80,12 @@ class DataPoint:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A sample of n points, homogeneous in variant, backed by dense arrays."""
+    """A sample of n points, homogeneous in variant, backed by dense arrays.
+
+    A stack of equal-size samples (``Dataset.stack``) carries its stack axes
+    in front: X (..., n, d), y and s (..., n).  Only the gradient functions
+    and ``loss_constants`` read stacks.
+    """
 
     kind: str  # "labeled" | "symbol"
     X: Optional[np.ndarray] = None  # (n, d) rows for labeled data
@@ -82,14 +96,14 @@ class Dataset:
         if self.kind == "labeled":
             if self.X is None or self.y is None:
                 raise ValidationError("labeled dataset needs X and y")
-            if self.X.ndim != 2 or self.y.shape != (self.X.shape[0],):
+            if self.X.ndim < 2 or self.y.shape != self.X.shape[:-1]:
                 raise ValidationError("labeled dataset shapes disagree")
-            if self.X.shape[0] < 1:
+            if self.X.shape[-2] < 1:
                 raise ValidationError("dataset must contain at least one point")
         elif self.kind == "symbol":
-            if self.s is None or np.asarray(self.s).ndim != 1:
+            if self.s is None or np.asarray(self.s).ndim < 1:
                 raise ValidationError("symbol dataset needs a 1-D symbol array")
-            if len(self.s) < 1:
+            if np.shape(self.s)[-1] < 1:
                 raise ValidationError("dataset must contain at least one point")
             if not np.all(np.isin(self.s, (-1, 1))):
                 raise ValidationError("symbols must lie in {-1, +1}")
@@ -106,13 +120,28 @@ class Dataset:
     def from_symbols(s) -> "Dataset":
         return Dataset(kind="symbol", s=np.asarray(s, dtype=float))
 
+    @staticmethod
+    def stack(samples: Sequence["Dataset"]) -> "Dataset":
+        """Equal-size samples of one kind stacked along a new first axis."""
+        if len({z.kind for z in samples}) != 1 or any(z.stack_shape for z in samples):
+            raise ValidationError("can only stack single samples of one kind")
+        if samples[0].kind == "labeled":
+            return Dataset(kind="labeled", X=np.stack([z.X for z in samples]),
+                           y=np.stack([z.y for z in samples]))
+        return Dataset(kind="symbol", s=np.stack([z.s for z in samples]))
+
     @property
     def n(self) -> int:
-        return self.X.shape[0] if self.kind == "labeled" else len(self.s)
+        return self.X.shape[-2] if self.kind == "labeled" else self.s.shape[-1]
 
     @property
     def dim(self) -> Optional[int]:
-        return self.X.shape[1] if self.kind == "labeled" else None
+        return self.X.shape[-1] if self.kind == "labeled" else None
+
+    @property
+    def stack_shape(self) -> tuple:
+        """Leading shape of a stack of samples; () for a single sample."""
+        return self.X.shape[:-2] if self.kind == "labeled" else self.s.shape[:-1]
 
     def point(self, i: int) -> DataPoint:
         if not 0 <= i < self.n:
@@ -237,18 +266,28 @@ class LossConstants:
 
 
 def _sigmoid(u):
-    """Numerically stable logistic function; both branches share exp(-|u|)."""
-    e = np.exp(-np.abs(u))
-    return np.where(u >= 0, 1.0, e) / (1.0 + e)
+    """Numerically stable logistic function; both branches share exp(-|u|).
+
+    Computed in place on two buffers instead of six temporaries: the
+    optimizer engine calls it on a block of every member's margins each
+    step, and every fresh block-sized temporary can cost page faults.
+    """
+    e = np.abs(u)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(u >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _check_dataset(spec: LossSpec, theta: np.ndarray, data: Dataset) -> None:
     want = spec.variant
     if want != "any" and data.kind != want:
         raise ValidationError(f"{spec.family} expects {want} data, got {data.kind}")
-    if data.kind == "labeled" and data.X.shape[1] != theta.shape[0]:
+    if data.kind == "labeled" and data.X.shape[-1] != theta.shape[-1]:
         raise ValidationError("dimension mismatch between data rows and theta")
-    if spec.family == "quadratic" and theta.shape != (spec.A.shape[0],):
+    if spec.family == "quadratic" and theta.shape[-1:] != (spec.A.shape[0],):
         raise ValidationError("theta dimension does not match quadratic A")
 
 
@@ -264,39 +303,55 @@ def _lecam_convex_slope(u: np.ndarray, beta: float, r: float) -> np.ndarray:
     return np.where(au < r / 2, beta * u, 0.25 * beta * r * np.sign(u))
 
 
+def _rows(a: np.ndarray, rows, feature_ndim: int = 0) -> np.ndarray:
+    """A sample array (..., n, *features) itself when ``rows`` is None;
+    otherwise row rows[b] of member b's sample, kept as a one-row sample
+    (..., 1, *features).  A single sample is shared by every member."""
+    if rows is None:
+        return a
+    picked = a[np.indices(a.shape[:a.ndim - 1 - feature_ndim], sparse=True) + (rows,)]
+    return np.expand_dims(picked, picked.ndim - feature_ndim)
+
+
 @dataclass(frozen=True)
 class _Family:
     """One loss family's math, batched over parameters and data rows."""
 
     variant: str         # data it consumes: "labeled", "symbol" or "any"
     values: Callable     # (spec, thetas (k, d), data) -> (k, n) per-sample losses
-    grad: Callable       # (spec, theta (d,), data, rows) -> mean gradient over data[rows]
+    grad: Callable       # (spec, thetas (..., d), data, rows) -> (..., d) mean gradients
+    #                      over all rows (rows None) or over row rows[b] alone
     constants: Callable  # (spec, data or None) -> (L, beta, alpha)
 
 
 def _logistic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
     U = thetas @ data.X.T
-    return np.logaddexp(0.0, U) - U * data.y
+    values = np.logaddexp(0.0, U)
+    U *= data.y
+    values -= U
+    return values
 
 
-def _logistic_grad(spec: LossSpec, theta: np.ndarray, data: Dataset, rows) -> np.ndarray:
-    X = data.X[rows]
-    return X.T @ (_sigmoid(X @ theta) - data.y[rows]) / X.shape[0]
+def _logistic_grad(spec: LossSpec, thetas: np.ndarray, data: Dataset, rows) -> np.ndarray:
+    X = _rows(data.X, rows, 1)
+    R = _sigmoid(X @ thetas[..., None])
+    R -= _rows(data.y, rows)[..., None]
+    return (X.swapaxes(-1, -2) @ R)[..., 0] / X.shape[-2]
 
 
 def _logistic_constants(spec: LossSpec, data: Optional[Dataset]):
     if data is not None:
         if data.kind != "labeled":
             raise ValidationError("logistic constants need labeled data")
-        if np.linalg.norm(data.X, axis=1).max() > 1.0 + 1e-9:
+        if np.linalg.norm(data.X, axis=-1).max() > 1.0 + 1e-9:
             raise ValidationError(
                 "logistic design must have unit-norm rows; run normalize_rows first")
     return 1.0, 0.25, 0.0
 
 
 def _quadratic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
-    v = 0.5 * np.einsum("ki,ij,kj->k", thetas, spec.A, thetas) - thetas @ spec.b
-    return np.broadcast_to(v[:, None], (thetas.shape[0], data.n))
+    v = 0.5 * np.einsum("...i,ij,...j->...", thetas, spec.A, thetas) - thetas @ spec.b
+    return np.broadcast_to(v[..., None], v.shape + (data.n,))
 
 
 def _quadratic_constants(spec: LossSpec, data: Optional[Dataset]):
@@ -307,32 +362,36 @@ def _quadratic_constants(spec: LossSpec, data: Optional[Dataset]):
 
 def _symbol_family(value, mean_slope, constants) -> _Family:
     """A family reading only theta[0] and the symbols s: ``value(spec, t0, s)``
-    broadcasts losses, ``mean_slope(spec, t0, s)`` averages d l / d theta[0]."""
-    def grad(spec, theta, data, rows):
-        g = np.zeros_like(theta)
-        g[0] = mean_slope(spec, theta[0], data.s[rows])
+    broadcasts losses, ``mean_slope(spec, t0, s)`` averages d l / d theta[0]
+    over the last axis of s."""
+    def grad(spec, thetas, data, rows):
+        g = np.zeros_like(thetas)
+        g[..., 0] = mean_slope(spec, thetas[..., 0:1], _rows(data.s, rows))
         return g
-    return _Family("symbol", lambda spec, thetas, data: value(spec, thetas[:, 0:1], data.s),
+    return _Family("symbol",
+                   lambda spec, thetas, data: value(spec, thetas[..., 0:1], data.s),
                    grad, constants)
 
 
 _KERNELS = {
     "logistic": _Family("labeled", _logistic_values, _logistic_grad, _logistic_constants),
     "quadratic": _Family("any", _quadratic_values,
-                         lambda spec, theta, data, rows: spec.A @ theta - spec.b,
+                         lambda spec, thetas, data, rows:
+                         (spec.A @ thetas[..., None])[..., 0] - spec.b,
                          _quadratic_constants),
     "linear_worstcase": _symbol_family(
         lambda spec, t0, s: spec.L * t0 * s,
-        lambda spec, t0, s: spec.L * s.mean(),
+        lambda spec, t0, s: spec.L * s.mean(axis=-1),
         lambda spec, data: (spec.L, 0.0, 0.0)),
     "lecam_convex": _symbol_family(
         lambda spec, t0, s: _lecam_convex_piece(t0 - spec.r * s, spec.beta, spec.r),
-        lambda spec, t0, s: _lecam_convex_slope(t0 - spec.r * s, spec.beta, spec.r).mean(),
+        lambda spec, t0, s: _lecam_convex_slope(t0 - spec.r * s, spec.beta,
+                                                spec.r).mean(axis=-1),
         # gradient magnitude peaks at the quadratic-piece boundary |u| = r/2
         lambda spec, data: (0.5 * spec.beta * spec.r, spec.beta, 0.0)),
     "lecam_strongly_convex": _symbol_family(
         lambda spec, t0, s: 0.5 * spec.beta * (t0 - spec.r * s) ** 2,
-        lambda spec, t0, s: spec.beta * (t0 - spec.r * s).mean(),
+        lambda spec, t0, s: spec.beta * (t0 - spec.r * s).mean(axis=-1),
         # |grad| = beta*|theta[0] - s*r| <= beta*(R/2 + r)
         lambda spec, data: (spec.beta * (spec.domain_radius / 2 + spec.r), spec.beta,
                             spec.beta)),
@@ -360,11 +419,13 @@ def loss_grad(spec: LossSpec, theta, z: DataPoint) -> np.ndarray:
 def loss_values_matrix(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
     """Per-sample losses for a batch of parameter vectors: (k, n) matrix.
 
-    Row i holds l(thetas[i]; z_j) for every point z_j of the dataset.  This
-    is the vectorized engine behind empirical risks and sup-loss gaps.
+    Row i holds l(thetas[i]; z_j) for every point z_j of the dataset.  A
+    stack (..., k, d) of batches gives (..., k, n), each batch evaluated by
+    its own matrix product.  This is the vectorized engine behind empirical
+    risks and sup-loss gaps.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    _check_dataset(spec, thetas[0], data)
+    _check_dataset(spec, thetas, data)
     return _KERNELS[spec.family].values(spec, thetas, data)
 
 
@@ -380,15 +441,30 @@ def empirical_risk_batch(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> n
 
 
 def empirical_risk_grad(spec: LossSpec, theta, data: Dataset) -> np.ndarray:
-    """Gradient of the empirical risk at theta."""
-    theta = as_param_vector(theta)
+    """Gradient of the empirical risk at theta.
+
+    theta may be a stack (..., d) of parameter vectors and data a stack of
+    samples broadcast against it; the result has the broadcast shape.
+    """
+    theta = _as_params(theta)
     _check_dataset(spec, theta, data)
-    return _KERNELS[spec.family].grad(spec, theta, data, slice(None))
+    return _KERNELS[spec.family].grad(spec, theta, data, None)
 
 
-def sample_grad(spec: LossSpec, theta: np.ndarray, data: Dataset, i: int) -> np.ndarray:
-    """Gradient of the i-th per-sample loss (fast path for stochastic methods)."""
-    return _KERNELS[spec.family].grad(spec, theta, data, slice(i, i + 1))
+def sample_grad(spec: LossSpec, theta, data: Dataset, i) -> np.ndarray:
+    """Gradient of the i-th per-sample loss.
+
+    For a stack (..., d) of parameter vectors, i may be an index array: each
+    vector takes the gradient at row i[b] of its own sample.
+    """
+    theta = _as_params(theta)
+    _check_dataset(spec, theta, data)
+    rows = np.broadcast_to(np.asarray(i, dtype=np.intp),
+                           np.broadcast_shapes(np.shape(i), theta.shape[:-1],
+                                               data.stack_shape))
+    if (rows < 0).any() or (rows >= data.n).any():
+        raise ValidationError(f"index out of range for n={data.n}")
+    return _KERNELS[spec.family].grad(spec, theta, data, rows)
 
 
 def loss_constants(spec: LossSpec, data: Optional[Dataset] = None) -> LossConstants:

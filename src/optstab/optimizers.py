@@ -1,4 +1,4 @@
-"""Seedable first-order optimizers producing full iterate traces.
+"""Seedable first-order optimizers as one batched momentum-form recursion.
 
 Methods: full gradient descent (``gd``), single-sample stochastic gradient
 descent (``sgd``), Nesterov acceleration with the vanishing-momentum
@@ -7,18 +7,25 @@ recursion (``nag``), Nesterov acceleration with fixed momentum
 heavy ball with fixed momentum (``hb``), and stochastic gradient Langevin
 dynamics (``sgld``).
 
+Every method is one coefficient schedule of the same step (see
+``_coefficients``), differing otherwise only in whether the gradient is the
+full empirical-risk gradient or a single sampled row's.  ``batch_iterates``
+runs B members of one method as one (B, d) state, each member on the shared
+sample or on its own sample of a stack; ``run`` is its one-member case and
+is the only place that records an iterate trace.
+
 Randomized methods draw their index and Gaussian noise streams from Philox
-4x64 counter-based generators keyed by the config seed, so a trace is a
-deterministic function of (config, loss, sample, theta0).  Two runs with the
-same seed share identical streams, which is what couples a perturbed pair.
-Distinct runs may execute concurrently; traces are immutable once returned.
+4x64 counter-based generators keyed by the member's seed, so every iterate
+is a deterministic function of (config, seed, loss, sample, theta0).  Members
+with the same seed share identical streams, which is what couples a
+perturbed pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -186,62 +193,98 @@ def _streams(config: OptimizerConfig, n: int, d: int):
     return indices, noise
 
 
-def run(config: OptimizerConfig, spec: LossSpec, data: Dataset,
-        theta0=None, dim: Optional[int] = None) -> IterateTrace:
-    """Run the configured method on the empirical risk of ``data``.
+def _step_sizes(schedule: StepSchedule, T: int) -> np.ndarray:
+    return np.array([step_size(schedule, t) for t in range(1, T + 1)])
 
-    theta0 defaults to the zero vector; for symbol datasets the dimension is
-    taken from ``dim`` (default 1) since the data carry none.
+
+def _coefficients(config: OptimizerConfig, etas: np.ndarray):
+    """Per-step lookahead weights a_t, momentum weights b_t and noise scales c_t.
+
+    Step t of every method is
+        look_t    = (1 - a_t) theta_{t-1} + a_t theta_{t-2}
+        theta_t   = look_t - eta_t g_t(look_t) + b_t (theta_{t-1} - theta_{t-2})
+                    + c_t xi_t
+    with theta_{-1} = theta_0, g_t the full or the sampled gradient and xi_t
+    standard Gaussian noise.
     """
-    constants = loss_constants(spec, data)
-    validate_config(config, constants)
+    T, method = len(etas), config.method
+    a, b, c = np.zeros(T), np.zeros(T), np.zeros(T)
+    if method == "nag" and T > 1:
+        a[1:] = nag_momentum_sequence(T - 1)
+    elif method == "nag_sc":
+        a[1:] = -sc_momentum(config.kappa)
+    elif method == "hb":
+        b[:] = config.gamma
+    elif method == "sgld":
+        c = config.noise_scale * np.sqrt(2.0 * etas / config.tau)
+    return a, b, c
 
+
+def batch_iterates(config: OptimizerConfig, spec: LossSpec, data: Dataset,
+                   seeds: Sequence[int], theta0=None,
+                   dim: Optional[int] = None) -> Iterator[np.ndarray]:
+    """Yield the (B, d) states theta_0..theta_T of B runs of one method.
+
+    Member b runs ``config`` with seed ``seeds[b]`` on ``data``, or on sample
+    b of a stack of B samples (``Dataset.stack``).  Members with equal seeds
+    share their index and noise streams, which couples them, and every
+    member's gradient comes from its own matrix-vector products, as in a
+    single run, so members whose seeds and samples agree follow exactly equal
+    iterates.  theta0 defaults to the zero vector; for symbol datasets the
+    dimension is taken from ``dim`` (default 1) since the data carry none.
+    Raises FloatingPointError naming the method and step at the first
+    iterate that is not finite.
+    """
+    B = len(seeds)
+    if data.stack_shape not in ((), (B,)):
+        raise ValidationError("need one sample, or one sample per member")
+    validate_config(config, loss_constants(spec, data))
     if theta0 is not None:
         theta = as_param_vector(theta0).copy()
     elif data.kind == "labeled":
         theta = np.zeros(data.dim)
     else:
         theta = np.zeros(dim if dim is not None else 1)
-
     T, n, d = config.T, data.n, theta.shape[0]
-    thetas = np.empty((T + 1, d))
-    thetas[0] = theta
-    etas = np.array([step_size(config.schedule, t) for t in range(1, T + 1)])
+    etas = _step_sizes(config.schedule, T)
+    a, b, c = _coefficients(config, etas)
+    keep = 1.0 - a
 
-    method = config.method
-    if method in STOCHASTIC_METHODS:
-        indices, noise = _streams(config, n, d)
+    noise = np.zeros((T, 1, 1))
+    if config.method in STOCHASTIC_METHODS:
+        streams = [_streams(config.with_seed(seed), n, d) for seed in seeds]
+        idx = np.stack([indices for indices, _ in streams], axis=1)
+        if config.method == "sgld":
+            noise = np.stack([xi for _, xi in streams], axis=1)
 
-    if method == "nag":
-        gammas = nag_momentum_sequence(T) if T >= 1 else np.empty(0)
-    elif method == "nag_sc":
-        gamma_sc = sc_momentum(config.kappa)
+        def gradient(t, look):
+            return sample_grad(spec, look, data, idx[t])
+    else:
+        def gradient(t, look):
+            return empirical_risk_grad(spec, look, data)
+    noise *= c[:, None, None]
 
-    for t in range(1, T + 1):
-        eta = etas[t - 1]
-        prev = thetas[t - 1]
-        if method == "gd":
-            theta = prev - eta * empirical_risk_grad(spec, prev, data)
-        elif method == "sgd":
-            theta = prev - eta * sample_grad(spec, prev, data, indices[t - 1])
-        elif method == "sgld":
-            g = sample_grad(spec, prev, data, indices[t - 1])
-            scale = config.noise_scale * math.sqrt(2.0 * eta / config.tau)
-            theta = prev - eta * g + scale * noise[t - 1]
-        elif method == "hb":
-            g = empirical_risk_grad(spec, prev, data)
-            older = thetas[t - 2] if t >= 2 else prev
-            theta = prev - eta * g + config.gamma * (prev - older)
-        else:  # nag or nag_sc
-            if t == 1:
-                look = prev
-            else:
-                g_t = gammas[t - 2] if method == "nag" else -gamma_sc
-                # lookahead w = (1 - g) theta_{t-1} + g theta_{t-2}
-                look = (1.0 - g_t) * prev + g_t * thetas[t - 2]
-            theta = look - eta * empirical_risk_grad(spec, look, data)
-        thetas[t] = theta
+    prev = older = np.broadcast_to(theta, (B, d))
+    yield prev
+    for t in range(T):
+        look = keep[t] * prev + a[t] * older
+        theta = look - etas[t] * gradient(t, look) + b[t] * (prev - older) + noise[t]
+        if not np.isfinite(theta).all():
+            raise FloatingPointError(
+                f"{config.method}: iterate {t + 1} is not finite")
+        older, prev = prev, theta
+        yield theta
 
-    risks = empirical_risk_batch(spec, thetas, data)
-    return IterateTrace(method=method, thetas=thetas, risks=risks,
-                        step_sizes=etas, seed=config.seed)
+
+def run(config: OptimizerConfig, spec: LossSpec, data: Dataset,
+        theta0=None, dim: Optional[int] = None) -> IterateTrace:
+    """Run the configured method on the empirical risk of ``data``.
+
+    The one-member case of :func:`batch_iterates`, recording its trace.
+    """
+    thetas = np.concatenate(list(batch_iterates(config, spec, data, [config.seed],
+                                                theta0=theta0, dim=dim)))
+    return IterateTrace(method=config.method, thetas=thetas,
+                        risks=empirical_risk_batch(spec, thetas, data),
+                        step_sizes=_step_sizes(config.schedule, config.T),
+                        seed=config.seed)

@@ -9,14 +9,20 @@ perturbation.  Two series are recorded per pair:
 * ``sup_loss_gap[t]``  = max over a holdout set of |l(theta_t; z) - l(theta'_t; z)|,
   a finite-sample lower estimate of the defining supremum.
 
-Repeats redraw the perturbed index and replacement point from a seeded
-stream and are averaged elementwise with standard errors; per-repeat traces
-are retained for audit.
+Every pair of an experiment runs as one batch: the base and the perturbed
+runs of all repeats form one state advanced by ``optimizers.batch_iterates``
+(a deterministic method's base runs coincide, so it needs only one), and
+both gap series are computed from each state as the run progresses, so no
+iterate trace is stored.  Repeats redraw
+the perturbed index and replacement point from a seeded stream and are
+averaged elementwise with standard errors; per-repeat gap series are
+retained for audit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -32,7 +38,7 @@ from .losses import (
     loss_constants,
     loss_values_matrix,
 )
-from .optimizers import IterateTrace, OptimizerConfig, fixed, run
+from .optimizers import STOCHASTIC_METHODS, OptimizerConfig, batch_iterates, fixed, run
 
 
 @dataclass(frozen=True)
@@ -53,12 +59,10 @@ def make_perturbed_pair(data: Dataset, k: int, z_new: DataPoint) -> PerturbedPai
 
 @dataclass(frozen=True)
 class StabilityTrace:
-    """Per-iteration gap series for one coupled pair (plus the raw traces)."""
+    """Per-iteration gap series for one coupled pair."""
 
     param_gap: np.ndarray
     sup_loss_gap: np.ndarray
-    trace: IterateTrace
-    trace_perturbed: IterateTrace
 
     @property
     def T(self) -> int:
@@ -69,23 +73,44 @@ def estimate_sup_loss_gap(theta, theta_p, spec: LossSpec, holdout: Dataset):
     """max over holdout points of |l(theta; z) - l(theta'; z)|.
 
     Given (k, d) batches of parameter vectors, returns the k row-wise gaps.
+    Both batches are evaluated in one call as a stack, each by its own matrix
+    product, so equal parameters give a gap of exactly 0.
     """
     if holdout.n < 1:
         raise ValidationError("holdout must be nonempty")
-    gaps = np.abs(loss_values_matrix(spec, theta, holdout)
-                  - loss_values_matrix(spec, theta_p, holdout)).max(axis=1)
+    values = loss_values_matrix(
+        spec, np.stack([np.atleast_2d(theta), np.atleast_2d(theta_p)]), holdout)
+    gaps = np.abs(values[0] - values[1]).max(axis=1)
     return gaps if np.ndim(theta) == 2 else float(gaps[0])
+
+
+def _coupled_gaps(config: OptimizerConfig, spec: LossSpec, pairs: List[PerturbedPair],
+                  seeds: List[int], holdout: Dataset, theta0,
+                  dim: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """(param_gap, sup_loss_gap), each (P, T+1), of P coupled pairs run as one
+    batch: the base runs, then the P perturbed runs.  Pair i runs with seed
+    ``seeds[i]``.  A deterministic method's base runs coincide whatever
+    their seeds, so one base run stands for all of them.
+    """
+    P = len(pairs)
+    B = P if config.method in STOCHASTIC_METHODS else 1
+    param_gap = np.empty((P, config.T + 1))
+    sup_gap = np.empty((P, config.T + 1))
+    samples = Dataset.stack([p.base for p in pairs[:B]] + [p.perturbed for p in pairs])
+    states = batch_iterates(config, spec, samples, seeds[:B] + seeds, theta0=theta0,
+                            dim=dim)
+    for t, state in enumerate(states):
+        base, perturbed = np.broadcast_to(state[:B], (P, state.shape[1])), state[B:]
+        param_gap[:, t] = np.linalg.norm(base - perturbed, axis=1)
+        sup_gap[:, t] = estimate_sup_loss_gap(base, perturbed, spec, holdout)
+    return param_gap, sup_gap
 
 
 def run_pair(config: OptimizerConfig, spec: LossSpec, pair: PerturbedPair,
              holdout: Dataset, theta0=None, dim: Optional[int] = None) -> StabilityTrace:
     """Run the method on both samples of a pair under identical random streams."""
-    tr = run(config, spec, pair.base, theta0=theta0, dim=dim)
-    tr_p = run(config, spec, pair.perturbed, theta0=theta0, dim=dim)
-    param_gap = np.linalg.norm(tr.thetas - tr_p.thetas, axis=1)
-    sup_gap = estimate_sup_loss_gap(tr.thetas, tr_p.thetas, spec, holdout)
-    return StabilityTrace(param_gap=param_gap, sup_loss_gap=sup_gap,
-                          trace=tr, trace_perturbed=tr_p)
+    pg, sg = _coupled_gaps(config, spec, [pair], [config.seed], holdout, theta0, dim)
+    return StabilityTrace(param_gap=pg[0], sup_loss_gap=sg[0])
 
 
 @dataclass(frozen=True)
@@ -126,27 +151,27 @@ def repeat_and_average(config: OptimizerConfig, spec: LossSpec, sample: Dataset,
     from the held-out pool (which also serves as the sup-gap holdout), both
     from a Philox stream keyed by (perturbation_seed, repeat).  The optimizer
     streams use config.seed XOR repeat, so repeats are decoupled while the
-    two runs inside a repeat stay coupled.
+    two runs inside a repeat stay coupled.  All runs advance as one batch.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
-    traces, records = [], []
+    pairs, seeds, records = [], [], []
     for i in range(reps):
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(perturbation_seed, spawn_key=(i,))))
         k = int(rng.integers(0, sample.n))
         z_new = pool.point(int(rng.integers(0, pool.n)))
-        pair = make_perturbed_pair(sample, k, z_new)
-        cfg = config.with_seed(config.seed ^ i)
-        traces.append(run_pair(cfg, spec, pair, holdout=pool, theta0=theta0, dim=dim))
+        pairs.append(make_perturbed_pair(sample, k, z_new))
+        seeds.append(config.seed ^ i)
         records.append({"repeat": i, "k": k, "z": _describe_point(z_new)})
-    pg = np.vstack([t.param_gap for t in traces])
-    sg = np.vstack([t.sup_loss_gap for t in traces])
+    pg, sg = _coupled_gaps(config, spec, pairs, seeds, pool, theta0, dim)
     pg_mean, pg_err = _mean_stderr(pg)
     sg_mean, sg_err = _mean_stderr(sg)
     return AveragedStability(param_gap=pg_mean, param_gap_stderr=pg_err,
                              sup_loss_gap=sg_mean, sup_loss_gap_stderr=sg_err,
-                             repeats=traces, perturbations=records)
+                             repeats=[StabilityTrace(param_gap=a, sup_loss_gap=b)
+                                      for a, b in zip(pg, sg)],
+                             perturbations=records)
 
 
 @dataclass(frozen=True)
@@ -287,8 +312,13 @@ def risk_curves(config: OptimizerConfig, spec: LossSpec, train: Dataset,
         eta_ref = 1.0 / beta if beta > 0 else config.schedule.eta0
         ref_cfg = OptimizerConfig(method="gd", schedule=fixed(eta_ref),
                                   T=int(reference_budget), seed=config.seed)
-        ref_trace = run(ref_cfg, spec, train, theta0=theta0)
-        ref_risk = float(ref_trace.risks[-1])
+        # only the last iterate's risk is read; it is evaluated in a batch of
+        # two rows, which takes the same matrix-product path as the train-risk
+        # series it is subtracted from (a single row goes through a
+        # matrix-vector product that rounds differently)
+        last = deque(batch_iterates(ref_cfg, spec, train, [config.seed], theta0=theta0),
+                     maxlen=2)
+        ref_risk = float(empirical_risk_batch(spec, np.concatenate(last), train)[-1])
         opt_error = train_risk - ref_risk
     return RiskCurves(train=train_risk, test=test_risk,
                       gen_gap=test_risk - train_risk,

@@ -272,6 +272,25 @@ def test_cli_validation_error_exit_code(tmp_path):
     assert code == 1
 
 
+def test_cli_runtime_error_exit_code(tmp_path, monkeypatch, capsys):
+    # a non-finite iterate is a runtime error: exit 2, naming method and step
+    import numpy as np
+
+    from optstab.harness import cli
+    from optstab.losses import Dataset, linear_worstcase_spec
+    from optstab.optimizers import OptimizerConfig, fixed, run
+
+    def overflowing_run(cfg):
+        with np.errstate(over="ignore"):
+            run(OptimizerConfig(method="gd", schedule=fixed(1e308), T=5),
+                linear_worstcase_spec(L=1.0), Dataset.from_symbols(np.ones(4)))
+
+    monkeypatch.setattr(cli, "run_experiment", overflowing_run)
+    code = cli_main(["stability", "--out", str(tmp_path)])
+    assert code == 2
+    assert "gd: iterate 2 is not finite" in capsys.readouterr().err
+
+
 def test_cli_bounds_subcommand(tmp_path):
     import io
     from contextlib import redirect_stdout

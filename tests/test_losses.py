@@ -202,6 +202,38 @@ def test_empirical_risk_grad_is_mean_of_sample_grads():
                                    atol=1e-14, err_msg=spec.family)
 
 
+def test_stacked_gradients_equal_single_vector_gradients_bitwise():
+    # every vector of a stack, on the shared sample or on its own sample of a
+    # stack, gets exactly the gradient a single-vector call gives
+    from optstab.losses import quadratic_spec
+
+    rng = np.random.Generator(np.random.Philox(10))
+    X = normalize_rows(rng.standard_normal((4, 6, 3)))
+    labeled = [Dataset.from_labeled(X[b], rng.integers(0, 2, size=6)) for b in range(4)]
+    symbols = [Dataset.from_symbols(rng.choice([-1.0, 1.0], size=6)) for b in range(4)]
+    thetas = rng.standard_normal((4, 3))
+    rows = np.array([5, 0, 3, 3])
+    M = rng.standard_normal((3, 3))
+    for spec, samples in ((logistic_spec(), labeled),
+                          (quadratic_spec(M @ M.T, rng.standard_normal(3)), labeled),
+                          (linear_worstcase_spec(L=2.0), symbols),
+                          (lecam_convex_spec(beta=1.5, r=0.8), symbols),
+                          (lecam_strongly_convex_spec(beta=1.5, r=0.8), symbols)):
+        stacked = Dataset.stack(samples)
+        assert stacked.stack_shape == (4,) and stacked.n == 6
+        for data, per_member in ((samples[0], [samples[0]] * 4), (stacked, samples)):
+            np.testing.assert_array_equal(
+                empirical_risk_grad(spec, thetas, data),
+                [empirical_risk_grad(spec, t, d) for t, d in zip(thetas, per_member)])
+            np.testing.assert_array_equal(
+                sample_grad(spec, thetas, data, rows),
+                [sample_grad(spec, t, d, i) for t, d, i in zip(thetas, per_member, rows)])
+        with pytest.raises(ValidationError):
+            sample_grad(spec, thetas, stacked, rows + 1)
+    with pytest.raises(ValidationError):
+        Dataset.stack([labeled[0], symbols[0]])
+
+
 def test_empty_dataset_rejected():
     with pytest.raises(ValidationError):
         Dataset.from_symbols(np.array([]))

@@ -267,3 +267,13 @@ def test_nag_sc_recursion_matches_manual_unroll():
         w = (1 + gamma) * theta - gamma * theta_prev
         theta_prev, theta = theta, w - eta * beta * w
         assert trace.thetas[t, 0] == pytest.approx(theta, abs=1e-15)
+
+
+def test_non_finite_iterate_names_method_and_step():
+    # beta = 0, so no step-size precondition stops eta = 1e308; theta_1 = -1e308
+    # is finite and theta_2 overflows
+    spec = linear_worstcase_spec(L=1.0)
+    cfg = OptimizerConfig(method="gd", schedule=fixed(1e308), T=5)
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match="gd: iterate 2 is not finite"):
+            run(cfg, spec, Dataset.from_symbols(np.ones(4)))

@@ -2,19 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optstab.bounds import BoundQuery, CONVEX, stability_bound
 from optstab.losses import (
     DataPoint,
     Dataset,
     ValidationError,
+    empirical_risk_grad,
     lecam_strongly_convex_spec,
     linear_worstcase_spec,
     logistic_spec,
     loss_constants,
+    loss_values_matrix,
     normalize_rows,
+    sample_grad,
 )
-from optstab.optimizers import OptimizerConfig, fixed, power
+from optstab.optimizers import (
+    METHODS,
+    OptimizerConfig,
+    fixed,
+    nag_momentum_sequence,
+    power,
+    sc_momentum,
+    step_size,
+)
 from optstab.stability_lab import (
     detect_saturation,
     estimate_sup_loss_gap,
@@ -186,6 +199,127 @@ def test_repeat_records_and_worker_independence():
     assert all(0 <= r["k"] < 15 for r in seq.perturbations)
     with pytest.raises(ValidationError):
         repeat_and_average(cfg, logistic_spec(), data, pool, reps=0)
+
+
+# ------------------------------------------- batched vs per-pair reference
+
+
+def _reference_trajectory(config, spec, data, theta0):
+    """One member stepped alone, method by method, through the public
+    single-point gradients, with the index and noise streams drawn as the
+    optimizers draw them (SeedSequence(seed).spawn(2), Philox)."""
+    T, d = config.T, theta0.shape[0]
+    idx_seq, noise_seq = np.random.SeedSequence(config.seed).spawn(2)
+    indices = np.random.Generator(np.random.Philox(idx_seq)).integers(0, data.n, size=T)
+    noise = np.random.Generator(np.random.Philox(noise_seq)).standard_normal((T, d))
+    gammas = nag_momentum_sequence(max(T, 1))
+    thetas = [theta0]
+    for t in range(1, T + 1):
+        eta = step_size(config.schedule, t)
+        prev = thetas[-1]
+        older = thetas[-2] if t >= 2 else prev
+        if config.method in ("sgd", "sgld"):
+            theta = prev - eta * sample_grad(spec, prev, data, indices[t - 1])
+            if config.method == "sgld":
+                scale = config.noise_scale * math.sqrt(2.0 * eta / config.tau)
+                theta = theta + scale * noise[t - 1]
+        elif config.method == "hb":
+            theta = (prev - eta * empirical_risk_grad(spec, prev, data)
+                     + config.gamma * (prev - older))
+        else:
+            g = 0.0
+            if t >= 2 and config.method == "nag":
+                g = gammas[t - 2]
+            elif t >= 2 and config.method == "nag_sc":
+                g = -sc_momentum(config.kappa)
+            look = (1.0 - g) * prev + g * older
+            theta = look - eta * empirical_risk_grad(spec, look, data)
+        thetas.append(theta)
+    return np.array(thetas)
+
+
+def _reference_repeats(config, spec, sample, pool, reps, perturbation_seed, theta0):
+    """Per-repeat (param_gap, sup_loss_gap), one pair at a time."""
+    out = []
+    for i in range(reps):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(perturbation_seed, spawn_key=(i,))))
+        k = int(rng.integers(0, sample.n))
+        pair = make_perturbed_pair(sample, k, pool.point(int(rng.integers(0, pool.n))))
+        cfg = config.with_seed(config.seed ^ i)
+        th = _reference_trajectory(cfg, spec, pair.base, theta0)
+        th_p = _reference_trajectory(cfg, spec, pair.perturbed, theta0)
+        sup = np.abs(loss_values_matrix(spec, th, pool)
+                     - loss_values_matrix(spec, th_p, pool)).max(axis=1)
+        out.append((np.linalg.norm(th - th_p, axis=1), sup))
+    return out
+
+
+def _family_case(family, seed, n):
+    """(spec, sample, pool, theta0, dim, beta) for one drawn example."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if family == "logistic":
+        X = normalize_rows(rng.standard_normal((n + 4, 3)))
+        y = rng.integers(0, 2, n + 4).astype(float)
+        data = Dataset.from_labeled(X, y)
+        return (logistic_spec(), data.take(np.arange(n)), data.take(np.arange(n, n + 4)),
+                0.3 * rng.standard_normal(3), None, 0.25)
+    s = np.where(rng.uniform(size=n + 3) < 0.5, 1.0, -1.0)
+    sample, pool = Dataset.from_symbols(s[:n]), Dataset.from_symbols(s[n:])
+    if family == "linear_worstcase":
+        return linear_worstcase_spec(L=1.5), sample, pool, np.zeros(1), None, 0.0
+    spec = lecam_strongly_convex_spec(beta=1.0, r=1.0, domain_radius=2.0)
+    return spec, sample, pool, rng.standard_normal(2), 2, 1.0
+
+
+def _config(method, eta, kind, T, seed, beta):
+    # every step-size precondition holds: eta <= 0.9 / beta and, for heavy
+    # ball with gamma = 0.5, eta < 0.5 / beta
+    if beta > 0:
+        eta = min(eta, (0.45 if method == "hb" else 0.9) / beta)
+    schedule = fixed(eta) if kind == "fixed" else power(eta, 0.5)
+    return OptimizerConfig(method=method, schedule=schedule, T=T, seed=seed, gamma=0.5,
+                           kappa=4.0, tau=2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(METHODS),
+       family=st.sampled_from(("logistic", "lecam_strongly_convex", "linear_worstcase")),
+       reps=st.integers(1, 6), T=st.integers(1, 60), n=st.integers(1, 12),
+       eta=st.floats(0.01, 1.0), kind=st.sampled_from(("fixed", "power")),
+       data_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 16),
+       perturbation_seed=st.integers(0, 2 ** 16), start=st.booleans())
+def test_batched_repeats_match_per_pair_reference(method, family, reps, T, n, eta, kind,
+                                                  data_seed, seed, perturbation_seed,
+                                                  start):
+    spec, sample, pool, theta0, dim, beta = _family_case(family, data_seed, n)
+    theta0 = theta0 if start else np.zeros_like(theta0)
+    cfg = _config(method, eta, kind, T, seed, beta)
+    avg = repeat_and_average(cfg, spec, sample, pool, reps=reps,
+                             perturbation_seed=perturbation_seed,
+                             theta0=theta0 if start else None, dim=dim)
+    expected = _reference_repeats(cfg, spec, sample, pool, reps, perturbation_seed, theta0)
+    for rep, (param_gap, sup_gap) in zip(avg.repeats, expected):
+        for got, want in ((rep.param_gap, param_gap), (rep.sup_loss_gap, sup_gap)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(got[want == 0], 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(method=st.sampled_from(METHODS), family=st.sampled_from(("logistic",
+                                                              "lecam_strongly_convex")),
+       reps=st.integers(2, 6), T=st.integers(1, 60), data_seed=st.integers(0, 2 ** 32 - 1),
+       seed=st.integers(0, 2 ** 16))
+def test_identity_perturbation_gaps_are_exactly_zero_in_a_batch(method, family, reps, T,
+                                                                data_seed, seed):
+    # a one-row sample whose pool is that same row: every repeat swaps x_k for
+    # itself, so every member of the batch must follow the same iterates
+    spec, sample, _, theta0, dim, beta = _family_case(family, data_seed, 1)
+    cfg = _config(method, 0.3, "fixed", T, seed, beta)
+    avg = repeat_and_average(cfg, spec, sample, sample, reps=reps, theta0=theta0, dim=dim)
+    for rep in avg.repeats:
+        np.testing.assert_array_equal(rep.param_gap, 0.0)
+        np.testing.assert_array_equal(rep.sup_loss_gap, 0.0)
 
 
 # ---------------------------------------------------------------- slope fit
