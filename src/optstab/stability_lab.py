@@ -13,10 +13,16 @@ Every pair of an experiment runs as one batch: the base and the perturbed
 runs of all repeats form one state advanced by ``optimizers.batch_iterates``
 (a deterministic method's base runs coincide, so it needs only one), and
 both gap series are computed from each state as the run progresses, so no
-iterate trace is stored.  Repeats redraw
+iterate trace is stored; a single base run's holdout losses are evaluated
+once per step and compared with every perturbed run's.  Repeats redraw
 the perturbed index and replacement point from a seeded stream and are
 averaged elementwise with standard errors; per-repeat gap series are
 retained for audit.
+
+The risk decomposition measures the optimization error against an empirical
+minimum from one long full-gradient run (:func:`reference_risk`), which
+depends only on the loss, the training sample and the budget, so one
+reference serves every method of an experiment.
 """
 
 from __future__ import annotations
@@ -72,16 +78,26 @@ class StabilityTrace:
 def estimate_sup_loss_gap(theta, theta_p, spec: LossSpec, holdout: Dataset):
     """max over holdout points of |l(theta; z) - l(theta'; z)|.
 
-    Given (k, d) batches of parameter vectors, returns the k row-wise gaps.
-    Both batches are evaluated in one call as a stack, each by its own matrix
-    product, so equal parameters give a gap of exactly 0.
+    Given a (k, d) batch theta_p and a batch theta of k rows or of one row
+    shared by all of them, returns the k row-wise gaps.  Two k-row batches
+    are evaluated as a stack, each by its own matrix product, so row i of
+    both takes the same rounding; a shared row is evaluated once, in one
+    product with theta_p.  Equal parameters give a gap of exactly 0; this
+    is set explicitly, since the rows of one BLAS matrix product need not
+    round alike (some row positions take a different kernel).
     """
     if holdout.n < 1:
         raise ValidationError("holdout must be nonempty")
-    values = loss_values_matrix(
-        spec, np.stack([np.atleast_2d(theta), np.atleast_2d(theta_p)]), holdout)
-    gaps = np.abs(values[0] - values[1]).max(axis=1)
-    return gaps if np.ndim(theta) == 2 else float(gaps[0])
+    batched = np.ndim(theta_p) == 2
+    theta, theta_p = np.atleast_2d(theta), np.atleast_2d(theta_p)
+    if theta.shape == theta_p.shape:
+        values, values_p = loss_values_matrix(spec, np.stack([theta, theta_p]), holdout)
+    else:
+        both = loss_values_matrix(spec, np.concatenate([theta, theta_p]), holdout)
+        values, values_p = both[:len(theta)], both[len(theta):]
+    gaps = np.abs(values - values_p).max(axis=1)
+    gaps[(theta == theta_p).all(axis=1)] = 0.0
+    return gaps if batched else float(gaps[0])
 
 
 def _coupled_gaps(config: OptimizerConfig, spec: LossSpec, pairs: List[PerturbedPair],
@@ -100,7 +116,7 @@ def _coupled_gaps(config: OptimizerConfig, spec: LossSpec, pairs: List[Perturbed
     states = batch_iterates(config, spec, samples, seeds[:B] + seeds, theta0=theta0,
                             dim=dim)
     for t, state in enumerate(states):
-        base, perturbed = np.broadcast_to(state[:B], (P, state.shape[1])), state[B:]
+        base, perturbed = state[:B], state[B:]
         param_gap[:, t] = np.linalg.norm(base - perturbed, axis=1)
         sup_gap[:, t] = estimate_sup_loss_gap(base, perturbed, spec, holdout)
     return param_gap, sup_gap
@@ -294,13 +310,36 @@ class RiskCurves:
     reference_risk: Optional[float]
 
 
+def reference_risk(spec: LossSpec, train: Dataset, budget: int, theta0=None,
+                   eta0: Optional[float] = None) -> float:
+    """Approximate empirical minimum of ``train``: the empirical risk after
+    ``budget`` full-gradient steps at eta = 1/beta from theta0 (default 0).
+
+    A loss with beta = 0 has no 1/beta step and runs at ``eta0`` instead.
+    Only the last two states of the run are kept.
+    """
+    beta = loss_constants(spec, train).beta
+    eta_ref = 1.0 / beta if beta > 0 else eta0
+    if eta_ref is None:
+        raise ValidationError("reference run needs eta0 when beta = 0")
+    ref_cfg = OptimizerConfig(method="gd", schedule=fixed(eta_ref), T=int(budget))
+    # only the last iterate's risk is read; it is evaluated in a batch of
+    # two rows, which takes the same matrix-product path as a train-risk
+    # series it is subtracted from (a single row goes through a
+    # matrix-vector product that rounds differently)
+    last = deque(batch_iterates(ref_cfg, spec, train, [ref_cfg.seed], theta0=theta0),
+                 maxlen=2)
+    return float(empirical_risk_batch(spec, np.concatenate(last), train)[-1])
+
+
 def risk_curves(config: OptimizerConfig, spec: LossSpec, train: Dataset,
                 test: Dataset, reference_budget: Optional[int] = None,
                 theta0=None) -> RiskCurves:
     """Train/test risk along a run, with an optional optimization-error series.
 
-    The empirical minimum is approximated by a long full-gradient run
-    (``reference_budget`` steps at eta = 1/beta; pass 0 or None to skip).
+    The empirical minimum is approximated by :func:`reference_risk` with
+    ``reference_budget`` steps (pass 0 or None to skip); a loss with
+    beta = 0 runs it at the config's eta0.
     """
     trace = run(config, spec, train, theta0=theta0)
     train_risk = trace.risks
@@ -308,17 +347,8 @@ def risk_curves(config: OptimizerConfig, spec: LossSpec, train: Dataset,
     opt_error = None
     ref_risk = None
     if reference_budget:
-        beta = loss_constants(spec, train).beta
-        eta_ref = 1.0 / beta if beta > 0 else config.schedule.eta0
-        ref_cfg = OptimizerConfig(method="gd", schedule=fixed(eta_ref),
-                                  T=int(reference_budget), seed=config.seed)
-        # only the last iterate's risk is read; it is evaluated in a batch of
-        # two rows, which takes the same matrix-product path as the train-risk
-        # series it is subtracted from (a single row goes through a
-        # matrix-vector product that rounds differently)
-        last = deque(batch_iterates(ref_cfg, spec, train, [config.seed], theta0=theta0),
-                     maxlen=2)
-        ref_risk = float(empirical_risk_batch(spec, np.concatenate(last), train)[-1])
+        ref_risk = reference_risk(spec, train, reference_budget, theta0=theta0,
+                                  eta0=config.schedule.eta0)
         opt_error = train_risk - ref_risk
     return RiskCurves(train=train_risk, test=test_risk,
                       gen_gap=test_risk - train_risk,

@@ -233,6 +233,40 @@ def test_risk_decomposition_small(tmp_path):
     assert "gd_final_gen_gap" in report.records
 
 
+def test_risk_decomposition_runs_one_reference_for_all_methods(monkeypatch):
+    from optstab import optimizers, stability_lab
+    from optstab.harness.experiments import _optimizer_config
+    from optstab.losses import logistic_spec
+
+    cfg = build_config({
+        "experiment": "risk_decomposition", "methods": ("gd", "nag", "hb"), "n": 60,
+        "d": 5, "T": 40, "n_test": 80, "seed": 3, "eta0": 0.1, "ref_budget": 300,
+    })
+    runs = []
+    engine = optimizers.batch_iterates
+
+    def counting(*args, **kwargs):
+        runs.append(args[0].method)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(optimizers, "batch_iterates", counting)
+    monkeypatch.setattr(stability_lab, "batch_iterates", counting)
+    report = run_experiment(cfg)
+    assert len(runs) == len(cfg.methods) + 1
+    monkeypatch.undo()
+
+    refs = {report.records[f"{m}_reference_risk"] for m in cfg.methods}
+    assert len(refs) == 1
+    train, _ = gen_synthetic(cfg.d, cfg.n, seed=cfg.seed)
+    test, _ = gen_synthetic(cfg.d, cfg.n_test, seed=cfg.seed + 1)
+    series = {s.name: s for s in report.series}
+    for m in cfg.methods:
+        rc = stability_lab.risk_curves(_optimizer_config(cfg, m), logistic_spec(), train,
+                                       test, reference_budget=cfg.ref_budget)
+        np.testing.assert_array_equal(series[f"{m}_opt_error"].value, rc.opt_error)
+        assert report.records[f"{m}_reference_risk"] == rc.reference_risk
+
+
 def test_lecam_audit_passes():
     report = run_experiment(build_config({"experiment": "lecam_audit"}))
     assert report.passed is True

@@ -22,6 +22,7 @@ from optstab.losses import (
 from optstab.optimizers import (
     METHODS,
     OptimizerConfig,
+    batch_iterates,
     fixed,
     nag_momentum_sequence,
     power,
@@ -36,6 +37,7 @@ from optstab.stability_lab import (
     gd_param_gap_bound,
     gd_param_gap_bound_sc,
     make_perturbed_pair,
+    reference_risk,
     repeat_and_average,
     risk_curves,
     run_pair,
@@ -159,6 +161,41 @@ def test_sup_gap_bounded_by_lipschitz_for_logistic():
         b = rng.standard_normal(4)
         gap = estimate_sup_loss_gap(a, b, logistic_spec(), holdout)
         assert gap <= np.linalg.norm(a - b) + 1e-12
+
+
+@pytest.mark.parametrize("method", ["gd", "nag", "hb"])
+def test_sup_gap_shared_base_row_matches_broadcast_form_bitwise(method):
+    # a deterministic method's one base run against P perturbed runs: the
+    # shared row gives the gaps of the base row broadcast to P rows, each
+    # batch evaluated by its own matrix product
+    spec, P = logistic_spec(), 5
+    data, pool = logistic_fixture(n=40, seed=59), logistic_fixture(n=20, seed=61)
+    perturbed = [data.replace(3 * i, pool.point(i)) for i in range(P)]
+    samples = Dataset.stack([data] + perturbed)
+    cfg = OptimizerConfig(method=method, schedule=fixed(1.0), T=40, gamma=0.5)
+    for state in batch_iterates(cfg, spec, samples, [0] * (P + 1)):
+        base = np.broadcast_to(state[:1], (P, state.shape[1]))
+        expected = np.abs(loss_values_matrix(spec, base, pool)
+                          - loss_values_matrix(spec, state[1:], pool)).max(axis=1)
+        got = estimate_sup_loss_gap(state[:1], state[1:], spec, pool)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(
+            estimate_sup_loss_gap(base, state[1:], spec, pool), expected)
+
+
+@pytest.mark.parametrize("method", ["gd", "sgd"])
+def test_identity_perturbation_gap_is_exactly_zero_for_wide_batches(method):
+    # d = 10 and a one-point holdout: gd's shared base row and its perturbed
+    # rows go through one matrix-vector product whose rows do not all round
+    # alike; sgd's two k-row batches go through one product each
+    rng = np.random.Generator(np.random.Philox(5))
+    sample = Dataset.from_labeled(normalize_rows(rng.standard_normal((1, 10))), [1.0])
+    cfg = OptimizerConfig(method=method, schedule=fixed(0.5), T=50, seed=1)
+    for reps in (6, 10, 15, 20):
+        avg = repeat_and_average(cfg, logistic_spec(), sample, sample, reps=reps,
+                                 theta0=0.3 * rng.standard_normal(10))
+        for rep in avg.repeats:
+            np.testing.assert_array_equal(rep.sup_loss_gap, 0.0)
 
 
 def test_sup_gap_requires_nonempty_holdout():
@@ -413,11 +450,13 @@ def test_optimization_error_dominates_in_underparameterized_regime():
     test, _ = gen_synthetic(20, 2000, seed=32)
     windows = {"gd": (10, 500), "nag": (10, 80)}  # nag reaches the empirical
     # minimum around t ~ 90 here, after which the comparison flips trivially
+    ref = reference_risk(logistic_spec(), train, 10000)
     for method, (lo, hi) in windows.items():
         cfg = OptimizerConfig(method=method, schedule=fixed(0.1), T=500, seed=3)
-        rc = risk_curves(cfg, logistic_spec(), train, test, reference_budget=10000)
+        rc = risk_curves(cfg, logistic_spec(), train, test)
+        opt_error = rc.train - ref
         ts = np.arange(lo, hi + 1)
-        assert np.all(rc.opt_error[ts] > np.abs(rc.gen_gap[ts])), method
+        assert np.all(opt_error[ts] > np.abs(rc.gen_gap[ts])), method
 
 
 def test_generalization_gap_under_stability_bound_on_average():
