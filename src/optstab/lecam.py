@@ -35,7 +35,6 @@ from .losses import (
 )
 
 VARIANTS = ("convex", "strongly_convex")
-ENUMERATION_LIMIT = 24
 
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio section
 _SYMBOLS = Dataset.from_symbols([-1, 1])
@@ -197,13 +196,13 @@ def tv_kl_product(n: int) -> Tuple[float, float]:
     +1 outcomes); KL uses the two-point divergence
     2 delta log((1 + 2 delta)/(1 - 2 delta)) with 2 delta = 1/sqrt(6 n).
     """
-    if not 1 <= n <= ENUMERATION_LIMIT:
-        raise ValidationError(f"exact enumeration supports 1 <= n <= {ENUMERATION_LIMIT}")
+    if n < 1:
+        raise ValidationError("exact enumeration needs n >= 1")
     d = separation_delta(n)
     p_minus = 0.5 + d  # P1(-1); P1(+1) = 0.5 - d, P2 mirrored
     ks = np.arange(n + 1)
-    log_comb = np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                         for k in ks])
+    lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)  # lg[i] = log i!
+    log_comb = lg[n] - lg[ks] - lg[n - ks]
     # probability of k "+1" outcomes under each product measure
     logp1 = log_comb + ks * math.log(0.5 - d) + (n - ks) * math.log(p_minus)
     logp2 = log_comb + ks * math.log(p_minus) + (n - ks) * math.log(0.5 - d)

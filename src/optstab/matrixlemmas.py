@@ -19,13 +19,14 @@ Three product families are audited, plus one scalar recursion:
   0 <= h <= 1 both characteristic roots have modulus sqrt(h), giving
   |a_i| <= i + 1.  (At h = 1 the sequence is exactly i + 1.)
 
-Every check, sweep and adversarial search runs through one batched sweep:
-each factor is a companion matrix [[p, q], [1, 0]], products are accumulated
-left-to-right, P <- H_s P, matching the analysis order, for a whole batch of
-parameter draws at once, and each checked step compares a measured quantity
-(the spectral norm, or |P[0, 0]| = |a_s| for the scalar recursion) against
-the lemma's envelope.  Results are max reductions, so they are order
-independent and safe to shard.
+Every check, sweep and adversarial search runs through one batched sweep
+over P_s = H_s P_{s-1} (analysis order) for a whole batch of parameter draws.
+Each factor is a companion matrix H_s = [[p, q], [1, 0]], so the sweep keeps
+P_s's four entries and advances them by a two-row recurrence: the new bottom
+row is the old top row, the new top row is p (top row) + q (bottom row).
+Each checked step compares a measured quantity (the spectral norm, or
+|P_s[0, 0]| = |a_s| for the scalar recursion) against the lemma's envelope.
+Results are max reductions, so they are order independent and safe to shard.
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ def spectral_norm(M) -> float:
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2):
         raise ValidationError("spectral_norm expects a 2x2 matrix")
-    return float(_batch_spectral_norm(M[None, :, :])[0])
+    return float(_batch_spectral_norm(*M.ravel()))
 
 
-def _batch_spectral_norm(Ms: np.ndarray) -> np.ndarray:
-    """sigma_max for a stack (..., 2, 2): sqrt((F^2 + sqrt(F^4 - 4 det^2)) / 2)."""
-    fro2 = np.sum(Ms * Ms, axis=(-2, -1))
-    det = Ms[..., 0, 0] * Ms[..., 1, 1] - Ms[..., 0, 1] * Ms[..., 1, 0]
+def _batch_spectral_norm(u, v, u1, v1) -> np.ndarray:
+    """sigma_max of [[u, v], [u1, v1]]: sqrt((F^2 + sqrt(F^4 - 4 det^2)) / 2)."""
+    fro2 = u * u + v * v + u1 * u1 + v1 * v1
+    det = u * v1 - v * u1
     inner = np.maximum(fro2 * fro2 - 4.0 * det * det, 0.0)
     return np.sqrt(np.maximum((fro2 + np.sqrt(inner)) / 2.0, 0.0))
 
@@ -88,33 +89,33 @@ class SweepResult:
 def _sweep(top, measure, envelope, shape: Tuple[int, ...], t_max: int, check=None):
     """Check measure(P_s) <= envelope(s) + TOL along P_s = H_s ... H_1, P_0 = I.
 
-    Axis 0 of ``shape`` indexes draws; ``measure`` maps products (k, ..., 2, 2)
-    to (k,) values.  ``top(s)`` gives the top row (p, q) of the companion
-    factor H_s = [[p, q], [1, 0]], ``envelope(s)`` a scalar or per-draw bound,
-    ``check(s)`` the draws checked at step s as a bool or per-draw mask
-    (default: all, for s >= 1).  A zero bound gives ratio 0 to a value within
-    TOL of 0, else inf.  Returns the worst ratio (first in step, then draw
-    order), its check as (draw, step, value, bound), and every violation as
-    (draw, step, ratio).
+    Axis 0 of ``shape`` indexes draws.  ``top(s)`` gives the top row (p, q)
+    of the companion factor H_s = [[p, q], [1, 0]]; P_s = [[u, v], [u1, v1]]
+    is four arrays of ``shape``, advanced as (u, u1) <- (p u + q u1, u) and
+    likewise for v.  ``measure(u, v, u1, v1)`` gives (k,) values,
+    ``envelope(s)`` a scalar or per-draw bound, ``check(s)`` the draws checked
+    at step s as a bool or per-draw mask (default: all, for s >= 1).  A zero
+    bound gives ratio 0 to a value within TOL of 0, else inf.  Returns the
+    worst ratio (first in step, then draw order), its check as (draw, step,
+    value, bound), and every violation as (draw, step, ratio).
     """
-    H = np.zeros(tuple(shape) + (2, 2))
-    H[..., 1, 0] = 1.0
-    P = np.broadcast_to(np.eye(2), H.shape)
-    n = H.shape[0]
+    u, v, u1, v1 = np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
+    n = shape[0]
     worst, at, violations = -np.inf, (None, 0, math.nan, math.nan), []
     for s in range(t_max + 1):
         if s:
-            H[..., 0, 0], H[..., 0, 1] = top(s)
-            P = H.copy() if s == 1 else H @ P
+            p, q = top(s)
+            u, u1 = p * u + q * u1, u
+            v, v1 = p * v + q * v1, v
         sel = s >= 1 if check is None else check(s)
         if not np.any(sel):
             continue
         bound = np.broadcast_to(envelope(s), n)
         if np.ndim(sel):  # a per-draw mask copies out its draws
             draw = np.flatnonzero(sel)
-            norm, bound = measure(P[draw]), bound[draw]
+            norm, bound = measure(u[draw], v[draw], u1[draw], v1[draw]), bound[draw]
         else:
-            draw, norm = range(n), measure(P)
+            draw, norm = range(n), measure(u, v, u1, v1)
         ratio = np.divide(norm, bound, out=np.where(norm <= TOL, 0.0, np.inf),
                           where=bound > 0)
         j = int(np.argmax(ratio))
@@ -219,7 +220,7 @@ def _scnag_grid(problems, h_samples: int):
 
 def _scnag_scan(top, envelope, t_max: int, check=None):
     """Powers of each draw's fixed H; the value is the worst norm over its h grid."""
-    return _sweep(lambda s: top, lambda P: _batch_spectral_norm(P).max(axis=1),
+    return _sweep(lambda s: top, lambda *P: _batch_spectral_norm(*P).max(axis=1),
                   envelope, top[0].shape, t_max, check)
 
 
@@ -275,9 +276,9 @@ def recursion_u(h: float, t: int) -> np.ndarray:
 
 
 def _recursion_scan(hs: np.ndarray, t_max: int, check):
-    """|a_s| = |P_s[0, 0]| for H = [[2h, -h], [1, 0]] against s + 1."""
+    """|a_s| = |u_s|, the top-left entry of [[2h, -h], [1, 0]]^s, against s + 1."""
     top = (2.0 * hs, -hs)
-    return _sweep(lambda s: top, lambda P: np.abs(P[:, 0, 0]), lambda s: s + 1.0,
+    return _sweep(lambda s: top, lambda u, *_: np.abs(u), lambda s: s + 1.0,
                   hs.shape, t_max, check)
 
 

@@ -324,9 +324,9 @@ def reference_risk(spec: LossSpec, train: Dataset, budget: int, theta0=None,
         raise ValidationError("reference run needs eta0 when beta = 0")
     ref_cfg = OptimizerConfig(method="gd", schedule=fixed(eta_ref), T=int(budget))
     # only the last iterate's risk is read; it is evaluated in a batch of
-    # two rows, which takes the same matrix-product path as a train-risk
-    # series it is subtracted from (a single row goes through a
-    # matrix-vector product that rounds differently)
+    # two rows, which avoids the matrix-vector product that a single row
+    # goes through; that does not guarantee it rounds like row T of a
+    # (T+1)-row train-risk series, since rows of one product round by position
     last = deque(batch_iterates(ref_cfg, spec, train, [ref_cfg.seed], theta0=theta0),
                  maxlen=2)
     return float(empirical_risk_batch(spec, np.concatenate(last), train)[-1])

@@ -186,8 +186,10 @@ def test_tv_enumeration_matches_brute_force():
 
 
 def test_enumeration_range_guard():
-    with pytest.raises(ValidationError):
-        tv_kl_product(25)
+    # the log-space sum over n + 1 count classes has no upper limit on n
+    tv, kl = tv_kl_product(10**6)
+    assert 0.0 <= tv <= 1.0 and tv * tv <= kl / 2
+    assert 0.25 <= bayes_test_error(10**6) <= 0.5
     with pytest.raises(ValidationError):
         tv_kl_product(0)
 

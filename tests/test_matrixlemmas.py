@@ -5,7 +5,10 @@ import pytest
 
 from optstab.losses import ValidationError
 from optstab.matrixlemmas import (
+    TOL,
+    _batch_spectral_norm,
     _recursion_scan,
+    _sweep,
     adversarial_max,
     hb_lemma_check,
     hb_sweep,
@@ -311,3 +314,57 @@ def test_adversarial_max_pinned_results():
         assert res.max_ratio == pytest.approx(ratio, rel=1e-12), lemma
         assert res.witness == pytest.approx(witness, rel=1e-12), lemma
         assert res.checks == 200 and res.ok, lemma
+
+
+def _stacked_reference_sweep(top, envelope, k, t_max, check):
+    """Per-check loop over stacked products P_s = H_s @ P_{s-1} and SVD norms."""
+    H = np.zeros((k, 2, 2))
+    H[:, 1, 0] = 1.0
+    P = np.broadcast_to(np.eye(2), H.shape)
+    worst, at, violations = -np.inf, None, []
+    for s in range(t_max + 1):
+        if s:
+            H[:, 0, 0], H[:, 0, 1] = top(s)
+            P = H @ P
+        bound = np.broadcast_to(envelope(s), k)
+        for j in np.flatnonzero(np.broadcast_to(check(s), k)):
+            norm = np.linalg.norm(P[j], 2)
+            if norm / bound[j] > worst:
+                worst, at = norm / bound[j], (j, s, norm)
+            if norm > bound[j] + TOL:
+                violations.append((j, s, norm / bound[j]))
+    return worst, at, violations
+
+
+def test_sweep_counterexamples_match_stacked_matmul_reference():
+    # a fraction of each lemma's envelope (the hb lemma's worst ratio is
+    # sqrt(1/2)), so the sweep reports violations
+    k, t_max = 40, 48
+    rng = np.random.Generator(np.random.Philox(17))
+    hs = rng.uniform(0.5, 1.0, size=k)
+    gammas = rng.uniform(-1.0, -0.5, size=(t_max + 1, k))
+    G = rng.uniform(0.0, 0.9, size=k)
+    A = rng.uniform(0.0, 1.0, size=k) * (1.0 - G)
+    horizons = rng.integers(0, t_max + 1, size=k)
+    mask = rng.random((t_max + 1, k)) < 0.5
+    lemmas = {
+        "nag_convex": (lambda s: ((1.0 - gammas[s]) * hs, gammas[s] * hs),
+                       lambda s: 0.5 * 2.0 * (s + 1)),
+        "hb": (lambda s: (1.0 + G - A, -G), lambda s: 0.25 * 2.0 / (1.0 - np.sqrt(G))),
+    }
+    # a bool checks every draw at once; the others are per-draw masks
+    checks = {"all": lambda s: s >= 1, "horizon": lambda s: s == horizons,
+              "mask": lambda s: mask[s]}
+    for lemma, (top, envelope) in lemmas.items():
+        for name, check in checks.items():
+            worst, (draw, step, value, _), violations = _sweep(
+                top, _batch_spectral_norm, envelope, (k,), t_max, check)
+            ref_worst, ref_at, ref_violations = _stacked_reference_sweep(
+                top, envelope, k, t_max, check)
+            assert (draw, step) == ref_at[:2], (lemma, name)
+            assert value == pytest.approx(ref_at[2], rel=1e-12, abs=0)
+            assert worst == pytest.approx(ref_worst, rel=1e-12, abs=0)
+            assert violations, (lemma, name)
+            assert [v[:2] for v in violations] == [v[:2] for v in ref_violations]
+            assert [v[2] for v in violations] == pytest.approx(
+                [v[2] for v in ref_violations], rel=1e-12, abs=0)
