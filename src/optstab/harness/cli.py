@@ -3,15 +3,19 @@
 Subcommands map one-to-one onto experiments (plus the early-stopping
 calculator):
 
-    optstab stability  [--config FILE] [overrides]   stability_scaling
-    optstab risk       [--config FILE] [overrides]   risk_decomposition
-    optstab lecam      [--config FILE] [overrides]   lecam_audit
-    optstab lemmas     [--config FILE] [overrides]   lemma_audit
-    optstab bounds     [--config FILE] [overrides]   bounds_table
+    optstab stability  [--config FILE] [--key VALUE ...]   stability_scaling
+    optstab risk       [--config FILE] [--key VALUE ...]   risk_decomposition
+    optstab lecam      [--config FILE] [--key VALUE ...]   lecam_audit
+    optstab lemmas     [--config FILE] [--key VALUE ...]   lemma_audit
+    optstab bounds     [--config FILE] [--key VALUE ...]   bounds_table
     optstab earlystop  --n N --eta ETA [--lipschitz L] [--radius R]
 
-Exit codes: 0 success, 1 configuration/validation error, 2 runtime error,
-3 audit completed but failed its acceptance checks (lemmas/lecam/bounds).
+Every config key except ``experiment`` is a ``--key-with-dashes`` flag,
+typed and checked as in a file (:mod:`optstab.harness.config`).
+
+Exit codes: 0 success, 1 a bad config key or value (file or flag) or another
+validation error, 2 runtime error, 3 audit completed but failed its
+acceptance checks (lemmas/lecam/bounds).
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from ..bounds import early_stopping_T
 from ..losses import ValidationError
-from .config import build_config, load_config
+from .config import ExperimentConfig, build_config, load_config, parse_value
 from .experiments import run_experiment
 from .reports import write_report
 
@@ -36,31 +41,15 @@ _SUBCOMMAND_EXPERIMENT = {
 }
 
 _AUDITED = {"lecam_audit", "lemma_audit", "bounds_table"}
+_FLAG_KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "experiment"]
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory")
     p.add_argument("--format", choices=("csv", "plot-script"), default="plot-script",
                    help="csv emits series files only; plot-script adds the plot script")
-    p.add_argument("--methods", help="comma list: gd,sgd,nag,nag_sc,hb,sgld")
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--T", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--eta0", type=float)
-    p.add_argument("--schedule", choices=("fixed", "power"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--holdout", type=int)
-    p.add_argument("--subsample", type=int)
-    p.add_argument("--n-test", dest="n_test", type=int)
-    p.add_argument("--ref-budget", dest="ref_budget", type=int)
-    p.add_argument("--source", choices=("synthetic", "file"))
-    p.add_argument("--data-path", dest="data_path")
+    for key in _FLAG_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=f"config key {key}")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -78,11 +67,6 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = ("seed", "out", "n", "d", "T", "reps", "eta0", "schedule",
-                  "alpha", "gamma", "tau", "kappa", "holdout", "subsample",
-                  "n_test", "ref_budget", "source", "data_path")
-
-
 def main(argv: Optional[list] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = _parser().parse_args(argv)
@@ -91,10 +75,9 @@ def main(argv: Optional[list] = None) -> int:
             T = early_stopping_T(args.n, args.eta, args.lipschitz, args.radius)
             print(T)
             return 0
-        overrides = {k: getattr(args, k) for k in _OVERRIDE_KEYS}
+        overrides = {key: parse_value(key, getattr(args, key)) for key in _FLAG_KEYS
+                     if getattr(args, key) is not None}
         overrides["experiment"] = _SUBCOMMAND_EXPERIMENT[args.command]
-        if args.methods:
-            overrides["methods"] = tuple(m.strip() for m in args.methods.split(","))
         if args.config:
             cfg = load_config(args.config, overrides)
         else:

@@ -1,8 +1,9 @@
 """Flat key-value experiment configuration with a stable content hash.
 
 Grammar: one ``key = value`` pair per line; blank lines and ``#`` comments
-are ignored.  Values are typed per the key schema below; list-valued keys
-take comma-separated tokens.  CLI flags override file keys.  The canonical
+are ignored.  :class:`ExperimentConfig`'s fields are the schema: a value is
+typed like its field's default.  Every key but ``experiment`` is also a CLI
+flag ``--key-with-dashes`` that overrides the file.  The canonical
 serialization (sorted keys, repr-formatted values) is hashed with SHA-256
 and embedded in every output file, so any report can be traced back to the
 exact configuration that produced it.
@@ -10,7 +11,7 @@ exact configuration that produced it.
 Keys
 ----
 experiment   stability_scaling | risk_decomposition | lecam_audit |
-             lemma_audit | bounds_table
+             lemma_audit | bounds_table  (the CLI's subcommand)
 methods      comma list of gd, sgd, nag, nag_sc, hb, sgld
 source       synthetic | file
 data_path    breast-cancer style CSV (source = file)
@@ -66,12 +67,11 @@ class ExperimentConfig:
             raise ValidationError(f"unknown experiment {self.experiment!r}")
         if self.schedule not in ("fixed", "power"):
             raise ValidationError(f"unknown schedule {self.schedule!r}")
+        if self.source not in ("synthetic", "file"):
+            raise ValidationError(f"unknown source {self.source!r}")
 
 
-_INT_KEYS = {"n", "d", "T", "subsample", "holdout", "reps", "seed", "n_test",
-             "ref_budget"}
-_FLOAT_KEYS = {"eta0", "alpha", "gamma", "tau", "kappa"}
-_LIST_KEYS = {"methods"}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> dict:
@@ -84,17 +84,19 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValidationError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = _coerce(key, value)
+        out[key] = parse_value(key, value)
     return out
 
 
-def _coerce(key: str, value: str):
+def parse_value(key: str, value: str):
+    """Type a file value or CLI flag like its key's default (tuple: comma list)."""
+    kind = type(_DEFAULTS.get(key))
     try:
-        if key in _INT_KEYS:
+        if kind is int:
             return int(value)
-        if key in _FLOAT_KEYS:
+        if kind is float:
             return float(value)
-        if key in _LIST_KEYS:
+        if kind is tuple:
             return tuple(tok.strip() for tok in value.split(",") if tok.strip())
     except ValueError as exc:
         raise ValidationError(f"config key {key!r}: bad value {value!r}") from exc

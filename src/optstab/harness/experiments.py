@@ -130,7 +130,7 @@ def _lecam_audit(cfg: ExperimentConfig) -> Report:
     ok = True
     for n in ns:
         tv, kl = lecam.tv_kl_product(int(n))
-        err = lecam.bayes_test_error(int(n))
+        err = lecam.bayes_test_error(tv)
         tvs.append(tv)
         kls.append(kl)
         bayes.append(err)

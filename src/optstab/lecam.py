@@ -11,9 +11,9 @@ distance >= r from the population minimizer carries excess risk at least
 Phi(r).  Combined with the Bayes error of testing P1^n against P2^n this
 yields the minimax lower bounds evaluated in :mod:`optstab.bounds`.
 
-Everything here is deterministic and exact up to floating point: the total
-variation between the n-fold products is summed over the n + 1 exchangeable
-count classes rather than the 2^n outcomes.
+Everything here is deterministic and exact up to floating point: minimizers
+are closed forms, and the total variation between the n-fold products is a
+sum over the n + 1 exchangeable count classes rather than the 2^n outcomes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .losses import (
 
 VARIANTS = ("convex", "strongly_convex")
 
-_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio section
 _SYMBOLS = Dataset.from_symbols([-1, 1])
 
 
@@ -92,41 +91,24 @@ def population_risk(variant: str, v: int, theta1, beta: float, r: float,
     return w_minus * vals[:, 0] + (1.0 - w_minus) * vals[:, 1]
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> Tuple[float, float]:
-    """Golden-section minimizer of a unimodal scalar function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _PHI * (b - a)
-    d = a + _PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _PHI * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
-
-
 def population_minimizer(variant: str, v: int, beta: float, r: float,
                          n: int) -> Tuple[float, float]:
-    """(theta1*, minimum value) of the population risk under P_v.
+    """(theta1*, minimum value) of the population risk under P_v, in closed form.
 
-    Strongly convex: closed form theta1* = -+ r / sqrt(6 n) with minimum
-    (beta/2)(r^2 - r^2/(6 n)).  Convex: golden-section search on the bracket
-    [-r, -r/2] (v = 1; mirrored for v = 2) where the minimizer is known to lie.
+    Strongly convex: theta1* = -+ r / sqrt(6 n), minimum (beta/2)(r^2 - r^2/(6 n)).
+    Convex: theta1* = -+ (r - (1 - w) r / (4 w)) with w = 1/2 + delta, where the
+    quadratic piece at the nearer center (weight w) balances the slope beta r / 4
+    of the far linear piece (weight 1 - w); it lies in [-r, -r/2] (v = 1;
+    mirrored for v = 2).
     """
+    sign = -1.0 if v == 1 else 1.0
     if variant == "strongly_convex":
-        sign = -1.0 if v == 1 else 1.0
         theta_star = sign * r / math.sqrt(6.0 * n)
         min_val = 0.5 * beta * (r * r - r * r / (6.0 * n))
         return theta_star, min_val
-    lo, hi = (-r, -r / 2.0) if v == 1 else (r / 2.0, r)
-    f = lambda t: float(population_risk("convex", v, t, beta, r, n)[0])
-    return _golden_min(f, lo, hi)
+    w = 0.5 + separation_delta(n)
+    theta_star = sign * (r - (1.0 - w) * r / (4.0 * w))
+    return theta_star, float(population_risk("convex", v, theta_star, beta, r, n)[0])
 
 
 def population_excess_risk(variant: str, v: int, theta1: float, beta: float,
@@ -212,9 +194,8 @@ def tv_kl_product(n: int) -> Tuple[float, float]:
     return tv, kl
 
 
-def bayes_test_error(n: int) -> float:
+def bayes_test_error(tv: float) -> float:
     """Minimal worst-case test error distinguishing P1^n from P2^n: (1 - TV)/2."""
-    tv, _ = tv_kl_product(n)
     return (1.0 - tv) / 2.0
 
 

@@ -172,9 +172,6 @@ class IterateTrace:
     def T(self) -> int:
         return self.thetas.shape[0] - 1
 
-    def final(self) -> np.ndarray:
-        return self.thetas[-1]
-
 
 def _streams(config: OptimizerConfig, n: int, d: int):
     """Pre-drawn index and noise streams, keyed by the config seed.

@@ -285,71 +285,39 @@ def fit_loglog_slope(values, window: Optional[Tuple[int, int]] = None,
     return fit_power_law(grid, values[grid])
 
 
-def gd_param_gap_bound(eta: float, L: float, t, n: int) -> np.ndarray:
-    """Iterate-gap envelope 2 eta L t / n for fixed-step full-gradient descent."""
-    return 2.0 * eta * L * np.asarray(t, dtype=float) / n
-
-
-def gd_param_gap_bound_sc(eta: float, L: float, alpha: float, beta: float,
-                          t, n: int) -> np.ndarray:
-    """Strongly convex iterate-gap envelope
-    (4 L / (alpha n)) (1 - (1 - eta beta / (1 + kappa))^t)."""
-    kappa = beta / alpha
-    t = np.asarray(t, dtype=float)
-    return (4.0 * L / (alpha * n)) * (1.0 - (1.0 - eta * beta / (1.0 + kappa)) ** t)
-
-
 @dataclass(frozen=True)
 class RiskCurves:
-    """Per-iteration train/test risks and the derived error estimates."""
+    """Per-iteration train/test risks and the generalization gap."""
 
     train: np.ndarray
     test: np.ndarray
-    gen_gap: np.ndarray                 # test - train
-    opt_error: Optional[np.ndarray]     # train - reference empirical minimum
-    reference_risk: Optional[float]
+    gen_gap: np.ndarray  # test - train
 
 
-def reference_risk(spec: LossSpec, train: Dataset, budget: int, theta0=None,
-                   eta0: Optional[float] = None) -> float:
+def reference_risk(spec: LossSpec, train: Dataset, budget: int) -> float:
     """Approximate empirical minimum of ``train``: the empirical risk after
-    ``budget`` full-gradient steps at eta = 1/beta from theta0 (default 0).
+    ``budget`` full-gradient steps at eta = 1/beta from 0.
 
-    A loss with beta = 0 has no 1/beta step and runs at ``eta0`` instead.
+    A loss with beta = 0 has no 1/beta step and raises ValidationError.
     Only the last two states of the run are kept.
     """
     beta = loss_constants(spec, train).beta
-    eta_ref = 1.0 / beta if beta > 0 else eta0
-    if eta_ref is None:
-        raise ValidationError("reference run needs eta0 when beta = 0")
-    ref_cfg = OptimizerConfig(method="gd", schedule=fixed(eta_ref), T=int(budget))
+    if beta <= 0:
+        raise ValidationError("reference run needs beta > 0")
+    ref_cfg = OptimizerConfig(method="gd", schedule=fixed(1.0 / beta), T=int(budget))
     # only the last iterate's risk is read; it is evaluated in a batch of
     # two rows, which avoids the matrix-vector product that a single row
     # goes through; that does not guarantee it rounds like row T of a
     # (T+1)-row train-risk series, since rows of one product round by position
-    last = deque(batch_iterates(ref_cfg, spec, train, [ref_cfg.seed], theta0=theta0),
-                 maxlen=2)
+    last = deque(batch_iterates(ref_cfg, spec, train, [ref_cfg.seed]), maxlen=2)
     return float(empirical_risk_batch(spec, np.concatenate(last), train)[-1])
 
 
 def risk_curves(config: OptimizerConfig, spec: LossSpec, train: Dataset,
-                test: Dataset, reference_budget: Optional[int] = None,
-                theta0=None) -> RiskCurves:
-    """Train/test risk along a run, with an optional optimization-error series.
-
-    The empirical minimum is approximated by :func:`reference_risk` with
-    ``reference_budget`` steps (pass 0 or None to skip); a loss with
-    beta = 0 runs it at the config's eta0.
-    """
-    trace = run(config, spec, train, theta0=theta0)
+                test: Dataset) -> RiskCurves:
+    """Train/test risk along a run from 0 (optimization error:
+    ``train - reference_risk(spec, train, budget)``)."""
+    trace = run(config, spec, train)
     train_risk = trace.risks
     test_risk = empirical_risk_batch(spec, trace.thetas, test)
-    opt_error = None
-    ref_risk = None
-    if reference_budget:
-        ref_risk = reference_risk(spec, train, reference_budget, theta0=theta0,
-                                  eta0=config.schedule.eta0)
-        opt_error = train_risk - ref_risk
-    return RiskCurves(train=train_risk, test=test_risk,
-                      gen_gap=test_risk - train_risk,
-                      opt_error=opt_error, reference_risk=ref_risk)
+    return RiskCurves(train=train_risk, test=test_risk, gen_gap=test_risk - train_risk)

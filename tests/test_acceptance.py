@@ -28,8 +28,6 @@ from optstab.losses import (
 from optstab.optimizers import OptimizerConfig, fixed, power, run
 from optstab.stability_lab import (
     fit_loglog_slope,
-    gd_param_gap_bound,
-    gd_param_gap_bound_sc,
     make_perturbed_pair,
     repeat_and_average,
     risk_curves,
@@ -151,7 +149,10 @@ def test_criterion_06_bound_domination(gd_experiment, nag_experiment,
                                        hb_experiment, sgd_experiment):
     avg_gd, _ = gd_experiment
     ts = np.arange(1001)
-    envelope = gd_param_gap_bound(0.1, 1.0, ts, 500)
+    c = loss_constants(LOGISTIC)
+    q = B.BoundQuery(method="gd", setting=B.CONVEX, constants=c, schedule=fixed(0.1),
+                     T=1000, n=500)
+    envelope = B.stability_bound_curve(q, ts) / c.L
     gd_ok = all(np.all(rep.param_gap <= envelope + 1e-9)
                 for rep in avg_gd.repeats)
     lip_ok = all(np.all(rep.sup_loss_gap <= 1.0 * rep.param_gap)
@@ -182,7 +183,7 @@ def test_criterion_08_lecam_audit():
     details = []
     for n in range(1, 13):
         tv, kl = lecam.tv_kl_product(n)
-        err = lecam.bayes_test_error(n)
+        err = lecam.bayes_test_error(tv)
         ok &= tv <= 0.5 + 1e-12 and err >= 0.25 - 1e-12 and tv * tv <= kl / 2 + 1e-12
     details.append("tv/bayes/pinsker n=1..12")
     for variant in ("convex", "strongly_convex"):
@@ -234,7 +235,9 @@ def test_criterion_10_strongly_convex_stability_envelope():
     trace = run_pair(cfg, spec, pair, Dataset.from_symbols(np.array([1.0, -1.0])),
                      dim=2)
     ts = np.arange(501)
-    envelope = gd_param_gap_bound_sc(0.5, c.L, c.alpha, c.beta, ts, 50)
+    q = B.BoundQuery(method="gd", setting=B.STRONGLY_CONVEX, constants=c,
+                     schedule=fixed(0.5), T=500, n=50)
+    envelope = B.stability_bound_curve(q, ts) / c.L
     slack = float(np.max(trace.param_gap - envelope))
     ok = slack <= 1e-9
     report(10, ok, f"ridge-type quadratic gap under the geometric envelope, "

@@ -260,11 +260,12 @@ def test_risk_decomposition_runs_one_reference_for_all_methods(monkeypatch):
     train, _ = gen_synthetic(cfg.d, cfg.n, seed=cfg.seed)
     test, _ = gen_synthetic(cfg.d, cfg.n_test, seed=cfg.seed + 1)
     series = {s.name: s for s in report.series}
+    ref = stability_lab.reference_risk(logistic_spec(), train, cfg.ref_budget)
     for m in cfg.methods:
         rc = stability_lab.risk_curves(_optimizer_config(cfg, m), logistic_spec(), train,
-                                       test, reference_budget=cfg.ref_budget)
-        np.testing.assert_array_equal(series[f"{m}_opt_error"].value, rc.opt_error)
-        assert report.records[f"{m}_reference_risk"] == rc.reference_risk
+                                       test)
+        np.testing.assert_array_equal(series[f"{m}_opt_error"].value, rc.train - ref)
+        assert report.records[f"{m}_reference_risk"] == ref
 
 
 def test_lecam_audit_passes():
@@ -304,6 +305,47 @@ def test_cli_validation_error_exit_code(tmp_path):
                      "--eta0", "0.1", "--n", "20", "--d", "3", "--T", "5",
                      "--reps", "1", "--out", str(tmp_path)])
     assert code == 1
+
+
+@pytest.mark.parametrize("key, value", [("source", "flie"), ("schedule", "linear"),
+                                        ("n", "abc")])
+def test_cli_bad_value_exits_1_from_file_and_flag(tmp_path, monkeypatch, capsys, key,
+                                                  value):
+    from optstab.harness import cli
+
+    def unreachable(cfg):
+        raise AssertionError(f"ran with {key} = {cfg}")
+
+    monkeypatch.setattr(cli, "run_experiment", unreachable)
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"{key} = {value}\n")
+    out = str(tmp_path / "x")
+    errors = []
+    for argv in (["--config", str(cfgfile)], [f"--{key}", value]):
+        assert cli_main(["stability", "--out", out] + argv) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert f"{value!r}" in errors[0]
+
+
+def test_cli_flags_are_the_config_fields():
+    import argparse
+    from dataclasses import fields
+
+    from optstab.harness import cli
+
+    parser = cli._parser()
+    subcommands = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    expected = {"--config", "--format"} | {
+        "--" + f.name.replace("_", "-") for f in fields(ExperimentConfig)
+        if f.name != "experiment"}
+    assert {"--n-test", "--ref-budget", "--data-path", "--T"} <= expected
+    assert len(expected) == 21
+    for name in cli._SUBCOMMAND_EXPERIMENT:
+        flags = {opt for action in subcommands[name]._actions
+                 for opt in action.option_strings} - {"-h", "--help"}
+        assert flags == expected, name
 
 
 def test_cli_runtime_error_exit_code(tmp_path, monkeypatch, capsys):

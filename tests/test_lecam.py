@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -83,15 +84,22 @@ def test_convex_excess_nonnegative_and_zero_at_minimizer():
 
 
 def test_convex_minimizer_lies_in_the_known_bracket():
-    for n in (1, 4, 16):
-        t_star, _ = population_minimizer("convex", 1, 1.0, 1.0, n)
-        assert -1.0 <= t_star <= -0.5
-        # stationarity of the smooth mixture inside the bracket
-        d = 1e-6
-        lo = population_risk("convex", 1, t_star - d, 1.0, 1.0, n)[0]
-        hi = population_risk("convex", 1, t_star + d, 1.0, 1.0, n)[0]
-        mid = population_risk("convex", 1, t_star, 1.0, 1.0, n)[0]
-        assert mid <= lo + 1e-12 and mid <= hi + 1e-12
+    for (beta, r), v, n in itertools.product(((1.0, 1.0), (2.0, 1.5)), (1, 2),
+                                             (1, 4, 16, 64, 1000)):
+        t_star, min_val = population_minimizer("convex", v, beta, r, n)
+        lo, hi = (-r, -r / 2) if v == 1 else (r / 2, r)
+        assert lo <= t_star <= hi
+        f = lambda t: population_risk("convex", v, t, beta, r, n)
+        assert min_val == f(t_star)[0]
+        # no point of a dense grid on the bracket lies lower
+        assert f(np.linspace(lo, hi, 100_001)).min() >= min_val
+        # zero one-sided slopes: on either side the risk rises by the
+        # quadratic term w beta h^2 / 2 alone, to rounding
+        w = 0.5 + separation_delta(n)
+        h = 1e-3 * r
+        for step in (h, -h):
+            rise = f(t_star + step)[0] - min_val
+            assert rise == pytest.approx(0.5 * w * beta * h * h, rel=1e-6, abs=0.0)
 
 
 # ------------------------------------------------------------ certificates
@@ -189,7 +197,7 @@ def test_enumeration_range_guard():
     # the log-space sum over n + 1 count classes has no upper limit on n
     tv, kl = tv_kl_product(10**6)
     assert 0.0 <= tv <= 1.0 and tv * tv <= kl / 2
-    assert 0.25 <= bayes_test_error(10**6) <= 0.5
+    assert 0.25 <= bayes_test_error(tv) <= 0.5
     with pytest.raises(ValidationError):
         tv_kl_product(0)
 
@@ -200,12 +208,12 @@ def test_enumeration_range_guard():
 def test_bayes_error_formula():
     for n in (1, 4, 12):
         tv, _ = tv_kl_product(n)
-        assert bayes_test_error(n) == pytest.approx((1 - tv) / 2)
+        assert bayes_test_error(tv) == pytest.approx((1 - tv) / 2)
 
 
 def test_bayes_error_at_least_quarter():
     for n in range(1, 13):
-        assert bayes_test_error(n) >= 0.25 - 1e-12
+        assert bayes_test_error(tv_kl_product(n)[0]) >= 0.25 - 1e-12
 
 
 # --------------------------------------------------- minimax consistency

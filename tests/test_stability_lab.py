@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optstab.bounds import BoundQuery, CONVEX, stability_bound
+from optstab.bounds import (
+    CONVEX,
+    STRONGLY_CONVEX,
+    BoundQuery,
+    stability_bound,
+    stability_bound_curve,
+)
 from optstab.losses import (
     DataPoint,
     Dataset,
@@ -34,8 +40,6 @@ from optstab.stability_lab import (
     estimate_sup_loss_gap,
     fit_loglog_slope,
     fit_power_law,
-    gd_param_gap_bound,
-    gd_param_gap_bound_sc,
     make_perturbed_pair,
     reference_risk,
     repeat_and_average,
@@ -112,7 +116,10 @@ def test_gd_gap_dominated_by_linear_envelope():
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=200, seed=0)
     trace = run_pair(cfg, logistic_spec(), pair, pool)
     ts = np.arange(201)
-    envelope = gd_param_gap_bound(0.1, 1.0, ts, 50)
+    c = loss_constants(logistic_spec())
+    q = BoundQuery(method="gd", setting=CONVEX, constants=c, schedule=fixed(0.1),
+                   T=200, n=50)
+    envelope = stability_bound_curve(q, ts) / c.L
     assert np.all(trace.param_gap <= envelope + 1e-9)
 
 
@@ -134,7 +141,9 @@ def test_strongly_convex_gap_envelope():
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.5), T=500, seed=0)
     trace = run_pair(cfg, spec, pair, SYMBOL_HOLDOUT, dim=2)
     ts = np.arange(501)
-    envelope = gd_param_gap_bound_sc(0.5, c.L, c.alpha, c.beta, ts, 50)
+    q = BoundQuery(method="gd", setting=STRONGLY_CONVEX, constants=c,
+                   schedule=fixed(0.5), T=500, n=50)
+    envelope = stability_bound_curve(q, ts) / c.L
     assert np.all(trace.param_gap <= envelope + 1e-9)
 
 
@@ -434,11 +443,16 @@ def test_risk_curves_gap_zero_when_test_equals_train():
 def test_risk_curves_reference_minimizer_self_consistent():
     data = logistic_fixture(n=25, seed=53)
     cfg = OptimizerConfig(method="gd", schedule=fixed(1.0), T=400, seed=0)
-    rc = risk_curves(cfg, logistic_spec(), data, data, reference_budget=2000)
+    rc = risk_curves(cfg, logistic_spec(), data, data)
+    opt_error = rc.train - reference_risk(logistic_spec(), data, 2000)
     # by T = 400 a 1/beta-step GD run is essentially at the reference minimum
-    assert rc.opt_error is not None
-    assert rc.opt_error[-1] == pytest.approx(0.0, abs=1e-4)
-    assert np.all(rc.opt_error >= -1e-9)
+    assert opt_error[-1] == pytest.approx(0.0, abs=1e-4)
+    assert np.all(opt_error >= -1e-9)
+
+
+def test_reference_risk_rejects_a_loss_without_curvature():
+    with pytest.raises(ValidationError, match="beta > 0"):
+        reference_risk(linear_worstcase_spec(L=1.0), SYMBOL_HOLDOUT, 10)
 
 
 def test_optimization_error_dominates_in_underparameterized_regime():
