@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ValidationError(f"unknown schedule {self.schedule!r}")
         if self.source not in ("synthetic", "file"):
             raise ValidationError(f"unknown source {self.source!r}")
+        if not self.methods and self.experiment in ("stability_scaling", "risk_decomposition"):
+            raise ValidationError(f"{self.experiment} needs at least one method")
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}

@@ -100,6 +100,8 @@ class Dataset:
                 raise ValidationError("labeled dataset shapes disagree")
             if self.X.shape[-2] < 1:
                 raise ValidationError("dataset must contain at least one point")
+            if not np.all(np.isin(self.y, (0, 1))):
+                raise ValidationError("labels must lie in {0, 1}")
         elif self.kind == "symbol":
             if self.s is None or np.asarray(self.s).ndim < 1:
                 raise ValidationError("symbol dataset needs a 1-D symbol array")
@@ -325,11 +327,17 @@ class _Family:
 
 
 def _logistic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
-    U = thetas @ data.X.T
-    values = np.logaddexp(0.0, U)
-    U *= data.y
-    values -= U
-    return values
+    """Softplus of the signed margin v = (1 - 2y) u (exact for y in {0, 1}),
+    max(v, 0) + log1p(exp(-|v|)): no cancellation at y = 1, u >> 1."""
+    V = thetas @ data.X.T
+    V *= 1.0 - 2.0 * data.y
+    e = np.abs(V)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=e)
+    np.maximum(V, 0.0, out=V)
+    V += e
+    return V
 
 
 def _logistic_grad(spec: LossSpec, thetas: np.ndarray, data: Dataset, rows) -> np.ndarray:

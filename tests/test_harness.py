@@ -328,6 +328,24 @@ def test_cli_bad_value_exits_1_from_file_and_flag(tmp_path, monkeypatch, capsys,
     assert f"{value!r}" in errors[0]
 
 
+@pytest.mark.parametrize("command", ["stability", "risk"])
+def test_cli_empty_methods_exits_1_from_file_and_flag(tmp_path, monkeypatch, capsys,
+                                                      command):
+    from optstab.harness import cli
+
+    def unreachable(cfg):
+        raise AssertionError(f"ran with no methods: {cfg}")
+
+    monkeypatch.setattr(cli, "run_experiment", unreachable)
+    cfgfile = tmp_path / "empty.cfg"
+    cfgfile.write_text("methods =\n")
+    out = str(tmp_path / "x")
+    for argv in (["--config", str(cfgfile)], ["--methods", ""]):
+        assert cli_main([command, "--out", out] + argv) == 1
+        assert "needs at least one method" in capsys.readouterr().err
+    assert ExperimentConfig(experiment="lecam_audit", methods=()).methods == ()
+
+
 def test_cli_flags_are_the_config_fields():
     import argparse
     from dataclasses import fields

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,81 @@ def test_loss_values_matrix_agrees_with_scalar_path():
                 loss_value(spec, thetas[i], data.point(j)), abs=1e-12)
     np.testing.assert_allclose(empirical_risk_batch(spec, thetas, data),
                                V.mean(axis=1))
+
+
+def _logaddexp_values(u, y):
+    # the former np.logaddexp form, kept as the reference for _logistic_values
+    return np.logaddexp(0.0, u) - y * u
+
+
+def _ulp_errors(values, u, y):
+    """|values - (log1p(exp(u)) - y u)| in ulps of the exact value.
+
+    The mpmath reference works at 200 bits plus 2|u| more, which covers the
+    cancellation of log1p(exp(u)) against u at y = 1 (about 1.44|u| bits).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    errs = []
+    for value, ui, yi in zip(values, u, y):
+        with mpmath.workprec(200 + int(2 * abs(ui))):
+            m = mpmath.mpf(float(ui))
+            exact = mpmath.log1p(mpmath.exp(m)) - int(yi) * m
+            errs.append(float(abs(mpmath.mpf(float(value)) - exact)
+                              / np.spacing(float(exact))))
+    return np.array(errs)
+
+
+def _margins(scale, size=1000):
+    return scale * np.random.Generator(np.random.Philox(int(10 * scale))).standard_normal(size)
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 5.0, 30.0])
+@pytest.mark.parametrize("y", [0, 1])
+def test_logistic_value_within_2_ulp_of_mpmath(scale, y):
+    # theta = [u] against x = [1] makes the margin u exactly
+    spec = logistic_spec()
+    u = _margins(scale)
+    values = [loss_value(spec, [ui], DataPoint.labeled([1.0], y)) for ui in u]
+    assert _ulp_errors(values, u, np.full_like(u, y)).max() <= 2
+
+
+def test_logaddexp_reference_fails_2_ulp_at_scale_5():
+    u = _margins(5.0)
+    assert _ulp_errors(_logaddexp_values(u, 1.0), u, np.ones_like(u)).max() > 2
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(st.floats(-60, 60), min_size=d, max_size=d), min_size=1, max_size=4),
+    st.lists(st.lists(st.floats(-1, 1), min_size=d, max_size=d), min_size=1, max_size=6),
+    st.lists(st.integers(0, 1), min_size=6, max_size=6))))
+def test_logistic_values_match_logaddexp_reference(case):
+    thetas, X, labels = np.array(case[0]), np.array(case[1]), case[2]
+    y = np.array(labels[:len(X)], dtype=float)
+    spec = logistic_spec()
+    V = loss_values_matrix(spec, thetas, Dataset.from_labeled(X, y))
+    U = thetas @ X.T
+    # within the reference's own cancellation error
+    assert np.all(np.abs(V - _logaddexp_values(U, y))
+                  <= 4 * np.spacing(np.maximum(np.abs(U), 1.0)))
+    # l(theta; (x, y)) = l(-theta; (x, 1 - y)), bit for bit
+    _assert_bitwise_equal(V, loss_values_matrix(spec, -thetas,
+                                                Dataset.from_labeled(X, 1.0 - y)))
+
+
+def test_logistic_values_at_huge_margins_are_exact_without_warnings():
+    u = np.array([1e3, -1e3, 1e6, -1e6])
+    data = Dataset.from_labeled(np.ones((2, 1)), [0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        V = loss_values_matrix(logistic_spec(), u[:, None], data)
+    np.testing.assert_array_equal(V, np.stack([np.maximum(u, 0.0), np.maximum(-u, 0.0)],
+                                              axis=1))
+
+
+def test_labels_outside_0_1_rejected():
+    with pytest.raises(ValidationError):
+        Dataset.from_labeled(np.ones((2, 1)), [0.0, 0.5])
 
 
 def _masked_sigmoid(u):
