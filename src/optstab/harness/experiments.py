@@ -43,6 +43,17 @@ def _optimizer_config(cfg: ExperimentConfig, method: str) -> OptimizerConfig:
                            tau=cfg.tau)
 
 
+def _by_batch(opt_cfgs: dict, run_batch) -> dict:
+    """``run_batch(configs)`` on at most two batches, the deterministic and the
+    stochastic methods; its results by method, in method order."""
+    results = {}
+    for sampled in (False, True):
+        methods = [m for m in opt_cfgs if opt_cfgs[m].sampled == sampled]
+        if methods:
+            results.update(zip(methods, run_batch([opt_cfgs[m] for m in methods])))
+    return {m: results[m] for m in opt_cfgs}
+
+
 def _new_report(cfg: ExperimentConfig) -> Report:
     return Report(experiment=cfg.experiment, config_hash=config_hash(cfg),
                   seed=cfg.seed, versions=package_versions())
@@ -73,9 +84,17 @@ def _stability_scaling(cfg: ExperimentConfig) -> Report:
     report.records["perturbations"] = {}
     ts = np.arange(cfg.T + 1)
 
-    for m, oc in opt_cfgs.items():
-        avg = repeat_and_average(oc, spec, sample, pool, reps=cfg.reps,
-                                 perturbation_seed=cfg.seed)
+    averaged = _by_batch(opt_cfgs, lambda configs: repeat_and_average(
+        configs, spec, sample, pool, reps=cfg.reps, perturbation_seed=cfg.seed))
+    # logistic loss on unit-norm rows is L-Lipschitz at every theta
+    gaps = np.array([[(r.param_gap, r.sup_loss_gap) for r in averaged[m].repeats]
+                     for m in opt_cfgs])
+    over = np.argwhere(gaps[:, :, 1] > loss_constants(spec, pool).L * gaps[:, :, 0] + 1e-12)
+    if over.size:
+        j, i, t = over[0]
+        raise RuntimeError(f"{list(opt_cfgs)[j]}: sup-loss gap exceeds L * param gap at "
+                           f"repeat {i}, t = {t}")
+    for (m, oc), avg in zip(opt_cfgs.items(), averaged.values()):
         report.add_series(f"{m}_param_gap", ts, avg.param_gap, avg.param_gap_stderr)
         report.add_series(f"{m}_sup_loss_gap", ts, avg.sup_loss_gap,
                           avg.sup_loss_gap_stderr)
@@ -110,8 +129,8 @@ def _risk_decomposition(cfg: ExperimentConfig) -> Report:
     ts = np.arange(cfg.T + 1)
     # the reference run depends on neither the method nor its seed
     ref_risk = reference_risk(spec, train, cfg.ref_budget) if cfg.ref_budget else None
-    for m, oc in opt_cfgs.items():
-        curves = risk_curves(oc, spec, train, test)
+    curves_of = _by_batch(opt_cfgs, lambda configs: risk_curves(configs, spec, train, test))
+    for m, curves in curves_of.items():
         report.add_series(f"{m}_train_risk", ts, curves.train)
         report.add_series(f"{m}_test_risk", ts, curves.test)
         report.add_series(f"{m}_gen_gap", ts, curves.gen_gap)

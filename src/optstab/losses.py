@@ -14,12 +14,11 @@ strong convexity alpha, domain diameter R).  Five families are supported:
 * ``lecam_strongly_convex`` -- pure quadratic (beta/2)(theta[0] - s*r)^2
 
 Each family's math lives in one entry of a private kernel table: a value
-kernel over a batch of parameter vectors and every data row, a mean-gradient
-kernel over all rows or one row per parameter vector, and the constants.
-The public functions are thin wrappers around it.  The gradient functions
-also take a stack (..., d) of parameter vectors and a stack of samples
-(``Dataset.stack``); every vector's gradient is then computed by its own
-matrix-vector products, exactly as for a single vector.
+kernel and a mean-gradient kernel (over all rows or one row per sample),
+both on blocks (..., k, d) of parameter vectors against sample (...) of a
+stack (``Dataset.stack``), so a sample's k logistic margins are one
+product; plus the constants.  The public functions are thin wrappers around
+it; the per-vector gradients are the k = 1 case of ``risk_grad_block``.
 
 All evaluation is pure and re-entrant; specs and datasets are immutable
 once constructed and safe to share across workers.
@@ -320,9 +319,9 @@ class _Family:
     """One loss family's math, batched over parameters and data rows."""
 
     variant: str         # data it consumes: "labeled", "symbol" or "any"
-    values: Callable     # (spec, thetas (k, d), data) -> (k, n) per-sample losses
-    grad: Callable       # (spec, thetas (..., d), data, rows) -> (..., d) mean gradients
-    #                      over all rows (rows None) or over row rows[b] alone
+    values: Callable     # (spec, thetas (..., k, d), data) -> (..., k, n) losses
+    grad: Callable       # (spec, thetas (..., k, d), data, rows) -> (..., k, d) mean
+    #                      gradients over all rows (rows None) or row rows[...] alone
     constants: Callable  # (spec, data or None) -> (L, beta, alpha)
 
 
@@ -342,9 +341,11 @@ def _logistic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.nd
 
 def _logistic_grad(spec: LossSpec, thetas: np.ndarray, data: Dataset, rows) -> np.ndarray:
     X = _rows(data.X, rows, 1)
-    R = _sigmoid(X @ thetas[..., None])
-    R -= _rows(data.y, rows)[..., None]
-    return (X.swapaxes(-1, -2) @ R)[..., 0] / X.shape[-2]
+    R = _sigmoid(thetas @ X.swapaxes(-1, -2))
+    R -= _rows(data.y, rows)[..., None, :]
+    # the contraction over rows is one matrix-vector product per vector: as
+    # one matrix product (R @ X) its rounding depends on the BLAS thread count
+    return (R[..., None, :] @ X[..., None, :, :])[..., 0, :] / X.shape[-2]
 
 
 def _logistic_constants(spec: LossSpec, data: Optional[Dataset]):
@@ -374,7 +375,7 @@ def _symbol_family(value, mean_slope, constants) -> _Family:
     over the last axis of s."""
     def grad(spec, thetas, data, rows):
         g = np.zeros_like(thetas)
-        g[..., 0] = mean_slope(spec, thetas[..., 0:1], _rows(data.s, rows))
+        g[..., 0] = mean_slope(spec, thetas[..., 0:1], _rows(data.s, rows)[..., None, :])
         return g
     return _Family("symbol",
                    lambda spec, thetas, data: value(spec, thetas[..., 0:1], data.s),
@@ -430,7 +431,7 @@ def loss_values_matrix(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.
     Row i holds l(thetas[i]; z_j) for every point z_j of the dataset.  A
     stack (..., k, d) of batches gives (..., k, n), each batch evaluated by
     its own matrix product.  This is the vectorized engine behind empirical
-    risks and sup-loss gaps.
+    risks and sup-loss gaps; ``data`` is a single sample.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     _check_dataset(spec, thetas, data)
@@ -443,9 +444,32 @@ def empirical_risk(spec: LossSpec, theta, data: Dataset) -> float:
     return float(loss_values_matrix(spec, theta[None, :], data).mean(axis=1)[0])
 
 
+# Vectors per values block of empirical_risk_batch.  On the BLAS's blocked path rows
+# round as in one product; a one-row last block takes gemv and may round an ulp apart.
+_RISK_ROWS = 64
+
+
 def empirical_risk_batch(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
-    """Empirical risk for each row of a (k, d) batch of parameter vectors."""
-    return loss_values_matrix(spec, thetas, data).mean(axis=1)
+    """Empirical risk of each vector of a block (..., m, d), _RISK_ROWS vectors
+    at a time, so a long trace never holds its m x n values matrix at once."""
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    return np.concatenate([loss_values_matrix(spec, thetas[..., i:i + _RISK_ROWS, :], data)
+                           .mean(axis=-1) for i in range(0, thetas.shape[-2], _RISK_ROWS)],
+                          axis=-1)
+
+
+def risk_grad_block(spec: LossSpec, thetas, data: Dataset, rows=None) -> np.ndarray:
+    """Mean loss gradients of a block (..., k, d) of parameter vectors against
+    sample (...) of ``data``: over all its rows, or over row rows[...] alone."""
+    thetas = np.atleast_2d(_as_params(thetas))
+    _check_dataset(spec, thetas, data)
+    if rows is not None:
+        rows = np.broadcast_to(np.asarray(rows, dtype=np.intp),
+                               np.broadcast_shapes(np.shape(rows), thetas.shape[:-2],
+                                                   data.stack_shape))
+        if (rows < 0).any() or (rows >= data.n).any():
+            raise ValidationError(f"index out of range for n={data.n}")
+    return _KERNELS[spec.family].grad(spec, thetas, data, rows)
 
 
 def empirical_risk_grad(spec: LossSpec, theta, data: Dataset) -> np.ndarray:
@@ -454,9 +478,7 @@ def empirical_risk_grad(spec: LossSpec, theta, data: Dataset) -> np.ndarray:
     theta may be a stack (..., d) of parameter vectors and data a stack of
     samples broadcast against it; the result has the broadcast shape.
     """
-    theta = _as_params(theta)
-    _check_dataset(spec, theta, data)
-    return _KERNELS[spec.family].grad(spec, theta, data, None)
+    return risk_grad_block(spec, _as_params(theta)[..., None, :], data)[..., 0, :]
 
 
 def sample_grad(spec: LossSpec, theta, data: Dataset, i) -> np.ndarray:
@@ -465,14 +487,7 @@ def sample_grad(spec: LossSpec, theta, data: Dataset, i) -> np.ndarray:
     For a stack (..., d) of parameter vectors, i may be an index array: each
     vector takes the gradient at row i[b] of its own sample.
     """
-    theta = _as_params(theta)
-    _check_dataset(spec, theta, data)
-    rows = np.broadcast_to(np.asarray(i, dtype=np.intp),
-                           np.broadcast_shapes(np.shape(i), theta.shape[:-1],
-                                               data.stack_shape))
-    if (rows < 0).any() or (rows >= data.n).any():
-        raise ValidationError(f"index out of range for n={data.n}")
-    return _KERNELS[spec.family].grad(spec, theta, data, rows)
+    return risk_grad_block(spec, _as_params(theta)[..., None, :], data, i)[..., 0, :]
 
 
 def loss_constants(spec: LossSpec, data: Optional[Dataset] = None) -> LossConstants:

@@ -52,11 +52,22 @@ def spectral_norm(M) -> float:
 
 
 def _batch_spectral_norm(u, v, u1, v1) -> np.ndarray:
-    """sigma_max of [[u, v], [u1, v1]]: sqrt((F^2 + sqrt(F^4 - 4 det^2)) / 2)."""
-    fro2 = u * u + v * v + u1 * u1 + v1 * v1
-    det = u * v1 - v * u1
-    inner = np.maximum(fro2 * fro2 - 4.0 * det * det, 0.0)
-    return np.sqrt(np.maximum((fro2 + np.sqrt(inner)) / 2.0, 0.0))
+    """sigma_max of [[u, v], [u1, v1]]: sqrt((F^2 + sqrt(F^4 - 4 det^2)) / 2),
+    in place on three buffers with the operations of the plain expression."""
+    shape = np.broadcast(u, v, u1, v1).shape
+    fro2, det, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.multiply(u, u, out=fro2)
+    fro2 += np.multiply(v, v, out=tmp)
+    fro2 += np.multiply(u1, u1, out=tmp)
+    fro2 += np.multiply(v1, v1, out=tmp)
+    np.multiply(u, v1, out=det)
+    det -= np.multiply(v, u1, out=tmp)
+    np.multiply(np.multiply(det, 4.0, out=tmp), det, out=tmp)
+    np.subtract(np.multiply(fro2, fro2, out=det), tmp, out=det)
+    np.sqrt(np.maximum(det, 0.0, out=det), out=det)
+    det += fro2
+    det /= 2.0
+    return np.sqrt(np.maximum(det, 0.0, out=det), out=det)
 
 
 @dataclass(frozen=True)

@@ -10,21 +10,23 @@ dynamics (``sgld``).
 Every method is one coefficient schedule of the same step (see
 ``_coefficients``), differing otherwise only in whether the gradient is the
 full empirical-risk gradient or a single sampled row's.  ``batch_iterates``
-runs B members of one method as one (B, d) state, each member on the shared
-sample or on its own sample of a stack; ``run`` is its one-member case and
-is the only place that records an iterate trace.
+runs B members of k configs of one gradient kind as one (B, k, d) state
+under (T, k) coefficient columns, each member on the shared sample or on its
+own sample of a stack; ``iterate_traces`` records a one-member batch's
+traces, and ``run`` is its one-config case.
 
 Randomized methods draw their index and Gaussian noise streams from Philox
 4x64 counter-based generators keyed by the member's seed, so every iterate
 is a deterministic function of (config, seed, loss, sample, theta0).  Members
 with the same seed share identical streams, which is what couples a
-perturbed pair.
+perturbed pair; a member's columns share them too (sgld scales the noise
+per column).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -35,9 +37,8 @@ from .losses import (
     ValidationError,
     as_param_vector,
     empirical_risk_batch,
-    empirical_risk_grad,
     loss_constants,
-    sample_grad,
+    risk_grad_block,
 )
 
 METHODS = ("gd", "sgd", "nag", "nag_sc", "hb", "sgld")
@@ -132,8 +133,9 @@ class OptimizerConfig:
         if self.method == "sgld" and (self.tau is None or self.tau <= 0):
             raise ValidationError("sgld needs temperature tau > 0")
 
-    def with_seed(self, seed: int) -> "OptimizerConfig":
-        return replace(self, seed=seed)
+    @property
+    def sampled(self) -> bool:  # one sampled row's gradient per step, else the full one
+        return self.method in STOCHASTIC_METHODS
 
 
 def validate_config(config: OptimizerConfig, constants) -> None:
@@ -173,23 +175,6 @@ class IterateTrace:
         return self.thetas.shape[0] - 1
 
 
-def _streams(config: OptimizerConfig, n: int, d: int):
-    """Pre-drawn index and noise streams, keyed by the config seed.
-
-    Indices and noise come from independently keyed Philox generators, so a
-    method that consumes only indices (sgd) sees the same index stream as
-    one that consumes both (sgld).
-    """
-    ss = np.random.SeedSequence(config.seed & 0xFFFFFFFFFFFFFFFF)
-    idx_seq, noise_seq = ss.spawn(2)
-    indices = np.random.Generator(np.random.Philox(idx_seq)).integers(0, n, size=config.T)
-    noise = None
-    if config.method == "sgld":
-        noise = np.random.Generator(np.random.Philox(noise_seq)).standard_normal(
-            (config.T, d))
-    return indices, noise
-
-
 def _step_sizes(schedule: StepSchedule, T: int) -> np.ndarray:
     return np.array([step_size(schedule, t) for t in range(1, T + 1)])
 
@@ -217,70 +202,87 @@ def _coefficients(config: OptimizerConfig, etas: np.ndarray):
     return a, b, c
 
 
-def batch_iterates(config: OptimizerConfig, spec: LossSpec, data: Dataset,
+def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dataset,
                    seeds: Sequence[int], theta0=None,
                    dim: Optional[int] = None) -> Iterator[np.ndarray]:
-    """Yield the (B, d) states theta_0..theta_T of B runs of one method.
+    """Yield the (B, k, d) states theta_0..theta_T of B members by k configs.
 
-    Member b runs ``config`` with seed ``seeds[b]`` on ``data``, or on sample
-    b of a stack of B samples (``Dataset.stack``).  Members with equal seeds
-    share their index and noise streams, which couples them, and every
-    member's gradient comes from its own matrix-vector products, as in a
-    single run, so members whose seeds and samples agree follow exactly equal
-    iterates.  theta0 defaults to the zero vector; for symbol datasets the
-    dimension is taken from ``dim`` (default 1) since the data carry none.
+    The configs share their gradient kind and T.  Member b runs ``configs[j]``
+    in column j with seed ``seeds[b]`` (configs' own seeds are not read) on
+    ``data``, or on sample b of a stack of B samples (``Dataset.stack``); its
+    streams, keyed by its seed, serve all its columns, and members with equal
+    seeds share them, which couples them.  Members whose seeds and samples
+    agree follow exactly equal iterates.  theta0 defaults to the zero vector;
+    for symbol datasets the dimension is taken from ``dim`` (default 1).
     Raises FloatingPointError naming the method and step at the first
     iterate that is not finite.
     """
-    B = len(seeds)
+    B, k = len(seeds), len(configs)
+    if k < 1 or len({(cfg.sampled, cfg.T) for cfg in configs}) != 1:
+        raise ValidationError("a batch needs configs of one gradient kind and one T")
     if data.stack_shape not in ((), (B,)):
         raise ValidationError("need one sample, or one sample per member")
-    validate_config(config, loss_constants(spec, data))
+    for config in configs:
+        validate_config(config, loss_constants(spec, data))
     if theta0 is not None:
         theta = as_param_vector(theta0).copy()
     elif data.kind == "labeled":
         theta = np.zeros(data.dim)
     else:
         theta = np.zeros(dim if dim is not None else 1)
-    T, n, d = config.T, data.n, theta.shape[0]
-    etas = _step_sizes(config.schedule, T)
-    a, b, c = _coefficients(config, etas)
-    keep = 1.0 - a
+    T, n, d = configs[0].T, data.n, theta.shape[0]
+    etas = np.stack([_step_sizes(cfg.schedule, T) for cfg in configs], axis=1)
+    a, b, c = (np.stack(column, axis=1)[..., None] for column in
+               zip(*(_coefficients(cfg, etas[:, j]) for j, cfg in enumerate(configs))))
+    etas, keep = etas[..., None], 1.0 - a
 
-    noise = np.zeros((T, 1, 1))
-    if config.method in STOCHASTIC_METHODS:
-        streams = [_streams(config.with_seed(seed), n, d) for seed in seeds]
-        idx = np.stack([indices for indices, _ in streams], axis=1)
-        if config.method == "sgld":
-            noise = np.stack([xi for _, xi in streams], axis=1)
+    rows = noise = None
+    if configs[0].sampled:
+        # independently keyed index and noise streams per member seed, so sgd
+        # (indices only) and sgld (both) read the same indices
+        keys = [np.random.SeedSequence(s & 0xFFFFFFFFFFFFFFFF).spawn(2) for s in seeds]
+        rows = np.stack([np.random.Generator(np.random.Philox(key)).integers(0, n, size=T)
+                         for key, _ in keys], axis=1)
+        if any(cfg.method == "sgld" for cfg in configs):
+            noise = np.empty((T, B, d))
+            for i, (_, key) in enumerate(keys):
+                noise[:, i] = np.random.Generator(np.random.Philox(key)).standard_normal(
+                    (T, d))
 
-        def gradient(t, look):
-            return sample_grad(spec, look, data, idx[t])
-    else:
-        def gradient(t, look):
-            return empirical_risk_grad(spec, look, data)
-    noise *= c[:, None, None]
-
-    prev = older = np.broadcast_to(theta, (B, d))
+    prev = older = np.broadcast_to(theta, (B, k, d))
     yield prev
     for t in range(T):
         look = keep[t] * prev + a[t] * older
-        theta = look - etas[t] * gradient(t, look) + b[t] * (prev - older) + noise[t]
+        grad = risk_grad_block(spec, look, data, None if rows is None else rows[t])
+        theta = look - etas[t] * grad + b[t] * (prev - older)
+        if noise is not None:
+            theta += c[t] * noise[t, :, None]
         if not np.isfinite(theta).all():
-            raise FloatingPointError(
-                f"{config.method}: iterate {t + 1} is not finite")
+            j = int(np.argmin(np.isfinite(theta).all(axis=(0, 2))))
+            raise FloatingPointError(f"{configs[j].method}: iterate {t + 1} is not finite")
         older, prev = prev, theta
         yield theta
+
+
+def iterate_traces(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dataset,
+                   seed: int = 0, theta0=None, dim: Optional[int] = None) -> np.ndarray:
+    """theta_0..theta_T of k configs run as one batch with ``seed``: (k, T+1, d)."""
+    states = batch_iterates(configs, spec, data, [seed], theta0=theta0, dim=dim)
+    first = next(states)
+    thetas = np.empty((len(configs), configs[0].T + 1, first.shape[-1]))
+    thetas[:, 0] = first[0]
+    for t, state in enumerate(states, 1):
+        thetas[:, t] = state[0]
+    return thetas
 
 
 def run(config: OptimizerConfig, spec: LossSpec, data: Dataset,
         theta0=None, dim: Optional[int] = None) -> IterateTrace:
     """Run the configured method on the empirical risk of ``data``.
 
-    The one-member case of :func:`batch_iterates`, recording its trace.
+    The one-config, one-member case of :func:`batch_iterates`.
     """
-    thetas = np.concatenate(list(batch_iterates(config, spec, data, [config.seed],
-                                                theta0=theta0, dim=dim)))
+    thetas = iterate_traces([config], spec, data, config.seed, theta0=theta0, dim=dim)[0]
     return IterateTrace(method=config.method, thetas=thetas,
                         risks=empirical_risk_batch(spec, thetas, data),
                         step_sizes=_step_sizes(config.schedule, config.T),

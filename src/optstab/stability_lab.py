@@ -9,15 +9,15 @@ perturbation.  Two series are recorded per pair:
 * ``sup_loss_gap[t]``  = max over a holdout set of |l(theta_t; z) - l(theta'_t; z)|,
   a finite-sample lower estimate of the defining supremum.
 
-Every pair of an experiment runs as one batch: the base and the perturbed
-runs of all repeats form one state advanced by ``optimizers.batch_iterates``
-(a deterministic method's base runs coincide, so it needs only one), and
-both gap series are computed from each state as the run progresses, so no
-iterate trace is stored; a single base run's holdout losses are evaluated
-once per step and compared with every perturbed run's.  Repeats redraw
-the perturbed index and replacement point from a seeded stream and are
-averaged elementwise with standard errors; per-repeat gap series are
-retained for audit.
+Every pair of every config of a batch runs as one state: the base and the
+perturbed runs of all repeats, each with k config columns, advanced by
+``optimizers.batch_iterates`` (deterministic methods' base runs coincide, so
+they need only one), and both gap series are computed from each state as the
+run progresses, so no iterate trace is stored; a single base run's holdout
+losses are evaluated once per step and compared with every perturbed run's.
+Repeats redraw the perturbed index and replacement point from a seeded
+stream and are averaged elementwise with standard errors; per-repeat gap
+series are retained for audit.
 
 The risk decomposition measures the optimization error against an empirical
 minimum from one long full-gradient run (:func:`reference_risk`), which
@@ -39,12 +39,11 @@ from .losses import (
     Dataset,
     LossSpec,
     ValidationError,
-    empirical_risk,
     empirical_risk_batch,
     loss_constants,
     loss_values_matrix,
 )
-from .optimizers import STOCHASTIC_METHODS, OptimizerConfig, batch_iterates, fixed, run
+from .optimizers import OptimizerConfig, batch_iterates, fixed, iterate_traces
 
 
 @dataclass(frozen=True)
@@ -78,55 +77,55 @@ class StabilityTrace:
 def estimate_sup_loss_gap(theta, theta_p, spec: LossSpec, holdout: Dataset):
     """max over holdout points of |l(theta; z) - l(theta'; z)|.
 
-    Given a (k, d) batch theta_p and a batch theta of k rows or of one row
-    shared by all of them, returns the k row-wise gaps.  Two k-row batches
-    are evaluated as a stack, each by its own matrix product, so row i of
-    both takes the same rounding; a shared row is evaluated once, in one
-    product with theta_p.  Equal parameters give a gap of exactly 0; this
-    is set explicitly, since the rows of one BLAS matrix product need not
-    round alike (some row positions take a different kernel).
+    Given batches (..., m, d) theta_p and theta of m rows or of one row
+    shared by all of them, returns the (..., m) row-wise gaps.  Two m-row
+    batches are evaluated as a stack, each by its own matrix product, so row
+    i of both takes the same rounding; a shared row is evaluated once, in
+    one product with theta_p.  Equal parameters give a gap of exactly 0;
+    this is set explicitly, since the rows of one BLAS matrix product need
+    not round alike (some row positions take a different kernel).
     """
     if holdout.n < 1:
         raise ValidationError("holdout must be nonempty")
-    batched = np.ndim(theta_p) == 2
+    batched = np.ndim(theta_p) >= 2
     theta, theta_p = np.atleast_2d(theta), np.atleast_2d(theta_p)
     if theta.shape == theta_p.shape:
         values, values_p = loss_values_matrix(spec, np.stack([theta, theta_p]), holdout)
     else:
-        both = loss_values_matrix(spec, np.concatenate([theta, theta_p]), holdout)
-        values, values_p = both[:len(theta)], both[len(theta):]
-    gaps = np.abs(values - values_p).max(axis=1)
-    gaps[(theta == theta_p).all(axis=1)] = 0.0
+        both = loss_values_matrix(spec, np.concatenate([theta, theta_p], axis=-2), holdout)
+        values, values_p = np.split(both, [theta.shape[-2]], axis=-2)
+    gaps = np.abs(values - values_p).max(axis=-1)
+    gaps[(theta == theta_p).all(axis=-1)] = 0.0
     return gaps if batched else float(gaps[0])
 
 
-def _coupled_gaps(config: OptimizerConfig, spec: LossSpec, pairs: List[PerturbedPair],
-                  seeds: List[int], holdout: Dataset, theta0,
+def _coupled_gaps(configs: Sequence[OptimizerConfig], spec: LossSpec,
+                  pairs: List[PerturbedPair], seeds: List[int], holdout: Dataset, theta0,
                   dim: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """(param_gap, sup_loss_gap), each (P, T+1), of P coupled pairs run as one
-    batch: the base runs, then the P perturbed runs.  Pair i runs with seed
-    ``seeds[i]``.  A deterministic method's base runs coincide whatever
-    their seeds, so one base run stands for all of them.
+    """(param_gap, sup_loss_gap), each (k, P, T+1), of P coupled pairs of each
+    of k configs run as one batch: the base runs, then the P perturbed runs.
+    Pair i runs with seed ``seeds[i]``.  Deterministic methods' base runs
+    coincide whatever their seeds, so one base run stands for all of them.
     """
     P = len(pairs)
-    B = P if config.method in STOCHASTIC_METHODS else 1
-    param_gap = np.empty((P, config.T + 1))
-    sup_gap = np.empty((P, config.T + 1))
+    B = P if configs[0].sampled else 1
+    param_gap, sup_gap = np.empty((2, len(configs), P, configs[0].T + 1))
     samples = Dataset.stack([p.base for p in pairs[:B]] + [p.perturbed for p in pairs])
-    states = batch_iterates(config, spec, samples, seeds[:B] + seeds, theta0=theta0,
+    states = batch_iterates(configs, spec, samples, seeds[:B] + seeds, theta0=theta0,
                             dim=dim)
     for t, state in enumerate(states):
-        base, perturbed = state[:B], state[B:]
-        param_gap[:, t] = np.linalg.norm(base - perturbed, axis=1)
-        sup_gap[:, t] = estimate_sup_loss_gap(base, perturbed, spec, holdout)
+        # method-major (k, members, d), so each method's members share products
+        base, perturbed = state[:B].swapaxes(0, 1), state[B:].swapaxes(0, 1)
+        param_gap[..., t] = np.linalg.norm(base - perturbed, axis=-1)
+        sup_gap[..., t] = estimate_sup_loss_gap(base, perturbed, spec, holdout)
     return param_gap, sup_gap
 
 
 def run_pair(config: OptimizerConfig, spec: LossSpec, pair: PerturbedPair,
              holdout: Dataset, theta0=None, dim: Optional[int] = None) -> StabilityTrace:
     """Run the method on both samples of a pair under identical random streams."""
-    pg, sg = _coupled_gaps(config, spec, [pair], [config.seed], holdout, theta0, dim)
-    return StabilityTrace(param_gap=pg[0], sup_loss_gap=sg[0])
+    pg, sg = _coupled_gaps([config], spec, [pair], [config.seed], holdout, theta0, dim)
+    return StabilityTrace(param_gap=pg[0, 0], sup_loss_gap=sg[0, 0])
 
 
 @dataclass(frozen=True)
@@ -145,6 +144,14 @@ class AveragedStability:
         return len(self.repeats)
 
 
+class BatchStability(list):
+    """The AveragedStability of each config of one batch, sharing its repeats."""
+
+    @property
+    def reps(self) -> int:
+        return self[0].reps
+
+
 def _mean_stderr(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     mean = rows.mean(axis=0)
     if rows.shape[0] < 2:
@@ -158,19 +165,27 @@ def _describe_point(z: DataPoint) -> dict:
     return {"kind": "labeled", "x": [float(v) for v in z.x], "y": z.y}
 
 
-def repeat_and_average(config: OptimizerConfig, spec: LossSpec, sample: Dataset,
-                       pool: Dataset, reps: int, perturbation_seed: int = 0,
-                       theta0=None, dim: Optional[int] = None) -> AveragedStability:
-    """Average gap series over ``reps`` independent perturbations.
+def _shared_seed(configs: Sequence[OptimizerConfig]) -> int:
+    if len({c.seed for c in configs}) != 1:
+        raise ValidationError("the configs of one batch need one seed")
+    return configs[0].seed
+
+
+def repeat_and_average(configs: Sequence[OptimizerConfig], spec: LossSpec,
+                       sample: Dataset, pool: Dataset, reps: int,
+                       perturbation_seed: int = 0, theta0=None,
+                       dim: Optional[int] = None) -> BatchStability:
+    """Average each config's gap series over ``reps`` independent perturbations.
 
     Each repeat draws the perturbed index uniformly and the replacement point
     from the held-out pool (which also serves as the sup-gap holdout), both
     from a Philox stream keyed by (perturbation_seed, repeat).  The optimizer
-    streams use config.seed XOR repeat, so repeats are decoupled while the
-    two runs inside a repeat stay coupled.  All runs advance as one batch.
+    streams use the configs' seed XOR repeat, so repeats are decoupled while
+    the two runs inside a repeat stay coupled.  All runs advance as one batch.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
+    seed = _shared_seed(configs)
     pairs, seeds, records = [], [], []
     for i in range(reps):
         rng = np.random.Generator(np.random.Philox(
@@ -178,16 +193,13 @@ def repeat_and_average(config: OptimizerConfig, spec: LossSpec, sample: Dataset,
         k = int(rng.integers(0, sample.n))
         z_new = pool.point(int(rng.integers(0, pool.n)))
         pairs.append(make_perturbed_pair(sample, k, z_new))
-        seeds.append(config.seed ^ i)
+        seeds.append(seed ^ i)
         records.append({"repeat": i, "k": k, "z": _describe_point(z_new)})
-    pg, sg = _coupled_gaps(config, spec, pairs, seeds, pool, theta0, dim)
-    pg_mean, pg_err = _mean_stderr(pg)
-    sg_mean, sg_err = _mean_stderr(sg)
-    return AveragedStability(param_gap=pg_mean, param_gap_stderr=pg_err,
-                             sup_loss_gap=sg_mean, sup_loss_gap_stderr=sg_err,
-                             repeats=[StabilityTrace(param_gap=a, sup_loss_gap=b)
-                                      for a, b in zip(pg, sg)],
-                             perturbations=records)
+    gaps = _coupled_gaps(configs, spec, pairs, seeds, pool, theta0, dim)
+    return BatchStability(
+        AveragedStability(*_mean_stderr(pg), *_mean_stderr(sg),
+                          [StabilityTrace(a, b) for a, b in zip(pg, sg)], records)
+        for pg, sg in zip(*gaps))
 
 
 @dataclass(frozen=True)
@@ -309,15 +321,16 @@ def reference_risk(spec: LossSpec, train: Dataset, budget: int) -> float:
     # two rows, which avoids the matrix-vector product that a single row
     # goes through; that does not guarantee it rounds like row T of a
     # (T+1)-row train-risk series, since rows of one product round by position
-    last = deque(batch_iterates(ref_cfg, spec, train, [ref_cfg.seed]), maxlen=2)
-    return float(empirical_risk_batch(spec, np.concatenate(last), train)[-1])
+    last = deque(batch_iterates([ref_cfg], spec, train, [ref_cfg.seed]), maxlen=2)
+    return float(empirical_risk_batch(spec, np.concatenate(last)[:, 0], train)[-1])
 
 
-def risk_curves(config: OptimizerConfig, spec: LossSpec, train: Dataset,
-                test: Dataset) -> RiskCurves:
-    """Train/test risk along a run from 0 (optimization error:
-    ``train - reference_risk(spec, train, budget)``)."""
-    trace = run(config, spec, train)
-    train_risk = trace.risks
-    test_risk = empirical_risk_batch(spec, trace.thetas, test)
-    return RiskCurves(train=train_risk, test=test_risk, gen_gap=test_risk - train_risk)
+def risk_curves(configs: Sequence[OptimizerConfig], spec: LossSpec, train: Dataset,
+                test: Dataset) -> List[RiskCurves]:
+    """Train/test risk along each config's run from 0, run as one batch with the
+    configs' seed (optimization error: ``train - reference_risk(spec, train, budget)``)."""
+    thetas = iterate_traces(configs, spec, train, _shared_seed(configs))
+    train_risk = empirical_risk_batch(spec, thetas, train)
+    test_risk = empirical_risk_batch(spec, thetas, test)
+    return [RiskCurves(train=a, test=b, gen_gap=b - a)
+            for a, b in zip(train_risk, test_risk)]

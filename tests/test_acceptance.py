@@ -51,30 +51,34 @@ def logistic_data():
 
 
 @pytest.fixture(scope="module")
-def gd_experiment(logistic_data):
+def deterministic_experiments(logistic_data):
+    # gd, nag and hb share data, T, seeds and perturbations, so they run as
+    # one batch with a step size per method
     sample, pool = logistic_data
-    cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=1000, seed=SEED + 1)
+    cfgs = [OptimizerConfig(method="gd", schedule=fixed(0.1), T=1000, seed=SEED + 1),
+            OptimizerConfig(method="nag", schedule=fixed(0.001), T=1000, seed=SEED + 1),
+            OptimizerConfig(method="hb", schedule=fixed(0.005), gamma=0.8, T=1000,
+                            seed=SEED + 1)]
     start = time.perf_counter()
-    avg = repeat_and_average(cfg, LOGISTIC, sample, pool, reps=50,
-                             perturbation_seed=SEED + 2)
-    return avg, time.perf_counter() - start
+    avgs = repeat_and_average(cfgs, LOGISTIC, sample, pool, reps=50,
+                              perturbation_seed=SEED + 2)
+    return avgs, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
-def nag_experiment(logistic_data):
-    sample, pool = logistic_data
-    cfg = OptimizerConfig(method="nag", schedule=fixed(0.001), T=1000, seed=SEED + 1)
-    return repeat_and_average(cfg, LOGISTIC, sample, pool, reps=50,
-                              perturbation_seed=SEED + 2)
+def gd_experiment(deterministic_experiments):
+    avgs, elapsed = deterministic_experiments
+    return avgs[0], elapsed
 
 
 @pytest.fixture(scope="module")
-def hb_experiment(logistic_data):
-    sample, pool = logistic_data
-    cfg = OptimizerConfig(method="hb", schedule=fixed(0.005), gamma=0.8, T=1000,
-                          seed=SEED + 1)
-    return repeat_and_average(cfg, LOGISTIC, sample, pool, reps=50,
-                              perturbation_seed=SEED + 2)
+def nag_experiment(deterministic_experiments):
+    return deterministic_experiments[0][1]
+
+
+@pytest.fixture(scope="module")
+def hb_experiment(deterministic_experiments):
+    return deterministic_experiments[0][2]
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +89,8 @@ def sgd_experiment():
     sample, pool = split_sample(full, 100, seed=SEED)
     cfg = OptimizerConfig(method="sgd", schedule=power(0.1, 0.5), T=1000,
                           seed=SEED + 1)
-    return repeat_and_average(cfg, LOGISTIC, sample, pool, reps=200,
-                              perturbation_seed=SEED + 2)
+    return repeat_and_average([cfg], LOGISTIC, sample, pool, reps=200,
+                              perturbation_seed=SEED + 2)[0]
 
 
 def test_criterion_01_gd_stability_slope(gd_experiment):
@@ -247,10 +251,9 @@ def test_criterion_10_strongly_convex_stability_envelope():
 def test_criterion_11_risk_decomposition_ordering():
     train, _ = gen_synthetic(200, 2000, seed=101)
     test = gen_synthetic(200, 2000, seed=102)[0]
-    curves = {}
-    for method in ("nag", "gd"):
-        cfg = OptimizerConfig(method=method, schedule=fixed(0.1), T=1000, seed=5)
-        curves[method] = risk_curves(cfg, LOGISTIC, train, test)
+    methods = ("nag", "gd")
+    cfgs = [OptimizerConfig(method=m, schedule=fixed(0.1), T=1000, seed=5) for m in methods]
+    curves = dict(zip(methods, risk_curves(cfgs, LOGISTIC, train, test)))
     nag_late = curves["nag"].gen_gap[1000]
     nag_early = curves["nag"].gen_gap[10]
     gd_late = curves["gd"].gen_gap[1000]

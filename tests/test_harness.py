@@ -246,13 +246,14 @@ def test_risk_decomposition_runs_one_reference_for_all_methods(monkeypatch):
     engine = optimizers.batch_iterates
 
     def counting(*args, **kwargs):
-        runs.append(args[0].method)
+        runs.append([c.method for c in args[0]])
         return engine(*args, **kwargs)
 
     monkeypatch.setattr(optimizers, "batch_iterates", counting)
     monkeypatch.setattr(stability_lab, "batch_iterates", counting)
     report = run_experiment(cfg)
-    assert len(runs) == len(cfg.methods) + 1
+    # one batch of the three methods, one reference run
+    assert sorted(runs) == [["gd"], ["gd", "nag", "hb"]]
     monkeypatch.undo()
 
     refs = {report.records[f"{m}_reference_risk"] for m in cfg.methods}
@@ -261,9 +262,9 @@ def test_risk_decomposition_runs_one_reference_for_all_methods(monkeypatch):
     test, _ = gen_synthetic(cfg.d, cfg.n_test, seed=cfg.seed + 1)
     series = {s.name: s for s in report.series}
     ref = stability_lab.reference_risk(logistic_spec(), train, cfg.ref_budget)
-    for m in cfg.methods:
-        rc = stability_lab.risk_curves(_optimizer_config(cfg, m), logistic_spec(), train,
-                                       test)
+    curves = stability_lab.risk_curves([_optimizer_config(cfg, m) for m in cfg.methods],
+                                       logistic_spec(), train, test)
+    for m, rc in zip(cfg.methods, curves):
         np.testing.assert_array_equal(series[f"{m}_opt_error"].value, rc.train - ref)
         assert report.records[f"{m}_reference_risk"] == ref
 
@@ -383,6 +384,26 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch, capsys):
     code = cli_main(["stability", "--out", str(tmp_path)])
     assert code == 2
     assert "gd: iterate 2 is not finite" in capsys.readouterr().err
+
+
+def test_stability_lipschitz_violation_exits_2(tmp_path, monkeypatch, capsys):
+    # a gap estimate doubled past L * param gap must stop the experiment with
+    # a RuntimeError naming the method, the repeat and the step
+    import re
+
+    from optstab import stability_lab
+
+    estimate = stability_lab.estimate_sup_loss_gap
+    monkeypatch.setattr(stability_lab, "estimate_sup_loss_gap",
+                        lambda *args: 2.0 * estimate(*args))
+    keys = {"methods": ("gd", "sgd"), "n": 40, "d": 2, "T": 60, "reps": 2,
+            "holdout": 20, "eta0": 1.0}
+    with pytest.raises(RuntimeError, match=r"^gd: sup-loss gap .* at repeat \d+, t = \d+$"):
+        run_experiment(build_config(dict(keys, experiment="stability_scaling")))
+    flags = ["--methods", "gd,sgd", "--n", "40", "--d", "2", "--T", "60", "--reps", "2",
+             "--holdout", "20", "--eta0", "1.0", "--out", str(tmp_path)]
+    assert cli_main(["stability"] + flags) == 2
+    assert re.search(r"gd: sup-loss gap .* at repeat \d+, t = \d+", capsys.readouterr().err)
 
 
 def test_cli_bounds_subcommand(tmp_path):

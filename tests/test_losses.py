@@ -563,3 +563,18 @@ def test_param_vector_validation():
         as_param_vector([np.nan, 1.0])
     with pytest.raises(ValidationError):
         as_param_vector(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("m", [64, 200, 1001])
+def test_empirical_risk_batch_in_blocks_equals_one_values_matrix_bitwise(m):
+    # the blocked risks of a long batch equal the row means of one m x n
+    # values matrix, for one batch and for a stack of k batches, at a sample
+    # size (n x d = 2000 x 20) whose products all take the BLAS's blocked path
+    rng = np.random.Generator(np.random.Philox(12))
+    data = Dataset.from_labeled(normalize_rows(rng.standard_normal((2000, 20))),
+                                rng.integers(0, 2, size=2000))
+    thetas = 0.3 * rng.standard_normal((3, m, 20))
+    for block in (thetas[0], thetas):
+        np.testing.assert_array_equal(
+            empirical_risk_batch(logistic_spec(), block, data),
+            loss_values_matrix(logistic_spec(), block, data).mean(axis=-1))

@@ -51,6 +51,26 @@ def test_spectral_norm_agrees_with_power_iteration():
         assert spectral_norm(M) == pytest.approx(sigma, abs=1e-10 * max(1, sigma))
 
 
+def _expression_spectral_norm(u, v, u1, v1):
+    """The closed form as one expression, one fresh array per operation."""
+    fro2 = u * u + v * v + u1 * u1 + v1 * v1
+    det = u * v1 - v * u1
+    inner = np.maximum(fro2 * fro2 - 4.0 * det * det, 0.0)
+    return np.sqrt(np.maximum((fro2 + np.sqrt(inner)) / 2.0, 0.0))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_batch_spectral_norm_in_place_equals_expression_form_bitwise(scale):
+    rng = np.random.Generator(np.random.Philox(3))
+    entries = scale * rng.standard_normal((4, 10_000))
+    # rank-one draws put F^4 - 4 det^2 at its cancellation point
+    entries[:, :100] = np.outer([1.0, 2.0, 3.0, 6.0], entries[0, :100])
+    np.testing.assert_array_equal(_batch_spectral_norm(*entries),
+                                  _expression_spectral_norm(*entries))
+    for M in entries[:, :5].T:
+        assert spectral_norm(M.reshape(2, 2)) == _expression_spectral_norm(*M)
+
+
 def test_spectral_norm_submultiplicative():
     rng = np.random.Generator(np.random.Philox(2))
     for _ in range(100):

@@ -13,6 +13,7 @@ from optstab.losses import (
 )
 from optstab.optimizers import (
     OptimizerConfig,
+    batch_iterates,
     fixed,
     nag_momentum,
     nag_momentum_sequence,
@@ -277,3 +278,27 @@ def test_non_finite_iterate_names_method_and_step():
     with np.errstate(over="ignore"):
         with pytest.raises(FloatingPointError, match="gd: iterate 2 is not finite"):
             run(cfg, spec, Dataset.from_symbols(np.ones(4)))
+
+
+def test_non_finite_iterate_names_the_diverging_column_of_a_batch():
+    # gd at eta = 0.1 stays finite next to heavy ball at eta = 1e308
+    spec = linear_worstcase_spec(L=1.0)
+    configs = [OptimizerConfig(method="gd", schedule=fixed(0.1), T=5),
+               OptimizerConfig(method="hb", schedule=fixed(1e308), gamma=0.5, T=5)]
+    states = batch_iterates(configs, spec, Dataset.from_symbols(np.ones(4)), [0, 1])
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match="hb: iterate 2 is not finite"):
+            list(states)
+
+
+@pytest.mark.parametrize("other", [
+    OptimizerConfig(method="sgd", schedule=fixed(0.1), T=5),
+    OptimizerConfig(method="sgld", schedule=fixed(0.1), T=5, tau=1.0),
+    OptimizerConfig(method="nag", schedule=fixed(0.1), T=6),
+])
+def test_batch_rejects_mixed_gradient_kinds_and_horizons(other):
+    gd = OptimizerConfig(method="gd", schedule=fixed(0.1), T=5)
+    with pytest.raises(ValidationError, match="one gradient kind and one T"):
+        next(batch_iterates([gd, other], quad1d(1.0), DUMMY, [0]))
+    with pytest.raises(ValidationError):
+        next(batch_iterates([], quad1d(1.0), DUMMY, [0]))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from optstab.losses import (
 )
 from optstab.optimizers import (
     METHODS,
+    STOCHASTIC_METHODS,
     OptimizerConfig,
     batch_iterates,
     fixed,
@@ -36,6 +38,7 @@ from optstab.optimizers import (
     step_size,
 )
 from optstab.stability_lab import (
+    _coupled_gaps,
     detect_saturation,
     estimate_sup_loss_gap,
     fit_loglog_slope,
@@ -182,7 +185,8 @@ def test_sup_gap_shared_base_row_matches_broadcast_form_bitwise(method):
     perturbed = [data.replace(3 * i, pool.point(i)) for i in range(P)]
     samples = Dataset.stack([data] + perturbed)
     cfg = OptimizerConfig(method=method, schedule=fixed(1.0), T=40, gamma=0.5)
-    for state in batch_iterates(cfg, spec, samples, [0] * (P + 1)):
+    for state in batch_iterates([cfg], spec, samples, [0] * (P + 1)):
+        state = state[:, 0]
         base = np.broadcast_to(state[:1], (P, state.shape[1]))
         expected = np.abs(loss_values_matrix(spec, base, pool)
                           - loss_values_matrix(spec, state[1:], pool)).max(axis=1)
@@ -201,8 +205,8 @@ def test_identity_perturbation_gap_is_exactly_zero_for_wide_batches(method):
     sample = Dataset.from_labeled(normalize_rows(rng.standard_normal((1, 10))), [1.0])
     cfg = OptimizerConfig(method=method, schedule=fixed(0.5), T=50, seed=1)
     for reps in (6, 10, 15, 20):
-        avg = repeat_and_average(cfg, logistic_spec(), sample, sample, reps=reps,
-                                 theta0=0.3 * rng.standard_normal(10))
+        avg = repeat_and_average([cfg], logistic_spec(), sample, sample, reps=reps,
+                                 theta0=0.3 * rng.standard_normal(10))[0]
         for rep in avg.repeats:
             np.testing.assert_array_equal(rep.sup_loss_gap, 0.0)
 
@@ -219,8 +223,8 @@ def test_single_repeat_equals_trace():
     data = logistic_fixture(n=20, seed=31)
     pool = logistic_fixture(n=10, seed=37)
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=20, seed=5)
-    avg = repeat_and_average(cfg, logistic_spec(), data, pool, reps=1,
-                             perturbation_seed=8)
+    avg = repeat_and_average([cfg], logistic_spec(), data, pool, reps=1,
+                             perturbation_seed=8)[0]
     np.testing.assert_array_equal(avg.param_gap, avg.repeats[0].param_gap)
     np.testing.assert_array_equal(avg.param_gap_stderr, 0.0)
 
@@ -231,7 +235,7 @@ def test_deterministic_methods_give_zero_stderr_for_fixed_perturbation():
     pool = Dataset.from_symbols(-np.ones(1))
     spec = linear_worstcase_spec(L=1.0)
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=10, seed=5)
-    avg = repeat_and_average(cfg, spec, data, pool, reps=6, perturbation_seed=3)
+    avg = repeat_and_average([cfg], spec, data, pool, reps=6, perturbation_seed=3)[0]
     np.testing.assert_allclose(avg.param_gap_stderr, 0.0, atol=1e-15)
     np.testing.assert_allclose(avg.sup_loss_gap_stderr, 0.0, atol=1e-15)
 
@@ -240,11 +244,11 @@ def test_repeat_records_and_worker_independence():
     data = logistic_fixture(n=15, seed=41)
     pool = logistic_fixture(n=6, seed=43)
     cfg = OptimizerConfig(method="sgd", schedule=fixed(0.1), T=15, seed=5)
-    seq = repeat_and_average(cfg, logistic_spec(), data, pool, reps=5,
-                             perturbation_seed=4)
+    seq = repeat_and_average([cfg], logistic_spec(), data, pool, reps=5,
+                             perturbation_seed=4)[0]
     assert all(0 <= r["k"] < 15 for r in seq.perturbations)
     with pytest.raises(ValidationError):
-        repeat_and_average(cfg, logistic_spec(), data, pool, reps=0)
+        repeat_and_average([cfg], logistic_spec(), data, pool, reps=0)
 
 
 # ------------------------------------------- batched vs per-pair reference
@@ -292,7 +296,7 @@ def _reference_repeats(config, spec, sample, pool, reps, perturbation_seed, thet
             np.random.SeedSequence(perturbation_seed, spawn_key=(i,))))
         k = int(rng.integers(0, sample.n))
         pair = make_perturbed_pair(sample, k, pool.point(int(rng.integers(0, pool.n))))
-        cfg = config.with_seed(config.seed ^ i)
+        cfg = dataclasses.replace(config, seed=config.seed ^ i)
         th = _reference_trajectory(cfg, spec, pair.base, theta0)
         th_p = _reference_trajectory(cfg, spec, pair.perturbed, theta0)
         sup = np.abs(loss_values_matrix(spec, th, pool)
@@ -341,9 +345,9 @@ def test_batched_repeats_match_per_pair_reference(method, family, reps, T, n, et
     spec, sample, pool, theta0, dim, beta = _family_case(family, data_seed, n)
     theta0 = theta0 if start else np.zeros_like(theta0)
     cfg = _config(method, eta, kind, T, seed, beta)
-    avg = repeat_and_average(cfg, spec, sample, pool, reps=reps,
+    avg = repeat_and_average([cfg], spec, sample, pool, reps=reps,
                              perturbation_seed=perturbation_seed,
-                             theta0=theta0 if start else None, dim=dim)
+                             theta0=theta0 if start else None, dim=dim)[0]
     expected = _reference_repeats(cfg, spec, sample, pool, reps, perturbation_seed, theta0)
     for rep, (param_gap, sup_gap) in zip(avg.repeats, expected):
         for got, want in ((rep.param_gap, param_gap), (rep.sup_loss_gap, sup_gap)):
@@ -351,21 +355,67 @@ def test_batched_repeats_match_per_pair_reference(method, family, reps, T, n, et
             np.testing.assert_array_equal(got[want == 0], 0.0)
 
 
-@settings(max_examples=30, deadline=None)
-@given(method=st.sampled_from(METHODS), family=st.sampled_from(("logistic",
-                                                              "lecam_strongly_convex")),
+def _one_kind(methods):
+    """The drawn methods of the first one's gradient kind, in draw order."""
+    sampled = methods[0] in STOCHASTIC_METHODS
+    return [m for m in methods if (m in STOCHASTIC_METHODS) == sampled]
+
+
+@settings(max_examples=40, deadline=None)
+@given(methods=st.lists(st.sampled_from(METHODS), min_size=1, max_size=4),
+       family=st.sampled_from(("logistic", "lecam_strongly_convex")),
        reps=st.integers(2, 6), T=st.integers(1, 60), data_seed=st.integers(0, 2 ** 32 - 1),
        seed=st.integers(0, 2 ** 16))
-def test_identity_perturbation_gaps_are_exactly_zero_in_a_batch(method, family, reps, T,
+def test_identity_perturbation_gaps_are_exactly_zero_in_a_batch(methods, family, reps, T,
                                                                 data_seed, seed):
     # a one-row sample whose pool is that same row: every repeat swaps x_k for
-    # itself, so every member of the batch must follow the same iterates
+    # itself, so every member of the batch, in every config column, must
+    # follow the same iterates as its base run
     spec, sample, _, theta0, dim, beta = _family_case(family, data_seed, 1)
-    cfg = _config(method, 0.3, "fixed", T, seed, beta)
-    avg = repeat_and_average(cfg, spec, sample, sample, reps=reps, theta0=theta0, dim=dim)
-    for rep in avg.repeats:
-        np.testing.assert_array_equal(rep.param_gap, 0.0)
-        np.testing.assert_array_equal(rep.sup_loss_gap, 0.0)
+    configs = [_config(m, 0.3 / (j + 1), "fixed", T, seed, beta)
+               for j, m in enumerate(_one_kind(methods))]
+    for avg in repeat_and_average(configs, spec, sample, sample, reps=reps, theta0=theta0,
+                                  dim=dim):
+        for rep in avg.repeats:
+            np.testing.assert_array_equal(rep.param_gap, 0.0)
+            np.testing.assert_array_equal(rep.sup_loss_gap, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(methods=st.lists(st.sampled_from(METHODS), min_size=2, max_size=4),
+       etas=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+       family=st.sampled_from(("logistic", "lecam_strongly_convex", "linear_worstcase")),
+       reps=st.integers(1, 4), T=st.integers(1, 60), n=st.integers(1, 12),
+       kind=st.sampled_from(("fixed", "power")), data_seed=st.integers(0, 2 ** 32 - 1),
+       seed=st.integers(0, 2 ** 16))
+def test_method_batch_matches_one_config_batches(methods, etas, family, reps, T, n, kind,
+                                                 data_seed, seed):
+    # k configs of one kind as one batch against each config alone: the
+    # column's margins share one product with the other columns', so they
+    # may round differently, within 1e-12 of the iterates' scale
+    spec, sample, pool, theta0, dim, beta = _family_case(family, data_seed, n)
+    configs = [_config(m, eta, kind, T, seed, beta)
+               for m, eta in zip(_one_kind(methods), etas)]
+    rng = np.random.Generator(np.random.Philox(data_seed))
+    pairs = [make_perturbed_pair(sample, int(rng.integers(0, n)),
+                                 pool.point(int(rng.integers(0, pool.n))))
+             for _ in range(reps)]
+    seeds = [seed ^ i for i in range(reps)]
+    samples = Dataset.stack([p.base for p in pairs] + [p.perturbed for p in pairs])
+    states = np.array(list(batch_iterates(configs, spec, samples, seeds + seeds,
+                                          theta0=theta0, dim=dim)))
+    gaps = _coupled_gaps(configs, spec, pairs, seeds, pool, theta0, dim)
+    for j, cfg in enumerate(configs):
+        alone = np.array(list(batch_iterates([cfg], spec, samples, seeds + seeds,
+                                             theta0=theta0, dim=dim)))[:, :, 0]
+        norms = np.linalg.norm(alone, axis=-1)
+        np.testing.assert_allclose(states[:, :, j], alone, rtol=0,
+                                   atol=1e-12 * norms.max())
+        # per pair and step: max(||theta_t||, ||theta'_t||)
+        scale = np.maximum(norms[:, :reps], norms[:, reps:]).T
+        for got, want in zip((g[j] for g in gaps),
+                             _coupled_gaps([cfg], spec, pairs, seeds, pool, theta0, dim)):
+            assert np.all(np.abs(got - want[0]) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------- slope fit
@@ -436,14 +486,14 @@ def test_saturation_detection_keeps_pure_power_law():
 def test_risk_curves_gap_zero_when_test_equals_train():
     data = logistic_fixture(n=30, seed=51)
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=30, seed=0)
-    rc = risk_curves(cfg, logistic_spec(), data, data)
+    rc = risk_curves([cfg], logistic_spec(), data, data)[0]
     np.testing.assert_allclose(rc.gen_gap, 0.0, atol=1e-15)
 
 
 def test_risk_curves_reference_minimizer_self_consistent():
     data = logistic_fixture(n=25, seed=53)
     cfg = OptimizerConfig(method="gd", schedule=fixed(1.0), T=400, seed=0)
-    rc = risk_curves(cfg, logistic_spec(), data, data)
+    rc = risk_curves([cfg], logistic_spec(), data, data)[0]
     opt_error = rc.train - reference_risk(logistic_spec(), data, 2000)
     # by T = 400 a 1/beta-step GD run is essentially at the reference minimum
     assert opt_error[-1] == pytest.approx(0.0, abs=1e-4)
@@ -467,7 +517,7 @@ def test_optimization_error_dominates_in_underparameterized_regime():
     ref = reference_risk(logistic_spec(), train, 10000)
     for method, (lo, hi) in windows.items():
         cfg = OptimizerConfig(method=method, schedule=fixed(0.1), T=500, seed=3)
-        rc = risk_curves(cfg, logistic_spec(), train, test)
+        rc = risk_curves([cfg], logistic_spec(), train, test)[0]
         opt_error = rc.train - ref
         ts = np.arange(lo, hi + 1)
         assert np.all(opt_error[ts] > np.abs(rc.gen_gap[ts])), method
@@ -487,7 +537,7 @@ def test_generalization_gap_under_stability_bound_on_average():
         train = Dataset.from_labeled(X[:n], y[:n])
         test = Dataset.from_labeled(X[n:], y[n:])
         cfg = OptimizerConfig(method="gd", schedule=fixed(eta), T=T, seed=seed)
-        rc = risk_curves(cfg, spec, train, test)
+        rc = risk_curves([cfg], spec, train, test)[0]
         gaps.append(rc.gen_gap[-1])
     bound = stability_bound(BoundQuery(
         method="gd", setting=CONVEX, constants=loss_constants(spec),
