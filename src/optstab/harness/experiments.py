@@ -43,15 +43,13 @@ def _optimizer_config(cfg: ExperimentConfig, method: str) -> OptimizerConfig:
                            tau=cfg.tau)
 
 
-def _by_batch(opt_cfgs: dict, run_batch) -> dict:
-    """``run_batch(configs)`` on at most two batches, the deterministic and the
-    stochastic methods; its results by method, in method order."""
-    results = {}
+def _batches(opt_cfgs: dict):
+    """The methods' configs as at most two batches, the deterministic and the
+    stochastic ones, each a dict in method order."""
     for sampled in (False, True):
-        methods = [m for m in opt_cfgs if opt_cfgs[m].sampled == sampled]
-        if methods:
-            results.update(zip(methods, run_batch([opt_cfgs[m] for m in methods])))
-    return {m: results[m] for m in opt_cfgs}
+        batch = {m: oc for m, oc in opt_cfgs.items() if oc.sampled == sampled}
+        if batch:
+            yield batch
 
 
 def _new_report(cfg: ExperimentConfig) -> Report:
@@ -84,23 +82,25 @@ def _stability_scaling(cfg: ExperimentConfig) -> Report:
     report.records["perturbations"] = {}
     ts = np.arange(cfg.T + 1)
 
-    averaged = _by_batch(opt_cfgs, lambda configs: repeat_and_average(
-        configs, spec, sample, pool, reps=cfg.reps, perturbation_seed=cfg.seed))
     # logistic loss on unit-norm rows is L-Lipschitz at every theta
-    gaps = np.array([[(r.param_gap, r.sup_loss_gap) for r in averaged[m].repeats]
-                     for m in opt_cfgs])
-    over = np.argwhere(gaps[:, :, 1] > loss_constants(spec, pool).L * gaps[:, :, 0] + 1e-12)
-    if over.size:
-        j, i, t = over[0]
-        raise RuntimeError(f"{list(opt_cfgs)[j]}: sup-loss gap exceeds L * param gap at "
-                           f"repeat {i}, t = {t}")
-    for (m, oc), avg in zip(opt_cfgs.items(), averaged.values()):
-        report.add_series(f"{m}_param_gap", ts, avg.param_gap, avg.param_gap_stderr)
-        report.add_series(f"{m}_sup_loss_gap", ts, avg.sup_loss_gap,
-                          avg.sup_loss_gap_stderr)
+    L, averaged = loss_constants(spec, pool).L, {}
+    for batch in _batches(opt_cfgs):
+        avg = repeat_and_average(list(batch.values()), spec, sample, pool, reps=cfg.reps,
+                                 perturbation_seed=cfg.seed)
+        over = np.argwhere(avg.repeats.sup_loss_gap > L * avg.repeats.param_gap + 1e-12)
+        if over.size:
+            j, i, t = over[0]
+            raise RuntimeError(f"{list(batch)[j]}: sup-loss gap exceeds L * param gap at "
+                               f"repeat {i}, t = {t}")
+        averaged.update((m, (avg, j)) for j, m in enumerate(batch))
+    for m, oc in opt_cfgs.items():
+        avg, j = averaged[m]
+        report.add_series(f"{m}_param_gap", ts, avg.param_gap[j], avg.param_gap_stderr[j])
+        report.add_series(f"{m}_sup_loss_gap", ts, avg.sup_loss_gap[j],
+                          avg.sup_loss_gap_stderr[j])
         report.records["perturbations"][m] = avg.perturbations
-        for label, series in (("param_gap", avg.param_gap),
-                              ("sup_loss_gap", avg.sup_loss_gap)):
+        for label, series in (("param_gap", avg.param_gap[j]),
+                              ("sup_loss_gap", avg.sup_loss_gap[j])):
             try:
                 fit = fit_loglog_slope(series)
                 report.slope_fits[f"{m}_{label}"] = dataclasses.asdict(fit)
@@ -129,8 +129,11 @@ def _risk_decomposition(cfg: ExperimentConfig) -> Report:
     ts = np.arange(cfg.T + 1)
     # the reference run depends on neither the method nor its seed
     ref_risk = reference_risk(spec, train, cfg.ref_budget) if cfg.ref_budget else None
-    curves_of = _by_batch(opt_cfgs, lambda configs: risk_curves(configs, spec, train, test))
-    for m, curves in curves_of.items():
+    curves_of = {}
+    for batch in _batches(opt_cfgs):
+        curves_of.update(zip(batch, risk_curves(list(batch.values()), spec, train, test)))
+    for m in opt_cfgs:
+        curves = curves_of[m]
         report.add_series(f"{m}_train_risk", ts, curves.train)
         report.add_series(f"{m}_test_risk", ts, curves.test)
         report.add_series(f"{m}_gen_gap", ts, curves.gen_gap)

@@ -18,7 +18,8 @@ kernel and a mean-gradient kernel (over all rows or one row per sample),
 both on blocks (..., k, d) of parameter vectors against sample (...) of a
 stack (``Dataset.stack``), so a sample's k logistic margins are one
 product; plus the constants.  The public functions are thin wrappers around
-it; the per-vector gradients are the k = 1 case of ``risk_grad_block``.
+it; ``empirical_risk_grad`` and ``sample_grad`` take blocks too, and a
+single parameter vector is the block k = 1.
 
 All evaluation is pure and re-entrant; specs and datasets are immutable
 once constructed and safe to share across workers.
@@ -458,36 +459,36 @@ def empirical_risk_batch(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> n
                           axis=-1)
 
 
-def risk_grad_block(spec: LossSpec, thetas, data: Dataset, rows=None) -> np.ndarray:
-    """Mean loss gradients of a block (..., k, d) of parameter vectors against
-    sample (...) of ``data``: over all its rows, or over row rows[...] alone."""
-    thetas = np.atleast_2d(_as_params(thetas))
-    _check_dataset(spec, thetas, data)
-    if rows is not None:
-        rows = np.broadcast_to(np.asarray(rows, dtype=np.intp),
-                               np.broadcast_shapes(np.shape(rows), thetas.shape[:-2],
-                                                   data.stack_shape))
-        if (rows < 0).any() or (rows >= data.n).any():
-            raise ValidationError(f"index out of range for n={data.n}")
-    return _KERNELS[spec.family].grad(spec, thetas, data, rows)
-
-
-def empirical_risk_grad(spec: LossSpec, theta, data: Dataset) -> np.ndarray:
+def empirical_risk_grad(spec: LossSpec, theta, data: Dataset, block: bool = False) -> np.ndarray:
     """Gradient of the empirical risk at theta.
 
     theta may be a stack (..., d) of parameter vectors and data a stack of
-    samples broadcast against it; the result has the broadcast shape.
+    samples broadcast against it; the result has the broadcast shape.  With
+    ``block``, theta is a stack (..., k, d) of blocks of k vectors, block
+    (...) taken against sample (...), so a block's logistic margins are one
+    product; one vector is the block k = 1.
     """
-    return risk_grad_block(spec, _as_params(theta)[..., None, :], data)[..., 0, :]
+    return sample_grad(spec, theta, data, None, block)
 
 
-def sample_grad(spec: LossSpec, theta, data: Dataset, i) -> np.ndarray:
-    """Gradient of the i-th per-sample loss.
+def sample_grad(spec: LossSpec, theta, data: Dataset, i, block: bool = False) -> np.ndarray:
+    """Gradient of the i-th per-sample loss (of the empirical risk for i None).
 
     For a stack (..., d) of parameter vectors, i may be an index array: each
-    vector takes the gradient at row i[b] of its own sample.
+    vector takes the gradient at row i[b] of its own sample.  With ``block``
+    (see :func:`empirical_risk_grad`), i holds one row per block.
     """
-    return risk_grad_block(spec, _as_params(theta)[..., None, :], data, i)[..., 0, :]
+    theta = _as_params(theta)
+    thetas = np.atleast_2d(theta) if block else theta[..., None, :]
+    _check_dataset(spec, thetas, data)
+    if i is not None:
+        i = np.broadcast_to(np.asarray(i, dtype=np.intp),
+                            np.broadcast_shapes(np.shape(i), thetas.shape[:-2],
+                                                data.stack_shape))
+        if (i < 0).any() or (i >= data.n).any():
+            raise ValidationError(f"index out of range for n={data.n}")
+    grad = _KERNELS[spec.family].grad(spec, thetas, data, i)
+    return grad if block else grad[..., 0, :]
 
 
 def loss_constants(spec: LossSpec, data: Optional[Dataset] = None) -> LossConstants:

@@ -37,8 +37,9 @@ from .losses import (
     ValidationError,
     as_param_vector,
     empirical_risk_batch,
+    empirical_risk_grad,
     loss_constants,
-    risk_grad_block,
+    sample_grad,
 )
 
 METHODS = ("gd", "sgd", "nag", "nag_sc", "hb", "sgld")
@@ -222,8 +223,9 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
         raise ValidationError("a batch needs configs of one gradient kind and one T")
     if data.stack_shape not in ((), (B,)):
         raise ValidationError("need one sample, or one sample per member")
+    constants = loss_constants(spec, data)
     for config in configs:
-        validate_config(config, loss_constants(spec, data))
+        validate_config(config, constants)
     if theta0 is not None:
         theta = as_param_vector(theta0).copy()
     elif data.kind == "labeled":
@@ -253,7 +255,8 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
     yield prev
     for t in range(T):
         look = keep[t] * prev + a[t] * older
-        grad = risk_grad_block(spec, look, data, None if rows is None else rows[t])
+        grad = (empirical_risk_grad(spec, look, data, block=True) if rows is None
+                else sample_grad(spec, look, data, rows[t], block=True))
         theta = look - etas[t] * grad + b[t] * (prev - older)
         if noise is not None:
             theta += c[t] * noise[t, :, None]

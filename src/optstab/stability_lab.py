@@ -64,14 +64,14 @@ def make_perturbed_pair(data: Dataset, k: int, z_new: DataPoint) -> PerturbedPai
 
 @dataclass(frozen=True)
 class StabilityTrace:
-    """Per-iteration gap series for one coupled pair."""
+    """Per-iteration gap series, (T+1,) for one coupled pair or a stack of them."""
 
     param_gap: np.ndarray
     sup_loss_gap: np.ndarray
 
     @property
     def T(self) -> int:
-        return len(self.param_gap) - 1
+        return self.param_gap.shape[-1] - 1
 
 
 def estimate_sup_loss_gap(theta, theta_p, spec: LossSpec, holdout: Dataset):
@@ -130,33 +130,28 @@ def run_pair(config: OptimizerConfig, spec: LossSpec, pair: PerturbedPair,
 
 @dataclass(frozen=True)
 class AveragedStability:
-    """Elementwise mean and standard error of gap series over repeats."""
+    """Gap series of k configs over the same perturbations: per repeat
+    (``repeats``, arrays (k, reps, T+1)) and their elementwise means and
+    standard errors over repeats (k, T+1); row j belongs to config j."""
 
     param_gap: np.ndarray
     param_gap_stderr: np.ndarray
     sup_loss_gap: np.ndarray
     sup_loss_gap_stderr: np.ndarray
-    repeats: List[StabilityTrace]
+    repeats: StabilityTrace
     perturbations: List[dict]  # per repeat: {"k": ..., "z": ...} audit record
 
     @property
     def reps(self) -> int:
-        return len(self.repeats)
-
-
-class BatchStability(list):
-    """The AveragedStability of each config of one batch, sharing its repeats."""
-
-    @property
-    def reps(self) -> int:
-        return self[0].reps
+        return len(self.perturbations)
 
 
 def _mean_stderr(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    mean = rows.mean(axis=0)
-    if rows.shape[0] < 2:
+    """Mean and standard error over the repeat axis of (k, reps, T+1) series."""
+    mean = rows.mean(axis=1)
+    if rows.shape[1] < 2:
         return mean, np.zeros_like(mean)
-    return mean, rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
+    return mean, rows.std(axis=1, ddof=1) / math.sqrt(rows.shape[1])
 
 
 def _describe_point(z: DataPoint) -> dict:
@@ -174,7 +169,7 @@ def _shared_seed(configs: Sequence[OptimizerConfig]) -> int:
 def repeat_and_average(configs: Sequence[OptimizerConfig], spec: LossSpec,
                        sample: Dataset, pool: Dataset, reps: int,
                        perturbation_seed: int = 0, theta0=None,
-                       dim: Optional[int] = None) -> BatchStability:
+                       dim: Optional[int] = None) -> AveragedStability:
     """Average each config's gap series over ``reps`` independent perturbations.
 
     Each repeat draws the perturbed index uniformly and the replacement point
@@ -195,11 +190,9 @@ def repeat_and_average(configs: Sequence[OptimizerConfig], spec: LossSpec,
         pairs.append(make_perturbed_pair(sample, k, z_new))
         seeds.append(seed ^ i)
         records.append({"repeat": i, "k": k, "z": _describe_point(z_new)})
-    gaps = _coupled_gaps(configs, spec, pairs, seeds, pool, theta0, dim)
-    return BatchStability(
-        AveragedStability(*_mean_stderr(pg), *_mean_stderr(sg),
-                          [StabilityTrace(a, b) for a, b in zip(pg, sg)], records)
-        for pg, sg in zip(*gaps))
+    pg, sg = _coupled_gaps(configs, spec, pairs, seeds, pool, theta0, dim)
+    return AveragedStability(*_mean_stderr(pg), *_mean_stderr(sg), StabilityTrace(pg, sg),
+                             records)
 
 
 @dataclass(frozen=True)

@@ -67,18 +67,18 @@ def deterministic_experiments(logistic_data):
 
 @pytest.fixture(scope="module")
 def gd_experiment(deterministic_experiments):
-    avgs, elapsed = deterministic_experiments
-    return avgs[0], elapsed
+    avg, elapsed = deterministic_experiments
+    return avg.param_gap[0], elapsed
 
 
 @pytest.fixture(scope="module")
 def nag_experiment(deterministic_experiments):
-    return deterministic_experiments[0][1]
+    return deterministic_experiments[0].param_gap[1]
 
 
 @pytest.fixture(scope="module")
 def hb_experiment(deterministic_experiments):
-    return deterministic_experiments[0][2]
+    return deterministic_experiments[0].param_gap[2]
 
 
 @pytest.fixture(scope="module")
@@ -90,12 +90,12 @@ def sgd_experiment():
     cfg = OptimizerConfig(method="sgd", schedule=power(0.1, 0.5), T=1000,
                           seed=SEED + 1)
     return repeat_and_average([cfg], LOGISTIC, sample, pool, reps=200,
-                              perturbation_seed=SEED + 2)[0]
+                              perturbation_seed=SEED + 2)
 
 
 def test_criterion_01_gd_stability_slope(gd_experiment):
-    avg, elapsed = gd_experiment
-    fit = fit_loglog_slope(avg.param_gap, window=(10, 1000))
+    param_gap, elapsed = gd_experiment
+    fit = fit_loglog_slope(param_gap, window=(10, 1000))
     ok = 0.9 <= fit.exponent <= 1.1 and elapsed <= 60.0
     report(1, ok, f"gd slope {fit.exponent:.3f} on [{fit.t_lo}, {fit.t_hi}], "
                   f"runtime {elapsed:.1f}s")
@@ -113,7 +113,7 @@ def test_criterion_02_nag_stability_slope(nag_experiment):
                      dim=2)
     quad_fit = fit_loglog_slope(trace.param_gap, window=(10, 1000))
 
-    log_fit = fit_loglog_slope(nag_experiment.param_gap, window=(10, 1000))
+    log_fit = fit_loglog_slope(nag_experiment, window=(10, 1000))
     ok = 1.8 <= quad_fit.exponent <= 2.2 and 1.8 <= log_fit.exponent <= 2.2
     report(2, ok, f"nag slope quadratic {quad_fit.exponent:.3f}, "
                   f"logistic {log_fit.exponent:.3f} "
@@ -121,7 +121,7 @@ def test_criterion_02_nag_stability_slope(nag_experiment):
 
 
 def test_criterion_03_sgd_power_slope(sgd_experiment):
-    fit = fit_loglog_slope(sgd_experiment.param_gap, window=(50, 1000))
+    fit = fit_loglog_slope(sgd_experiment.param_gap[0], window=(50, 1000))
     ok = 0.35 <= fit.exponent <= 0.65
     report(3, ok, f"sgd power(0.1, 0.5) slope {fit.exponent:.3f} "
                   f"on [{fit.t_lo}, {fit.t_hi}]")
@@ -129,7 +129,7 @@ def test_criterion_03_sgd_power_slope(sgd_experiment):
 
 def test_criterion_04_hb_slope(hb_experiment):
     # the window starts past the momentum build-up transient (~1/(1-gamma))
-    fit = fit_loglog_slope(hb_experiment.param_gap, window=(25, 1000))
+    fit = fit_loglog_slope(hb_experiment, window=(25, 1000))
     ok = 0.85 <= fit.exponent <= 1.15
     report(4, ok, f"hb(gamma=0.8) slope {fit.exponent:.3f} "
                   f"on [{fit.t_lo}, {fit.t_hi}]")
@@ -149,20 +149,16 @@ def test_criterion_05_linear_loss_tightness():
     report(5, ok, f"linear-loss gap vs 2 eta L T / n, worst rel err {worst:.2e}")
 
 
-def test_criterion_06_bound_domination(gd_experiment, nag_experiment,
-                                       hb_experiment, sgd_experiment):
-    avg_gd, _ = gd_experiment
+def test_criterion_06_bound_domination(deterministic_experiments, sgd_experiment):
+    avg, _ = deterministic_experiments  # gd, nag, hb
     ts = np.arange(1001)
     c = loss_constants(LOGISTIC)
     q = B.BoundQuery(method="gd", setting=B.CONVEX, constants=c, schedule=fixed(0.1),
                      T=1000, n=500)
     envelope = B.stability_bound_curve(q, ts) / c.L
-    gd_ok = all(np.all(rep.param_gap <= envelope + 1e-9)
-                for rep in avg_gd.repeats)
-    lip_ok = all(np.all(rep.sup_loss_gap <= 1.0 * rep.param_gap)
-                 for exp in (avg_gd, nag_experiment, hb_experiment, sgd_experiment)
-                 for rep in (exp.repeats if not isinstance(exp, tuple)
-                             else exp[0].repeats))
+    gd_ok = bool(np.all(avg.repeats.param_gap[0] <= envelope + 1e-9))
+    lip_ok = all(np.all(exp.repeats.sup_loss_gap <= 1.0 * exp.repeats.param_gap)
+                 for exp in (avg, sgd_experiment))
     ok = gd_ok and lip_ok
     report(6, ok, f"gd gap under 2 eta L t / n: {gd_ok}; "
                   f"sup_loss_gap <= L * param_gap everywhere: {lip_ok}")

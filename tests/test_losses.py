@@ -235,6 +235,42 @@ def test_stacked_gradients_equal_single_vector_gradients_bitwise():
         Dataset.stack([labeled[0], symbols[0]])
 
 
+def test_block_gradients_equal_one_vector_blocks():
+    # a (B, k, d) block stack against a stack of B samples, with one row per
+    # block for sample_grad: column j agrees with each vector alone to
+    # rounding (the k margins of a block share one product), the block k = 1
+    # is the per-vector call bit for bit, and rows out of range still raise
+    from optstab.losses import quadratic_spec
+
+    rng = np.random.Generator(np.random.Philox(14))
+    X = normalize_rows(rng.standard_normal((4, 7, 3)))
+    labeled = Dataset.stack([Dataset.from_labeled(X[b], rng.integers(0, 2, size=7))
+                             for b in range(4)])
+    symbols = Dataset.stack([Dataset.from_symbols(rng.choice([-1.0, 1.0], size=7))
+                             for b in range(4)])
+    thetas = rng.standard_normal((4, 3, 3))
+    rows = np.array([6, 0, 2, 2])
+    M = rng.standard_normal((3, 3))
+    for spec, data in ((logistic_spec(), labeled),
+                       (quadratic_spec(M @ M.T, rng.standard_normal(3)), labeled),
+                       (linear_worstcase_spec(L=2.0), symbols),
+                       (lecam_convex_spec(beta=1.5, r=0.8), symbols),
+                       (lecam_strongly_convex_spec(beta=1.5, r=0.8), symbols)):
+        for i in (None, rows):
+            block = sample_grad(spec, thetas, data, i, block=True)
+            assert block.shape == thetas.shape
+            for j in range(3):
+                alone = sample_grad(spec, thetas[:, j], data, i)
+                np.testing.assert_allclose(block[:, j], alone, rtol=1e-13, atol=1e-15,
+                                           err_msg=spec.family)
+                np.testing.assert_array_equal(
+                    sample_grad(spec, thetas[:, j:j + 1], data, i, block=True)[:, 0], alone)
+        np.testing.assert_array_equal(empirical_risk_grad(spec, thetas, data, block=True),
+                                      sample_grad(spec, thetas, data, None, block=True))
+        with pytest.raises(ValidationError):
+            sample_grad(spec, thetas, data, rows + 1, block=True)
+
+
 def test_empty_dataset_rejected():
     with pytest.raises(ValidationError):
         Dataset.from_symbols(np.array([]))

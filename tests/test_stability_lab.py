@@ -206,9 +206,8 @@ def test_identity_perturbation_gap_is_exactly_zero_for_wide_batches(method):
     cfg = OptimizerConfig(method=method, schedule=fixed(0.5), T=50, seed=1)
     for reps in (6, 10, 15, 20):
         avg = repeat_and_average([cfg], logistic_spec(), sample, sample, reps=reps,
-                                 theta0=0.3 * rng.standard_normal(10))[0]
-        for rep in avg.repeats:
-            np.testing.assert_array_equal(rep.sup_loss_gap, 0.0)
+                                 theta0=0.3 * rng.standard_normal(10))
+        np.testing.assert_array_equal(avg.repeats.sup_loss_gap, 0.0)
 
 
 def test_sup_gap_requires_nonempty_holdout():
@@ -224,8 +223,8 @@ def test_single_repeat_equals_trace():
     pool = logistic_fixture(n=10, seed=37)
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=20, seed=5)
     avg = repeat_and_average([cfg], logistic_spec(), data, pool, reps=1,
-                             perturbation_seed=8)[0]
-    np.testing.assert_array_equal(avg.param_gap, avg.repeats[0].param_gap)
+                             perturbation_seed=8)
+    np.testing.assert_array_equal(avg.param_gap, avg.repeats.param_gap[:, 0])
     np.testing.assert_array_equal(avg.param_gap_stderr, 0.0)
 
 
@@ -235,9 +234,21 @@ def test_deterministic_methods_give_zero_stderr_for_fixed_perturbation():
     pool = Dataset.from_symbols(-np.ones(1))
     spec = linear_worstcase_spec(L=1.0)
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=10, seed=5)
-    avg = repeat_and_average([cfg], spec, data, pool, reps=6, perturbation_seed=3)[0]
+    avg = repeat_and_average([cfg], spec, data, pool, reps=6, perturbation_seed=3)
     np.testing.assert_allclose(avg.param_gap_stderr, 0.0, atol=1e-15)
     np.testing.assert_allclose(avg.sup_loss_gap_stderr, 0.0, atol=1e-15)
+
+
+def test_batches_of_configs_with_different_seeds_are_rejected():
+    # a batch draws every member's streams from one seed, so configs that
+    # name different seeds cannot share it
+    data, pool = logistic_fixture(n=15, seed=41), logistic_fixture(n=6, seed=43)
+    configs = [OptimizerConfig(method="gd", schedule=fixed(0.1), T=5, seed=s)
+               for s in (1, 2)]
+    with pytest.raises(ValidationError, match="one seed"):
+        repeat_and_average(configs, logistic_spec(), data, pool, reps=2)
+    with pytest.raises(ValidationError, match="one seed"):
+        risk_curves(configs, logistic_spec(), data, pool)
 
 
 def test_repeat_records_and_worker_independence():
@@ -245,7 +256,7 @@ def test_repeat_records_and_worker_independence():
     pool = logistic_fixture(n=6, seed=43)
     cfg = OptimizerConfig(method="sgd", schedule=fixed(0.1), T=15, seed=5)
     seq = repeat_and_average([cfg], logistic_spec(), data, pool, reps=5,
-                             perturbation_seed=4)[0]
+                             perturbation_seed=4)
     assert all(0 <= r["k"] < 15 for r in seq.perturbations)
     with pytest.raises(ValidationError):
         repeat_and_average([cfg], logistic_spec(), data, pool, reps=0)
@@ -347,10 +358,11 @@ def test_batched_repeats_match_per_pair_reference(method, family, reps, T, n, et
     cfg = _config(method, eta, kind, T, seed, beta)
     avg = repeat_and_average([cfg], spec, sample, pool, reps=reps,
                              perturbation_seed=perturbation_seed,
-                             theta0=theta0 if start else None, dim=dim)[0]
+                             theta0=theta0 if start else None, dim=dim)
     expected = _reference_repeats(cfg, spec, sample, pool, reps, perturbation_seed, theta0)
-    for rep, (param_gap, sup_gap) in zip(avg.repeats, expected):
-        for got, want in ((rep.param_gap, param_gap), (rep.sup_loss_gap, sup_gap)):
+    for i, (param_gap, sup_gap) in enumerate(expected):
+        for got, want in ((avg.repeats.param_gap[0, i], param_gap),
+                          (avg.repeats.sup_loss_gap[0, i], sup_gap)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             np.testing.assert_array_equal(got[want == 0], 0.0)
 
@@ -374,11 +386,11 @@ def test_identity_perturbation_gaps_are_exactly_zero_in_a_batch(methods, family,
     spec, sample, _, theta0, dim, beta = _family_case(family, data_seed, 1)
     configs = [_config(m, 0.3 / (j + 1), "fixed", T, seed, beta)
                for j, m in enumerate(_one_kind(methods))]
-    for avg in repeat_and_average(configs, spec, sample, sample, reps=reps, theta0=theta0,
-                                  dim=dim):
-        for rep in avg.repeats:
-            np.testing.assert_array_equal(rep.param_gap, 0.0)
-            np.testing.assert_array_equal(rep.sup_loss_gap, 0.0)
+    avg = repeat_and_average(configs, spec, sample, sample, reps=reps, theta0=theta0,
+                             dim=dim)
+    assert avg.repeats.param_gap.shape == (len(configs), reps, T + 1)
+    np.testing.assert_array_equal(avg.repeats.param_gap, 0.0)
+    np.testing.assert_array_equal(avg.repeats.sup_loss_gap, 0.0)
 
 
 @settings(max_examples=40, deadline=None)
