@@ -11,7 +11,10 @@ calculator):
     optstab earlystop  --n N --eta ETA [--lipschitz L] [--radius R]
 
 Every config key except ``experiment`` is a ``--key-with-dashes`` flag,
-typed and checked as in a file (:mod:`optstab.harness.config`).
+typed and checked as in a file (:mod:`optstab.harness.config`).  Two options
+before the subcommand set logging only, not the config: ``--log-level``
+(debug, info, warning or error; default info) for optstab's loggers, and
+``--debug``, which logs a runtime error's traceback.
 
 Exit codes: 0 success, 1 a bad config key or value (file or flag) or another
 validation error, 2 runtime error, 3 audit completed but failed its
@@ -56,6 +59,10 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="optstab",
                                      description="stability laboratory for "
                                                  "first-order optimizers")
+    parser.add_argument("--log-level", type=str.upper, default="INFO",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"))
+    parser.add_argument("--debug", action="store_true",
+                        help="log the traceback of a runtime error")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMAND_EXPERIMENT:
         _add_common(sub.add_parser(name))
@@ -68,8 +75,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = _parser().parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(message)s")
+    logging.getLogger("optstab").setLevel(args.log_level)
     try:
         if args.command == "earlystop":
             T = early_stopping_T(args.n, args.eta, args.lipschitz, args.radius)
@@ -94,8 +102,10 @@ def main(argv: Optional[list] = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        if args.debug:
+            logging.getLogger(__name__).exception("runtime error traceback")
         return 2
 
 

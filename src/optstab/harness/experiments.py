@@ -52,6 +52,15 @@ def _batches(opt_cfgs: dict):
             yield batch
 
 
+def _bound_slack(bound: np.ndarray, gap: np.ndarray, stderr: np.ndarray) -> dict:
+    """Smallest bound - mean gap over t >= 1 (both are 0 at t = 0), the t where
+    it occurs, the gap's stderr there, and the number of t where the mean gap
+    exceeds the bound."""
+    t = int(np.argmin(bound[1:] - gap[1:])) + 1
+    return {"min": float(bound[t] - gap[t]), "t": t, "stderr": float(stderr[t]),
+            "crossings": int(np.count_nonzero(gap > bound))}
+
+
 def _new_report(cfg: ExperimentConfig) -> Report:
     return Report(experiment=cfg.experiment, config_hash=config_hash(cfg),
                   seed=cfg.seed, versions=package_versions())
@@ -80,6 +89,7 @@ def _stability_scaling(cfg: ExperimentConfig) -> Report:
     report = _new_report(cfg)
     report.records["n"] = sample.n
     report.records["perturbations"] = {}
+    report.records["bound_slack"] = {}
     ts = np.arange(cfg.T + 1)
 
     # logistic loss on unit-norm rows is L-Lipschitz at every theta
@@ -110,7 +120,11 @@ def _stability_scaling(cfg: ExperimentConfig) -> Report:
             query = bounds_mod.BoundQuery(method=m, setting=bounds_mod.CONVEX,
                                           constants=constants, schedule=oc.schedule,
                                           T=cfg.T, n=sample.n, gamma=oc.gamma, tau=oc.tau)
-            report.add_series(f"{m}_bound", ts, bounds_mod.stability_bound_curve(query, ts))
+            bound = bounds_mod.stability_bound_curve(query, ts)
+            report.add_series(f"{m}_bound", ts, bound)
+            if cfg.T:
+                report.records["bound_slack"][m] = _bound_slack(
+                    bound, avg.sup_loss_gap[j], avg.sup_loss_gap_stderr[j])
         except bounds_mod.NoBoundError as exc:
             log.info("no bound overlay for %s: %s", m, exc)
     return report

@@ -277,7 +277,7 @@ def _sigmoid(u):
     e = np.abs(u)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(u >= 0, 1.0, e)
+    out = np.maximum(e, u >= 0)  # e <= 1, so 1 where u >= 0
     e += 1.0
     out /= e
     return out

@@ -12,9 +12,12 @@ perturbation.  Two series are recorded per pair:
 Every pair of every config of a batch runs as one state: the base and the
 perturbed runs of all repeats, each with k config columns, advanced by
 ``optimizers.batch_iterates`` (deterministic methods' base runs coincide, so
-they need only one), and both gap series are computed from each state as the
-run progresses, so no iterate trace is stored; a single base run's holdout
-losses are evaluated once per step and compared with every perturbed run's.
+they need only one).  Both gap series are computed as the run progresses
+over blocks of a few consecutive states (``_GAP_STEPS``), one norm and one
+holdout evaluation per block, so no iterate trace is stored; each step's
+products keep the shape they have step by step, so the gaps do not depend
+on the block length.  A single base run's holdout losses are evaluated once
+per step and compared with every perturbed run's.
 Repeats redraw the perturbed index and replacement point from a seeded
 stream and are averaged elementwise with standard errors; per-repeat gap
 series are retained for audit.
@@ -27,6 +30,7 @@ reference serves every method of an experiment.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -44,6 +48,9 @@ from .losses import (
     loss_values_matrix,
 )
 from .optimizers import OptimizerConfig, batch_iterates, fixed, iterate_traces
+
+# States per block of _coupled_gaps: one norm and one holdout evaluation per block
+_GAP_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -113,11 +120,17 @@ def _coupled_gaps(configs: Sequence[OptimizerConfig], spec: LossSpec,
     samples = Dataset.stack([p.base for p in pairs[:B]] + [p.perturbed for p in pairs])
     states = batch_iterates(configs, spec, samples, seeds[:B] + seeds, theta0=theta0,
                             dim=dim)
-    for t, state in enumerate(states):
-        # method-major (k, members, d), so each method's members share products
-        base, perturbed = state[:B].swapaxes(0, 1), state[B:].swapaxes(0, 1)
-        param_gap[..., t] = np.linalg.norm(base - perturbed, axis=-1)
-        sup_gap[..., t] = estimate_sup_loss_gap(base, perturbed, spec, holdout)
+    t = 0
+    while block := list(itertools.islice(states, _GAP_STEPS)):
+        # (steps, k, members, d), method-major, so each method's members of a
+        # step share products shaped as when taken step by step
+        block = np.stack(block).swapaxes(1, 2)
+        base, perturbed = block[:, :, :B], block[:, :, B:]
+        steps = slice(t, t + len(block))
+        param_gap[..., steps] = np.moveaxis(np.linalg.norm(base - perturbed, axis=-1), 0, -1)
+        sup_gap[..., steps] = np.moveaxis(
+            estimate_sup_loss_gap(base, perturbed, spec, holdout), 0, -1)
+        t += len(block)
     return param_gap, sup_gap
 
 
@@ -220,12 +233,23 @@ def _lstsq_loglog(x: np.ndarray, y: np.ndarray):
     return float(resid @ resid), coef, resid
 
 
+def _line_fits(sums: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(sum of squared residuals, slope) of the least-squares lines of
+    segments given by their sums (n, Sx, Sy, Sxx, Sxy, Syy), each (splits,)."""
+    n, sx, sy, sxx, sxy, syy = sums
+    cxy = sxy - sx * sy / n
+    slope = cxy / (sxx - sx * sx / n)
+    return syy - sy * sy / n - slope * cxy, slope
+
+
 def detect_saturation(values: np.ndarray, t_lo: int, t_hi: int) -> int:
     """Right edge of the power-law window before the series saturates.
 
     A two-segment least-squares changepoint is fitted to log(value) against
-    log(t) on a geometric subgrid of [t_lo, t_hi].  The break is accepted as
-    a saturation onset only when it halves the single-line residual AND the
+    log(t) on a geometric subgrid of [t_lo, t_hi]: the head and tail lines
+    at every split come from one pass of prefix and suffix cumulative sums
+    of the centred log t and log value.  The break is accepted as a
+    saturation onset only when it halves the single-line residual AND the
     tail slope drops below three quarters of the head slope; otherwise the
     series is treated as a single power law and t_hi is returned.  (A
     threshold on local slopes alone misses gradual saturation, where the
@@ -240,17 +264,16 @@ def detect_saturation(values: np.ndarray, t_lo: int, t_hi: int) -> int:
     x = np.log(grid.astype(float))
     y = np.log(v)
     sse_single, _, _ = _lstsq_loglog(x, y)
-    best = None
-    for j in range(6, grid.size - 6):
-        sse_head, coef_head, _ = _lstsq_loglog(x[:j], y[:j])
-        sse_tail, coef_tail, _ = _lstsq_loglog(x[j:], y[j:])
-        if best is None or sse_head + sse_tail < best[0]:
-            best = (sse_head + sse_tail, j, coef_head, coef_tail)
-    if best is None:
-        return t_hi
-    sse_split, j, coef_head, coef_tail = best
-    if sse_split < 0.5 * sse_single and coef_tail[0] < 0.75 * coef_head[0]:
-        return int(grid[j])
+    x, y = x - x.mean(), y - y.mean()
+    cols = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y])
+    # split j fits points [0, j) and [j, N)
+    j = np.arange(6, grid.size - 6)
+    sse_head, slope_head = _line_fits(np.cumsum(cols, axis=1)[:, j - 1])
+    sse_tail, slope_tail = _line_fits(np.cumsum(cols[:, ::-1], axis=1)[:, ::-1][:, j])
+    sse_split = sse_head + sse_tail
+    best = int(np.argmin(sse_split))
+    if sse_split[best] < 0.5 * sse_single and slope_tail[best] < 0.75 * slope_head[best]:
+        return int(grid[j[best]])
     return t_hi
 
 

@@ -212,6 +212,25 @@ def test_stability_scaling_small_end_to_end(tmp_path):
         assert 0 <= rec["k"] < 40 and rec["z"]["kind"] == "labeled"
 
 
+def test_stability_report_records_bound_slack():
+    # nag has no bound overlay under a power schedule, so no slack record
+    cfg = build_config({
+        "experiment": "stability_scaling", "methods": ("gd", "sgd", "nag"), "n": 40,
+        "d": 4, "T": 60, "reps": 3, "holdout": 10, "seed": 2, "eta0": 0.5,
+        "schedule": "power",
+    })
+    report = run_experiment(cfg)
+    series = {s.name: s for s in report.series}
+    assert set(report.records["bound_slack"]) == {"gd", "sgd"}
+    for m, rec in report.records["bound_slack"].items():
+        gap = series[f"{m}_sup_loss_gap"]
+        slack = series[f"{m}_bound"].value - gap.value
+        assert 1 <= rec["t"] <= 60
+        assert rec["min"] == slack[1:].min() == slack[rec["t"]]
+        assert rec["stderr"] == gap.stderr[rec["t"]]
+        assert rec["crossings"] == np.count_nonzero(gap.value > series[f"{m}_bound"].value)
+
+
 def test_stability_scaling_rejects_bad_step_before_running():
     cfg = build_config({
         "experiment": "stability_scaling", "methods": ("hb",), "gamma": 0.99,
@@ -384,6 +403,48 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch, capsys):
     code = cli_main(["stability", "--out", str(tmp_path)])
     assert code == 2
     assert "gd: iterate 2 is not finite" in capsys.readouterr().err
+
+
+@pytest.fixture
+def restore_optstab_log_level():
+    import logging
+
+    logger = logging.getLogger("optstab")
+    level = logger.level
+    yield
+    logger.setLevel(level)
+
+
+def test_cli_log_level_filters_optstab_records(tmp_path, caplog,
+                                               restore_optstab_log_level):
+    # T = 0 leaves no fit window, so every slope fit logs a warning
+    argv = ["stability", "--T", "0", "--reps", "2", "--n", "20", "--d", "3",
+            "--holdout", "5", "--out", str(tmp_path)]
+    for level, warned in (("error", False), ("WARNING", True), ("debug", True)):
+        caplog.clear()
+        assert cli_main(["--log-level", level] + argv) == 0
+        assert any("slope fit skipped" in r.getMessage() for r in caplog.records) == warned
+    with pytest.raises(SystemExit):
+        cli_main(["--log-level", "loud"] + argv)
+
+
+def test_cli_debug_logs_runtime_error_traceback(tmp_path, monkeypatch, capsys, caplog,
+                                                restore_optstab_log_level):
+    from optstab.harness import cli
+
+    def failing_run(cfg):
+        raise RuntimeError("iterate exploded")
+
+    monkeypatch.setattr(cli, "run_experiment", failing_run)
+    argv = ["stability", "--out", str(tmp_path)]
+    assert cli_main(argv) == 2
+    assert "runtime error: iterate exploded" in capsys.readouterr().err
+    assert not any(r.exc_info for r in caplog.records)
+    assert cli_main(["--debug"] + argv) == 2
+    assert "runtime error: iterate exploded" in capsys.readouterr().err
+    tracebacks = [r for r in caplog.records if r.exc_info]
+    assert len(tracebacks) == 1 and tracebacks[0].exc_info[0] is RuntimeError
+    assert "failing_run" in caplog.text
 
 
 def test_stability_lipschitz_violation_exits_2(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from optstab.losses import (
     DataPoint,
@@ -377,6 +378,14 @@ def _masked_sigmoid(u):
     return out
 
 
+def _where_sigmoid(u):
+    # the two-buffer form selecting 1 or exp(-|u|) by np.where, kept as the
+    # reference for _sigmoid's np.maximum select
+    e = np.exp(-np.abs(u))
+    out = np.where(u >= 0, 1.0, e)
+    return out / (e + 1.0)
+
+
 def _assert_bitwise_equal(a, b):
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -391,6 +400,23 @@ def test_sigmoid_matches_masked_reference_bitwise():
 def test_sigmoid_matches_masked_reference_on_floats(values):
     u = np.array(values)
     _assert_bitwise_equal(_sigmoid(u), _masked_sigmoid(u))
+
+
+def test_sigmoid_matches_where_form_bitwise_on_special_values():
+    u = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308, -2.2250738585072014e-308, 745.2, -745.2,
+                  1e308, -1e308])
+    _assert_bitwise_equal(_sigmoid(u), _where_sigmoid(u))
+
+
+@settings(deadline=None, max_examples=300)
+@given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=8),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+def test_sigmoid_matches_where_form_bitwise(u):
+    # random sign patterns, NaN and +-inf included
+    got, want = _sigmoid(u), _where_sigmoid(u)
+    np.testing.assert_array_equal(got, want)  # NaN positions agree
+    _assert_bitwise_equal(got, want)
 
 
 # ---------------------------------------------------------------- constants

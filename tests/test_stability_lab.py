@@ -38,7 +38,10 @@ from optstab.optimizers import (
     step_size,
 )
 from optstab.stability_lab import (
+    _GAP_STEPS,
     _coupled_gaps,
+    _log_grid,
+    _lstsq_loglog,
     detect_saturation,
     estimate_sup_loss_gap,
     fit_loglog_slope,
@@ -299,6 +302,10 @@ def _reference_trajectory(config, spec, data, theta0):
     return np.array(thetas)
 
 
+def _assert_bitwise_equal(a, b):
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def _reference_repeats(config, spec, sample, pool, reps, perturbation_seed, theta0):
     """Per-repeat (param_gap, sup_loss_gap), one pair at a time."""
     out = []
@@ -430,6 +437,43 @@ def test_method_batch_matches_one_config_batches(methods, etas, family, reps, T,
             assert np.all(np.abs(got - want[0]) <= 1e-12 * scale)
 
 
+def _stepwise_gaps(configs, spec, pairs, seeds, holdout, theta0, dim):
+    """_coupled_gaps one state at a time, as each state is yielded: the
+    reference for its blocks of states."""
+    P = len(pairs)
+    B = P if configs[0].sampled else 1
+    param_gap, sup_gap = np.empty((2, len(configs), P, configs[0].T + 1))
+    samples = Dataset.stack([p.base for p in pairs[:B]] + [p.perturbed for p in pairs])
+    for t, state in enumerate(batch_iterates(configs, spec, samples, seeds[:B] + seeds,
+                                             theta0=theta0, dim=dim)):
+        base, perturbed = state[:B].swapaxes(0, 1), state[B:].swapaxes(0, 1)
+        param_gap[..., t] = np.linalg.norm(base - perturbed, axis=-1)
+        sup_gap[..., t] = estimate_sup_loss_gap(base, perturbed, spec, holdout)
+    return param_gap, sup_gap
+
+
+@pytest.mark.parametrize("methods", [("gd", "nag", "hb"), ("sgd", "sgld")])
+@pytest.mark.parametrize("family", ["logistic", "linear_worstcase"])
+def test_blocked_gaps_match_per_step_reference_bitwise(methods, family):
+    # one shared base run (gd, nag, hb) or one base run per pair (sgd, sgld);
+    # T + 1 = 38 states end on a partial block
+    T, P = 37, 5
+    assert (T + 1) % _GAP_STEPS
+    spec, sample, pool, theta0, dim, beta = _family_case(family, 17, 12)
+    configs = [_config(m, 0.5, "fixed", T, 3, beta) for m in methods]
+    pairs = [make_perturbed_pair(sample, 2 * i, pool.point(i % pool.n)) for i in range(P)]
+    seeds = [3 ^ i for i in range(P)]
+    got = _coupled_gaps(configs, spec, pairs, seeds, pool, theta0, dim)
+    want = _stepwise_gaps(configs, spec, pairs, seeds, pool, theta0, dim)
+    for g, w in zip(got, want):
+        assert g.shape == (len(methods), P, T + 1)
+        assert np.any(w[..., -1] > 0)
+        _assert_bitwise_equal(g, w)
+    same = [make_perturbed_pair(sample, 2 * i, sample.point(2 * i)) for i in range(P)]
+    for g in _coupled_gaps(configs, spec, same, seeds, pool, theta0, dim):
+        _assert_bitwise_equal(g, np.zeros_like(g))
+
+
 # ---------------------------------------------------------------- slope fit
 
 
@@ -490,6 +534,58 @@ def test_saturation_detection_keeps_pure_power_law():
     t = np.arange(0, 2001).astype(float)
     v = 2.0 * t ** 1.3 + 1e-12
     assert detect_saturation(v, 10, 2000) == 2000
+
+
+def _lstsq_saturation(values, t_lo, t_hi):
+    """detect_saturation with one lstsq fit per segment of every split: the
+    reference for its cumulative-sum pass."""
+    grid = _log_grid(t_lo, t_hi)
+    if grid.size < 16:
+        return t_hi
+    v = values[grid]
+    if np.any(v <= 0):
+        return t_hi
+    x, y = np.log(grid.astype(float)), np.log(v)
+    sse_single, _, _ = _lstsq_loglog(x, y)
+    best = None
+    for j in range(6, grid.size - 6):
+        sse_head, coef_head, _ = _lstsq_loglog(x[:j], y[:j])
+        sse_tail, coef_tail, _ = _lstsq_loglog(x[j:], y[j:])
+        if best is None or sse_head + sse_tail < best[0]:
+            best = (sse_head + sse_tail, j, coef_head, coef_tail)
+    sse_split, j, coef_head, coef_tail = best
+    if sse_split < 0.5 * sse_single and coef_tail[0] < 0.75 * coef_head[0]:
+        return int(grid[j])
+    return t_hi
+
+
+def _noisy(v, sigma, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return v * np.exp(sigma * rng.standard_normal(v.shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(T=st.integers(20, 3000), head=st.floats(0.3, 2.0), tail=st.floats(0.0, 1.5),
+       where=st.floats(0.0, 1.0), sigma=st.floats(1e-4, 0.3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_saturation_onset_matches_lstsq_split_loop_on_broken_power_laws(T, head, tail,
+                                                                        where, sigma, seed):
+    t_lo = max(1, T // 10)
+    t = np.maximum(np.arange(T + 1, dtype=float), 1.0)
+    t_break = t_lo + where * (T - t_lo)
+    v = _noisy(np.where(t < t_break, t ** head,
+                        t_break ** (head - tail) * t ** tail), sigma, seed)
+    assert detect_saturation(v, t_lo, T) == _lstsq_saturation(v, t_lo, T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(T=st.integers(20, 3000), exponent=st.floats(0.3, 2.0), sigma=st.floats(0.0, 0.3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_saturation_onset_matches_lstsq_split_loop_on_pure_power_laws(T, exponent, sigma,
+                                                                      seed):
+    t_lo = max(1, T // 10)
+    v = _noisy(np.maximum(np.arange(T + 1, dtype=float), 1.0) ** exponent, sigma, seed)
+    assert detect_saturation(v, t_lo, T) == _lstsq_saturation(v, t_lo, T)
 
 
 # ---------------------------------------------------------------- risks
