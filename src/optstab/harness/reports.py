@@ -60,15 +60,14 @@ def package_versions() -> Dict[str, str]:
     return {"optstab": __version__, "numpy": np.__version__}
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_series_csv(series: Series, path: str, config_hash: str) -> None:
     lines = [f"# config={config_hash}", "t,value,stderr"]
     err = series.stderr if series.stderr is not None else np.zeros(len(series.t))
-    for t, v, e in zip(series.t, series.value, err):
-        lines.append(f"{int(t)},{_fmt(v)},{_fmt(e)}")
+    # tolist() gives Python floats, whose repr is repr(float(x)) of each element
+    for t, v, e in zip(np.asarray(series.t).tolist(),
+                       np.asarray(series.value, dtype=float).tolist(),
+                       np.asarray(err, dtype=float).tolist()):
+        lines.append(f"{int(t)},{v!r},{e!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -17,9 +17,13 @@ Each family's math lives in one entry of a private kernel table: a value
 kernel and a mean-gradient kernel (over all rows or one row per sample),
 both on blocks (..., k, d) of parameter vectors against sample (...) of a
 stack (``Dataset.stack``), so a sample's k logistic margins are one
-product; plus the constants.  The public functions are thin wrappers around
-it; ``empirical_risk_grad`` and ``sample_grad`` take blocks too, and a
-single parameter vector is the block k = 1.
+product; plus the constants.  A full logistic gradient streams each
+member's design in row blocks small enough to stay in L2 between the
+margins and the contraction, summing the blocks' partial gradients in block
+order; a design that fits in one block takes the whole-design operations.
+The public functions are thin wrappers around the table;
+``empirical_risk_grad`` and ``sample_grad`` take blocks too, and a single
+parameter vector is the block k = 1.
 
 All evaluation is pure and re-entrant; specs and datasets are immutable
 once constructed and safe to share across workers.
@@ -28,6 +32,7 @@ once constructed and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -307,12 +312,21 @@ def _lecam_convex_slope(u: np.ndarray, beta: float, r: float) -> np.ndarray:
 
 def _rows(a: np.ndarray, rows, feature_ndim: int = 0) -> np.ndarray:
     """A sample array (..., n, *features) itself when ``rows`` is None;
-    otherwise row rows[b] of member b's sample, kept as a one-row sample
-    (..., 1, *features).  A single sample is shared by every member."""
+    otherwise the index ``rows`` (member grids, then row per member) picks
+    each member's row, kept as a one-row sample (..., 1, *features)."""
     if rows is None:
         return a
-    picked = a[np.indices(a.shape[:a.ndim - 1 - feature_ndim], sparse=True) + (rows,)]
-    return np.expand_dims(picked, picked.ndim - feature_ndim)
+    return a[rows][(..., None) + (slice(None),) * feature_ndim]
+
+
+@lru_cache(maxsize=None)
+def _member_grid(stack_shape: tuple) -> tuple:
+    """Sparse index grids over a stack's members, () for a single sample;
+    built once per stack shape and read-only, since every step shares them."""
+    grid = np.indices(stack_shape, sparse=True)
+    for g in grid:
+        g.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -322,7 +336,7 @@ class _Family:
     variant: str         # data it consumes: "labeled", "symbol" or "any"
     values: Callable     # (spec, thetas (..., k, d), data) -> (..., k, n) losses
     grad: Callable       # (spec, thetas (..., k, d), data, rows) -> (..., k, d) mean
-    #                      gradients over all rows (rows None) or row rows[...] alone
+    #                      gradients over all rows (rows None) or one row per member
     constants: Callable  # (spec, data or None) -> (L, beta, alpha)
 
 
@@ -340,13 +354,29 @@ def _logistic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.nd
     return V
 
 
+# Bytes of one member's design rows per block of a logistic full-gradient
+# step (400 rows at d = 200): the contraction then reads rows the margins have
+# just left in L2.  Measured, not sized from L2 alone: above 400 rows at
+# d = 200 the k = 3 margin product leaves OpenBLAS's fast small-product path.
+# Every d = 10 design up to n = 8000 is one block.
+_GRAD_BLOCK_BYTES = 640_000
+
+
 def _logistic_grad(spec: LossSpec, thetas: np.ndarray, data: Dataset, rows) -> np.ndarray:
-    X = _rows(data.X, rows, 1)
-    R = _sigmoid(thetas @ X.swapaxes(-1, -2))
-    R -= _rows(data.y, rows)[..., None, :]
-    # the contraction over rows is one matrix-vector product per vector: as
-    # one matrix product (R @ X) its rounding depends on the BLAS thread count
-    return (R[..., None, :] @ X[..., None, :, :])[..., 0, :] / X.shape[-2]
+    X, y = _rows(data.X, rows, 1), _rows(data.y, rows)
+    n, d = X.shape[-2:]
+    step = max(1, _GRAD_BLOCK_BYTES // (d * X.itemsize))
+    grad = None
+    for i in range(0, n, step):
+        # margins, residuals and contraction of one block while it is in L2;
+        # the contraction is one matrix-vector product per vector: as one
+        # matrix product (R @ X) its rounding depends on the BLAS thread count
+        Xb = X[..., i:i + step, :]
+        R = _sigmoid(thetas @ Xb.swapaxes(-1, -2))
+        R -= y[..., None, i:i + step]
+        part = (R[..., None, :] @ Xb[..., None, :, :])[..., 0, :]
+        grad = part if grad is None else grad + part
+    return grad / n
 
 
 def _logistic_constants(spec: LossSpec, data: Optional[Dataset]):
@@ -487,6 +517,7 @@ def sample_grad(spec: LossSpec, theta, data: Dataset, i, block: bool = False) ->
                                                 data.stack_shape))
         if (i < 0).any() or (i >= data.n).any():
             raise ValidationError(f"index out of range for n={data.n}")
+        i = _member_grid(data.stack_shape) + (i,)
     grad = _KERNELS[spec.family].grad(spec, thetas, data, i)
     return grad if block else grad[..., 0, :]
 

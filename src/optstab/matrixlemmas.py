@@ -223,8 +223,12 @@ def _scnag_grid(problems, h_samples: int):
     at ``h_samples`` + 2 equispaced h in [1 - beta eta, 1 - alpha eta], and
     the largest spectral radius rho."""
     g = np.array([[(math.sqrt(k) - 1.0) / (math.sqrt(k) + 1.0)] for k, *_ in problems])
-    hs = np.array([np.linspace(*scnag_h_range(a, b, e), h_samples + 2)
-                   for _, a, b, e in problems])
+    lo, hi = np.array([scnag_h_range(a, b, e) for _, a, b, e in problems]).T[..., None]
+    # each row as np.linspace computes it (lo + i * step, then hi last); its
+    # axis form would take the divide-then-multiply branch for every row once
+    # any row has zero width (kappa = 1)
+    hs = lo + np.arange(h_samples + 2) * ((hi - lo) / (h_samples + 1))
+    hs[:, -1:] = hi
     rho = _companion_radius((1.0 + g) * hs, g * hs).max(axis=1)
     return g[:, 0].tolist(), ((1.0 + g) * hs, -g * hs), rho.tolist()
 

@@ -272,6 +272,67 @@ def test_block_gradients_equal_one_vector_blocks():
             sample_grad(spec, thetas, data, rows + 1, block=True)
 
 
+def _whole_design_grad(thetas, X, y):
+    """The logistic mean gradient with the whole design as one block."""
+    R = _sigmoid(thetas @ X.swapaxes(-1, -2))
+    R -= y[..., None, :]
+    return (R[..., None, :] @ X[..., None, :, :])[..., 0, :] / X.shape[-2]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_row_blocked_gradient_matches_one_block_contraction(monkeypatch, k):
+    # blocks of 5 rows over n = 23 (four full blocks, then a partial one), on
+    # a shared sample and on a stack: the partial gradients summed in block
+    # order agree with the whole design's contraction to 1e-13 relative
+    from optstab import losses
+
+    rng = np.random.Generator(np.random.Philox(30 + k))
+    n, d = 23, 4
+    X = normalize_rows(rng.standard_normal((3, n, d)))
+    y = rng.integers(0, 2, size=(3, n)).astype(float)
+    stacked = Dataset.stack([Dataset.from_labeled(X[b], y[b]) for b in range(3)])
+    thetas = 2.0 * rng.standard_normal((3, k, d))
+    calls = []
+    monkeypatch.setattr(losses, "_sigmoid", lambda u: calls.append(u.shape) or _sigmoid(u))
+    monkeypatch.setattr(losses, "_GRAD_BLOCK_BYTES", 5 * d * X.itemsize)
+    for data, whole in ((Dataset.from_labeled(X[0], y[0]), _whole_design_grad(thetas, X[0], y[0])),
+                        (stacked, _whole_design_grad(thetas, X, y))):
+        calls.clear()
+        blocked = empirical_risk_grad(logistic_spec(), thetas, data, block=True)
+        assert calls == [(3, k, 5)] * 4 + [(3, k, 3)]
+        np.testing.assert_allclose(blocked, whole, rtol=0,
+                                   atol=1e-13 * np.abs(whole).max())
+
+
+def test_one_block_gradient_is_the_whole_design_contraction_bitwise():
+    # a design that fits in one block (d = 10 up to n = 8000) takes exactly
+    # the whole-design operations, for single vectors and for k = 3 blocks
+    rng = np.random.Generator(np.random.Philox(31))
+    X = normalize_rows(rng.standard_normal((8000, 10)))
+    y = rng.integers(0, 2, size=8000).astype(float)
+    data = Dataset.from_labeled(X, y)
+    for thetas in (rng.standard_normal((1, 1, 10)), rng.standard_normal((2, 3, 10))):
+        np.testing.assert_array_equal(
+            empirical_risk_grad(logistic_spec(), thetas, data, block=True),
+            _whole_design_grad(thetas, X, y))
+
+
+def test_sampled_gradients_gather_each_members_row():
+    # one row per member picked from a stack by its member grid, also for
+    # vectors with a leading axis of their own broadcast against the stack
+    rng = np.random.Generator(np.random.Philox(32))
+    X = normalize_rows(rng.standard_normal((4, 9, 3)))
+    y = rng.integers(0, 2, size=(4, 9)).astype(float)
+    samples = [Dataset.from_labeled(X[b], y[b]) for b in range(4)]
+    thetas = rng.standard_normal((2, 4, 3))
+    rows = rng.integers(0, 9, size=(2, 4))
+    got = sample_grad(logistic_spec(), thetas, Dataset.stack(samples), rows)
+    for a in range(2):
+        np.testing.assert_array_equal(
+            got[a], [sample_grad(logistic_spec(), t, z, i)
+                     for t, z, i in zip(thetas[a], samples, rows[a])])
+
+
 def test_empty_dataset_rejected():
     with pytest.raises(ValidationError):
         Dataset.from_symbols(np.array([]))

@@ -7,6 +7,8 @@ from optstab.losses import ValidationError
 from optstab.matrixlemmas import (
     TOL,
     _batch_spectral_norm,
+    _companion_radius,
+    _scnag_grid,
     _recursion_scan,
     _sweep,
     adversarial_max,
@@ -16,6 +18,7 @@ from optstab.matrixlemmas import (
     nag_sweep,
     recursion_u,
     recursion_u_sweep,
+    scnag_h_range,
     scnag_lemma_check,
     scnag_sweep,
     spectral_norm,
@@ -142,6 +145,22 @@ def test_hb_range_validation():
 
 
 # ---------------------------------------------- strongly convex fixed momentum
+
+
+def test_scnag_grid_equals_per_row_linspace_bitwise():
+    # the vectorized h grid is each row's np.linspace to the bit, also with a
+    # zero-width kappa = 1 row among rows of positive width
+    rng = np.random.Generator(np.random.Philox(40))
+    kappas = [1.0, 2.5, 4.0, 100.0] + np.exp(rng.uniform(0.0, np.log(100.0), 60)).tolist()
+    problems = [(k, 1.0, k, 1.0 / k) for k in kappas] + [(1.0, 0.3, 0.3, 1.7)]
+    for h_samples in (0, 16, 64):
+        gammas, (p, q), rho = _scnag_grid(problems, h_samples)
+        g = np.array(gammas)[:, None]
+        hs = np.array([np.linspace(*scnag_h_range(a, b, e), h_samples + 2)
+                       for _, a, b, e in problems])
+        np.testing.assert_array_equal(p, (1.0 + g) * hs)
+        np.testing.assert_array_equal(q, -g * hs)
+        assert rho == _companion_radius((1.0 + g) * hs, g * hs).max(axis=1).tolist()
 
 
 def test_scnag_reported_nominal_envelope_arithmetic():

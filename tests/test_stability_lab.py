@@ -87,6 +87,23 @@ def test_identity_perturbation_keeps_gaps_zero_for_every_method():
         np.testing.assert_array_equal(trace.sup_loss_gap, 0.0)
 
 
+def test_identity_perturbation_keeps_gaps_zero_over_row_blocks(monkeypatch):
+    # full gradients over blocks of 7 rows of n = 40 (the last block partial):
+    # members whose samples agree still follow exactly equal iterates
+    from optstab import losses
+
+    monkeypatch.setattr(losses, "_GRAD_BLOCK_BYTES", 7 * 4 * 8)
+    data = logistic_fixture()
+    pairs = [make_perturbed_pair(data, k, data.point(k)) for k in (0, 13, 39)]
+    configs = [OptimizerConfig(method=m, schedule=fixed(0.1), T=25, seed=4, gamma=0.5)
+               for m in ("gd", "nag", "hb")]
+    param_gap, sup_gap = _coupled_gaps(configs, logistic_spec(), pairs, [4, 5, 6],
+                                       logistic_fixture(n=10, seed=99), None, None)
+    assert param_gap.shape == (3, 3, 26)
+    np.testing.assert_array_equal(param_gap, 0.0)
+    np.testing.assert_array_equal(sup_gap, 0.0)
+
+
 def test_pair_index_out_of_range():
     data = Dataset.from_symbols(np.ones(3))
     with pytest.raises(ValidationError):
