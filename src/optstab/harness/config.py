@@ -19,7 +19,7 @@ n, d, T      sample size, dimension, iteration horizon
 subsample    size of the fixed sample S drawn from a loaded file
 holdout      held-out pool size (replacement draws and sup-gap estimation)
 reps         independent perturbation repeats
-seed         master seed
+seed         master seed (>= 0) of every random stream (optstab.streams)
 eta0         base step size;  schedule = fixed | power;  alpha = power exponent
 gamma        heavy ball momentum;  tau = sgld temperature;  kappa = nag_sc
 n_test       test-set size (risk_decomposition)
@@ -71,6 +71,8 @@ class ExperimentConfig:
             raise ValidationError(f"unknown source {self.source!r}")
         if not self.methods and self.experiment in ("stability_scaling", "risk_decomposition"):
             raise ValidationError(f"{self.experiment} needs at least one method")
+        if self.seed < 0:
+            raise ValidationError(f"config key 'seed': bad value '{self.seed}' (need >= 0)")
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}

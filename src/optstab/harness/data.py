@@ -8,6 +8,7 @@ from typing import Tuple
 import numpy as np
 
 from ..losses import Dataset, ValidationError, _sigmoid, normalize_rows
+from ..streams import stream
 
 log = logging.getLogger(__name__)
 
@@ -61,26 +62,24 @@ def gen_synthetic(d: int, n: int, seed: int = 0) -> Tuple[Dataset, np.ndarray]:
 
     theta* is the all-ones vector; rows are standard normal draws rescaled to
     unit norm; the Bernoulli parameter is the logistic link at x.theta*.
-    Deterministic for a fixed seed (Philox streams).
+    Deterministic for a fixed seed (its "rows" and "labels" streams); the
+    first m rows of a draw are the draw of m rows.
     """
     if d < 1 or n < 1:
         raise ValidationError("need d >= 1 and n >= 1")
-    ss = np.random.SeedSequence(seed)
-    row_seq, label_seq = ss.spawn(2)
-    X = normalize_rows(np.random.Generator(np.random.Philox(row_seq))
-                       .standard_normal((n, d)))
+    X = stream(seed, "rows").standard_normal((n, d))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
     theta_star = np.ones(d)
     p = _sigmoid(X @ theta_star)
-    u = np.random.Generator(np.random.Philox(label_seq)).uniform(size=n)
+    u = stream(seed, "labels").uniform(size=n)
     y = (u < p).astype(float)
     return Dataset.from_labeled(X, y), theta_star
 
 
 def split_sample(data: Dataset, size: int, seed: int = 0) -> Tuple[Dataset, Dataset]:
     """Draw a fixed sample of ``size`` points without replacement; the rest
-    forms the held-out pool."""
+    forms the held-out pool (the seed's "split" stream)."""
     if not 1 <= size < data.n:
         raise ValidationError(f"subsample size {size} must lie in [1, n-1]")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    perm = rng.permutation(data.n)
+    perm = stream(seed, "split").permutation(data.n)
     return data.take(perm[:size]), data.take(perm[size:])

@@ -12,7 +12,7 @@ import numpy as np
 
 from .. import bounds as bounds_mod
 from .. import lecam, matrixlemmas
-from ..losses import ValidationError, logistic_spec, loss_constants
+from ..losses import Dataset, ValidationError, logistic_spec, loss_constants
 from ..optimizers import OptimizerConfig, StepSchedule, fixed, power, validate_config
 from ..stability_lab import (
     fit_loglog_slope,
@@ -95,8 +95,7 @@ def _stability_scaling(cfg: ExperimentConfig) -> Report:
     # logistic loss on unit-norm rows is L-Lipschitz at every theta
     L, averaged = loss_constants(spec, pool).L, {}
     for batch in _batches(opt_cfgs):
-        avg = repeat_and_average(list(batch.values()), spec, sample, pool, reps=cfg.reps,
-                                 perturbation_seed=cfg.seed)
+        avg = repeat_and_average(list(batch.values()), spec, sample, pool, reps=cfg.reps)
         over = np.argwhere(avg.repeats.sup_loss_gap > L * avg.repeats.param_gap + 1e-12)
         if over.size:
             j, i, t = over[0]
@@ -137,8 +136,11 @@ def _risk_decomposition(cfg: ExperimentConfig) -> Report:
     for oc in opt_cfgs.values():
         validate_config(oc, constants)
 
-    train, _ = gen_synthetic(cfg.d, cfg.n, seed=cfg.seed)
-    test, _ = gen_synthetic(cfg.d, cfg.n_test, seed=cfg.seed + 1)
+    # the test rows continue the train rows' streams: the first n rows are
+    # gen_synthetic(d, n, seed)
+    full, _ = gen_synthetic(cfg.d, cfg.n + cfg.n_test, seed=cfg.seed)
+    train = Dataset.from_labeled(full.X[:cfg.n], full.y[:cfg.n])
+    test = Dataset.from_labeled(full.X[cfg.n:], full.y[cfg.n:])
     report = _new_report(cfg)
     ts = np.arange(cfg.T + 1)
     # the reference run depends on neither the method nor its seed

@@ -2,9 +2,8 @@
 
 Every emitted file carries the generating config hash: series CSVs in a
 leading comment line, the JSON summary in its ``config_hash`` field, and the
-plot script in its header.  Re-aggregation refuses files whose hashes
-disagree.  Floats are written with ``repr`` (shortest round-trip), so a
-fixed report serializes to identical bytes.
+plot script in its header.  Floats are written with ``repr`` (shortest
+round-trip), so a fixed report serializes to identical bytes.
 """
 
 from __future__ import annotations
@@ -70,23 +69,6 @@ def write_series_csv(series: Series, path: str, config_hash: str) -> None:
         lines.append(f"{int(t)},{v!r},{e!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_series_csv(path: str) -> tuple:
-    """Parse a series CSV back into (config_hash, Series)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or not lines[0].startswith("# config="):
-        raise ValidationError(f"{path}: missing config hash line")
-    chash = lines[0].split("=", 1)[1]
-    if lines[1] != "t,value,stderr":
-        raise ValidationError(f"{path}: bad header")
-    rows = [line.split(",") for line in lines[2:]]
-    t = np.array([int(r[0]) for r in rows])
-    value = np.array([float(r[1]) for r in rows])
-    stderr = np.array([float(r[2]) for r in rows])
-    name = os.path.splitext(os.path.basename(path))[0]
-    return chash, Series(name=name, t=t, value=value, stderr=stderr)
 
 
 _PLOT_TEMPLATE = """\
@@ -176,21 +158,3 @@ def write_report(report: Report, out_dir: str, emit_plot: bool = True) -> List[s
     if emit_plot:
         written.append(write_plot_script(report, out_dir))
     return written
-
-
-def load_report(out_dir: str) -> Report:
-    """Re-aggregate an output directory, rejecting mismatched config hashes."""
-    with open(os.path.join(out_dir, "report.json"), "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
-    report = Report(experiment=summary["experiment"],
-                    config_hash=summary["config_hash"], seed=summary["seed"],
-                    versions=summary["versions"], slope_fits=summary["slope_fits"],
-                    records=summary["records"], passed=summary["passed"])
-    for name in summary["series"]:
-        chash, series = read_series_csv(os.path.join(out_dir, f"{name}.csv"))
-        if chash != report.config_hash:
-            raise ValidationError(
-                f"series {name!r} carries config {chash}, report has "
-                f"{report.config_hash}: refusing to aggregate")
-        report.series.append(series)
-    return report

@@ -15,12 +15,12 @@ under (T, k) coefficient columns, each member on the shared sample or on its
 own sample of a stack; ``iterate_traces`` records a one-member batch's
 traces, and ``run`` is its one-config case.
 
-Randomized methods draw their index and Gaussian noise streams from Philox
-4x64 counter-based generators keyed by the member's seed, so every iterate
-is a deterministic function of (config, seed, loss, sample, theta0).  Members
-with the same seed share identical streams, which is what couples a
-perturbed pair; a member's columns share them too (sgld scales the noise
-per column).
+Randomized methods draw their index and Gaussian noise streams from
+``streams.stream(seed, "sgd_index", member)`` and ``(seed, "sgld_noise",
+member)``, so every iterate is a deterministic function of (config, seed,
+member, loss, sample, theta0).  Members with the same index share identical
+streams, which is what couples a perturbed pair; a member's columns share
+them too (sgld scales the noise per column).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .losses import (
     loss_constants,
     sample_grad,
 )
+from .streams import stream
 
 METHODS = ("gd", "sgd", "nag", "nag_sc", "hb", "sgld")
 STOCHASTIC_METHODS = ("sgd", "sgld")
@@ -204,21 +205,22 @@ def _coefficients(config: OptimizerConfig, etas: np.ndarray):
 
 
 def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dataset,
-                   seeds: Sequence[int], theta0=None,
+                   seed: int, members: Sequence[int], theta0=None,
                    dim: Optional[int] = None) -> Iterator[np.ndarray]:
     """Yield the (B, k, d) states theta_0..theta_T of B members by k configs.
 
     The configs share their gradient kind and T.  Member b runs ``configs[j]``
-    in column j with seed ``seeds[b]`` (configs' own seeds are not read) on
-    ``data``, or on sample b of a stack of B samples (``Dataset.stack``); its
-    streams, keyed by its seed, serve all its columns, and members with equal
-    seeds share them, which couples them.  Members whose seeds and samples
-    agree follow exactly equal iterates.  theta0 defaults to the zero vector;
-    for symbol datasets the dimension is taken from ``dim`` (default 1).
-    Raises FloatingPointError naming the method and step at the first
-    iterate that is not finite.
+    in column j (configs' own seeds are not read) on ``data``, or on sample b
+    of a stack of B samples (``Dataset.stack``).  Its index and noise
+    streams, ``stream(seed, "sgd_index", members[b])`` and ``stream(seed,
+    "sgld_noise", members[b])``, serve all its columns; members with equal
+    indices share them, which couples them.  Members whose indices and
+    samples agree follow exactly equal iterates.  theta0 defaults to the
+    zero vector; for symbol datasets the dimension is taken from ``dim``
+    (default 1).  Raises FloatingPointError naming the method and step at
+    the first iterate that is not finite.
     """
-    B, k = len(seeds), len(configs)
+    B, k = len(members), len(configs)
     if k < 1 or len({(cfg.sampled, cfg.T) for cfg in configs}) != 1:
         raise ValidationError("a batch needs configs of one gradient kind and one T")
     if data.stack_shape not in ((), (B,)):
@@ -240,16 +242,13 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
 
     rows = noise = None
     if configs[0].sampled:
-        # independently keyed index and noise streams per member seed, so sgd
-        # (indices only) and sgld (both) read the same indices
-        keys = [np.random.SeedSequence(s & 0xFFFFFFFFFFFFFFFF).spawn(2) for s in seeds]
-        rows = np.stack([np.random.Generator(np.random.Philox(key)).integers(0, n, size=T)
-                         for key, _ in keys], axis=1)
+        # sgd (indices only) and sgld (both) of one member read the same indices
+        rows = np.stack([stream(seed, "sgd_index", m).integers(0, n, size=T)
+                         for m in members], axis=1)
         if any(cfg.method == "sgld" for cfg in configs):
             noise = np.empty((T, B, d))
-            for i, (_, key) in enumerate(keys):
-                noise[:, i] = np.random.Generator(np.random.Philox(key)).standard_normal(
-                    (T, d))
+            for i, m in enumerate(members):
+                noise[:, i] = stream(seed, "sgld_noise", m).standard_normal((T, d))
 
     prev = older = np.broadcast_to(theta, (B, k, d))
     yield prev
@@ -269,8 +268,9 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
 
 def iterate_traces(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dataset,
                    seed: int = 0, theta0=None, dim: Optional[int] = None) -> np.ndarray:
-    """theta_0..theta_T of k configs run as one batch with ``seed``: (k, T+1, d)."""
-    states = batch_iterates(configs, spec, data, [seed], theta0=theta0, dim=dim)
+    """theta_0..theta_T of k configs run as member 0 of one batch under ``seed``:
+    (k, T+1, d)."""
+    states = batch_iterates(configs, spec, data, seed, [0], theta0=theta0, dim=dim)
     first = next(states)
     thetas = np.empty((len(configs), configs[0].T + 1, first.shape[-1]))
     thetas[:, 0] = first[0]

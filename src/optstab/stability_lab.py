@@ -2,8 +2,8 @@
 
 A perturbed pair is two samples differing in exactly one point.  Both runs
 start from the same theta0 and, for randomized methods, share the index and
-noise streams (same config seed), so the measured gaps isolate the data
-perturbation.  Two series are recorded per pair:
+noise streams (one member index under the configs' seed), so the measured
+gaps isolate the data perturbation.  Two series are recorded per pair:
 
 * ``param_gap[t]``     = ||theta_t - theta'_t||_2
 * ``sup_loss_gap[t]``  = max over a holdout set of |l(theta_t; z) - l(theta'_t; z)|,
@@ -18,9 +18,10 @@ holdout evaluation per block, so no iterate trace is stored; each step's
 products keep the shape they have step by step, so the gaps do not depend
 on the block length.  A single base run's holdout losses are evaluated once
 per step and compared with every perturbed run's.
-Repeats redraw the perturbed index and replacement point from a seeded
-stream and are averaged elementwise with standard errors; per-repeat gap
-series are retained for audit.
+Repeat i draws the perturbed index and replacement point from the seed's
+"perturbation" stream at i and runs its pair as member i, and repeats are
+averaged elementwise with standard errors; per-repeat gap series are
+retained for audit.
 
 The risk decomposition measures the optimization error against an empirical
 minimum from one long full-gradient run (:func:`reference_risk`), which
@@ -48,6 +49,7 @@ from .losses import (
     loss_values_matrix,
 )
 from .optimizers import OptimizerConfig, batch_iterates, fixed, iterate_traces
+from .streams import stream
 
 # States per block of _coupled_gaps: one norm and one holdout evaluation per block
 _GAP_STEPS = 16
@@ -107,19 +109,20 @@ def estimate_sup_loss_gap(theta, theta_p, spec: LossSpec, holdout: Dataset):
 
 
 def _coupled_gaps(configs: Sequence[OptimizerConfig], spec: LossSpec,
-                  pairs: List[PerturbedPair], seeds: List[int], holdout: Dataset, theta0,
+                  pairs: List[PerturbedPair], seed: int, holdout: Dataset, theta0,
                   dim: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
     """(param_gap, sup_loss_gap), each (k, P, T+1), of P coupled pairs of each
-    of k configs run as one batch: the base runs, then the P perturbed runs.
-    Pair i runs with seed ``seeds[i]``.  Deterministic methods' base runs
-    coincide whatever their seeds, so one base run stands for all of them.
+    of k configs run as one batch under ``seed``: the base runs, then the P
+    perturbed runs.  Both runs of pair i are member i.  Deterministic
+    methods' base runs coincide whatever their streams, so one base run
+    stands for all of them.
     """
     P = len(pairs)
     B = P if configs[0].sampled else 1
     param_gap, sup_gap = np.empty((2, len(configs), P, configs[0].T + 1))
     samples = Dataset.stack([p.base for p in pairs[:B]] + [p.perturbed for p in pairs])
-    states = batch_iterates(configs, spec, samples, seeds[:B] + seeds, theta0=theta0,
-                            dim=dim)
+    states = batch_iterates(configs, spec, samples, seed, [*range(B), *range(P)],
+                            theta0=theta0, dim=dim)
     t = 0
     while block := list(itertools.islice(states, _GAP_STEPS)):
         # (steps, k, members, d), method-major, so each method's members of a
@@ -137,7 +140,7 @@ def _coupled_gaps(configs: Sequence[OptimizerConfig], spec: LossSpec,
 def run_pair(config: OptimizerConfig, spec: LossSpec, pair: PerturbedPair,
              holdout: Dataset, theta0=None, dim: Optional[int] = None) -> StabilityTrace:
     """Run the method on both samples of a pair under identical random streams."""
-    pg, sg = _coupled_gaps([config], spec, [pair], [config.seed], holdout, theta0, dim)
+    pg, sg = _coupled_gaps([config], spec, [pair], config.seed, holdout, theta0, dim)
     return StabilityTrace(param_gap=pg[0, 0], sup_loss_gap=sg[0, 0])
 
 
@@ -180,30 +183,28 @@ def _shared_seed(configs: Sequence[OptimizerConfig]) -> int:
 
 
 def repeat_and_average(configs: Sequence[OptimizerConfig], spec: LossSpec,
-                       sample: Dataset, pool: Dataset, reps: int,
-                       perturbation_seed: int = 0, theta0=None,
+                       sample: Dataset, pool: Dataset, reps: int, theta0=None,
                        dim: Optional[int] = None) -> AveragedStability:
     """Average each config's gap series over ``reps`` independent perturbations.
 
-    Each repeat draws the perturbed index uniformly and the replacement point
+    Repeat i draws the perturbed index uniformly and the replacement point
     from the held-out pool (which also serves as the sup-gap holdout), both
-    from a Philox stream keyed by (perturbation_seed, repeat).  The optimizer
-    streams use the configs' seed XOR repeat, so repeats are decoupled while
-    the two runs inside a repeat stay coupled.  All runs advance as one batch.
+    from ``stream(seed, "perturbation", i)`` with the configs' shared seed,
+    and runs both sides of its pair as member i, so repeats are decoupled
+    while the two runs inside a repeat stay coupled.  All runs advance as
+    one batch.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     seed = _shared_seed(configs)
-    pairs, seeds, records = [], [], []
+    pairs, records = [], []
     for i in range(reps):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(perturbation_seed, spawn_key=(i,))))
+        rng = stream(seed, "perturbation", i)
         k = int(rng.integers(0, sample.n))
         z_new = pool.point(int(rng.integers(0, pool.n)))
         pairs.append(make_perturbed_pair(sample, k, z_new))
-        seeds.append(seed ^ i)
         records.append({"repeat": i, "k": k, "z": _describe_point(z_new)})
-    pg, sg = _coupled_gaps(configs, spec, pairs, seeds, pool, theta0, dim)
+    pg, sg = _coupled_gaps(configs, spec, pairs, seed, pool, theta0, dim)
     return AveragedStability(*_mean_stderr(pg), *_mean_stderr(sg), StabilityTrace(pg, sg),
                              records)
 
@@ -337,7 +338,7 @@ def reference_risk(spec: LossSpec, train: Dataset, budget: int) -> float:
     # two rows, which avoids the matrix-vector product that a single row
     # goes through; that does not guarantee it rounds like row T of a
     # (T+1)-row train-risk series, since rows of one product round by position
-    last = deque(batch_iterates([ref_cfg], spec, train, [ref_cfg.seed]), maxlen=2)
+    last = deque(batch_iterates([ref_cfg], spec, train, ref_cfg.seed, [0]), maxlen=2)
     return float(empirical_risk_batch(spec, np.concatenate(last)[:, 0], train)[-1])
 
 

@@ -60,8 +60,7 @@ def deterministic_experiments(logistic_data):
             OptimizerConfig(method="hb", schedule=fixed(0.005), gamma=0.8, T=1000,
                             seed=SEED + 1)]
     start = time.perf_counter()
-    avgs = repeat_and_average(cfgs, LOGISTIC, sample, pool, reps=50,
-                              perturbation_seed=SEED + 2)
+    avgs = repeat_and_average(cfgs, LOGISTIC, sample, pool, reps=50)
     return avgs, time.perf_counter() - start
 
 
@@ -89,8 +88,7 @@ def sgd_experiment():
     sample, pool = split_sample(full, 100, seed=SEED)
     cfg = OptimizerConfig(method="sgd", schedule=power(0.1, 0.5), T=1000,
                           seed=SEED + 1)
-    return repeat_and_average([cfg], LOGISTIC, sample, pool, reps=200,
-                              perturbation_seed=SEED + 2)
+    return repeat_and_average([cfg], LOGISTIC, sample, pool, reps=200)
 
 
 def test_criterion_01_gd_stability_slope(gd_experiment):

@@ -285,7 +285,7 @@ def test_non_finite_iterate_names_the_diverging_column_of_a_batch():
     spec = linear_worstcase_spec(L=1.0)
     configs = [OptimizerConfig(method="gd", schedule=fixed(0.1), T=5),
                OptimizerConfig(method="hb", schedule=fixed(1e308), gamma=0.5, T=5)]
-    states = batch_iterates(configs, spec, Dataset.from_symbols(np.ones(4)), [0, 1])
+    states = batch_iterates(configs, spec, Dataset.from_symbols(np.ones(4)), 0, [0, 1])
     with np.errstate(over="ignore"):
         with pytest.raises(FloatingPointError, match="hb: iterate 2 is not finite"):
             list(states)
@@ -299,6 +299,6 @@ def test_non_finite_iterate_names_the_diverging_column_of_a_batch():
 def test_batch_rejects_mixed_gradient_kinds_and_horizons(other):
     gd = OptimizerConfig(method="gd", schedule=fixed(0.1), T=5)
     with pytest.raises(ValidationError, match="one gradient kind and one T"):
-        next(batch_iterates([gd, other], quad1d(1.0), DUMMY, [0]))
+        next(batch_iterates([gd, other], quad1d(1.0), DUMMY, 0, [0]))
     with pytest.raises(ValidationError):
-        next(batch_iterates([], quad1d(1.0), DUMMY, [0]))
+        next(batch_iterates([], quad1d(1.0), DUMMY, 0, [0]))

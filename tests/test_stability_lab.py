@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -52,6 +51,7 @@ from optstab.stability_lab import (
     risk_curves,
     run_pair,
 )
+from optstab.streams import stream
 
 SYMBOL_HOLDOUT = Dataset.from_symbols(np.array([1.0, -1.0]))
 
@@ -97,7 +97,7 @@ def test_identity_perturbation_keeps_gaps_zero_over_row_blocks(monkeypatch):
     pairs = [make_perturbed_pair(data, k, data.point(k)) for k in (0, 13, 39)]
     configs = [OptimizerConfig(method=m, schedule=fixed(0.1), T=25, seed=4, gamma=0.5)
                for m in ("gd", "nag", "hb")]
-    param_gap, sup_gap = _coupled_gaps(configs, logistic_spec(), pairs, [4, 5, 6],
+    param_gap, sup_gap = _coupled_gaps(configs, logistic_spec(), pairs, 4,
                                        logistic_fixture(n=10, seed=99), None, None)
     assert param_gap.shape == (3, 3, 26)
     np.testing.assert_array_equal(param_gap, 0.0)
@@ -205,7 +205,7 @@ def test_sup_gap_shared_base_row_matches_broadcast_form_bitwise(method):
     perturbed = [data.replace(3 * i, pool.point(i)) for i in range(P)]
     samples = Dataset.stack([data] + perturbed)
     cfg = OptimizerConfig(method=method, schedule=fixed(1.0), T=40, gamma=0.5)
-    for state in batch_iterates([cfg], spec, samples, [0] * (P + 1)):
+    for state in batch_iterates([cfg], spec, samples, 0, [0] * (P + 1)):
         state = state[:, 0]
         base = np.broadcast_to(state[:1], (P, state.shape[1]))
         expected = np.abs(loss_values_matrix(spec, base, pool)
@@ -242,8 +242,7 @@ def test_single_repeat_equals_trace():
     data = logistic_fixture(n=20, seed=31)
     pool = logistic_fixture(n=10, seed=37)
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=20, seed=5)
-    avg = repeat_and_average([cfg], logistic_spec(), data, pool, reps=1,
-                             perturbation_seed=8)
+    avg = repeat_and_average([cfg], logistic_spec(), data, pool, reps=1)
     np.testing.assert_array_equal(avg.param_gap, avg.repeats.param_gap[:, 0])
     np.testing.assert_array_equal(avg.param_gap_stderr, 0.0)
 
@@ -254,7 +253,7 @@ def test_deterministic_methods_give_zero_stderr_for_fixed_perturbation():
     pool = Dataset.from_symbols(-np.ones(1))
     spec = linear_worstcase_spec(L=1.0)
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=10, seed=5)
-    avg = repeat_and_average([cfg], spec, data, pool, reps=6, perturbation_seed=3)
+    avg = repeat_and_average([cfg], spec, data, pool, reps=6)
     np.testing.assert_allclose(avg.param_gap_stderr, 0.0, atol=1e-15)
     np.testing.assert_allclose(avg.sup_loss_gap_stderr, 0.0, atol=1e-15)
 
@@ -275,8 +274,7 @@ def test_repeat_records_and_worker_independence():
     data = logistic_fixture(n=15, seed=41)
     pool = logistic_fixture(n=6, seed=43)
     cfg = OptimizerConfig(method="sgd", schedule=fixed(0.1), T=15, seed=5)
-    seq = repeat_and_average([cfg], logistic_spec(), data, pool, reps=5,
-                             perturbation_seed=4)
+    seq = repeat_and_average([cfg], logistic_spec(), data, pool, reps=5)
     assert all(0 <= r["k"] < 15 for r in seq.perturbations)
     with pytest.raises(ValidationError):
         repeat_and_average([cfg], logistic_spec(), data, pool, reps=0)
@@ -285,14 +283,13 @@ def test_repeat_records_and_worker_independence():
 # ------------------------------------------- batched vs per-pair reference
 
 
-def _reference_trajectory(config, spec, data, theta0):
+def _reference_trajectory(config, member, spec, data, theta0):
     """One member stepped alone, method by method, through the public
     single-point gradients, with the index and noise streams drawn as the
-    optimizers draw them (SeedSequence(seed).spawn(2), Philox)."""
+    optimizers draw them (the config seed's streams at ``member``)."""
     T, d = config.T, theta0.shape[0]
-    idx_seq, noise_seq = np.random.SeedSequence(config.seed).spawn(2)
-    indices = np.random.Generator(np.random.Philox(idx_seq)).integers(0, data.n, size=T)
-    noise = np.random.Generator(np.random.Philox(noise_seq)).standard_normal((T, d))
+    indices = stream(config.seed, "sgd_index", member).integers(0, data.n, size=T)
+    noise = stream(config.seed, "sgld_noise", member).standard_normal((T, d))
     gammas = nag_momentum_sequence(max(T, 1))
     thetas = [theta0]
     for t in range(1, T + 1):
@@ -323,17 +320,15 @@ def _assert_bitwise_equal(a, b):
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _reference_repeats(config, spec, sample, pool, reps, perturbation_seed, theta0):
+def _reference_repeats(config, spec, sample, pool, reps, theta0):
     """Per-repeat (param_gap, sup_loss_gap), one pair at a time."""
     out = []
     for i in range(reps):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(perturbation_seed, spawn_key=(i,))))
+        rng = stream(config.seed, "perturbation", i)
         k = int(rng.integers(0, sample.n))
         pair = make_perturbed_pair(sample, k, pool.point(int(rng.integers(0, pool.n))))
-        cfg = dataclasses.replace(config, seed=config.seed ^ i)
-        th = _reference_trajectory(cfg, spec, pair.base, theta0)
-        th_p = _reference_trajectory(cfg, spec, pair.perturbed, theta0)
+        th = _reference_trajectory(config, i, spec, pair.base, theta0)
+        th_p = _reference_trajectory(config, i, spec, pair.perturbed, theta0)
         sup = np.abs(loss_values_matrix(spec, th, pool)
                      - loss_values_matrix(spec, th_p, pool)).max(axis=1)
         out.append((np.linalg.norm(th - th_p, axis=1), sup))
@@ -373,17 +368,15 @@ def _config(method, eta, kind, T, seed, beta):
        reps=st.integers(1, 6), T=st.integers(1, 60), n=st.integers(1, 12),
        eta=st.floats(0.01, 1.0), kind=st.sampled_from(("fixed", "power")),
        data_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 16),
-       perturbation_seed=st.integers(0, 2 ** 16), start=st.booleans())
+       start=st.booleans())
 def test_batched_repeats_match_per_pair_reference(method, family, reps, T, n, eta, kind,
-                                                  data_seed, seed, perturbation_seed,
-                                                  start):
+                                                  data_seed, seed, start):
     spec, sample, pool, theta0, dim, beta = _family_case(family, data_seed, n)
     theta0 = theta0 if start else np.zeros_like(theta0)
     cfg = _config(method, eta, kind, T, seed, beta)
     avg = repeat_and_average([cfg], spec, sample, pool, reps=reps,
-                             perturbation_seed=perturbation_seed,
                              theta0=theta0 if start else None, dim=dim)
-    expected = _reference_repeats(cfg, spec, sample, pool, reps, perturbation_seed, theta0)
+    expected = _reference_repeats(cfg, spec, sample, pool, reps, theta0)
     for i, (param_gap, sup_gap) in enumerate(expected):
         for got, want in ((avg.repeats.param_gap[0, i], param_gap),
                           (avg.repeats.sup_loss_gap[0, i], sup_gap)):
@@ -436,13 +429,13 @@ def test_method_batch_matches_one_config_batches(methods, etas, family, reps, T,
     pairs = [make_perturbed_pair(sample, int(rng.integers(0, n)),
                                  pool.point(int(rng.integers(0, pool.n))))
              for _ in range(reps)]
-    seeds = [seed ^ i for i in range(reps)]
+    members = [*range(reps), *range(reps)]
     samples = Dataset.stack([p.base for p in pairs] + [p.perturbed for p in pairs])
-    states = np.array(list(batch_iterates(configs, spec, samples, seeds + seeds,
+    states = np.array(list(batch_iterates(configs, spec, samples, seed, members,
                                           theta0=theta0, dim=dim)))
-    gaps = _coupled_gaps(configs, spec, pairs, seeds, pool, theta0, dim)
+    gaps = _coupled_gaps(configs, spec, pairs, seed, pool, theta0, dim)
     for j, cfg in enumerate(configs):
-        alone = np.array(list(batch_iterates([cfg], spec, samples, seeds + seeds,
+        alone = np.array(list(batch_iterates([cfg], spec, samples, seed, members,
                                              theta0=theta0, dim=dim)))[:, :, 0]
         norms = np.linalg.norm(alone, axis=-1)
         np.testing.assert_allclose(states[:, :, j], alone, rtol=0,
@@ -450,19 +443,20 @@ def test_method_batch_matches_one_config_batches(methods, etas, family, reps, T,
         # per pair and step: max(||theta_t||, ||theta'_t||)
         scale = np.maximum(norms[:, :reps], norms[:, reps:]).T
         for got, want in zip((g[j] for g in gaps),
-                             _coupled_gaps([cfg], spec, pairs, seeds, pool, theta0, dim)):
+                             _coupled_gaps([cfg], spec, pairs, seed, pool, theta0, dim)):
             assert np.all(np.abs(got - want[0]) <= 1e-12 * scale)
 
 
-def _stepwise_gaps(configs, spec, pairs, seeds, holdout, theta0, dim):
+def _stepwise_gaps(configs, spec, pairs, seed, holdout, theta0, dim):
     """_coupled_gaps one state at a time, as each state is yielded: the
     reference for its blocks of states."""
     P = len(pairs)
     B = P if configs[0].sampled else 1
     param_gap, sup_gap = np.empty((2, len(configs), P, configs[0].T + 1))
     samples = Dataset.stack([p.base for p in pairs[:B]] + [p.perturbed for p in pairs])
-    for t, state in enumerate(batch_iterates(configs, spec, samples, seeds[:B] + seeds,
-                                             theta0=theta0, dim=dim)):
+    for t, state in enumerate(batch_iterates(configs, spec, samples, seed,
+                                             [*range(B), *range(P)], theta0=theta0,
+                                             dim=dim)):
         base, perturbed = state[:B].swapaxes(0, 1), state[B:].swapaxes(0, 1)
         param_gap[..., t] = np.linalg.norm(base - perturbed, axis=-1)
         sup_gap[..., t] = estimate_sup_loss_gap(base, perturbed, spec, holdout)
@@ -479,15 +473,14 @@ def test_blocked_gaps_match_per_step_reference_bitwise(methods, family):
     spec, sample, pool, theta0, dim, beta = _family_case(family, 17, 12)
     configs = [_config(m, 0.5, "fixed", T, 3, beta) for m in methods]
     pairs = [make_perturbed_pair(sample, 2 * i, pool.point(i % pool.n)) for i in range(P)]
-    seeds = [3 ^ i for i in range(P)]
-    got = _coupled_gaps(configs, spec, pairs, seeds, pool, theta0, dim)
-    want = _stepwise_gaps(configs, spec, pairs, seeds, pool, theta0, dim)
+    got = _coupled_gaps(configs, spec, pairs, 3, pool, theta0, dim)
+    want = _stepwise_gaps(configs, spec, pairs, 3, pool, theta0, dim)
     for g, w in zip(got, want):
         assert g.shape == (len(methods), P, T + 1)
         assert np.any(w[..., -1] > 0)
         _assert_bitwise_equal(g, w)
     same = [make_perturbed_pair(sample, 2 * i, sample.point(2 * i)) for i in range(P)]
-    for g in _coupled_gaps(configs, spec, same, seeds, pool, theta0, dim):
+    for g in _coupled_gaps(configs, spec, same, 3, pool, theta0, dim):
         _assert_bitwise_equal(g, np.zeros_like(g))
 
 
