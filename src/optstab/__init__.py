@@ -29,7 +29,6 @@ from .optimizers import (
     OptimizerConfig,
     StepSchedule,
     fixed,
-    nag_momentum,
     power,
     run,
     step_size,

@@ -21,9 +21,10 @@ product; plus the constants.  A full logistic gradient streams each
 member's design in row blocks small enough to stay in L2 between the
 margins and the contraction, summing the blocks' partial gradients in block
 order; a design that fits in one block takes the whole-design operations.
-The public functions are thin wrappers around the table;
-``empirical_risk_grad`` and ``sample_grad`` take blocks too, and a single
-parameter vector is the block k = 1.
+The public functions are validated wrappers around the table; the
+gradient ones take stacks (..., d) of single vectors, each the block k = 1.
+The optimizer engine validates a batch once and then calls a family's
+gradient kernel itself on every step.
 
 All evaluation is pure and re-entrant; specs and datasets are immutable
 once constructed and safe to share across workers.
@@ -489,27 +490,22 @@ def empirical_risk_batch(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> n
                           axis=-1)
 
 
-def empirical_risk_grad(spec: LossSpec, theta, data: Dataset, block: bool = False) -> np.ndarray:
+def empirical_risk_grad(spec: LossSpec, theta, data: Dataset) -> np.ndarray:
     """Gradient of the empirical risk at theta.
 
     theta may be a stack (..., d) of parameter vectors and data a stack of
-    samples broadcast against it; the result has the broadcast shape.  With
-    ``block``, theta is a stack (..., k, d) of blocks of k vectors, block
-    (...) taken against sample (...), so a block's logistic margins are one
-    product; one vector is the block k = 1.
+    samples broadcast against it; the result has the broadcast shape.
     """
-    return sample_grad(spec, theta, data, None, block)
+    return sample_grad(spec, theta, data, None)
 
 
-def sample_grad(spec: LossSpec, theta, data: Dataset, i, block: bool = False) -> np.ndarray:
+def sample_grad(spec: LossSpec, theta, data: Dataset, i) -> np.ndarray:
     """Gradient of the i-th per-sample loss (of the empirical risk for i None).
 
     For a stack (..., d) of parameter vectors, i may be an index array: each
-    vector takes the gradient at row i[b] of its own sample.  With ``block``
-    (see :func:`empirical_risk_grad`), i holds one row per block.
+    vector takes the gradient at row i[b] of its own sample.
     """
-    theta = _as_params(theta)
-    thetas = np.atleast_2d(theta) if block else theta[..., None, :]
+    thetas = _as_params(theta)[..., None, :]
     _check_dataset(spec, thetas, data)
     if i is not None:
         i = np.broadcast_to(np.asarray(i, dtype=np.intp),
@@ -518,8 +514,7 @@ def sample_grad(spec: LossSpec, theta, data: Dataset, i, block: bool = False) ->
         if (i < 0).any() or (i >= data.n).any():
             raise ValidationError(f"index out of range for n={data.n}")
         i = _member_grid(data.stack_shape) + (i,)
-    grad = _KERNELS[spec.family].grad(spec, thetas, data, i)
-    return grad if block else grad[..., 0, :]
+    return _KERNELS[spec.family].grad(spec, thetas, data, i)[..., 0, :]
 
 
 def loss_constants(spec: LossSpec, data: Optional[Dataset] = None) -> LossConstants:

@@ -13,7 +13,9 @@ full empirical-risk gradient or a single sampled row's.  ``batch_iterates``
 runs B members of k configs of one gradient kind as one (B, k, d) state
 under (T, k) coefficient columns, each member on the shared sample or on its
 own sample of a stack; ``iterate_traces`` records a one-member batch's
-traces, and ``run`` is its one-config case.
+traces, and ``run`` is its one-config case.  A batch checks its sample,
+state dimension and step sizes once, before theta_0, and then takes each
+step's gradient straight from the family's kernel in ``losses``.
 
 Randomized methods draw their index and Gaussian noise streams from
 ``streams.stream(seed, "sgd_index", member)`` and ``(seed, "sgld_noise",
@@ -32,14 +34,15 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .losses import (
+    _KERNELS,
     Dataset,
     LossSpec,
     ValidationError,
+    _check_dataset,
+    _member_grid,
     as_param_vector,
     empirical_risk_batch,
-    empirical_risk_grad,
     loss_constants,
-    sample_grad,
 )
 from .streams import stream
 
@@ -97,11 +100,6 @@ def nag_momentum_sequence(t_max: int) -> np.ndarray:
     for i in range(1, t_max + 2):
         lam[i] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * lam[i - 1] ** 2))
     return (1.0 - lam[1:t_max + 1]) / lam[2:t_max + 2]
-
-
-def nag_momentum(t: int) -> float:
-    """gamma_t for a single index t >= 1."""
-    return float(nag_momentum_sequence(t)[-1])
 
 
 def sc_momentum(kappa: float) -> float:
@@ -217,23 +215,25 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
     indices share them, which couples them.  Members whose indices and
     samples agree follow exactly equal iterates.  theta0 defaults to the
     zero vector; for symbol datasets the dimension is taken from ``dim``
-    (default 1).  Raises FloatingPointError naming the method and step at
-    the first iterate that is not finite.
+    (default 1).  Data of the wrong kind or dimension raise ValidationError
+    before theta_0; the first iterate that is not finite raises
+    FloatingPointError naming its method and step.
     """
     B, k = len(members), len(configs)
     if k < 1 or len({(cfg.sampled, cfg.T) for cfg in configs}) != 1:
         raise ValidationError("a batch needs configs of one gradient kind and one T")
     if data.stack_shape not in ((), (B,)):
         raise ValidationError("need one sample, or one sample per member")
-    constants = loss_constants(spec, data)
-    for config in configs:
-        validate_config(config, constants)
     if theta0 is not None:
         theta = as_param_vector(theta0).copy()
     elif data.kind == "labeled":
         theta = np.zeros(data.dim)
     else:
         theta = np.zeros(dim if dim is not None else 1)
+    _check_dataset(spec, theta, data)
+    constants = loss_constants(spec, data)
+    for config in configs:
+        validate_config(config, constants)
     T, n, d = configs[0].T, data.n, theta.shape[0]
     etas = np.stack([_step_sizes(cfg.schedule, T) for cfg in configs], axis=1)
     a, b, c = (np.stack(column, axis=1)[..., None] for column in
@@ -250,12 +250,14 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
             for i, m in enumerate(members):
                 noise[:, i] = stream(seed, "sgld_noise", m).standard_normal((T, d))
 
+    # checked once above: rows are drawn in range and every iterate is checked
+    # below, so each step calls the family's gradient kernel directly
+    grad_of, grid = _KERNELS[spec.family].grad, _member_grid(data.stack_shape)
     prev = older = np.broadcast_to(theta, (B, k, d))
     yield prev
     for t in range(T):
         look = keep[t] * prev + a[t] * older
-        grad = (empirical_risk_grad(spec, look, data, block=True) if rows is None
-                else sample_grad(spec, look, data, rows[t], block=True))
+        grad = grad_of(spec, look, data, None if rows is None else grid + (rows[t],))
         theta = look - etas[t] * grad + b[t] * (prev - older)
         if noise is not None:
             theta += c[t] * noise[t, :, None]

@@ -236,11 +236,20 @@ def test_stacked_gradients_equal_single_vector_gradients_bitwise():
         Dataset.stack([labeled[0], symbols[0]])
 
 
+def _block_grad(spec, thetas, data, rows=None):
+    """The optimizer engine's gradient entry: the family's kernel on a stack
+    (..., k, d) of blocks, with one row per block picked by the member grid."""
+    from optstab import losses
+
+    index = None if rows is None else losses._member_grid(data.stack_shape) + (rows,)
+    return losses._KERNELS[spec.family].grad(spec, thetas, data, index)
+
+
 def test_block_gradients_equal_one_vector_blocks():
     # a (B, k, d) block stack against a stack of B samples, with one row per
-    # block for sample_grad: column j agrees with each vector alone to
-    # rounding (the k margins of a block share one product), the block k = 1
-    # is the per-vector call bit for bit, and rows out of range still raise
+    # block for sampled gradients: column j agrees with each vector alone to
+    # rounding (the k margins of a block share one product), and the block
+    # k = 1 is the public per-vector call bit for bit
     from optstab.losses import quadratic_spec
 
     rng = np.random.Generator(np.random.Philox(14))
@@ -258,18 +267,14 @@ def test_block_gradients_equal_one_vector_blocks():
                        (lecam_convex_spec(beta=1.5, r=0.8), symbols),
                        (lecam_strongly_convex_spec(beta=1.5, r=0.8), symbols)):
         for i in (None, rows):
-            block = sample_grad(spec, thetas, data, i, block=True)
+            block = _block_grad(spec, thetas, data, i)
             assert block.shape == thetas.shape
             for j in range(3):
                 alone = sample_grad(spec, thetas[:, j], data, i)
                 np.testing.assert_allclose(block[:, j], alone, rtol=1e-13, atol=1e-15,
                                            err_msg=spec.family)
                 np.testing.assert_array_equal(
-                    sample_grad(spec, thetas[:, j:j + 1], data, i, block=True)[:, 0], alone)
-        np.testing.assert_array_equal(empirical_risk_grad(spec, thetas, data, block=True),
-                                      sample_grad(spec, thetas, data, None, block=True))
-        with pytest.raises(ValidationError):
-            sample_grad(spec, thetas, data, rows + 1, block=True)
+                    _block_grad(spec, thetas[:, j:j + 1], data, i)[:, 0], alone)
 
 
 def _whole_design_grad(thetas, X, y):
@@ -298,7 +303,7 @@ def test_row_blocked_gradient_matches_one_block_contraction(monkeypatch, k):
     for data, whole in ((Dataset.from_labeled(X[0], y[0]), _whole_design_grad(thetas, X[0], y[0])),
                         (stacked, _whole_design_grad(thetas, X, y))):
         calls.clear()
-        blocked = empirical_risk_grad(logistic_spec(), thetas, data, block=True)
+        blocked = _block_grad(logistic_spec(), thetas, data)
         assert calls == [(3, k, 5)] * 4 + [(3, k, 3)]
         np.testing.assert_allclose(blocked, whole, rtol=0,
                                    atol=1e-13 * np.abs(whole).max())
@@ -313,7 +318,7 @@ def test_one_block_gradient_is_the_whole_design_contraction_bitwise():
     data = Dataset.from_labeled(X, y)
     for thetas in (rng.standard_normal((1, 1, 10)), rng.standard_normal((2, 3, 10))):
         np.testing.assert_array_equal(
-            empirical_risk_grad(logistic_spec(), thetas, data, block=True),
+            _block_grad(logistic_spec(), thetas, data),
             _whole_design_grad(thetas, X, y))
 
 

@@ -1,27 +1,36 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from optstab import losses
 from optstab.losses import (
     Dataset,
     ValidationError,
+    empirical_risk_grad,
+    lecam_convex_spec,
+    lecam_strongly_convex_spec,
     linear_worstcase_spec,
     logistic_spec,
+    loss_constants,
     normalize_rows,
     quadratic_spec,
+    sample_grad,
 )
 from optstab.optimizers import (
     OptimizerConfig,
     batch_iterates,
     fixed,
-    nag_momentum,
     nag_momentum_sequence,
     power,
     run,
     sc_momentum,
     step_size,
 )
+from optstab.streams import stream
 
 DUMMY = Dataset.from_symbols(np.array([1.0]))
 
@@ -55,15 +64,15 @@ def test_schedule_validation():
 
 
 def test_nag_momentum_first_step_vanishes():
-    assert nag_momentum(1) == 0.0
+    assert nag_momentum_sequence(1)[-1] == 0.0
 
 
 def test_nag_momentum_second_value():
     # lambda_2 = (1 + sqrt 5)/2, lambda_3 = (1 + sqrt(1 + 4 lambda_2^2))/2
     lam2 = (1 + math.sqrt(5)) / 2
     lam3 = (1 + math.sqrt(1 + 4 * lam2 * lam2)) / 2
-    assert nag_momentum(2) == pytest.approx((1 - lam2) / lam3, abs=1e-12)
-    assert nag_momentum(2) == pytest.approx(-0.28175, abs=1e-5)
+    assert nag_momentum_sequence(2)[-1] == pytest.approx((1 - lam2) / lam3, abs=1e-12)
+    assert nag_momentum_sequence(2)[-1] == pytest.approx(-0.28175, abs=1e-5)
 
 
 def test_nag_momentum_range_up_to_1e4():
@@ -73,7 +82,7 @@ def test_nag_momentum_range_up_to_1e4():
 
 def test_nag_momentum_rejects_zero():
     with pytest.raises(ValidationError):
-        nag_momentum(0)
+        nag_momentum_sequence(0)
 
 
 def test_sc_momentum_exact():
@@ -280,6 +289,15 @@ def test_non_finite_iterate_names_method_and_step():
             run(cfg, spec, Dataset.from_symbols(np.ones(4)))
 
 
+def test_diverging_lookahead_names_method_and_step():
+    # theta_2 = -1.6e308 is finite; the lookahead of step 3,
+    # (1 - gamma_2) theta_2 + gamma_2 theta_1, overflows before the gradient
+    cfg = OptimizerConfig("nag", fixed(8e307), T=5)
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match="nag: iterate 3 is not finite"):
+            run(cfg, linear_worstcase_spec(1.0), Dataset.from_symbols(np.ones(4)))
+
+
 def test_non_finite_iterate_names_the_diverging_column_of_a_batch():
     # gd at eta = 0.1 stays finite next to heavy ball at eta = 1e308
     spec = linear_worstcase_spec(L=1.0)
@@ -302,3 +320,127 @@ def test_batch_rejects_mixed_gradient_kinds_and_horizons(other):
         next(batch_iterates([gd, other], quad1d(1.0), DUMMY, 0, [0]))
     with pytest.raises(ValidationError):
         next(batch_iterates([], quad1d(1.0), DUMMY, 0, [0]))
+
+
+def test_mismatched_inputs_fail_before_the_first_state():
+    # the batch checks its data and state dimension once, before theta_0
+    gd = OptimizerConfig(method="gd", schedule=fixed(0.1), T=5)
+    labeled = Dataset.from_labeled(normalize_rows(np.eye(2)), [0, 1])
+    for spec, data, theta0 in ((linear_worstcase_spec(L=1.0), labeled, None),
+                               (logistic_spec(), DUMMY, None),
+                               (quadratic_spec(np.eye(2)), DUMMY, None),
+                               (quadratic_spec(np.eye(2)), labeled, [0.0, 0.0, 0.0])):
+        with pytest.raises(ValidationError):
+            next(batch_iterates([gd], spec, data, 0, [0], theta0=theta0))
+
+
+def test_drawn_rows_lie_in_range(monkeypatch):
+    # every row the engine hands the kernel lies in [0, n), and member b of a
+    # stack reads its own sample through the member grid
+    family = losses._KERNELS["logistic"]
+    seen = []
+    monkeypatch.setitem(losses._KERNELS, "logistic", dataclasses.replace(
+        family, grad=lambda spec, thetas, data, rows:
+        seen.append(rows) or family.grad(spec, thetas, data, rows)))
+    rng = np.random.Generator(np.random.Philox(41))
+    configs = [OptimizerConfig(method="sgd", schedule=fixed(0.5), T=200),
+               OptimizerConfig(method="sgld", schedule=fixed(0.5), T=200, tau=4.0)]
+    for n in (1, 7):
+        samples = [Dataset.from_labeled(normalize_rows(rng.standard_normal((n, 2))),
+                                        rng.integers(0, 2, size=n)) for _ in range(3)]
+        for data in (samples[0], Dataset.stack(samples)):
+            seen.clear()
+            for _ in batch_iterates(configs, logistic_spec(), data, 5, [0, 1, 4]):
+                pass
+            assert len(seen) == 200
+            for index in seen:
+                assert len(index) == 1 + len(data.stack_shape)
+                if data.stack_shape:
+                    np.testing.assert_array_equal(index[0], [0, 1, 2])
+                assert index[-1].shape == (3,)
+            drawn = np.concatenate([index[-1] for index in seen])
+            assert set(drawn.tolist()) == set(range(n))
+
+
+FULL_METHODS, SAMPLED_METHODS = ("gd", "nag", "nag_sc", "hb"), ("sgd", "sgld")
+
+
+def _reference_states(cfg, spec, data, seed, members, theta0):
+    """theta_0..theta_T (T+1, B, d) of one config, each step through the public
+    per-vector gradients on the (B, d) stack of member vectors."""
+    T, B = cfg.T, len(members)
+    nag = nag_momentum_sequence(T - 1) if T > 1 else []
+    rows = [stream(seed, "sgd_index", m).integers(0, data.n, size=T) for m in members]
+    noise = [stream(seed, "sgld_noise", m).standard_normal((T, len(theta0)))
+             for m in members]
+    prev = older = np.tile(theta0, (B, 1))
+    states = [prev]
+    for t in range(T):
+        eta = step_size(cfg.schedule, t + 1)
+        a = 0.0
+        if t and cfg.method == "nag":
+            a = nag[t - 1]
+        elif t and cfg.method == "nag_sc":
+            a = -sc_momentum(cfg.kappa)
+        b = cfg.gamma if cfg.method == "hb" else 0.0
+        look = (1.0 - a) * prev + a * older
+        grad = (sample_grad(spec, look, data, [r[t] for r in rows]) if cfg.sampled
+                else empirical_risk_grad(spec, look, data))
+        theta = look - eta * grad + b * (prev - older)
+        if cfg.method == "sgld":
+            c = cfg.noise_scale * math.sqrt(2.0 * eta / cfg.tau)
+            theta += c * np.stack([z[t] for z in noise])
+        older, prev = prev, theta
+        states.append(theta)
+    return np.stack(states)
+
+
+def _family_case(family, rng, n, d, B, stacked):
+    """A spec of the family and its data: one sample, or B stacked samples."""
+    if family == "logistic":
+        samples = [Dataset.from_labeled(normalize_rows(rng.standard_normal((n, d))),
+                                        rng.integers(0, 2, size=n)) for _ in range(B)]
+    else:
+        samples = [Dataset.from_symbols(rng.choice([-1.0, 1.0], size=n)) for _ in range(B)]
+    M = rng.standard_normal((d, d))
+    spec = {"logistic": logistic_spec(),
+            "quadratic": quadratic_spec(M @ M.T / d, rng.standard_normal(d)),
+            "linear_worstcase": linear_worstcase_spec(L=1.5),
+            "lecam_convex": lecam_convex_spec(beta=2.0, r=0.7),
+            "lecam_strongly_convex": lecam_strongly_convex_spec(beta=2.0, r=0.7)}[family]
+    return spec, Dataset.stack(samples) if stacked else samples[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(losses._KERNELS)), sampled=st.booleans(),
+       stacked=st.booleans(), n=st.integers(1, 6), d=st.integers(1, 4),
+       members=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       T=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
+       picks=st.lists(st.tuples(st.integers(0, 3), st.floats(0.05, 0.95),
+                                st.floats(0.0, 0.9), st.booleans()),
+                      min_size=3, max_size=3))
+def test_batch_states_match_a_per_vector_reference(family, sampled, stacked, n, d,
+                                                   members, T, seed, picks):
+    # one config: bitwise the public per-vector recursion; k = 3 columns of
+    # one kind: each column within 1e-13 relative of its config alone
+    rng = np.random.Generator(np.random.Philox(seed))
+    spec, data = _family_case(family, rng, n, d, len(members), stacked)
+    beta = loss_constants(spec, data).beta
+    configs = []
+    for which, frac, gamma, decays in picks:
+        method = (SAMPLED_METHODS if sampled else FULL_METHODS)[which % (2 if sampled else 4)]
+        scale = frac * (1.0 - gamma if method == "hb" else 1.0) / (beta if beta > 0 else 1.0)
+        configs.append(OptimizerConfig(
+            method=method, schedule=power(scale, 0.5) if decays else fixed(scale), T=T,
+            gamma=gamma if method == "hb" else 0.0, kappa=1.0 + 50.0 * frac,
+            tau=0.5 + 4.0 * gamma))
+    theta0 = rng.standard_normal(d)
+    refs = [_reference_states(cfg, spec, data, seed, members, theta0) for cfg in configs]
+    one = np.stack(list(batch_iterates(configs[:1], spec, data, seed, members,
+                                       theta0=theta0, dim=d)))
+    np.testing.assert_array_equal(one[:, :, 0], refs[0])
+    batch = np.stack(list(batch_iterates(configs, spec, data, seed, members,
+                                         theta0=theta0, dim=d)))
+    for j, ref in enumerate(refs):
+        np.testing.assert_allclose(batch[:, :, j], ref, rtol=1e-13,
+                                   atol=1e-13 * np.abs(ref).max(), err_msg=configs[j].method)
