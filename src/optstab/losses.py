@@ -22,9 +22,8 @@ member's design in row blocks small enough to stay in L2 between the
 margins and the contraction, summing the blocks' partial gradients in block
 order; a design that fits in one block takes the whole-design operations.
 The public functions are validated wrappers around the table; the
-gradient ones take stacks (..., d) of single vectors, each the block k = 1.
-The optimizer engine validates a batch once and then calls a family's
-gradient kernel itself on every step.
+gradient ones pass each vector of a stack (..., d) as a block k = 1 to
+``_block_grad``, the unchecked entry the optimizer engine calls each step.
 
 All evaluation is pure and re-entrant; specs and datasets are immutable
 once constructed and safe to share across workers.
@@ -513,8 +512,16 @@ def sample_grad(spec: LossSpec, theta, data: Dataset, i) -> np.ndarray:
                                                 data.stack_shape))
         if (i < 0).any() or (i >= data.n).any():
             raise ValidationError(f"index out of range for n={data.n}")
-        i = _member_grid(data.stack_shape) + (i,)
-    return _KERNELS[spec.family].grad(spec, thetas, data, i)[..., 0, :]
+    return _block_grad(spec, thetas, data, i)[..., 0, :]
+
+
+def _block_grad(spec: LossSpec, thetas: np.ndarray, data: Dataset, rows) -> np.ndarray:
+    """Unchecked gradient at blocks (..., k, d) of k vectors against samples
+    (...): of the empirical risk for rows None, else of row rows[...] of each
+    block's sample (callers check data, dimension, finiteness and rows)."""
+    if rows is not None:
+        rows = _member_grid(data.stack_shape) + (rows,)
+    return _KERNELS[spec.family].grad(spec, thetas, data, rows)
 
 
 def loss_constants(spec: LossSpec, data: Optional[Dataset] = None) -> LossConstants:

@@ -13,9 +13,8 @@ full empirical-risk gradient or a single sampled row's.  ``batch_iterates``
 runs B members of k configs of one gradient kind as one (B, k, d) state
 under (T, k) coefficient columns, each member on the shared sample or on its
 own sample of a stack; ``iterate_traces`` records a one-member batch's
-traces, and ``run`` is its one-config case.  A batch checks its sample,
-state dimension and step sizes once, before theta_0, and then takes each
-step's gradient straight from the family's kernel in ``losses``.
+traces, and ``run`` is its one-config case.  A batch checks its inputs
+once, before theta_0, then calls the unchecked ``losses._block_grad``.
 
 Randomized methods draw their index and Gaussian noise streams from
 ``streams.stream(seed, "sgd_index", member)`` and ``(seed, "sgld_noise",
@@ -34,12 +33,11 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .losses import (
-    _KERNELS,
     Dataset,
     LossSpec,
     ValidationError,
+    _block_grad,
     _check_dataset,
-    _member_grid,
     as_param_vector,
     empirical_risk_batch,
     loss_constants,
@@ -250,14 +248,12 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
             for i, m in enumerate(members):
                 noise[:, i] = stream(seed, "sgld_noise", m).standard_normal((T, d))
 
-    # checked once above: rows are drawn in range and every iterate is checked
-    # below, so each step calls the family's gradient kernel directly
-    grad_of, grid = _KERNELS[spec.family].grad, _member_grid(data.stack_shape)
+    # inputs checked above, rows drawn in [0, n), iterates checked below: no per-step checks
     prev = older = np.broadcast_to(theta, (B, k, d))
     yield prev
     for t in range(T):
         look = keep[t] * prev + a[t] * older
-        grad = grad_of(spec, look, data, None if rows is None else grid + (rows[t],))
+        grad = _block_grad(spec, look, data, None if rows is None else rows[t])
         theta = look - etas[t] * grad + b[t] * (prev - older)
         if noise is not None:
             theta += c[t] * noise[t, :, None]

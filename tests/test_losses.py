@@ -26,6 +26,7 @@ from optstab.losses import (
     loss_value,
     loss_values_matrix,
     normalize_rows,
+    _block_grad,
     _sigmoid,
     sample_grad,
 )
@@ -236,15 +237,6 @@ def test_stacked_gradients_equal_single_vector_gradients_bitwise():
         Dataset.stack([labeled[0], symbols[0]])
 
 
-def _block_grad(spec, thetas, data, rows=None):
-    """The optimizer engine's gradient entry: the family's kernel on a stack
-    (..., k, d) of blocks, with one row per block picked by the member grid."""
-    from optstab import losses
-
-    index = None if rows is None else losses._member_grid(data.stack_shape) + (rows,)
-    return losses._KERNELS[spec.family].grad(spec, thetas, data, index)
-
-
 def test_block_gradients_equal_one_vector_blocks():
     # a (B, k, d) block stack against a stack of B samples, with one row per
     # block for sampled gradients: column j agrees with each vector alone to
@@ -303,7 +295,7 @@ def test_row_blocked_gradient_matches_one_block_contraction(monkeypatch, k):
     for data, whole in ((Dataset.from_labeled(X[0], y[0]), _whole_design_grad(thetas, X[0], y[0])),
                         (stacked, _whole_design_grad(thetas, X, y))):
         calls.clear()
-        blocked = _block_grad(logistic_spec(), thetas, data)
+        blocked = _block_grad(logistic_spec(), thetas, data, None)
         assert calls == [(3, k, 5)] * 4 + [(3, k, 3)]
         np.testing.assert_allclose(blocked, whole, rtol=0,
                                    atol=1e-13 * np.abs(whole).max())
@@ -318,7 +310,7 @@ def test_one_block_gradient_is_the_whole_design_contraction_bitwise():
     data = Dataset.from_labeled(X, y)
     for thetas in (rng.standard_normal((1, 1, 10)), rng.standard_normal((2, 3, 10))):
         np.testing.assert_array_equal(
-            _block_grad(logistic_spec(), thetas, data),
+            _block_grad(logistic_spec(), thetas, data, None),
             _whole_design_grad(thetas, X, y))
 
 
