@@ -253,7 +253,8 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
     yield prev
     for t in range(T):
         look = keep[t] * prev + a[t] * older
-        grad = _block_grad(spec, look, data, None if rows is None else rows[t])
+        # odd steps walk a blocked design backward, from the rows still in cache
+        grad = _block_grad(spec, look, data, None if rows is None else rows[t], t % 2 == 1)
         theta = look - etas[t] * grad + b[t] * (prev - older)
         if noise is not None:
             theta += c[t] * noise[t, :, None]

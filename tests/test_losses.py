@@ -273,14 +273,16 @@ def _whole_design_grad(thetas, X, y):
     """The logistic mean gradient with the whole design as one block."""
     R = _sigmoid(thetas @ X.swapaxes(-1, -2))
     R -= y[..., None, :]
-    return (R[..., None, :] @ X[..., None, :, :])[..., 0, :] / X.shape[-2]
+    return R @ X / X.shape[-2]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_row_blocked_gradient_matches_one_block_contraction(monkeypatch, k):
     # blocks of 5 rows over n = 23 (four full blocks, then a partial one), on
     # a shared sample and on a stack: the partial gradients summed in block
-    # order agree with the whole design's contraction to 1e-13 relative
+    # order agree with the whole design's contraction to 1e-13 relative, and
+    # the backward walk visits the blocks last to first yet is bitwise the
+    # forward walk
     from optstab import losses
 
     rng = np.random.Generator(np.random.Philox(30 + k))
@@ -299,6 +301,10 @@ def test_row_blocked_gradient_matches_one_block_contraction(monkeypatch, k):
         assert calls == [(3, k, 5)] * 4 + [(3, k, 3)]
         np.testing.assert_allclose(blocked, whole, rtol=0,
                                    atol=1e-13 * np.abs(whole).max())
+        calls.clear()
+        np.testing.assert_array_equal(_block_grad(logistic_spec(), thetas, data, None, True),
+                                      blocked)
+        assert calls == [(3, k, 3)] + [(3, k, 5)] * 4
 
 
 def test_one_block_gradient_is_the_whole_design_contraction_bitwise():

@@ -340,8 +340,8 @@ def test_drawn_rows_lie_in_range(monkeypatch):
     family = losses._KERNELS["logistic"]
     seen = []
     monkeypatch.setitem(losses._KERNELS, "logistic", dataclasses.replace(
-        family, grad=lambda spec, thetas, data, rows:
-        seen.append(rows) or family.grad(spec, thetas, data, rows)))
+        family, grad=lambda spec, thetas, data, rows, reverse:
+        seen.append(rows) or family.grad(spec, thetas, data, rows, reverse)))
     rng = np.random.Generator(np.random.Philox(41))
     configs = [OptimizerConfig(method="sgd", schedule=fixed(0.5), T=200),
                OptimizerConfig(method="sgld", schedule=fixed(0.5), T=200, tau=4.0)]
@@ -360,6 +360,36 @@ def test_drawn_rows_lie_in_range(monkeypatch):
                 assert index[-1].shape == (3,)
             drawn = np.concatenate([index[-1] for index in seen])
             assert set(drawn.tolist()) == set(range(n))
+
+
+def test_alternating_block_walk_matches_a_forward_only_loop(monkeypatch):
+    # blocks of 3 rows over n = 23: the engine walks them forward on even steps
+    # and backward on odd ones, and its iterates are bitwise those of a loop
+    # that always walks forward, on a shared sample and on a stack
+    from optstab import optimizers
+
+    monkeypatch.setattr(losses, "_GRAD_BLOCK_BYTES", 3 * 4 * 8)
+    rng = np.random.Generator(np.random.Philox(42))
+    samples = [Dataset.from_labeled(normalize_rows(rng.standard_normal((23, 4))),
+                                    rng.integers(0, 2, size=23)) for _ in range(3)]
+    configs = [OptimizerConfig(method=m, schedule=fixed(1.5), T=30, gamma=0.5)
+               for m in ("gd", "nag", "hb")]
+    theta0 = rng.standard_normal(4)
+    block_grad, walks = optimizers._block_grad, []
+
+    def states(data, forward_only):
+        def spy(spec, thetas, data, rows, reverse):
+            walks.append(reverse)
+            return block_grad(spec, thetas, data, rows, reverse and not forward_only)
+        monkeypatch.setattr(optimizers, "_block_grad", spy)
+        walks.clear()
+        return np.stack(list(batch_iterates(configs, logistic_spec(), data, 3, [0, 1, 2],
+                                            theta0=theta0)))
+
+    for data in (samples[0], Dataset.stack(samples)):
+        serpentine = states(data, False)
+        assert walks == [t % 2 == 1 for t in range(30)]
+        np.testing.assert_array_equal(serpentine, states(data, True))
 
 
 FULL_METHODS, SAMPLED_METHODS = ("gd", "nag", "nag_sc", "hb"), ("sgd", "sgld")
