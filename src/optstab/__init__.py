@@ -7,7 +7,6 @@ reproduces the scaling experiments through a config-driven CLI.
 """
 
 from .losses import (
-    DataPoint,
     Dataset,
     LossConstants,
     LossSpec,
@@ -19,8 +18,6 @@ from .losses import (
     linear_worstcase_spec,
     logistic_spec,
     loss_constants,
-    loss_grad,
-    loss_value,
     normalize_rows,
     quadratic_spec,
 )

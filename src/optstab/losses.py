@@ -13,6 +13,10 @@ strong convexity alpha, domain diameter R).  Five families are supported:
                                s*r: (beta/2)u^2 for |u| <= r/2, (beta*r/4)|u| beyond
 * ``lecam_strongly_convex`` -- pure quadratic (beta/2)(theta[0] - s*r)^2
 
+``Dataset`` is the only sample type: a point is the one-row sample
+``data.point(i)``, so l(theta; z_i) is ``empirical_risk(spec, theta,
+data.point(i))`` and its gradient ``sample_grad(spec, theta, data, i)``.
+
 Each family's math lives in one entry of a private kernel table: a value
 kernel and a mean-gradient kernel (over all rows or one row per sample),
 both on blocks (..., k, d) of parameter vectors against sample (...) of a
@@ -65,35 +69,12 @@ def as_param_vector(theta) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DataPoint:
-    """One sample: either a labeled pair (x, y in {0,1}) or a symbol in {-1,+1}."""
-
-    kind: str  # "labeled" | "symbol"
-    x: Optional[np.ndarray] = None
-    y: Optional[int] = None
-    s: Optional[int] = None
-
-    @staticmethod
-    def labeled(x, y: int) -> "DataPoint":
-        x = np.asarray(x, dtype=float)
-        if int(y) not in (0, 1):
-            raise ValidationError(f"label must be 0 or 1, got {y}")
-        return DataPoint(kind="labeled", x=x, y=int(y))
-
-    @staticmethod
-    def symbol(s: int) -> "DataPoint":
-        if int(s) not in (-1, 1):
-            raise ValidationError(f"symbol must be -1 or +1, got {s}")
-        return DataPoint(kind="symbol", s=int(s))
-
-
-@dataclass(frozen=True)
 class Dataset:
     """A sample of n points, homogeneous in variant, backed by dense arrays.
 
     A stack of equal-size samples (``Dataset.stack``) carries its stack axes
     in front: X (..., n, d), y and s (..., n).  Only the gradient functions
-    and ``loss_constants`` read stacks.
+    and ``loss_constants`` read stacks; ``point`` and ``replace`` reject them.
     """
 
     kind: str  # "labeled" | "symbol"
@@ -154,29 +135,29 @@ class Dataset:
         """Leading shape of a stack of samples; () for a single sample."""
         return self.X.shape[:-2] if self.kind == "labeled" else self.s.shape[:-1]
 
-    def point(self, i: int) -> DataPoint:
+    def _check_index(self, i: int) -> None:
+        if self.stack_shape:
+            raise ValidationError("point and replace need a single sample, not a stack")
         if not 0 <= i < self.n:
             raise ValidationError(f"index {i} out of range for n={self.n}")
-        if self.kind == "labeled":
-            return DataPoint.labeled(self.X[i], int(self.y[i]))
-        return DataPoint.symbol(int(self.s[i]))
 
-    def replace(self, k: int, z: DataPoint) -> "Dataset":
-        """Copy with position k (0-based) substituted by z."""
-        if not 0 <= k < self.n:
-            raise ValidationError(f"index {k} out of range for n={self.n}")
-        if z.kind != self.kind:
-            raise ValidationError(f"variant mismatch: {z.kind} point into {self.kind} set")
+    def point(self, i: int) -> "Dataset":
+        """The one-point sample {z_i}."""
+        self._check_index(i)
+        return self.take([i])
+
+    def replace(self, k: int, z: "Dataset") -> "Dataset":
+        """Copy with position k (0-based) substituted by the one-point sample z."""
+        self._check_index(k)
+        if z.kind != self.kind or z.n != 1 or z.stack_shape or z.dim != self.dim:
+            raise ValidationError(f"replacement must be one {self.kind} point of this "
+                                  "sample's dimension")
         if self.kind == "labeled":
-            if z.x.shape != (self.X.shape[1],):
-                raise ValidationError("replacement point has wrong dimension")
-            X = self.X.copy()
-            y = self.y.copy()
-            X[k] = z.x
-            y[k] = z.y
+            X, y = self.X.copy(), self.y.copy()
+            X[k], y[k] = z.X[0], z.y[0]
             return Dataset(kind="labeled", X=X, y=y)
         s = self.s.copy()
-        s[k] = z.s
+        s[k] = z.s[0]
         return Dataset(kind="symbol", s=s)
 
     def take(self, idx) -> "Dataset":
@@ -444,23 +425,6 @@ _KERNELS = {
                             spec.beta)),
 }
 FAMILIES = tuple(_KERNELS)
-
-
-def _single(z: DataPoint) -> Dataset:
-    """The one-point sample {z}."""
-    if z.kind == "labeled":
-        return Dataset.from_labeled(z.x[None, :], [z.y])
-    return Dataset.from_symbols([z.s])
-
-
-def loss_value(spec: LossSpec, theta, z: DataPoint) -> float:
-    """Per-sample loss l(theta; z)."""
-    return empirical_risk(spec, theta, _single(z))
-
-
-def loss_grad(spec: LossSpec, theta, z: DataPoint) -> np.ndarray:
-    """Gradient of the per-sample loss with respect to theta."""
-    return empirical_risk_grad(spec, theta, _single(z))
 
 
 def loss_values_matrix(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:

@@ -117,7 +117,6 @@ class OptimizerConfig:
     gamma: float = 0.0              # heavy ball momentum
     kappa: Optional[float] = None   # nag_sc condition number
     tau: Optional[float] = None     # sgld temperature
-    noise_scale: float = 1.0        # sgld noise multiplier (diagnostic hook)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -196,7 +195,7 @@ def _coefficients(config: OptimizerConfig, etas: np.ndarray):
     elif method == "hb":
         b[:] = config.gamma
     elif method == "sgld":
-        c = config.noise_scale * np.sqrt(2.0 * etas / config.tau)
+        c = np.sqrt(2.0 * etas / config.tau)
     return a, b, c
 
 

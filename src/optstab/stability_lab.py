@@ -1,6 +1,7 @@
 """Empirical stability measurement on coupled perturbed pairs.
 
-A perturbed pair is two samples differing in exactly one point.  Both runs
+A perturbed pair is a base sample S and its perturbed copy
+S' = ``S.replace(k, z)``, which differ in exactly one point.  Both runs
 start from the same theta0 and, for randomized methods, share the index and
 noise streams (one member index under the configs' seed), so the measured
 gaps isolate the data perturbation.  Two series are recorded per pair:
@@ -40,7 +41,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .losses import (
-    DataPoint,
     Dataset,
     LossSpec,
     ValidationError,
@@ -53,22 +53,6 @@ from .streams import stream
 
 # States per block of _coupled_gaps: one norm and one holdout evaluation per block
 _GAP_STEPS = 16
-
-
-@dataclass(frozen=True)
-class PerturbedPair:
-    """Samples S and S' agreeing everywhere except position k (0-based)."""
-
-    base: Dataset
-    perturbed: Dataset
-    k: int
-    z_new: DataPoint
-
-
-def make_perturbed_pair(data: Dataset, k: int, z_new: DataPoint) -> PerturbedPair:
-    """Replace position k of the sample by z_new."""
-    return PerturbedPair(base=data, perturbed=data.replace(k, z_new), k=k,
-                         z_new=z_new)
 
 
 @dataclass(frozen=True)
@@ -108,19 +92,19 @@ def estimate_sup_loss_gap(theta, theta_p, spec: LossSpec, holdout: Dataset):
     return gaps if batched else float(gaps[0])
 
 
-def _coupled_gaps(configs: Sequence[OptimizerConfig], spec: LossSpec,
-                  pairs: List[PerturbedPair], seed: int, holdout: Dataset, theta0,
+def _coupled_gaps(configs: Sequence[OptimizerConfig], spec: LossSpec, base: Dataset,
+                  perturbed: Sequence[Dataset], seed: int, holdout: Dataset, theta0,
                   dim: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """(param_gap, sup_loss_gap), each (k, P, T+1), of P coupled pairs of each
-    of k configs run as one batch under ``seed``: the base runs, then the P
-    perturbed runs.  Both runs of pair i are member i.  Deterministic
-    methods' base runs coincide whatever their streams, so one base run
-    stands for all of them.
+    """(param_gap, sup_loss_gap), each (k, P, T+1), of the P coupled pairs
+    (base, perturbed[i]) of each of k configs run as one batch under
+    ``seed``: the base runs, then the P perturbed runs.  Both runs of pair i
+    are member i.  Deterministic methods' base runs coincide whatever their
+    streams, so one base run stands for all of them.
     """
-    P = len(pairs)
+    P = len(perturbed)
     B = P if configs[0].sampled else 1
     param_gap, sup_gap = np.empty((2, len(configs), P, configs[0].T + 1))
-    samples = Dataset.stack([p.base for p in pairs[:B]] + [p.perturbed for p in pairs])
+    samples = Dataset.stack([base] * B + list(perturbed))
     states = batch_iterates(configs, spec, samples, seed, [*range(B), *range(P)],
                             theta0=theta0, dim=dim)
     t = 0
@@ -128,19 +112,20 @@ def _coupled_gaps(configs: Sequence[OptimizerConfig], spec: LossSpec,
         # (steps, k, members, d), method-major, so each method's members of a
         # step share products shaped as when taken step by step
         block = np.stack(block).swapaxes(1, 2)
-        base, perturbed = block[:, :, :B], block[:, :, B:]
+        theta, theta_p = block[:, :, :B], block[:, :, B:]
         steps = slice(t, t + len(block))
-        param_gap[..., steps] = np.moveaxis(np.linalg.norm(base - perturbed, axis=-1), 0, -1)
+        param_gap[..., steps] = np.moveaxis(np.linalg.norm(theta - theta_p, axis=-1), 0, -1)
         sup_gap[..., steps] = np.moveaxis(
-            estimate_sup_loss_gap(base, perturbed, spec, holdout), 0, -1)
+            estimate_sup_loss_gap(theta, theta_p, spec, holdout), 0, -1)
         t += len(block)
     return param_gap, sup_gap
 
 
-def run_pair(config: OptimizerConfig, spec: LossSpec, pair: PerturbedPair,
+def run_pair(config: OptimizerConfig, spec: LossSpec, base: Dataset, perturbed: Dataset,
              holdout: Dataset, theta0=None, dim: Optional[int] = None) -> StabilityTrace:
-    """Run the method on both samples of a pair under identical random streams."""
-    pg, sg = _coupled_gaps([config], spec, [pair], config.seed, holdout, theta0, dim)
+    """Run the method on a sample and its perturbed copy under identical streams."""
+    pg, sg = _coupled_gaps([config], spec, base, [perturbed], config.seed, holdout,
+                           theta0, dim)
     return StabilityTrace(param_gap=pg[0, 0], sup_loss_gap=sg[0, 0])
 
 
@@ -170,10 +155,11 @@ def _mean_stderr(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return mean, rows.std(axis=1, ddof=1) / math.sqrt(rows.shape[1])
 
 
-def _describe_point(z: DataPoint) -> dict:
+def _describe_point(z: Dataset) -> dict:
+    """JSON record of a one-point sample."""
     if z.kind == "symbol":
-        return {"kind": "symbol", "s": z.s}
-    return {"kind": "labeled", "x": [float(v) for v in z.x], "y": z.y}
+        return {"kind": "symbol", "s": int(z.s[0])}
+    return {"kind": "labeled", "x": [float(v) for v in z.X[0]], "y": int(z.y[0])}
 
 
 def _shared_seed(configs: Sequence[OptimizerConfig]) -> int:
@@ -197,14 +183,14 @@ def repeat_and_average(configs: Sequence[OptimizerConfig], spec: LossSpec,
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     seed = _shared_seed(configs)
-    pairs, records = [], []
+    perturbed, records = [], []
     for i in range(reps):
         rng = stream(seed, "perturbation", i)
         k = int(rng.integers(0, sample.n))
         z_new = pool.point(int(rng.integers(0, pool.n)))
-        pairs.append(make_perturbed_pair(sample, k, z_new))
+        perturbed.append(sample.replace(k, z_new))
         records.append({"repeat": i, "k": k, "z": _describe_point(z_new)})
-    pg, sg = _coupled_gaps(configs, spec, pairs, seed, pool, theta0, dim)
+    pg, sg = _coupled_gaps(configs, spec, sample, perturbed, seed, pool, theta0, dim)
     return AveragedStability(*_mean_stderr(pg), *_mean_stderr(sg), StabilityTrace(pg, sg),
                              records)
 

@@ -17,7 +17,6 @@ import pytest
 from optstab import bounds as B
 from optstab import lecam, matrixlemmas as ML
 from optstab.losses import (
-    DataPoint,
     Dataset,
     lecam_strongly_convex_spec,
     linear_worstcase_spec,
@@ -28,7 +27,6 @@ from optstab.losses import (
 from optstab.optimizers import OptimizerConfig, fixed, power, run
 from optstab.stability_lab import (
     fit_loglog_slope,
-    make_perturbed_pair,
     repeat_and_average,
     risk_curves,
     run_pair,
@@ -105,9 +103,9 @@ def test_criterion_02_nag_stability_slope(nag_experiment):
     spec = lecam_strongly_convex_spec(beta=1.0, r=1.0, domain_radius=2.0)
     rng = np.random.Generator(np.random.Philox(42))
     data = Dataset.from_symbols(np.where(rng.uniform(size=100) < 0.5, 1.0, -1.0))
-    pair = make_perturbed_pair(data, 3, DataPoint.symbol(-int(data.s[3])))
+    perturbed = data.replace(3, Dataset.from_symbols([-int(data.s[3])]))
     cfg = OptimizerConfig(method="nag", schedule=fixed(1e-8), T=1000, seed=0)
-    trace = run_pair(cfg, spec, pair, Dataset.from_symbols(np.array([1.0, -1.0])),
+    trace = run_pair(cfg, spec, data, perturbed, Dataset.from_symbols(np.array([1.0, -1.0])),
                      dim=2)
     quad_fit = fit_loglog_slope(trace.param_gap, window=(10, 1000))
 
@@ -136,9 +134,9 @@ def test_criterion_04_hb_slope(hb_experiment):
 def test_criterion_05_linear_loss_tightness():
     spec = linear_worstcase_spec(L=1.0)
     data = Dataset.from_symbols(np.ones(10))
-    pair = make_perturbed_pair(data, 0, DataPoint.symbol(-1))
+    perturbed = data.replace(0, Dataset.from_symbols([-1]))
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=50, seed=0)
-    trace = run_pair(cfg, spec, pair, Dataset.from_symbols(np.array([1.0, -1.0])))
+    trace = run_pair(cfg, spec, data, perturbed, Dataset.from_symbols(np.array([1.0, -1.0])))
     worst = 0.0
     for T in (1, 5, 50):
         expect = 2 * 0.1 * 1.0 * T / 10
@@ -228,9 +226,9 @@ def test_criterion_10_strongly_convex_stability_envelope():
     c = loss_constants(spec)
     rng = np.random.Generator(np.random.Philox(SEED + 10))
     data = Dataset.from_symbols(np.where(rng.uniform(size=50) < 0.5, 1.0, -1.0))
-    pair = make_perturbed_pair(data, 5, DataPoint.symbol(-int(data.s[5])))
+    perturbed = data.replace(5, Dataset.from_symbols([-int(data.s[5])]))
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.5), T=500, seed=0)
-    trace = run_pair(cfg, spec, pair, Dataset.from_symbols(np.array([1.0, -1.0])),
+    trace = run_pair(cfg, spec, data, perturbed, Dataset.from_symbols(np.array([1.0, -1.0])),
                      dim=2)
     ts = np.arange(501)
     q = B.BoundQuery(method="gd", setting=B.STRONGLY_CONVEX, constants=c,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from optstab.losses import (
-    DataPoint,
     Dataset,
     LossConstants,
     ValidationError,
@@ -22,8 +21,6 @@ from optstab.losses import (
     linear_worstcase_spec,
     logistic_spec,
     loss_constants,
-    loss_grad,
-    loss_value,
     loss_values_matrix,
     normalize_rows,
     _block_grad,
@@ -38,8 +35,8 @@ def random_point(spec, d, rng):
     if spec.family == "logistic":
         x = rng.standard_normal(d)
         x /= max(1.0, np.linalg.norm(x))
-        return DataPoint.labeled(x, int(rng.integers(0, 2)))
-    return DataPoint.symbol(int(rng.choice([-1, 1])))
+        return Dataset.from_labeled([x], [int(rng.integers(0, 2))])
+    return Dataset.from_symbols([int(rng.choice([-1, 1]))])
 
 
 # ---------------------------------------------------------------- values
@@ -47,35 +44,35 @@ def random_point(spec, d, rng):
 
 def test_lecam_convex_center_is_zero():
     spec = lecam_convex_spec(beta=1.0, r=1.0)
-    assert loss_value(spec, [-1.0], DataPoint.symbol(-1)) == 0.0
+    assert empirical_risk(spec, [-1.0], Dataset.from_symbols([-1])) == 0.0
 
 
 def test_lecam_convex_linear_piece_value():
     # |theta[0] + r| = 1 > r/2, so the linear piece (beta r / 4)|u| applies
     spec = lecam_convex_spec(beta=1.0, r=1.0)
-    assert loss_value(spec, [0.0], DataPoint.symbol(-1)) == pytest.approx(0.25)
+    assert empirical_risk(spec, [0.0], Dataset.from_symbols([-1])) == pytest.approx(0.25)
 
 
 def test_logistic_at_zero_is_log2():
     spec = logistic_spec()
-    z = DataPoint.labeled(np.array([0.3, 0.4]), 1)
-    assert loss_value(spec, [0.0, 0.0], z) == pytest.approx(math.log(2.0))
+    z = Dataset.from_labeled([np.array([0.3, 0.4])], [1])
+    assert empirical_risk(spec, [0.0, 0.0], z) == pytest.approx(math.log(2.0))
 
 
 def test_variant_mismatch_rejected():
     spec = logistic_spec()
     with pytest.raises(ValidationError):
-        loss_value(spec, [0.0], DataPoint.symbol(1))
+        empirical_risk(spec, [0.0], Dataset.from_symbols([1]))
     with pytest.raises(ValidationError):
-        loss_value(lecam_convex_spec(1.0, 1.0), [0.0],
-                   DataPoint.labeled(np.array([1.0]), 1))
+        empirical_risk(lecam_convex_spec(1.0, 1.0), [0.0],
+                       Dataset.from_labeled([np.array([1.0])], [1]))
 
 
 def test_dimension_mismatch_rejected():
     spec = logistic_spec()
-    z = DataPoint.labeled(np.array([1.0, 0.0, 0.0]), 0)
+    z = Dataset.from_labeled([np.array([1.0, 0.0, 0.0])], [0])
     with pytest.raises(ValidationError):
-        loss_value(spec, [0.0, 0.0], z)
+        empirical_risk(spec, [0.0, 0.0], z)
 
 
 # ---------------------------------------------------------------- gradients
@@ -85,7 +82,7 @@ def test_quadratic_gradient_identity():
     from optstab.losses import quadratic_spec
 
     spec = quadratic_spec(np.eye(2))
-    g = loss_grad(spec, [2.0, 0.0], DataPoint.symbol(1))
+    g = empirical_risk_grad(spec, [2.0, 0.0], Dataset.from_symbols([1]))
     np.testing.assert_allclose(g, [2.0, 0.0])
 
 
@@ -93,20 +90,20 @@ def test_logistic_gradient_at_zero():
     spec = logistic_spec()
     x = np.array([0.6, -0.3])
     for y in (0, 1):
-        g = loss_grad(spec, [0.0, 0.0], DataPoint.labeled(x, y))
+        g = empirical_risk_grad(spec, [0.0, 0.0], Dataset.from_labeled([x], [y]))
         np.testing.assert_allclose(g, (0.5 - y) * x)
 
 
 def test_lecam_sc_gradient():
     spec = lecam_strongly_convex_spec(beta=2.0, r=1.0)
-    g = loss_grad(spec, [0.0, 0.0], DataPoint.symbol(1))
+    g = empirical_risk_grad(spec, [0.0, 0.0], Dataset.from_symbols([1]))
     np.testing.assert_allclose(g, [-2.0, 0.0])
 
 
 def _near_kink(spec, theta, z):
     if spec.family != "lecam_convex":
         return False
-    return any(abs(theta[0] - k) < 1e-4 for k in lecam_convex_kinks(spec, z.s))
+    return any(abs(theta[0] - k) < 1e-4 for k in lecam_convex_kinks(spec, int(z.s[0])))
 
 
 @pytest.mark.parametrize("spec", [
@@ -124,13 +121,14 @@ def test_gradient_matches_finite_differences(spec):
         z = random_point(spec, d, rng)
         if _near_kink(spec, theta, z):
             continue
-        g = loss_grad(spec, theta, z)
+        g = empirical_risk_grad(spec, theta, z)
         fd = np.zeros(d)
         h = 1e-5
         for i in range(d):
             e = np.zeros(d)
             e[i] = h
-            fd[i] = (loss_value(spec, theta + e, z) - loss_value(spec, theta - e, z)) / (2 * h)
+            fd[i] = (empirical_risk(spec, theta + e, z)
+                     - empirical_risk(spec, theta - e, z)) / (2 * h)
         scale = max(1.0, np.linalg.norm(g))
         assert np.linalg.norm(g - fd) / scale < 1e-6, (spec.family, theta)
         checked += 1
@@ -144,11 +142,11 @@ def test_quadratic_gradient_matches_finite_differences():
     spec = quadratic_spec(M @ M.T / 4, rng.standard_normal(4))
     for _ in range(100):
         theta = rng.uniform(-2, 2, size=4)
-        g = loss_grad(spec, theta, DataPoint.symbol(1))
+        g = empirical_risk_grad(spec, theta, Dataset.from_symbols([1]))
         h = 1e-5
         fd = np.array([
-            (loss_value(spec, theta + h * e, DataPoint.symbol(1))
-             - loss_value(spec, theta - h * e, DataPoint.symbol(1))) / (2 * h)
+            (empirical_risk(spec, theta + h * e, Dataset.from_symbols([1]))
+             - empirical_risk(spec, theta - h * e, Dataset.from_symbols([1]))) / (2 * h)
             for e in np.eye(4)])
         assert np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g)) < 1e-5
 
@@ -156,9 +154,9 @@ def test_quadratic_gradient_matches_finite_differences():
 def test_lecam_convex_kink_uses_linear_slope():
     spec = lecam_convex_spec(beta=1.0, r=1.0)
     lo, hi = lecam_convex_kinks(spec, -1)  # centered at -1: kinks at -1.5, -0.5
-    g = loss_grad(spec, [hi], DataPoint.symbol(-1))
+    g = empirical_risk_grad(spec, [hi], Dataset.from_symbols([-1]))
     assert g[0] == pytest.approx(0.25)  # beta*r/4 with positive sign
-    g = loss_grad(spec, [lo], DataPoint.symbol(-1))
+    g = empirical_risk_grad(spec, [lo], Dataset.from_symbols([-1]))
     assert g[0] == pytest.approx(-0.25)
 
 
@@ -170,7 +168,7 @@ def test_empirical_risk_of_identical_points():
     data = Dataset.from_symbols(np.ones(7))
     theta = [0.3]
     assert empirical_risk(spec, theta, data) == pytest.approx(
-        loss_value(spec, theta, DataPoint.symbol(1)))
+        empirical_risk(spec, theta, Dataset.from_symbols([1])))
 
 
 def test_empirical_risk_linear_worstcase():
@@ -352,7 +350,7 @@ def test_loss_values_matrix_agrees_with_scalar_path():
     for i in range(4):
         for j in range(5):
             assert V[i, j] == pytest.approx(
-                loss_value(spec, thetas[i], data.point(j)), abs=1e-12)
+                empirical_risk(spec, thetas[i], data.point(j)), abs=1e-12)
     np.testing.assert_allclose(empirical_risk_batch(spec, thetas, data),
                                V.mean(axis=1))
 
@@ -389,7 +387,7 @@ def test_logistic_value_within_2_ulp_of_mpmath(scale, y):
     # theta = [u] against x = [1] makes the margin u exactly
     spec = logistic_spec()
     u = _margins(scale)
-    values = [loss_value(spec, [ui], DataPoint.labeled([1.0], y)) for ui in u]
+    values = [empirical_risk(spec, [ui], Dataset.from_labeled([[1.0]], [y])) for ui in u]
     assert _ulp_errors(values, u, np.full_like(u, y)).max() <= 2
 
 
@@ -557,8 +555,8 @@ def test_logistic_per_sample_gradient_and_hessian_bounds():
     for _ in range(20):
         theta = rng.uniform(-3, 3, size=4)
         for i in range(50):
-            z = DataPoint.labeled(X[i], int(rng.integers(0, 2)))
-            assert np.linalg.norm(loss_grad(spec, theta, z)) <= 1.0 + 1e-12
+            z = Dataset.from_labeled([X[i]], [int(rng.integers(0, 2))])
+            assert np.linalg.norm(empirical_risk_grad(spec, theta, z)) <= 1.0 + 1e-12
             u = X[i] @ theta
             s = 1.0 / (1.0 + math.exp(-u))
             # per-sample Hessian is s(1-s) x x^T: spectral norm s(1-s)||x||^2
@@ -574,7 +572,7 @@ def test_lecam_convex_piece_values_agree_at_kinks():
             lin = 0.25 * beta * r * abs(kink - s * r)
             assert quad == pytest.approx(beta * r * r / 8)
             assert lin == pytest.approx(beta * r * r / 8)
-            assert loss_value(spec, [kink], DataPoint.symbol(s)) == pytest.approx(
+            assert empirical_risk(spec, [kink], Dataset.from_symbols([s])) == pytest.approx(
                 beta * r * r / 8)
 
 
@@ -590,8 +588,8 @@ def test_midpoint_convexity(spec):
         u = rng.uniform(-2, 2, size=d)
         v = rng.uniform(-2, 2, size=d)
         z = random_point(spec, d, rng)
-        mid = loss_value(spec, (u + v) / 2, z)
-        assert mid <= (loss_value(spec, u, z) + loss_value(spec, v, z)) / 2 + 1e-12
+        mid = empirical_risk(spec, (u + v) / 2, z)
+        assert mid <= (empirical_risk(spec, u, z) + empirical_risk(spec, v, z)) / 2 + 1e-12
 
 
 def test_midpoint_convexity_quadratic():
@@ -600,12 +598,12 @@ def test_midpoint_convexity_quadratic():
     rng = np.random.Generator(np.random.Philox(12))
     M = rng.standard_normal((3, 3))
     spec = quadratic_spec(M @ M.T / 3, rng.standard_normal(3))
-    z = DataPoint.symbol(1)
+    z = Dataset.from_symbols([1])
     for _ in range(100):
         u = rng.uniform(-2, 2, size=3)
         v = rng.uniform(-2, 2, size=3)
-        mid = loss_value(spec, (u + v) / 2, z)
-        assert mid <= (loss_value(spec, u, z) + loss_value(spec, v, z)) / 2 + 1e-12
+        mid = empirical_risk(spec, (u + v) / 2, z)
+        assert mid <= (empirical_risk(spec, u, z) + empirical_risk(spec, v, z)) / 2 + 1e-12
 
 
 def test_midpoint_convexity_lecam_convex_within_pieces():
@@ -615,23 +613,24 @@ def test_midpoint_convexity_lecam_convex_within_pieces():
     # and the transition itself is pinned by the companion test below.
     spec = lecam_convex_spec(beta=1.0, r=1.0)
     rng = np.random.Generator(np.random.Philox(13))
-    z = DataPoint.symbol(1)
+    z = Dataset.from_symbols([1])
     regions = [(0.5, 1.5), (1.5, 3.0), (-2.0, 0.5)]  # quad zone and both tails
     for lo, hi in regions:
         for _ in range(40):
             a, b = rng.uniform(lo, hi, size=2)
-            mid = loss_value(spec, [(a + b) / 2], z)
-            assert mid <= (loss_value(spec, [a], z) + loss_value(spec, [b], z)) / 2 + 1e-12
+            mid = empirical_risk(spec, [(a + b) / 2], z)
+            assert mid <= (empirical_risk(spec, [a], z)
+                           + empirical_risk(spec, [b], z)) / 2 + 1e-12
 
 
 def test_lecam_convex_transition_is_not_convex():
     # documents the designed loss's kink defect: the chord from u=0.4 to
     # u=0.6 lies below the curve at u=0.5
     spec = lecam_convex_spec(beta=1.0, r=1.0)
-    z = DataPoint.symbol(1)
+    z = Dataset.from_symbols([1])
     a, b = 1.4, 1.6
-    chord = (loss_value(spec, [a], z) + loss_value(spec, [b], z)) / 2
-    assert loss_value(spec, [1.5], z) > chord
+    chord = (empirical_risk(spec, [a], z) + empirical_risk(spec, [b], z)) / 2
+    assert empirical_risk(spec, [1.5], z) > chord
 
 
 @pytest.mark.parametrize("spec", [
@@ -646,27 +645,27 @@ def test_beta_smoothness_sampled(spec):
         u = rng.uniform(-2, 2, size=d)
         v = rng.uniform(-2, 2, size=d)
         z = random_point(spec, d, rng)
-        gu = loss_grad(spec, u, z)
-        gv = loss_grad(spec, v, z)
+        gu = empirical_risk_grad(spec, u, z)
+        gv = empirical_risk_grad(spec, v, z)
         assert np.linalg.norm(gu - gv) <= c.beta * np.linalg.norm(u - v) + 1e-12
 
 
 def test_beta_smoothness_lecam_convex_within_pieces():
     spec = lecam_convex_spec(beta=1.0, r=1.0)
     rng = np.random.Generator(np.random.Philox(15))
-    z = DataPoint.symbol(1)
+    z = Dataset.from_symbols([1])
     for lo, hi in [(0.5, 1.5), (1.5, 4.0), (-3.0, 0.5)]:
         for _ in range(40):
             a, b = rng.uniform(lo, hi, size=2)
-            ga = loss_grad(spec, [a], z)
-            gb = loss_grad(spec, [b], z)
+            ga = empirical_risk_grad(spec, [a], z)
+            gb = empirical_risk_grad(spec, [b], z)
             assert np.linalg.norm(ga - gb) <= 1.0 * abs(a - b) + 1e-12
 
 
 def test_linear_worstcase_smoothness_is_exact_zero():
     spec = linear_worstcase_spec(L=1.0)
-    g1 = loss_grad(spec, [0.0, 0.0], DataPoint.symbol(1))
-    g2 = loss_grad(spec, [5.0, -3.0], DataPoint.symbol(1))
+    g1 = empirical_risk_grad(spec, [0.0, 0.0], Dataset.from_symbols([1]))
+    g2 = empirical_risk_grad(spec, [5.0, -3.0], Dataset.from_symbols([1]))
     np.testing.assert_array_equal(g1, g2)
 
 
@@ -675,13 +674,50 @@ def test_linear_worstcase_smoothness_is_exact_zero():
 
 def test_dataset_replace():
     data = Dataset.from_symbols(np.array([1.0, 1.0, -1.0]))
-    new = data.replace(0, DataPoint.symbol(-1))
+    new = data.replace(0, Dataset.from_symbols([-1]))
     assert new.s[0] == -1
     assert np.all(new.s[1:] == data.s[1:])
     with pytest.raises(ValidationError):
-        data.replace(3, DataPoint.symbol(1))
+        data.replace(3, Dataset.from_symbols([1]))
     with pytest.raises(ValidationError):
-        data.replace(0, DataPoint.labeled(np.array([1.0]), 1))
+        data.replace(0, Dataset.from_labeled([np.array([1.0])], [1]))
+    # a point is the one-row sample, and replace takes exactly one such row
+    X = normalize_rows(np.random.Generator(np.random.Philox(31)).standard_normal((3, 2)))
+    data = Dataset.from_labeled(X, [0.0, 1.0, 1.0])
+    z = data.point(1)
+    assert z.n == 1 and z.stack_shape == ()
+    np.testing.assert_array_equal(z.X, X[1:2])
+    np.testing.assert_array_equal(z.y, [1.0])
+    new = data.replace(0, z)
+    np.testing.assert_array_equal(new.X, X[[1, 1, 2]])
+    np.testing.assert_array_equal(new.y, [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(data.X, X)
+    for i in (-1, 3):
+        with pytest.raises(ValidationError):
+            data.point(i)
+    with pytest.raises(ValidationError):
+        data.replace(0, data.take([0, 1]))
+    with pytest.raises(ValidationError):
+        data.replace(0, Dataset.from_labeled([[1.0, 0.0, 0.0]], [1]))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("kind", ["symbol", "labeled"])
+def test_point_and_replace_reject_a_stack(kind, n):
+    # indexing a stack's first axis picks a member, not a row: unchecked,
+    # replace(k, z) would overwrite all of member k of a symbol stack or of a
+    # labeled stack with n == d = 3, and point(i) would return member i
+    rng = np.random.Generator(np.random.Philox(32))
+    if kind == "symbol":
+        sample = Dataset.from_symbols(np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0))
+    else:
+        sample = Dataset.from_labeled(normalize_rows(rng.standard_normal((n, 3))),
+                                      rng.integers(0, 2, n))
+    stack = Dataset.stack([sample, sample])
+    with pytest.raises(ValidationError, match="stack"):
+        stack.point(0)
+    with pytest.raises(ValidationError, match="stack"):
+        stack.replace(1, sample.point(0))
 
 
 def test_param_vector_validation():

@@ -153,7 +153,7 @@ def test_gd_descent_on_convex_smooth_losses():
     assert np.all(np.diff(trace.risks) <= 1e-15)
 
 
-def test_sgld_with_zero_noise_scale_matches_sgd():
+def test_sgld_at_infinite_temperature_matches_sgd():
     rng = np.random.Generator(np.random.Philox(5))
     X = normalize_rows(rng.standard_normal((15, 3)))
     y = rng.integers(0, 2, 15).astype(float)
@@ -162,7 +162,7 @@ def test_sgld_with_zero_noise_scale_matches_sgd():
     sgd = run(OptimizerConfig(method="sgd", schedule=fixed(0.1), T=40, seed=11),
               spec, data)
     sgld = run(OptimizerConfig(method="sgld", schedule=fixed(0.1), T=40, seed=11,
-                               tau=1.0, noise_scale=0.0), spec, data)
+                               tau=math.inf), spec, data)
     np.testing.assert_array_equal(sgd.thetas, sgld.thetas)
 
 
@@ -418,7 +418,7 @@ def _reference_states(cfg, spec, data, seed, members, theta0):
                 else empirical_risk_grad(spec, look, data))
         theta = look - eta * grad + b * (prev - older)
         if cfg.method == "sgld":
-            c = cfg.noise_scale * math.sqrt(2.0 * eta / cfg.tau)
+            c = math.sqrt(2.0 * eta / cfg.tau)
             theta += c * np.stack([z[t] for z in noise])
         older, prev = prev, theta
         states.append(theta)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from optstab.bounds import (
     stability_bound_curve,
 )
 from optstab.losses import (
-    DataPoint,
     Dataset,
     ValidationError,
     empirical_risk_grad,
@@ -45,7 +45,6 @@ from optstab.stability_lab import (
     estimate_sup_loss_gap,
     fit_loglog_slope,
     fit_power_law,
-    make_perturbed_pair,
     reference_risk,
     repeat_and_average,
     risk_curves,
@@ -68,21 +67,21 @@ def logistic_fixture(n=40, d=4, seed=0):
 
 def test_make_pair_differs_only_at_k():
     data = Dataset.from_symbols(np.ones(3))
-    pair = make_perturbed_pair(data, 1, DataPoint.symbol(-1))
-    assert pair.perturbed.s[1] == -1
-    assert pair.base.s[1] == 1
-    assert np.all(np.delete(pair.base.s, 1) == np.delete(pair.perturbed.s, 1))
+    base, perturbed = data, data.replace(1, Dataset.from_symbols([-1]))
+    assert perturbed.s[1] == -1
+    assert base.s[1] == 1
+    assert np.all(np.delete(base.s, 1) == np.delete(perturbed.s, 1))
 
 
 def test_identity_perturbation_keeps_gaps_zero_for_every_method():
     data = logistic_fixture()
-    pair = make_perturbed_pair(data, 2, data.point(2))
+    perturbed = data.replace(2, data.point(2))
     spec = logistic_spec()
     holdout = logistic_fixture(n=10, seed=99)
     for method, kw in [("gd", {}), ("sgd", {}), ("nag", {}), ("hb", {"gamma": 0.5}),
                        ("sgld", {"tau": 1.0})]:
         cfg = OptimizerConfig(method=method, schedule=fixed(0.1), T=25, seed=4, **kw)
-        trace = run_pair(cfg, spec, pair, holdout)
+        trace = run_pair(cfg, spec, data, perturbed, holdout)
         np.testing.assert_array_equal(trace.param_gap, 0.0)
         np.testing.assert_array_equal(trace.sup_loss_gap, 0.0)
 
@@ -94,10 +93,10 @@ def test_identity_perturbation_keeps_gaps_zero_over_row_blocks(monkeypatch):
 
     monkeypatch.setattr(losses, "_GRAD_BLOCK_BYTES", 7 * 4 * 8)
     data = logistic_fixture()
-    pairs = [make_perturbed_pair(data, k, data.point(k)) for k in (0, 13, 39)]
+    perturbed = [data.replace(k, data.point(k)) for k in (0, 13, 39)]
     configs = [OptimizerConfig(method=m, schedule=fixed(0.1), T=25, seed=4, gamma=0.5)
                for m in ("gd", "nag", "hb")]
-    param_gap, sup_gap = _coupled_gaps(configs, logistic_spec(), pairs, 4,
+    param_gap, sup_gap = _coupled_gaps(configs, logistic_spec(), data, perturbed, 4,
                                        logistic_fixture(n=10, seed=99), None, None)
     assert param_gap.shape == (3, 3, 26)
     np.testing.assert_array_equal(param_gap, 0.0)
@@ -107,7 +106,7 @@ def test_identity_perturbation_keeps_gaps_zero_over_row_blocks(monkeypatch):
 def test_pair_index_out_of_range():
     data = Dataset.from_symbols(np.ones(3))
     with pytest.raises(ValidationError):
-        make_perturbed_pair(data, 3, DataPoint.symbol(-1))
+        data.replace(3, Dataset.from_symbols([-1]))
 
 
 # ---------------------------------------------------------------- run_pair
@@ -115,18 +114,18 @@ def test_pair_index_out_of_range():
 
 def test_param_gap_zero_at_start():
     data = logistic_fixture()
-    pair = make_perturbed_pair(data, 0, logistic_fixture(seed=5).point(0))
+    perturbed = data.replace(0, logistic_fixture(seed=5).point(0))
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=10, seed=0)
-    trace = run_pair(cfg, logistic_spec(), pair, logistic_fixture(n=8, seed=9))
+    trace = run_pair(cfg, logistic_spec(), data, perturbed, logistic_fixture(n=8, seed=9))
     assert trace.param_gap[0] == 0.0
 
 
 def test_linear_loss_gap_is_exactly_tight():
     spec = linear_worstcase_spec(L=1.0)
     data = Dataset.from_symbols(np.ones(10))
-    pair = make_perturbed_pair(data, 0, DataPoint.symbol(-1))
+    perturbed = data.replace(0, Dataset.from_symbols([-1]))
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=50, seed=0)
-    trace = run_pair(cfg, spec, pair, SYMBOL_HOLDOUT)
+    trace = run_pair(cfg, spec, data, perturbed, SYMBOL_HOLDOUT)
     for T in (1, 5, 50):
         expect = 2 * 0.1 * 1.0 * T / 10
         assert abs(trace.param_gap[T] - expect) <= 1e-12 * expect
@@ -135,9 +134,9 @@ def test_linear_loss_gap_is_exactly_tight():
 def test_gd_gap_dominated_by_linear_envelope():
     data = logistic_fixture(n=50, seed=3)
     pool = logistic_fixture(n=10, seed=7)
-    pair = make_perturbed_pair(data, 4, pool.point(0))
+    perturbed = data.replace(4, pool.point(0))
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=200, seed=0)
-    trace = run_pair(cfg, logistic_spec(), pair, pool)
+    trace = run_pair(cfg, logistic_spec(), data, perturbed, pool)
     ts = np.arange(201)
     c = loss_constants(logistic_spec())
     q = BoundQuery(method="gd", setting=CONVEX, constants=c, schedule=fixed(0.1),
@@ -149,9 +148,9 @@ def test_gd_gap_dominated_by_linear_envelope():
 def test_lipschitz_domination_of_sup_gap():
     data = logistic_fixture(n=30, seed=11)
     pool = logistic_fixture(n=20, seed=13)
-    pair = make_perturbed_pair(data, 1, pool.point(3))
+    perturbed = data.replace(1, pool.point(3))
     cfg = OptimizerConfig(method="nag", schedule=fixed(0.2), T=100, seed=2)
-    trace = run_pair(cfg, logistic_spec(), pair, pool)
+    trace = run_pair(cfg, logistic_spec(), data, perturbed, pool)
     assert np.all(trace.sup_loss_gap <= 1.0 * trace.param_gap)
 
 
@@ -160,9 +159,9 @@ def test_strongly_convex_gap_envelope():
     c = loss_constants(spec)
     rng = np.random.Generator(np.random.Philox(17))
     data = Dataset.from_symbols(np.where(rng.uniform(size=50) < 0.5, 1.0, -1.0))
-    pair = make_perturbed_pair(data, 5, DataPoint.symbol(-int(data.s[5])))
+    perturbed = data.replace(5, Dataset.from_symbols([-int(data.s[5])]))
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.5), T=500, seed=0)
-    trace = run_pair(cfg, spec, pair, SYMBOL_HOLDOUT, dim=2)
+    trace = run_pair(cfg, spec, data, perturbed, SYMBOL_HOLDOUT, dim=2)
     ts = np.arange(501)
     q = BoundQuery(method="gd", setting=STRONGLY_CONVEX, constants=c,
                    schedule=fixed(0.5), T=500, n=50)
@@ -280,6 +279,26 @@ def test_repeat_records_and_worker_independence():
         repeat_and_average([cfg], logistic_spec(), data, pool, reps=0)
 
 
+@pytest.mark.parametrize("family", ["logistic", "linear_worstcase"])
+def test_perturbation_records_name_the_drawn_pool_row(family):
+    # each record holds the replaced index and the pool row the repeat drew,
+    # with the report's JSON types: floats for x, ints for y and s
+    spec, sample, pool, theta0, dim, beta = _family_case(family, 19, 12)
+    cfg = _config("gd", 0.1, "fixed", 5, 3, beta)
+    avg = repeat_and_average([cfg], spec, sample, pool, reps=6, theta0=theta0, dim=dim)
+    for i, rec in enumerate(avg.perturbations):
+        rng = stream(3, "perturbation", i)
+        k, j = int(rng.integers(0, sample.n)), int(rng.integers(0, pool.n))
+        if family == "logistic":
+            z = {"kind": "labeled", "x": pool.X[j].tolist(), "y": int(pool.y[j])}
+            assert all(type(v) is float for v in rec["z"]["x"])
+            assert type(rec["z"]["y"]) is int
+        else:
+            z = {"kind": "symbol", "s": int(pool.s[j])}
+            assert type(rec["z"]["s"]) is int
+        assert json.dumps(rec) == json.dumps({"repeat": i, "k": k, "z": z})
+
+
 # ------------------------------------------- batched vs per-pair reference
 
 
@@ -299,7 +318,7 @@ def _reference_trajectory(config, member, spec, data, theta0):
         if config.method in ("sgd", "sgld"):
             theta = prev - eta * sample_grad(spec, prev, data, indices[t - 1])
             if config.method == "sgld":
-                scale = config.noise_scale * math.sqrt(2.0 * eta / config.tau)
+                scale = math.sqrt(2.0 * eta / config.tau)
                 theta = theta + scale * noise[t - 1]
         elif config.method == "hb":
             theta = (prev - eta * empirical_risk_grad(spec, prev, data)
@@ -326,9 +345,9 @@ def _reference_repeats(config, spec, sample, pool, reps, theta0):
     for i in range(reps):
         rng = stream(config.seed, "perturbation", i)
         k = int(rng.integers(0, sample.n))
-        pair = make_perturbed_pair(sample, k, pool.point(int(rng.integers(0, pool.n))))
-        th = _reference_trajectory(config, i, spec, pair.base, theta0)
-        th_p = _reference_trajectory(config, i, spec, pair.perturbed, theta0)
+        perturbed = sample.replace(k, pool.point(int(rng.integers(0, pool.n))))
+        th = _reference_trajectory(config, i, spec, sample, theta0)
+        th_p = _reference_trajectory(config, i, spec, perturbed, theta0)
         sup = np.abs(loss_values_matrix(spec, th, pool)
                      - loss_values_matrix(spec, th_p, pool)).max(axis=1)
         out.append((np.linalg.norm(th - th_p, axis=1), sup))
@@ -426,14 +445,14 @@ def test_method_batch_matches_one_config_batches(methods, etas, family, reps, T,
     configs = [_config(m, eta, kind, T, seed, beta)
                for m, eta in zip(_one_kind(methods), etas)]
     rng = np.random.Generator(np.random.Philox(data_seed))
-    pairs = [make_perturbed_pair(sample, int(rng.integers(0, n)),
-                                 pool.point(int(rng.integers(0, pool.n))))
-             for _ in range(reps)]
+    perturbed = [sample.replace(int(rng.integers(0, n)),
+                                pool.point(int(rng.integers(0, pool.n))))
+                 for _ in range(reps)]
     members = [*range(reps), *range(reps)]
-    samples = Dataset.stack([p.base for p in pairs] + [p.perturbed for p in pairs])
+    samples = Dataset.stack([sample] * reps + perturbed)
     states = np.array(list(batch_iterates(configs, spec, samples, seed, members,
                                           theta0=theta0, dim=dim)))
-    gaps = _coupled_gaps(configs, spec, pairs, seed, pool, theta0, dim)
+    gaps = _coupled_gaps(configs, spec, sample, perturbed, seed, pool, theta0, dim)
     for j, cfg in enumerate(configs):
         alone = np.array(list(batch_iterates([cfg], spec, samples, seed, members,
                                              theta0=theta0, dim=dim)))[:, :, 0]
@@ -443,23 +462,24 @@ def test_method_batch_matches_one_config_batches(methods, etas, family, reps, T,
         # per pair and step: max(||theta_t||, ||theta'_t||)
         scale = np.maximum(norms[:, :reps], norms[:, reps:]).T
         for got, want in zip((g[j] for g in gaps),
-                             _coupled_gaps([cfg], spec, pairs, seed, pool, theta0, dim)):
+                             _coupled_gaps([cfg], spec, sample, perturbed, seed, pool,
+                                           theta0, dim)):
             assert np.all(np.abs(got - want[0]) <= 1e-12 * scale)
 
 
-def _stepwise_gaps(configs, spec, pairs, seed, holdout, theta0, dim):
+def _stepwise_gaps(configs, spec, base, perturbed, seed, holdout, theta0, dim):
     """_coupled_gaps one state at a time, as each state is yielded: the
     reference for its blocks of states."""
-    P = len(pairs)
+    P = len(perturbed)
     B = P if configs[0].sampled else 1
     param_gap, sup_gap = np.empty((2, len(configs), P, configs[0].T + 1))
-    samples = Dataset.stack([p.base for p in pairs[:B]] + [p.perturbed for p in pairs])
+    samples = Dataset.stack([base] * B + perturbed)
     for t, state in enumerate(batch_iterates(configs, spec, samples, seed,
                                              [*range(B), *range(P)], theta0=theta0,
                                              dim=dim)):
-        base, perturbed = state[:B].swapaxes(0, 1), state[B:].swapaxes(0, 1)
-        param_gap[..., t] = np.linalg.norm(base - perturbed, axis=-1)
-        sup_gap[..., t] = estimate_sup_loss_gap(base, perturbed, spec, holdout)
+        theta, theta_p = state[:B].swapaxes(0, 1), state[B:].swapaxes(0, 1)
+        param_gap[..., t] = np.linalg.norm(theta - theta_p, axis=-1)
+        sup_gap[..., t] = estimate_sup_loss_gap(theta, theta_p, spec, holdout)
     return param_gap, sup_gap
 
 
@@ -472,15 +492,15 @@ def test_blocked_gaps_match_per_step_reference_bitwise(methods, family):
     assert (T + 1) % _GAP_STEPS
     spec, sample, pool, theta0, dim, beta = _family_case(family, 17, 12)
     configs = [_config(m, 0.5, "fixed", T, 3, beta) for m in methods]
-    pairs = [make_perturbed_pair(sample, 2 * i, pool.point(i % pool.n)) for i in range(P)]
-    got = _coupled_gaps(configs, spec, pairs, 3, pool, theta0, dim)
-    want = _stepwise_gaps(configs, spec, pairs, 3, pool, theta0, dim)
+    perturbed = [sample.replace(2 * i, pool.point(i % pool.n)) for i in range(P)]
+    got = _coupled_gaps(configs, spec, sample, perturbed, 3, pool, theta0, dim)
+    want = _stepwise_gaps(configs, spec, sample, perturbed, 3, pool, theta0, dim)
     for g, w in zip(got, want):
         assert g.shape == (len(methods), P, T + 1)
         assert np.any(w[..., -1] > 0)
         _assert_bitwise_equal(g, w)
-    same = [make_perturbed_pair(sample, 2 * i, sample.point(2 * i)) for i in range(P)]
-    for g in _coupled_gaps(configs, spec, same, 3, pool, theta0, dim):
+    same = [sample.replace(2 * i, sample.point(2 * i)) for i in range(P)]
+    for g in _coupled_gaps(configs, spec, sample, same, 3, pool, theta0, dim):
         _assert_bitwise_equal(g, np.zeros_like(g))
 
 
