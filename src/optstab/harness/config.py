@@ -71,8 +71,10 @@ class ExperimentConfig:
             raise ValidationError(f"unknown source {self.source!r}")
         if not self.methods and self.experiment in ("stability_scaling", "risk_decomposition"):
             raise ValidationError(f"{self.experiment} needs at least one method")
-        if self.seed < 0:
-            raise ValidationError(f"config key 'seed': bad value '{self.seed}' (need >= 0)")
+        for key in ("seed", "ref_budget"):
+            if getattr(self, key) < 0:
+                raise ValidationError(f"config key {key!r}: bad value "
+                                      f"'{getattr(self, key)}' (need >= 0)")
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}

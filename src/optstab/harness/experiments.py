@@ -17,7 +17,6 @@ from ..optimizers import OptimizerConfig, StepSchedule, fixed, power, validate_c
 from ..stability_lab import (
     fit_loglog_slope,
     fit_power_law,
-    reference_risk,
     repeat_and_average,
     risk_curves,
 )
@@ -143,11 +142,13 @@ def _risk_decomposition(cfg: ExperimentConfig) -> Report:
     test = Dataset.from_labeled(full.X[cfg.n:], full.y[cfg.n:])
     report = _new_report(cfg)
     ts = np.arange(cfg.T + 1)
-    # the reference run depends on neither the method nor its seed
-    ref_risk = reference_risk(spec, train, cfg.ref_budget) if cfg.ref_budget else None
-    curves_of = {}
+    # the reference run depends on neither the method nor its seed: it rides
+    # in the first batch, the full-gradient one if there is one
+    curves_of, budget = {}, cfg.ref_budget
     for batch in _batches(opt_cfgs):
-        curves_of.update(zip(batch, risk_curves(list(batch.values()), spec, train, test)))
+        curves_of.update(zip(batch, risk_curves(list(batch.values()), spec, train, test, budget)))
+        budget = 0
+    ref_risk = next(iter(curves_of.values())).reference
     for m in opt_cfgs:
         curves = curves_of[m]
         report.add_series(f"{m}_train_risk", ts, curves.train)

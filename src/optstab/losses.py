@@ -23,12 +23,14 @@ both on blocks (..., k, d) of parameter vectors against sample (...) of a
 stack (``Dataset.stack``), so a sample's k logistic margins are one
 product; plus the constants.  A full logistic gradient streams each
 member's design in row blocks small enough to stay in L2 between the
-margins and the contraction, one product R @ Xb per member and block (whose
-rounding, unlike a product over a whole large design, does not depend on
-the BLAS thread count).  It sums the blocks' partial gradients in block
-order whichever way it walks them, so the optimizer engine walks backward
-on odd steps, starting on the blocks the last step left in L2, at no change
-in bytes; a design that fits in one block takes the whole-design operations.
+margins Xb @ theta^T (made C-contiguous; at d = 200, four columns then cost
+no more than three) and the contraction, one product R @ Xb per member and
+block (whose rounding, unlike a product over a whole large design, does not
+depend on the BLAS thread count); a sampled row's margins are theta @ x^T.
+It sums the blocks' partial gradients in block order whichever way it walks
+them, so the optimizer engine walks backward on odd steps, starting on the
+blocks the last step left in L2, at no change in bytes; a design that fits
+in one block takes the whole-design operations.
 The public functions are validated wrappers around the table; the
 gradient ones pass each vector of a stack (..., d) as a block k = 1 to
 ``_block_grad``, the unchecked entry the optimizer engine calls each step.
@@ -342,9 +344,9 @@ def _logistic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.nd
 
 # Bytes of one member's design rows per block of a logistic full-gradient
 # step (400 rows at d = 200): the contraction then reads rows the margins have
-# just left in L2.  Measured, not sized from L2 alone: above 400 rows at
-# d = 200 the k = 3 margin product leaves OpenBLAS's fast small-product path.
-# Every d = 10 design up to n = 8000 is one block.
+# just left in L2.  Measured at k = 4 on a (2000, 200) design, ms per call at
+# 100/200/400/500/667/1000/2000 rows: 0.82/0.58/0.51/0.50/0.49/0.54/0.75, with
+# 400 to 667 rows within the noise.  Every d = 10 design up to n = 8000 is one block.
 _GRAD_BLOCK_BYTES = 640_000
 
 
@@ -354,14 +356,16 @@ def _logistic_grad(spec: LossSpec, thetas: np.ndarray, data: Dataset, rows,
     n, d = X.shape[-2:]
     step = max(1, _GRAD_BLOCK_BYTES // (d * X.itemsize))
     starts = range(0, n, step)
+    thetas_t = np.ascontiguousarray(thetas.swapaxes(-1, -2)) if rows is None else None
     parts = {}  # kept per block and summed in block order: the same bytes either way
     for i in (reversed(starts) if reverse else starts):
-        # margins, residuals and contraction of one block while it is in L2;
-        # the contraction is one matrix product R @ Xb per member, whose
-        # rounding within a block does not depend on the BLAS thread count
-        # (over a whole 2,000-row design at d = 200 it does)
+        # margins, residuals and contraction of one block while it is in L2; the
+        # contraction is one product R @ Xb per member of a C-contiguous R (a transposed
+        # R rounds apart), whose rounding within a block does not depend on the BLAS
+        # thread count (over a whole 2,000-row design at d = 200 it does)
         Xb = X[..., i:i + step, :]
-        R = _sigmoid(thetas @ Xb.swapaxes(-1, -2))
+        R = _sigmoid(thetas @ Xb.swapaxes(-1, -2) if rows is not None
+                     else np.ascontiguousarray((Xb @ thetas_t).swapaxes(-1, -2)))
         R -= y[..., None, i:i + step]
         parts[i] = R @ Xb
     return sum((parts[i] for i in starts[1:]), parts[0]) / n

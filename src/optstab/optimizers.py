@@ -12,9 +12,9 @@ Every method is one coefficient schedule of the same step (see
 full empirical-risk gradient or a single sampled row's.  ``batch_iterates``
 runs B members of k configs of one gradient kind as one (B, k, d) state
 under (T, k) coefficient columns, each member on the shared sample or on its
-own sample of a stack; ``iterate_traces`` records a one-member batch's
-traces, and ``run`` is its one-config case.  A batch checks its inputs
-once, before theta_0, then calls the unchecked ``losses._block_grad``.
+own sample of a stack; ``run`` records the trace of its one-config,
+one-member case.  A batch checks its inputs once, before theta_0, then
+calls the unchecked ``losses._block_grad``.
 
 Randomized methods draw their index and Gaussian noise streams from
 ``streams.stream(seed, "sgd_index", member)`` and ``(seed, "sgld_noise",
@@ -264,26 +264,14 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
         yield theta
 
 
-def iterate_traces(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dataset,
-                   seed: int = 0, theta0=None, dim: Optional[int] = None) -> np.ndarray:
-    """theta_0..theta_T of k configs run as member 0 of one batch under ``seed``:
-    (k, T+1, d)."""
-    states = batch_iterates(configs, spec, data, seed, [0], theta0=theta0, dim=dim)
-    first = next(states)
-    thetas = np.empty((len(configs), configs[0].T + 1, first.shape[-1]))
-    thetas[:, 0] = first[0]
-    for t, state in enumerate(states, 1):
-        thetas[:, t] = state[0]
-    return thetas
-
-
 def run(config: OptimizerConfig, spec: LossSpec, data: Dataset,
         theta0=None, dim: Optional[int] = None) -> IterateTrace:
     """Run the configured method on the empirical risk of ``data``.
 
     The one-config, one-member case of :func:`batch_iterates`.
     """
-    thetas = iterate_traces([config], spec, data, config.seed, theta0=theta0, dim=dim)[0]
+    states = batch_iterates([config], spec, data, config.seed, [0], theta0=theta0, dim=dim)
+    thetas = np.stack([state[0, 0] for state in states])
     return IterateTrace(method=config.method, thetas=thetas,
                         risks=empirical_risk_batch(spec, thetas, data),
                         step_sizes=_step_sizes(config.schedule, config.T),

@@ -27,7 +27,7 @@ retained for audit.
 The risk decomposition measures the optimization error against an empirical
 minimum from one long full-gradient run (:func:`reference_risk`), which
 depends only on the loss, the training sample and the budget, so one
-reference serves every method of an experiment.
+reference serves every method and rides in their full-gradient batch.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .losses import (
     loss_constants,
     loss_values_matrix,
 )
-from .optimizers import OptimizerConfig, batch_iterates, fixed, iterate_traces
+from .optimizers import OptimizerConfig, batch_iterates, fixed
 from .streams import stream
 
 # States per block of _coupled_gaps: one norm and one holdout evaluation per block
@@ -302,38 +302,55 @@ def fit_loglog_slope(values, window: Optional[Tuple[int, int]] = None,
 
 @dataclass(frozen=True)
 class RiskCurves:
-    """Per-iteration train/test risks and the generalization gap."""
+    """Per-iteration train/test risks and generalization gap, and the reference risk."""
 
     train: np.ndarray
     test: np.ndarray
     gen_gap: np.ndarray  # test - train
+    reference: Optional[float] = None  # None without a reference run
 
 
-def reference_risk(spec: LossSpec, train: Dataset, budget: int) -> float:
+def _reference_config(spec: LossSpec, train: Dataset, T: int) -> OptimizerConfig:
+    beta = loss_constants(spec, train).beta
+    if beta <= 0:
+        raise ValidationError("reference run needs beta > 0")
+    return OptimizerConfig(method="gd", schedule=fixed(1.0 / beta), T=int(T))
+
+
+def reference_risk(spec: LossSpec, train: Dataset, budget: int, theta0=None) -> float:
     """Approximate empirical minimum of ``train``: the empirical risk after
-    ``budget`` full-gradient steps at eta = 1/beta from 0.
+    ``budget`` full-gradient steps at eta = 1/beta from theta0 (default 0).
 
     A loss with beta = 0 has no 1/beta step and raises ValidationError.
     Only the last two states of the run are kept.
     """
-    beta = loss_constants(spec, train).beta
-    if beta <= 0:
-        raise ValidationError("reference run needs beta > 0")
-    ref_cfg = OptimizerConfig(method="gd", schedule=fixed(1.0 / beta), T=int(budget))
+    ref_cfg = _reference_config(spec, train, budget)
     # only the last iterate's risk is read; it is evaluated in a batch of
     # two rows, which avoids the matrix-vector product that a single row
     # goes through; that does not guarantee it rounds like row T of a
     # (T+1)-row train-risk series, since rows of one product round by position
-    last = deque(batch_iterates([ref_cfg], spec, train, ref_cfg.seed, [0]), maxlen=2)
+    last = deque(batch_iterates([ref_cfg], spec, train, 0, [0], theta0=theta0), maxlen=2)
     return float(empirical_risk_batch(spec, np.concatenate(last)[:, 0], train)[-1])
 
 
 def risk_curves(configs: Sequence[OptimizerConfig], spec: LossSpec, train: Dataset,
-                test: Dataset) -> List[RiskCurves]:
+                test: Dataset, ref_budget: int = 0) -> List[RiskCurves]:
     """Train/test risk along each config's run from 0, run as one batch with the
-    configs' seed (optimization error: ``train - reference_risk(spec, train, budget)``)."""
-    thetas = iterate_traces(configs, spec, train, _shared_seed(configs))
+    configs' seed; with ``ref_budget`` each curve carries ``reference_risk(spec,
+    train, ref_budget)`` (optimization error: ``train - reference``).  A
+    full-gradient batch runs the reference as one more column for its first
+    s = min(T, ref_budget) steps, its trace not stored; gd has no momentum, so
+    from its state at s it resumes alone."""
+    k, T = len(configs), configs[0].T
+    s = min(T, ref_budget) if ref_budget and not configs[0].sampled else 0
+    columns = [*configs, _reference_config(spec, train, T)] if s else configs
+    thetas, ref_start = np.empty((k, T + 1, train.dim or 1)), None
+    for t, state in enumerate(batch_iterates(columns, spec, train, _shared_seed(configs), [0])):
+        thetas[:, t] = state[0, :k]
+        if s and t == s:
+            ref_start = state[0, k]
+    ref = reference_risk(spec, train, ref_budget - s, ref_start) if ref_budget else None
     train_risk = empirical_risk_batch(spec, thetas, train)
     test_risk = empirical_risk_batch(spec, thetas, test)
-    return [RiskCurves(train=a, test=b, gen_gap=b - a)
+    return [RiskCurves(train=a, test=b, gen_gap=b - a, reference=ref)
             for a, b in zip(train_risk, test_risk)]

@@ -248,8 +248,9 @@ def test_risk_decomposition_runs_one_reference_for_all_methods(monkeypatch):
     monkeypatch.setattr(optimizers, "batch_iterates", counting)
     monkeypatch.setattr(stability_lab, "batch_iterates", counting)
     report = run_experiment(cfg)
-    # one batch of the three methods, one reference run
-    assert sorted(runs) == [["gd"], ["gd", "nag", "hb"]]
+    # the reference rides as a fourth column of the methods' batch for its first
+    # T steps, then continues alone for the rest of its budget
+    assert sorted(runs) == [["gd"], ["gd", "nag", "hb", "gd"]]
     monkeypatch.undo()
 
     refs = {report.records[f"{m}_reference_risk"] for m in cfg.methods}
@@ -265,6 +266,37 @@ def test_risk_decomposition_runs_one_reference_for_all_methods(monkeypatch):
         np.testing.assert_array_equal(series[f"{m}_opt_error"].value, rc.train - ref)
         np.testing.assert_array_equal(series[f"{m}_test_risk"].value, rc.test)
         assert report.records[f"{m}_reference_risk"] == ref
+
+
+def test_negative_ref_budget_is_rejected_by_name():
+    with pytest.raises(ValidationError, match="config key 'ref_budget'"):
+        build_config({"experiment": "risk_decomposition", "ref_budget": -5})
+
+
+@pytest.mark.parametrize("methods, T, budget", [
+    (("gd", "nag"), 40, 25),  # the reference's state is read mid-batch
+    (("gd", "nag"), 40, 40),
+    (("gd", "nag"), 40, 300),  # it rides for T steps, then resumes alone
+    (("gd", "nag"), 0, 300),  # T = 0: it runs alone
+    (("gd", "sgd"), 40, 300),
+    (("sgd", "sgld"), 40, 300),  # no full-gradient method: it runs alone
+])
+def test_risk_reference_equals_standalone_reference_risk(monkeypatch, methods, T, budget):
+    from optstab import losses
+    from optstab.losses import logistic_spec
+    from optstab.stability_lab import reference_risk
+
+    # 16-row blocks: the 60-row design is four blocks, the last one partial
+    monkeypatch.setattr(losses, "_GRAD_BLOCK_BYTES", 16 * 5 * 8)
+    cfg = build_config({
+        "experiment": "risk_decomposition", "methods": methods, "n": 60, "d": 5, "T": T,
+        "n_test": 80, "seed": 3, "eta0": 0.1, "ref_budget": budget,
+    })
+    report = run_experiment(cfg)
+    full, _ = gen_synthetic(cfg.d, cfg.n + cfg.n_test, seed=cfg.seed)
+    ref = reference_risk(logistic_spec(), full.take(np.arange(cfg.n)), budget)
+    for m in methods:
+        assert report.records[f"{m}_reference_risk"] == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_lecam_audit_passes():
@@ -307,7 +339,8 @@ def test_cli_validation_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("source", "flie"), ("schedule", "linear"),
-                                        ("n", "abc"), ("seed", "-1")])
+                                        ("n", "abc"), ("seed", "-1"),
+                                        ("ref_budget", "-5")])
 def test_cli_bad_value_exits_1_from_file_and_flag(tmp_path, monkeypatch, capsys, key,
                                                   value):
     from optstab.harness import cli
@@ -320,7 +353,7 @@ def test_cli_bad_value_exits_1_from_file_and_flag(tmp_path, monkeypatch, capsys,
     cfgfile.write_text(f"{key} = {value}\n")
     out = str(tmp_path / "x")
     errors = []
-    for argv in (["--config", str(cfgfile)], [f"--{key}", value]):
+    for argv in (["--config", str(cfgfile)], [f"--{key.replace('_', '-')}", value]):
         assert cli_main(["stability", "--out", out] + argv) == 1
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
