@@ -142,13 +142,12 @@ def _risk_decomposition(cfg: ExperimentConfig) -> Report:
     test = Dataset.from_labeled(full.X[cfg.n:], full.y[cfg.n:])
     report = _new_report(cfg)
     ts = np.arange(cfg.T + 1)
-    # the reference run depends on neither the method nor its seed: it rides
-    # in the first batch, the full-gradient one if there is one
-    curves_of, budget = {}, cfg.ref_budget
-    for batch in _batches(opt_cfgs):
-        curves_of.update(zip(batch, risk_curves(list(batch.values()), spec, train, test, budget)))
-        budget = 0
-    ref_risk = next(iter(curves_of.values())).reference
+    # the reference depends on neither method nor seed: the first batch runs it
+    first, *rest = _batches(opt_cfgs)
+    curves, ref_risk = risk_curves(list(first.values()), spec, train, test, cfg.ref_budget)
+    curves_of = dict(zip(first, curves))
+    for batch in rest:
+        curves_of.update(zip(batch, risk_curves(list(batch.values()), spec, train, test)[0]))
     for m in opt_cfgs:
         curves = curves_of[m]
         report.add_series(f"{m}_train_risk", ts, curves.train)

@@ -23,11 +23,11 @@ both on blocks (..., k, d) of parameter vectors against sample (...) of a
 stack (``Dataset.stack``), so a sample's k logistic margins are one
 product; plus the constants.  A full logistic gradient streams each
 member's design in row blocks small enough to stay in L2 between the
-margins Xb @ theta^T (made C-contiguous; at d = 200, four columns then cost
-no more than three) and the contraction, one product R @ Xb per member and
-block (whose rounding, unlike a product over a whole large design, does not
-depend on the BLAS thread count); a sampled row's margins are theta @ x^T.
-It sums the blocks' partial gradients in block order whichever way it walks
+margins and the contraction, one product R @ Xb per member and block (whose
+rounding, unlike a product over a whole large design, does not depend on
+the BLAS thread count); its margins are theta @ Xb^T, or Xb @ theta^T made
+C-contiguous from k = 4 columns on, the faster side there at d = 200.  It
+sums the blocks' partial gradients in block order whichever way it walks
 them, so the optimizer engine walks backward on odd steps, starting on the
 blocks the last step left in L2, at no change in bytes; a design that fits
 in one block takes the whole-design operations.
@@ -348,6 +348,10 @@ def _logistic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.nd
 # 100/200/400/500/667/1000/2000 rows: 0.82/0.58/0.51/0.50/0.49/0.54/0.75, with
 # 400 to 667 rows within the noise.  Every d = 10 design up to n = 8000 is one block.
 _GRAD_BLOCK_BYTES = 640_000
+# Columns from which a full gradient's margins are Xb @ theta^T: ms per call on a
+# (2000, 200) design, theta @ Xb^T / Xb @ theta^T, at k = 1..6: 0.32/0.33,
+# 0.36/0.33, 0.53/0.60, 0.79/0.53, 0.95/0.72, 0.88/0.67; at d = 10 a tie.
+_ROWS_FIRST_K = 4
 
 
 def _logistic_grad(spec: LossSpec, thetas: np.ndarray, data: Dataset, rows,
@@ -356,7 +360,8 @@ def _logistic_grad(spec: LossSpec, thetas: np.ndarray, data: Dataset, rows,
     n, d = X.shape[-2:]
     step = max(1, _GRAD_BLOCK_BYTES // (d * X.itemsize))
     starts = range(0, n, step)
-    thetas_t = np.ascontiguousarray(thetas.swapaxes(-1, -2)) if rows is None else None
+    rows_first = rows is None and thetas.shape[-2] >= _ROWS_FIRST_K
+    thetas_t = np.ascontiguousarray(thetas.swapaxes(-1, -2)) if rows_first else None
     parts = {}  # kept per block and summed in block order: the same bytes either way
     for i in (reversed(starts) if reverse else starts):
         # margins, residuals and contraction of one block while it is in L2; the
@@ -364,8 +369,8 @@ def _logistic_grad(spec: LossSpec, thetas: np.ndarray, data: Dataset, rows,
         # R rounds apart), whose rounding within a block does not depend on the BLAS
         # thread count (over a whole 2,000-row design at d = 200 it does)
         Xb = X[..., i:i + step, :]
-        R = _sigmoid(thetas @ Xb.swapaxes(-1, -2) if rows is not None
-                     else np.ascontiguousarray((Xb @ thetas_t).swapaxes(-1, -2)))
+        R = _sigmoid(np.ascontiguousarray((Xb @ thetas_t).swapaxes(-1, -2)) if rows_first
+                     else thetas @ Xb.swapaxes(-1, -2))
         R -= y[..., None, i:i + step]
         parts[i] = R @ Xb
     return sum((parts[i] for i in starts[1:]), parts[0]) / n

@@ -27,7 +27,7 @@ retained for audit.
 The risk decomposition measures the optimization error against an empirical
 minimum from one long full-gradient run (:func:`reference_risk`), which
 depends only on the loss, the training sample and the budget, so one
-reference serves every method and rides in their full-gradient batch.
+reference serves every method (riding in their full-gradient batch if it can).
 """
 
 from __future__ import annotations
@@ -302,12 +302,11 @@ def fit_loglog_slope(values, window: Optional[Tuple[int, int]] = None,
 
 @dataclass(frozen=True)
 class RiskCurves:
-    """Per-iteration train/test risks and generalization gap, and the reference risk."""
+    """Per-iteration train/test risks and the generalization gap."""
 
     train: np.ndarray
     test: np.ndarray
     gen_gap: np.ndarray  # test - train
-    reference: Optional[float] = None  # None without a reference run
 
 
 def _reference_config(spec: LossSpec, train: Dataset, T: int) -> OptimizerConfig:
@@ -322,7 +321,7 @@ def reference_risk(spec: LossSpec, train: Dataset, budget: int, theta0=None) -> 
     ``budget`` full-gradient steps at eta = 1/beta from theta0 (default 0).
 
     A loss with beta = 0 has no 1/beta step and raises ValidationError.
-    Only the last two states of the run are kept.
+    Only the last two states of the run are kept (theta0 twice at budget 0).
     """
     ref_cfg = _reference_config(spec, train, budget)
     # only the last iterate's risk is read; it is evaluated in a batch of
@@ -330,27 +329,27 @@ def reference_risk(spec: LossSpec, train: Dataset, budget: int, theta0=None) -> 
     # goes through; that does not guarantee it rounds like row T of a
     # (T+1)-row train-risk series, since rows of one product round by position
     last = deque(batch_iterates([ref_cfg], spec, train, 0, [0], theta0=theta0), maxlen=2)
-    return float(empirical_risk_batch(spec, np.concatenate(last)[:, 0], train)[-1])
+    return float(empirical_risk_batch(spec, np.concatenate((last[0], last[-1]))[:, 0],
+                                      train)[-1])
 
 
 def risk_curves(configs: Sequence[OptimizerConfig], spec: LossSpec, train: Dataset,
-                test: Dataset, ref_budget: int = 0) -> List[RiskCurves]:
+                test: Dataset, ref_budget: int = 0) -> Tuple[List[RiskCurves], Optional[float]]:
     """Train/test risk along each config's run from 0, run as one batch with the
-    configs' seed; with ``ref_budget`` each curve carries ``reference_risk(spec,
-    train, ref_budget)`` (optimization error: ``train - reference``).  A
-    full-gradient batch runs the reference as one more column for its first
-    s = min(T, ref_budget) steps, its trace not stored; gd has no momentum, so
-    from its state at s it resumes alone."""
+    configs' seed, and with ``ref_budget`` ``reference_risk(spec, train,
+    ref_budget)`` (optimization error: ``train - reference``), else None.  A
+    full-gradient batch with T <= ref_budget runs the reference as one more
+    column, its trace not stored; gd has no momentum, so from its state at T it
+    resumes alone.  Otherwise the reference runs alone."""
     k, T = len(configs), configs[0].T
-    s = min(T, ref_budget) if ref_budget and not configs[0].sampled else 0
-    columns = [*configs, _reference_config(spec, train, T)] if s else configs
-    thetas, ref_start = np.empty((k, T + 1, train.dim or 1)), None
+    joined = 0 < ref_budget and T <= ref_budget and not configs[0].sampled
+    columns = [*configs, _reference_config(spec, train, T)] if joined else configs
+    thetas = np.empty((k, T + 1, train.dim or 1))
     for t, state in enumerate(batch_iterates(columns, spec, train, _shared_seed(configs), [0])):
         thetas[:, t] = state[0, :k]
-        if s and t == s:
-            ref_start = state[0, k]
-    ref = reference_risk(spec, train, ref_budget - s, ref_start) if ref_budget else None
+    start, done = (state[0, k], T) if joined else (None, 0)
+    ref = reference_risk(spec, train, ref_budget - done, start) if ref_budget else None
     train_risk = empirical_risk_batch(spec, thetas, train)
     test_risk = empirical_risk_batch(spec, thetas, test)
-    return [RiskCurves(train=a, test=b, gen_gap=b - a, reference=ref)
-            for a, b in zip(train_risk, test_risk)]
+    return [RiskCurves(train=a, test=b, gen_gap=b - a)
+            for a, b in zip(train_risk, test_risk)], ref

@@ -245,7 +245,7 @@ def test_criterion_11_risk_decomposition_ordering():
     test = gen_synthetic(200, 2000, seed=102)[0]
     methods = ("nag", "gd")
     cfgs = [OptimizerConfig(method=m, schedule=fixed(0.1), T=1000, seed=5) for m in methods]
-    curves = dict(zip(methods, risk_curves(cfgs, LOGISTIC, train, test)))
+    curves = dict(zip(methods, risk_curves(cfgs, LOGISTIC, train, test)[0]))
     nag_late = curves["nag"].gen_gap[1000]
     nag_early = curves["nag"].gen_gap[10]
     gd_late = curves["gd"].gen_gap[1000]

@@ -248,8 +248,8 @@ def test_risk_decomposition_runs_one_reference_for_all_methods(monkeypatch):
     monkeypatch.setattr(optimizers, "batch_iterates", counting)
     monkeypatch.setattr(stability_lab, "batch_iterates", counting)
     report = run_experiment(cfg)
-    # the reference rides as a fourth column of the methods' batch for its first
-    # T steps, then continues alone for the rest of its budget
+    # the reference (budget 300 >= T = 40) rides as a fourth column of the methods'
+    # batch for all T steps, then continues alone for the rest of its budget
     assert sorted(runs) == [["gd"], ["gd", "nag", "hb", "gd"]]
     monkeypatch.undo()
 
@@ -260,8 +260,8 @@ def test_risk_decomposition_runs_one_reference_for_all_methods(monkeypatch):
     train, test = full.take(np.arange(cfg.n)), full.take(np.arange(cfg.n, full.n))
     series = {s.name: s for s in report.series}
     ref = stability_lab.reference_risk(logistic_spec(), train, cfg.ref_budget)
-    curves = stability_lab.risk_curves([_optimizer_config(cfg, m) for m in cfg.methods],
-                                       logistic_spec(), train, test)
+    curves, _ = stability_lab.risk_curves([_optimizer_config(cfg, m) for m in cfg.methods],
+                                          logistic_spec(), train, test)
     for m, rc in zip(cfg.methods, curves):
         np.testing.assert_array_equal(series[f"{m}_opt_error"].value, rc.train - ref)
         np.testing.assert_array_equal(series[f"{m}_test_risk"].value, rc.test)
@@ -274,10 +274,11 @@ def test_negative_ref_budget_is_rejected_by_name():
 
 
 @pytest.mark.parametrize("methods, T, budget", [
-    (("gd", "nag"), 40, 25),  # the reference's state is read mid-batch
-    (("gd", "nag"), 40, 40),
+    (("gd", "nag"), 40, 25),  # budget < T: the reference runs alone
+    (("gd", "nag"), 40, 40),  # it rides for T steps and resumes for none
     (("gd", "nag"), 40, 300),  # it rides for T steps, then resumes alone
-    (("gd", "nag"), 0, 300),  # T = 0: it runs alone
+    (("gd", "nag"), 0, 300),  # T = 0: it rides in a batch of no steps
+    (("gd", "nag", "hb"), 40, 300),  # four columns: margins as Xb @ theta^T
     (("gd", "sgd"), 40, 300),
     (("sgd", "sgld"), 40, 300),  # no full-gradient method: it runs alone
 ])

@@ -624,14 +624,14 @@ def test_saturation_onset_matches_lstsq_split_loop_on_pure_power_laws(T, exponen
 def test_risk_curves_gap_zero_when_test_equals_train():
     data = logistic_fixture(n=30, seed=51)
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=30, seed=0)
-    rc = risk_curves([cfg], logistic_spec(), data, data)[0]
+    (rc,), _ = risk_curves([cfg], logistic_spec(), data, data)
     np.testing.assert_allclose(rc.gen_gap, 0.0, atol=1e-15)
 
 
 def test_risk_curves_reference_minimizer_self_consistent():
     data = logistic_fixture(n=25, seed=53)
     cfg = OptimizerConfig(method="gd", schedule=fixed(1.0), T=400, seed=0)
-    rc = risk_curves([cfg], logistic_spec(), data, data)[0]
+    (rc,), _ = risk_curves([cfg], logistic_spec(), data, data)
     opt_error = rc.train - reference_risk(logistic_spec(), data, 2000)
     # by T = 400 a 1/beta-step GD run is essentially at the reference minimum
     assert opt_error[-1] == pytest.approx(0.0, abs=1e-4)
@@ -655,7 +655,7 @@ def test_optimization_error_dominates_in_underparameterized_regime():
     ref = reference_risk(logistic_spec(), train, 10000)
     for method, (lo, hi) in windows.items():
         cfg = OptimizerConfig(method=method, schedule=fixed(0.1), T=500, seed=3)
-        rc = risk_curves([cfg], logistic_spec(), train, test)[0]
+        (rc,), _ = risk_curves([cfg], logistic_spec(), train, test)
         opt_error = rc.train - ref
         ts = np.arange(lo, hi + 1)
         assert np.all(opt_error[ts] > np.abs(rc.gen_gap[ts])), method
@@ -675,7 +675,7 @@ def test_generalization_gap_under_stability_bound_on_average():
         train = Dataset.from_labeled(X[:n], y[:n])
         test = Dataset.from_labeled(X[n:], y[n:])
         cfg = OptimizerConfig(method="gd", schedule=fixed(eta), T=T, seed=seed)
-        rc = risk_curves([cfg], spec, train, test)[0]
+        (rc,), _ = risk_curves([cfg], spec, train, test)
         gaps.append(rc.gen_gap[-1])
     bound = stability_bound(BoundQuery(
         method="gd", setting=CONVEX, constants=loss_constants(spec),
