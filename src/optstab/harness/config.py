@@ -13,10 +13,10 @@ Keys
 experiment   stability_scaling | risk_decomposition | lecam_audit |
              lemma_audit | bounds_table  (the CLI's subcommand)
 methods      comma list of gd, sgd, nag, nag_sc, hb, sgld
-source       synthetic | file
-data_path    breast-cancer style CSV (source = file)
-n, d, T      sample size, dimension, iteration horizon
-subsample    size of the fixed sample S drawn from a loaded file
+data_path    breast-cancer style CSV: stability_scaling draws S from its rows and
+             the pool is the file's other rows, so d and holdout are not read
+             (without it S is generated); other experiments reject it
+n, d, T      size of S, dimension, iteration horizon
 holdout      held-out pool size (replacement draws and sup-gap estimation)
 reps         independent perturbation repeats
 seed         master seed (>= 0) of every random stream (optstab.streams)
@@ -43,12 +43,10 @@ EXPERIMENTS = ("stability_scaling", "risk_decomposition", "lecam_audit",
 class ExperimentConfig:
     experiment: str = "stability_scaling"
     methods: Tuple[str, ...] = ("gd",)
-    source: str = "synthetic"
     data_path: Optional[str] = None
     n: int = 500
     d: int = 10
     T: int = 1000
-    subsample: int = 500
     holdout: int = 100
     reps: int = 50
     seed: int = 0
@@ -67,8 +65,8 @@ class ExperimentConfig:
             raise ValidationError(f"unknown experiment {self.experiment!r}")
         if self.schedule not in ("fixed", "power"):
             raise ValidationError(f"unknown schedule {self.schedule!r}")
-        if self.source not in ("synthetic", "file"):
-            raise ValidationError(f"unknown source {self.source!r}")
+        if self.data_path and self.experiment != "stability_scaling":
+            raise ValidationError(f"config key 'data_path': {self.experiment} reads no file")
         if not self.methods and self.experiment in ("stability_scaling", "risk_decomposition"):
             raise ValidationError(f"{self.experiment} needs at least one method")
         for key in ("seed", "ref_budget"):

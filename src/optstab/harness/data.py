@@ -80,6 +80,6 @@ def split_sample(data: Dataset, size: int, seed: int = 0) -> Tuple[Dataset, Data
     """Draw a fixed sample of ``size`` points without replacement; the rest
     forms the held-out pool (the seed's "split" stream)."""
     if not 1 <= size < data.n:
-        raise ValidationError(f"subsample size {size} must lie in [1, n-1]")
+        raise ValidationError(f"sample size {size} must lie in [1, {data.n - 1}]")
     perm = stream(seed, "split").permutation(data.n)
     return data.take(perm[:size]), data.take(perm[size:])

@@ -66,13 +66,11 @@ def _new_report(cfg: ExperimentConfig) -> Report:
 
 
 def _logistic_data(cfg: ExperimentConfig):
-    """The fixed sample S plus the held-out pool used for perturbations."""
-    if cfg.source == "file":
-        if not cfg.data_path:
-            raise ValidationError("source=file needs data_path")
+    """The fixed sample S of n points plus the held-out pool used for perturbations."""
+    if cfg.data_path:
         full = load_breast_cancer(cfg.data_path)
-        return split_sample(full, cfg.subsample, seed=cfg.seed)
-    full, _ = gen_synthetic(cfg.d, cfg.n + cfg.holdout, seed=cfg.seed)
+    else:
+        full, _ = gen_synthetic(cfg.d, cfg.n + cfg.holdout, seed=cfg.seed)
     return split_sample(full, cfg.n, seed=cfg.seed)
 
 

@@ -13,7 +13,8 @@ strong convexity alpha, domain diameter R).  Five families are supported:
                                s*r: (beta/2)u^2 for |u| <= r/2, (beta*r/4)|u| beyond
 * ``lecam_strongly_convex`` -- pure quadratic (beta/2)(theta[0] - s*r)^2
 
-``Dataset`` is the only sample type: a point is the one-row sample
+``Dataset`` is the only sample type, one design X (n, d): labeled by y, or
+the one column of a symbol sample's s (y None).  A point is the one-row sample
 ``data.point(i)``, so l(theta; z_i) is ``empirical_risk(spec, theta,
 data.point(i))`` and its gradient ``sample_grad(spec, theta, data, i)``.
 
@@ -72,70 +73,71 @@ def as_param_vector(theta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A sample of n points, homogeneous in variant, backed by dense arrays.
+    """A sample of n points as one design X (n, d), backed by dense arrays.
 
-    A stack of equal-size samples (``Dataset.stack``) carries its stack axes
-    in front: X (..., n, d), y and s (..., n).  Only the gradient functions
-    and ``loss_constants`` read stacks; ``point`` and ``replace`` reject them.
+    A labeled sample has labels y (n,) in {0, 1}; a symbol sample is the
+    one-column design of its symbols s in {-1, +1}, with y None.  A stack of
+    equal-size samples (``Dataset.stack``) carries its stack axes in front:
+    X (..., n, d), y (..., n).  Only the gradient functions and
+    ``loss_constants`` read stacks; ``point`` and ``replace`` reject them.
     """
 
-    kind: str  # "labeled" | "symbol"
-    X: Optional[np.ndarray] = None  # (n, d) rows for labeled data
-    y: Optional[np.ndarray] = None  # (n,) labels in {0, 1}
-    s: Optional[np.ndarray] = None  # (n,) symbols in {-1, +1}
+    X: np.ndarray
+    y: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind == "labeled":
-            if self.X is None or self.y is None:
-                raise ValidationError("labeled dataset needs X and y")
-            if self.X.ndim < 2 or self.y.shape != self.X.shape[:-1]:
-                raise ValidationError("labeled dataset shapes disagree")
-            if self.X.shape[-2] < 1:
-                raise ValidationError("dataset must contain at least one point")
-            if not np.all(np.isin(self.y, (0, 1))):
-                raise ValidationError("labels must lie in {0, 1}")
-        elif self.kind == "symbol":
-            if self.s is None or np.asarray(self.s).ndim < 1:
-                raise ValidationError("symbol dataset needs a 1-D symbol array")
-            if np.shape(self.s)[-1] < 1:
-                raise ValidationError("dataset must contain at least one point")
-            if not np.all(np.isin(self.s, (-1, 1))):
-                raise ValidationError("symbols must lie in {-1, +1}")
-        else:
-            raise ValidationError(f"unknown dataset kind {self.kind!r}")
+        if self.X.ndim < 2 or self.X.shape[-2] < 1:
+            raise ValidationError("dataset needs a design X (..., n, d) of at least one point")
+        if self.y is None:
+            if self.X.shape[-1] != 1 or not np.all(np.isin(self.X, (-1, 1))):
+                raise ValidationError("an unlabeled sample is one column of symbols "
+                                      "in {-1, +1}")
+        elif self.y.shape != self.X.shape[:-1]:
+            raise ValidationError("labeled dataset shapes disagree")
+        elif not np.all(np.isin(self.y, (0, 1))):
+            raise ValidationError("labels must lie in {0, 1}")
 
     @staticmethod
     def from_labeled(X, y) -> "Dataset":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return Dataset(kind="labeled", X=X, y=y)
+        return Dataset(np.asarray(X, dtype=float), np.asarray(y, dtype=float))
 
     @staticmethod
     def from_symbols(s) -> "Dataset":
-        return Dataset(kind="symbol", s=np.asarray(s, dtype=float))
+        return Dataset(np.asarray(s, dtype=float)[..., None])
+
+    @property
+    def kind(self) -> str:
+        return "symbol" if self.y is None else "labeled"
+
+    @property
+    def s(self) -> Optional[np.ndarray]:
+        """Symbols (..., n) of a symbol sample, None for a labeled one."""
+        return self.X[..., 0] if self.y is None else None
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[-2]
+
+    @property
+    def dim(self) -> int:
+        return self.X.shape[-1]
+
+    @property
+    def stack_shape(self) -> tuple:
+        """Leading shape of a stack of samples; () for a single sample."""
+        return self.X.shape[:-2]
+
+    @property
+    def _arrays(self) -> tuple:
+        """The row-aligned arrays: (X,) or (X, y)."""
+        return (self.X,) if self.y is None else (self.X, self.y)
 
     @staticmethod
     def stack(samples: Sequence["Dataset"]) -> "Dataset":
         """Equal-size samples of one kind stacked along a new first axis."""
         if len({z.kind for z in samples}) != 1 or any(z.stack_shape for z in samples):
             raise ValidationError("can only stack single samples of one kind")
-        if samples[0].kind == "labeled":
-            return Dataset(kind="labeled", X=np.stack([z.X for z in samples]),
-                           y=np.stack([z.y for z in samples]))
-        return Dataset(kind="symbol", s=np.stack([z.s for z in samples]))
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[-2] if self.kind == "labeled" else self.s.shape[-1]
-
-    @property
-    def dim(self) -> Optional[int]:
-        return self.X.shape[-1] if self.kind == "labeled" else None
-
-    @property
-    def stack_shape(self) -> tuple:
-        """Leading shape of a stack of samples; () for a single sample."""
-        return self.X.shape[:-2] if self.kind == "labeled" else self.s.shape[:-1]
+        return Dataset(*(np.stack(a) for a in zip(*(z._arrays for z in samples))))
 
     def _check_index(self, i: int) -> None:
         if self.stack_shape:
@@ -154,19 +156,14 @@ class Dataset:
         if z.kind != self.kind or z.n != 1 or z.stack_shape or z.dim != self.dim:
             raise ValidationError(f"replacement must be one {self.kind} point of this "
                                   "sample's dimension")
-        if self.kind == "labeled":
-            X, y = self.X.copy(), self.y.copy()
-            X[k], y[k] = z.X[0], z.y[0]
-            return Dataset(kind="labeled", X=X, y=y)
-        s = self.s.copy()
-        s[k] = z.s[0]
-        return Dataset(kind="symbol", s=s)
+        arrays = tuple(a.copy() for a in self._arrays)
+        for a, b in zip(arrays, z._arrays):
+            a[k] = b[0]
+        return Dataset(*arrays)
 
     def take(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        if self.kind == "labeled":
-            return Dataset(kind="labeled", X=self.X[idx], y=self.y[idx])
-        return Dataset(kind="symbol", s=self.s[idx])
+        return Dataset(*(a[idx] for a in self._arrays))
 
 
 @dataclass(frozen=True)

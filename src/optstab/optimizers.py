@@ -13,8 +13,9 @@ full empirical-risk gradient or a single sampled row's.  ``batch_iterates``
 runs B members of k configs of one gradient kind as one (B, k, d) state
 under (T, k) coefficient columns, each member on the shared sample or on its
 own sample of a stack; ``run`` records the trace of its one-config,
-one-member case.  A batch checks its inputs once, before theta_0, then
-calls the unchecked ``losses._block_grad``.
+one-member case.  theta_0 is the zero vector of the sample's dimension
+unless given (the symbol families read only theta[0]).  A batch checks its
+inputs once, before theta_0, then calls the unchecked ``losses._block_grad``.
 
 Randomized methods draw their index and Gaussian noise streams from
 ``streams.stream(seed, "sgd_index", member)`` and ``(seed, "sgld_noise",
@@ -200,8 +201,7 @@ def _coefficients(config: OptimizerConfig, etas: np.ndarray):
 
 
 def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dataset,
-                   seed: int, members: Sequence[int], theta0=None,
-                   dim: Optional[int] = None) -> Iterator[np.ndarray]:
+                   seed: int, members: Sequence[int], theta0=None) -> Iterator[np.ndarray]:
     """Yield the (B, k, d) states theta_0..theta_T of B members by k configs.
 
     The configs share their gradient kind and T.  Member b runs ``configs[j]``
@@ -211,8 +211,8 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
     "sgld_noise", members[b])``, serve all its columns; members with equal
     indices share them, which couples them.  Members whose indices and
     samples agree follow exactly equal iterates.  theta0 defaults to the
-    zero vector; for symbol datasets the dimension is taken from ``dim``
-    (default 1).  Data of the wrong kind or dimension raise ValidationError
+    zero vector of the sample's dimension (the symbol families read only
+    theta[0]).  Data of the wrong kind or dimension raise ValidationError
     before theta_0; the first iterate that is not finite raises
     FloatingPointError naming its method and step.
     """
@@ -221,12 +221,7 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
         raise ValidationError("a batch needs configs of one gradient kind and one T")
     if data.stack_shape not in ((), (B,)):
         raise ValidationError("need one sample, or one sample per member")
-    if theta0 is not None:
-        theta = as_param_vector(theta0).copy()
-    elif data.kind == "labeled":
-        theta = np.zeros(data.dim)
-    else:
-        theta = np.zeros(dim if dim is not None else 1)
+    theta = np.zeros(data.dim) if theta0 is None else as_param_vector(theta0).copy()
     _check_dataset(spec, theta, data)
     constants = loss_constants(spec, data)
     for config in configs:
@@ -264,13 +259,12 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
         yield theta
 
 
-def run(config: OptimizerConfig, spec: LossSpec, data: Dataset,
-        theta0=None, dim: Optional[int] = None) -> IterateTrace:
+def run(config: OptimizerConfig, spec: LossSpec, data: Dataset, theta0=None) -> IterateTrace:
     """Run the configured method on the empirical risk of ``data``.
 
     The one-config, one-member case of :func:`batch_iterates`.
     """
-    states = batch_iterates([config], spec, data, config.seed, [0], theta0=theta0, dim=dim)
+    states = batch_iterates([config], spec, data, config.seed, [0], theta0=theta0)
     thetas = np.stack([state[0, 0] for state in states])
     return IterateTrace(method=config.method, thetas=thetas,
                         risks=empirical_risk_batch(spec, thetas, data),

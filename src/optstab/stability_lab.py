@@ -78,8 +78,6 @@ def estimate_sup_loss_gap(theta, theta_p, spec: LossSpec, holdout: Dataset):
     this is set explicitly, since the rows of one BLAS matrix product need
     not round alike (some row positions take a different kernel).
     """
-    if holdout.n < 1:
-        raise ValidationError("holdout must be nonempty")
     batched = np.ndim(theta_p) >= 2
     theta, theta_p = np.atleast_2d(theta), np.atleast_2d(theta_p)
     if theta.shape == theta_p.shape:
@@ -93,8 +91,8 @@ def estimate_sup_loss_gap(theta, theta_p, spec: LossSpec, holdout: Dataset):
 
 
 def _coupled_gaps(configs: Sequence[OptimizerConfig], spec: LossSpec, base: Dataset,
-                  perturbed: Sequence[Dataset], seed: int, holdout: Dataset, theta0,
-                  dim: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+                  perturbed: Sequence[Dataset], seed: int, holdout: Dataset,
+                  theta0) -> Tuple[np.ndarray, np.ndarray]:
     """(param_gap, sup_loss_gap), each (k, P, T+1), of the P coupled pairs
     (base, perturbed[i]) of each of k configs run as one batch under
     ``seed``: the base runs, then the P perturbed runs.  Both runs of pair i
@@ -105,8 +103,7 @@ def _coupled_gaps(configs: Sequence[OptimizerConfig], spec: LossSpec, base: Data
     B = P if configs[0].sampled else 1
     param_gap, sup_gap = np.empty((2, len(configs), P, configs[0].T + 1))
     samples = Dataset.stack([base] * B + list(perturbed))
-    states = batch_iterates(configs, spec, samples, seed, [*range(B), *range(P)],
-                            theta0=theta0, dim=dim)
+    states = batch_iterates(configs, spec, samples, seed, [*range(B), *range(P)], theta0)
     t = 0
     while block := list(itertools.islice(states, _GAP_STEPS)):
         # (steps, k, members, d), method-major, so each method's members of a
@@ -122,10 +119,9 @@ def _coupled_gaps(configs: Sequence[OptimizerConfig], spec: LossSpec, base: Data
 
 
 def run_pair(config: OptimizerConfig, spec: LossSpec, base: Dataset, perturbed: Dataset,
-             holdout: Dataset, theta0=None, dim: Optional[int] = None) -> StabilityTrace:
+             holdout: Dataset, theta0=None) -> StabilityTrace:
     """Run the method on a sample and its perturbed copy under identical streams."""
-    pg, sg = _coupled_gaps([config], spec, base, [perturbed], config.seed, holdout,
-                           theta0, dim)
+    pg, sg = _coupled_gaps([config], spec, base, [perturbed], config.seed, holdout, theta0)
     return StabilityTrace(param_gap=pg[0, 0], sup_loss_gap=sg[0, 0])
 
 
@@ -169,8 +165,8 @@ def _shared_seed(configs: Sequence[OptimizerConfig]) -> int:
 
 
 def repeat_and_average(configs: Sequence[OptimizerConfig], spec: LossSpec,
-                       sample: Dataset, pool: Dataset, reps: int, theta0=None,
-                       dim: Optional[int] = None) -> AveragedStability:
+                       sample: Dataset, pool: Dataset, reps: int,
+                       theta0=None) -> AveragedStability:
     """Average each config's gap series over ``reps`` independent perturbations.
 
     Repeat i draws the perturbed index uniformly and the replacement point
@@ -190,7 +186,7 @@ def repeat_and_average(configs: Sequence[OptimizerConfig], spec: LossSpec,
         z_new = pool.point(int(rng.integers(0, pool.n)))
         perturbed.append(sample.replace(k, z_new))
         records.append({"repeat": i, "k": k, "z": _describe_point(z_new)})
-    pg, sg = _coupled_gaps(configs, spec, sample, perturbed, seed, pool, theta0, dim)
+    pg, sg = _coupled_gaps(configs, spec, sample, perturbed, seed, pool, theta0)
     return AveragedStability(*_mean_stderr(pg), *_mean_stderr(sg), StabilityTrace(pg, sg),
                              records)
 
@@ -344,7 +340,7 @@ def risk_curves(configs: Sequence[OptimizerConfig], spec: LossSpec, train: Datas
     k, T = len(configs), configs[0].T
     joined = 0 < ref_budget and T <= ref_budget and not configs[0].sampled
     columns = [*configs, _reference_config(spec, train, T)] if joined else configs
-    thetas = np.empty((k, T + 1, train.dim or 1))
+    thetas = np.empty((k, T + 1, train.dim))
     for t, state in enumerate(batch_iterates(columns, spec, train, _shared_seed(configs), [0])):
         thetas[:, t] = state[0, :k]
     start, done = (state[0, k], T) if joined else (None, 0)

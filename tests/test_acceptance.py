@@ -106,7 +106,7 @@ def test_criterion_02_nag_stability_slope(nag_experiment):
     perturbed = data.replace(3, Dataset.from_symbols([-int(data.s[3])]))
     cfg = OptimizerConfig(method="nag", schedule=fixed(1e-8), T=1000, seed=0)
     trace = run_pair(cfg, spec, data, perturbed, Dataset.from_symbols(np.array([1.0, -1.0])),
-                     dim=2)
+                     theta0=np.zeros(2))
     quad_fit = fit_loglog_slope(trace.param_gap, window=(10, 1000))
 
     log_fit = fit_loglog_slope(nag_experiment, window=(10, 1000))
@@ -229,7 +229,7 @@ def test_criterion_10_strongly_convex_stability_envelope():
     perturbed = data.replace(5, Dataset.from_symbols([-int(data.s[5])]))
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.5), T=500, seed=0)
     trace = run_pair(cfg, spec, data, perturbed, Dataset.from_symbols(np.array([1.0, -1.0])),
-                     dim=2)
+                     theta0=np.zeros(2))
     ts = np.arange(501)
     q = B.BoundQuery(method="gd", setting=B.STRONGLY_CONVEX, constants=c,
                      schedule=fixed(0.5), T=500, n=50)

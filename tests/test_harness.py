@@ -339,9 +339,8 @@ def test_cli_validation_error_exit_code(tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("key, value", [("source", "flie"), ("schedule", "linear"),
-                                        ("n", "abc"), ("seed", "-1"),
-                                        ("ref_budget", "-5")])
+@pytest.mark.parametrize("key, value", [("schedule", "linear"), ("n", "abc"),
+                                        ("seed", "-1"), ("ref_budget", "-5")])
 def test_cli_bad_value_exits_1_from_file_and_flag(tmp_path, monkeypatch, capsys, key,
                                                   value):
     from optstab.harness import cli
@@ -359,6 +358,52 @@ def test_cli_bad_value_exits_1_from_file_and_flag(tmp_path, monkeypatch, capsys,
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert f"{value!r}" in errors[0]
+
+
+def _bc_file(path, rows=100, seed=5):
+    """A seeded breast-cancer style CSV of ``rows`` rows, every tenth with a '?'."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for i in range(rows):
+        feats = [str(v) for v in rng.integers(1, 11, size=9)]
+        if i % 10 == 7:
+            feats[5] = "?"
+        lines.append(",".join([str(1000 + i), *feats, rng.choice(["2", "4"])]))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_cli_stability_draws_its_sample_from_the_data_file(tmp_path):
+    # S is n rows of the file and every replacement point is another file row
+    path = _bc_file(tmp_path / "bc.csv")
+    out = str(tmp_path / "run")
+    assert cli_main(["stability", "--data-path", path, "--n", "80", "--methods", "gd,sgd",
+                     "--T", "30", "--reps", "4", "--out", out]) == 0
+    with open(os.path.join(out, "report.json")) as fh:
+        records = json.load(fh)["records"]
+    assert records["n"] == 80
+    data = load_breast_cancer(path)
+    assert data.n == 90
+    rows = {(tuple(x), y) for x, y in zip(data.X.tolist(), data.y.tolist())}
+    for m in ("gd", "sgd"):
+        assert len(records["perturbations"][m]) == 4
+        for rec in records["perturbations"][m]:
+            assert (tuple(rec["z"]["x"]), rec["z"]["y"]) in rows
+
+
+@pytest.mark.parametrize("command", ["risk", "lecam", "lemmas", "bounds"])
+def test_cli_data_path_outside_stability_exits_1_by_name(tmp_path, capsys, command):
+    path = _bc_file(tmp_path / "bc.csv")
+    assert cli_main([command, "--data-path", path, "--out", str(tmp_path / "x")]) == 1
+    assert "config key 'data_path'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["source = file", "subsample = 300"])
+def test_cli_removed_data_keys_exit_1_as_unknown(tmp_path, capsys, line):
+    cfgfile = tmp_path / "old.cfg"
+    cfgfile.write_text(line + "\n")
+    assert cli_main(["stability", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+    assert f"unknown config keys: [{line.split()[0]!r}]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["stability", "risk"])
@@ -392,7 +437,7 @@ def test_cli_flags_are_the_config_fields():
         "--" + f.name.replace("_", "-") for f in fields(ExperimentConfig)
         if f.name != "experiment"}
     assert {"--n-test", "--ref-budget", "--data-path", "--T"} <= expected
-    assert len(expected) == 21
+    assert len(expected) == 19
     for name in cli._SUBCOMMAND_EXPERIMENT:
         flags = {opt for action in subcommands[name]._actions
                  for opt in action.option_strings} - {"-h", "--help"}

@@ -733,6 +733,23 @@ def test_dataset_replace():
         data.replace(0, Dataset.from_labeled([[1.0, 0.0, 0.0]], [1]))
 
 
+def test_symbol_sample_is_a_one_column_design():
+    s = np.array([1.0, -1.0, -1.0, 1.0])
+    data = Dataset.from_symbols(s)
+    assert data.kind == "symbol" and data.y is None
+    assert data.X.shape == (4, 1) and data.dim == 1 and data.n == 4
+    np.testing.assert_array_equal(data.s, s)
+    np.testing.assert_array_equal(data.point(2).s, [-1.0])
+    stacked = Dataset.stack([data, data.replace(0, data.point(1))])
+    assert stacked.kind == "symbol" and stacked.stack_shape == (2,)
+    np.testing.assert_array_equal(stacked.s, [s, [-1.0, -1.0, -1.0, 1.0]])
+    labeled = Dataset.from_labeled(np.ones((2, 1)), [0.0, 1.0])
+    assert labeled.kind == "labeled" and labeled.s is None
+    for X in (np.ones((3, 2)), np.full((3, 1), 0.5), np.ones(3)):
+        with pytest.raises(ValidationError):
+            Dataset(X)
+
+
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("kind", ["symbol", "labeled"])
 def test_point_and_replace_reject_a_stack(kind, n):

@@ -211,7 +211,7 @@ def test_symbol_dataset_default_dimension():
                 spec, Dataset.from_symbols(np.ones(4)))
     assert trace.thetas.shape == (4, 1)
     trace = run(OptimizerConfig(method="gd", schedule=fixed(0.1), T=3),
-                spec, Dataset.from_symbols(np.ones(4)), dim=3)
+                spec, Dataset.from_symbols(np.ones(4)), theta0=np.zeros(3))
     assert trace.thetas.shape == (4, 3)
 
 
@@ -467,10 +467,10 @@ def test_batch_states_match_a_per_vector_reference(family, sampled, stacked, n, 
     theta0 = rng.standard_normal(d)
     refs = [_reference_states(cfg, spec, data, seed, members, theta0) for cfg in configs]
     one = np.stack(list(batch_iterates(configs[:1], spec, data, seed, members,
-                                       theta0=theta0, dim=d)))
+                                       theta0=theta0)))
     np.testing.assert_array_equal(one[:, :, 0], refs[0])
     batch = np.stack(list(batch_iterates(configs, spec, data, seed, members,
-                                         theta0=theta0, dim=d)))
+                                         theta0=theta0)))
     for j, ref in enumerate(refs):
         np.testing.assert_allclose(batch[:, :, j], ref, rtol=1e-13,
                                    atol=1e-13 * np.abs(ref).max(), err_msg=configs[j].method)

@@ -97,7 +97,7 @@ def test_identity_perturbation_keeps_gaps_zero_over_row_blocks(monkeypatch):
     configs = [OptimizerConfig(method=m, schedule=fixed(0.1), T=25, seed=4, gamma=0.5)
                for m in ("gd", "nag", "hb")]
     param_gap, sup_gap = _coupled_gaps(configs, logistic_spec(), data, perturbed, 4,
-                                       logistic_fixture(n=10, seed=99), None, None)
+                                       logistic_fixture(n=10, seed=99), None)
     assert param_gap.shape == (3, 3, 26)
     np.testing.assert_array_equal(param_gap, 0.0)
     np.testing.assert_array_equal(sup_gap, 0.0)
@@ -161,7 +161,7 @@ def test_strongly_convex_gap_envelope():
     data = Dataset.from_symbols(np.where(rng.uniform(size=50) < 0.5, 1.0, -1.0))
     perturbed = data.replace(5, Dataset.from_symbols([-int(data.s[5])]))
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.5), T=500, seed=0)
-    trace = run_pair(cfg, spec, data, perturbed, SYMBOL_HOLDOUT, dim=2)
+    trace = run_pair(cfg, spec, data, perturbed, SYMBOL_HOLDOUT, theta0=np.zeros(2))
     ts = np.arange(501)
     q = BoundQuery(method="gd", setting=STRONGLY_CONVEX, constants=c,
                    schedule=fixed(0.5), T=500, n=50)
@@ -283,9 +283,9 @@ def test_repeat_records_and_worker_independence():
 def test_perturbation_records_name_the_drawn_pool_row(family):
     # each record holds the replaced index and the pool row the repeat drew,
     # with the report's JSON types: floats for x, ints for y and s
-    spec, sample, pool, theta0, dim, beta = _family_case(family, 19, 12)
+    spec, sample, pool, theta0, beta = _family_case(family, 19, 12)
     cfg = _config("gd", 0.1, "fixed", 5, 3, beta)
-    avg = repeat_and_average([cfg], spec, sample, pool, reps=6, theta0=theta0, dim=dim)
+    avg = repeat_and_average([cfg], spec, sample, pool, reps=6, theta0=theta0)
     for i, rec in enumerate(avg.perturbations):
         rng = stream(3, "perturbation", i)
         k, j = int(rng.integers(0, sample.n)), int(rng.integers(0, pool.n))
@@ -355,20 +355,20 @@ def _reference_repeats(config, spec, sample, pool, reps, theta0):
 
 
 def _family_case(family, seed, n):
-    """(spec, sample, pool, theta0, dim, beta) for one drawn example."""
+    """(spec, sample, pool, theta0, beta) for one drawn example."""
     rng = np.random.Generator(np.random.Philox(seed))
     if family == "logistic":
         X = normalize_rows(rng.standard_normal((n + 4, 3)))
         y = rng.integers(0, 2, n + 4).astype(float)
         data = Dataset.from_labeled(X, y)
         return (logistic_spec(), data.take(np.arange(n)), data.take(np.arange(n, n + 4)),
-                0.3 * rng.standard_normal(3), None, 0.25)
+                0.3 * rng.standard_normal(3), 0.25)
     s = np.where(rng.uniform(size=n + 3) < 0.5, 1.0, -1.0)
     sample, pool = Dataset.from_symbols(s[:n]), Dataset.from_symbols(s[n:])
     if family == "linear_worstcase":
-        return linear_worstcase_spec(L=1.5), sample, pool, np.zeros(1), None, 0.0
+        return linear_worstcase_spec(L=1.5), sample, pool, np.zeros(1), 0.0
     spec = lecam_strongly_convex_spec(beta=1.0, r=1.0, domain_radius=2.0)
-    return spec, sample, pool, rng.standard_normal(2), 2, 1.0
+    return spec, sample, pool, rng.standard_normal(2), 1.0
 
 
 def _config(method, eta, kind, T, seed, beta):
@@ -390,11 +390,13 @@ def _config(method, eta, kind, T, seed, beta):
        start=st.booleans())
 def test_batched_repeats_match_per_pair_reference(method, family, reps, T, n, eta, kind,
                                                   data_seed, seed, start):
-    spec, sample, pool, theta0, dim, beta = _family_case(family, data_seed, n)
+    spec, sample, pool, theta0, beta = _family_case(family, data_seed, n)
     theta0 = theta0 if start else np.zeros_like(theta0)
     cfg = _config(method, eta, kind, T, seed, beta)
+    # the default theta0 is the zero vector of the sample's dimension; the
+    # two-dimensional theta0 of the symbol family is passed
     avg = repeat_and_average([cfg], spec, sample, pool, reps=reps,
-                             theta0=theta0 if start else None, dim=dim)
+                             theta0=theta0 if start or theta0.size != sample.dim else None)
     expected = _reference_repeats(cfg, spec, sample, pool, reps, theta0)
     for i, (param_gap, sup_gap) in enumerate(expected):
         for got, want in ((avg.repeats.param_gap[0, i], param_gap),
@@ -419,11 +421,10 @@ def test_identity_perturbation_gaps_are_exactly_zero_in_a_batch(methods, family,
     # a one-row sample whose pool is that same row: every repeat swaps x_k for
     # itself, so every member of the batch, in every config column, must
     # follow the same iterates as its base run
-    spec, sample, _, theta0, dim, beta = _family_case(family, data_seed, 1)
+    spec, sample, _, theta0, beta = _family_case(family, data_seed, 1)
     configs = [_config(m, 0.3 / (j + 1), "fixed", T, seed, beta)
                for j, m in enumerate(_one_kind(methods))]
-    avg = repeat_and_average(configs, spec, sample, sample, reps=reps, theta0=theta0,
-                             dim=dim)
+    avg = repeat_and_average(configs, spec, sample, sample, reps=reps, theta0=theta0)
     assert avg.repeats.param_gap.shape == (len(configs), reps, T + 1)
     np.testing.assert_array_equal(avg.repeats.param_gap, 0.0)
     np.testing.assert_array_equal(avg.repeats.sup_loss_gap, 0.0)
@@ -441,7 +442,7 @@ def test_method_batch_matches_one_config_batches(methods, etas, family, reps, T,
     # k configs of one kind as one batch against each config alone: the
     # column's margins share one product with the other columns', so they
     # may round differently, within 1e-12 of the iterates' scale
-    spec, sample, pool, theta0, dim, beta = _family_case(family, data_seed, n)
+    spec, sample, pool, theta0, beta = _family_case(family, data_seed, n)
     configs = [_config(m, eta, kind, T, seed, beta)
                for m, eta in zip(_one_kind(methods), etas)]
     rng = np.random.Generator(np.random.Philox(data_seed))
@@ -451,11 +452,11 @@ def test_method_batch_matches_one_config_batches(methods, etas, family, reps, T,
     members = [*range(reps), *range(reps)]
     samples = Dataset.stack([sample] * reps + perturbed)
     states = np.array(list(batch_iterates(configs, spec, samples, seed, members,
-                                          theta0=theta0, dim=dim)))
-    gaps = _coupled_gaps(configs, spec, sample, perturbed, seed, pool, theta0, dim)
+                                          theta0=theta0)))
+    gaps = _coupled_gaps(configs, spec, sample, perturbed, seed, pool, theta0)
     for j, cfg in enumerate(configs):
         alone = np.array(list(batch_iterates([cfg], spec, samples, seed, members,
-                                             theta0=theta0, dim=dim)))[:, :, 0]
+                                             theta0=theta0)))[:, :, 0]
         norms = np.linalg.norm(alone, axis=-1)
         np.testing.assert_allclose(states[:, :, j], alone, rtol=0,
                                    atol=1e-12 * norms.max())
@@ -463,11 +464,11 @@ def test_method_batch_matches_one_config_batches(methods, etas, family, reps, T,
         scale = np.maximum(norms[:, :reps], norms[:, reps:]).T
         for got, want in zip((g[j] for g in gaps),
                              _coupled_gaps([cfg], spec, sample, perturbed, seed, pool,
-                                           theta0, dim)):
+                                           theta0)):
             assert np.all(np.abs(got - want[0]) <= 1e-12 * scale)
 
 
-def _stepwise_gaps(configs, spec, base, perturbed, seed, holdout, theta0, dim):
+def _stepwise_gaps(configs, spec, base, perturbed, seed, holdout, theta0):
     """_coupled_gaps one state at a time, as each state is yielded: the
     reference for its blocks of states."""
     P = len(perturbed)
@@ -475,8 +476,7 @@ def _stepwise_gaps(configs, spec, base, perturbed, seed, holdout, theta0, dim):
     param_gap, sup_gap = np.empty((2, len(configs), P, configs[0].T + 1))
     samples = Dataset.stack([base] * B + perturbed)
     for t, state in enumerate(batch_iterates(configs, spec, samples, seed,
-                                             [*range(B), *range(P)], theta0=theta0,
-                                             dim=dim)):
+                                             [*range(B), *range(P)], theta0=theta0)):
         theta, theta_p = state[:B].swapaxes(0, 1), state[B:].swapaxes(0, 1)
         param_gap[..., t] = np.linalg.norm(theta - theta_p, axis=-1)
         sup_gap[..., t] = estimate_sup_loss_gap(theta, theta_p, spec, holdout)
@@ -490,17 +490,17 @@ def test_blocked_gaps_match_per_step_reference_bitwise(methods, family):
     # T + 1 = 38 states end on a partial block
     T, P = 37, 5
     assert (T + 1) % _GAP_STEPS
-    spec, sample, pool, theta0, dim, beta = _family_case(family, 17, 12)
+    spec, sample, pool, theta0, beta = _family_case(family, 17, 12)
     configs = [_config(m, 0.5, "fixed", T, 3, beta) for m in methods]
     perturbed = [sample.replace(2 * i, pool.point(i % pool.n)) for i in range(P)]
-    got = _coupled_gaps(configs, spec, sample, perturbed, 3, pool, theta0, dim)
-    want = _stepwise_gaps(configs, spec, sample, perturbed, 3, pool, theta0, dim)
+    got = _coupled_gaps(configs, spec, sample, perturbed, 3, pool, theta0)
+    want = _stepwise_gaps(configs, spec, sample, perturbed, 3, pool, theta0)
     for g, w in zip(got, want):
         assert g.shape == (len(methods), P, T + 1)
         assert np.any(w[..., -1] > 0)
         _assert_bitwise_equal(g, w)
     same = [sample.replace(2 * i, sample.point(2 * i)) for i in range(P)]
-    for g in _coupled_gaps(configs, spec, sample, same, 3, pool, theta0, dim):
+    for g in _coupled_gaps(configs, spec, sample, same, 3, pool, theta0):
         _assert_bitwise_equal(g, np.zeros_like(g))
 
 
