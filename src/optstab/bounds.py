@@ -30,18 +30,21 @@ minimax risk:
 
 The universal constants default to C1 = 256 sqrt(6), C2 = 16 C1^2 / 3 and
 C3 = 192; they are not canonical and every entry point accepts overrides.
+
+Every stability and convergence entry point takes the ``OptimizerConfig`` of
+the run it bounds, then the setting, the loss constants and n.  The formulas
+use kappa = beta/alpha of the loss: a nag_sc config with another raises NoBoundError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .losses import LossConstants, ValidationError
-from .optimizers import StepSchedule
+from .optimizers import OptimizerConfig
 
 
 class NoBoundError(ValueError):
@@ -69,28 +72,19 @@ class UniversalConstants:
 DEFAULT_CONSTANTS = UniversalConstants()
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    """Arguments of a bound evaluation for one (method, setting) pair."""
-
-    method: str
-    setting: str
-    constants: LossConstants
-    schedule: StepSchedule
-    T: int
-    n: int
-    gamma: float = 0.0            # heavy ball momentum
-    tau: Optional[float] = None   # sgld temperature
-
-    def __post_init__(self):
-        if self.setting not in SETTINGS:
-            raise ValidationError(f"unknown setting {self.setting!r}")
-        if self.T < 0 or self.n < 1:
-            raise ValidationError("need T >= 0 and n >= 1")
-        if int(self.T) != self.T or int(self.n) != self.n:
-            raise ValidationError("T and n must be integral")
-        if self.setting == STRONGLY_CONVEX and self.constants.alpha <= 0:
+def _check(config: OptimizerConfig, setting: str, constants: LossConstants, n: int):
+    if setting not in SETTINGS:
+        raise ValidationError(f"unknown setting {setting!r}")
+    if n < 1:
+        raise ValidationError("need n >= 1")
+    if int(config.T) != config.T or int(n) != n:
+        raise ValidationError("T and n must be integral")
+    if setting == STRONGLY_CONVEX:
+        beta, alpha = constants.beta, constants.alpha
+        if alpha <= 0:
             raise ValidationError("strongly convex setting needs alpha > 0")
+        if config.method == "nag_sc" and abs(beta - config.kappa * alpha) > 1e-9 * beta:
+            raise NoBoundError(f"nag_sc kappa {config.kappa:g} != beta/alpha {beta / alpha:g}")
 
 
 def sgld_burn_in(eta0: float, tau: float, L: float) -> int:
@@ -99,83 +93,85 @@ def sgld_burn_in(eta0: float, tau: float, L: float) -> int:
     return max(1, math.floor(m) + 1) if m >= 1 else 1
 
 
-def stability_bound_curve(q: BoundQuery, ts) -> np.ndarray:
-    """Uniform stability bound at every horizon T in ``ts`` (``q.T`` is not read).
+def stability_bound_curve(config: OptimizerConfig, setting: str, constants: LossConstants,
+                          n: int, ts) -> np.ndarray:
+    """Uniform stability bound at every horizon T in ``ts`` (``config.T`` is not read).
 
     Each formula is written once over the array of horizons; sgld's harmonic
     tail is a cumulative sum.  Zero at T = 0 for every method.  Raises
     NoBoundError for pairs without a formula (e.g. heavy ball in the strongly
     convex setting), whatever the horizons.
     """
+    _check(config, setting, constants, n)
     T = np.asarray(ts, dtype=float)
     if np.any(T < 0) or np.any(T != np.floor(T)):
         raise ValidationError("horizons must be integers >= 0")
-    L, beta, alpha = q.constants.L, q.constants.beta, q.constants.alpha
-    n, sched = q.n, q.schedule
+    L, beta, alpha = constants.L, constants.beta, constants.alpha
+    method, sched = config.method, config.schedule
     curve = None
-    if q.setting == CONVEX:
-        if q.method in ("gd", "sgd"):
+    if setting == CONVEX:
+        if method in ("gd", "sgd"):
             if sched.kind == "fixed":
                 curve = 2.0 * sched.eta0 * L * L * T / n
             else:
                 curve = 2.0 * sched.eta0 * L * L * T ** (1.0 - sched.alpha) / n
-        elif q.method == "nag" and sched.kind == "fixed":
+        elif method == "nag" and sched.kind == "fixed":
             curve = 4.0 * sched.eta0 * L * L * T * T / n
-        elif q.method == "hb" and sched.kind == "fixed":
-            curve = 4.0 * sched.eta0 * L * L * T / ((1.0 - math.sqrt(q.gamma)) * n)
-        elif q.method == "sgld":
+        elif method == "hb" and sched.kind == "fixed":
+            curve = 4.0 * sched.eta0 * L * L * T / ((1.0 - math.sqrt(config.gamma)) * n)
+        elif method == "sgld":
             if sched.kind != "power" or sched.alpha != 1.0:
                 raise NoBoundError("sgld bound needs the eta0/t schedule")
-            if q.tau is None or q.tau <= 0:
-                raise NoBoundError("sgld bound needs tau > 0")
-            k0 = sgld_burn_in(sched.eta0, q.tau, L)
+            k0 = sgld_burn_in(sched.eta0, config.tau, L)
             # harmonic[j] = sum_{t=k0+1}^{k0+j} 1/t
             t_max = int(T.max()) if T.size else 0
             harmonic = np.concatenate(
                 [[0.0], np.cumsum(1.0 / np.arange(k0 + 1, max(t_max, k0) + 1))])
             tail = sched.eta0 * harmonic[np.maximum(T - k0, 0).astype(int)]
-            curve = (L / n) * (np.minimum(k0, T) + L * np.sqrt(q.tau * tail))
+            curve = (L / n) * (np.minimum(k0, T) + L * np.sqrt(config.tau * tail))
     elif sched.kind != "fixed":
         raise NoBoundError("strongly convex bounds assume a fixed step size")
     else:
         kappa = beta / alpha
         eta = sched.eta0
-        if q.method == "gd":
+        if method == "gd":
             curve = (4.0 * L * L / (alpha * n)) * (
                 1.0 - (1.0 - eta * beta / (1.0 + kappa)) ** T)
-        elif q.method == "sgd":
+        elif method == "sgd":
             curve = (2.0 * L * L / (alpha * n)) * (1.0 - (1.0 - eta * alpha / 2.0) ** T)
-        elif q.method == "nag_sc":
+        elif method == "nag_sc":
             curve = (4.0 * L * L / (alpha * n)) * (
                 1.0 - (1.0 - 1.0 / math.sqrt(kappa)) ** T)
     if curve is None:
         raise NoBoundError(
-            f"no stability bound available for ({q.method}, {q.setting}, {sched.kind})")
+            f"no stability bound available for ({method}, {setting}, {sched.kind})")
     return np.where(T == 0, 0.0, curve)
 
 
-def stability_bound(q: BoundQuery) -> float:
-    """Uniform stability bound at iteration T: the curve evaluated at q.T."""
-    return float(stability_bound_curve(q, [q.T])[0])
+def stability_bound(config: OptimizerConfig, setting: str, constants: LossConstants,
+                    n: int) -> float:
+    """Uniform stability bound at iteration T: the curve evaluated at config.T."""
+    return float(stability_bound_curve(config, setting, constants, n, [config.T])[0])
 
 
-def stability_bound_table_form(q: BoundQuery) -> float:
+def stability_bound_table_form(config: OptimizerConfig, setting: str,
+                               constants: LossConstants, n: int) -> float:
     """Asymptotic power-law form of the stability bound, used for rate tables.
 
     Identical to ``stability_bound`` except for sgld, whose exact bound grows
     like sqrt(log T); the tabulated rate replaces it with the envelope
     L^2 sqrt(tau eta0) T^(1/4) / n obtained from log T <= 2 sqrt(T).
     """
-    if q.method == "sgld":
-        if q.tau is None or q.tau <= 0:
-            raise NoBoundError("sgld bound needs tau > 0")
-        L = q.constants.L
-        return L * L * math.sqrt(q.tau * q.schedule.eta0) * q.T ** 0.25 / q.n
-    return stability_bound(q)
+    if config.method == "sgld":
+        _check(config, setting, constants, n)
+        L = constants.L
+        return L * L * math.sqrt(config.tau * config.schedule.eta0) * config.T ** 0.25 / n
+    return stability_bound(config, setting, constants, n)
 
 
-def table_exponent(method: str, schedule: StepSchedule) -> float:
+def table_exponent(config: OptimizerConfig) -> float:
     """Growth exponent in T of the stability bound (rate-table column)."""
+    method, schedule = config.method, config.schedule
     if method in ("gd", "sgd"):
         return 1.0 if schedule.kind == "fixed" else 1.0 - schedule.alpha
     if method == "hb":
@@ -187,7 +183,8 @@ def table_exponent(method: str, schedule: StepSchedule) -> float:
     raise NoBoundError(f"no tabulated exponent for {method!r}")
 
 
-def convergence_lower_bound(q: BoundQuery,
+def convergence_lower_bound(config: OptimizerConfig, setting: str,
+                            constants: LossConstants, n: int,
                             consts: UniversalConstants = DEFAULT_CONSTANTS,
                             clamp: bool = False) -> float:
     """Convergence-rate lower bound implied by the stability/convergence trade-off.
@@ -195,28 +192,30 @@ def convergence_lower_bound(q: BoundQuery,
     The strongly convex forms carry a negative offset and may return negative
     values; pass clamp=True to floor the result at zero.
     """
-    if q.T == 0:
+    _check(config, setting, constants, n)
+    T, method = config.T, config.method
+    if T == 0:
         raise ValidationError("convergence lower bound needs T >= 1")
-    R, beta, alpha = q.constants.R, q.constants.beta, q.constants.alpha
-    eta = q.schedule.eta0
-    if q.setting == CONVEX:
-        if q.method == "gd":
-            val = R * R / (2.0 * consts.c2 * eta * q.T)
-        elif q.method == "nag":
-            val = R * R / (4.0 * consts.c2 * eta * q.T * q.T)
+    R, beta, alpha = constants.R, constants.beta, constants.alpha
+    eta = config.schedule.eta0
+    if setting == CONVEX:
+        if method == "gd":
+            val = R * R / (2.0 * consts.c2 * eta * T)
+        elif method == "nag":
+            val = R * R / (4.0 * consts.c2 * eta * T * T)
         else:
-            raise NoBoundError(f"no convex convergence lower bound for {q.method!r}")
+            raise NoBoundError(f"no convex convergence lower bound for {method!r}")
     else:
         kappa = beta / alpha
-        lead = beta * R * R / (consts.c3 * q.n)
-        bulk = 4.0 * (R * beta) ** 2 / (alpha * q.n)
-        if q.method == "gd":
-            decay = (1.0 - eta * beta / (1.0 + kappa)) ** q.T
-        elif q.method in ("nag", "nag_sc"):
-            decay = (1.0 - 1.0 / math.sqrt(kappa)) ** q.T
+        lead = beta * R * R / (consts.c3 * n)
+        bulk = 4.0 * (R * beta) ** 2 / (alpha * n)
+        if method == "gd":
+            decay = (1.0 - eta * beta / (1.0 + kappa)) ** T
+        elif method in ("nag", "nag_sc"):
+            decay = (1.0 - 1.0 / math.sqrt(kappa)) ** T
         else:
             raise NoBoundError(
-                f"no strongly convex convergence lower bound for {q.method!r}")
+                f"no strongly convex convergence lower bound for {method!r}")
         val = lead - bulk + bulk * decay
     return max(0.0, val) if clamp else val
 

@@ -4,6 +4,7 @@ and audits into reports."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
 from typing import List
@@ -13,7 +14,7 @@ import numpy as np
 from .. import bounds as bounds_mod
 from .. import lecam, matrixlemmas
 from ..losses import Dataset, ValidationError, logistic_spec, loss_constants
-from ..optimizers import OptimizerConfig, StepSchedule, fixed, power, validate_config
+from ..optimizers import OptimizerConfig, StepSchedule, fixed, power
 from ..stability_lab import (
     fit_loglog_slope,
     fit_power_law,
@@ -76,11 +77,7 @@ def _logistic_data(cfg: ExperimentConfig):
 
 def _stability_scaling(cfg: ExperimentConfig) -> Report:
     spec = logistic_spec()
-    constants = loss_constants(spec)
     opt_cfgs = {m: _optimizer_config(cfg, m) for m in cfg.methods}
-    for oc in opt_cfgs.values():
-        validate_config(oc, constants)
-
     sample, pool = _logistic_data(cfg)
     constants = loss_constants(spec, sample)
     report = _new_report(cfg)
@@ -113,10 +110,8 @@ def _stability_scaling(cfg: ExperimentConfig) -> Report:
             except ValidationError as exc:
                 log.warning("slope fit skipped for %s_%s: %s", m, label, exc)
         try:
-            query = bounds_mod.BoundQuery(method=m, setting=bounds_mod.CONVEX,
-                                          constants=constants, schedule=oc.schedule,
-                                          T=cfg.T, n=sample.n, gamma=oc.gamma, tau=oc.tau)
-            bound = bounds_mod.stability_bound_curve(query, ts)
+            bound = bounds_mod.stability_bound_curve(oc, bounds_mod.CONVEX, constants,
+                                                     sample.n, ts)
             report.add_series(f"{m}_bound", ts, bound)
             if cfg.T:
                 report.records["bound_slack"][m] = _bound_slack(
@@ -128,11 +123,7 @@ def _stability_scaling(cfg: ExperimentConfig) -> Report:
 
 def _risk_decomposition(cfg: ExperimentConfig) -> Report:
     spec = logistic_spec()
-    constants = loss_constants(spec)
     opt_cfgs = {m: _optimizer_config(cfg, m) for m in cfg.methods}
-    for oc in opt_cfgs.values():
-        validate_config(oc, constants)
-
     # the test rows continue the train rows' streams: the first n rows are
     # gen_synthetic(d, n, seed)
     full, _ = gen_synthetic(cfg.d, cfg.n + cfg.n_test, seed=cfg.seed)
@@ -181,7 +172,7 @@ def _lecam_audit(cfg: ExperimentConfig) -> Report:
 
     R, beta = 2.0, 1.0
     certs = []
-    for variant in lecam.VARIANTS:
+    for variant in bounds_mod.SETTINGS:
         for n in (1, 4, 16, 64):
             cert = lecam.phi_certificate(variant, n, beta, R / 2.0)
             ok &= cert.passed
@@ -230,23 +221,19 @@ def _bounds_table(cfg: ExperimentConfig) -> Report:
     constants = loss_constants(spec)
     report = _new_report(cfg)
     ts = 2 ** np.arange(4, 13)
-    rows = {}
-    entries = (("gd", fixed(cfg.eta0), {}),
-               ("sgd", fixed(cfg.eta0), {}),
-               ("hb", fixed(cfg.eta0), {"gamma": cfg.gamma}),
-               ("nag", fixed(cfg.eta0), {}),
-               ("sgd_power", power(cfg.eta0, cfg.alpha), {}),
-               ("sgld", power(cfg.eta0, 1.0), {"tau": cfg.tau}))
-    ok = True
-    for label, sched, extra in entries:
-        method = label.split("_")[0]
+    # every row is checked as a run before any bound is evaluated
+    row = functools.partial(OptimizerConfig, T=int(ts[-1]), gamma=cfg.gamma, tau=cfg.tau)
+    eta = fixed(cfg.eta0)
+    configs = {"gd": row("gd", eta), "sgd": row("sgd", eta), "hb": row("hb", eta),
+               "nag": row("nag", eta), "sgd_power": row("sgd", power(cfg.eta0, cfg.alpha)),
+               "sgld": row("sgld", power(cfg.eta0, 1.0))}
+    rows, ok = {}, True
+    for label, oc in configs.items():
         curve = np.array([bounds_mod.stability_bound_table_form(
-            bounds_mod.BoundQuery(method=method, setting=bounds_mod.CONVEX,
-                                  constants=constants, schedule=sched, T=int(t),
-                                  n=cfg.n, gamma=extra.get("gamma", 0.0),
-                                  tau=extra.get("tau"))) for t in ts])
+            dataclasses.replace(oc, T=int(t)), bounds_mod.CONVEX, constants, cfg.n)
+            for t in ts])
         fit = fit_power_law(ts, curve)
-        nominal = bounds_mod.table_exponent(method, sched)
+        nominal = bounds_mod.table_exponent(oc)
         rows[label] = {"exponent_fitted": fit.exponent, "exponent_nominal": nominal}
         ok &= abs(fit.exponent - nominal) < 1e-9
         report.add_series(f"bound_{label}", ts, curve)

@@ -24,7 +24,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .bounds import DEFAULT_CONSTANTS, UniversalConstants, minimax_bound
+from .bounds import DEFAULT_CONSTANTS, SETTINGS, UniversalConstants, minimax_bound
 from .losses import (
     Dataset,
     LossSpec,
@@ -33,8 +33,6 @@ from .losses import (
     lecam_strongly_convex_spec,
     loss_values_matrix,
 )
-
-VARIANTS = ("convex", "strongly_convex")
 
 _SYMBOLS = Dataset.from_symbols([-1, 1])
 
@@ -209,11 +207,9 @@ def minimax_consistency(n: int, R: float, beta: float,
     """
     r = R / 2.0
     out = {}
-    for variant, setting in (("convex", "convex"),
-                             ("strongly_convex", "strongly_convex")):
-        phi_quarter = phi_formula(variant, beta, r, n) / 4.0
-        out[variant] = {
-            "phi_quarter": phi_quarter,
+    for setting in SETTINGS:
+        out[setting] = {
+            "phi_quarter": phi_formula(setting, beta, r, n) / 4.0,
             "minimax": minimax_bound(setting, n, R, beta, consts),
         }
     return out

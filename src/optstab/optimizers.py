@@ -162,11 +162,9 @@ def validate_config(config: OptimizerConfig, constants) -> None:
 class IterateTrace:
     """theta_0..theta_T plus per-iterate empirical risk and per-step step sizes."""
 
-    method: str
     thetas: np.ndarray       # (T+1, d)
     risks: np.ndarray        # (T+1,)
     step_sizes: np.ndarray   # (T,)
-    seed: int
 
     @property
     def T(self) -> int:
@@ -266,7 +264,5 @@ def run(config: OptimizerConfig, spec: LossSpec, data: Dataset, theta0=None) -> 
     """
     states = batch_iterates([config], spec, data, config.seed, [0], theta0=theta0)
     thetas = np.stack([state[0, 0] for state in states])
-    return IterateTrace(method=config.method, thetas=thetas,
-                        risks=empirical_risk_batch(spec, thetas, data),
-                        step_sizes=_step_sizes(config.schedule, config.T),
-                        seed=config.seed)
+    return IterateTrace(thetas=thetas, risks=empirical_risk_batch(spec, thetas, data),
+                        step_sizes=_step_sizes(config.schedule, config.T))

@@ -149,9 +149,8 @@ def test_criterion_06_bound_domination(deterministic_experiments, sgd_experiment
     avg, _ = deterministic_experiments  # gd, nag, hb
     ts = np.arange(1001)
     c = loss_constants(LOGISTIC)
-    q = B.BoundQuery(method="gd", setting=B.CONVEX, constants=c, schedule=fixed(0.1),
-                     T=1000, n=500)
-    envelope = B.stability_bound_curve(q, ts) / c.L
+    gd = OptimizerConfig(method="gd", schedule=fixed(0.1), T=1000)
+    envelope = B.stability_bound_curve(gd, B.CONVEX, c, 500, ts) / c.L
     gd_ok = bool(np.all(avg.repeats.param_gap[0] <= envelope + 1e-9))
     lip_ok = all(np.all(exp.repeats.sup_loss_gap <= 1.0 * exp.repeats.param_gap)
                  for exp in (avg, sgd_experiment))
@@ -231,9 +230,7 @@ def test_criterion_10_strongly_convex_stability_envelope():
     trace = run_pair(cfg, spec, data, perturbed, Dataset.from_symbols(np.array([1.0, -1.0])),
                      theta0=np.zeros(2))
     ts = np.arange(501)
-    q = B.BoundQuery(method="gd", setting=B.STRONGLY_CONVEX, constants=c,
-                     schedule=fixed(0.5), T=500, n=50)
-    envelope = B.stability_bound_curve(q, ts) / c.L
+    envelope = B.stability_bound_curve(cfg, B.STRONGLY_CONVEX, c, 50, ts) / c.L
     slack = float(np.max(trace.param_gap - envelope))
     ok = slack <= 1e-9
     report(10, ok, f"ridge-type quadratic gap under the geometric envelope, "

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from optstab.bounds import (
     CONVEX,
     STRONGLY_CONVEX,
-    BoundQuery,
     NoBoundError,
     UniversalConstants,
     convergence_lower_bound,
@@ -14,21 +14,29 @@ from optstab.bounds import (
     minimax_bound,
     sgld_burn_in,
     stability_bound,
+    stability_bound_curve,
     stability_bound_table_form,
     table_exponent,
     tradeoff_check,
 )
 from optstab.losses import LossConstants, ValidationError
-from optstab.optimizers import fixed, power
+from optstab.optimizers import OptimizerConfig, fixed, power
 
 C_CONVEX = LossConstants(L=1.0, beta=0.25, alpha=0.0, R=1.0)
 
 
 def q(method, setting=CONVEX, constants=C_CONVEX, schedule=None, T=10, n=100,
-      gamma=0.0, tau=None):
-    return BoundQuery(method=method, setting=setting, constants=constants,
-                      schedule=schedule or fixed(0.1), T=T, n=n, gamma=gamma,
-                      tau=tau)
+      gamma=0.0, tau=None, kappa=None):
+    """The arguments (config, setting, constants, n) of a bound evaluation."""
+    config = OptimizerConfig(method=method, schedule=schedule or fixed(0.1), T=T,
+                             gamma=gamma, tau=tau, kappa=kappa)
+    return config, setting, constants, n
+
+
+def at(query, **changes):
+    """``query`` with its config's fields replaced."""
+    config, *rest = query
+    return (dataclasses.replace(config, **changes), *rest)
 
 
 SC = LossConstants(L=1.0, beta=2.0, alpha=1.0, R=1.0)
@@ -38,35 +46,35 @@ SC = LossConstants(L=1.0, beta=2.0, alpha=1.0, R=1.0)
 
 
 def test_gd_convex_bound():
-    assert stability_bound(q("gd", T=100, n=500)) == pytest.approx(0.04)
+    assert stability_bound(*q("gd", T=100, n=500)) == pytest.approx(0.04)
 
 
 def test_nag_convex_bound():
-    assert stability_bound(q("nag", T=10, n=500)) == pytest.approx(0.08)
+    assert stability_bound(*q("nag", T=10, n=500)) == pytest.approx(0.08)
 
 
 def test_hb_convex_bound():
     # 4 * 0.1 * 10 / ((1 - sqrt(0.8)) * 500), evaluated exactly
     expect = 4.0 * 0.1 * 10 / ((1 - math.sqrt(0.8)) * 500)
-    got = stability_bound(q("hb", T=10, n=500, gamma=0.8))
+    got = stability_bound(*q("hb", T=10, n=500, gamma=0.8))
     assert got == pytest.approx(expect, abs=1e-12)
     assert got == pytest.approx(0.0757771, abs=1e-6)
 
 
 def test_sgd_power_bound():
-    got = stability_bound(q("sgd", schedule=power(0.1, 0.5), T=100, n=500))
+    got = stability_bound(*q("sgd", schedule=power(0.1, 0.5), T=100, n=500))
     assert got == pytest.approx(2 * 0.1 * 1 * 10 / 500)
 
 
 def test_gd_strongly_convex_limit():
     sc = LossConstants(L=1.0, beta=2.0, alpha=1.0, R=1.0)
-    got = stability_bound(q("gd", setting=STRONGLY_CONVEX, constants=sc,
+    got = stability_bound(*q("gd", setting=STRONGLY_CONVEX, constants=sc,
                             schedule=fixed(0.5), T=100000, n=100))
     assert got == pytest.approx(4.0 / 100)
 
 
 def test_sgld_bound_example():
-    got = stability_bound(q("sgld", schedule=power(0.5, 1.0), T=10, n=100, tau=1.0))
+    got = stability_bound(*q("sgld", schedule=power(0.5, 1.0), T=10, n=100, tau=1.0))
     # k0 = 1; sum_{t=2}^{10} 0.5/t = 0.5 (H_10 - 1)
     tail = 0.5 * (sum(1.0 / t for t in range(1, 11)) - 1.0)
     assert got == pytest.approx((1.0 / 100) * (1 + math.sqrt(tail)), abs=1e-12)
@@ -81,14 +89,14 @@ def test_sgld_burn_in():
 
 def test_no_bound_pairs_raise():
     with pytest.raises(NoBoundError):
-        stability_bound(q("hb", setting=STRONGLY_CONVEX, constants=SC,
+        stability_bound(*q("hb", setting=STRONGLY_CONVEX, constants=SC,
                           schedule=fixed(0.1), gamma=0.5))
     with pytest.raises(NoBoundError):
-        stability_bound(q("nag", schedule=power(0.1, 0.5)))
+        stability_bound(*q("nag", schedule=power(0.1, 0.5)))
     with pytest.raises(NoBoundError):
-        stability_bound(q("sgld", schedule=fixed(0.1), tau=1.0))
+        stability_bound(*q("sgld", schedule=fixed(0.1), tau=1.0))
     with pytest.raises(NoBoundError):  # raised even at T = 0
-        stability_bound(q("hb", setting=STRONGLY_CONVEX, constants=SC,
+        stability_bound(*q("hb", setting=STRONGLY_CONVEX, constants=SC,
                           schedule=fixed(0.1), gamma=0.5, T=0))
 
 
@@ -101,74 +109,92 @@ def test_no_bound_pairs_raise():
     q("sgld", schedule=power(0.5, 1.0), tau=1.0),
     q("gd", setting=STRONGLY_CONVEX, constants=SC, schedule=fixed(0.5)),
     q("sgd", setting=STRONGLY_CONVEX, constants=SC, schedule=fixed(0.5)),
-    q("nag_sc", setting=STRONGLY_CONVEX, constants=SC, schedule=fixed(0.5)),
-], ids=lambda v: f"{v.method}-{v.setting}-{v.schedule.kind}")
+    q("nag_sc", setting=STRONGLY_CONVEX, constants=SC, schedule=fixed(0.5), kappa=2.0),
+], ids=lambda v: f"{v[0].method}-{v[1]}-{v[0].schedule.kind}")
 def test_zero_at_T0_and_nondecreasing_and_inverse_n(query):
-    import dataclasses
-
-    assert stability_bound(dataclasses.replace(query, T=0)) == 0.0
-    vals = [stability_bound(dataclasses.replace(query, T=T))
+    assert stability_bound(*at(query, T=0)) == 0.0
+    vals = [stability_bound(*at(query, T=T))
             for T in (0, 1, 2, 5, 10, 50, 100, 1000)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[1] > 0
-    one = stability_bound(dataclasses.replace(query, n=query.n))
-    half = stability_bound(dataclasses.replace(query, n=2 * query.n))
+    config, setting, constants, n = query
+    one = stability_bound(config, setting, constants, n)
+    half = stability_bound(config, setting, constants, 2 * n)
     assert half == pytest.approx(one / 2, rel=1e-15)
 
 
 def test_nag_to_gd_ratio_is_2T():
     for T in (1, 3, 10, 200):
-        ratio = stability_bound(q("nag", T=T)) / stability_bound(q("gd", T=T))
+        ratio = stability_bound(*q("nag", T=T)) / stability_bound(*q("gd", T=T))
         assert ratio == pytest.approx(2.0 * T, rel=1e-12)
 
 
 def test_strongly_convex_bounds_monotone_to_limit():
-    import dataclasses
-
     for method, limit in (("gd", 4.0), ("sgd", 2.0), ("nag_sc", 4.0)):
         base = q(method, setting=STRONGLY_CONVEX, constants=SC, schedule=fixed(0.5),
-                 n=100)
-        vals = np.array([stability_bound(dataclasses.replace(base, T=T))
+                 n=100, kappa=2.0)
+        vals = np.array([stability_bound(*at(base, T=T))
                          for T in range(0, 200)])
         diffs = np.diff(vals)
         assert np.all(diffs >= 0)
         # strictly increasing until the geometric term underflows the limit
         assert np.all(diffs[:20] > 0)
         assert np.all(vals <= limit / 100 + 1e-15)
-        assert stability_bound(dataclasses.replace(base, T=100000)) == pytest.approx(
+        assert stability_bound(*at(base, T=100000)) == pytest.approx(
             limit / 100)
 
 
 def test_doubling_exponents_for_power_law_methods():
-    import dataclasses
-
     cases = [(q("gd"), 1.0), (q("sgd"), 1.0), (q("hb", gamma=0.8), 1.0),
              (q("nag"), 2.0), (q("sgd", schedule=power(0.1, 0.5)), 0.5),
              (q("sgd", schedule=power(0.1, 0.3)), 0.7)]
     for base, exponent in cases:
         for T in (1, 4, 32, 256):
-            lhs = math.log(stability_bound(dataclasses.replace(base, T=2 * T))) \
-                - math.log(stability_bound(dataclasses.replace(base, T=T)))
+            lhs = math.log(stability_bound(*at(base, T=2 * T))) \
+                - math.log(stability_bound(*at(base, T=T)))
             assert lhs == pytest.approx(exponent * math.log(2), abs=1e-12)
 
 
 def test_table_exponents():
-    assert table_exponent("gd", fixed(0.1)) == 1.0
-    assert table_exponent("sgd", fixed(0.1)) == 1.0
-    assert table_exponent("hb", fixed(0.1)) == 1.0
-    assert table_exponent("nag", fixed(0.1)) == 2.0
-    assert table_exponent("sgd", power(0.1, 0.5)) == 0.5
-    assert table_exponent("sgld", power(0.5, 1.0)) == 0.25
+    assert table_exponent(q("gd")[0]) == 1.0
+    assert table_exponent(q("sgd")[0]) == 1.0
+    assert table_exponent(q("hb")[0]) == 1.0
+    assert table_exponent(q("nag")[0]) == 2.0
+    assert table_exponent(q("sgd", schedule=power(0.1, 0.5))[0]) == 0.5
+    assert table_exponent(q("sgld", schedule=power(0.5, 1.0), tau=1.0)[0]) == 0.25
 
 
 def test_sgld_table_form_is_quarter_power():
-    import dataclasses
-
     base = q("sgld", schedule=power(0.5, 1.0), tau=2.0, n=100)
     for T in (4, 16, 256):
-        ratio = stability_bound_table_form(dataclasses.replace(base, T=2 * T)) \
-            / stability_bound_table_form(dataclasses.replace(base, T=T))
+        ratio = stability_bound_table_form(*at(base, T=2 * T)) \
+            / stability_bound_table_form(*at(base, T=T))
         assert ratio == pytest.approx(2 ** 0.25, rel=1e-12)
+
+
+def test_nag_sc_bounds_need_the_loss_kappa():
+    # the bounds use kappa = beta/alpha = 2 of SC; the run's momentum uses config.kappa
+    args = dict(setting=STRONGLY_CONVEX, constants=SC, schedule=fixed(0.5), T=20, n=50)
+    ok = q("nag_sc", kappa=2.0 * (1 + 1e-10), **args)
+    assert stability_bound(*ok) == stability_bound(*q("nag_sc", kappa=2.0, **args))
+    assert convergence_lower_bound(*ok) == convergence_lower_bound(*q("nag", **args))
+    bad = q("nag_sc", kappa=4.0, **args)
+    with pytest.raises(NoBoundError, match="kappa"):
+        stability_bound_curve(*bad, [0, 1, 2])
+    with pytest.raises(NoBoundError, match="kappa"):
+        convergence_lower_bound(*bad)
+
+
+@pytest.mark.parametrize("setting, constants, n", [
+    ("concave", C_CONVEX, 10), (CONVEX, C_CONVEX, 0), (CONVEX, C_CONVEX, 10.5),
+    (STRONGLY_CONVEX, C_CONVEX, 10)])
+def test_every_bound_rejects_a_bad_setting_or_n(setting, constants, n):
+    gd = OptimizerConfig(method="gd", schedule=fixed(0.1), T=10)
+    for bound in (stability_bound, stability_bound_table_form, convergence_lower_bound):
+        with pytest.raises(ValidationError):
+            bound(gd, setting, constants, n)
+    with pytest.raises(ValidationError):
+        stability_bound_curve(gd, setting, constants, n, [1])
 
 
 # ------------------------------------------------------- convergence bounds
@@ -182,13 +208,13 @@ def test_default_universal_constants():
 
 
 def test_convergence_gd_convex_example():
-    got = convergence_lower_bound(q("gd", constants=LossConstants(1, 1, 0, 1)))
+    got = convergence_lower_bound(*q("gd", constants=LossConstants(1, 1, 0, 1)))
     assert got == pytest.approx(1 / 4194304, rel=1e-12)
     assert got == pytest.approx(2.3842e-7, rel=1e-4)
 
 
 def test_convergence_nag_convex_example():
-    got = convergence_lower_bound(q("nag", constants=LossConstants(1, 1, 0, 1)))
+    got = convergence_lower_bound(*q("nag", constants=LossConstants(1, 1, 0, 1)))
     assert got == pytest.approx(1 / 83886080, rel=1e-12)
     assert got == pytest.approx(1.1921e-8, rel=1e-4)
 
@@ -196,21 +222,19 @@ def test_convergence_nag_convex_example():
 def test_convergence_strongly_convex_offset_is_negative():
     base = q("gd", setting=STRONGLY_CONVEX, constants=SC, schedule=fixed(0.5),
              T=100000, n=50)
-    got = convergence_lower_bound(base)
+    got = convergence_lower_bound(*base)
     expect = SC.beta * SC.R ** 2 / (192 * 50) - 4 * (SC.R * SC.beta) ** 2 / (SC.alpha * 50)
     assert got == pytest.approx(expect, rel=1e-9)
     assert got < 0
-    assert convergence_lower_bound(base, clamp=True) == 0.0
+    assert convergence_lower_bound(*base, clamp=True) == 0.0
 
 
 def test_convergence_nag_strongly_convex_decay_rate():
-    import dataclasses
-
     base = q("nag_sc", setting=STRONGLY_CONVEX, constants=SC, schedule=fixed(0.5),
-             n=50)
+             n=50, kappa=2.0)
     kappa = SC.beta / SC.alpha
     bulk = 4 * (SC.R * SC.beta) ** 2 / (SC.alpha * 50)
-    vals = [convergence_lower_bound(dataclasses.replace(base, T=T)) for T in (1, 2, 3)]
+    vals = [convergence_lower_bound(*at(base, T=T)) for T in (1, 2, 3)]
     diffs = np.diff(vals)
     assert diffs[1] / diffs[0] == pytest.approx(1 - 1 / math.sqrt(kappa), rel=1e-9)
     assert bulk > 0
@@ -218,9 +242,9 @@ def test_convergence_nag_strongly_convex_decay_rate():
 
 def test_convergence_requires_T_at_least_1():
     with pytest.raises(ValidationError):
-        convergence_lower_bound(q("gd", T=0))
+        convergence_lower_bound(*q("gd", T=0))
     with pytest.raises(NoBoundError):
-        convergence_lower_bound(q("hb", gamma=0.5))
+        convergence_lower_bound(*q("hb", gamma=0.5))
 
 
 # ---------------------------------------------------------------- minimax

@@ -15,10 +15,11 @@ from optstab.harness.config import (
     parse_config_text,
 )
 from optstab.harness.data import gen_synthetic, load_breast_cancer, split_sample
-from optstab.harness.experiments import run_experiment
+from optstab.bounds import CONVEX, stability_bound_curve
+from optstab.harness.experiments import _logistic_data, _optimizer_config, run_experiment
 from optstab.harness.reports import Report, Series, write_report, write_series_csv
 from optstab.harness.cli import main as cli_main
-from optstab.losses import ValidationError
+from optstab.losses import ValidationError, logistic_spec, loss_constants
 
 BC_FIXTURE = """\
 1000025,5,1,1,1,2,1,3,1,1,2
@@ -206,6 +207,22 @@ def test_stability_report_records_bound_slack():
         assert rec["min"] == slack[1:].min() == slack[rec["t"]]
         assert rec["stderr"] == gap.stderr[rec["t"]]
         assert rec["crossings"] == np.count_nonzero(gap.value > series[f"{m}_bound"].value)
+
+
+def test_stability_bound_overlay_reads_the_run_config():
+    # the overlay is the bound of the config each method ran, gamma and tau included
+    cfg = build_config({
+        "experiment": "stability_scaling", "methods": ("gd", "sgd", "hb", "sgld"),
+        "n": 40, "d": 4, "T": 30, "reps": 2, "holdout": 10, "seed": 3, "eta0": 0.1,
+        "gamma": 0.5, "tau": 2.5,
+    })
+    series = {s.name: s.value for s in run_experiment(cfg).series}
+    sample, _ = _logistic_data(cfg)
+    constants, ts = loss_constants(logistic_spec(), sample), np.arange(cfg.T + 1)
+    for m in cfg.methods:
+        expect = stability_bound_curve(_optimizer_config(cfg, m), CONVEX, constants,
+                                       sample.n, ts)
+        assert np.array_equal(series[f"{m}_bound"], expect), m
 
 
 def test_stability_scaling_rejects_bad_step_before_running():
@@ -537,6 +554,19 @@ def test_cli_bounds_subcommand(tmp_path):
     assert os.path.exists(os.path.join(out, "report.json"))
     assert not os.path.exists(os.path.join(out, "plot_series.py"))
     assert "audit PASS" in buf.getvalue()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--gamma", "1", "heavy ball needs 0 <= gamma < 1"),
+    ("--gamma", "1.5", "heavy ball needs 0 <= gamma < 1"),
+    ("--tau", "0", "sgld needs temperature tau > 0"),
+])
+def test_cli_bounds_bad_row_config_exits_1_writing_nothing(tmp_path, capsys, flag, value,
+                                                           message):
+    out = tmp_path / "bt"
+    assert cli_main(["bounds", flag, value, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_cli_stability_with_config_file(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from optstab.bounds import (
     CONVEX,
     STRONGLY_CONVEX,
-    BoundQuery,
     stability_bound,
     stability_bound_curve,
 )
@@ -139,9 +138,7 @@ def test_gd_gap_dominated_by_linear_envelope():
     trace = run_pair(cfg, logistic_spec(), data, perturbed, pool)
     ts = np.arange(201)
     c = loss_constants(logistic_spec())
-    q = BoundQuery(method="gd", setting=CONVEX, constants=c, schedule=fixed(0.1),
-                   T=200, n=50)
-    envelope = stability_bound_curve(q, ts) / c.L
+    envelope = stability_bound_curve(cfg, CONVEX, c, 50, ts) / c.L
     assert np.all(trace.param_gap <= envelope + 1e-9)
 
 
@@ -163,9 +160,7 @@ def test_strongly_convex_gap_envelope():
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.5), T=500, seed=0)
     trace = run_pair(cfg, spec, data, perturbed, SYMBOL_HOLDOUT, theta0=np.zeros(2))
     ts = np.arange(501)
-    q = BoundQuery(method="gd", setting=STRONGLY_CONVEX, constants=c,
-                   schedule=fixed(0.5), T=500, n=50)
-    envelope = stability_bound_curve(q, ts) / c.L
+    envelope = stability_bound_curve(cfg, STRONGLY_CONVEX, c, 50, ts) / c.L
     assert np.all(trace.param_gap <= envelope + 1e-9)
 
 
@@ -677,8 +672,6 @@ def test_generalization_gap_under_stability_bound_on_average():
         cfg = OptimizerConfig(method="gd", schedule=fixed(eta), T=T, seed=seed)
         (rc,), _ = risk_curves([cfg], spec, train, test)
         gaps.append(rc.gen_gap[-1])
-    bound = stability_bound(BoundQuery(
-        method="gd", setting=CONVEX, constants=loss_constants(spec),
-        schedule=fixed(eta), T=T, n=n))
+    bound = stability_bound(cfg, CONVEX, loss_constants(spec), n)
     stderr = np.std(gaps, ddof=1) / math.sqrt(len(gaps))
     assert np.mean(gaps) <= bound + 3 * stderr
