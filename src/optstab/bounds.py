@@ -28,8 +28,8 @@ minimax risk:
     convex                   R^2 beta / (C1 sqrt(n))
     strongly convex          R^2 beta / (C3 n)
 
-The universal constants default to C1 = 256 sqrt(6), C2 = 16 C1^2 / 3 and
-C3 = 192; they are not canonical and every entry point accepts overrides.
+The universal constants are C1 = 256 sqrt(6), C2 = 16 C1^2 / 3 and C3 = 192
+(module constants); they are not canonical.
 
 Every stability and convergence entry point takes the ``OptimizerConfig`` of
 the run it bounds, then the setting, the loss constants and n.  The formulas
@@ -39,7 +39,6 @@ use kappa = beta/alpha of the loss: a nag_sc config with another raises NoBoundE
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,21 +54,9 @@ CONVEX = "convex"
 STRONGLY_CONVEX = "strongly_convex"
 SETTINGS = (CONVEX, STRONGLY_CONVEX)
 
-_C1_DEFAULT = 256.0 * math.sqrt(6.0)
-
-
-@dataclass(frozen=True)
-class UniversalConstants:
-    c1: float = _C1_DEFAULT
-    c2: float = 16.0 * 256.0 ** 2 * 6.0 / 3.0  # 16 c1^2 / 3 = 2097152 exactly
-    c3: float = 192.0
-
-    def __post_init__(self):
-        if min(self.c1, self.c2, self.c3) <= 0:
-            raise ValidationError("universal constants must be positive")
-
-
-DEFAULT_CONSTANTS = UniversalConstants()
+C1 = 256.0 * math.sqrt(6.0)
+C2 = 16.0 * 256.0 ** 2 * 6.0 / 3.0  # 16 C1^2 / 3 = 2097152 exactly
+C3 = 192.0
 
 
 def _check(config: OptimizerConfig, setting: str, constants: LossConstants, n: int):
@@ -184,13 +171,11 @@ def table_exponent(config: OptimizerConfig) -> float:
 
 
 def convergence_lower_bound(config: OptimizerConfig, setting: str,
-                            constants: LossConstants, n: int,
-                            consts: UniversalConstants = DEFAULT_CONSTANTS,
-                            clamp: bool = False) -> float:
+                            constants: LossConstants, n: int) -> float:
     """Convergence-rate lower bound implied by the stability/convergence trade-off.
 
     The strongly convex forms carry a negative offset and may return negative
-    values; pass clamp=True to floor the result at zero.
+    values.
     """
     _check(config, setting, constants, n)
     T, method = config.T, config.method
@@ -200,36 +185,31 @@ def convergence_lower_bound(config: OptimizerConfig, setting: str,
     eta = config.schedule.eta0
     if setting == CONVEX:
         if method == "gd":
-            val = R * R / (2.0 * consts.c2 * eta * T)
-        elif method == "nag":
-            val = R * R / (4.0 * consts.c2 * eta * T * T)
-        else:
-            raise NoBoundError(f"no convex convergence lower bound for {method!r}")
+            return R * R / (2.0 * C2 * eta * T)
+        if method == "nag":
+            return R * R / (4.0 * C2 * eta * T * T)
+        raise NoBoundError(f"no convex convergence lower bound for {method!r}")
+    kappa = beta / alpha
+    lead = beta * R * R / (C3 * n)
+    bulk = 4.0 * (R * beta) ** 2 / (alpha * n)
+    if method == "gd":
+        decay = (1.0 - eta * beta / (1.0 + kappa)) ** T
+    elif method in ("nag", "nag_sc"):
+        decay = (1.0 - 1.0 / math.sqrt(kappa)) ** T
     else:
-        kappa = beta / alpha
-        lead = beta * R * R / (consts.c3 * n)
-        bulk = 4.0 * (R * beta) ** 2 / (alpha * n)
-        if method == "gd":
-            decay = (1.0 - eta * beta / (1.0 + kappa)) ** T
-        elif method in ("nag", "nag_sc"):
-            decay = (1.0 - 1.0 / math.sqrt(kappa)) ** T
-        else:
-            raise NoBoundError(
-                f"no strongly convex convergence lower bound for {method!r}")
-        val = lead - bulk + bulk * decay
-    return max(0.0, val) if clamp else val
+        raise NoBoundError(f"no strongly convex convergence lower bound for {method!r}")
+    return lead - bulk + bulk * decay
 
 
-def minimax_bound(setting: str, n: int, R: float, beta: float,
-                  consts: UniversalConstants = DEFAULT_CONSTANTS) -> float:
+def minimax_bound(setting: str, n: int, R: float, beta: float) -> float:
     """Minimax excess-risk lower bound over the loss class of the setting."""
     if setting not in SETTINGS:
         raise ValidationError(f"unknown setting {setting!r}")
     if n < 1:
         raise ValidationError("n must be >= 1")
     if setting == CONVEX:
-        return R * R * beta / (consts.c1 * math.sqrt(n))
-    return R * R * beta / (consts.c3 * n)
+        return R * R * beta / (C1 * math.sqrt(n))
+    return R * R * beta / (C3 * n)
 
 
 def tradeoff_check(stab: float, opt: float, mm: float) -> bool:

@@ -10,21 +10,25 @@ exact configuration that produced it.
 
 Keys
 ----
-experiment   stability_scaling | risk_decomposition | lecam_audit |
-             lemma_audit | bounds_table  (the CLI's subcommand)
-methods      comma list of gd, sgd, nag, nag_sc, hb, sgld
-data_path    breast-cancer style CSV: stability_scaling draws S from its rows and
-             the pool is the file's other rows, so d and holdout are not read
-             (without it S is generated); other experiments reject it
-n, d, T      size of S, dimension, iteration horizon
-holdout      held-out pool size (replacement draws and sup-gap estimation)
-reps         independent perturbation repeats
-seed         master seed (>= 0) of every random stream (optstab.streams)
-eta0         base step size;  schedule = fixed | power;  alpha = power exponent
-gamma        heavy ball momentum;  tau = sgld temperature;  kappa = nag_sc
-n_test       test-set size (risk_decomposition)
-ref_budget   reference-minimizer budget in steps (risk_decomposition)
-out          output directory
+Readers are marked s (stability_scaling), r (risk_decomposition) and b
+(bounds_table); lecam_audit and lemma_audit read none.  A key set off its
+default where its experiment does not read it is rejected by name (it would
+change the hash and nothing else); seed and out are legal everywhere.
+
+experiment     stability_scaling | risk_decomposition | lecam_audit |
+               lemma_audit | bounds_table  (the CLI's subcommand)
+methods    sr  comma list of gd, sgd, nag, nag_sc, hb, sgld
+data_path  s   breast-cancer style CSV: S is drawn from its rows and the pool
+               is the rest, so d and holdout are unread (else S is generated)
+n          srb size of S
+d, T       sr  dimension, iteration horizon
+holdout    s   held-out pool size (replacement draws and sup-gap estimation)
+reps       s   independent perturbation repeats
+seed           master seed (>= 0) of every random stream (optstab.streams)
+eta0       srb base step size;  schedule (sr) fixed | power;  alpha (srb) its exponent
+gamma, tau srb heavy ball momentum, sgld temperature;  kappa (sr) nag_sc's
+n_test     r   test-set size;  ref_budget (r) reference-minimizer budget in steps
+out            output directory
 """
 
 from __future__ import annotations
@@ -35,8 +39,17 @@ from typing import Optional, Tuple
 
 from ..losses import ValidationError
 
-EXPERIMENTS = ("stability_scaling", "risk_decomposition", "lecam_audit",
-               "lemma_audit", "bounds_table")
+# the keys each experiment reads besides experiment, seed and out
+_READS = {
+    "stability_scaling": frozenset("methods data_path n d T holdout reps eta0 schedule "
+                                   "alpha gamma tau kappa".split()),
+    "risk_decomposition": frozenset("methods n d T eta0 schedule alpha gamma tau kappa "
+                                    "n_test ref_budget".split()),
+    "lecam_audit": frozenset(),
+    "lemma_audit": frozenset(),
+    "bounds_table": frozenset("n eta0 alpha gamma tau".split()),
+}
+EXPERIMENTS = tuple(_READS)
 
 
 @dataclass(frozen=True)
@@ -65,14 +78,20 @@ class ExperimentConfig:
             raise ValidationError(f"unknown experiment {self.experiment!r}")
         if self.schedule not in ("fixed", "power"):
             raise ValidationError(f"unknown schedule {self.schedule!r}")
-        if self.data_path and self.experiment != "stability_scaling":
-            raise ValidationError(f"config key 'data_path': {self.experiment} reads no file")
-        if not self.methods and self.experiment in ("stability_scaling", "risk_decomposition"):
+        if not self.methods:
             raise ValidationError(f"{self.experiment} needs at least one method")
         for key in ("seed", "ref_budget"):
             if getattr(self, key) < 0:
                 raise ValidationError(f"config key {key!r}: bad value "
                                       f"'{getattr(self, key)}' (need >= 0)")
+        # an unread key at its default changes neither the run nor the hash
+        reads = _READS[self.experiment] | {"experiment", "seed", "out"}
+        if self.data_path:
+            reads -= {"d", "holdout"}
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ValidationError(f"config key {f.name!r}: {self.experiment} "
+                                      "does not read it")
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}

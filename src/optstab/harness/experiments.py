@@ -39,8 +39,7 @@ def _schedule(cfg: ExperimentConfig, method: str) -> StepSchedule:
 
 def _optimizer_config(cfg: ExperimentConfig, method: str) -> OptimizerConfig:
     return OptimizerConfig(method=method, schedule=_schedule(cfg, method), T=cfg.T,
-                           seed=cfg.seed, gamma=cfg.gamma, kappa=cfg.kappa,
-                           tau=cfg.tau)
+                           gamma=cfg.gamma, kappa=cfg.kappa, tau=cfg.tau)
 
 
 def _batches(opt_cfgs: dict):
@@ -89,7 +88,8 @@ def _stability_scaling(cfg: ExperimentConfig) -> Report:
     # logistic loss on unit-norm rows is L-Lipschitz at every theta
     L, averaged = loss_constants(spec, pool).L, {}
     for batch in _batches(opt_cfgs):
-        avg = repeat_and_average(list(batch.values()), spec, sample, pool, reps=cfg.reps)
+        avg = repeat_and_average(list(batch.values()), spec, sample, pool, reps=cfg.reps,
+                                 seed=cfg.seed)
         over = np.argwhere(avg.repeats.sup_loss_gap > L * avg.repeats.param_gap + 1e-12)
         if over.size:
             j, i, t = over[0]
@@ -133,10 +133,12 @@ def _risk_decomposition(cfg: ExperimentConfig) -> Report:
     ts = np.arange(cfg.T + 1)
     # the reference depends on neither method nor seed: the first batch runs it
     first, *rest = _batches(opt_cfgs)
-    curves, ref_risk = risk_curves(list(first.values()), spec, train, test, cfg.ref_budget)
+    curves, ref_risk = risk_curves(list(first.values()), spec, train, test, cfg.ref_budget,
+                                   seed=cfg.seed)
     curves_of = dict(zip(first, curves))
     for batch in rest:
-        curves_of.update(zip(batch, risk_curves(list(batch.values()), spec, train, test)[0]))
+        curves_of.update(zip(batch, risk_curves(list(batch.values()), spec, train, test,
+                                                seed=cfg.seed)[0]))
     for m in opt_cfgs:
         curves = curves_of[m]
         report.add_series(f"{m}_train_risk", ts, curves.train)

@@ -24,7 +24,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .bounds import DEFAULT_CONSTANTS, SETTINGS, UniversalConstants, minimax_bound
+from .bounds import SETTINGS, minimax_bound
 from .losses import (
     Dataset,
     LossSpec,
@@ -197,8 +197,7 @@ def bayes_test_error(tv: float) -> float:
     return (1.0 - tv) / 2.0
 
 
-def minimax_consistency(n: int, R: float, beta: float,
-                        consts: UniversalConstants = DEFAULT_CONSTANTS) -> dict:
+def minimax_consistency(n: int, R: float, beta: float) -> dict:
     """Relate the certified separation at r = R/2 to the displayed minimax rates.
 
     For the convex class, Phi(R/2)/4 evaluates to exactly four times the
@@ -210,6 +209,6 @@ def minimax_consistency(n: int, R: float, beta: float,
     for setting in SETTINGS:
         out[setting] = {
             "phi_quarter": phi_formula(setting, beta, r, n) / 4.0,
-            "minimax": minimax_bound(setting, n, R, beta, consts),
+            "minimax": minimax_bound(setting, n, R, beta),
         }
     return out

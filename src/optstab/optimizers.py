@@ -19,10 +19,11 @@ inputs once, before theta_0, then calls the unchecked ``losses._block_grad``.
 
 Randomized methods draw their index and Gaussian noise streams from
 ``streams.stream(seed, "sgd_index", member)`` and ``(seed, "sgld_noise",
-member)``, so every iterate is a deterministic function of (config, seed,
-member, loss, sample, theta0).  Members with the same index share identical
-streams, which is what couples a perturbed pair; a member's columns share
-them too (sgld scales the noise per column).
+member)``, where the seed is the batch's argument, not the config's, so every
+iterate is a deterministic function of (config, seed, member, loss, sample,
+theta0).  Members with the same index share identical streams, which is what
+couples a perturbed pair; a member's columns share them too (sgld scales the
+noise per column).
 """
 
 from __future__ import annotations
@@ -114,7 +115,6 @@ class OptimizerConfig:
     method: str
     schedule: StepSchedule
     T: int
-    seed: int = 0
     gamma: float = 0.0              # heavy ball momentum
     kappa: Optional[float] = None   # nag_sc condition number
     tau: Optional[float] = None     # sgld temperature
@@ -203,10 +203,10 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
     """Yield the (B, k, d) states theta_0..theta_T of B members by k configs.
 
     The configs share their gradient kind and T.  Member b runs ``configs[j]``
-    in column j (configs' own seeds are not read) on ``data``, or on sample b
-    of a stack of B samples (``Dataset.stack``).  Its index and noise
-    streams, ``stream(seed, "sgd_index", members[b])`` and ``stream(seed,
-    "sgld_noise", members[b])``, serve all its columns; members with equal
+    in column j on ``data``, or on sample b of a stack of B samples
+    (``Dataset.stack``).  Its index and noise streams, ``stream(seed,
+    "sgd_index", members[b])`` and ``stream(seed, "sgld_noise",
+    members[b])``, serve all its columns; members with equal
     indices share them, which couples them.  Members whose indices and
     samples agree follow exactly equal iterates.  theta0 defaults to the
     zero vector of the sample's dimension (the symbol families read only
@@ -257,12 +257,13 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
         yield theta
 
 
-def run(config: OptimizerConfig, spec: LossSpec, data: Dataset, theta0=None) -> IterateTrace:
+def run(config: OptimizerConfig, spec: LossSpec, data: Dataset, theta0=None, *,
+        seed: int = 0) -> IterateTrace:
     """Run the configured method on the empirical risk of ``data``.
 
-    The one-config, one-member case of :func:`batch_iterates`.
+    The one-config, one-member case of :func:`batch_iterates`, under ``seed``.
     """
-    states = batch_iterates([config], spec, data, config.seed, [0], theta0=theta0)
+    states = batch_iterates([config], spec, data, seed, [0], theta0=theta0)
     thetas = np.stack([state[0, 0] for state in states])
     return IterateTrace(thetas=thetas, risks=empirical_risk_batch(spec, thetas, data),
                         step_sizes=_step_sizes(config.schedule, config.T))

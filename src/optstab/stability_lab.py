@@ -3,7 +3,7 @@
 A perturbed pair is a base sample S and its perturbed copy
 S' = ``S.replace(k, z)``, which differ in exactly one point.  Both runs
 start from the same theta0 and, for randomized methods, share the index and
-noise streams (one member index under the configs' seed), so the measured
+noise streams (one member index under the batch's seed), so the measured
 gaps isolate the data perturbation.  Two series are recorded per pair:
 
 * ``param_gap[t]``     = ||theta_t - theta'_t||_2
@@ -119,9 +119,9 @@ def _coupled_gaps(configs: Sequence[OptimizerConfig], spec: LossSpec, base: Data
 
 
 def run_pair(config: OptimizerConfig, spec: LossSpec, base: Dataset, perturbed: Dataset,
-             holdout: Dataset, theta0=None) -> StabilityTrace:
+             holdout: Dataset, theta0=None, *, seed: int = 0) -> StabilityTrace:
     """Run the method on a sample and its perturbed copy under identical streams."""
-    pg, sg = _coupled_gaps([config], spec, base, [perturbed], config.seed, holdout, theta0)
+    pg, sg = _coupled_gaps([config], spec, base, [perturbed], seed, holdout, theta0)
     return StabilityTrace(param_gap=pg[0, 0], sup_loss_gap=sg[0, 0])
 
 
@@ -158,27 +158,19 @@ def _describe_point(z: Dataset) -> dict:
     return {"kind": "labeled", "x": [float(v) for v in z.X[0]], "y": int(z.y[0])}
 
 
-def _shared_seed(configs: Sequence[OptimizerConfig]) -> int:
-    if len({c.seed for c in configs}) != 1:
-        raise ValidationError("the configs of one batch need one seed")
-    return configs[0].seed
-
-
 def repeat_and_average(configs: Sequence[OptimizerConfig], spec: LossSpec,
                        sample: Dataset, pool: Dataset, reps: int,
-                       theta0=None) -> AveragedStability:
+                       theta0=None, *, seed: int = 0) -> AveragedStability:
     """Average each config's gap series over ``reps`` independent perturbations.
 
     Repeat i draws the perturbed index uniformly and the replacement point
     from the held-out pool (which also serves as the sup-gap holdout), both
-    from ``stream(seed, "perturbation", i)`` with the configs' shared seed,
-    and runs both sides of its pair as member i, so repeats are decoupled
-    while the two runs inside a repeat stay coupled.  All runs advance as
-    one batch.
+    from ``stream(seed, "perturbation", i)``, and runs both sides of its pair
+    as member i, so repeats are decoupled while the two runs inside a repeat
+    stay coupled.  All runs advance as one batch.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
-    seed = _shared_seed(configs)
     perturbed, records = [], []
     for i in range(reps):
         rng = stream(seed, "perturbation", i)
@@ -330,9 +322,10 @@ def reference_risk(spec: LossSpec, train: Dataset, budget: int, theta0=None) -> 
 
 
 def risk_curves(configs: Sequence[OptimizerConfig], spec: LossSpec, train: Dataset,
-                test: Dataset, ref_budget: int = 0) -> Tuple[List[RiskCurves], Optional[float]]:
-    """Train/test risk along each config's run from 0, run as one batch with the
-    configs' seed, and with ``ref_budget`` ``reference_risk(spec, train,
+                test: Dataset, ref_budget: int = 0, *,
+                seed: int = 0) -> Tuple[List[RiskCurves], Optional[float]]:
+    """Train/test risk along each config's run from 0, run as one batch under
+    ``seed``, and with ``ref_budget`` ``reference_risk(spec, train,
     ref_budget)`` (optimization error: ``train - reference``), else None.  A
     full-gradient batch with T <= ref_budget runs the reference as one more
     column, its trace not stored; gd has no momentum, so from its state at T it
@@ -341,7 +334,7 @@ def risk_curves(configs: Sequence[OptimizerConfig], spec: LossSpec, train: Datas
     joined = 0 < ref_budget and T <= ref_budget and not configs[0].sampled
     columns = [*configs, _reference_config(spec, train, T)] if joined else configs
     thetas = np.empty((k, T + 1, train.dim))
-    for t, state in enumerate(batch_iterates(columns, spec, train, _shared_seed(configs), [0])):
+    for t, state in enumerate(batch_iterates(columns, spec, train, seed, [0])):
         thetas[:, t] = state[0, :k]
     start, done = (state[0, k], T) if joined else (None, 0)
     ref = reference_risk(spec, train, ref_budget - done, start) if ref_budget else None

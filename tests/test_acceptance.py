@@ -53,12 +53,11 @@ def deterministic_experiments(logistic_data):
     # gd, nag and hb share data, T, seeds and perturbations, so they run as
     # one batch with a step size per method
     sample, pool = logistic_data
-    cfgs = [OptimizerConfig(method="gd", schedule=fixed(0.1), T=1000, seed=SEED + 1),
-            OptimizerConfig(method="nag", schedule=fixed(0.001), T=1000, seed=SEED + 1),
-            OptimizerConfig(method="hb", schedule=fixed(0.005), gamma=0.8, T=1000,
-                            seed=SEED + 1)]
+    cfgs = [OptimizerConfig(method="gd", schedule=fixed(0.1), T=1000),
+            OptimizerConfig(method="nag", schedule=fixed(0.001), T=1000),
+            OptimizerConfig(method="hb", schedule=fixed(0.005), gamma=0.8, T=1000)]
     start = time.perf_counter()
-    avgs = repeat_and_average(cfgs, LOGISTIC, sample, pool, reps=50)
+    avgs = repeat_and_average(cfgs, LOGISTIC, sample, pool, reps=50, seed=SEED + 1)
     return avgs, time.perf_counter() - start
 
 
@@ -84,9 +83,8 @@ def sgd_experiment():
     # heavy-tailed hit-time noise of the stochastic gap estimator
     full, _ = gen_synthetic(10, 200, seed=SEED)
     sample, pool = split_sample(full, 100, seed=SEED)
-    cfg = OptimizerConfig(method="sgd", schedule=power(0.1, 0.5), T=1000,
-                          seed=SEED + 1)
-    return repeat_and_average([cfg], LOGISTIC, sample, pool, reps=200)
+    cfg = OptimizerConfig(method="sgd", schedule=power(0.1, 0.5), T=1000)
+    return repeat_and_average([cfg], LOGISTIC, sample, pool, reps=200, seed=SEED + 1)
 
 
 def test_criterion_01_gd_stability_slope(gd_experiment):
@@ -104,7 +102,7 @@ def test_criterion_02_nag_stability_slope(nag_experiment):
     rng = np.random.Generator(np.random.Philox(42))
     data = Dataset.from_symbols(np.where(rng.uniform(size=100) < 0.5, 1.0, -1.0))
     perturbed = data.replace(3, Dataset.from_symbols([-int(data.s[3])]))
-    cfg = OptimizerConfig(method="nag", schedule=fixed(1e-8), T=1000, seed=0)
+    cfg = OptimizerConfig(method="nag", schedule=fixed(1e-8), T=1000)
     trace = run_pair(cfg, spec, data, perturbed, Dataset.from_symbols(np.array([1.0, -1.0])),
                      theta0=np.zeros(2))
     quad_fit = fit_loglog_slope(trace.param_gap, window=(10, 1000))
@@ -135,7 +133,7 @@ def test_criterion_05_linear_loss_tightness():
     spec = linear_worstcase_spec(L=1.0)
     data = Dataset.from_symbols(np.ones(10))
     perturbed = data.replace(0, Dataset.from_symbols([-1]))
-    cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=50, seed=0)
+    cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=50)
     trace = run_pair(cfg, spec, data, perturbed, Dataset.from_symbols(np.array([1.0, -1.0])))
     worst = 0.0
     for T in (1, 5, 50):
@@ -226,7 +224,7 @@ def test_criterion_10_strongly_convex_stability_envelope():
     rng = np.random.Generator(np.random.Philox(SEED + 10))
     data = Dataset.from_symbols(np.where(rng.uniform(size=50) < 0.5, 1.0, -1.0))
     perturbed = data.replace(5, Dataset.from_symbols([-int(data.s[5])]))
-    cfg = OptimizerConfig(method="gd", schedule=fixed(0.5), T=500, seed=0)
+    cfg = OptimizerConfig(method="gd", schedule=fixed(0.5), T=500)
     trace = run_pair(cfg, spec, data, perturbed, Dataset.from_symbols(np.array([1.0, -1.0])),
                      theta0=np.zeros(2))
     ts = np.arange(501)
@@ -241,8 +239,8 @@ def test_criterion_11_risk_decomposition_ordering():
     train, _ = gen_synthetic(200, 2000, seed=101)
     test = gen_synthetic(200, 2000, seed=102)[0]
     methods = ("nag", "gd")
-    cfgs = [OptimizerConfig(method=m, schedule=fixed(0.1), T=1000, seed=5) for m in methods]
-    curves = dict(zip(methods, risk_curves(cfgs, LOGISTIC, train, test)[0]))
+    cfgs = [OptimizerConfig(method=m, schedule=fixed(0.1), T=1000) for m in methods]
+    curves = dict(zip(methods, risk_curves(cfgs, LOGISTIC, train, test, seed=5)[0]))
     nag_late = curves["nag"].gen_gap[1000]
     nag_early = curves["nag"].gen_gap[10]
     gd_late = curves["gd"].gen_gap[1000]

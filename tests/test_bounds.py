@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from optstab.bounds import (
+    C1,
+    C2,
+    C3,
     CONVEX,
     STRONGLY_CONVEX,
     NoBoundError,
-    UniversalConstants,
     convergence_lower_bound,
     early_stopping_T,
     minimax_bound,
@@ -201,10 +203,9 @@ def test_every_bound_rejects_a_bad_setting_or_n(setting, constants, n):
 
 
 def test_default_universal_constants():
-    c = UniversalConstants()
-    assert c.c1 == pytest.approx(256 * math.sqrt(6))
-    assert c.c2 == 2097152.0
-    assert c.c3 == 192.0
+    assert C1 == pytest.approx(256 * math.sqrt(6))
+    assert C2 == 2097152.0
+    assert C3 == 192.0
 
 
 def test_convergence_gd_convex_example():
@@ -226,7 +227,6 @@ def test_convergence_strongly_convex_offset_is_negative():
     expect = SC.beta * SC.R ** 2 / (192 * 50) - 4 * (SC.R * SC.beta) ** 2 / (SC.alpha * 50)
     assert got == pytest.approx(expect, rel=1e-9)
     assert got < 0
-    assert convergence_lower_bound(*base, clamp=True) == 0.0
 
 
 def test_convergence_nag_strongly_convex_decay_rate():

@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from optstab.harness.config import (
+    _READS,
+    EXPERIMENTS,
     ExperimentConfig,
     build_config,
     canonical_text,
@@ -20,6 +23,7 @@ from optstab.harness.experiments import _logistic_data, _optimizer_config, run_e
 from optstab.harness.reports import Report, Series, write_report, write_series_csv
 from optstab.harness.cli import main as cli_main
 from optstab.losses import ValidationError, logistic_spec, loss_constants
+from optstab.optimizers import METHODS
 
 BC_FIXTURE = """\
 1000025,5,1,1,1,2,1,3,1,1,2
@@ -415,6 +419,85 @@ def test_cli_data_path_outside_stability_exits_1_by_name(tmp_path, capsys, comma
     assert "config key 'data_path'" in capsys.readouterr().err
 
 
+class _ReadRecorder:
+    """Stands in for a config and records the name of every attribute read."""
+
+    def __init__(self, cfg):
+        self._cfg, self.reads = cfg, set()
+
+    def __getattr__(self, name):
+        self.reads.add(name)
+        return getattr(self._cfg, name)
+
+
+_RUN_KEYS = dict(methods=METHODS, n=40, T=30, schedule="power")
+
+
+@pytest.mark.parametrize("experiment, keys", [
+    ("stability_scaling", dict(_RUN_KEYS, reps=2)),
+    ("stability_scaling", dict(_RUN_KEYS, reps=2, data_path=True)),
+    ("risk_decomposition", dict(_RUN_KEYS, n_test=40, ref_budget=40)),
+    ("lecam_audit", {}),
+    ("lemma_audit", {}),
+    ("bounds_table", {}),
+], ids=["stability", "stability-file", "risk", "lecam", "lemmas", "bounds"])
+def test_each_experiment_reads_exactly_its_table_of_keys(tmp_path, monkeypatch,
+                                                         experiment, keys):
+    # every method and the power schedule, so that every key an experiment
+    # can read is read; the hash (which reads every key) is stubbed out
+    from optstab.harness import experiments
+
+    monkeypatch.setattr(experiments, "config_hash", lambda cfg: "0" * 16)
+    if keys.get("data_path"):
+        keys["data_path"] = _bc_file(tmp_path / "bc.csv")
+    proxy = _ReadRecorder(ExperimentConfig(experiment=experiment, **keys))
+    run_experiment(proxy)
+    expected = _READS[experiment] | {"experiment", "seed"}
+    if keys.get("data_path"):
+        expected -= {"d", "holdout"}
+    assert proxy.reads == expected
+
+
+_OFF_DEFAULT = dict(methods="sgd", data_path="bc.csv", n="77", d="20", T="50",
+                    holdout="30", reps="3", eta0="0.3", schedule="power", alpha="0.3",
+                    gamma="0.5", tau="2.5", kappa="9", n_test="10", ref_budget="100")
+_UNREAD = [(e, f.name) for e in EXPERIMENTS for f in fields(ExperimentConfig)
+           if f.name not in _READS[e] | {"experiment", "seed", "out"}]
+
+
+@pytest.mark.parametrize("experiment, key", _UNREAD, ids=[f"{e}-{k}" for e, k in _UNREAD])
+def test_cli_unread_key_off_its_default_exits_1_by_name(tmp_path, capsys, experiment,
+                                                        key):
+    from optstab.harness.cli import _SUBCOMMAND_EXPERIMENT
+
+    command = {e: c for c, e in _SUBCOMMAND_EXPERIMENT.items()}[experiment]
+    cfgfile = tmp_path / "unread.cfg"
+    cfgfile.write_text(f"{key} = {_OFF_DEFAULT[key]}\n")
+    out = tmp_path / "x"
+    for argv in (["--config", str(cfgfile)], ["--" + key.replace("_", "-"), _OFF_DEFAULT[key]]):
+        assert cli_main([command, "--out", str(out)] + argv) == 1
+        assert f"config key '{key}': {experiment} does not read it" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--d", "--holdout"])
+def test_cli_stability_from_a_file_rejects_d_and_holdout(tmp_path, capsys, flag):
+    path = _bc_file(tmp_path / "bc.csv")
+    out = tmp_path / "x"
+    assert cli_main(["stability", "--data-path", path, flag, "20", "--out", str(out)]) == 1
+    assert f"config key '{flag[2:]}'" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_cli_unread_key_at_its_default_is_accepted(tmp_path):
+    # reps = 50 is the default: the bounds table runs, and its hash is the default run's
+    out = tmp_path / "x"
+    assert cli_main(["bounds", "--reps", "50", "--out", str(out)]) == 0
+    assert (out / "report.json").exists()
+    assert build_config({"experiment": "bounds_table", "reps": 50}) == \
+        ExperimentConfig(experiment="bounds_table")
+
+
 @pytest.mark.parametrize("line", ["source = file", "subsample = 300"])
 def test_cli_removed_data_keys_exit_1_as_unknown(tmp_path, capsys, line):
     cfgfile = tmp_path / "old.cfg"
@@ -438,12 +521,12 @@ def test_cli_empty_methods_exits_1_from_file_and_flag(tmp_path, monkeypatch, cap
     for argv in (["--config", str(cfgfile)], ["--methods", ""]):
         assert cli_main([command, "--out", out] + argv) == 1
         assert "needs at least one method" in capsys.readouterr().err
-    assert ExperimentConfig(experiment="lecam_audit", methods=()).methods == ()
+    with pytest.raises(ValidationError, match="lecam_audit needs at least one method"):
+        ExperimentConfig(experiment="lecam_audit", methods=())
 
 
 def test_cli_flags_are_the_config_fields():
     import argparse
-    from dataclasses import fields
 
     from optstab.harness import cli
 

@@ -136,9 +136,9 @@ def test_traces_are_bitwise_deterministic():
     spec = logistic_spec()
     for method, kw in [("gd", {}), ("sgd", {}), ("nag", {}), ("hb", {"gamma": 0.5}),
                        ("sgld", {"tau": 2.0})]:
-        cfg = OptimizerConfig(method=method, schedule=fixed(0.1), T=30, seed=17, **kw)
-        a = run(cfg, spec, data)
-        b = run(cfg, spec, data)
+        cfg = OptimizerConfig(method=method, schedule=fixed(0.1), T=30, **kw)
+        a = run(cfg, spec, data, seed=17)
+        b = run(cfg, spec, data, seed=17)
         np.testing.assert_array_equal(a.thetas, b.thetas)
         np.testing.assert_array_equal(a.risks, b.risks)
 
@@ -159,10 +159,10 @@ def test_sgld_at_infinite_temperature_matches_sgd():
     y = rng.integers(0, 2, 15).astype(float)
     data = Dataset.from_labeled(X, y)
     spec = logistic_spec()
-    sgd = run(OptimizerConfig(method="sgd", schedule=fixed(0.1), T=40, seed=11),
-              spec, data)
-    sgld = run(OptimizerConfig(method="sgld", schedule=fixed(0.1), T=40, seed=11,
-                               tau=math.inf), spec, data)
+    sgd = run(OptimizerConfig(method="sgd", schedule=fixed(0.1), T=40), spec, data,
+              seed=11)
+    sgld = run(OptimizerConfig(method="sgld", schedule=fixed(0.1), T=40, tau=math.inf),
+               spec, data, seed=11)
     np.testing.assert_array_equal(sgd.thetas, sgld.thetas)
 
 
@@ -172,10 +172,10 @@ def test_sgld_noise_scales_with_temperature():
     y = rng.integers(0, 2, 15).astype(float)
     data = Dataset.from_labeled(X, y)
     spec = logistic_spec()
-    hot = run(OptimizerConfig(method="sgld", schedule=fixed(0.1), T=40, seed=11,
-                              tau=0.1), spec, data)
-    cold = run(OptimizerConfig(method="sgld", schedule=fixed(0.1), T=40, seed=11,
-                               tau=1e6), spec, data)
+    hot = run(OptimizerConfig(method="sgld", schedule=fixed(0.1), T=40, tau=0.1),
+              spec, data, seed=11)
+    cold = run(OptimizerConfig(method="sgld", schedule=fixed(0.1), T=40, tau=1e6),
+               spec, data, seed=11)
     assert np.linalg.norm(hot.thetas[-1]) > np.linalg.norm(cold.thetas[-1])
 
 

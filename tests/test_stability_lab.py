@@ -79,8 +79,8 @@ def test_identity_perturbation_keeps_gaps_zero_for_every_method():
     holdout = logistic_fixture(n=10, seed=99)
     for method, kw in [("gd", {}), ("sgd", {}), ("nag", {}), ("hb", {"gamma": 0.5}),
                        ("sgld", {"tau": 1.0})]:
-        cfg = OptimizerConfig(method=method, schedule=fixed(0.1), T=25, seed=4, **kw)
-        trace = run_pair(cfg, spec, data, perturbed, holdout)
+        cfg = OptimizerConfig(method=method, schedule=fixed(0.1), T=25, **kw)
+        trace = run_pair(cfg, spec, data, perturbed, holdout, seed=4)
         np.testing.assert_array_equal(trace.param_gap, 0.0)
         np.testing.assert_array_equal(trace.sup_loss_gap, 0.0)
 
@@ -93,7 +93,7 @@ def test_identity_perturbation_keeps_gaps_zero_over_row_blocks(monkeypatch):
     monkeypatch.setattr(losses, "_GRAD_BLOCK_BYTES", 7 * 4 * 8)
     data = logistic_fixture()
     perturbed = [data.replace(k, data.point(k)) for k in (0, 13, 39)]
-    configs = [OptimizerConfig(method=m, schedule=fixed(0.1), T=25, seed=4, gamma=0.5)
+    configs = [OptimizerConfig(method=m, schedule=fixed(0.1), T=25, gamma=0.5)
                for m in ("gd", "nag", "hb")]
     param_gap, sup_gap = _coupled_gaps(configs, logistic_spec(), data, perturbed, 4,
                                        logistic_fixture(n=10, seed=99), None)
@@ -114,7 +114,7 @@ def test_pair_index_out_of_range():
 def test_param_gap_zero_at_start():
     data = logistic_fixture()
     perturbed = data.replace(0, logistic_fixture(seed=5).point(0))
-    cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=10, seed=0)
+    cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=10)
     trace = run_pair(cfg, logistic_spec(), data, perturbed, logistic_fixture(n=8, seed=9))
     assert trace.param_gap[0] == 0.0
 
@@ -123,7 +123,7 @@ def test_linear_loss_gap_is_exactly_tight():
     spec = linear_worstcase_spec(L=1.0)
     data = Dataset.from_symbols(np.ones(10))
     perturbed = data.replace(0, Dataset.from_symbols([-1]))
-    cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=50, seed=0)
+    cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=50)
     trace = run_pair(cfg, spec, data, perturbed, SYMBOL_HOLDOUT)
     for T in (1, 5, 50):
         expect = 2 * 0.1 * 1.0 * T / 10
@@ -134,7 +134,7 @@ def test_gd_gap_dominated_by_linear_envelope():
     data = logistic_fixture(n=50, seed=3)
     pool = logistic_fixture(n=10, seed=7)
     perturbed = data.replace(4, pool.point(0))
-    cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=200, seed=0)
+    cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=200)
     trace = run_pair(cfg, logistic_spec(), data, perturbed, pool)
     ts = np.arange(201)
     c = loss_constants(logistic_spec())
@@ -146,8 +146,8 @@ def test_lipschitz_domination_of_sup_gap():
     data = logistic_fixture(n=30, seed=11)
     pool = logistic_fixture(n=20, seed=13)
     perturbed = data.replace(1, pool.point(3))
-    cfg = OptimizerConfig(method="nag", schedule=fixed(0.2), T=100, seed=2)
-    trace = run_pair(cfg, logistic_spec(), data, perturbed, pool)
+    cfg = OptimizerConfig(method="nag", schedule=fixed(0.2), T=100)
+    trace = run_pair(cfg, logistic_spec(), data, perturbed, pool, seed=2)
     assert np.all(trace.sup_loss_gap <= 1.0 * trace.param_gap)
 
 
@@ -157,7 +157,7 @@ def test_strongly_convex_gap_envelope():
     rng = np.random.Generator(np.random.Philox(17))
     data = Dataset.from_symbols(np.where(rng.uniform(size=50) < 0.5, 1.0, -1.0))
     perturbed = data.replace(5, Dataset.from_symbols([-int(data.s[5])]))
-    cfg = OptimizerConfig(method="gd", schedule=fixed(0.5), T=500, seed=0)
+    cfg = OptimizerConfig(method="gd", schedule=fixed(0.5), T=500)
     trace = run_pair(cfg, spec, data, perturbed, SYMBOL_HOLDOUT, theta0=np.zeros(2))
     ts = np.arange(501)
     envelope = stability_bound_curve(cfg, STRONGLY_CONVEX, c, 50, ts) / c.L
@@ -217,10 +217,10 @@ def test_identity_perturbation_gap_is_exactly_zero_for_wide_batches(method):
     # alike; sgd's two k-row batches go through one product each
     rng = np.random.Generator(np.random.Philox(5))
     sample = Dataset.from_labeled(normalize_rows(rng.standard_normal((1, 10))), [1.0])
-    cfg = OptimizerConfig(method=method, schedule=fixed(0.5), T=50, seed=1)
+    cfg = OptimizerConfig(method=method, schedule=fixed(0.5), T=50)
     for reps in (6, 10, 15, 20):
         avg = repeat_and_average([cfg], logistic_spec(), sample, sample, reps=reps,
-                                 theta0=0.3 * rng.standard_normal(10))
+                                 theta0=0.3 * rng.standard_normal(10), seed=1)
         np.testing.assert_array_equal(avg.repeats.sup_loss_gap, 0.0)
 
 
@@ -235,8 +235,8 @@ def test_sup_gap_requires_nonempty_holdout():
 def test_single_repeat_equals_trace():
     data = logistic_fixture(n=20, seed=31)
     pool = logistic_fixture(n=10, seed=37)
-    cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=20, seed=5)
-    avg = repeat_and_average([cfg], logistic_spec(), data, pool, reps=1)
+    cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=20)
+    avg = repeat_and_average([cfg], logistic_spec(), data, pool, reps=1, seed=5)
     np.testing.assert_array_equal(avg.param_gap, avg.repeats.param_gap[:, 0])
     np.testing.assert_array_equal(avg.param_gap_stderr, 0.0)
 
@@ -246,32 +246,20 @@ def test_deterministic_methods_give_zero_stderr_for_fixed_perturbation():
     data = Dataset.from_symbols(np.ones(1))
     pool = Dataset.from_symbols(-np.ones(1))
     spec = linear_worstcase_spec(L=1.0)
-    cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=10, seed=5)
-    avg = repeat_and_average([cfg], spec, data, pool, reps=6)
+    cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=10)
+    avg = repeat_and_average([cfg], spec, data, pool, reps=6, seed=5)
     np.testing.assert_allclose(avg.param_gap_stderr, 0.0, atol=1e-15)
     np.testing.assert_allclose(avg.sup_loss_gap_stderr, 0.0, atol=1e-15)
-
-
-def test_batches_of_configs_with_different_seeds_are_rejected():
-    # a batch draws every member's streams from one seed, so configs that
-    # name different seeds cannot share it
-    data, pool = logistic_fixture(n=15, seed=41), logistic_fixture(n=6, seed=43)
-    configs = [OptimizerConfig(method="gd", schedule=fixed(0.1), T=5, seed=s)
-               for s in (1, 2)]
-    with pytest.raises(ValidationError, match="one seed"):
-        repeat_and_average(configs, logistic_spec(), data, pool, reps=2)
-    with pytest.raises(ValidationError, match="one seed"):
-        risk_curves(configs, logistic_spec(), data, pool)
 
 
 def test_repeat_records_and_worker_independence():
     data = logistic_fixture(n=15, seed=41)
     pool = logistic_fixture(n=6, seed=43)
-    cfg = OptimizerConfig(method="sgd", schedule=fixed(0.1), T=15, seed=5)
-    seq = repeat_and_average([cfg], logistic_spec(), data, pool, reps=5)
+    cfg = OptimizerConfig(method="sgd", schedule=fixed(0.1), T=15)
+    seq = repeat_and_average([cfg], logistic_spec(), data, pool, reps=5, seed=5)
     assert all(0 <= r["k"] < 15 for r in seq.perturbations)
     with pytest.raises(ValidationError):
-        repeat_and_average([cfg], logistic_spec(), data, pool, reps=0)
+        repeat_and_average([cfg], logistic_spec(), data, pool, reps=0, seed=5)
 
 
 @pytest.mark.parametrize("family", ["logistic", "linear_worstcase"])
@@ -279,8 +267,8 @@ def test_perturbation_records_name_the_drawn_pool_row(family):
     # each record holds the replaced index and the pool row the repeat drew,
     # with the report's JSON types: floats for x, ints for y and s
     spec, sample, pool, theta0, beta = _family_case(family, 19, 12)
-    cfg = _config("gd", 0.1, "fixed", 5, 3, beta)
-    avg = repeat_and_average([cfg], spec, sample, pool, reps=6, theta0=theta0)
+    cfg = _config("gd", 0.1, "fixed", 5, beta)
+    avg = repeat_and_average([cfg], spec, sample, pool, reps=6, theta0=theta0, seed=3)
     for i, rec in enumerate(avg.perturbations):
         rng = stream(3, "perturbation", i)
         k, j = int(rng.integers(0, sample.n)), int(rng.integers(0, pool.n))
@@ -297,13 +285,13 @@ def test_perturbation_records_name_the_drawn_pool_row(family):
 # ------------------------------------------- batched vs per-pair reference
 
 
-def _reference_trajectory(config, member, spec, data, theta0):
+def _reference_trajectory(config, seed, member, spec, data, theta0):
     """One member stepped alone, method by method, through the public
     single-point gradients, with the index and noise streams drawn as the
-    optimizers draw them (the config seed's streams at ``member``)."""
+    optimizers draw them (the seed's streams at ``member``)."""
     T, d = config.T, theta0.shape[0]
-    indices = stream(config.seed, "sgd_index", member).integers(0, data.n, size=T)
-    noise = stream(config.seed, "sgld_noise", member).standard_normal((T, d))
+    indices = stream(seed, "sgd_index", member).integers(0, data.n, size=T)
+    noise = stream(seed, "sgld_noise", member).standard_normal((T, d))
     gammas = nag_momentum_sequence(max(T, 1))
     thetas = [theta0]
     for t in range(1, T + 1):
@@ -334,15 +322,15 @@ def _assert_bitwise_equal(a, b):
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _reference_repeats(config, spec, sample, pool, reps, theta0):
+def _reference_repeats(config, seed, spec, sample, pool, reps, theta0):
     """Per-repeat (param_gap, sup_loss_gap), one pair at a time."""
     out = []
     for i in range(reps):
-        rng = stream(config.seed, "perturbation", i)
+        rng = stream(seed, "perturbation", i)
         k = int(rng.integers(0, sample.n))
         perturbed = sample.replace(k, pool.point(int(rng.integers(0, pool.n))))
-        th = _reference_trajectory(config, i, spec, sample, theta0)
-        th_p = _reference_trajectory(config, i, spec, perturbed, theta0)
+        th = _reference_trajectory(config, seed, i, spec, sample, theta0)
+        th_p = _reference_trajectory(config, seed, i, spec, perturbed, theta0)
         sup = np.abs(loss_values_matrix(spec, th, pool)
                      - loss_values_matrix(spec, th_p, pool)).max(axis=1)
         out.append((np.linalg.norm(th - th_p, axis=1), sup))
@@ -366,14 +354,14 @@ def _family_case(family, seed, n):
     return spec, sample, pool, rng.standard_normal(2), 1.0
 
 
-def _config(method, eta, kind, T, seed, beta):
+def _config(method, eta, kind, T, beta):
     # every step-size precondition holds: eta <= 0.9 / beta and, for heavy
     # ball with gamma = 0.5, eta < 0.5 / beta
     if beta > 0:
         eta = min(eta, (0.45 if method == "hb" else 0.9) / beta)
     schedule = fixed(eta) if kind == "fixed" else power(eta, 0.5)
-    return OptimizerConfig(method=method, schedule=schedule, T=T, seed=seed, gamma=0.5,
-                           kappa=4.0, tau=2.0)
+    return OptimizerConfig(method=method, schedule=schedule, T=T, gamma=0.5, kappa=4.0,
+                           tau=2.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,12 +375,13 @@ def test_batched_repeats_match_per_pair_reference(method, family, reps, T, n, et
                                                   data_seed, seed, start):
     spec, sample, pool, theta0, beta = _family_case(family, data_seed, n)
     theta0 = theta0 if start else np.zeros_like(theta0)
-    cfg = _config(method, eta, kind, T, seed, beta)
+    cfg = _config(method, eta, kind, T, beta)
     # the default theta0 is the zero vector of the sample's dimension; the
     # two-dimensional theta0 of the symbol family is passed
     avg = repeat_and_average([cfg], spec, sample, pool, reps=reps,
-                             theta0=theta0 if start or theta0.size != sample.dim else None)
-    expected = _reference_repeats(cfg, spec, sample, pool, reps, theta0)
+                             theta0=theta0 if start or theta0.size != sample.dim else None,
+                             seed=seed)
+    expected = _reference_repeats(cfg, seed, spec, sample, pool, reps, theta0)
     for i, (param_gap, sup_gap) in enumerate(expected):
         for got, want in ((avg.repeats.param_gap[0, i], param_gap),
                           (avg.repeats.sup_loss_gap[0, i], sup_gap)):
@@ -417,9 +406,10 @@ def test_identity_perturbation_gaps_are_exactly_zero_in_a_batch(methods, family,
     # itself, so every member of the batch, in every config column, must
     # follow the same iterates as its base run
     spec, sample, _, theta0, beta = _family_case(family, data_seed, 1)
-    configs = [_config(m, 0.3 / (j + 1), "fixed", T, seed, beta)
+    configs = [_config(m, 0.3 / (j + 1), "fixed", T, beta)
                for j, m in enumerate(_one_kind(methods))]
-    avg = repeat_and_average(configs, spec, sample, sample, reps=reps, theta0=theta0)
+    avg = repeat_and_average(configs, spec, sample, sample, reps=reps, theta0=theta0,
+                             seed=seed)
     assert avg.repeats.param_gap.shape == (len(configs), reps, T + 1)
     np.testing.assert_array_equal(avg.repeats.param_gap, 0.0)
     np.testing.assert_array_equal(avg.repeats.sup_loss_gap, 0.0)
@@ -438,7 +428,7 @@ def test_method_batch_matches_one_config_batches(methods, etas, family, reps, T,
     # column's margins share one product with the other columns', so they
     # may round differently, within 1e-12 of the iterates' scale
     spec, sample, pool, theta0, beta = _family_case(family, data_seed, n)
-    configs = [_config(m, eta, kind, T, seed, beta)
+    configs = [_config(m, eta, kind, T, beta)
                for m, eta in zip(_one_kind(methods), etas)]
     rng = np.random.Generator(np.random.Philox(data_seed))
     perturbed = [sample.replace(int(rng.integers(0, n)),
@@ -486,7 +476,7 @@ def test_blocked_gaps_match_per_step_reference_bitwise(methods, family):
     T, P = 37, 5
     assert (T + 1) % _GAP_STEPS
     spec, sample, pool, theta0, beta = _family_case(family, 17, 12)
-    configs = [_config(m, 0.5, "fixed", T, 3, beta) for m in methods]
+    configs = [_config(m, 0.5, "fixed", T, beta) for m in methods]
     perturbed = [sample.replace(2 * i, pool.point(i % pool.n)) for i in range(P)]
     got = _coupled_gaps(configs, spec, sample, perturbed, 3, pool, theta0)
     want = _stepwise_gaps(configs, spec, sample, perturbed, 3, pool, theta0)
@@ -618,14 +608,14 @@ def test_saturation_onset_matches_lstsq_split_loop_on_pure_power_laws(T, exponen
 
 def test_risk_curves_gap_zero_when_test_equals_train():
     data = logistic_fixture(n=30, seed=51)
-    cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=30, seed=0)
+    cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=30)
     (rc,), _ = risk_curves([cfg], logistic_spec(), data, data)
     np.testing.assert_allclose(rc.gen_gap, 0.0, atol=1e-15)
 
 
 def test_risk_curves_reference_minimizer_self_consistent():
     data = logistic_fixture(n=25, seed=53)
-    cfg = OptimizerConfig(method="gd", schedule=fixed(1.0), T=400, seed=0)
+    cfg = OptimizerConfig(method="gd", schedule=fixed(1.0), T=400)
     (rc,), _ = risk_curves([cfg], logistic_spec(), data, data)
     opt_error = rc.train - reference_risk(logistic_spec(), data, 2000)
     # by T = 400 a 1/beta-step GD run is essentially at the reference minimum
@@ -649,8 +639,8 @@ def test_optimization_error_dominates_in_underparameterized_regime():
     # minimum around t ~ 90 here, after which the comparison flips trivially
     ref = reference_risk(logistic_spec(), train, 10000)
     for method, (lo, hi) in windows.items():
-        cfg = OptimizerConfig(method=method, schedule=fixed(0.1), T=500, seed=3)
-        (rc,), _ = risk_curves([cfg], logistic_spec(), train, test)
+        cfg = OptimizerConfig(method=method, schedule=fixed(0.1), T=500)
+        (rc,), _ = risk_curves([cfg], logistic_spec(), train, test, seed=3)
         opt_error = rc.train - ref
         ts = np.arange(lo, hi + 1)
         assert np.all(opt_error[ts] > np.abs(rc.gen_gap[ts])), method
@@ -669,8 +659,8 @@ def test_generalization_gap_under_stability_bound_on_average():
         y = (rng.uniform(size=2 * n) < 1 / (1 + np.exp(-u))).astype(float)
         train = Dataset.from_labeled(X[:n], y[:n])
         test = Dataset.from_labeled(X[n:], y[n:])
-        cfg = OptimizerConfig(method="gd", schedule=fixed(eta), T=T, seed=seed)
-        (rc,), _ = risk_curves([cfg], spec, train, test)
+        cfg = OptimizerConfig(method="gd", schedule=fixed(eta), T=T)
+        (rc,), _ = risk_curves([cfg], spec, train, test, seed=seed)
         gaps.append(rc.gen_gap[-1])
     bound = stability_bound(cfg, CONVEX, loss_constants(spec), n)
     stderr = np.std(gaps, ddof=1) / math.sqrt(len(gaps))
