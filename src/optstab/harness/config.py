@@ -13,7 +13,9 @@ Keys
 Readers are marked s (stability_scaling), r (risk_decomposition) and b
 (bounds_table); lecam_audit and lemma_audit read none.  A key set off its
 default where its experiment does not read it is rejected by name (it would
-change the hash and nothing else); seed and out are legal everywhere.
+change the hash and nothing else); seed and out are legal everywhere.  In s and
+r, gamma, kappa and tau need hb, nag_sc and sgld, schedule and alpha (power
+only) a method other than sgld.
 
 experiment     stability_scaling | risk_decomposition | lecam_audit |
                lemma_audit | bounds_table  (the CLI's subcommand)
@@ -50,6 +52,8 @@ _READS = {
     "bounds_table": frozenset("n eta0 alpha gamma tau".split()),
 }
 EXPERIMENTS = tuple(_READS)
+# the key each method alone reads in stability_scaling and risk_decomposition
+METHOD_KEYS = {"hb": "gamma", "nag_sc": "kappa", "sgld": "tau"}
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,20 @@ class ExperimentConfig:
                 raise ValidationError(f"config key {key!r}: bad value "
                                       f"'{getattr(self, key)}' (need >= 0)")
         # an unread key at its default changes neither the run nor the hash
-        reads = _READS[self.experiment] | {"experiment", "seed", "out"}
+        reads, context = _READS[self.experiment] | {"experiment", "seed", "out"}, ""
         if self.data_path:
             reads -= {"d", "holdout"}
+        if "methods" in reads:  # a method reads its own key; sgld runs eta0 / t
+            context = f" (methods {','.join(self.methods)}, schedule {self.schedule})"
+            reads -= {key for m, key in METHOD_KEYS.items() if m not in self.methods}
+            if set(self.methods) <= {"sgld"}:
+                reads -= {"schedule", "alpha"}
+            if self.schedule == "fixed":
+                reads -= {"alpha"}
         for f in fields(self):
             if f.name not in reads and getattr(self, f.name) != f.default:
                 raise ValidationError(f"config key {f.name!r}: {self.experiment} "
-                                      "does not read it")
+                                      f"does not read it{context}")
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}

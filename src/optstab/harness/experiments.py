@@ -21,7 +21,7 @@ from ..stability_lab import (
     repeat_and_average,
     risk_curves,
 )
-from .config import ExperimentConfig, config_hash
+from .config import METHOD_KEYS, ExperimentConfig, config_hash
 from .data import gen_synthetic, load_breast_cancer, split_sample
 from .reports import Report, package_versions
 
@@ -38,8 +38,8 @@ def _schedule(cfg: ExperimentConfig, method: str) -> StepSchedule:
 
 
 def _optimizer_config(cfg: ExperimentConfig, method: str) -> OptimizerConfig:
-    return OptimizerConfig(method=method, schedule=_schedule(cfg, method), T=cfg.T,
-                           gamma=cfg.gamma, kappa=cfg.kappa, tau=cfg.tau)
+    own = {key: getattr(cfg, key) for m, key in METHOD_KEYS.items() if m == method}
+    return OptimizerConfig(method=method, schedule=_schedule(cfg, method), T=cfg.T, **own)
 
 
 def _batches(opt_cfgs: dict):

@@ -26,7 +26,9 @@ P_s's four entries and advances them by a two-row recurrence: the new bottom
 row is the old top row, the new top row is p (top row) + q (bottom row).
 Each checked step compares a measured quantity (the spectral norm, or
 |P_s[0, 0]| = |a_s| for the scalar recursion) against the lemma's envelope.
-Results are max reductions, so they are order independent and safe to shard.
+The state and the scratch arrays of the recurrence, norm and ratio are
+allocated once per sweep; each step runs in place on them.  Results are max
+reductions, so they are order independent and safe to shard.
 """
 
 from __future__ import annotations
@@ -51,11 +53,13 @@ def spectral_norm(M) -> float:
     return float(_batch_spectral_norm(*M.ravel()))
 
 
-def _batch_spectral_norm(u, v, u1, v1) -> np.ndarray:
+def _batch_spectral_norm(u, v, u1, v1, out=None) -> np.ndarray:
     """sigma_max of [[u, v], [u1, v1]]: sqrt((F^2 + sqrt(F^4 - 4 det^2)) / 2),
-    in place on three buffers with the operations of the plain expression."""
-    shape = np.broadcast(u, v, u1, v1).shape
-    fro2, det, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    in place on three buffers (``out``, else new ones; the result is the second)
+    with the operations of the plain expression."""
+    if out is None:
+        out = [np.empty(np.broadcast(u, v, u1, v1).shape) for _ in range(3)]
+    fro2, det, tmp = out
     np.multiply(u, u, out=fro2)
     fro2 += np.multiply(v, v, out=tmp)
     fro2 += np.multiply(u1, u1, out=tmp)
@@ -103,37 +107,46 @@ def _sweep(top, measure, envelope, shape: Tuple[int, ...], t_max: int, check=Non
     Axis 0 of ``shape`` indexes draws.  ``top(s)`` gives the top row (p, q)
     of the companion factor H_s = [[p, q], [1, 0]]; P_s = [[u, v], [u1, v1]]
     is four arrays of ``shape``, advanced as (u, u1) <- (p u + q u1, u) and
-    likewise for v.  ``measure(u, v, u1, v1)`` gives (k,) values,
-    ``envelope(s)`` a scalar or per-draw bound, ``check(s)`` the draws checked
-    at step s as a bool or per-draw mask (default: all, for s >= 1).  A zero
-    bound gives ratio 0 to a value within TOL of 0, else inf.  Returns the
-    worst ratio (first in step, then draw order), its check as (draw, step,
-    value, bound), and every violation as (draw, step, ratio).
+    likewise for v, computed as q u1 + p u (the same bits) in u1's buffer.
+    ``measure(u, v, u1, v1[, scratch])`` gives (k,) values, ``envelope(s)`` a
+    scalar or per-draw bound >= 0, ``check(s)`` the draws checked at step s as
+    a bool or per-draw mask (default: all, for s >= 1).  A zero bound gives
+    ratio 0 to a value within TOL of 0, else inf.  Returns the worst ratio
+    (first in step, then draw order), its check as (draw, step, value, bound),
+    and every violation as (draw, step, ratio).
     """
     u, v, u1, v1 = np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
+    free = np.empty((3, *shape))
     n = shape[0]
     worst, at, violations = -np.inf, (None, 0, math.nan, math.nan), []
     for s in range(t_max + 1):
         if s:
             p, q = top(s)
-            u, u1 = p * u + q * u1, u
-            v, v1 = p * v + q * v1, v
+            u, u1 = np.add(np.multiply(q, u1, out=u1), np.multiply(p, u, out=free[0]),
+                           out=u1), u
+            v, v1 = np.add(np.multiply(q, v1, out=v1), np.multiply(p, v, out=free[0]),
+                           out=v1), v
         sel = s >= 1 if check is None else check(s)
         if not np.any(sel):
             continue
-        bound = np.broadcast_to(envelope(s), n)
+        env = np.asarray(envelope(s))
+        bound = np.broadcast_to(env, n)
         if np.ndim(sel):  # a per-draw mask copies out its draws
             draw = np.flatnonzero(sel)
             norm, bound = measure(u[draw], v[draw], u1[draw], v1[draw]), bound[draw]
         else:
-            draw, norm = range(n), measure(u, v, u1, v1)
-        ratio = np.divide(norm, bound, out=np.where(norm <= TOL, 0.0, np.inf),
-                          where=bound > 0)
+            draw, norm = range(n), measure(u, v, u1, v1, free)
+        if env.min() > 0:  # the masked divide's bits, without its prefill
+            ratio = np.divide(norm, bound, out=free[2] if norm.shape == shape else None)
+        else:
+            ratio = np.divide(norm, bound, out=np.where(norm <= TOL, 0.0, np.inf),
+                              where=bound > 0)
         j = int(np.argmax(ratio))
         if ratio[j] > worst:
             worst, at = float(ratio[j]), (int(draw[j]), s, float(norm[j]), float(bound[j]))
-        violations += [(int(draw[i]), s, float(ratio[i]))
-                       for i in np.flatnonzero(norm > bound + TOL)]
+        if not ratio[j] < 1.0:  # norm > bound + TOL gives ratio >= 1 (or nan)
+            violations += [(int(draw[i]), s, float(ratio[i]))
+                           for i in np.flatnonzero(norm > bound + TOL)]
     return worst, at, violations
 
 
@@ -154,10 +167,12 @@ def _result(lemma: str, scan, checks: int, describe) -> SweepResult:
 
 
 def _nag_scan(hs: np.ndarray, gamma, t_max: int, check=None):
-    """H_s = [[(1 - g_s) h, g_s h], [1, 0]] with g_s = gamma(s); envelope 2 (s + 1)."""
-    def top(s):
-        g = gamma(s)
-        return (1.0 - g) * hs, g * hs
+    """H_s = [[(1 - g_s) h, g_s h], [1, 0]], gamma(s, g) writing g_s; envelope 2 (s + 1)."""
+    g, p = np.empty_like(hs), np.empty_like(hs)
+    def top(s):  # q = g h lands on g, which gamma refills every step
+        gamma(s, g)
+        np.multiply(np.subtract(1.0, g, out=p), hs, out=p)
+        return p, np.multiply(g, hs, out=g)
     return _sweep(top, _batch_spectral_norm, lambda s: 2.0 * (s + 1), hs.shape,
                   t_max, check)
 
@@ -172,7 +187,7 @@ def nag_lemma_check(h: float, gammas: Sequence[float]) -> LemmaCheck:
         raise ValidationError("nag_convex needs 0 <= h <= 1")
     if np.any(np.abs(gammas) >= 1.0):
         raise ValidationError("nag_convex needs -1 < gamma_i < 1")
-    scan = _nag_scan(np.array([h]), lambda s: gammas[s - 1], t, lambda s: s == t)
+    scan = _nag_scan(np.array([h]), lambda s, g: g.fill(gammas[s - 1]), t, lambda s: s == t)
     return _check("nag_convex", scan, t, {"h": h})
 
 
@@ -198,14 +213,10 @@ def hb_lemma_check(gamma: float, a: float, t: int) -> LemmaCheck:
 
 def _companion_radius(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Spectral radius of [[p, -q], [1, 0]], i.e. largest root modulus of
-    x^2 - p x + q (vectorized)."""
+    x^2 - p x + q (vectorized); real roots give (|p| + sqrt(disc)) / 2."""
     disc = p * p - 4.0 * q
-    real = disc >= 0
-    out = np.empty_like(p)
-    sq = np.sqrt(np.abs(disc))
-    out[real] = np.maximum(np.abs(p[real] + sq[real]), np.abs(p[real] - sq[real])) / 2.0
-    out[~real] = np.sqrt(np.maximum(q[~real], 0.0))
-    return out
+    return np.where(disc >= 0, (np.abs(p) + np.sqrt(np.abs(disc))) / 2.0,
+                    np.sqrt(np.maximum(q, 0.0)))
 
 
 def scnag_h_range(alpha: float, beta: float, eta: float) -> Tuple[float, float]:
@@ -297,6 +308,11 @@ def _recursion_scan(hs: np.ndarray, t_max: int, check):
                   hs.shape, t_max, check)
 
 
+def _uniform_pm1(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """rng.uniform(-1, 1, out.shape) bit for bit, into ``out`` (it is -1 + 2 u)."""
+    return np.subtract(np.multiply(rng.random(out=out), 2.0, out=out), 1.0, out=out)
+
+
 def nag_sweep(draws: int, t_max: int, seed: int = 0) -> SweepResult:
     """Random search over the vanishing-momentum hypothesis box.
 
@@ -305,7 +321,7 @@ def nag_sweep(draws: int, t_max: int, seed: int = 0) -> SweepResult:
     """
     rng = np.random.Generator(np.random.Philox(seed))
     hs = rng.uniform(0.0, 1.0, size=draws)
-    scan = _nag_scan(hs, lambda s: rng.uniform(-1.0, 1.0, size=draws), t_max)
+    scan = _nag_scan(hs, lambda s, g: _uniform_pm1(rng, g), t_max)
     return _result("nag_convex", scan, draws * t_max,
                    lambda j, s: {"h": float(hs[j]), "t": s, "draw": j})
 
@@ -375,7 +391,7 @@ def adversarial_max(lemma: str, budget: int, seed: int = 0,
         K, T = zip(*[(float(np.exp(rng.uniform(0.0, np.log(100.0)))), horizon())
                      for _ in range(budget)])
         _, top, rho = _scnag_grid([(k, 1.0, k, 1.0 / k) for k in K], 16)
-        bounds, steps = [_scnag_bound(r, t) for r, t in zip(rho, T)], np.array(T)
+        bounds, steps = np.array([_scnag_bound(r, t) for r, t in zip(rho, T)]), np.array(T)
         scan = _scnag_scan(top, lambda s: bounds, t_max, lambda s: s == steps)
         describe = lambda j, s: {"kappa": K[j], "t": s}
     else:  # recursion_u

@@ -23,7 +23,8 @@ member)``, where the seed is the batch's argument, not the config's, so every
 iterate is a deterministic function of (config, seed, member, loss, sample,
 theta0).  Members with the same index share identical streams, which is what
 couples a perturbed pair; a member's columns share them too (sgld scales the
-noise per column).
+noise per column).  The noise covers the coordinates the loss reads: theta[0]
+of a symbol family, so its path does not depend on theta0's dimension.
 """
 
 from __future__ import annotations
@@ -205,9 +206,9 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
     The configs share their gradient kind and T.  Member b runs ``configs[j]``
     in column j on ``data``, or on sample b of a stack of B samples
     (``Dataset.stack``).  Its index and noise streams, ``stream(seed,
-    "sgd_index", members[b])`` and ``stream(seed, "sgld_noise",
-    members[b])``, serve all its columns; members with equal
-    indices share them, which couples them.  Members whose indices and
+    "sgd_index", members[b])`` and ``stream(seed, "sgld_noise", members[b])``
+    (over theta[0] alone for a symbol family), serve all its columns; members
+    with equal indices share them, which couples them.  Members whose indices and
     samples agree follow exactly equal iterates.  theta0 defaults to the
     zero vector of the sample's dimension (the symbol families read only
     theta[0]).  Data of the wrong kind or dimension raise ValidationError
@@ -236,9 +237,10 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
         rows = np.stack([stream(seed, "sgd_index", m).integers(0, n, size=T)
                          for m in members], axis=1)
         if any(cfg.method == "sgld" for cfg in configs):
-            noise = np.empty((T, B, d))
+            width = 1 if spec.variant == "symbol" else d  # the coordinates it reads
+            noise = np.empty((T, B, width))
             for i, m in enumerate(members):
-                noise[:, i] = stream(seed, "sgld_noise", m).standard_normal((T, d))
+                noise[:, i] = stream(seed, "sgld_noise", m).standard_normal((T, width))
 
     # inputs checked above, rows drawn in [0, n), iterates checked below: no per-step checks
     prev = older = np.broadcast_to(theta, (B, k, d))
@@ -249,7 +251,7 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
         grad = _block_grad(spec, look, data, None if rows is None else rows[t], t % 2 == 1)
         theta = look - etas[t] * grad + b[t] * (prev - older)
         if noise is not None:
-            theta += c[t] * noise[t, :, None]
+            theta[..., :noise.shape[-1]] += c[t] * noise[t, :, None]
         if not np.isfinite(theta).all():
             j = int(np.argmin(np.isfinite(theta).all(axis=(0, 2))))
             raise FloatingPointError(f"{configs[j].method}: iterate {t + 1} is not finite")

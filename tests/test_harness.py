@@ -16,6 +16,7 @@ from optstab.harness.config import (
     config_hash,
     load_config,
     parse_config_text,
+    parse_value,
 )
 from optstab.harness.data import gen_synthetic, load_breast_cancer, split_sample
 from optstab.bounds import CONVEX, stability_bound_curve
@@ -433,18 +434,28 @@ class _ReadRecorder:
 _RUN_KEYS = dict(methods=METHODS, n=40, T=30, schedule="power")
 
 
-@pytest.mark.parametrize("experiment, keys", [
-    ("stability_scaling", dict(_RUN_KEYS, reps=2)),
-    ("stability_scaling", dict(_RUN_KEYS, reps=2, data_path=True)),
-    ("risk_decomposition", dict(_RUN_KEYS, n_test=40, ref_budget=40)),
-    ("lecam_audit", {}),
-    ("lemma_audit", {}),
-    ("bounds_table", {}),
-], ids=["stability", "stability-file", "risk", "lecam", "lemmas", "bounds"])
+@pytest.mark.parametrize("experiment, keys, unread", [
+    ("stability_scaling", dict(_RUN_KEYS, reps=2), set()),
+    ("stability_scaling", dict(_RUN_KEYS, reps=2, data_path=True), {"d", "holdout"}),
+    ("risk_decomposition", dict(_RUN_KEYS, n_test=40, ref_budget=40), set()),
+    ("lecam_audit", {}, set()),
+    ("lemma_audit", {}, set()),
+    ("bounds_table", {}, set()),
+    # the keys only some methods read
+    ("stability_scaling", dict(methods=("gd",), n=40, T=30, reps=2),
+     {"gamma", "kappa", "tau", "alpha"}),
+    ("stability_scaling", dict(methods=("hb", "nag_sc"), n=40, T=30, reps=2,
+                               schedule="power"), {"tau"}),
+    ("risk_decomposition", dict(methods=("sgld",), n=40, T=30, n_test=40),
+     {"gamma", "kappa", "schedule", "alpha"}),
+    ("risk_decomposition", dict(methods=("sgd", "sgld"), n=40, T=30, n_test=40,
+                                schedule="power"), {"gamma", "kappa"}),
+], ids=["stability", "stability-file", "risk", "lecam", "lemmas", "bounds", "stability-gd",
+        "stability-hb-nag_sc", "risk-sgld", "risk-sgd-sgld"])
 def test_each_experiment_reads_exactly_its_table_of_keys(tmp_path, monkeypatch,
-                                                         experiment, keys):
-    # every method and the power schedule, so that every key an experiment
-    # can read is read; the hash (which reads every key) is stubbed out
+                                                         experiment, keys, unread):
+    # the experiment reads every key of its table but those the methods and
+    # schedule leave unread; the hash (which reads every key) is stubbed out
     from optstab.harness import experiments
 
     monkeypatch.setattr(experiments, "config_hash", lambda cfg: "0" * 16)
@@ -452,10 +463,7 @@ def test_each_experiment_reads_exactly_its_table_of_keys(tmp_path, monkeypatch,
         keys["data_path"] = _bc_file(tmp_path / "bc.csv")
     proxy = _ReadRecorder(ExperimentConfig(experiment=experiment, **keys))
     run_experiment(proxy)
-    expected = _READS[experiment] | {"experiment", "seed"}
-    if keys.get("data_path"):
-        expected -= {"d", "holdout"}
-    assert proxy.reads == expected
+    assert proxy.reads == _READS[experiment] - unread | {"experiment", "seed"}
 
 
 _OFF_DEFAULT = dict(methods="sgd", data_path="bc.csv", n="77", d="20", T="50",
@@ -478,6 +486,27 @@ def test_cli_unread_key_off_its_default_exits_1_by_name(tmp_path, capsys, experi
         assert cli_main([command, "--out", str(out)] + argv) == 1
         assert f"config key '{key}': {experiment} does not read it" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["stability", "--methods", "gd", "--gamma", "0.5", "--kappa", "9", "--tau", "3"],
+     "gamma"),
+    (["stability", "--methods", "hb,sgld", "--kappa", "9"], "kappa"),
+    (["risk", "--methods", "gd,sgd", "--tau", "3"], "tau"),
+    (["stability", "--methods", "sgld", "--schedule", "power"], "schedule"),
+    (["risk", "--methods", "nag", "--alpha", "0.3"], "alpha"),
+], ids=["gamma", "kappa", "tau", "schedule", "alpha"])
+def test_cli_key_no_selected_method_reads_exits_1_by_name(tmp_path, capsys, argv, key):
+    out = tmp_path / "x"
+    assert cli_main(argv + ["--out", str(out)]) == 1
+    methods = argv[argv.index("--methods") + 1]
+    err = capsys.readouterr().err
+    assert f"config key '{key}': " in err
+    assert f"does not read it (methods {methods}, schedule" in err
+    assert not (out / "report.json").exists()
+    # with a method that reads it, the key is legal
+    build_config({"experiment": "stability_scaling", "methods": ("hb", "nag_sc", "sgld"),
+                  "schedule": "power", key: parse_value(key, _OFF_DEFAULT[key])})
 
 
 @pytest.mark.parametrize("flag", ["--d", "--holdout"])

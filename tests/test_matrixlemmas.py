@@ -11,6 +11,7 @@ from optstab.matrixlemmas import (
     _scnag_grid,
     _recursion_scan,
     _sweep,
+    _uniform_pm1,
     adversarial_max,
     hb_lemma_check,
     hb_sweep,
@@ -72,6 +73,16 @@ def test_batch_spectral_norm_in_place_equals_expression_form_bitwise(scale):
                                   _expression_spectral_norm(*entries))
     for M in entries[:, :5].T:
         assert spectral_norm(M.reshape(2, 2)) == _expression_spectral_norm(*M)
+
+
+def test_batch_spectral_norm_into_caller_buffers_bitwise():
+    rng = np.random.Generator(np.random.Philox(4))
+    entries = rng.standard_normal((4, 1000))
+    entries[:, :10] = np.outer([1.0, 2.0, 3.0, 6.0], entries[0, :10])
+    out = tuple(np.full(1000, np.nan) for _ in range(3))
+    norm = _batch_spectral_norm(*entries, out)
+    assert norm is out[1]
+    np.testing.assert_array_equal(norm, _batch_spectral_norm(*entries))
 
 
 def test_spectral_norm_submultiplicative():
@@ -163,6 +174,20 @@ def test_scnag_grid_equals_per_row_linspace_bitwise():
         assert rho == _companion_radius((1.0 + g) * hs, g * hs).max(axis=1).tolist()
 
 
+def test_companion_radius_is_the_largest_root_modulus():
+    rng = np.random.Generator(np.random.Philox(9))
+    p, q = rng.standard_normal(2000), rng.standard_normal(2000)
+    q[:100] = p[:100] ** 2 / 4.0  # double roots
+    rho = _companion_radius(p, q)
+    # real roots: bitwise the larger of the two root moduli
+    disc = p * p - 4.0 * q
+    sq, real = np.sqrt(np.abs(disc)), disc >= 0
+    np.testing.assert_array_equal(rho[real],
+                                  np.maximum(np.abs(p + sq), np.abs(p - sq))[real] / 2.0)
+    for i in range(100, 2000, 19):
+        assert rho[i] == pytest.approx(max(abs(np.roots([1.0, -p[i], q[i]]))), rel=1e-9)
+
+
 def test_scnag_reported_nominal_envelope_arithmetic():
     res = scnag_lemma_check(4.0, 1.0, 4.0, 0.25, 2)
     # 2 * 3 * (gamma (1 - alpha eta))^(t/2) = 2 * 3 * (1/3 * 3/4)^1
@@ -237,6 +262,27 @@ def test_nag_sweep_small_budget_clean():
     res = nag_sweep(2000, 32, seed=5)
     assert res.ok and res.max_ratio <= 1.0 + 1e-9
     assert res.witness
+
+
+@pytest.mark.parametrize("seed, ratio, witness", [
+    (0, 0.6698761576587976, {"h": 0.9846864182055673, "t": 2, "draw": 8651}),
+    (1, 0.6685752568655342, {"h": 0.9808509964066529, "t": 2, "draw": 16262}),
+])
+def test_nag_sweep_pinned_exactly(seed, ratio, witness):
+    res = nag_sweep(20_000, 64, seed=seed)
+    assert res.max_ratio == ratio and res.witness == witness
+    assert res.checks == 1_280_000 and res.counterexamples == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_buffered_gamma_draw_equals_uniform_bitwise(seed):
+    ref = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(seed))
+    out = np.empty(5000)
+    for _ in range(3):  # the same buffer, refilled, keeps the stream in step
+        expected = ref.uniform(-1.0, 1.0, size=5000)
+        assert _uniform_pm1(rng, out) is out
+        np.testing.assert_array_equal(out, expected)
 
 
 def test_hb_sweep_clean():

@@ -179,6 +179,18 @@ def test_sgld_noise_scales_with_temperature():
     assert np.linalg.norm(hot.thetas[-1]) > np.linalg.norm(cold.thetas[-1])
 
 
+def test_sgld_symbol_path_does_not_depend_on_theta0_dimension():
+    # a symbol family reads only theta[0], so only theta[0] draws noise
+    spec = lecam_strongly_convex_spec(beta=2.0, r=0.7)
+    data = Dataset.from_symbols(np.array([1.0, -1.0, 1.0]))
+    cfg = OptimizerConfig(method="sgld", schedule=fixed(0.2), T=30, tau=0.5)
+    one = run(cfg, spec, data, theta0=[0.3], seed=4)
+    two = run(cfg, spec, data, theta0=[0.3, -1.0], seed=4)
+    np.testing.assert_array_equal(one.thetas[:, 0], two.thetas[:, 0])
+    np.testing.assert_array_equal(two.thetas[:, 1], -1.0)
+    assert np.all(np.diff(one.thetas[:, 0]) != 0)
+
+
 def test_nag_first_update_is_plain_gradient_step():
     spec = quad1d(1.0)
     nag = run(OptimizerConfig(method="nag", schedule=fixed(0.5), T=1), spec, DUMMY,
@@ -401,8 +413,9 @@ def _reference_states(cfg, spec, data, seed, members, theta0):
     T, B = cfg.T, len(members)
     nag = nag_momentum_sequence(T - 1) if T > 1 else []
     rows = [stream(seed, "sgd_index", m).integers(0, data.n, size=T) for m in members]
-    noise = [stream(seed, "sgld_noise", m).standard_normal((T, len(theta0)))
-             for m in members]
+    # sgld noise over the coordinates the family reads: a symbol family's theta[0]
+    width = 1 if spec.variant == "symbol" else len(theta0)
+    noise = [stream(seed, "sgld_noise", m).standard_normal((T, width)) for m in members]
     prev = older = np.tile(theta0, (B, 1))
     states = [prev]
     for t in range(T):
@@ -419,7 +432,7 @@ def _reference_states(cfg, spec, data, seed, members, theta0):
         theta = look - eta * grad + b * (prev - older)
         if cfg.method == "sgld":
             c = math.sqrt(2.0 * eta / cfg.tau)
-            theta += c * np.stack([z[t] for z in noise])
+            theta[:, :width] += c * np.stack([z[t] for z in noise])
         older, prev = prev, theta
         states.append(theta)
     return np.stack(states)

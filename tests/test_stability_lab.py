@@ -291,7 +291,10 @@ def _reference_trajectory(config, seed, member, spec, data, theta0):
     optimizers draw them (the seed's streams at ``member``)."""
     T, d = config.T, theta0.shape[0]
     indices = stream(seed, "sgd_index", member).integers(0, data.n, size=T)
-    noise = stream(seed, "sgld_noise", member).standard_normal((T, d))
+    # sgld noise over the coordinates the family reads: a symbol family's theta[0]
+    width = 1 if spec.variant == "symbol" else d
+    noise = np.zeros((T, d))
+    noise[:, :width] = stream(seed, "sgld_noise", member).standard_normal((T, width))
     gammas = nag_momentum_sequence(max(T, 1))
     thetas = [theta0]
     for t in range(1, T + 1):
