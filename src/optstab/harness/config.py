@@ -13,9 +13,10 @@ Keys
 Readers are marked s (stability_scaling), r (risk_decomposition) and b
 (bounds_table); lecam_audit and lemma_audit read none.  A key set off its
 default where its experiment does not read it is rejected by name (it would
-change the hash and nothing else); seed and out are legal everywhere.  In s and
-r, gamma, kappa and tau need hb, nag_sc and sgld, schedule and alpha (power
-only) a method other than sgld.
+change the hash and nothing else); seed and out are legal everywhere, though
+lecam_audit and bounds_table draw nothing and only record seed.  In s and r,
+gamma, kappa and tau need hb, nag_sc and sgld, schedule and alpha (power only)
+a method other than sgld.
 
 experiment     stability_scaling | risk_decomposition | lecam_audit |
                lemma_audit | bounds_table  (the CLI's subcommand)

@@ -28,7 +28,9 @@ Each checked step compares a measured quantity (the spectral norm, or
 |P_s[0, 0]| = |a_s| for the scalar recursion) against the lemma's envelope.
 The state and the scratch arrays of the recurrence, norm and ratio are
 allocated once per sweep; each step runs in place on them.  Results are max
-reductions, so they are order independent and safe to shard.
+reductions, so they are order independent and safe to shard.  The random
+searches draw each parameter for their whole budget in one array call, then
+every draw's horizon (``adversarial_max`` gives the order).
 """
 
 from __future__ import annotations
@@ -229,12 +231,13 @@ def _scnag_bound(rho: float, t: int) -> float:
 
 
 def _scnag_grid(problems, h_samples: int):
-    """Per (kappa, alpha, beta, eta): the momentum g = (sqrt(kappa) - 1) /
-    (sqrt(kappa) + 1), the top rows (p, q) of H = [[(1 + g) h, -g h], [1, 0]]
-    at ``h_samples`` + 2 equispaced h in [1 - beta eta, 1 - alpha eta], and
-    the largest spectral radius rho."""
-    g = np.array([[(math.sqrt(k) - 1.0) / (math.sqrt(k) + 1.0)] for k, *_ in problems])
-    lo, hi = np.array([scnag_h_range(a, b, e) for _, a, b, e in problems]).T[..., None]
+    """Per row (kappa, alpha, beta, eta) of ``problems`` (an (m, 4) array or a
+    list of tuples): the momentum g = (sqrt(kappa) - 1) / (sqrt(kappa) + 1), the
+    top rows (p, q) of H = [[(1 + g) h, -g h], [1, 0]] at ``h_samples`` + 2
+    equispaced h in [1 - beta eta, 1 - alpha eta], and the largest radius rho."""
+    kappa, alpha, beta, eta = np.asarray(problems, dtype=float).T[..., None]
+    g = (np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0)
+    lo, hi = scnag_h_range(alpha, beta, eta)
     # each row as np.linspace computes it (lo + i * step, then hi last); its
     # axis form would take the divide-then-multiply branch for every row once
     # any row has zero width (kappa = 1)
@@ -362,41 +365,37 @@ def adversarial_max(lemma: str, budget: int, seed: int = 0,
                     t_max: int = 64) -> SweepResult:
     """Random search for envelope violations within a lemma's hypothesis box.
 
-    Each draw takes its parameters and a horizon t ~ U{1..t_max} from one
-    Philox stream, in draw order; hb and nag_sc check the product at t,
-    recursion_u every a_i with i <= t.  Returns the worst observed
-    value/bound ratio with witness parameters; any value above its bound by
-    more than 1e-9 is recorded as a counterexample.
+    One Philox stream on ``seed`` gives each parameter for the whole budget
+    in one array call, parameter by parameter: hb draws gamma ~ U[0, 0.999),
+    then a ~ U[0, 1 - gamma), then t; nag_sc draws kappa = exp(U[0, log 100)),
+    then t; recursion_u draws h ~ U[0, 1), then t; every t ~ U{1..t_max}.
+    hb and nag_sc check the product at t, recursion_u every a_i with i <= t.
+    Returns the worst observed value/bound ratio with witness parameters; any
+    value above its bound by more than 1e-9 is recorded as a counterexample.
     """
-    if budget < 1:
-        raise ValidationError("budget must be >= 1")
+    if budget < 1 or t_max < 1:
+        raise ValidationError(f"budget and t_max must be >= 1, got {budget} and {t_max}")
     if lemma == "nag_convex":
         return nag_sweep(budget, t_max, seed=seed)
     if lemma not in LEMMAS:
         raise ValidationError(f"unknown lemma {lemma!r}")
     rng = np.random.Generator(np.random.Philox(seed))
-
-    def horizon() -> int:
-        return int(rng.integers(1, t_max + 1))
-
     if lemma == "hb":
-        draws = []
-        for _ in range(budget):
-            g = rng.uniform(0.0, 0.999)
-            draws.append((g, rng.uniform(0.0, 1.0 - g), horizon()))
-        G, A, T = map(np.array, zip(*draws))
+        G = rng.uniform(0.0, 0.999, budget)
+        A = rng.uniform(0.0, 1.0 - G)
+        T = rng.integers(1, t_max + 1, budget)
         scan = _hb_scan(G, A, t_max, lambda s: s == T)
         describe = lambda j, s: {"gamma": float(G[j]), "a": float(A[j]), "t": s}
     elif lemma == "nag_sc":
-        K, T = zip(*[(float(np.exp(rng.uniform(0.0, np.log(100.0)))), horizon())
-                     for _ in range(budget)])
-        _, top, rho = _scnag_grid([(k, 1.0, k, 1.0 / k) for k in K], 16)
-        bounds, steps = np.array([_scnag_bound(r, t) for r, t in zip(rho, T)]), np.array(T)
-        scan = _scnag_scan(top, lambda s: bounds, t_max, lambda s: s == steps)
-        describe = lambda j, s: {"kappa": K[j], "t": s}
+        K = np.exp(rng.uniform(0.0, np.log(100.0), budget))
+        T = rng.integers(1, t_max + 1, budget)
+        _, top, rho = _scnag_grid(np.stack([K, np.ones(budget), K, 1.0 / K], axis=1), 16)
+        bounds = 2.0 * (1 + T) * np.array(rho) ** (T - 1)  # _scnag_bound, as t >= 1
+        scan = _scnag_scan(top, lambda s: bounds, t_max, lambda s: s == T)
+        describe = lambda j, s: {"kappa": float(K[j]), "t": s}
     else:  # recursion_u
-        hs, T = map(np.array, zip(*[(float(rng.uniform(0.0, 1.0)), horizon())
-                                    for _ in range(budget)]))
+        hs = rng.uniform(0.0, 1.0, budget)
+        T = rng.integers(1, t_max + 1, budget)
         scan = _recursion_scan(hs, t_max, lambda s: s <= T)
         describe = lambda j, s: {"h": float(hs[j]), "i": s}
     return _result(lemma, scan, budget, describe)

@@ -317,6 +317,9 @@ def test_adversarial_max_all_lemmas():
         adversarial_max("unknown", 10)
     with pytest.raises(ValidationError):
         adversarial_max("hb", 0)
+    for lemma in ("nag_convex", "hb", "nag_sc", "recursion_u"):
+        with pytest.raises(ValidationError, match="t_max"):
+            adversarial_max(lemma, 10, t_max=0)
 
 
 # ------------------------------------------------- sweep engine equivalence
@@ -350,30 +353,42 @@ def test_lemma_checks_match_matrix_power_reference():
         assert res.norm == pytest.approx(ref, rel=1e-10)
 
 
-def test_adversarial_max_matches_per_draw_reference():
-    # replays the documented stream: per draw its parameters, then t ~ U{1..t_max}
-    budget, t_max, seed = 60, 24, 3
+def _adversarial_reference(lemma, budget, t_max, seed):
+    """Replays the documented stream: each parameter for the whole budget in one
+    array call, then t ~ U{1..t_max}; then each draw's ratio on its own."""
     rng = np.random.Generator(np.random.Philox(seed))
-    hb_ratios = []
-    for _ in range(budget):
-        g = rng.uniform(0.0, 0.999)
+    if lemma == "hb":
+        g = rng.uniform(0.0, 0.999, budget)
         a = rng.uniform(0.0, 1.0 - g)
-        t = int(rng.integers(1, t_max + 1))
-        H = np.array([[1.0 + g - a, -g], [1.0, 0.0]])
-        hb_ratios.append(np.linalg.norm(np.linalg.matrix_power(H, t), 2)
-                         * (1.0 - math.sqrt(g)) / 2.0)
-    res = adversarial_max("hb", budget, seed=seed, t_max=t_max)
-    assert res.max_ratio == pytest.approx(max(hb_ratios), rel=1e-10)
+        ts = rng.integers(1, t_max + 1, budget)
+        ratios = [np.linalg.norm(np.linalg.matrix_power(
+            np.array([[1.0 + g[j] - a[j], -g[j]], [1.0, 0.0]]), ts[j]), 2)
+            * (1.0 - math.sqrt(g[j])) / 2.0 for j in range(budget)]
+        witness = lambda j: {"gamma": g[j], "a": a[j], "t": ts[j]}
+    elif lemma == "nag_sc":
+        kappas = np.exp(rng.uniform(0.0, np.log(100.0), budget))
+        ts = rng.integers(1, t_max + 1, budget)
+        checks = [scnag_lemma_check(float(k), 1.0, float(k), 1.0 / k, int(t), h_samples=16)
+                  for k, t in zip(kappas, ts)]
+        ratios = [check.norm / check.bound for check in checks]
+        witness = lambda j: {"kappa": kappas[j], "t": ts[j]}
+    else:  # recursion_u: every a_i with i <= t against i + 1
+        hs = rng.uniform(0.0, 1.0, budget)
+        ts = rng.integers(1, t_max + 1, budget)
+        ratios = [max(np.abs(recursion_u(float(h), int(t))) / (np.arange(t + 1) + 1.0))
+                  for h, t in zip(hs, ts)]
+        witness = lambda j: {"h": hs[j], "i": 0}  # a_0 = 1 meets its bound first
+    return max(ratios), witness(int(np.argmax(ratios)))
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    sc_ratios = []
-    for _ in range(budget):
-        kappa = float(np.exp(rng.uniform(0.0, np.log(100.0))))
-        t = int(rng.integers(1, t_max + 1))
-        check = scnag_lemma_check(kappa, 1.0, kappa, 1.0 / kappa, t, h_samples=16)
-        sc_ratios.append(check.norm / check.bound)
-    res = adversarial_max("nag_sc", budget, seed=seed, t_max=t_max)
-    assert res.max_ratio == pytest.approx(max(sc_ratios), rel=1e-12)
+
+def test_adversarial_max_matches_per_draw_reference():
+    budget, t_max, seed = 60, 24, 3
+    for lemma, rel in (("hb", 1e-10), ("nag_sc", 1e-12), ("recursion_u", 1e-12)):
+        ratio, witness = _adversarial_reference(lemma, budget, t_max, seed)
+        res = adversarial_max(lemma, budget, seed=seed, t_max=t_max)
+        assert res.max_ratio == pytest.approx(ratio, rel=rel), lemma
+        assert res.witness == witness, lemma
+        assert res.checks == budget and res.ok, lemma
 
 
 def test_recursion_sweep_path_matches_scalar_unroll():
@@ -389,9 +404,9 @@ def test_recursion_sweep_path_matches_scalar_unroll():
 
 def test_adversarial_max_pinned_results():
     pins = {
-        "hb": (0.4693710575956255,
-               {"gamma": 0.18571249529874834, "a": 0.011027184666123709, "t": 6}),
-        "nag_sc": (0.8861242055519083, {"kappa": 95.20420296140193, "t": 53}),
+        "hb": (0.504710289456195,
+               {"gamma": 0.16261113205629324, "a": 0.003424599301407124, "t": 3}),
+        "nag_sc": (0.8867741917582936, {"kappa": 97.26617695311599, "t": 52}),
         "recursion_u": (1.0, {"h": 0.014067035665647709, "i": 0}),
     }
     for lemma, (ratio, witness) in pins.items():
