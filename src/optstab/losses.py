@@ -30,8 +30,13 @@ the BLAS thread count); its margins are theta @ Xb^T, or Xb @ theta^T made
 C-contiguous from k = 4 columns on, the faster side there at d = 200.  It
 sums the blocks' partial gradients in block order whichever way it walks
 them, so the optimizer engine walks backward on odd steps, starting on the
-blocks the last step left in L2, at no change in bytes; a design that fits
-in one block takes the whole-design operations.
+blocks the last step left in L2, at no change in bytes.  A design that fits
+in one block takes the whole-design operations, its margins theta @ X_cols
+on the d-major copy X_cols (..., d, n) that its ``Dataset`` builds once; the
+values kernel reads the same margins operand.  Every block's residual
+sigma(u) - y is s sigma(s u) with the row signs s = 1 - 2y (cached likewise),
+computed in place from the negated margins: no label subtraction, so no
+cancellation at y = 1, u >> 1, and no overflow warning.
 The public functions are validated wrappers around the table; the
 gradient ones pass each vector of a stack (..., d) as a block k = 1 to
 ``_block_grad``, the unchecked entry the optimizer engine calls each step.
@@ -43,7 +48,7 @@ once constructed and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -165,6 +170,21 @@ class Dataset:
         idx = np.asarray(idx)
         return Dataset(*(a[idx] for a in self._arrays))
 
+    @cached_property
+    def _signs(self) -> np.ndarray:
+        """Row signs s = 1 - 2y (..., n) of a labeled sample, read-only, built once."""
+        return _read_only(1.0 - 2.0 * self.y)
+
+    @cached_property
+    def _cols(self) -> np.ndarray:
+        """The design as a read-only C-contiguous (..., d, n) copy, built once."""
+        return _read_only(np.ascontiguousarray(self.X.swapaxes(-1, -2)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 @dataclass(frozen=True)
 class LossSpec:
@@ -257,12 +277,8 @@ class LossConstants:
 
 
 def _sigmoid(u):
-    """Numerically stable logistic function; both branches share exp(-|u|).
-
-    Computed in place on two buffers instead of six temporaries: the
-    optimizer engine calls it on a block of every member's margins each
-    step, and every fresh block-sized temporary can cost page faults.
-    """
+    """Numerically stable logistic function; both branches share exp(-|u|),
+    computed in place on two buffers (the labels of ``gen_synthetic``)."""
     e = np.abs(u)
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -307,10 +323,7 @@ def _rows(a: np.ndarray, rows, feature_ndim: int = 0) -> np.ndarray:
 def _member_grid(stack_shape: tuple) -> tuple:
     """Sparse index grids over a stack's members, () for a single sample;
     built once per stack shape and read-only, since every step shares them."""
-    grid = np.indices(stack_shape, sparse=True)
-    for g in grid:
-        g.flags.writeable = False
-    return grid
+    return tuple(map(_read_only, np.indices(stack_shape, sparse=True)))
 
 
 @dataclass(frozen=True)
@@ -325,20 +338,6 @@ class _Family:
     constants: Callable  # (spec, data or None) -> (L, beta, alpha)
 
 
-def _logistic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
-    """Softplus of the signed margin v = (1 - 2y) u (exact for y in {0, 1}),
-    max(v, 0) + log1p(exp(-|v|)): no cancellation at y = 1, u >> 1."""
-    V = thetas @ data.X.T
-    V *= 1.0 - 2.0 * data.y
-    e = np.abs(V)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.log1p(e, out=e)
-    np.maximum(V, 0.0, out=V)
-    V += e
-    return V
-
-
 # Bytes of one member's design rows per block of a logistic full-gradient
 # step (400 rows at d = 200): the contraction then reads rows the margins have
 # just left in L2.  Measured at k = 4 on a (2000, 200) design, ms per call at
@@ -349,16 +348,60 @@ _GRAD_BLOCK_BYTES = 640_000
 # (2000, 200) design, theta @ Xb^T / Xb @ theta^T, at k = 1..6: 0.32/0.33,
 # 0.36/0.33, 0.53/0.60, 0.79/0.53, 0.95/0.72, 0.88/0.67; at d = 10 a tie.
 _ROWS_FIRST_K = 4
+# Cap on -s u before exp: exp(709) is finite, and a capped residual is within
+# 1.3e-308 of the exact one.
+_EXP_CAP = 709.0
+
+
+def _block_rows(X: np.ndarray) -> int:
+    """Design rows per block of a logistic full gradient."""
+    return max(1, _GRAD_BLOCK_BYTES // (X.shape[-1] * X.itemsize))
+
+
+def _residual(W: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sigma(u) - y, in place on a block's negated margins W = -u, as
+    s sigma(s u) = s / (1 + exp(-s u)) with the row signs s = 1 - 2y (exact
+    for y in {0, 1}): no label subtraction, so no cancellation at y = 1,
+    u >> 1, and no overflow warning, as -s u is capped at _EXP_CAP."""
+    W *= s
+    np.minimum(W, _EXP_CAP, out=W)
+    np.exp(W, out=W)
+    W += 1.0
+    return np.divide(s, W, out=W)
+
+
+def _margins_operand(data: Dataset) -> np.ndarray:
+    """The operand B whose product theta @ B gives every row's margins: the
+    cached d-major copy of a design of one gradient block, else X^T."""
+    X = data.X
+    return data._cols if X.shape[-2] <= _block_rows(X) else X.swapaxes(-1, -2)
+
+
+def _logistic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
+    """Softplus of the signed margin v = s u (s = 1 - 2y; exact for y in {0, 1}),
+    max(v, 0) + log1p(exp(-|v|)): no cancellation at y = 1, u >> 1."""
+    V = thetas @ _margins_operand(data)
+    V *= data._signs
+    e = np.abs(V)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=e)
+    np.maximum(V, 0.0, out=V)
+    V += e
+    return V
 
 
 def _logistic_grad(spec: LossSpec, thetas: np.ndarray, data: Dataset, rows,
                    reverse: bool) -> np.ndarray:
-    X, y = _rows(data.X, rows, 1), _rows(data.y, rows)
+    X, s = _rows(data.X, rows, 1), _rows(data._signs, rows)[..., None, :]
     n, d = X.shape[-2:]
-    step = max(1, _GRAD_BLOCK_BYTES // (d * X.itemsize))
+    step = _block_rows(X)
+    neg = -thetas  # margins of -theta are exactly -u
+    if rows is None and n <= step:  # one block: margins on the cached d-major copy
+        return _residual(neg @ data._cols, s) @ X / n
     starts = range(0, n, step)
     rows_first = rows is None and thetas.shape[-2] >= _ROWS_FIRST_K
-    thetas_t = np.ascontiguousarray(thetas.swapaxes(-1, -2)) if rows_first else None
+    neg_t = np.ascontiguousarray(neg.swapaxes(-1, -2)) if rows_first else None
     parts = {}  # kept per block and summed in block order: the same bytes either way
     for i in (reversed(starts) if reverse else starts):
         # margins, residuals and contraction of one block while it is in L2; the
@@ -366,10 +409,9 @@ def _logistic_grad(spec: LossSpec, thetas: np.ndarray, data: Dataset, rows,
         # R rounds apart), whose rounding within a block does not depend on the BLAS
         # thread count (over a whole 2,000-row design at d = 200 it does)
         Xb = X[..., i:i + step, :]
-        R = _sigmoid(np.ascontiguousarray((Xb @ thetas_t).swapaxes(-1, -2)) if rows_first
-                     else thetas @ Xb.swapaxes(-1, -2))
-        R -= y[..., None, i:i + step]
-        parts[i] = R @ Xb
+        W = (np.ascontiguousarray((Xb @ neg_t).swapaxes(-1, -2)) if rows_first
+             else neg @ Xb.swapaxes(-1, -2))
+        parts[i] = _residual(W, s[..., i:i + step]) @ Xb
     return sum((parts[i] for i in starts[1:]), parts[0]) / n
 
 

@@ -90,10 +90,16 @@ class LemmaCheck:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Outcome of a parameter sweep: worst norm/bound ratio and any violations."""
+    """Outcome of a parameter sweep: worst norm/bound ratio and any violations.
+
+    ``max_ratio_from_1`` is the worst ratio over steps s >= 1 alone.  Only
+    recursion_u checks step 0, where a_0 = 1 meets its envelope 1 at every
+    draw; for the other lemmas it equals ``max_ratio``.
+    """
 
     lemma: str
     max_ratio: float
+    max_ratio_from_1: float
     witness: dict
     counterexamples: List[dict]
     checks: int
@@ -115,12 +121,12 @@ def _sweep(top, measure, envelope, shape: Tuple[int, ...], t_max: int, check=Non
     a bool or per-draw mask (default: all, for s >= 1).  A zero bound gives
     ratio 0 to a value within TOL of 0, else inf.  Returns the worst ratio
     (first in step, then draw order), its check as (draw, step, value, bound),
-    and every violation as (draw, step, ratio).
+    every violation as (draw, step, ratio), and the worst ratio over s >= 1.
     """
     u, v, u1, v1 = np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
     free = np.empty((3, *shape))
     n = shape[0]
-    worst, at, violations = -np.inf, (None, 0, math.nan, math.nan), []
+    worst, at, violations, late = -np.inf, (None, 0, math.nan, math.nan), [], -np.inf
     for s in range(t_max + 1):
         if s:
             p, q = top(s)
@@ -146,22 +152,24 @@ def _sweep(top, measure, envelope, shape: Tuple[int, ...], t_max: int, check=Non
         j = int(np.argmax(ratio))
         if ratio[j] > worst:
             worst, at = float(ratio[j]), (int(draw[j]), s, float(norm[j]), float(bound[j]))
+        if s and ratio[j] > late:
+            late = float(ratio[j])
         if not ratio[j] < 1.0:  # norm > bound + TOL gives ratio >= 1 (or nan)
             violations += [(int(draw[i]), s, float(ratio[i]))
                            for i in np.flatnonzero(norm > bound + TOL)]
-    return worst, at, violations
+    return worst, at, violations, late
 
 
 def _check(lemma: str, scan, t: int, params: dict) -> LemmaCheck:
-    _, (_, _, norm, bound), _ = scan
+    _, (_, _, norm, bound), _, _ = scan
     return LemmaCheck(lemma=lemma, norm=norm, bound=bound, ok=norm <= bound + TOL,
                       t=t, params=params)
 
 
 def _result(lemma: str, scan, checks: int, describe) -> SweepResult:
     """Name the witness and each counterexample by ``describe(draw, step)``."""
-    worst, (draw, step, _, _), violations = scan
-    return SweepResult(lemma=lemma, max_ratio=worst,
+    worst, (draw, step, _, _), violations, late = scan
+    return SweepResult(lemma=lemma, max_ratio=worst, max_ratio_from_1=late,
                        witness={} if draw is None else describe(draw, step),
                        counterexamples=[dict(describe(j, s), ratio=r)
                                         for j, s, r in violations],

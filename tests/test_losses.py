@@ -24,6 +24,7 @@ from optstab.losses import (
     loss_values_matrix,
     normalize_rows,
     _block_grad,
+    _residual,
     _sigmoid,
     sample_grad,
 )
@@ -268,10 +269,10 @@ def test_block_gradients_equal_one_vector_blocks():
 
 
 def _whole_design_grad(thetas, X, y):
-    """The logistic mean gradient with the whole design as one block."""
-    R = _sigmoid(thetas @ X.swapaxes(-1, -2))
-    R -= y[..., None, :]
-    return R @ X / X.shape[-2]
+    """The logistic mean gradient with the whole design as one block: the
+    residual of the negated margins on the d-major design, contracted with X."""
+    W = -thetas @ np.ascontiguousarray(X.swapaxes(-1, -2))
+    return _residual(W, (1.0 - 2.0 * y)[..., None, :]) @ X / X.shape[-2]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -290,7 +291,8 @@ def test_row_blocked_gradient_matches_one_block_contraction(monkeypatch, k):
     stacked = Dataset.stack([Dataset.from_labeled(X[b], y[b]) for b in range(3)])
     thetas = 2.0 * rng.standard_normal((3, k, d))
     calls = []
-    monkeypatch.setattr(losses, "_sigmoid", lambda u: calls.append(u.shape) or _sigmoid(u))
+    monkeypatch.setattr(losses, "_residual",
+                        lambda W, s: calls.append(W.shape) or _residual(W, s))
     monkeypatch.setattr(losses, "_GRAD_BLOCK_BYTES", 5 * d * X.itemsize)
     for data, whole in ((Dataset.from_labeled(X[0], y[0]), _whole_design_grad(thetas, X[0], y[0])),
                         (stacked, _whole_design_grad(thetas, X, y))):
@@ -348,6 +350,107 @@ def test_one_block_gradient_is_the_whole_design_contraction_bitwise():
         np.testing.assert_array_equal(
             _block_grad(logistic_spec(), thetas, data, None),
             _whole_design_grad(thetas, X, y))
+
+
+def _one_block_stack(seed, members=11, n=500, d=10):
+    rng = np.random.Generator(np.random.Philox(seed))
+    X = normalize_rows(rng.standard_normal((members * n, d))).reshape(members, n, d)
+    y = rng.integers(0, 2, size=(members, n)).astype(float)
+    return rng, X, y, Dataset.from_labeled(X, y)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_one_block_gradient_of_a_stack_member_is_its_own_bitwise(k):
+    # each member of an 11-sample one-block stack takes the bytes of its sample
+    # alone; column j of the k-column block agrees with the 1-column block to
+    # rounding (a one-column product takes the BLAS's matrix-vector kernel)
+    rng, X, y, stack = _one_block_stack(40 + k)
+    thetas = 2.0 * rng.standard_normal((11, k, 10))
+    got = _block_grad(logistic_spec(), thetas, stack, None)
+    for b in range(11):
+        np.testing.assert_array_equal(
+            got[b], _block_grad(logistic_spec(), thetas[b], Dataset.from_labeled(X[b], y[b]),
+                                None))
+    for j in range(k):
+        np.testing.assert_allclose(got[:, j],
+                                   _block_grad(logistic_spec(), thetas[:, j:j + 1], stack,
+                                               None)[:, 0], rtol=1e-13, atol=1e-15)
+
+
+def test_one_block_operands_are_cached_read_only_and_multi_block_designs_copy_nothing():
+    # the signs and the d-major design are built once per Dataset, on the first
+    # gradient, and shared by every later one; a design of more than one block
+    # never builds its d-major copy
+    from optstab import losses
+
+    rng, X, y, stack = _one_block_stack(47)
+    thetas = rng.standard_normal((11, 3, 10))
+    first = _block_grad(logistic_spec(), thetas, stack, None)
+    signs, cols = stack._signs, stack._cols
+    assert not signs.flags.writeable and not cols.flags.writeable
+    assert cols.flags.c_contiguous and cols.shape == (11, 10, 500)
+    np.testing.assert_array_equal(cols, X.swapaxes(-1, -2))
+    np.testing.assert_array_equal(signs, 1.0 - 2.0 * y)
+    with pytest.raises(ValueError):
+        cols[0, 0, 0] = 1.0
+    np.testing.assert_array_equal(_block_grad(logistic_spec(), thetas, stack, None), first)
+    assert stack._signs is signs and stack._cols is cols
+    assert not np.shares_memory(cols, X)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "_GRAD_BLOCK_BYTES", 100 * 10 * X.itemsize)
+        wide, single = Dataset.from_labeled(X, y), Dataset.from_labeled(X[0], y[0])
+        np.testing.assert_allclose(_block_grad(logistic_spec(), thetas, wide, None), first,
+                                   rtol=1e-13, atol=1e-15)
+        loss_values_matrix(logistic_spec(), thetas[0], single)
+        assert "_cols" not in vars(wide) and "_cols" not in vars(single)
+
+
+def _residual_ulp_errors(R, u, y):
+    """|R - (sigma(u) - y)| in ulps of the exact value.
+
+    The mpmath reference works at 200 + 3|u| bits: sigma(u) - 1 at y = 1
+    cancels about 1.44|u| bits, and at a flat 200 bits the reference itself
+    cancels for |u| beyond about 140.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    errs = []
+    for r, ui, yi in zip(R, u, y):
+        with mpmath.workprec(200 + int(3 * abs(ui))):
+            m = mpmath.mpf(float(ui))
+            exact = 1 / (1 + mpmath.exp(-m)) - int(yi)
+            errs.append(float(abs(mpmath.mpf(float(r)) - exact)
+                              / np.spacing(abs(float(exact)))))
+    return np.array(errs)
+
+
+def _one_row_residuals(u, y):
+    """The logistic gradient at theta = [u_i] against the one-row sample
+    x = [1] with label y: the residual sigma(u_i) - y itself, by the one-block path."""
+    return _block_grad(logistic_spec(), u[:, None, None],
+                       Dataset.from_labeled([[1.0]], [y]), None)[:, 0, 0]
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 5.0, 30.0])
+@pytest.mark.parametrize("y", [0, 1])
+def test_gradient_residual_within_3_ulp_of_mpmath(scale, y):
+    u = _margins(scale)
+    assert _residual_ulp_errors(_one_row_residuals(u, y), u, np.full_like(u, y)).max() <= 3
+
+
+@pytest.mark.parametrize("scale", [1.0, 5.0, 30.0])
+def test_label_subtracted_residual_fails_3_ulp_at_y_1(scale):
+    # sigma(u) - 1 cancels for u >> 1, where -sigma(-u) does not
+    u = _margins(scale)
+    assert _residual_ulp_errors(_sigmoid(u) - 1.0, u, np.ones_like(u)).max() > 3
+
+
+def test_gradient_residual_at_huge_margins_is_exact_without_warnings():
+    u = np.array([1e3, -1e3, 1e6, -1e6])
+    for y in (0, 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            R = _one_row_residuals(u, y)
+        assert np.abs(R - ((u > 0) - y)).max() <= 1e-300
 
 
 def test_sampled_gradients_gather_each_members_row():

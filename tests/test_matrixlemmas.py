@@ -304,6 +304,21 @@ def test_recursion_sweep_hits_exact_bound():
     assert res.max_ratio == pytest.approx(1.0)
 
 
+def test_recursion_worst_ratio_from_1_tells_seeds_apart():
+    # max_ratio is a_0 = 1 against its envelope 1 at every seed; the worst
+    # ratio over i >= 1 stays below 1 for h < 1 and moves with the draws
+    late = []
+    for seed in range(12):
+        res = adversarial_max("recursion_u", 4000, seed)
+        assert res.max_ratio == 1.0 and res.ok
+        late.append(res.max_ratio_from_1)
+    assert max(late) < 1.0 and len(set(late)) == 12
+    # the sweep's grid ends at h = 1, where a_i = i + 1 meets the envelope
+    assert recursion_u_sweep(0.25, 64).max_ratio_from_1 == 1.0
+    res = hb_sweep([0.0, 0.5], 5, 16)
+    assert res.max_ratio_from_1 == res.max_ratio
+
+
 def test_adversarial_max_degenerate_budget():
     res = adversarial_max("hb", 1, seed=0)
     assert res.checks == 1 and res.max_ratio <= 1.0 + 1e-9
@@ -395,7 +410,7 @@ def test_recursion_sweep_path_matches_scalar_unroll():
     eps = np.finfo(float).eps
     for h in np.linspace(0.0, 1.0, 21):
         for t in (0, 1, 2, 5, 33, 64):
-            _, (_, step, value, bound), _ = _recursion_scan(np.array([h]), t,
+            _, (_, step, value, bound), _, _ = _recursion_scan(np.array([h]), t,
                                                             lambda s: s == t)
             assert (step, bound) == (t, t + 1.0)
             assert value == pytest.approx(abs(recursion_u(float(h), t)[t]),
@@ -457,7 +472,7 @@ def test_sweep_counterexamples_match_stacked_matmul_reference():
               "mask": lambda s: mask[s]}
     for lemma, (top, envelope) in lemmas.items():
         for name, check in checks.items():
-            worst, (draw, step, value, _), violations = _sweep(
+            worst, (draw, step, value, _), violations, _ = _sweep(
                 top, _batch_spectral_norm, envelope, (k,), t_max, check)
             ref_worst, ref_at, ref_violations = _stacked_reference_sweep(
                 top, envelope, k, t_max, check)
