@@ -6,7 +6,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
-import math
 from typing import List
 
 import numpy as np
@@ -180,18 +179,6 @@ def _lecam_audit(cfg: ExperimentConfig) -> Report:
             ok &= cert.passed
             certs.append(dataclasses.asdict(cert))
     report.records["phi_certificates"] = certs
-
-    const_checks = []
-    for n in (1, 5, 50):
-        mm_c = bounds_mod.minimax_bound(bounds_mod.CONVEX, n, R, beta)
-        mm_sc = bounds_mod.minimax_bound(bounds_mod.STRONGLY_CONVEX, n, R, beta)
-        ref_c = R * R * beta / (256.0 * math.sqrt(6.0 * n))
-        ref_sc = R * R * beta / (192.0 * n)
-        good = abs(mm_c - ref_c) <= 1e-12 and abs(mm_sc - ref_sc) <= 1e-12
-        ok &= good
-        const_checks.append({"n": n, "convex": mm_c, "strongly_convex": mm_sc,
-                             "ok": good})
-    report.records["minimax_constants"] = const_checks
     report.passed = bool(ok)
     return report
 

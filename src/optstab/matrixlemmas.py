@@ -27,15 +27,29 @@ row is the old top row, the new top row is p (top row) + q (bottom row).
 Each checked step compares a measured quantity (the spectral norm, or
 |P_s[0, 0]| = |a_s| for the scalar recursion) against the lemma's envelope.
 The state and the scratch arrays of the recurrence, norm and ratio are
-allocated once per sweep; each step runs in place on them.  Results are max
-reductions, so they are order independent and safe to shard.  The random
-searches draw each parameter for their whole budget in one array call, then
-every draw's horizon (``adversarial_max`` gives the order).
+allocated once per sweep; each step runs in place on them.  A sweep may retire
+draws it will not check again: ``live(s)`` keeps only a leading prefix of the
+draws advancing to step s (the nag_sc search sorts its draws by horizon).
+
+Results are max reductions, so ``nag_sweep``, the largest sweep, splits its
+draws into contiguous shards [a, b), one per CPU this process may run on (each
+at least 20,000 draws), runs each shard's sweep on its own thread (numpy frees
+the GIL inside each array operation) and merges the shards' results into
+exactly the one-shard result: the highest ratio, ties to the earliest (step,
+draw); the violations in (step, draw) order.  Its draws come from one Philox
+stream on the seed's key: h takes the first ``draws`` doubles, and step s's
+gammas the next ``draws`` doubles in draw order.  Each shard reads its own
+stream positioned there (double p is counter p // 4 plus p % 4 discarded), so
+the output bytes do not depend on the shard count.  The random searches draw
+each parameter for their whole budget in one array call, then every draw's
+horizon (``adversarial_max`` gives the order).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -109,7 +123,8 @@ class SweepResult:
         return not self.counterexamples
 
 
-def _sweep(top, measure, envelope, shape: Tuple[int, ...], t_max: int, check=None):
+def _sweep(top, measure, envelope, shape: Tuple[int, ...], t_max: int, check=None,
+           live=None, free=None):
     """Check measure(P_s) <= envelope(s) + TOL along P_s = H_s ... H_1, P_0 = I.
 
     Axis 0 of ``shape`` indexes draws.  ``top(s)`` gives the top row (p, q)
@@ -118,18 +133,27 @@ def _sweep(top, measure, envelope, shape: Tuple[int, ...], t_max: int, check=Non
     likewise for v, computed as q u1 + p u (the same bits) in u1's buffer.
     ``measure(u, v, u1, v1[, scratch])`` gives (k,) values, ``envelope(s)`` a
     scalar or per-draw bound >= 0, ``check(s)`` the draws checked at step s as
-    a bool or per-draw mask (default: all, for s >= 1).  A zero bound gives
-    ratio 0 to a value within TOL of 0, else inf.  Returns the worst ratio
-    (first in step, then draw order), its check as (draw, step, value, bound),
-    every violation as (draw, step, ratio), and the worst ratio over s >= 1.
+    a bool or per-draw mask (default: all, for s >= 1).  ``live(s)``, if
+    given, is the non-increasing count of leading draws advanced to step s
+    (p and q are then per-draw arrays); the draws past it must not be checked
+    at s or later.  ``free``, if given, is the sweep's (3, *shape) scratch; p
+    and q may live in free[1] and free[2], which each step overwrites only after
+    its advance.  A zero bound gives ratio 0 to a value within TOL of 0, else
+    inf.  Returns the worst ratio (first in step, then draw order), its check
+    as (draw, step, value, bound), every violation as (draw, step, ratio), and
+    the worst ratio over s >= 1.
     """
     u, v, u1, v1 = np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
-    free = np.empty((3, *shape))
+    free = np.empty((3, *shape)) if free is None else free
     n = shape[0]
     worst, at, violations, late = -np.inf, (None, 0, math.nan, math.nan), [], -np.inf
     for s in range(t_max + 1):
         if s:
             p, q = top(s)
+            if live is not None:  # retire the trailing draws: views of the leading ones
+                m = live(s)
+                u, v, u1, v1, p, q = (x[:m] for x in (u, v, u1, v1, p, q))
+                free = free[:, :m]
             u, u1 = np.add(np.multiply(q, u1, out=u1), np.multiply(p, u, out=free[0]),
                            out=u1), u
             v, v1 = np.add(np.multiply(q, v1, out=v1), np.multiply(p, v, out=free[0]),
@@ -143,9 +167,9 @@ def _sweep(top, measure, envelope, shape: Tuple[int, ...], t_max: int, check=Non
             draw = np.flatnonzero(sel)
             norm, bound = measure(u[draw], v[draw], u1[draw], v1[draw]), bound[draw]
         else:
-            draw, norm = range(n), measure(u, v, u1, v1, free)
+            draw, norm, bound = range(len(u)), measure(u, v, u1, v1, free), bound[:len(u)]
         if env.min() > 0:  # the masked divide's bits, without its prefill
-            ratio = np.divide(norm, bound, out=free[2] if norm.shape == shape else None)
+            ratio = np.divide(norm, bound, out=free[2] if norm.shape == u.shape else None)
         else:
             ratio = np.divide(norm, bound, out=np.where(norm <= TOL, 0.0, np.inf),
                               where=bound > 0)
@@ -178,13 +202,14 @@ def _result(lemma: str, scan, checks: int, describe) -> SweepResult:
 
 def _nag_scan(hs: np.ndarray, gamma, t_max: int, check=None):
     """H_s = [[(1 - g_s) h, g_s h], [1, 0]], gamma(s, g) writing g_s; envelope 2 (s + 1)."""
-    g, p = np.empty_like(hs), np.empty_like(hs)
+    free = np.empty((3, *hs.shape))
+    _, p, g = free
     def top(s):  # q = g h lands on g, which gamma refills every step
         gamma(s, g)
         np.multiply(np.subtract(1.0, g, out=p), hs, out=p)
         return p, np.multiply(g, hs, out=g)
     return _sweep(top, _batch_spectral_norm, lambda s: 2.0 * (s + 1), hs.shape,
-                  t_max, check)
+                  t_max, check, free=free)
 
 
 def nag_lemma_check(h: float, gammas: Sequence[float]) -> LemmaCheck:
@@ -255,10 +280,10 @@ def _scnag_grid(problems, h_samples: int):
     return g[:, 0].tolist(), ((1.0 + g) * hs, -g * hs), rho.tolist()
 
 
-def _scnag_scan(top, envelope, t_max: int, check=None):
+def _scnag_scan(top, envelope, t_max: int, check=None, live=None):
     """Powers of each draw's fixed H; the value is the worst norm over its h grid."""
     return _sweep(lambda s: top, lambda *P: _batch_spectral_norm(*P).max(axis=1),
-                  envelope, top[0].shape, t_max, check)
+                  envelope, top[0].shape, t_max, check, live)
 
 
 def scnag_lemma_check(kappa: float, alpha: float, beta: float, eta: float, t: int,
@@ -324,16 +349,77 @@ def _uniform_pm1(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return np.subtract(np.multiply(rng.random(out=out), 2.0, out=out), 1.0, out=out)
 
 
+def _positioned(key, p: int) -> np.random.Generator:
+    """The Philox stream on ``key`` from its p-th double on (4 doubles a counter step)."""
+    rng = np.random.Generator(np.random.Philox(key=key, counter=p // 4))
+    rng.random(p % 4)
+    return rng
+
+
+def _shard_count(draws: int) -> int:
+    """One shard per CPU this process may run on, each of at least 20,000 draws:
+    below that, handing the GIL between threads costs more than the second CPU
+    saves."""
+    return max(1, min(len(os.sched_getaffinity(0)), draws // 20_000))
+
+
+def _run_shards(scan, shards):
+    """[scan(a, b) for (a, b) in shards], the first on the calling thread and each
+    other on its own; every thread is joined, and a shard's exception re-raised."""
+    results, errors = [None] * len(shards), []
+
+    def run(i):
+        try:
+            results[i] = scan(*shards[i])
+        except BaseException as exc:  # re-raised in the caller once all are joined
+            errors.append(exc)
+
+    started = []
+    try:
+        for i in range(1, len(shards)):
+            started.append(threading.Thread(target=run, args=(i,)))
+            started[-1].start()
+        results[0] = scan(*shards[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _merge(scans, shards):
+    """The _sweep result over all draws from those of its contiguous shards."""
+    worst, at, violations, late = -np.inf, (None, 0, math.nan, math.nan), [], -np.inf
+    for (ratio, (draw, s, norm, bound), found, ratio_late), (a, _) in zip(scans, shards):
+        if draw is not None and (ratio > worst or
+                                 ratio == worst and (s, draw + a) < at[1::-1]):
+            worst, at = ratio, (draw + a, s, norm, bound)
+        violations += [(j + a, t, r) for j, t, r in found]
+        late = max(late, ratio_late)
+    violations.sort(key=lambda x: (x[1], x[0]))
+    return worst, at, violations, late
+
+
 def nag_sweep(draws: int, t_max: int, seed: int = 0) -> SweepResult:
     """Random search over the vanishing-momentum hypothesis box.
 
     Each draw fixes h ~ U[0, 1] and a fresh gamma_i ~ U(-1, 1) per factor;
-    every prefix length s <= t_max is checked against 2 (s + 1).
+    every prefix length s <= t_max is checked against 2 (s + 1).  The draws
+    run in shards on ``_shard_count(draws)`` threads, with the one-shard result.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
-    hs = rng.uniform(0.0, 1.0, size=draws)
-    scan = _nag_scan(hs, lambda s, g: _uniform_pm1(rng, g), t_max)
-    return _result("nag_convex", scan, draws * t_max,
+    if draws < 1:
+        raise ValidationError(f"draws must be >= 1, got {draws}")
+    key = np.random.Philox(seed).state["state"]["key"]
+    hs = _positioned(key, 0).uniform(0.0, 1.0, size=draws)
+    k = min(_shard_count(draws), draws)
+    shards = [(draws * i // k, draws * (i + 1) // k) for i in range(k)]
+
+    def scan(a, b):  # step s's gammas of draws [a, b) are doubles draws s + [a, b)
+        gamma = lambda s, g: _uniform_pm1(_positioned(key, draws * s + a), g)
+        return _nag_scan(hs[a:b], gamma, t_max)
+
+    return _result("nag_convex", _merge(_run_shards(scan, shards), shards), draws * t_max,
                    lambda j, s: {"h": float(hs[j]), "t": s, "draw": j})
 
 
@@ -397,9 +483,14 @@ def adversarial_max(lemma: str, budget: int, seed: int = 0,
     elif lemma == "nag_sc":
         K = np.exp(rng.uniform(0.0, np.log(100.0), budget))
         T = rng.integers(1, t_max + 1, budget)
+        # sorted by descending t, the draws still to check at step s are a prefix;
+        # the stable sort keeps each step's checks, and so every result, in order
+        order = np.argsort(-T, kind="stable")
+        K, T = K[order], T[order]
         _, top, rho = _scnag_grid(np.stack([K, np.ones(budget), K, 1.0 / K], axis=1), 16)
         bounds = 2.0 * (1 + T) * np.array(rho) ** (T - 1)  # _scnag_bound, as t >= 1
-        scan = _scnag_scan(top, lambda s: bounds, t_max, lambda s: s == T)
+        scan = _scnag_scan(top, lambda s: bounds, t_max, lambda s: s == T,
+                           lambda s: np.count_nonzero(T >= s))
         describe = lambda j, s: {"kappa": float(K[j]), "t": s}
     else:  # recursion_u
         hs = rng.uniform(0.0, 1.0, budget)
