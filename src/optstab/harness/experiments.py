@@ -201,8 +201,6 @@ def _lemma_audit(cfg: ExperimentConfig) -> Report:
             "counterexample_count": len(res.counterexamples),
             "checks": res.checks,
         }
-    # a_0 = 1 meets its envelope at every h, so recursion_u's max_ratio is always 1
-    report.records["recursion_u"]["max_ratio_from_1"] = sweeps["recursion_u"].max_ratio_from_1
     report.passed = bool(ok)
     return report
 

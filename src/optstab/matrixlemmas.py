@@ -24,12 +24,14 @@ over P_s = H_s P_{s-1} (analysis order) for a whole batch of parameter draws.
 Each factor is a companion matrix H_s = [[p, q], [1, 0]], so the sweep keeps
 P_s's four entries and advances them by a two-row recurrence: the new bottom
 row is the old top row, the new top row is p (top row) + q (bottom row).
-Each checked step compares a measured quantity (the spectral norm, or
-|P_s[0, 0]| = |a_s| for the scalar recursion) against the lemma's envelope.
-The state and the scratch arrays of the recurrence, norm and ratio are
-allocated once per sweep; each step runs in place on them.  A sweep may retire
-draws it will not check again: ``live(s)`` keeps only a leading prefix of the
-draws advancing to step s (the nag_sc search sorts its draws by horizon).
+Each draw has a horizon, its last step, and the draws come in non-increasing
+horizon order: those still advancing at step s are a leading prefix, and those
+checked at s one slice of it.  The single checks and the hb and nag_sc searches
+check each draw at its horizon only, the other sweeps at every step 1 ... horizon.
+A check compares a measured quantity (the spectral norm, or |P_s[0, 0]| = |a_s|
+for the scalar recursion) with the lemma's envelope, and fails above bound + TOL
+min(bound, 1), so a vanishing product still fails a vanishing envelope.  Each
+sweep allocates its state and scratch arrays once and runs every step in place.
 
 Results are max reductions, so ``nag_sweep``, the largest sweep, splits its
 draws into contiguous shards [a, b), one per CPU this process may run on (each
@@ -42,7 +44,8 @@ gammas the next ``draws`` doubles in draw order.  Each shard reads its own
 stream positioned there (double p is counter p // 4 plus p % 4 discarded), so
 the output bytes do not depend on the shard count.  The random searches draw
 each parameter for their whole budget in one array call, then every draw's
-horizon (``adversarial_max`` gives the order).
+horizon (``adversarial_max`` gives the order), and sort their draws by
+descending horizon, stably: each step checks by horizon, then in draw order.
 """
 
 from __future__ import annotations
@@ -104,16 +107,10 @@ class LemmaCheck:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Outcome of a parameter sweep: worst norm/bound ratio and any violations.
-
-    ``max_ratio_from_1`` is the worst ratio over steps s >= 1 alone.  Only
-    recursion_u checks step 0, where a_0 = 1 meets its envelope 1 at every
-    draw; for the other lemmas it equals ``max_ratio``.
-    """
+    """Outcome of a parameter sweep: worst norm/bound ratio and any violations."""
 
     lemma: str
     max_ratio: float
-    max_ratio_from_1: float
     witness: dict
     counterexamples: List[dict]
     checks: int
@@ -123,84 +120,84 @@ class SweepResult:
         return not self.counterexamples
 
 
-def _sweep(top, measure, envelope, shape: Tuple[int, ...], t_max: int, check=None,
-           live=None, free=None):
-    """Check measure(P_s) <= envelope(s) + TOL along P_s = H_s ... H_1, P_0 = I.
+def _sweep(top, measure, envelope, shape: Tuple[int, ...], horizons, at_horizon=False,
+           free=None):
+    """Check measure(P_s) against envelope(s) along P_s = H_s ... H_1, P_0 = I.
 
-    Axis 0 of ``shape`` indexes draws.  ``top(s)`` gives the top row (p, q)
-    of the companion factor H_s = [[p, q], [1, 0]]; P_s = [[u, v], [u1, v1]]
+    Axis 0 of ``shape`` indexes draws.  ``top(s)`` gives the per-draw top row
+    (p, q) of the companion factor H_s = [[p, q], [1, 0]]; P_s = [[u, v], [u1, v1]]
     is four arrays of ``shape``, advanced as (u, u1) <- (p u + q u1, u) and
     likewise for v, computed as q u1 + p u (the same bits) in u1's buffer.
-    ``measure(u, v, u1, v1[, scratch])`` gives (k,) values, ``envelope(s)`` a
-    scalar or per-draw bound >= 0, ``check(s)`` the draws checked at step s as
-    a bool or per-draw mask (default: all, for s >= 1).  ``live(s)``, if
-    given, is the non-increasing count of leading draws advanced to step s
-    (p and q are then per-draw arrays); the draws past it must not be checked
-    at s or later.  ``free``, if given, is the sweep's (3, *shape) scratch; p
-    and q may live in free[1] and free[2], which each step overwrites only after
-    its advance.  A zero bound gives ratio 0 to a value within TOL of 0, else
-    inf.  Returns the worst ratio (first in step, then draw order), its check
-    as (draw, step, value, bound), every violation as (draw, step, ratio), and
-    the worst ratio over s >= 1.
+    ``horizons`` is each draw's last step: one int, or a non-increasing array
+    (the draws past horizon s - 1 retire: the rest are a leading prefix, advanced
+    as views).  Each draw is checked at its horizon only if ``at_horizon``, else
+    at every step 1 ... horizon.  ``measure(u, v, u1, v1, scratch)`` gives one
+    value per checked draw, ``envelope(s)`` a scalar or per-draw bound >= 0.  A
+    check fails when value > bound + TOL min(bound, 1); a zero bound gives ratio
+    0 to a value of exactly 0, else inf.  ``free``, if given, is the sweep's
+    (3, *shape) scratch; p and q may live in free[1] and free[2], which each step
+    overwrites only after its advance.  Returns the worst ratio (first in step,
+    then draw order), its check as (draw, step, value, bound), and every
+    violation as (draw, step, ratio).
     """
     u, v, u1, v1 = np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
     free = np.empty((3, *shape)) if free is None else free
     n = shape[0]
-    worst, at, violations, late = -np.inf, (None, 0, math.nan, math.nan), [], -np.inf
+    if np.ndim(horizons):  # live[s] counts the draws with horizon >= s
+        t_max = int(horizons[0])
+        live = np.searchsorted(-horizons, -np.arange(t_max + 2), side="right")
+    else:
+        t_max, live = horizons, [n] * (horizons + 1) + [0]
+    worst, at, violations = -np.inf, (None, 0, math.nan, math.nan), []
     for s in range(t_max + 1):
+        m = live[s]
+        if m < len(u):
+            u, v, u1, v1, free = u[:m], v[:m], u1[:m], v1[:m], free[:, :m]
         if s:
-            p, q = top(s)
-            if live is not None:  # retire the trailing draws: views of the leading ones
-                m = live(s)
-                u, v, u1, v1, p, q = (x[:m] for x in (u, v, u1, v1, p, q))
-                free = free[:, :m]
+            p, q = (x[:m] for x in top(s))
             u, u1 = np.add(np.multiply(q, u1, out=u1), np.multiply(p, u, out=free[0]),
                            out=u1), u
             v, v1 = np.add(np.multiply(q, v1, out=v1), np.multiply(p, v, out=free[0]),
                            out=v1), v
-        sel = s >= 1 if check is None else check(s)
-        if not np.any(sel):
+        lo, hi = (live[s + 1], m) if at_horizon else (0, m if s else 0)
+        if lo == hi:
             continue
         env = np.asarray(envelope(s))
-        bound = np.broadcast_to(env, n)
-        if np.ndim(sel):  # a per-draw mask copies out its draws
-            draw = np.flatnonzero(sel)
-            norm, bound = measure(u[draw], v[draw], u1[draw], v1[draw]), bound[draw]
-        else:
-            draw, norm, bound = range(len(u)), measure(u, v, u1, v1, free), bound[:len(u)]
+        bound = np.broadcast_to(env, n)[lo:hi]
+        # scratch from the leading rows: a few checks a step touch few of its pages
+        norm = measure(u[lo:hi], v[lo:hi], u1[lo:hi], v1[lo:hi], free[:, :hi - lo])
         if env.min() > 0:  # the masked divide's bits, without its prefill
-            ratio = np.divide(norm, bound, out=free[2] if norm.shape == u.shape else None)
+            out = free[2, :hi - lo]
+            ratio = np.divide(norm, bound, out=out if norm.shape == out.shape else None)
         else:
-            ratio = np.divide(norm, bound, out=np.where(norm <= TOL, 0.0, np.inf),
+            ratio = np.divide(norm, bound, out=np.where(norm == 0, 0.0, np.inf),
                               where=bound > 0)
         j = int(np.argmax(ratio))
         if ratio[j] > worst:
-            worst, at = float(ratio[j]), (int(draw[j]), s, float(norm[j]), float(bound[j]))
-        if s and ratio[j] > late:
-            late = float(ratio[j])
-        if not ratio[j] < 1.0:  # norm > bound + TOL gives ratio >= 1 (or nan)
-            violations += [(int(draw[i]), s, float(ratio[i]))
-                           for i in np.flatnonzero(norm > bound + TOL)]
-    return worst, at, violations, late
+            worst, at = float(ratio[j]), (lo + j, s, float(norm[j]), float(bound[j]))
+        if not ratio[j] < 1.0:  # a violation has ratio >= 1 (or nan)
+            violations += [(lo + i, s, float(ratio[i])) for i in
+                           np.flatnonzero(norm > bound + TOL * np.minimum(bound, 1.0))]
+    return worst, at, violations
 
 
 def _check(lemma: str, scan, t: int, params: dict) -> LemmaCheck:
-    _, (_, _, norm, bound), _, _ = scan
-    return LemmaCheck(lemma=lemma, norm=norm, bound=bound, ok=norm <= bound + TOL,
-                      t=t, params=params)
+    _, (_, _, norm, bound), violations = scan
+    return LemmaCheck(lemma=lemma, norm=norm, bound=bound, ok=not violations, t=t,
+                      params=params)
 
 
 def _result(lemma: str, scan, checks: int, describe) -> SweepResult:
     """Name the witness and each counterexample by ``describe(draw, step)``."""
-    worst, (draw, step, _, _), violations, late = scan
-    return SweepResult(lemma=lemma, max_ratio=worst, max_ratio_from_1=late,
+    worst, (draw, step, _, _), violations = scan
+    return SweepResult(lemma=lemma, max_ratio=worst,
                        witness={} if draw is None else describe(draw, step),
                        counterexamples=[dict(describe(j, s), ratio=r)
                                         for j, s, r in violations],
                        checks=checks)
 
 
-def _nag_scan(hs: np.ndarray, gamma, t_max: int, check=None):
+def _nag_scan(hs: np.ndarray, gamma, horizons, at_horizon=False):
     """H_s = [[(1 - g_s) h, g_s h], [1, 0]], gamma(s, g) writing g_s; envelope 2 (s + 1)."""
     free = np.empty((3, *hs.shape))
     _, p, g = free
@@ -209,7 +206,7 @@ def _nag_scan(hs: np.ndarray, gamma, t_max: int, check=None):
         np.multiply(np.subtract(1.0, g, out=p), hs, out=p)
         return p, np.multiply(g, hs, out=g)
     return _sweep(top, _batch_spectral_norm, lambda s: 2.0 * (s + 1), hs.shape,
-                  t_max, check, free=free)
+                  horizons, at_horizon, free)
 
 
 def nag_lemma_check(h: float, gammas: Sequence[float]) -> LemmaCheck:
@@ -222,16 +219,16 @@ def nag_lemma_check(h: float, gammas: Sequence[float]) -> LemmaCheck:
         raise ValidationError("nag_convex needs 0 <= h <= 1")
     if np.any(np.abs(gammas) >= 1.0):
         raise ValidationError("nag_convex needs -1 < gamma_i < 1")
-    scan = _nag_scan(np.array([h]), lambda s, g: g.fill(gammas[s - 1]), t, lambda s: s == t)
+    scan = _nag_scan(np.array([h]), lambda s, g: g.fill(gammas[s - 1]), t, True)
     return _check("nag_convex", scan, t, {"h": h})
 
 
-def _hb_scan(G, A, t_max: int, check=None):
+def _hb_scan(G, A, horizons, at_horizon=False):
     """Fixed H = [[1 + g - a, -g], [1, 0]] per draw; envelope 2 / (1 - sqrt(g))."""
     G, A = np.asarray(G, dtype=float), np.asarray(A, dtype=float)
     top, bound = (1.0 + G - A, -G), 2.0 / (1.0 - np.sqrt(G))
     return _sweep(lambda s: top, _batch_spectral_norm, lambda s: bound, G.shape,
-                  t_max, check)
+                  horizons, at_horizon)
 
 
 def hb_lemma_check(gamma: float, a: float, t: int) -> LemmaCheck:
@@ -242,7 +239,7 @@ def hb_lemma_check(gamma: float, a: float, t: int) -> LemmaCheck:
         raise ValidationError("hb needs 0 <= a <= 1 - gamma")
     if t < 0:
         raise ValidationError("t must be >= 0")
-    scan = _hb_scan([gamma], [a], t, lambda s: s == t)
+    scan = _hb_scan([gamma], [a], t, True)
     return _check("hb", scan, t, {"gamma": gamma, "a": a})
 
 
@@ -280,10 +277,10 @@ def _scnag_grid(problems, h_samples: int):
     return g[:, 0].tolist(), ((1.0 + g) * hs, -g * hs), rho.tolist()
 
 
-def _scnag_scan(top, envelope, t_max: int, check=None, live=None):
+def _scnag_scan(top, envelope, horizons, at_horizon=False):
     """Powers of each draw's fixed H; the value is the worst norm over its h grid."""
     return _sweep(lambda s: top, lambda *P: _batch_spectral_norm(*P).max(axis=1),
-                  envelope, top[0].shape, t_max, check, live)
+                  envelope, top[0].shape, horizons, at_horizon)
 
 
 def scnag_lemma_check(kappa: float, alpha: float, beta: float, eta: float, t: int,
@@ -306,7 +303,7 @@ def scnag_lemma_check(kappa: float, alpha: float, beta: float, eta: float, t: in
     if t < 0:
         raise ValidationError("t must be >= 0")
     (gamma,), top, (rho,) = _scnag_grid([(kappa, alpha, beta, eta)], h_samples)
-    scan = _scnag_scan(top, lambda s: _scnag_bound(rho, s), t, lambda s: s == t)
+    scan = _scnag_scan(top, lambda s: _scnag_bound(rho, s), t, True)
     nominal = 2.0 * (1 + t) * (gamma * (1.0 - alpha * eta)) ** (t / 2.0)
     return _check("nag_sc", scan, t,
                   {"kappa": kappa, "alpha": alpha, "beta": beta, "eta": eta,
@@ -337,11 +334,11 @@ def recursion_u(h: float, t: int) -> np.ndarray:
     return a
 
 
-def _recursion_scan(hs: np.ndarray, t_max: int, check):
+def _recursion_scan(hs: np.ndarray, horizons, at_horizon=False):
     """|a_s| = |u_s|, the top-left entry of [[2h, -h], [1, 0]]^s, against s + 1."""
     top = (2.0 * hs, -hs)
     return _sweep(lambda s: top, lambda u, *_: np.abs(u), lambda s: s + 1.0,
-                  hs.shape, t_max, check)
+                  hs.shape, horizons, at_horizon)
 
 
 def _uniform_pm1(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -365,7 +362,10 @@ def _shard_count(draws: int) -> int:
 
 def _run_shards(scan, shards):
     """[scan(a, b) for (a, b) in shards], the first on the calling thread and each
-    other on its own; every thread is joined, and a shard's exception re-raised."""
+    other on its own; every thread is joined, and a shard's exception re-raised.
+    Plain threads, not a pool: a ThreadPoolExecutor in their place raised the peak
+    RSS of three perfbench ``audits`` passes in one process from 46.5 to 49.5 MB
+    (2 CPUs, numpy 2.4), over the benchmark's 5 % bound."""
     results, errors = [None] * len(shards), []
 
     def run(i):
@@ -390,22 +390,21 @@ def _run_shards(scan, shards):
 
 def _merge(scans, shards):
     """The _sweep result over all draws from those of its contiguous shards."""
-    worst, at, violations, late = -np.inf, (None, 0, math.nan, math.nan), [], -np.inf
-    for (ratio, (draw, s, norm, bound), found, ratio_late), (a, _) in zip(scans, shards):
+    worst, at, violations = -np.inf, (None, 0, math.nan, math.nan), []
+    for (ratio, (draw, s, norm, bound), found), (a, _) in zip(scans, shards):
         if draw is not None and (ratio > worst or
                                  ratio == worst and (s, draw + a) < at[1::-1]):
             worst, at = ratio, (draw + a, s, norm, bound)
         violations += [(j + a, t, r) for j, t, r in found]
-        late = max(late, ratio_late)
     violations.sort(key=lambda x: (x[1], x[0]))
-    return worst, at, violations, late
+    return worst, at, violations
 
 
 def nag_sweep(draws: int, t_max: int, seed: int = 0) -> SweepResult:
     """Random search over the vanishing-momentum hypothesis box.
 
     Each draw fixes h ~ U[0, 1] and a fresh gamma_i ~ U(-1, 1) per factor;
-    every prefix length s <= t_max is checked against 2 (s + 1).  The draws
+    every prefix length 1 <= s <= t_max is checked against 2 (s + 1).  The draws
     run in shards on ``_shard_count(draws)`` threads, with the one-shard result.
     """
     if draws < 1:
@@ -424,7 +423,7 @@ def nag_sweep(draws: int, t_max: int, seed: int = 0) -> SweepResult:
 
 
 def hb_sweep(gammas: Sequence[float], a_points: int, t_max: int) -> SweepResult:
-    """Grid search over (gamma, a) with every power t <= t_max checked."""
+    """Grid search over (gamma, a) with every power 1 <= t <= t_max checked."""
     pairs = [(g, a) for g in gammas for a in np.linspace(0.0, 1.0 - g, a_points)]
     G = np.array([p[0] for p in pairs])
     A = np.array([p[1] for p in pairs])
@@ -435,7 +434,7 @@ def hb_sweep(gammas: Sequence[float], a_points: int, t_max: int) -> SweepResult:
 
 def scnag_sweep(kappas: Sequence[float], h_samples: int, t_max: int,
                 alpha: float = 1.0) -> SweepResult:
-    """Check every kappa at eta = 1/beta for all t <= t_max.
+    """Check every kappa at eta = 1/beta for all 1 <= t <= t_max.
 
     Powers are accumulated incrementally, so the verdicts match calling
     ``scnag_lemma_check`` at each t individually.
@@ -450,8 +449,7 @@ def scnag_sweep(kappas: Sequence[float], h_samples: int, t_max: int,
 def recursion_u_sweep(h_step: float, t_max: int) -> SweepResult:
     """Unroll the scalar recursion on an h grid and confirm |a_i| <= i + 1."""
     hs = np.arange(0.0, 1.0 + h_step / 2, h_step)
-    scan = _recursion_scan(hs, t_max, lambda s: True)
-    return _result("recursion_u", scan, hs.size * (t_max + 1),
+    return _result("recursion_u", _recursion_scan(hs, t_max), hs.size * t_max,
                    lambda j, s: {"h": float(hs[j]), "i": s})
 
 
@@ -463,9 +461,9 @@ def adversarial_max(lemma: str, budget: int, seed: int = 0,
     in one array call, parameter by parameter: hb draws gamma ~ U[0, 0.999),
     then a ~ U[0, 1 - gamma), then t; nag_sc draws kappa = exp(U[0, log 100)),
     then t; recursion_u draws h ~ U[0, 1), then t; every t ~ U{1..t_max}.
-    hb and nag_sc check the product at t, recursion_u every a_i with i <= t.
+    hb and nag_sc check the product at t, recursion_u every a_i with 1 <= i <= t.
     Returns the worst observed value/bound ratio with witness parameters; any
-    value above its bound by more than 1e-9 is recorded as a counterexample.
+    value above its bound by more than TOL min(bound, 1) is a counterexample.
     """
     if budget < 1 or t_max < 1:
         raise ValidationError(f"budget and t_max must be >= 1, got {budget} and {t_max}")
@@ -476,25 +474,23 @@ def adversarial_max(lemma: str, budget: int, seed: int = 0,
     rng = np.random.Generator(np.random.Philox(seed))
     if lemma == "hb":
         G = rng.uniform(0.0, 0.999, budget)
-        A = rng.uniform(0.0, 1.0 - G)
-        T = rng.integers(1, t_max + 1, budget)
-        scan = _hb_scan(G, A, t_max, lambda s: s == T)
-        describe = lambda j, s: {"gamma": float(G[j]), "a": float(A[j]), "t": s}
+        draws = {"gamma": G, "a": rng.uniform(0.0, 1.0 - G)}
     elif lemma == "nag_sc":
-        K = np.exp(rng.uniform(0.0, np.log(100.0), budget))
-        T = rng.integers(1, t_max + 1, budget)
-        # sorted by descending t, the draws still to check at step s are a prefix;
-        # the stable sort keeps each step's checks, and so every result, in order
-        order = np.argsort(-T, kind="stable")
-        K, T = K[order], T[order]
+        draws = {"kappa": np.exp(rng.uniform(0.0, np.log(100.0), budget))}
+    else:  # recursion_u
+        draws = {"h": rng.uniform(0.0, 1.0, budget)}
+    T = rng.integers(1, t_max + 1, budget)
+    order = np.argsort(-T, kind="stable")  # ties keep their draw order
+    T, draws = T[order], {name: x[order] for name, x in draws.items()}
+    if lemma == "hb":
+        scan = _hb_scan(draws["gamma"], draws["a"], T, at_horizon=True)
+    elif lemma == "nag_sc":
+        K = draws["kappa"]
         _, top, rho = _scnag_grid(np.stack([K, np.ones(budget), K, 1.0 / K], axis=1), 16)
         bounds = 2.0 * (1 + T) * np.array(rho) ** (T - 1)  # _scnag_bound, as t >= 1
-        scan = _scnag_scan(top, lambda s: bounds, t_max, lambda s: s == T,
-                           lambda s: np.count_nonzero(T >= s))
-        describe = lambda j, s: {"kappa": float(K[j]), "t": s}
-    else:  # recursion_u
-        hs = rng.uniform(0.0, 1.0, budget)
-        T = rng.integers(1, t_max + 1, budget)
-        scan = _recursion_scan(hs, t_max, lambda s: s <= T)
-        describe = lambda j, s: {"h": float(hs[j]), "i": s}
-    return _result(lemma, scan, budget, describe)
+        scan = _scnag_scan(top, lambda s: bounds, T, at_horizon=True)
+    else:
+        scan = _recursion_scan(draws["h"], T)
+    step = "i" if lemma == "recursion_u" else "t"
+    return _result(lemma, scan, budget, lambda j, s: {
+        **{name: float(x[j]) for name, x in draws.items()}, step: s})

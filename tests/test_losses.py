@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,6 +24,7 @@ from optstab.losses import (
     loss_values_matrix,
     normalize_rows,
     _block_grad,
+    _margins_operand,
     _residual,
     _sigmoid,
     sample_grad,
@@ -536,12 +537,16 @@ def test_logaddexp_reference_fails_2_ulp_at_scale_5():
     st.lists(st.lists(st.floats(-60, 60), min_size=d, max_size=d), min_size=1, max_size=4),
     st.lists(st.lists(st.floats(-1, 1), min_size=d, max_size=d), min_size=1, max_size=6),
     st.lists(st.integers(0, 1), min_size=6, max_size=6))))
+# margins under cancellation: row 2's is 0.1700000000000034 as thetas @ X.T and
+# 0.1700000000000002 on the kernel's operand, a loss error of 1.67e-15 between them
+@example(case=([[43.7, 57.7]], [[-0.2, -0.5], [0.4, -0.3]], [0] * 6))
 def test_logistic_values_match_logaddexp_reference(case):
     thetas, X, labels = np.array(case[0]), np.array(case[1]), case[2]
     y = np.array(labels[:len(X)], dtype=float)
     spec = logistic_spec()
-    V = loss_values_matrix(spec, thetas, Dataset.from_labeled(X, y))
-    U = thetas @ X.T
+    data = Dataset.from_labeled(X, y)
+    V = loss_values_matrix(spec, thetas, data)
+    U = thetas @ _margins_operand(data)  # the kernel's margins, bit for bit
     # within the reference's own cancellation error
     assert np.all(np.abs(V - _logaddexp_values(U, y))
                   <= 4 * np.spacing(np.maximum(np.abs(U), 1.0)))

@@ -298,25 +298,20 @@ def test_scnag_sweep_clean():
 
 
 def test_recursion_sweep_hits_exact_bound():
-    # a_0 = 1 meets the i + 1 envelope exactly, as does every index at h = 1
+    # at h = 1, the grid's last point, every a_i = i + 1 meets its envelope exactly
     res = recursion_u_sweep(0.25, 64)
-    assert res.ok
-    assert res.max_ratio == pytest.approx(1.0)
+    assert res.ok and res.checks == 5 * 64
+    assert res.max_ratio == 1.0 and res.witness == {"h": 1.0, "i": 1}
 
 
-def test_recursion_worst_ratio_from_1_tells_seeds_apart():
-    # max_ratio is a_0 = 1 against its envelope 1 at every seed; the worst
-    # ratio over i >= 1 stays below 1 for h < 1 and moves with the draws
-    late = []
+def test_recursion_search_worst_ratio_is_its_largest_h():
+    # a_1 = 2h against 2 is the worst ratio over i >= 1 of every draw here, so
+    # the search reports the largest h it drew, at i = 1
     for seed in range(12):
+        hs = np.random.Generator(np.random.Philox(seed)).uniform(0.0, 1.0, 4000)
         res = adversarial_max("recursion_u", 4000, seed)
-        assert res.max_ratio == 1.0 and res.ok
-        late.append(res.max_ratio_from_1)
-    assert max(late) < 1.0 and len(set(late)) == 12
-    # the sweep's grid ends at h = 1, where a_i = i + 1 meets the envelope
-    assert recursion_u_sweep(0.25, 64).max_ratio_from_1 == 1.0
-    res = hb_sweep([0.0, 0.5], 5, 16)
-    assert res.max_ratio_from_1 == res.max_ratio
+        assert res.max_ratio == hs.max() < 1.0 and res.ok
+        assert res.witness == {"h": res.max_ratio, "i": 1}
 
 
 def test_adversarial_max_degenerate_budget():
@@ -387,12 +382,13 @@ def _adversarial_reference(lemma, budget, t_max, seed):
                   for k, t in zip(kappas, ts)]
         ratios = [check.norm / check.bound for check in checks]
         witness = lambda j: {"kappa": kappas[j], "t": ts[j]}
-    else:  # recursion_u: every a_i with i <= t against i + 1
+    else:  # recursion_u: every a_i with 1 <= i <= t against i + 1
         hs = rng.uniform(0.0, 1.0, budget)
         ts = rng.integers(1, t_max + 1, budget)
-        ratios = [max(np.abs(recursion_u(float(h), int(t))) / (np.arange(t + 1) + 1.0))
-                  for h, t in zip(hs, ts)]
-        witness = lambda j: {"h": hs[j], "i": 0}  # a_0 = 1 meets its bound first
+        per_i = [np.abs(recursion_u(float(h), int(t)))[1:] / (np.arange(t) + 2.0)
+                 for h, t in zip(hs, ts)]
+        ratios = [r.max() for r in per_i]
+        witness = lambda j: {"h": hs[j], "i": int(np.argmax(per_i[j])) + 1}
     return max(ratios), witness(int(np.argmax(ratios)))
 
 
@@ -410,19 +406,20 @@ def test_recursion_sweep_path_matches_scalar_unroll():
     eps = np.finfo(float).eps
     for h in np.linspace(0.0, 1.0, 21):
         for t in (0, 1, 2, 5, 33, 64):
-            _, (_, step, value, bound), _, _ = _recursion_scan(np.array([h]), t,
-                                                            lambda s: s == t)
+            _, (_, step, value, bound), _ = _recursion_scan(np.array([h]), t, True)
             assert (step, bound) == (t, t + 1.0)
             assert value == pytest.approx(abs(recursion_u(float(h), t)[t]),
                                           rel=0, abs=64 * eps * (t + 1))
 
 
 def test_adversarial_max_pinned_results():
+    # recursion_u reports the largest h it drew, at i = 1
+    h = float(np.random.Generator(np.random.Philox(0)).uniform(0.0, 1.0, 200).max())
     pins = {
         "hb": (0.504710289456195,
                {"gamma": 0.16261113205629324, "a": 0.003424599301407124, "t": 3}),
         "nag_sc": (0.8867741917582936, {"kappa": 97.26617695311599, "t": 52}),
-        "recursion_u": (1.0, {"h": 0.014067035665647709, "i": 0}),
+        "recursion_u": (h, {"h": h, "i": 1}),
     }
     for lemma, (ratio, witness) in pins.items():
         res = adversarial_max(lemma, 200, seed=0)
@@ -432,7 +429,8 @@ def test_adversarial_max_pinned_results():
 
 
 def _stacked_reference_sweep(top, envelope, k, t_max, check):
-    """Per-check loop over stacked products P_s = H_s @ P_{s-1} and SVD norms."""
+    """Per-check loop over stacked products P_s = H_s @ P_{s-1} and SVD norms;
+    every draw advances to t_max, and ``check(s)`` says which are checked."""
     H = np.zeros((k, 2, 2))
     H[:, 1, 0] = 1.0
     P = np.broadcast_to(np.eye(2), H.shape)
@@ -446,40 +444,45 @@ def _stacked_reference_sweep(top, envelope, k, t_max, check):
             norm = np.linalg.norm(P[j], 2)
             if norm / bound[j] > worst:
                 worst, at = norm / bound[j], (j, s, norm)
-            if norm > bound[j] + TOL:
+            if norm > bound[j] + TOL * min(bound[j], 1.0):
                 violations.append((j, s, norm / bound[j]))
     return worst, at, violations
 
 
 def test_sweep_counterexamples_match_stacked_matmul_reference():
     # a fraction of each lemma's envelope (the hb lemma's worst ratio is
-    # sqrt(1/2)), so the sweep reports violations
+    # sqrt(1/2)), so the sweep reports violations; with sorted per-draw horizons
+    # the sweep retires each draw after its horizon, and the reference does not
     k, t_max = 40, 48
     rng = np.random.Generator(np.random.Philox(17))
     hs = rng.uniform(0.5, 1.0, size=k)
     gammas = rng.uniform(-1.0, -0.5, size=(t_max + 1, k))
     G = rng.uniform(0.0, 0.9, size=k)
     A = rng.uniform(0.0, 1.0, size=k) * (1.0 - G)
-    horizons = rng.integers(0, t_max + 1, size=k)
-    mask = rng.random((t_max + 1, k)) < 0.5
+    sorted_horizons = rng.integers(0, t_max + 1, size=k)
+    order = np.argsort(-sorted_horizons, kind="stable")  # the draws, by horizon
+    hs, gammas, G, A = hs[order], gammas[:, order], G[order], A[order]
+    sorted_horizons = sorted_horizons[order]
     lemmas = {
         "nag_convex": (lambda s: ((1.0 - gammas[s]) * hs, gammas[s] * hs),
                        lambda s: 0.5 * 2.0 * (s + 1)),
         "hb": (lambda s: (1.0 + G - A, -G), lambda s: 0.25 * 2.0 / (1.0 - np.sqrt(G))),
     }
-    # a bool checks every draw at once; the others are per-draw masks
-    checks = {"all": lambda s: s >= 1, "horizon": lambda s: s == horizons,
-              "mask": lambda s: mask[s]}
     for lemma, (top, envelope) in lemmas.items():
-        for name, check in checks.items():
-            worst, (draw, step, value, _), violations, _ = _sweep(
-                top, _batch_spectral_norm, envelope, (k,), t_max, check)
-            ref_worst, ref_at, ref_violations = _stacked_reference_sweep(
-                top, envelope, k, t_max, check)
-            assert (draw, step) == ref_at[:2], (lemma, name)
-            assert value == pytest.approx(ref_at[2], rel=1e-12, abs=0)
-            assert worst == pytest.approx(ref_worst, rel=1e-12, abs=0)
-            assert violations, (lemma, name)
-            assert [v[:2] for v in violations] == [v[:2] for v in ref_violations]
-            assert [v[2] for v in violations] == pytest.approx(
-                [v[2] for v in ref_violations], rel=1e-12, abs=0)
+        for horizons in (sorted_horizons, 2):
+            for at_horizon in (True, False):
+                # each draw at its horizon only, or at every step 1 ... horizon
+                check = ((lambda s: s == horizons) if at_horizon else
+                         (lambda s: (s >= 1) & (s <= horizons)))
+                case = (lemma, np.ndim(horizons), at_horizon)
+                worst, (draw, step, value, _), violations = _sweep(
+                    top, _batch_spectral_norm, envelope, (k,), horizons, at_horizon)
+                ref_worst, ref_at, ref_violations = _stacked_reference_sweep(
+                    top, envelope, k, t_max, check)
+                assert (draw, step) == ref_at[:2], case
+                assert value == pytest.approx(ref_at[2], rel=1e-12, abs=0)
+                assert worst == pytest.approx(ref_worst, rel=1e-12, abs=0)
+                assert violations, case
+                assert [v[:2] for v in violations] == [v[:2] for v in ref_violations]
+                assert [v[2] for v in violations] == pytest.approx(
+                    [v[2] for v in ref_violations], rel=1e-12, abs=0)

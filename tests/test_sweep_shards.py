@@ -39,7 +39,7 @@ def test_one_shard_reads_the_documented_stream():
     rng = np.random.Generator(np.random.Philox(seed))
     hs = rng.uniform(0.0, 1.0, size=draws)
     gammas = rng.uniform(-1.0, 1.0, size=(t_max, draws))
-    worst, (draw, step, _, _), violations, _ = ML._nag_scan(
+    worst, (draw, step, _, _), violations = ML._nag_scan(
         hs, lambda s, g: np.copyto(g, gammas[s - 1]), t_max)
     res = ML.nag_sweep(draws, t_max, seed)
     assert res.max_ratio == worst and violations == res.counterexamples == []
@@ -62,16 +62,15 @@ def test_shards_equal_one_shard(monkeypatch, k, draws, t_max):
 
 
 def test_merge_breaks_ties_by_earliest_step_then_draw():
-    def scan(ratio, draw, step, late):
-        return ratio, (draw, step, 1.0, 2.0), [(draw, step, ratio)], late
+    def scan(ratio, draw, step):
+        return ratio, (draw, step, 1.0, 2.0), [(draw, step, ratio)]
 
     shards = [(0, 10), (10, 20)]
-    worst, at, violations, late = ML._merge(
-        [scan(1.5, 4, 3, 1.5), scan(1.5, 2, 2, 0.5)], shards)
-    assert (worst, at, late) == (1.5, (12, 2, 1.0, 2.0), 1.5)
+    worst, at, violations = ML._merge([scan(1.5, 4, 3), scan(1.5, 2, 2)], shards)
+    assert (worst, at) == (1.5, (12, 2, 1.0, 2.0))
     assert violations == [(12, 2, 1.5), (4, 3, 1.5)]
-    assert ML._merge([scan(1.5, 4, 3, 0.5), scan(1.5, 2, 3, 0.5)], shards)[1][0] == 4
-    assert ML._merge([scan(1.0, 4, 3, 0.5), scan(1.5, 2, 5, 0.5)], shards)[1][0] == 12
+    assert ML._merge([scan(1.5, 4, 3), scan(1.5, 2, 3)], shards)[1][0] == 4
+    assert ML._merge([scan(1.0, 4, 3), scan(1.5, 2, 5)], shards)[1][0] == 12
 
 
 def test_nag_sweep_needs_a_draw():
@@ -113,10 +112,10 @@ def test_a_failing_shard_reraises_after_every_thread_joins(monkeypatch, failing)
 
 # ------------------------------------------------------------ mutation tests
 
-# 1 % below: each check has an absolute slack TOL = 1e-9, and the nag_sc sweep's
-# worst ratio sits at kappa = 100, t = 200, where the norm is 2.8e-7, so a cut of
-# 1e-6 would move that check by less than TOL
-JUST_BELOW = 0.99
+# a check's slack is TOL min(bound, 1), relative to bounds below 1: the nag_sc
+# sweep's worst ratio sits at kappa = 100, t = 200, where the norm is 2.8e-7, and
+# an absolute TOL = 1e-9 would hide a cut of 1e-6 there
+JUST_BELOW = 1 - 1e-6
 
 
 def _nag_convex():
@@ -146,7 +145,7 @@ def test_every_sweep_fails_with_its_envelope_just_below_its_worst_ratio(monkeypa
     assert any(c.items() >= clean.witness.items() for c in cut.counterexamples), name
 
 
-@pytest.mark.parametrize("scale", [JUST_BELOW, 0.8])
+@pytest.mark.parametrize("scale", [0.99, 0.8])
 def test_sharded_counterexamples_equal_one_shard_in_order(monkeypatch, scale):
     _shards(monkeypatch, 1)
     worst = _nag_convex().max_ratio
@@ -156,19 +155,56 @@ def test_sharded_counterexamples_equal_one_shard_in_order(monkeypatch, scale):
         _shards(monkeypatch, k)
         assert _nag_convex() == one
     assert one.counterexamples
-    if scale < JUST_BELOW:  # the merge interleaves several shards and steps
+    if scale < 0.99:  # the merge interleaves several shards and steps
         draws = [c["draw"] for c in one.counterexamples]
         assert min(draws) < 40_001 // 3 and max(draws) >= 2 * 40_001 // 3
         assert len({c["t"] for c in one.counterexamples}) > 1
 
 
-def test_nag_sc_search_retiring_checked_draws_equals_full_advance(monkeypatch):
-    # each draw is checked only at its own t; advancing it further changes nothing
-    _scale_envelopes(monkeypatch, 0.6)  # so that there are counterexamples to order
-    scaled = ML._sweep
-    for seed in range(12):
-        retiring = ML.adversarial_max("nag_sc", 1000, seed)
-        assert len(retiring.counterexamples) > 1
-        with monkeypatch.context() as m:
-            m.setattr(ML, "_sweep", lambda *args: scaled(*args[:6]))  # no live prefix
-            assert ML.adversarial_max("nag_sc", 1000, seed) == retiring
+def test_a_zero_envelope_passes_exact_zero_products_only(monkeypatch):
+    # at kappa = 1, H = [[0, 0], [1, 0]]: its products from t = 2 on are exactly 0;
+    # the sweep's other 801 of 1,000 checks are above 0 (many by less than TOL)
+    _scale_envelopes(monkeypatch, 0.0)
+    res = ML.scnag_sweep([1.0, 2.0, 4.0, 16.0, 100.0], 64, 200)
+    assert len(res.counterexamples) == 801
+    assert all(c["ratio"] == np.inf for c in res.counterexamples)
+    assert not any(c["kappa"] == 1.0 and c["t"] >= 2 for c in res.counterexamples)
+
+
+def test_a_single_check_fails_just_below_a_small_bound(monkeypatch):
+    # norm 2.8e-7 against its bound 3.1e-7: a cut 1e-6 below their ratio fails
+    check = lambda: ML.scnag_lemma_check(100.0, 1.0, 100.0, 0.01, 200)
+    clean = check()
+    assert clean.ok and clean.norm < 1e-6
+    _scale_envelopes(monkeypatch, JUST_BELOW * clean.norm / clean.bound)
+    assert not check().ok
+
+
+def _replay(lemma, seed, budget, t_max=64):
+    """A search's first parameter and its horizons, as its stream gives them."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if lemma == "hb":
+        x = rng.uniform(0.0, 0.999, budget)
+        rng.uniform(0.0, 1.0 - x)
+    elif lemma == "nag_sc":
+        x = np.exp(rng.uniform(0.0, np.log(100.0), budget))
+    else:
+        x = rng.uniform(0.0, 1.0, budget)
+    return x, rng.integers(1, t_max + 1, budget)
+
+
+@pytest.mark.parametrize("lemma, name, step", [
+    ("hb", "gamma", "t"), ("nag_sc", "kappa", "t"), ("recursion_u", "h", "i")])
+def test_search_counterexamples_come_in_step_horizon_stream_order(monkeypatch, lemma,
+                                                                   name, step):
+    # the searches sort their draws by descending horizon, stably: each step's
+    # checks come by descending horizon, then in the stream's draw order
+    _scale_envelopes(monkeypatch, 0.3)
+    for seed in range(4):
+        x, T = _replay(lemma, seed, 1000)
+        index = {v: j for j, v in enumerate(x)}
+        found = ML.adversarial_max(lemma, 1000, seed).counterexamples
+        keys = [(c[step], -T[index[c[name]]], index[c[name]]) for c in found]
+        assert len({k[0] for k in keys}) > 1 and keys == sorted(keys), (lemma, seed)
+        if step == "t":  # hb and nag_sc check each draw at its horizon only
+            assert all(s == -t for s, t, _ in keys)
