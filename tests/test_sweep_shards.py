@@ -161,6 +161,27 @@ def test_sharded_counterexamples_equal_one_shard_in_order(monkeypatch, scale):
         assert len({c["t"] for c in one.counterexamples}) > 1
 
 
+def test_nag_sc_search_retiring_checked_draws_equals_full_advance(monkeypatch):
+    # each draw is checked only at its own t; advancing every draw to the largest
+    # t, with an infinite bound at the other steps, changes nothing
+    _scale_envelopes(monkeypatch, 0.6)  # so that there are counterexamples to order
+    scaled = ML._sweep
+
+    def full_advance(top, measure, envelope, shape, horizons, at_horizon=False,
+                     free=None):
+        assert at_horizon and np.ndim(horizons)
+        H = np.asarray(horizons)
+        return scaled(top, measure, lambda s: np.where(H == s, envelope(s), np.inf),
+                      shape, int(H[0]), False, free)
+
+    for seed in range(12):
+        retiring = ML.adversarial_max("nag_sc", 1000, seed)
+        assert len(retiring.counterexamples) > 1
+        with monkeypatch.context() as m:
+            m.setattr(ML, "_sweep", full_advance)
+            assert ML.adversarial_max("nag_sc", 1000, seed) == retiring
+
+
 def test_a_zero_envelope_passes_exact_zero_products_only(monkeypatch):
     # at kappa = 1, H = [[0, 0], [1, 0]]: its products from t = 2 on are exactly 0;
     # the sweep's other 801 of 1,000 checks are above 0 (many by less than TOL)
