@@ -49,8 +49,6 @@ _FLAG_KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "experiment"
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--format", choices=("csv", "plot-script"), default="plot-script",
-                   help="csv emits series files only; plot-script adds the plot script")
     for key in _FLAG_KEYS:
         p.add_argument("--" + key.replace("_", "-"), dest=key, help=f"config key {key}")
 
@@ -91,7 +89,7 @@ def main(argv: Optional[list] = None) -> int:
         else:
             cfg = build_config({}, overrides)
         report = run_experiment(cfg)
-        files = write_report(report, cfg.out, emit_plot=args.format == "plot-script")
+        files = write_report(report, cfg.out)
         for path in files:
             print(path)
         if report.passed is not None:

@@ -7,7 +7,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..losses import Dataset, ValidationError, _sigmoid, normalize_rows
+from ..losses import Dataset, ValidationError, _residual, normalize_rows
 from ..streams import stream
 
 log = logging.getLogger(__name__)
@@ -61,7 +61,8 @@ def gen_synthetic(d: int, n: int, seed: int = 0) -> Tuple[Dataset, np.ndarray]:
     """Synthetic logistic data: unit-norm Gaussian rows, labels Bernoulli(r(theta*, x)).
 
     theta* is the all-ones vector; rows are standard normal draws rescaled to
-    unit norm; the Bernoulli parameter is the logistic link at x.theta*.
+    unit norm; the Bernoulli parameter is the logistic link at x.theta*, read
+    from the loss's residual sigma(u) - y at y = 0.
     Deterministic for a fixed seed (its "rows" and "labels" streams); the
     first m rows of a draw are the draw of m rows.
     """
@@ -70,7 +71,7 @@ def gen_synthetic(d: int, n: int, seed: int = 0) -> Tuple[Dataset, np.ndarray]:
     X = stream(seed, "rows").standard_normal((n, d))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     theta_star = np.ones(d)
-    p = _sigmoid(X @ theta_star)
+    p = _residual(X @ -theta_star, 1.0)
     u = stream(seed, "labels").uniform(size=n)
     y = (u < p).astype(float)
     return Dataset.from_labeled(X, y), theta_star

@@ -132,7 +132,7 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def write_report(report: Report, out_dir: str, emit_plot: bool = True) -> List[str]:
+def write_report(report: Report, out_dir: str) -> List[str]:
     """Write report.json, one CSV per series, and the plot script."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -154,7 +154,4 @@ def write_report(report: Report, out_dir: str, emit_plot: bool = True) -> List[s
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
-    written.append(path)
-    if emit_plot:
-        written.append(write_plot_script(report, out_dir))
-    return written
+    return [*written, path, write_plot_script(report, out_dir)]

@@ -10,6 +10,8 @@ pure quadratic), and certifies a separation Phi(r): any first coordinate at
 distance >= r from the population minimizer carries excess risk at least
 Phi(r).  Combined with the Bayes error of testing P1^n against P2^n this
 yields the minimax lower bounds evaluated in :mod:`optstab.bounds`.
+``lecam_distributions`` is the one place the weights 1/2 +- delta are
+written: every population risk, minimizer and divergence here reads them.
 
 Everything here is deterministic and exact up to floating point: minimizers
 are closed forms, and the total variation between the n-fold products is a
@@ -81,12 +83,11 @@ def _loss_spec(variant: str, beta: float, r: float) -> LossSpec:
 def population_risk(variant: str, v: int, theta1, beta: float, r: float,
                     n: int) -> np.ndarray:
     """E_{Z ~ P_v} l(theta; Z) as a function of the first coordinate (vectorized)."""
-    d = separation_delta(n)
-    w_minus = 0.5 + d if v == 1 else 0.5 - d
+    P = lecam_distributions(n)[v - 1]
     spec = _loss_spec(variant, beta, r)
     theta1 = np.atleast_1d(np.asarray(theta1, dtype=float))
     vals = loss_values_matrix(spec, theta1[:, None], _SYMBOLS)
-    return w_minus * vals[:, 0] + (1.0 - w_minus) * vals[:, 1]
+    return P.p_minus * vals[:, 0] + P.p_plus * vals[:, 1]
 
 
 def population_minimizer(variant: str, v: int, beta: float, r: float,
@@ -94,7 +95,7 @@ def population_minimizer(variant: str, v: int, beta: float, r: float,
     """(theta1*, minimum value) of the population risk under P_v, in closed form.
 
     Strongly convex: theta1* = -+ r / sqrt(6 n), minimum (beta/2)(r^2 - r^2/(6 n)).
-    Convex: theta1* = -+ (r - (1 - w) r / (4 w)) with w = 1/2 + delta, where the
+    Convex: theta1* = -+ (r - (1 - w) r / (4 w)) with w = P1(-1), where the
     quadratic piece at the nearer center (weight w) balances the slope beta r / 4
     of the far linear piece (weight 1 - w); it lies in [-r, -r/2] (v = 1;
     mirrored for v = 2).
@@ -104,17 +105,16 @@ def population_minimizer(variant: str, v: int, beta: float, r: float,
         theta_star = sign * r / math.sqrt(6.0 * n)
         min_val = 0.5 * beta * (r * r - r * r / (6.0 * n))
         return theta_star, min_val
-    w = 0.5 + separation_delta(n)
-    theta_star = sign * (r - (1.0 - w) * r / (4.0 * w))
+    P1 = lecam_distributions(n)[0]
+    theta_star = sign * (r - P1.p_plus * r / (4.0 * P1.p_minus))
     return theta_star, float(population_risk("convex", v, theta_star, beta, r, n)[0])
 
 
-def population_excess_risk(variant: str, v: int, theta1: float, beta: float,
-                           r: float, n: int) -> float:
-    """Excess population risk E_{P_v} l(theta; Z) - min over theta."""
+def population_excess_risk(variant: str, v: int, theta1, beta: float, r: float,
+                           n: int) -> np.ndarray:
+    """Excess population risk E_{P_v} l(theta; Z) - min over theta (vectorized)."""
     _, min_val = population_minimizer(variant, v, beta, r, n)
-    val = float(population_risk(variant, v, theta1, beta, r, n)[0])
-    return val - min_val
+    return population_risk(variant, v, theta1, beta, r, n) - min_val
 
 
 def phi_formula(variant: str, beta: float, r: float, n: int) -> float:
@@ -158,11 +158,11 @@ def phi_certificate(variant: str, n: int, beta: float, r: float,
     m = int(math.ceil(2.0 * r / resolution)) + 1
     grid = np.linspace(-r, r, m)
     for v in (1, 2):
-        theta_star, min_val = population_minimizer(variant, v, beta, r, n)
+        theta_star, _ = population_minimizer(variant, v, beta, r, n)
         far = grid[np.abs(grid - theta_star) >= r]
         if far.size == 0:
             continue
-        vals = population_risk(variant, v, far, beta, r, n) - min_val
+        vals = population_excess_risk(variant, v, far, beta, r, n)
         grid_min = min(grid_min, float(vals.min()))
     passed = grid_min >= phi * (1.0 - 1e-6)
     return PhiCertificate(variant=variant, r=r, beta=beta, n=n, phi=phi,
@@ -178,16 +178,16 @@ def tv_kl_product(n: int) -> Tuple[float, float]:
     """
     if n < 1:
         raise ValidationError("exact enumeration needs n >= 1")
-    d = separation_delta(n)
-    p_minus = 0.5 + d  # P1(-1); P1(+1) = 0.5 - d, P2 mirrored
+    # P1(-1) = P2(+1) = hi, P1(+1) = P2(-1) = lo
+    hi, lo = (P.p_minus for P in lecam_distributions(n))
     ks = np.arange(n + 1)
     lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)  # lg[i] = log i!
     log_comb = lg[n] - lg[ks] - lg[n - ks]
     # probability of k "+1" outcomes under each product measure
-    logp1 = log_comb + ks * math.log(0.5 - d) + (n - ks) * math.log(p_minus)
-    logp2 = log_comb + ks * math.log(p_minus) + (n - ks) * math.log(0.5 - d)
+    logp1 = log_comb + ks * math.log(lo) + (n - ks) * math.log(hi)
+    logp2 = log_comb + ks * math.log(hi) + (n - ks) * math.log(lo)
     tv = 0.5 * float(np.abs(np.exp(logp1) - np.exp(logp2)).sum())
-    two_delta = 2.0 * d  # equals 1/sqrt(6 n)
+    two_delta = 2.0 * separation_delta(n)  # equals 1/sqrt(6 n)
     kl = n * two_delta * math.log((1.0 + two_delta) / (1.0 - two_delta))
     return tv, kl
 

@@ -276,18 +276,6 @@ class LossConstants:
         return self.beta / self.alpha if self.alpha > 0 else float("inf")
 
 
-def _sigmoid(u):
-    """Numerically stable logistic function; both branches share exp(-|u|),
-    computed in place on two buffers (the labels of ``gen_synthetic``)."""
-    e = np.abs(u)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = np.maximum(e, u >= 0)  # e <= 1, so 1 where u >= 0
-    e += 1.0
-    out /= e
-    return out
-
-
 def _check_dataset(spec: LossSpec, theta: np.ndarray, data: Dataset) -> None:
     want = spec.variant
     if want != "any" and data.kind != want:
@@ -506,15 +494,6 @@ def empirical_risk_batch(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> n
     return np.concatenate([loss_values_matrix(spec, thetas[..., i:i + _RISK_ROWS, :], data)
                            .mean(axis=-1) for i in range(0, thetas.shape[-2], _RISK_ROWS)],
                           axis=-1)
-
-
-def empirical_risk_grad(spec: LossSpec, theta, data: Dataset) -> np.ndarray:
-    """Gradient of the empirical risk at theta.
-
-    theta may be a stack (..., d) of parameter vectors and data a stack of
-    samples broadcast against it; the result has the broadcast shape.
-    """
-    return sample_grad(spec, theta, data, None)
 
 
 def sample_grad(spec: LossSpec, theta, data: Dataset, i) -> np.ndarray:

@@ -7,7 +7,7 @@ Three product families are audited, plus one scalar recursion:
   envelope ||H_t ... H_1|| <= 2 (t + 1).
 * ``hb``          H = [[1 + g - a, -g], [1, 0]],  0 <= g < 1, 0 <= a <= 1 - g;
   envelope ||H^t|| <= 2 / (1 - sqrt(g)).
-* ``nag_sc``      H = [[(1+g) h, -g h], [1, 0]] with g = (sqrt(k)-1)/(sqrt(k)+1)
+* ``nag_sc``      H = [[(1+g) h, -g h], [1, 0]] with g = ``optimizers.sc_momentum(k)``
   and h in [1 - beta eta, 1 - alpha eta].  The certified envelope is
   2 (1 + t) rho^(t-1) where rho is the spectral radius of H: the top row of
   H^t is a degree-t root sum bounded by (t+1) rho^t, and the bottom row lags
@@ -59,6 +59,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .losses import ValidationError
+from .optimizers import sc_momentum
 
 LEMMAS = ("nag_convex", "hb", "nag_sc", "recursion_u")
 TOL = 1e-9
@@ -262,11 +263,11 @@ def _scnag_bound(rho: float, t: int) -> float:
 
 def _scnag_grid(problems, h_samples: int):
     """Per row (kappa, alpha, beta, eta) of ``problems`` (an (m, 4) array or a
-    list of tuples): the momentum g = (sqrt(kappa) - 1) / (sqrt(kappa) + 1), the
-    top rows (p, q) of H = [[(1 + g) h, -g h], [1, 0]] at ``h_samples`` + 2
-    equispaced h in [1 - beta eta, 1 - alpha eta], and the largest radius rho."""
+    list of tuples): the momentum g = ``sc_momentum(kappa)``, the top rows
+    (p, q) of H = [[(1 + g) h, -g h], [1, 0]] at ``h_samples`` + 2 equispaced
+    h in [1 - beta eta, 1 - alpha eta], and the largest radius rho."""
     kappa, alpha, beta, eta = np.asarray(problems, dtype=float).T[..., None]
-    g = (np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0)
+    g = sc_momentum(kappa)
     lo, hi = scnag_h_range(alpha, beta, eta)
     # each row as np.linspace computes it (lo + i * step, then hi last); its
     # axis form would take the divide-then-multiply branch for every row once
@@ -294,8 +295,6 @@ def scnag_lemma_check(kappa: float, alpha: float, beta: float, eta: float, t: in
     product is the identity with bound 2).  The record's params carry
     ``bound_nominal`` = 2 (1 + t) (g (1 - alpha eta))^(t/2) for reference.
     """
-    if kappa < 1:
-        raise ValidationError("kappa must be >= 1")
     if alpha <= 0 or beta <= 0 or abs(beta - kappa * alpha) > 1e-9 * beta:
         raise ValidationError("need alpha > 0 and beta = kappa * alpha")
     if not 0 < eta <= 1.0 / beta + 1e-12:
@@ -461,7 +460,8 @@ def adversarial_max(lemma: str, budget: int, seed: int = 0,
     in one array call, parameter by parameter: hb draws gamma ~ U[0, 0.999),
     then a ~ U[0, 1 - gamma), then t; nag_sc draws kappa = exp(U[0, log 100)),
     then t; recursion_u draws h ~ U[0, 1), then t; every t ~ U{1..t_max}.
-    hb and nag_sc check the product at t, recursion_u every a_i with 1 <= i <= t.
+    hb and nag_sc check the product at t, recursion_u every a_i with 1 <= i <= t;
+    ``checks`` counts them: the budget, or recursion_u's sum of the drawn t.
     Returns the worst observed value/bound ratio with witness parameters; any
     value above its bound by more than TOL min(bound, 1) is a counterexample.
     """
@@ -491,6 +491,6 @@ def adversarial_max(lemma: str, budget: int, seed: int = 0,
         scan = _scnag_scan(top, lambda s: bounds, T, at_horizon=True)
     else:
         scan = _recursion_scan(draws["h"], T)
-    step = "i" if lemma == "recursion_u" else "t"
-    return _result(lemma, scan, budget, lambda j, s: {
+    step, checks = ("i", int(T.sum())) if lemma == "recursion_u" else ("t", budget)
+    return _result(lemma, scan, checks, lambda j, s: {
         **{name: float(x[j]) for name, x in draws.items()}, step: s})

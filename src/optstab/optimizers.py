@@ -2,8 +2,8 @@
 
 Methods: full gradient descent (``gd``), single-sample stochastic gradient
 descent (``sgd``), Nesterov acceleration with the vanishing-momentum
-recursion (``nag``), Nesterov acceleration with fixed momentum
-(sqrt(kappa)-1)/(sqrt(kappa)+1) for strongly convex problems (``nag_sc``),
+recursion (``nag``), Nesterov acceleration with the fixed momentum
+``sc_momentum(kappa)`` for strongly convex problems (``nag_sc``),
 heavy ball with fixed momentum (``hb``), and stochastic gradient Langevin
 dynamics (``sgld``).
 
@@ -103,11 +103,12 @@ def nag_momentum_sequence(t_max: int) -> np.ndarray:
     return (1.0 - lam[1:t_max + 1]) / lam[2:t_max + 2]
 
 
-def sc_momentum(kappa: float) -> float:
-    """Fixed momentum (sqrt(kappa) - 1) / (sqrt(kappa) + 1)."""
-    if kappa < 1:
+def sc_momentum(kappa):
+    """Fixed momentum (sqrt(kappa) - 1) / (sqrt(kappa) + 1), elementwise on an
+    array: the one copy of the nag_sc momentum (``matrixlemmas`` reads it)."""
+    if np.any(np.less(kappa, 1)):
         raise ValidationError("kappa must be >= 1")
-    rk = math.sqrt(kappa)
+    rk = np.sqrt(kappa)
     return (rk - 1.0) / (rk + 1.0)
 
 

@@ -199,18 +199,17 @@ def _log_grid(t_lo: int, t_hi: int, points: int = 64) -> np.ndarray:
     return grid[(grid >= t_lo) & (grid <= t_hi)]
 
 
-def _lstsq_loglog(x: np.ndarray, y: np.ndarray):
-    """Least-squares line y ~ coef[0] x + coef[1]: (sum of squared residuals,
-    coef, residuals)."""
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    return float(resid @ resid), coef, resid
+def _centred_moments(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per point (1, x, y, x x, x y, y y) of the centred points, (6, N): a
+    segment's sums of them are the input of ``_line_fits``."""
+    x, y = x - x.mean(), y - y.mean()
+    return np.stack([np.ones_like(x), x, y, x * x, x * y, y * y])
 
 
 def _line_fits(sums: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(sum of squared residuals, slope) of the least-squares lines of
-    segments given by their sums (n, Sx, Sy, Sxx, Sxy, Syy), each (splits,)."""
+    segments given by their sums (n, Sx, Sy, Sxx, Sxy, Syy), each (splits,)
+    or scalars: the only line fit of log value against log t."""
     n, sx, sy, sxx, sxy, syy = sums
     cxy = sxy - sx * sy / n
     slope = cxy / (sxx - sx * sx / n)
@@ -236,14 +235,12 @@ def detect_saturation(values: np.ndarray, t_lo: int, t_hi: int) -> int:
     v = values[grid]
     if np.any(v <= 0):
         return t_hi
-    x = np.log(grid.astype(float))
-    y = np.log(v)
-    sse_single, _, _ = _lstsq_loglog(x, y)
-    x, y = x - x.mean(), y - y.mean()
-    cols = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y])
+    cols = _centred_moments(np.log(grid.astype(float)), np.log(v))
+    head = np.cumsum(cols, axis=1)
+    sse_single, _ = _line_fits(head[:, -1])
     # split j fits points [0, j) and [j, N)
     j = np.arange(6, grid.size - 6)
-    sse_head, slope_head = _line_fits(np.cumsum(cols, axis=1)[:, j - 1])
+    sse_head, slope_head = _line_fits(head[:, j - 1])
     sse_tail, slope_tail = _line_fits(np.cumsum(cols[:, ::-1], axis=1)[:, ::-1][:, j])
     sse_split = sse_head + sse_tail
     best = int(np.argmin(sse_split))
@@ -260,9 +257,12 @@ def fit_power_law(t, v) -> SlopeFit:
         raise ValidationError("slope fit needs at least two points")
     if np.any(t <= 0) or np.any(v <= 0):
         raise ValidationError("slope fit needs strictly positive values in the window")
-    _, coef, resid = _lstsq_loglog(np.log(t), np.log(v))
-    rms = float(np.sqrt(np.mean(resid ** 2)))
-    return SlopeFit(exponent=float(coef[0]), intercept=float(coef[1]),
+    x, y = np.log(t), np.log(v)
+    _, slope = _line_fits(_centred_moments(x, y).sum(axis=1))
+    intercept = y.mean() - slope * x.mean()
+    # the rms from the residuals: a difference of sums can round below 0
+    rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    return SlopeFit(exponent=float(slope), intercept=float(intercept),
                     t_lo=int(round(t[0])), t_hi=int(round(t[-1])), residual_rms=rms)
 
 

@@ -124,6 +124,19 @@ def test_gen_synthetic_label_frequency_concentrates():
     assert abs(data.y.mean() - p.mean()) <= 3 * np.sqrt(0.25 / 4000)
 
 
+def test_gen_synthetic_labels_match_two_branch_sigmoid():
+    # the link read from the loss's residual at y = 0 draws the labels that the
+    # masked two-branch sigma draws from the same "labels" stream
+    from optstab.streams import stream
+
+    for d, n, seed in ((10, 600, 0), (200, 4000, 1), (25, 3300, 2)):
+        data, theta = gen_synthetic(d, n, seed=seed)
+        u = data.X @ theta
+        e = np.exp(-np.abs(u))
+        p = np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        np.testing.assert_array_equal(data.y, stream(seed, "labels").uniform(size=n) < p)
+
+
 def test_split_sample_partitions():
     data, _ = gen_synthetic(4, 50, seed=2)
     sample, rest = split_sample(data, 30, seed=3)
@@ -562,11 +575,11 @@ def test_cli_flags_are_the_config_fields():
     parser = cli._parser()
     subcommands = next(a for a in parser._actions
                        if isinstance(a, argparse._SubParsersAction)).choices
-    expected = {"--config", "--format"} | {
+    expected = {"--config"} | {
         "--" + f.name.replace("_", "-") for f in fields(ExperimentConfig)
         if f.name != "experiment"}
     assert {"--n-test", "--ref-budget", "--data-path", "--T"} <= expected
-    assert len(expected) == 19
+    assert len(expected) == 18
     for name in cli._SUBCOMMAND_EXPERIMENT:
         flags = {opt for action in subcommands[name]._actions
                  for opt in action.option_strings} - {"-h", "--help"}
@@ -661,10 +674,10 @@ def test_cli_bounds_subcommand(tmp_path):
     out = str(tmp_path / "bt")
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = cli_main(["bounds", "--out", out, "--format", "csv"])
+        code = cli_main(["bounds", "--out", out])
     assert code == 0
     assert os.path.exists(os.path.join(out, "report.json"))
-    assert not os.path.exists(os.path.join(out, "plot_series.py"))
+    assert os.path.exists(os.path.join(out, "plot_series.py"))
     assert "audit PASS" in buf.getvalue()
 
 
@@ -699,8 +712,8 @@ def test_cli_stability_with_config_file(tmp_path):
 
 def test_cli_end_to_end_determinism(tmp_path):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
-    c1 = cli_main(["lecam", "--out", out1, "--format", "csv"])
-    c2 = cli_main(["lecam", "--out", out2, "--format", "csv"])
+    c1 = cli_main(["lecam", "--out", out1])
+    c2 = cli_main(["lecam", "--out", out2])
     assert c1 == 0 and c2 == 0
     for name in sorted(os.listdir(out1)):
         assert open(os.path.join(out1, name), "rb").read() == \
@@ -717,7 +730,7 @@ def test_cli_audit_failure_exit_code(tmp_path, monkeypatch):
                  passed=False)
 
     monkeypatch.setattr(cli_mod, "run_experiment", failing)
-    code = cli_mod.main(["lemmas", "--out", str(tmp_path / "x"), "--format", "csv"])
+    code = cli_mod.main(["lemmas", "--out", str(tmp_path / "x")])
     assert code == 3
 
 

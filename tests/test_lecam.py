@@ -78,9 +78,8 @@ def test_convex_excess_nonnegative_and_zero_at_minimizer():
         t_star, _ = population_minimizer("convex", v, 1.0, 1.0, 2)
         assert population_excess_risk("convex", v, t_star, 1.0, 1.0, 2) == \
             pytest.approx(0.0, abs=1e-12)
-        for theta in rng.uniform(-1.0, 1.0, size=50):
-            assert population_excess_risk("convex", v, float(theta), 1.0, 1.0,
-                                          2) >= -1e-12
+        thetas = rng.uniform(-1.0, 1.0, size=50)
+        assert population_excess_risk("convex", v, thetas, 1.0, 1.0, 2).min() >= -1e-12
 
 
 def test_convex_minimizer_lies_in_the_known_bracket():
@@ -109,6 +108,16 @@ def test_phi_certificate_convex_example():
     cert = phi_certificate("convex", 1, 1.0, 1.0)
     assert cert.phi == pytest.approx(1 / math.sqrt(96), abs=1e-12)
     assert cert.passed and cert.grid_min >= cert.phi * (1 - 1e-6)
+
+
+def test_convex_certificate_needs_its_grid():
+    # the piecewise loss is not convex (see test_losses), nor is its population
+    # risk, so the excess at distance r from theta* is not the least beyond r
+    theta_star, _ = population_minimizer("convex", 1, 1.0, 1.0, 16)
+    (at_r,) = population_excess_risk("convex", 1, theta_star + 1.0, 1.0, 1.0, 16)
+    cert = phi_certificate("convex", 16, 1.0, 1.0)
+    assert cert.passed and cert.grid_min < at_r
+    assert (round(at_r, 4), round(cert.grid_min, 4)) == (0.0421, 0.0413)
 
 
 def test_phi_certificate_sc_example():

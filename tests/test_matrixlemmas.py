@@ -224,7 +224,7 @@ def test_scnag_nominal_envelope_has_counterexample_but_certified_holds():
 
 
 def test_scnag_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="kappa must be >= 1"):  # sc_momentum's
         scnag_lemma_check(0.5, 1.0, 0.5, 0.1, 1)
     with pytest.raises(ValidationError):
         scnag_lemma_check(4.0, 1.0, 2.0, 0.1, 1)  # beta != kappa * alpha
@@ -392,6 +392,16 @@ def _adversarial_reference(lemma, budget, t_max, seed):
     return max(ratios), witness(int(np.argmax(ratios)))
 
 
+def _checks(lemma, budget, t_max, seed):
+    """The checks a search makes: one a draw, or recursion_u's every a_i with
+    1 <= i <= t, the sum of its drawn t (replayed from the stream)."""
+    if lemma != "recursion_u":
+        return budget
+    rng = np.random.Generator(np.random.Philox(seed))
+    rng.uniform(0.0, 1.0, budget)
+    return int(rng.integers(1, t_max + 1, budget).sum())
+
+
 def test_adversarial_max_matches_per_draw_reference():
     budget, t_max, seed = 60, 24, 3
     for lemma, rel in (("hb", 1e-10), ("nag_sc", 1e-12), ("recursion_u", 1e-12)):
@@ -399,7 +409,7 @@ def test_adversarial_max_matches_per_draw_reference():
         res = adversarial_max(lemma, budget, seed=seed, t_max=t_max)
         assert res.max_ratio == pytest.approx(ratio, rel=rel), lemma
         assert res.witness == witness, lemma
-        assert res.checks == budget and res.ok, lemma
+        assert res.checks == _checks(lemma, budget, t_max, seed) and res.ok, lemma
 
 
 def test_recursion_sweep_path_matches_scalar_unroll():
@@ -425,7 +435,7 @@ def test_adversarial_max_pinned_results():
         res = adversarial_max(lemma, 200, seed=0)
         assert res.max_ratio == pytest.approx(ratio, rel=1e-12), lemma
         assert res.witness == pytest.approx(witness, rel=1e-12), lemma
-        assert res.checks == 200 and res.ok, lemma
+        assert res.checks == _checks(lemma, 200, 64, 0) and res.ok, lemma
 
 
 def _stacked_reference_sweep(top, envelope, k, t_max, check):

@@ -15,7 +15,6 @@ from optstab.bounds import (
 from optstab.losses import (
     Dataset,
     ValidationError,
-    empirical_risk_grad,
     lecam_strongly_convex_spec,
     linear_worstcase_spec,
     logistic_spec,
@@ -39,7 +38,6 @@ from optstab.stability_lab import (
     _GAP_STEPS,
     _coupled_gaps,
     _log_grid,
-    _lstsq_loglog,
     detect_saturation,
     estimate_sup_loss_gap,
     fit_loglog_slope,
@@ -307,7 +305,7 @@ def _reference_trajectory(config, seed, member, spec, data, theta0):
                 scale = math.sqrt(2.0 * eta / config.tau)
                 theta = theta + scale * noise[t - 1]
         elif config.method == "hb":
-            theta = (prev - eta * empirical_risk_grad(spec, prev, data)
+            theta = (prev - eta * sample_grad(spec, prev, data, None)
                      + config.gamma * (prev - older))
         else:
             g = 0.0
@@ -316,7 +314,7 @@ def _reference_trajectory(config, seed, member, spec, data, theta0):
             elif t >= 2 and config.method == "nag_sc":
                 g = -sc_momentum(config.kappa)
             look = (1.0 - g) * prev + g * older
-            theta = look - eta * empirical_risk_grad(spec, look, data)
+            theta = look - eta * sample_grad(spec, look, data, None)
         thetas.append(theta)
     return np.array(thetas)
 
@@ -552,6 +550,29 @@ def test_saturation_detection_keeps_pure_power_law():
     t = np.arange(0, 2001).astype(float)
     v = 2.0 * t ** 1.3 + 1e-12
     assert detect_saturation(v, 10, 2000) == 2000
+
+
+def _lstsq_loglog(x, y):
+    """Least-squares line y ~ coef[0] x + coef[1] by np.linalg.lstsq: (sum of
+    squared residuals, coef, residuals), the reference for the closed form."""
+    A = np.vstack([x, np.ones_like(x)]).T
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = y - A @ coef
+    return float(resid @ resid), coef, resid
+
+
+@settings(max_examples=100, deadline=None)
+@given(T=st.integers(20, 3000), exponent=st.floats(-2.0, 2.0), sigma=st.floats(0.0, 0.3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fit_power_law_matches_lstsq(T, exponent, sigma, seed):
+    t = _log_grid(max(1, T // 10), T).astype(float)
+    v = _noisy(3.0 * t ** exponent, sigma, seed)
+    _, coef, resid = _lstsq_loglog(np.log(t), np.log(v))
+    fit = fit_power_law(t, v)
+    assert fit.exponent == pytest.approx(coef[0], rel=1e-12, abs=1e-13)
+    assert fit.intercept == pytest.approx(coef[1], rel=1e-12, abs=1e-12)
+    assert fit.residual_rms == pytest.approx(np.sqrt(np.mean(resid ** 2)), rel=1e-9,
+                                             abs=1e-14)
 
 
 def _lstsq_saturation(values, t_lo, t_hi):
