@@ -2,11 +2,10 @@
 and the square-root early-stopping rule.
 
 All functions are pure.  Formula catalogue (L Lipschitz, beta smoothness,
-alpha strong convexity, R domain diameter, eta step size, T iterations,
-n sample size, kappa = beta/alpha):
+alpha strong convexity, R domain diameter, eta_t = eta0 t^-a the step size,
+a fixed eta = eta0 when a = 0, T iterations, n sample size, kappa = beta/alpha):
 
 stability (convex, smooth):
-    gd / sgd, fixed eta      2 eta L^2 T / n
     gd / sgd, eta0 t^-a      2 eta0 L^2 T^(1-a) / n
     nag, fixed eta           4 eta L^2 T^2 / n
     hb, fixed eta, gamma     4 eta L^2 T / ((1 - sqrt(gamma)) n)
@@ -59,7 +58,9 @@ C2 = 16.0 * 256.0 ** 2 * 6.0 / 3.0  # 16 C1^2 / 3 = 2097152 exactly
 C3 = 192.0
 
 
-def _check(config: OptimizerConfig, setting: str, constants: LossConstants, n: int):
+def _check(config: OptimizerConfig, setting: str, constants: LossConstants, n: int,
+           ts=()) -> np.ndarray:
+    """Validate a query; return its horizons ``ts`` as floats."""
     if setting not in SETTINGS:
         raise ValidationError(f"unknown setting {setting!r}")
     if n < 1:
@@ -72,6 +73,20 @@ def _check(config: OptimizerConfig, setting: str, constants: LossConstants, n: i
             raise ValidationError("strongly convex setting needs alpha > 0")
         if config.method == "nag_sc" and abs(beta - config.kappa * alpha) > 1e-9 * beta:
             raise NoBoundError(f"nag_sc kappa {config.kappa:g} != beta/alpha {beta / alpha:g}")
+    T = np.asarray(ts, dtype=float)
+    if np.any(T < 0) or np.any(T != np.floor(T)):
+        raise ValidationError("horizons must be integers >= 0")
+    return T
+
+
+def _contraction(method: str, eta: float, constants: LossConstants) -> float:
+    """Per-step contraction of gd's, sgd's or nag's = nag_sc's strongly convex forms."""
+    beta, alpha = constants.beta, constants.alpha
+    if method == "gd":
+        return 1.0 - eta * beta / (1.0 + beta / alpha)
+    if method == "sgd":
+        return 1.0 - eta * alpha / 2.0
+    return 1.0 - 1.0 / math.sqrt(beta / alpha)
 
 
 def sgld_burn_in(eta0: float, tau: float, L: float) -> int:
@@ -89,25 +104,19 @@ def stability_bound_curve(config: OptimizerConfig, setting: str, constants: Loss
     NoBoundError for pairs without a formula (e.g. heavy ball in the strongly
     convex setting), whatever the horizons.
     """
-    _check(config, setting, constants, n)
-    T = np.asarray(ts, dtype=float)
-    if np.any(T < 0) or np.any(T != np.floor(T)):
-        raise ValidationError("horizons must be integers >= 0")
-    L, beta, alpha = constants.L, constants.beta, constants.alpha
+    T = _check(config, setting, constants, n, ts)
+    L, alpha = constants.L, constants.alpha
     method, sched = config.method, config.schedule
     curve = None
     if setting == CONVEX:
         if method in ("gd", "sgd"):
-            if sched.kind == "fixed":
-                curve = 2.0 * sched.eta0 * L * L * T / n
-            else:
-                curve = 2.0 * sched.eta0 * L * L * T ** (1.0 - sched.alpha) / n
-        elif method == "nag" and sched.kind == "fixed":
+            curve = 2.0 * sched.eta0 * L * L * T ** (1.0 - sched.alpha) / n
+        elif method == "nag" and sched.alpha == 0:
             curve = 4.0 * sched.eta0 * L * L * T * T / n
-        elif method == "hb" and sched.kind == "fixed":
+        elif method == "hb" and sched.alpha == 0:
             curve = 4.0 * sched.eta0 * L * L * T / ((1.0 - math.sqrt(config.gamma)) * n)
         elif method == "sgld":
-            if sched.kind != "power" or sched.alpha != 1.0:
+            if sched.alpha != 1.0:
                 raise NoBoundError("sgld bound needs the eta0/t schedule")
             k0 = sgld_burn_in(sched.eta0, config.tau, L)
             # harmonic[j] = sum_{t=k0+1}^{k0+j} 1/t
@@ -116,22 +125,14 @@ def stability_bound_curve(config: OptimizerConfig, setting: str, constants: Loss
                 [[0.0], np.cumsum(1.0 / np.arange(k0 + 1, max(t_max, k0) + 1))])
             tail = sched.eta0 * harmonic[np.maximum(T - k0, 0).astype(int)]
             curve = (L / n) * (np.minimum(k0, T) + L * np.sqrt(config.tau * tail))
-    elif sched.kind != "fixed":
+    elif sched.alpha != 0:
         raise NoBoundError("strongly convex bounds assume a fixed step size")
-    else:
-        kappa = beta / alpha
-        eta = sched.eta0
-        if method == "gd":
-            curve = (4.0 * L * L / (alpha * n)) * (
-                1.0 - (1.0 - eta * beta / (1.0 + kappa)) ** T)
-        elif method == "sgd":
-            curve = (2.0 * L * L / (alpha * n)) * (1.0 - (1.0 - eta * alpha / 2.0) ** T)
-        elif method == "nag_sc":
-            curve = (4.0 * L * L / (alpha * n)) * (
-                1.0 - (1.0 - 1.0 / math.sqrt(kappa)) ** T)
+    elif method in ("gd", "sgd", "nag_sc"):
+        curve = ((2.0 if method == "sgd" else 4.0) * L * L / (alpha * n)) * (
+            1.0 - _contraction(method, sched.eta0, constants) ** T)
     if curve is None:
-        raise NoBoundError(
-            f"no stability bound available for ({method}, {setting}, {sched.kind})")
+        raise NoBoundError(f"no stability bound available for ({method}, {setting}, "
+                           f"alpha {sched.alpha:g})")
     return np.where(T == 0, 0.0, curve)
 
 
@@ -142,25 +143,25 @@ def stability_bound(config: OptimizerConfig, setting: str, constants: LossConsta
 
 
 def stability_bound_table_form(config: OptimizerConfig, setting: str,
-                               constants: LossConstants, n: int) -> float:
-    """Asymptotic power-law form of the stability bound, used for rate tables.
+                               constants: LossConstants, n: int, ts) -> np.ndarray:
+    """Asymptotic power-law form of ``stability_bound_curve``, used for rate tables.
 
-    Identical to ``stability_bound`` except for sgld, whose exact bound grows
-    like sqrt(log T); the tabulated rate replaces it with the envelope
-    L^2 sqrt(tau eta0) T^(1/4) / n obtained from log T <= 2 sqrt(T).
+    Identical to it except for sgld, whose exact bound grows like sqrt(log T);
+    the tabulated rate replaces it with the envelope L^2 sqrt(tau eta0) T^(1/4) / n
+    from log T <= 2 sqrt(T), each T^(1/4) a Python pow (numpy's may differ by 1 ulp).
     """
-    if config.method == "sgld":
-        _check(config, setting, constants, n)
-        L = constants.L
-        return L * L * math.sqrt(config.tau * config.schedule.eta0) * config.T ** 0.25 / n
-    return stability_bound(config, setting, constants, n)
+    if config.method != "sgld":
+        return stability_bound_curve(config, setting, constants, n, ts)
+    T = _check(config, setting, constants, n, ts)
+    scale = constants.L * constants.L * math.sqrt(config.tau * config.schedule.eta0)
+    return np.array([scale * t ** 0.25 / n for t in T.tolist()])
 
 
 def table_exponent(config: OptimizerConfig) -> float:
     """Growth exponent in T of the stability bound (rate-table column)."""
-    method, schedule = config.method, config.schedule
+    method = config.method
     if method in ("gd", "sgd"):
-        return 1.0 if schedule.kind == "fixed" else 1.0 - schedule.alpha
+        return 1.0 - config.schedule.alpha
     if method == "hb":
         return 1.0
     if method == "nag":
@@ -189,16 +190,11 @@ def convergence_lower_bound(config: OptimizerConfig, setting: str,
         if method == "nag":
             return R * R / (4.0 * C2 * eta * T * T)
         raise NoBoundError(f"no convex convergence lower bound for {method!r}")
-    kappa = beta / alpha
+    if method not in ("gd", "nag", "nag_sc"):
+        raise NoBoundError(f"no strongly convex convergence lower bound for {method!r}")
     lead = beta * R * R / (C3 * n)
     bulk = 4.0 * (R * beta) ** 2 / (alpha * n)
-    if method == "gd":
-        decay = (1.0 - eta * beta / (1.0 + kappa)) ** T
-    elif method in ("nag", "nag_sc"):
-        decay = (1.0 - 1.0 / math.sqrt(kappa)) ** T
-    else:
-        raise NoBoundError(f"no strongly convex convergence lower bound for {method!r}")
-    return lead - bulk + bulk * decay
+    return lead - bulk + bulk * _contraction(method, eta, constants) ** T
 
 
 def minimax_bound(setting: str, n: int, R: float, beta: float) -> float:

@@ -20,7 +20,7 @@ a method other than sgld.
 
 experiment     stability_scaling | risk_decomposition | lecam_audit |
                lemma_audit | bounds_table  (the CLI's subcommand)
-methods    sr  comma list of gd, sgd, nag, nag_sc, hb, sgld
+methods    sr  comma list of gd, sgd, nag, nag_sc, hb, sgld, each at most once
 data_path  s   breast-cancer style CSV: S is drawn from its rows and the pool
                is the rest, so d and holdout are unread (else S is generated)
 n          srb size of S
@@ -85,6 +85,9 @@ class ExperimentConfig:
             raise ValidationError(f"unknown schedule {self.schedule!r}")
         if not self.methods:
             raise ValidationError(f"{self.experiment} needs at least one method")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:  # it would run once but hash as listed
+            raise ValidationError(f"config key 'methods': {','.join(repeated)} repeated")
         for key in ("seed", "ref_budget"):
             if getattr(self, key) < 0:
                 raise ValidationError(f"config key {key!r}: bad value "

@@ -13,7 +13,7 @@ import numpy as np
 from .. import bounds as bounds_mod
 from .. import lecam, matrixlemmas
 from ..losses import Dataset, ValidationError, logistic_spec, loss_constants
-from ..optimizers import OptimizerConfig, StepSchedule, fixed, power
+from ..optimizers import OptimizerConfig, fixed, power
 from ..stability_lab import (
     fit_loglog_slope,
     fit_power_law,
@@ -27,18 +27,12 @@ from .reports import Report, package_versions
 log = logging.getLogger(__name__)
 
 
-def _schedule(cfg: ExperimentConfig, method: str) -> StepSchedule:
-    if method == "sgld":
-        # the sgld analysis assumes the eta0/t schedule
-        return power(cfg.eta0, 1.0)
-    if cfg.schedule == "fixed":
-        return fixed(cfg.eta0)
-    return power(cfg.eta0, cfg.alpha)
-
-
 def _optimizer_config(cfg: ExperimentConfig, method: str) -> OptimizerConfig:
     own = {key: getattr(cfg, key) for m, key in METHOD_KEYS.items() if m == method}
-    return OptimizerConfig(method=method, schedule=_schedule(cfg, method), T=cfg.T, **own)
+    # the sgld analysis assumes the eta0/t schedule
+    schedule = (power(cfg.eta0, 1.0) if method == "sgld" else
+                power(cfg.eta0, cfg.alpha) if cfg.schedule == "power" else fixed(cfg.eta0))
+    return OptimizerConfig(method=method, schedule=schedule, T=cfg.T, **own)
 
 
 def _batches(opt_cfgs: dict):
@@ -218,9 +212,8 @@ def _bounds_table(cfg: ExperimentConfig) -> Report:
                "sgld": row("sgld", power(cfg.eta0, 1.0))}
     rows, ok = {}, True
     for label, oc in configs.items():
-        curve = np.array([bounds_mod.stability_bound_table_form(
-            dataclasses.replace(oc, T=int(t)), bounds_mod.CONVEX, constants, cfg.n)
-            for t in ts])
+        curve = bounds_mod.stability_bound_table_form(oc, bounds_mod.CONVEX, constants,
+                                                      cfg.n, ts)
         fit = fit_power_law(ts, curve)
         nominal = bounds_mod.table_exponent(oc)
         rows[label] = {"exponent_fitted": fit.exponent, "exponent_nominal": nominal}

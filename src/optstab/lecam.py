@@ -72,6 +72,13 @@ def lecam_distributions(n: int) -> Tuple[TwoPointDistribution, TwoPointDistribut
             TwoPointDistribution(p_minus=0.5 - d, n=n, v=2))
 
 
+def _identity(v: int, n: int) -> TwoPointDistribution:
+    """P_v, for v = 1 or 2 only (v = 0 must not wrap around to P2)."""
+    if v not in (1, 2):
+        raise ValidationError("identity v must be 1 or 2")
+    return lecam_distributions(n)[v - 1]
+
+
 def _loss_spec(variant: str, beta: float, r: float) -> LossSpec:
     if variant == "convex":
         return lecam_convex_spec(beta=beta, r=r)
@@ -83,7 +90,7 @@ def _loss_spec(variant: str, beta: float, r: float) -> LossSpec:
 def population_risk(variant: str, v: int, theta1, beta: float, r: float,
                     n: int) -> np.ndarray:
     """E_{Z ~ P_v} l(theta; Z) as a function of the first coordinate (vectorized)."""
-    P = lecam_distributions(n)[v - 1]
+    P = _identity(v, n)
     spec = _loss_spec(variant, beta, r)
     theta1 = np.atleast_1d(np.asarray(theta1, dtype=float))
     vals = loss_values_matrix(spec, theta1[:, None], _SYMBOLS)
@@ -100,7 +107,7 @@ def population_minimizer(variant: str, v: int, beta: float, r: float,
     of the far linear piece (weight 1 - w); it lies in [-r, -r/2] (v = 1;
     mirrored for v = 2).
     """
-    sign = -1.0 if v == 1 else 1.0
+    sign = -1.0 if _identity(v, n).v == 1 else 1.0
     if variant == "strongly_convex":
         theta_star = sign * r / math.sqrt(6.0 * n)
         min_val = 0.5 * beta * (r * r - r * r / (6.0 * n))

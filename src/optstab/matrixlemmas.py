@@ -138,8 +138,8 @@ def _sweep(top, measure, envelope, shape: Tuple[int, ...], horizons, at_horizon=
     0 to a value of exactly 0, else inf.  ``free``, if given, is the sweep's
     (3, *shape) scratch; p and q may live in free[1] and free[2], which each step
     overwrites only after its advance.  Returns the worst ratio (first in step,
-    then draw order), its check as (draw, step, value, bound), and every
-    violation as (draw, step, ratio).
+    then draw order), its check as (draw, step, value, bound), every violation
+    as (draw, step, ratio), and the number of checks made.
     """
     u, v, u1, v1 = np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
     free = np.empty((3, *shape)) if free is None else free
@@ -149,7 +149,7 @@ def _sweep(top, measure, envelope, shape: Tuple[int, ...], horizons, at_horizon=
         live = np.searchsorted(-horizons, -np.arange(t_max + 2), side="right")
     else:
         t_max, live = horizons, [n] * (horizons + 1) + [0]
-    worst, at, violations = -np.inf, (None, 0, math.nan, math.nan), []
+    worst, at, violations, checks = -np.inf, (None, 0, math.nan, math.nan), [], 0
     for s in range(t_max + 1):
         m = live[s]
         if m < len(u):
@@ -161,6 +161,7 @@ def _sweep(top, measure, envelope, shape: Tuple[int, ...], horizons, at_horizon=
             v, v1 = np.add(np.multiply(q, v1, out=v1), np.multiply(p, v, out=free[0]),
                            out=v1), v
         lo, hi = (live[s + 1], m) if at_horizon else (0, m if s else 0)
+        checks += hi - lo
         if lo == hi:
             continue
         env = np.asarray(envelope(s))
@@ -179,18 +180,18 @@ def _sweep(top, measure, envelope, shape: Tuple[int, ...], horizons, at_horizon=
         if not ratio[j] < 1.0:  # a violation has ratio >= 1 (or nan)
             violations += [(lo + i, s, float(ratio[i])) for i in
                            np.flatnonzero(norm > bound + TOL * np.minimum(bound, 1.0))]
-    return worst, at, violations
+    return worst, at, violations, int(checks)
 
 
 def _check(lemma: str, scan, t: int, params: dict) -> LemmaCheck:
-    _, (_, _, norm, bound), violations = scan
+    _, (_, _, norm, bound), violations, _ = scan
     return LemmaCheck(lemma=lemma, norm=norm, bound=bound, ok=not violations, t=t,
                       params=params)
 
 
-def _result(lemma: str, scan, checks: int, describe) -> SweepResult:
+def _result(lemma: str, scan, describe) -> SweepResult:
     """Name the witness and each counterexample by ``describe(draw, step)``."""
-    worst, (draw, step, _, _), violations = scan
+    worst, (draw, step, _, _), violations, checks = scan
     return SweepResult(lemma=lemma, max_ratio=worst,
                        witness={} if draw is None else describe(draw, step),
                        counterexamples=[dict(describe(j, s), ratio=r)
@@ -256,9 +257,10 @@ def scnag_h_range(alpha: float, beta: float, eta: float) -> Tuple[float, float]:
     return 1.0 - beta * eta, 1.0 - alpha * eta
 
 
-def _scnag_bound(rho: float, t: int) -> float:
-    """Certified envelope 2 (1 + t) rho^(t-1); the t = 0 product is I, bound 2."""
-    return 2.0 if t == 0 else 2.0 * (1 + t) * rho ** (t - 1)
+def _scnag_bound(rho, t):
+    """Certified envelope 2 (1 + t) rho^(t-1), elementwise (Python's pow on scalars);
+    the t = 0 product is I, bound 2, read as rho^0, so rho = 0 takes no rho^-1."""
+    return 2.0 * (1 + t) * rho ** (t - 1 + (t == 0))
 
 
 def _scnag_grid(problems, h_samples: int):
@@ -389,14 +391,15 @@ def _run_shards(scan, shards):
 
 def _merge(scans, shards):
     """The _sweep result over all draws from those of its contiguous shards."""
-    worst, at, violations = -np.inf, (None, 0, math.nan, math.nan), []
-    for (ratio, (draw, s, norm, bound), found), (a, _) in zip(scans, shards):
+    worst, at, violations, checks = -np.inf, (None, 0, math.nan, math.nan), [], 0
+    for (ratio, (draw, s, norm, bound), found, count), (a, _) in zip(scans, shards):
         if draw is not None and (ratio > worst or
                                  ratio == worst and (s, draw + a) < at[1::-1]):
             worst, at = ratio, (draw + a, s, norm, bound)
         violations += [(j + a, t, r) for j, t, r in found]
+        checks += count
     violations.sort(key=lambda x: (x[1], x[0]))
-    return worst, at, violations
+    return worst, at, violations, checks
 
 
 def nag_sweep(draws: int, t_max: int, seed: int = 0) -> SweepResult:
@@ -417,7 +420,7 @@ def nag_sweep(draws: int, t_max: int, seed: int = 0) -> SweepResult:
         gamma = lambda s, g: _uniform_pm1(_positioned(key, draws * s + a), g)
         return _nag_scan(hs[a:b], gamma, t_max)
 
-    return _result("nag_convex", _merge(_run_shards(scan, shards), shards), draws * t_max,
+    return _result("nag_convex", _merge(_run_shards(scan, shards), shards),
                    lambda j, s: {"h": float(hs[j]), "t": s, "draw": j})
 
 
@@ -426,8 +429,7 @@ def hb_sweep(gammas: Sequence[float], a_points: int, t_max: int) -> SweepResult:
     pairs = [(g, a) for g in gammas for a in np.linspace(0.0, 1.0 - g, a_points)]
     G = np.array([p[0] for p in pairs])
     A = np.array([p[1] for p in pairs])
-    scan = _hb_scan(G, A, t_max)
-    return _result("hb", scan, len(pairs) * t_max,
+    return _result("hb", _hb_scan(G, A, t_max),
                    lambda j, s: {"gamma": float(G[j]), "a": float(A[j]), "t": s})
 
 
@@ -441,14 +443,13 @@ def scnag_sweep(kappas: Sequence[float], h_samples: int, t_max: int,
     _, top, rho = _scnag_grid([(k, alpha, k * alpha, 1.0 / (k * alpha)) for k in kappas],
                               h_samples)
     scan = _scnag_scan(top, lambda s: [_scnag_bound(r, s) for r in rho], t_max)
-    return _result("nag_sc", scan, len(kappas) * t_max,
-                   lambda j, s: {"kappa": kappas[j], "t": s})
+    return _result("nag_sc", scan, lambda j, s: {"kappa": kappas[j], "t": s})
 
 
 def recursion_u_sweep(h_step: float, t_max: int) -> SweepResult:
     """Unroll the scalar recursion on an h grid and confirm |a_i| <= i + 1."""
     hs = np.arange(0.0, 1.0 + h_step / 2, h_step)
-    return _result("recursion_u", _recursion_scan(hs, t_max), hs.size * t_max,
+    return _result("recursion_u", _recursion_scan(hs, t_max),
                    lambda j, s: {"h": float(hs[j]), "i": s})
 
 
@@ -487,10 +488,10 @@ def adversarial_max(lemma: str, budget: int, seed: int = 0,
     elif lemma == "nag_sc":
         K = draws["kappa"]
         _, top, rho = _scnag_grid(np.stack([K, np.ones(budget), K, 1.0 / K], axis=1), 16)
-        bounds = 2.0 * (1 + T) * np.array(rho) ** (T - 1)  # _scnag_bound, as t >= 1
+        bounds = _scnag_bound(np.array(rho), T)
         scan = _scnag_scan(top, lambda s: bounds, T, at_horizon=True)
     else:
         scan = _recursion_scan(draws["h"], T)
-    step, checks = ("i", int(T.sum())) if lemma == "recursion_u" else ("t", budget)
-    return _result(lemma, scan, checks, lambda j, s: {
+    step = "i" if lemma == "recursion_u" else "t"
+    return _result(lemma, scan, lambda j, s: {
         **{name: float(x[j]) for name, x in draws.items()}, step: s})

@@ -53,35 +53,32 @@ STOCHASTIC_METHODS = ("sgd", "sgld")
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """eta_t = eta0 (fixed) or eta0 * t^(-alpha) (power), for steps t >= 1."""
+    """eta_t = eta0 * t^(-alpha) for steps t >= 1, 0 <= alpha <= 1 (0: a fixed step)."""
 
-    kind: str  # "fixed" | "power"
     eta0: float
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "power"):
-            raise ValidationError(f"unknown schedule kind {self.kind!r}")
         if self.eta0 <= 0:
             raise ValidationError("eta0 must be positive")
-        if self.kind == "power" and not 0 < self.alpha <= 1:
-            raise ValidationError("power schedule needs 0 < alpha <= 1")
+        if not 0 <= self.alpha <= 1:
+            raise ValidationError("step-size exponent needs 0 <= alpha <= 1")
 
 
 def fixed(eta0: float) -> StepSchedule:
-    return StepSchedule(kind="fixed", eta0=eta0)
+    return StepSchedule(eta0)
 
 
 def power(eta0: float, alpha: float) -> StepSchedule:
-    return StepSchedule(kind="power", eta0=eta0, alpha=alpha)
+    if eta0 > 0 and not 0 < alpha <= 1:  # a bad eta0 is named first, by StepSchedule
+        raise ValidationError("power schedule needs 0 < alpha <= 1")
+    return StepSchedule(eta0, alpha)
 
 
 def step_size(schedule: StepSchedule, t: int) -> float:
     """Step size used by update number t (t >= 1)."""
     if t < 1:
         raise ValidationError("step index starts at 1")
-    if schedule.kind == "fixed":
-        return schedule.eta0
     return schedule.eta0 * float(t) ** (-schedule.alpha)
 
 
@@ -145,7 +142,7 @@ def validate_config(config: OptimizerConfig, constants) -> None:
     eta <= 1/beta, heavy ball needs eta < (1 - gamma)/beta.  A zero
     smoothness constant leaves the step size unconstrained.
     """
-    eta1 = step_size(config.schedule, 1)
+    eta1 = config.schedule.eta0
     beta = constants.beta
     if beta <= 0:
         return

@@ -112,7 +112,7 @@ def test_no_bound_pairs_raise():
     q("gd", setting=STRONGLY_CONVEX, constants=SC, schedule=fixed(0.5)),
     q("sgd", setting=STRONGLY_CONVEX, constants=SC, schedule=fixed(0.5)),
     q("nag_sc", setting=STRONGLY_CONVEX, constants=SC, schedule=fixed(0.5), kappa=2.0),
-], ids=lambda v: f"{v[0].method}-{v[1]}-{v[0].schedule.kind}")
+], ids=lambda v: f"{v[0].method}-{v[1]}-{'power' if v[0].schedule.alpha else 'fixed'}")
 def test_zero_at_T0_and_nondecreasing_and_inverse_n(query):
     assert stability_bound(*at(query, T=0)) == 0.0
     vals = [stability_bound(*at(query, T=T))
@@ -169,8 +169,7 @@ def test_table_exponents():
 def test_sgld_table_form_is_quarter_power():
     base = q("sgld", schedule=power(0.5, 1.0), tau=2.0, n=100)
     for T in (4, 16, 256):
-        ratio = stability_bound_table_form(*at(base, T=2 * T)) \
-            / stability_bound_table_form(*at(base, T=T))
+        ratio = np.divide(*stability_bound_table_form(*base, [2 * T, T]))
         assert ratio == pytest.approx(2 ** 0.25, rel=1e-12)
 
 
@@ -192,11 +191,12 @@ def test_nag_sc_bounds_need_the_loss_kappa():
     (STRONGLY_CONVEX, C_CONVEX, 10)])
 def test_every_bound_rejects_a_bad_setting_or_n(setting, constants, n):
     gd = OptimizerConfig(method="gd", schedule=fixed(0.1), T=10)
-    for bound in (stability_bound, stability_bound_table_form, convergence_lower_bound):
+    for bound in (stability_bound, convergence_lower_bound):
         with pytest.raises(ValidationError):
             bound(gd, setting, constants, n)
-    with pytest.raises(ValidationError):
-        stability_bound_curve(gd, setting, constants, n, [1])
+    for curve in (stability_bound_curve, stability_bound_table_form):
+        with pytest.raises(ValidationError):
+            curve(gd, setting, constants, n, [1])
 
 
 # ------------------------------------------------------- convergence bounds
@@ -292,3 +292,79 @@ def test_early_stopping_floor_and_validation():
     assert early_stopping_T(1, 10.0, 10.0, 10.0) == 1
     with pytest.raises(ValidationError):
         early_stopping_T(0, 0.1, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------- one step law
+# eta_t = eta0 t^-a with a = 0 a fixed step: each reference below is the
+# fixed-step expression written out on its own, evaluated as its form was
+# evaluated when a schedule had a kind
+
+
+@pytest.mark.parametrize("method", ["gd", "sgd"])
+@pytest.mark.parametrize("eta0, L, n", [(0.1, 1.0, 500), (0.3, 0.5, 77), (1 / 3, 1.7, 1000)])
+def test_convex_curve_at_alpha_0_is_the_fixed_step_form_bitwise(method, eta0, L, n):
+    T = np.arange(5001, dtype=float)
+    constants = LossConstants(L=L, beta=0.25, alpha=0.0, R=1.0)
+    got = stability_bound_curve(*q(method, constants=constants, schedule=fixed(eta0), n=n), T)
+    assert np.array_equal(got, np.where(T == 0, 0.0, 2.0 * eta0 * L * L * T / n))
+    assert table_exponent(q(method, schedule=fixed(eta0))[0]) == 1.0
+
+
+@pytest.mark.parametrize("kappa", [1.5, 4.0, 100.0])
+@pytest.mark.parametrize("scale", [0.1, 1.0])
+@pytest.mark.parametrize("T", [1, 10, 1000])
+def test_strongly_convex_forms_keep_their_contraction_bits(kappa, scale, T):
+    L, R, alpha, n = 1.3, 2.0, 0.5, 64
+    beta = kappa * alpha
+    eta = scale / beta
+    sc = LossConstants(L=L, beta=beta, alpha=alpha, R=R)
+    k = beta / alpha
+    Ts = np.asarray([T], dtype=float)  # the stability forms ran on a one-horizon array
+    stability = {
+        "gd": (4.0 * L * L / (alpha * n)) * (1.0 - (1.0 - eta * beta / (1.0 + k)) ** Ts),
+        "sgd": (2.0 * L * L / (alpha * n)) * (1.0 - (1.0 - eta * alpha / 2.0) ** Ts),
+        "nag_sc": (4.0 * L * L / (alpha * n)) * (1.0 - (1.0 - 1.0 / math.sqrt(k)) ** Ts),
+    }
+    lead, bulk = beta * R * R / (C3 * n), 4.0 * (R * beta) ** 2 / (alpha * n)
+    convergence = {
+        "gd": lead - bulk + bulk * (1.0 - eta * beta / (1.0 + k)) ** T,
+        "nag": lead - bulk + bulk * (1.0 - 1.0 / math.sqrt(k)) ** T,
+        "nag_sc": lead - bulk + bulk * (1.0 - 1.0 / math.sqrt(k)) ** T,
+    }
+    query = lambda m: q(m, setting=STRONGLY_CONVEX, constants=sc, schedule=fixed(eta),
+                        T=T, n=n, kappa=kappa)
+    for method, expect in stability.items():
+        assert stability_bound(*query(method)) == float(expect[0]), method
+    for method, expect in convergence.items():
+        assert convergence_lower_bound(*query(method)) == expect, method
+
+
+@pytest.mark.parametrize("eta0, gamma, alpha, tau, n", [
+    (0.1, 0.8, 0.5, 1.0, 500), (0.3, 0.5, 0.3, 2.5, 77)])
+def test_table_form_over_horizons_equals_the_per_horizon_form_bitwise(eta0, gamma, alpha,
+                                                                      tau, n):
+    from optstab.losses import logistic_spec, loss_constants
+
+    constants = loss_constants(logistic_spec())
+    L = constants.L
+    ts = 2 ** np.arange(4, 13)
+    rows = {"gd": ("gd", fixed(eta0)), "sgd": ("sgd", fixed(eta0)), "hb": ("hb", fixed(eta0)),
+            "nag": ("nag", fixed(eta0)), "sgd_power": ("sgd", power(eta0, alpha)),
+            "sgld": ("sgld", power(eta0, 1.0))}
+
+    def per_horizon(label, t):  # one horizon at a time; sgld's on a Python int
+        if label == "sgld":
+            return L * L * math.sqrt(tau * eta0) * t ** 0.25 / n
+        T = np.asarray([t], dtype=float)
+        curve = {"gd": lambda: 2.0 * eta0 * L * L * T / n,
+                 "sgd": lambda: 2.0 * eta0 * L * L * T / n,
+                 "hb": lambda: 4.0 * eta0 * L * L * T / ((1.0 - math.sqrt(gamma)) * n),
+                 "nag": lambda: 4.0 * eta0 * L * L * T * T / n,
+                 "sgd_power": lambda: 2.0 * eta0 * L * L * T ** (1.0 - alpha) / n}[label]()
+        return float(np.where(T == 0, 0.0, curve)[0])
+
+    for label, (method, schedule) in rows.items():
+        config = OptimizerConfig(method=method, schedule=schedule, T=int(ts[-1]),
+                                 gamma=gamma, tau=tau)
+        got = stability_bound_table_form(config, CONVEX, constants, n, ts)
+        assert got.tolist() == [per_horizon(label, int(t)) for t in ts], label

@@ -567,6 +567,40 @@ def test_cli_empty_methods_exits_1_from_file_and_flag(tmp_path, monkeypatch, cap
         ExperimentConfig(experiment="lecam_audit", methods=())
 
 
+@pytest.mark.parametrize("command", ["stability", "risk"])
+def test_cli_repeated_method_exits_1_from_file_and_flag(tmp_path, monkeypatch, capsys,
+                                                        command):
+    # a repeated method ran once, yet the config hash recorded it twice
+    from optstab.harness import cli
+
+    def unreachable(cfg):
+        raise AssertionError(f"ran with a repeated method: {cfg}")
+
+    monkeypatch.setattr(cli, "run_experiment", unreachable)
+    cfgfile = tmp_path / "twice.cfg"
+    cfgfile.write_text("methods = gd, nag, gd\n")
+    out = tmp_path / "x"
+    for argv in (["--config", str(cfgfile)], ["--methods", "gd,gd"]):
+        assert cli_main([command, "--out", str(out), "--T", "30"] + argv) == 1
+        assert "config key 'methods': gd repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_bounds_table_evaluates_each_row_once_over_its_horizons(monkeypatch):
+    from optstab.harness import experiments
+
+    table_form, calls = experiments.bounds_mod.stability_bound_table_form, []
+
+    def spy(config, setting, constants, n, ts):
+        calls.append(ts)
+        return table_form(config, setting, constants, n, ts)
+
+    monkeypatch.setattr(experiments.bounds_mod, "stability_bound_table_form", spy)
+    report = run_experiment(ExperimentConfig(experiment="bounds_table"))
+    assert report.passed and len(calls) == len(report.records["exponents"]) == 6
+    assert all(np.array_equal(ts, 2 ** np.arange(4, 13)) for ts in calls)
+
+
 def test_cli_flags_are_the_config_fields():
     import argparse
 

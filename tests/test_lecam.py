@@ -101,6 +101,19 @@ def test_convex_minimizer_lies_in_the_known_bracket():
             assert rise == pytest.approx(0.5 * w * beta * h * h, rel=1e-6, abs=0.0)
 
 
+@pytest.mark.parametrize("variant", ["convex", "strongly_convex"])
+@pytest.mark.parametrize("v", [0, 3])
+def test_population_functions_reject_an_identity_other_than_1_or_2(variant, v):
+    # v = 0 once read P2 (index -1), v = 3 raised IndexError, and the strongly
+    # convex minimizer answered for any v
+    calls = (lambda: population_risk(variant, v, 0.1, 1.0, 1.0, 4),
+             lambda: population_minimizer(variant, v, 1.0, 1.0, 4),
+             lambda: population_excess_risk(variant, v, 0.1, 1.0, 1.0, 4))
+    for call in calls:
+        with pytest.raises(ValidationError, match="identity v must be 1 or 2"):
+            call()
+
+
 # ------------------------------------------------------------ certificates
 
 

@@ -8,6 +8,7 @@ from optstab.matrixlemmas import (
     TOL,
     _batch_spectral_norm,
     _companion_radius,
+    _scnag_bound,
     _scnag_grid,
     _recursion_scan,
     _sweep,
@@ -198,6 +199,23 @@ def test_scnag_reported_nominal_envelope_arithmetic():
 def test_scnag_identity_at_t0():
     res = scnag_lemma_check(4.0, 1.0, 4.0, 0.25, 0)
     assert res.norm == pytest.approx(1.0) and res.bound == 2.0 and res.ok
+
+
+def test_scnag_envelope_is_one_elementwise_form():
+    # the scalar path keeps the bits of 2.0 if t == 0 else 2.0 (1 + t) rho^(t-1)
+    # (Python pow), the array path those of 2.0 (1 + T) rho^(T - 1) over T >= 1
+    # (numpy pow); rho = 0 (kappa = 1) takes no negative power at t = 0
+    _, _, rhos = _scnag_grid([(k, 1.0, k, 1.0 / k) for k in (1.0, 1.5, 2.0, 4.0, 16.0,
+                                                              100.0)], 16)
+    assert rhos[0] == 0.0
+    with np.errstate(all="raise"):
+        for rho in rhos + [0.3, 0.999]:
+            assert [_scnag_bound(rho, t) for t in range(201)] == [
+                2.0 if t == 0 else 2.0 * (1 + t) * rho ** (t - 1) for t in range(201)]
+        T = np.random.Generator(np.random.Philox(5)).integers(1, 65, 500)
+        R = np.resize(np.array(rhos), T.size)
+        assert np.array_equal(_scnag_bound(R, T), 2.0 * (1 + T) * R ** (T - 1))
+        assert _scnag_bound(R, np.zeros_like(T)).tolist() == [2.0] * T.size
 
 
 def test_scnag_kappa_one_closed_form():
@@ -416,8 +434,9 @@ def test_recursion_sweep_path_matches_scalar_unroll():
     eps = np.finfo(float).eps
     for h in np.linspace(0.0, 1.0, 21):
         for t in (0, 1, 2, 5, 33, 64):
-            _, (_, step, value, bound), _ = _recursion_scan(np.array([h]), t, True)
-            assert (step, bound) == (t, t + 1.0)
+            _, (_, step, value, bound), _, checks = _recursion_scan(np.array([h]), t,
+                                                                    True)
+            assert (step, bound, checks) == (t, t + 1.0, 1)
             assert value == pytest.approx(abs(recursion_u(float(h), t)[t]),
                                           rel=0, abs=64 * eps * (t + 1))
 
@@ -444,19 +463,20 @@ def _stacked_reference_sweep(top, envelope, k, t_max, check):
     H = np.zeros((k, 2, 2))
     H[:, 1, 0] = 1.0
     P = np.broadcast_to(np.eye(2), H.shape)
-    worst, at, violations = -np.inf, None, []
+    worst, at, violations, checks = -np.inf, None, [], 0
     for s in range(t_max + 1):
         if s:
             H[:, 0, 0], H[:, 0, 1] = top(s)
             P = H @ P
         bound = np.broadcast_to(envelope(s), k)
         for j in np.flatnonzero(np.broadcast_to(check(s), k)):
+            checks += 1
             norm = np.linalg.norm(P[j], 2)
             if norm / bound[j] > worst:
                 worst, at = norm / bound[j], (j, s, norm)
             if norm > bound[j] + TOL * min(bound[j], 1.0):
                 violations.append((j, s, norm / bound[j]))
-    return worst, at, violations
+    return worst, at, violations, checks
 
 
 def test_sweep_counterexamples_match_stacked_matmul_reference():
@@ -485,11 +505,11 @@ def test_sweep_counterexamples_match_stacked_matmul_reference():
                 check = ((lambda s: s == horizons) if at_horizon else
                          (lambda s: (s >= 1) & (s <= horizons)))
                 case = (lemma, np.ndim(horizons), at_horizon)
-                worst, (draw, step, value, _), violations = _sweep(
+                worst, (draw, step, value, _), violations, checks = _sweep(
                     top, _batch_spectral_norm, envelope, (k,), horizons, at_horizon)
-                ref_worst, ref_at, ref_violations = _stacked_reference_sweep(
+                ref_worst, ref_at, ref_violations, ref_checks = _stacked_reference_sweep(
                     top, envelope, k, t_max, check)
-                assert (draw, step) == ref_at[:2], case
+                assert (draw, step, checks) == (*ref_at[:2], ref_checks), case
                 assert value == pytest.approx(ref_at[2], rel=1e-12, abs=0)
                 assert worst == pytest.approx(ref_worst, rel=1e-12, abs=0)
                 assert violations, case

@@ -21,6 +21,8 @@ from optstab.losses import (
 )
 from optstab.optimizers import (
     OptimizerConfig,
+    StepSchedule,
+    _step_sizes,
     batch_iterates,
     fixed,
     nag_momentum_sequence,
@@ -57,6 +59,33 @@ def test_schedule_validation():
         power(0.1, 1.5)
     with pytest.raises(ValidationError):
         step_size(fixed(0.1), 0)
+
+
+@pytest.mark.parametrize("eta0", [0.1, 0.3, 1.0 / 3.0, 2.5])
+def test_a_fixed_step_is_the_law_at_alpha_0(eta0):
+    # eta0 * t^(-0.0) is eta0 exactly, so a fixed run keeps its step bits
+    assert fixed(eta0) == StepSchedule(eta0, 0.0) == StepSchedule(eta0)
+    assert all(step_size(fixed(eta0), t) == eta0 for t in range(1, 1001))
+    assert np.array_equal(_step_sizes(fixed(eta0), 1000), np.full(1000, eta0))
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+def test_a_decreasing_step_is_the_scalar_pow(alpha):
+    expect = [0.1 * float(t) ** (-alpha) for t in range(1, 1001)]
+    assert _step_sizes(power(0.1, alpha), 1000).tolist() == expect
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: power(0.1, 0.0), "power schedule needs 0 < alpha <= 1"),
+    (lambda: power(0.1, 1.5), "power schedule needs 0 < alpha <= 1"),
+    (lambda: power(0.0, 1.5), "eta0 must be positive"),
+    (lambda: StepSchedule(0.1, 1.5), "0 <= alpha <= 1"),
+    (lambda: StepSchedule(0.1, -0.5), "0 <= alpha <= 1"),
+    (lambda: StepSchedule(0.0, 0.0), "eta0 must be positive"),
+])
+def test_the_step_law_rejects_its_bad_pairs(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
 
 
 # ---------------------------------------------------------------- momentum

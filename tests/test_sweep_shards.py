@@ -39,10 +39,11 @@ def test_one_shard_reads_the_documented_stream():
     rng = np.random.Generator(np.random.Philox(seed))
     hs = rng.uniform(0.0, 1.0, size=draws)
     gammas = rng.uniform(-1.0, 1.0, size=(t_max, draws))
-    worst, (draw, step, _, _), violations = ML._nag_scan(
+    worst, (draw, step, _, _), violations, checks = ML._nag_scan(
         hs, lambda s, g: np.copyto(g, gammas[s - 1]), t_max)
     res = ML.nag_sweep(draws, t_max, seed)
     assert res.max_ratio == worst and violations == res.counterexamples == []
+    assert res.checks == checks == draws * t_max
     assert res.witness == {"h": float(hs[draw]), "t": step, "draw": draw}
 
 
@@ -63,11 +64,11 @@ def test_shards_equal_one_shard(monkeypatch, k, draws, t_max):
 
 def test_merge_breaks_ties_by_earliest_step_then_draw():
     def scan(ratio, draw, step):
-        return ratio, (draw, step, 1.0, 2.0), [(draw, step, ratio)]
+        return ratio, (draw, step, 1.0, 2.0), [(draw, step, ratio)], 10 * step
 
     shards = [(0, 10), (10, 20)]
-    worst, at, violations = ML._merge([scan(1.5, 4, 3), scan(1.5, 2, 2)], shards)
-    assert (worst, at) == (1.5, (12, 2, 1.0, 2.0))
+    worst, at, violations, checks = ML._merge([scan(1.5, 4, 3), scan(1.5, 2, 2)], shards)
+    assert (worst, at, checks) == (1.5, (12, 2, 1.0, 2.0), 50)
     assert violations == [(12, 2, 1.5), (4, 3, 1.5)]
     assert ML._merge([scan(1.5, 4, 3), scan(1.5, 2, 3)], shards)[1][0] == 4
     assert ML._merge([scan(1.0, 4, 3), scan(1.5, 2, 5)], shards)[1][0] == 12
@@ -163,7 +164,8 @@ def test_sharded_counterexamples_equal_one_shard_in_order(monkeypatch, scale):
 
 def test_nag_sc_search_retiring_checked_draws_equals_full_advance(monkeypatch):
     # each draw is checked only at its own t; advancing every draw to the largest
-    # t, with an infinite bound at the other steps, changes nothing
+    # t, with an infinite bound at the other steps, changes nothing but the count
+    # of checks, which here is one finite-bound check a draw
     _scale_envelopes(monkeypatch, 0.6)  # so that there are counterexamples to order
     scaled = ML._sweep
 
@@ -171,8 +173,9 @@ def test_nag_sc_search_retiring_checked_draws_equals_full_advance(monkeypatch):
                      free=None):
         assert at_horizon and np.ndim(horizons)
         H = np.asarray(horizons)
-        return scaled(top, measure, lambda s: np.where(H == s, envelope(s), np.inf),
-                      shape, int(H[0]), False, free)
+        *scan, _ = scaled(top, measure, lambda s: np.where(H == s, envelope(s), np.inf),
+                          shape, int(H[0]), False, free)
+        return (*scan, H.size)
 
     for seed in range(12):
         retiring = ML.adversarial_max("nag_sc", 1000, seed)
