@@ -89,6 +89,21 @@ def _contraction(method: str, eta: float, constants: LossConstants) -> float:
     return 1.0 - 1.0 / math.sqrt(beta / alpha)
 
 
+# The step-size exponent alpha each convex stability row accepts (None: any in
+# [0, 1]); a method without a row has no convex stability bound.
+_CONVEX_ALPHA = {"gd": None, "sgd": None, "nag": 0.0, "hb": 0.0, "sgld": 1.0}
+
+
+def _convex_row(config: OptimizerConfig) -> str:
+    """The method of config's convex stability row; NoBoundError where its
+    method has no row or its schedule lies outside the row's domain."""
+    method, alpha = config.method, config.schedule.alpha
+    if method not in _CONVEX_ALPHA or _CONVEX_ALPHA[method] not in (None, alpha):
+        raise NoBoundError(f"no stability bound available for ({method}, {CONVEX}, "
+                           f"alpha {alpha:g})")
+    return method
+
+
 def sgld_burn_in(eta0: float, tau: float, L: float) -> int:
     """k0 = min{t >= 1 : (eta0/t) * tau * L^2 < 1} for the eta0/t schedule."""
     m = eta0 * tau * L * L
@@ -109,15 +124,14 @@ def stability_bound_curve(config: OptimizerConfig, setting: str, constants: Loss
     method, sched = config.method, config.schedule
     curve = None
     if setting == CONVEX:
+        _convex_row(config)
         if method in ("gd", "sgd"):
             curve = 2.0 * sched.eta0 * L * L * T ** (1.0 - sched.alpha) / n
-        elif method == "nag" and sched.alpha == 0:
+        elif method == "nag":
             curve = 4.0 * sched.eta0 * L * L * T * T / n
-        elif method == "hb" and sched.alpha == 0:
+        elif method == "hb":
             curve = 4.0 * sched.eta0 * L * L * T / ((1.0 - math.sqrt(config.gamma)) * n)
-        elif method == "sgld":
-            if sched.alpha != 1.0:
-                raise NoBoundError("sgld bound needs the eta0/t schedule")
+        else:  # sgld, eta0 / t
             k0 = sgld_burn_in(sched.eta0, config.tau, L)
             # harmonic[j] = sum_{t=k0+1}^{k0+j} 1/t
             t_max = int(T.max()) if T.size else 0
@@ -153,22 +167,18 @@ def stability_bound_table_form(config: OptimizerConfig, setting: str,
     if config.method != "sgld":
         return stability_bound_curve(config, setting, constants, n, ts)
     T = _check(config, setting, constants, n, ts)
+    stability_bound_curve(config, setting, constants, n, ())  # raises where the curve does
     scale = constants.L * constants.L * math.sqrt(config.tau * config.schedule.eta0)
     return np.array([scale * t ** 0.25 / n for t in T.tolist()])
 
 
 def table_exponent(config: OptimizerConfig) -> float:
-    """Growth exponent in T of the stability bound (rate-table column)."""
-    method = config.method
+    """Growth exponent in T of the convex stability bound (rate-table column);
+    NoBoundError wherever ``stability_bound_curve`` has no convex formula."""
+    method = _convex_row(config)
     if method in ("gd", "sgd"):
         return 1.0 - config.schedule.alpha
-    if method == "hb":
-        return 1.0
-    if method == "nag":
-        return 2.0
-    if method == "sgld":
-        return 0.25
-    raise NoBoundError(f"no tabulated exponent for {method!r}")
+    return {"nag": 2.0, "hb": 1.0, "sgld": 0.25}[method]
 
 
 def convergence_lower_bound(config: OptimizerConfig, setting: str,
@@ -176,12 +186,14 @@ def convergence_lower_bound(config: OptimizerConfig, setting: str,
     """Convergence-rate lower bound implied by the stability/convergence trade-off.
 
     The strongly convex forms carry a negative offset and may return negative
-    values.
+    values.  Every form assumes a fixed step: a decreasing one raises NoBoundError.
     """
     _check(config, setting, constants, n)
     T, method = config.T, config.method
     if T == 0:
         raise ValidationError("convergence lower bound needs T >= 1")
+    if config.schedule.alpha != 0:
+        raise NoBoundError("convergence lower bounds assume a fixed step size")
     R, beta, alpha = constants.R, constants.beta, constants.alpha
     eta = config.schedule.eta0
     if setting == CONVEX:

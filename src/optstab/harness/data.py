@@ -62,7 +62,7 @@ def gen_synthetic(d: int, n: int, seed: int = 0) -> Tuple[Dataset, np.ndarray]:
 
     theta* is the all-ones vector; rows are standard normal draws rescaled to
     unit norm; the Bernoulli parameter is the logistic link at x.theta*, read
-    from the loss's residual sigma(u) - y at y = 0.
+    from the loss's one residual form at y = 0 (s = 1), sigma(u).
     Deterministic for a fixed seed (its "rows" and "labels" streams); the
     first m rows of a draw are the draw of m rows.
     """
@@ -71,7 +71,7 @@ def gen_synthetic(d: int, n: int, seed: int = 0) -> Tuple[Dataset, np.ndarray]:
     X = stream(seed, "rows").standard_normal((n, d))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     theta_star = np.ones(d)
-    p = _residual(X @ -theta_star, 1.0)
+    p = _residual(X @ -theta_star)
     u = stream(seed, "labels").uniform(size=n)
     y = (u < p).astype(float)
     return Dataset.from_labeled(X, y), theta_star

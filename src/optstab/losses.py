@@ -22,20 +22,25 @@ Each family's math lives in one entry of a private kernel table: a value
 kernel and a mean-gradient kernel (over all rows or one row per sample),
 both on blocks (..., k, d) of parameter vectors against sample (...) of a
 stack (``Dataset.stack``), so a sample's k logistic margins are one
-product; plus the constants.  A full logistic gradient streams each
-member's design in row blocks small enough to stay in L2 between the
-margins and the contraction, one product R @ Xb per member and block (whose
-rounding, unlike a product over a whole large design, does not depend on
-the BLAS thread count); its margins are theta @ Xb^T, or Xb @ theta^T made
-C-contiguous from k = 4 columns on, the faster side there at d = 200.  It
-sums the blocks' partial gradients in block order whichever way it walks
-them, so the optimizer engine walks backward on odd steps, starting on the
-blocks the last step left in L2, at no change in bytes.  A design that fits
-in one block takes the whole-design operations, its margins theta @ X_cols
-on the d-major copy X_cols (..., d, n) that its ``Dataset`` builds once; the
-values kernel reads the same margins operand.  Every block's residual
-sigma(u) - y is s sigma(s u) with the row signs s = 1 - 2y (cached likewise),
-computed in place from the negated margins: no label subtraction, so no
+product; plus the constants.  The logistic kernels fold the row signs
+s = 1 - 2y into what they read wherever they can.  A design that fits in one
+gradient block is read through its signed copies s X, which its ``Dataset``
+builds once: d-major (..., d, n) for the margins (-theta against it gives the
+signed negated margins -s u), row-major (..., n, d) for the contraction; the
+values kernel reads the same d-major copy.  A sampled-row gradient signs its
+gathered rows once.  A flip of sign is exact, so these give the bytes of the
+unsigned forms.  A larger design's full gradient streams each member's rows
+in blocks small enough to stay in L2 between the margins and the
+contraction, one product R @ Xb per member and block (whose rounding,
+unlike a product over a whole large design, does not depend on the BLAS
+thread count), and signs each block's margins by a pass over s; its
+margins are theta @ Xb^T, or Xb @ theta^T made C-contiguous from k = 4
+columns on, the faster side there at d = 200.  It sums the blocks' partial
+gradients in block order whichever way it walks them, so the optimizer
+engine walks backward on odd steps, starting on the blocks the last step
+left in L2, at no change in bytes.  Every residual sigma(u) - y takes the
+one form s sigma(s u) = s / (1 + exp(-s u)) (``_residual``), its sign s
+left to a signed operand where there is one: no label subtraction, so no
 cancellation at y = 1, u >> 1, and no overflow warning.
 The public functions are validated wrappers around the table; the
 gradient ones pass each vector of a stack (..., d) as a block k = 1 to
@@ -176,9 +181,17 @@ class Dataset:
         return _read_only(1.0 - 2.0 * self.y)
 
     @cached_property
-    def _cols(self) -> np.ndarray:
-        """The design as a read-only C-contiguous (..., d, n) copy, built once."""
-        return _read_only(np.ascontiguousarray(self.X.swapaxes(-1, -2)))
+    def _signed_cols(self) -> np.ndarray:
+        """The signed design s X as a C-contiguous d-major copy (..., d, n), the
+        one-block logistic margins operand; read-only, built once."""
+        return _read_only(np.multiply(self.X.swapaxes(-1, -2), self._signs[..., None, :],
+                                      order="C"))
+
+    @cached_property
+    def _signed_rows(self) -> np.ndarray:
+        """The signed design s X (..., n, d), the one-block logistic gradient's
+        contraction operand; read-only, built once."""
+        return _read_only(self._signs[..., None] * self.X)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -346,30 +359,30 @@ def _block_rows(X: np.ndarray) -> int:
     return max(1, _GRAD_BLOCK_BYTES // (X.shape[-1] * X.itemsize))
 
 
-def _residual(W: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sigma(u) - y, in place on a block's negated margins W = -u, as
-    s sigma(s u) = s / (1 + exp(-s u)) with the row signs s = 1 - 2y (exact
-    for y in {0, 1}): no label subtraction, so no cancellation at y = 1,
-    u >> 1, and no overflow warning, as -s u is capped at _EXP_CAP."""
-    W *= s
+def _residual(W: np.ndarray, s: Optional[np.ndarray] = None) -> np.ndarray:
+    """The logistic residual sigma(u) - y = s sigma(s u) = s / (1 + exp(-s u))
+    (s = 1 - 2y, exact for y in {0, 1}), in place on a block W of negated
+    margins.  Given s, W holds -u and is signed here; without it W holds -s u
+    and the result is sigma(s u), whose sign a signed operand supplies.  No
+    label subtraction, so no cancellation at y = 1, u >> 1, and no overflow
+    warning, as -s u is capped at _EXP_CAP."""
+    if s is not None:
+        W *= s
     np.minimum(W, _EXP_CAP, out=W)
     np.exp(W, out=W)
     W += 1.0
-    return np.divide(s, W, out=W)
-
-
-def _margins_operand(data: Dataset) -> np.ndarray:
-    """The operand B whose product theta @ B gives every row's margins: the
-    cached d-major copy of a design of one gradient block, else X^T."""
-    X = data.X
-    return data._cols if X.shape[-2] <= _block_rows(X) else X.swapaxes(-1, -2)
+    return np.divide(1.0 if s is None else s, W, out=W)
 
 
 def _logistic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
     """Softplus of the signed margin v = s u (s = 1 - 2y; exact for y in {0, 1}),
-    max(v, 0) + log1p(exp(-|v|)): no cancellation at y = 1, u >> 1."""
-    V = thetas @ _margins_operand(data)
-    V *= data._signs
+    max(v, 0) + log1p(exp(-|v|)): no cancellation at y = 1, u >> 1.  A one-block
+    design's v is one product on its signed d-major copy."""
+    if data.n <= _block_rows(data.X):
+        V = thetas @ data._signed_cols
+    else:
+        V = thetas @ data.X.swapaxes(-1, -2)
+        V *= data._signs[..., None, :]
     e = np.abs(V)
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -381,14 +394,17 @@ def _logistic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.nd
 
 def _logistic_grad(spec: LossSpec, thetas: np.ndarray, data: Dataset, rows,
                    reverse: bool) -> np.ndarray:
-    X, s = _rows(data.X, rows, 1), _rows(data._signs, rows)[..., None, :]
-    n, d = X.shape[-2:]
-    step = _block_rows(X)
     neg = -thetas  # margins of -theta are exactly -u
-    if rows is None and n <= step:  # one block: margins on the cached d-major copy
-        return _residual(neg @ data._cols, s) @ X / n
+    if rows is not None:  # each member's one row x, signed once: s x
+        sx = _rows(data.X, rows, 1) * _rows(data._signs, rows)[..., None]
+        return _residual(neg @ sx.swapaxes(-1, -2)) @ sx
+    X = data.X
+    n, step = X.shape[-2], _block_rows(X)
+    if n <= step:  # one block: margins and contraction on the signed copies
+        return _residual(neg @ data._signed_cols) @ data._signed_rows / n
+    s = data._signs[..., None, :]
     starts = range(0, n, step)
-    rows_first = rows is None and thetas.shape[-2] >= _ROWS_FIRST_K
+    rows_first = thetas.shape[-2] >= _ROWS_FIRST_K
     neg_t = np.ascontiguousarray(neg.swapaxes(-1, -2)) if rows_first else None
     parts = {}  # kept per block and summed in block order: the same bytes either way
     for i in (reversed(starts) if reverse else starts):

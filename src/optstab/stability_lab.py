@@ -43,6 +43,7 @@ import numpy as np
 from .losses import (
     Dataset,
     LossSpec,
+    _RISK_ROWS,
     ValidationError,
     empirical_risk_batch,
     loss_constants,
@@ -329,16 +330,20 @@ def risk_curves(configs: Sequence[OptimizerConfig], spec: LossSpec, train: Datas
     ref_budget)`` (optimization error: ``train - reference``), else None.  A
     full-gradient batch with T <= ref_budget runs the reference as one more
     column, its trace not stored; gd has no momentum, so from its state at T it
-    resumes alone.  Otherwise the reference runs alone."""
+    resumes alone.  Otherwise the reference runs alone.  Both risks are taken
+    as the batch advances, on each block of _RISK_ROWS states (the blocks
+    ``empirical_risk_batch`` takes of a whole trace), so no trace is stored."""
     k, T = len(configs), configs[0].T
     joined = 0 < ref_budget and T <= ref_budget and not configs[0].sampled
     columns = [*configs, _reference_config(spec, train, T)] if joined else configs
-    thetas = np.empty((k, T + 1, train.dim))
+    risks = np.empty((2, k, T + 1))
+    block = np.empty((k, _RISK_ROWS, train.dim))
     for t, state in enumerate(batch_iterates(columns, spec, train, seed, [0])):
-        thetas[:, t] = state[0, :k]
+        j = t % _RISK_ROWS
+        block[:, j] = state[0, :k]
+        if j == _RISK_ROWS - 1 or t == T:
+            for risk, data in zip(risks, (train, test)):
+                risk[:, t - j:t + 1] = empirical_risk_batch(spec, block[:, :j + 1], data)
     start, done = (state[0, k], T) if joined else (None, 0)
     ref = reference_risk(spec, train, ref_budget - done, start) if ref_budget else None
-    train_risk = empirical_risk_batch(spec, thetas, train)
-    test_risk = empirical_risk_batch(spec, thetas, test)
-    return [RiskCurves(train=a, test=b, gen_gap=b - a)
-            for a, b in zip(train_risk, test_risk)], ref
+    return [RiskCurves(train=a, test=b, gen_gap=b - a) for a, b in zip(*risks)], ref

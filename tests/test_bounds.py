@@ -22,7 +22,7 @@ from optstab.bounds import (
     tradeoff_check,
 )
 from optstab.losses import LossConstants, ValidationError
-from optstab.optimizers import OptimizerConfig, fixed, power
+from optstab.optimizers import METHODS, OptimizerConfig, fixed, power
 
 C_CONVEX = LossConstants(L=1.0, beta=0.25, alpha=0.0, R=1.0)
 
@@ -171,6 +171,39 @@ def test_sgld_table_form_is_quarter_power():
     for T in (4, 16, 256):
         ratio = np.divide(*stability_bound_table_form(*base, [2 * T, T]))
         assert ratio == pytest.approx(2 ** 0.25, rel=1e-12)
+
+
+def _raises_no_bound(call) -> bool:
+    try:
+        call()
+    except NoBoundError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("method", METHODS)
+def test_bound_readers_share_their_domains(method, alpha):
+    # the three convex readers raise together: for nag_sc, nag or hb on a
+    # decreasing step and sgld off eta0 / t; the strongly convex curve and table
+    # form raise together too; every convergence lower bound needs a fixed step
+    schedule = fixed(0.1) if alpha == 0 else power(0.1, alpha)
+    kw = dict(schedule=schedule, gamma=0.5 if method == "hb" else 0.0,
+              tau=1.0 if method == "sgld" else None,
+              kappa=SC.beta / SC.alpha if method == "nag_sc" else None)
+    convex, sc = q(method, **kw), q(method, setting=STRONGLY_CONVEX, constants=SC, **kw)
+    readers = [lambda: stability_bound_curve(*convex, [1, 16]),
+               lambda: stability_bound_table_form(*convex, [1, 16]),
+               lambda: table_exponent(convex[0])]
+    no_row = method == "nag_sc" or (method in ("nag", "hb") and alpha != 0) or (
+        method == "sgld" and alpha != 1)
+    assert [_raises_no_bound(r) for r in readers] == [no_row] * 3
+    assert _raises_no_bound(lambda: stability_bound_table_form(*sc, [1, 16])) \
+        == _raises_no_bound(lambda: stability_bound_curve(*sc, [1, 16]))
+    if alpha != 0:
+        for query in (convex, sc):
+            with pytest.raises(NoBoundError, match="fixed step"):
+                convergence_lower_bound(*query)
 
 
 def test_nag_sc_bounds_need_the_loss_kappa():

@@ -22,8 +22,9 @@ from optstab.losses import (
     loss_constants,
     loss_values_matrix,
     normalize_rows,
+    _EXP_CAP,
     _block_grad,
-    _margins_operand,
+    _logistic_values,
     _residual,
     sample_grad,
 )
@@ -267,11 +268,26 @@ def test_block_gradients_equal_one_vector_blocks():
                     _block_grad(spec, thetas[:, j:j + 1], data, i)[:, 0], alone)
 
 
-def _whole_design_grad(thetas, X, y):
-    """The logistic mean gradient with the whole design as one block: the
-    residual of the negated margins on the d-major design, contracted with X."""
+def _unsigned_grad(thetas, X, y):
+    """The logistic mean gradient in the unsigned form the one-block and
+    sampled-row kernels once took: negated margins W = -theta @ X^T on the
+    d-major design, signed by a pass W *= s, then the residual s / (1 + e^W)
+    contracted with X (s = 1 - 2y)."""
+    s = (1.0 - 2.0 * y)[..., None, :]
     W = -thetas @ np.ascontiguousarray(X.swapaxes(-1, -2))
-    return _residual(W, (1.0 - 2.0 * y)[..., None, :]) @ X / X.shape[-2]
+    W *= s
+    np.minimum(W, _EXP_CAP, out=W)
+    np.exp(W, out=W)
+    W += 1.0
+    return np.divide(s, W, out=W) @ X / X.shape[-2]
+
+
+def _unsigned_values(thetas, X, y):
+    """The logistic losses in the unsigned form the one-block values kernel once
+    took: margins on the d-major design, signed by a pass V *= s, then softplus."""
+    V = thetas @ np.ascontiguousarray(X.swapaxes(-1, -2))
+    V *= (1.0 - 2.0 * y)[..., None, :]
+    return np.maximum(V, 0.0) + np.log1p(np.exp(-np.abs(V)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -291,10 +307,10 @@ def test_row_blocked_gradient_matches_one_block_contraction(monkeypatch, k):
     thetas = 2.0 * rng.standard_normal((3, k, d))
     calls = []
     monkeypatch.setattr(losses, "_residual",
-                        lambda W, s: calls.append(W.shape) or _residual(W, s))
+                        lambda W, s=None: calls.append(W.shape) or _residual(W, s))
     monkeypatch.setattr(losses, "_GRAD_BLOCK_BYTES", 5 * d * X.itemsize)
-    for data, whole in ((Dataset.from_labeled(X[0], y[0]), _whole_design_grad(thetas, X[0], y[0])),
-                        (stacked, _whole_design_grad(thetas, X, y))):
+    for data, whole in ((Dataset.from_labeled(X[0], y[0]), _unsigned_grad(thetas, X[0], y[0])),
+                        (stacked, _unsigned_grad(thetas, X, y))):
         calls.clear()
         blocked = _block_grad(logistic_spec(), thetas, data, None)
         assert calls == [(3, k, 5)] * 4 + [(3, k, 3)]
@@ -348,7 +364,7 @@ def test_one_block_gradient_is_the_whole_design_contraction_bitwise():
     for thetas in (rng.standard_normal((1, 1, 10)), rng.standard_normal((2, 3, 10))):
         np.testing.assert_array_equal(
             _block_grad(logistic_spec(), thetas, data, None),
-            _whole_design_grad(thetas, X, y))
+            _unsigned_grad(thetas, X, y))
 
 
 def _one_block_stack(seed, members=11, n=500, d=10):
@@ -376,32 +392,82 @@ def test_one_block_gradient_of_a_stack_member_is_its_own_bitwise(k):
                                                None)[:, 0], rtol=1e-13, atol=1e-15)
 
 
+@settings(deadline=None, max_examples=80)
+@given(members=st.sampled_from([None, 1, 3]), n=st.integers(1, 30), d=st.integers(1, 5),
+       k=st.integers(1, 5), labels=st.sampled_from(["mixed", "zeros", "ones"]),
+       scale=st.sampled_from([1.0, 30.0, 1e3, 1e6]), seed=st.integers(0, 2 ** 32 - 1))
+def test_signed_kernels_equal_the_unsigned_forms_bitwise(members, n, d, k, labels, scale,
+                                                         seed):
+    # the one-block gradient and values kernels and the sampled-row gradient read
+    # signed operands, yet give the bytes of the unsigned forms s / (1 + e^W) @ X and
+    # V *= s: on a sample or a one-block stack whose member 0 is a perturbed copy
+    # drawing its replaced row, with mixed labels or all 0 or all 1, and at margins
+    # up to about 1e6, where no warning may be raised; the design is left as it was
+    rng = np.random.Generator(np.random.Philox(seed))
+    shape = (n,) if members is None else (members, n)
+    X = normalize_rows(rng.standard_normal((int(np.prod(shape)), d))).reshape(shape + (d,))
+    y = {"mixed": rng.integers(0, 2, size=shape).astype(float), "zeros": np.zeros(shape),
+         "ones": np.ones(shape)}[labels]
+    rows = rng.integers(0, n, size=shape[:-1])
+    if members is None:
+        data = Dataset.from_labeled(X, y)
+    else:
+        samples = [Dataset.from_labeled(X[b], y[b]) for b in range(members)]
+        z = Dataset.from_labeled(normalize_rows(rng.standard_normal((1, d))), y[0, :1])
+        samples[0] = samples[0].replace(int(rows[0]), z)
+        data = Dataset.stack(samples)
+    X, y = data.X.copy(), data.y
+    picked = (rows,) if members is None else (np.arange(members), rows)
+    thetas = scale * rng.standard_normal(shape[:-1] + (k, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = (_block_grad(logistic_spec(), thetas, data, None),
+               _block_grad(logistic_spec(), thetas, data, rows),
+               _logistic_values(logistic_spec(), thetas, data))
+        want = (_unsigned_grad(thetas, X, y),
+                _unsigned_grad(thetas, X[picked][..., None, :], y[picked][..., None]),
+                _unsigned_values(thetas, X, y))
+    for a, b in zip(got, want):
+        _assert_bitwise_equal(a, b)
+    # at n = 1 or d = 1 the d-major view of X is C-contiguous itself: still a copy
+    _assert_bitwise_equal(data.X, X)
+
+
 def test_one_block_operands_are_cached_read_only_and_multi_block_designs_copy_nothing():
-    # the signs and the d-major design are built once per Dataset, on the first
-    # gradient, and shared by every later one; a design of more than one block
-    # never builds its d-major copy
+    # the signs and the signed design s X, d-major and row-major, are built once per
+    # Dataset, on the first gradient, and shared by every later one; a design of
+    # more than one block never builds a signed copy, for gradients or values
     from optstab import losses
 
     rng, X, y, stack = _one_block_stack(47)
     thetas = rng.standard_normal((11, 3, 10))
     first = _block_grad(logistic_spec(), thetas, stack, None)
-    signs, cols = stack._signs, stack._cols
-    assert not signs.flags.writeable and not cols.flags.writeable
-    assert cols.flags.c_contiguous and cols.shape == (11, 10, 500)
-    np.testing.assert_array_equal(cols, X.swapaxes(-1, -2))
+    signs, cols, rows = stack._signs, stack._signed_cols, stack._signed_rows
+    signed = (1.0 - 2.0 * y)[..., None] * X
+    for a in (signs, cols, rows):
+        assert not a.flags.writeable and a.flags.c_contiguous
+        assert not np.shares_memory(a, X)
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+    assert cols.shape == (11, 10, 500) and rows.shape == (11, 500, 10)
     np.testing.assert_array_equal(signs, 1.0 - 2.0 * y)
-    with pytest.raises(ValueError):
-        cols[0, 0, 0] = 1.0
+    np.testing.assert_array_equal(cols, signed.swapaxes(-1, -2))
+    np.testing.assert_array_equal(rows, signed)
     np.testing.assert_array_equal(_block_grad(logistic_spec(), thetas, stack, None), first)
-    assert stack._signs is signs and stack._cols is cols
-    assert not np.shares_memory(cols, X)
+    assert stack._signs is signs and stack._signed_cols is cols and stack._signed_rows is rows
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(losses, "_GRAD_BLOCK_BYTES", 100 * 10 * X.itemsize)
         wide, single = Dataset.from_labeled(X, y), Dataset.from_labeled(X[0], y[0])
         np.testing.assert_allclose(_block_grad(logistic_spec(), thetas, wide, None), first,
                                    rtol=1e-13, atol=1e-15)
         loss_values_matrix(logistic_spec(), thetas[0], single)
-        assert "_cols" not in vars(wide) and "_cols" not in vars(single)
+        # each member of a blocked stack takes the values of its own sample
+        np.testing.assert_allclose(
+            _logistic_values(logistic_spec(), thetas, wide),
+            [loss_values_matrix(logistic_spec(), t, Dataset.from_labeled(x, l))
+             for t, x, l in zip(thetas, X, y)], rtol=1e-13, atol=1e-15)
+        for data in (wide, single):
+            assert not {"_signed_cols", "_signed_rows"} & set(vars(data))
 
 
 def _residual_ulp_errors(R, u, y):
@@ -544,7 +610,7 @@ def test_logistic_values_match_logaddexp_reference(case):
     spec = logistic_spec()
     data = Dataset.from_labeled(X, y)
     V = loss_values_matrix(spec, thetas, data)
-    U = thetas @ _margins_operand(data)  # the kernel's margins, bit for bit
+    U = (thetas @ data._signed_cols) * data._signs  # the kernel's margins, bit for bit
     # within the reference's own cancellation error
     assert np.all(np.abs(V - _logaddexp_values(U, y))
                   <= 4 * np.spacing(np.maximum(np.abs(U), 1.0)))

@@ -15,6 +15,7 @@ from optstab.bounds import (
 from optstab.losses import (
     Dataset,
     ValidationError,
+    empirical_risk_batch,
     lecam_strongly_convex_spec,
     linear_worstcase_spec,
     logistic_spec,
@@ -628,6 +629,28 @@ def test_saturation_onset_matches_lstsq_split_loop_on_pure_power_laws(T, exponen
 
 
 # ---------------------------------------------------------------- risks
+
+
+@pytest.mark.parametrize("T", [62, 63, 64, 130])
+def test_streamed_risk_curves_equal_the_stored_trace_risks_bitwise(T):
+    # risks taken block by block as the batch advances equal empirical_risk_batch
+    # over the whole stored (k, T+1, d) trace, for 63 to 131 states: a last block
+    # of 63, 64, 1 or 3 states; train and test of 2,000 x 20, whose products take
+    # the BLAS's blocked path
+    rng = np.random.Generator(np.random.Philox(61))
+    X = normalize_rows(rng.standard_normal((4000, 20)))
+    y = rng.integers(0, 2, 4000).astype(float)
+    train, test = Dataset.from_labeled(X[:2000], y[:2000]), Dataset.from_labeled(X[2000:],
+                                                                                 y[2000:])
+    cfgs = [OptimizerConfig(method=m, schedule=fixed(0.5), T=T, gamma=0.5 * (m == "hb"))
+            for m in ("gd", "nag", "hb")]
+    curves, _ = risk_curves(cfgs, logistic_spec(), train, test, seed=7)
+    trace = np.stack([s[0] for s in batch_iterates(cfgs, logistic_spec(), train, 7, [0])],
+                     axis=1)
+    for rc, a, b in zip(curves, empirical_risk_batch(logistic_spec(), trace, train),
+                        empirical_risk_batch(logistic_spec(), trace, test)):
+        np.testing.assert_array_equal(rc.train, a)
+        np.testing.assert_array_equal(rc.test, b)
 
 
 def test_risk_curves_gap_zero_when_test_equals_train():
