@@ -31,8 +31,11 @@ The universal constants are C1 = 256 sqrt(6), C2 = 16 C1^2 / 3 and C3 = 192
 (module constants); they are not canonical.
 
 Every stability and convergence entry point takes the ``OptimizerConfig`` of
-the run it bounds, then the setting, the loss constants and n.  The formulas
-use kappa = beta/alpha of the loss: a nag_sc config with another raises NoBoundError.
+the run it bounds, then the setting, the loss constants and n.  Each bound is one
+(method, setting) row of ``_ROWS``, with the step-size exponent a its stability
+forms accept.  A bound holds only in its proof's step-size range: a config the
+step engine rejects (``optimizers.validate_config``) raises ValidationError.  The
+formulas use kappa = beta/alpha of the loss: another nag_sc kappa raises NoBoundError.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import math
 import numpy as np
 
 from .losses import LossConstants, ValidationError
-from .optimizers import OptimizerConfig
+from .optimizers import OptimizerConfig, validate_config
 
 
 class NoBoundError(ValueError):
@@ -67,6 +70,7 @@ def _check(config: OptimizerConfig, setting: str, constants: LossConstants, n: i
         raise ValidationError("need n >= 1")
     if int(config.T) != config.T or int(n) != n:
         raise ValidationError("T and n must be integral")
+    validate_config(config, constants)
     if setting == STRONGLY_CONVEX:
         beta, alpha = constants.beta, constants.alpha
         if alpha <= 0:
@@ -79,81 +83,97 @@ def _check(config: OptimizerConfig, setting: str, constants: LossConstants, n: i
     return T
 
 
-def _contraction(method: str, eta: float, constants: LossConstants) -> float:
-    """Per-step contraction of gd's, sgd's or nag's = nag_sc's strongly convex forms."""
-    beta, alpha = constants.beta, constants.alpha
-    if method == "gd":
-        return 1.0 - eta * beta / (1.0 + beta / alpha)
-    if method == "sgd":
-        return 1.0 - eta * alpha / 2.0
-    return 1.0 - 1.0 / math.sqrt(beta / alpha)
-
-
-# The step-size exponent alpha each convex stability row accepts (None: any in
-# [0, 1]); a method without a row has no convex stability bound.
-_CONVEX_ALPHA = {"gd": None, "sgd": None, "nag": 0.0, "hb": 0.0, "sgld": 1.0}
-
-
-def _convex_row(config: OptimizerConfig) -> str:
-    """The method of config's convex stability row; NoBoundError where its
-    method has no row or its schedule lies outside the row's domain."""
-    method, alpha = config.method, config.schedule.alpha
-    if method not in _CONVEX_ALPHA or _CONVEX_ALPHA[method] not in (None, alpha):
-        raise NoBoundError(f"no stability bound available for ({method}, {CONVEX}, "
-                           f"alpha {alpha:g})")
-    return method
-
-
 def sgld_burn_in(eta0: float, tau: float, L: float) -> int:
     """k0 = min{t >= 1 : (eta0/t) * tau * L^2 < 1} for the eta0/t schedule."""
     m = eta0 * tau * L * L
     return max(1, math.floor(m) + 1) if m >= 1 else 1
 
 
+def _power_law(config, c, n, T):
+    return 2.0 * config.schedule.eta0 * c.L * c.L * T ** (1.0 - config.schedule.alpha) / n
+
+
+def _sgld_curve(config, c, n, T):
+    eta0, L = config.schedule.eta0, c.L
+    k0 = sgld_burn_in(eta0, config.tau, L)
+    # harmonic[j] = sum_{t=k0+1}^{k0+j} 1/t
+    t_max = int(T.max()) if T.size else 0
+    harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(k0 + 1, max(t_max, k0) + 1))])
+    tail = eta0 * harmonic[np.maximum(T - k0, 0).astype(int)]
+    return (L / n) * (np.minimum(k0, T) + L * np.sqrt(config.tau * tail))
+
+
+def _sgld_envelope(config, c, n, T):
+    scale = c.L * c.L * math.sqrt(config.tau * config.schedule.eta0)
+    return np.array([scale * t ** 0.25 / n for t in T.tolist()])
+
+
+def _row(alpha, curve=None, exponent=None, lower=None, table=None) -> dict:
+    return dict(alpha=alpha, curve=curve, table=table or curve, exponent=exponent, lower=lower)
+
+
+def _strongly_convex(rho, scale=None, lower=True) -> dict:
+    """The fixed-step row of one contraction factor rho(eta, constants): stability
+    if ``scale`` is given, and the convergence lower bound if ``lower``."""
+    def curve(config, c, n, T):
+        return (scale * c.L * c.L / (c.alpha * n)) * (1.0 - rho(config.schedule.eta0, c) ** T)
+
+    def bound(config, c, n):
+        lead = c.beta * c.R * c.R / (C3 * n)
+        bulk = 4.0 * (c.R * c.beta) ** 2 / (c.alpha * n)
+        return lead - bulk + bulk * rho(config.schedule.eta0, c) ** config.T
+    return _row(0.0, curve if scale else None, lower=bound if lower else None)
+
+
+def _nag_rho(eta, c):
+    return 1.0 - 1.0 / math.sqrt(c.beta / c.alpha)
+
+
+# One row per (method, setting): "alpha", the step-size exponent its stability forms
+# accept (None: any in [0, 1]), and its pieces (None: absent): the stability "curve" and
+# its rate-"table" form over horizons, the table's growth "exponent", the "lower" bound.
+_ROWS = {
+    ("gd", CONVEX): _row(None, _power_law, lambda cfg: 1.0 - cfg.schedule.alpha,
+                         lambda cfg, c, n: c.R * c.R / (2.0 * C2 * cfg.schedule.eta0 * cfg.T)),
+    ("sgd", CONVEX): _row(None, _power_law, lambda cfg: 1.0 - cfg.schedule.alpha),
+    ("nag", CONVEX): _row(
+        0.0, lambda cfg, c, n, T: 4.0 * cfg.schedule.eta0 * c.L * c.L * T * T / n,
+        lambda cfg: 2.0,
+        lambda cfg, c, n: c.R * c.R / (4.0 * C2 * cfg.schedule.eta0 * cfg.T * cfg.T)),
+    ("hb", CONVEX): _row(0.0, lambda cfg, c, n, T: 4.0 * cfg.schedule.eta0 * c.L * c.L * T / (
+        (1.0 - math.sqrt(cfg.gamma)) * n), lambda cfg: 1.0),
+    ("sgld", CONVEX): _row(1.0, _sgld_curve, lambda cfg: 0.25, table=_sgld_envelope),
+    ("gd", STRONGLY_CONVEX): _strongly_convex(
+        lambda eta, c: 1.0 - eta * c.beta / (1.0 + c.beta / c.alpha), 4.0),
+    ("sgd", STRONGLY_CONVEX): _strongly_convex(lambda eta, c: 1.0 - eta * c.alpha / 2.0, 2.0,
+                                               lower=False),
+    ("nag_sc", STRONGLY_CONVEX): _strongly_convex(_nag_rho, 4.0),
+    ("nag", STRONGLY_CONVEX): _strongly_convex(_nag_rho),
+}
+
+
+def _piece(config: OptimizerConfig, setting: str, piece: str):
+    """``piece`` of config's row; NoBoundError where the row is missing, lacks the
+    piece, or does not accept the schedule's step-size exponent."""
+    row, alpha = _ROWS.get((config.method, setting)), config.schedule.alpha
+    if row is None or row[piece] is None or row["alpha"] not in (None, alpha):
+        raise NoBoundError(f"no {piece} bound for ({config.method}, {setting}, alpha {alpha:g})")
+    return row[piece]
+
+
+def _form(piece: str, config, setting, constants, n, ts) -> np.ndarray:
+    T = _check(config, setting, constants, n, ts)
+    return np.where(T == 0, 0.0, _piece(config, setting, piece)(config, constants, n, T))
+
+
 def stability_bound_curve(config: OptimizerConfig, setting: str, constants: LossConstants,
                           n: int, ts) -> np.ndarray:
     """Uniform stability bound at every horizon T in ``ts`` (``config.T`` is not read).
 
-    Each formula is written once over the array of horizons; sgld's harmonic
-    tail is a cumulative sum.  Zero at T = 0 for every method.  Raises
-    NoBoundError for pairs without a formula (e.g. heavy ball in the strongly
-    convex setting), whatever the horizons.
+    Zero at T = 0 for every method.  Raises NoBoundError for pairs without a formula
+    (e.g. heavy ball in the strongly convex setting), whatever the horizons.
     """
-    T = _check(config, setting, constants, n, ts)
-    L, alpha = constants.L, constants.alpha
-    method, sched = config.method, config.schedule
-    curve = None
-    if setting == CONVEX:
-        _convex_row(config)
-        if method in ("gd", "sgd"):
-            curve = 2.0 * sched.eta0 * L * L * T ** (1.0 - sched.alpha) / n
-        elif method == "nag":
-            curve = 4.0 * sched.eta0 * L * L * T * T / n
-        elif method == "hb":
-            curve = 4.0 * sched.eta0 * L * L * T / ((1.0 - math.sqrt(config.gamma)) * n)
-        else:  # sgld, eta0 / t
-            k0 = sgld_burn_in(sched.eta0, config.tau, L)
-            # harmonic[j] = sum_{t=k0+1}^{k0+j} 1/t
-            t_max = int(T.max()) if T.size else 0
-            harmonic = np.concatenate(
-                [[0.0], np.cumsum(1.0 / np.arange(k0 + 1, max(t_max, k0) + 1))])
-            tail = sched.eta0 * harmonic[np.maximum(T - k0, 0).astype(int)]
-            curve = (L / n) * (np.minimum(k0, T) + L * np.sqrt(config.tau * tail))
-    elif sched.alpha != 0:
-        raise NoBoundError("strongly convex bounds assume a fixed step size")
-    elif method in ("gd", "sgd", "nag_sc"):
-        curve = ((2.0 if method == "sgd" else 4.0) * L * L / (alpha * n)) * (
-            1.0 - _contraction(method, sched.eta0, constants) ** T)
-    if curve is None:
-        raise NoBoundError(f"no stability bound available for ({method}, {setting}, "
-                           f"alpha {sched.alpha:g})")
-    return np.where(T == 0, 0.0, curve)
-
-
-def stability_bound(config: OptimizerConfig, setting: str, constants: LossConstants,
-                    n: int) -> float:
-    """Uniform stability bound at iteration T: the curve evaluated at config.T."""
-    return float(stability_bound_curve(config, setting, constants, n, [config.T])[0])
+    return _form("curve", config, setting, constants, n, ts)
 
 
 def stability_bound_table_form(config: OptimizerConfig, setting: str,
@@ -164,21 +184,13 @@ def stability_bound_table_form(config: OptimizerConfig, setting: str,
     the tabulated rate replaces it with the envelope L^2 sqrt(tau eta0) T^(1/4) / n
     from log T <= 2 sqrt(T), each T^(1/4) a Python pow (numpy's may differ by 1 ulp).
     """
-    if config.method != "sgld":
-        return stability_bound_curve(config, setting, constants, n, ts)
-    T = _check(config, setting, constants, n, ts)
-    stability_bound_curve(config, setting, constants, n, ())  # raises where the curve does
-    scale = constants.L * constants.L * math.sqrt(config.tau * config.schedule.eta0)
-    return np.array([scale * t ** 0.25 / n for t in T.tolist()])
+    return _form("table", config, setting, constants, n, ts)
 
 
 def table_exponent(config: OptimizerConfig) -> float:
     """Growth exponent in T of the convex stability bound (rate-table column);
     NoBoundError wherever ``stability_bound_curve`` has no convex formula."""
-    method = _convex_row(config)
-    if method in ("gd", "sgd"):
-        return 1.0 - config.schedule.alpha
-    return {"nag": 2.0, "hb": 1.0, "sgld": 0.25}[method]
+    return _piece(config, CONVEX, "exponent")(config)
 
 
 def convergence_lower_bound(config: OptimizerConfig, setting: str,
@@ -189,24 +201,11 @@ def convergence_lower_bound(config: OptimizerConfig, setting: str,
     values.  Every form assumes a fixed step: a decreasing one raises NoBoundError.
     """
     _check(config, setting, constants, n)
-    T, method = config.T, config.method
-    if T == 0:
+    if config.T == 0:
         raise ValidationError("convergence lower bound needs T >= 1")
     if config.schedule.alpha != 0:
         raise NoBoundError("convergence lower bounds assume a fixed step size")
-    R, beta, alpha = constants.R, constants.beta, constants.alpha
-    eta = config.schedule.eta0
-    if setting == CONVEX:
-        if method == "gd":
-            return R * R / (2.0 * C2 * eta * T)
-        if method == "nag":
-            return R * R / (4.0 * C2 * eta * T * T)
-        raise NoBoundError(f"no convex convergence lower bound for {method!r}")
-    if method not in ("gd", "nag", "nag_sc"):
-        raise NoBoundError(f"no strongly convex convergence lower bound for {method!r}")
-    lead = beta * R * R / (C3 * n)
-    bulk = 4.0 * (R * beta) ** 2 / (alpha * n)
-    return lead - bulk + bulk * _contraction(method, eta, constants) ** T
+    return _piece(config, setting, "lower")(config, constants, n)
 
 
 def minimax_bound(setting: str, n: int, R: float, beta: float) -> float:

@@ -15,7 +15,6 @@ from optstab.bounds import (
     early_stopping_T,
     minimax_bound,
     sgld_burn_in,
-    stability_bound,
     stability_bound_curve,
     stability_bound_table_form,
     table_exponent,
@@ -44,39 +43,44 @@ def at(query, **changes):
 SC = LossConstants(L=1.0, beta=2.0, alpha=1.0, R=1.0)
 
 
+def bound_at_T(config, setting, constants, n):
+    """The stability bound at config.T: the curve at that one horizon."""
+    return float(stability_bound_curve(config, setting, constants, n, [config.T])[0])
+
+
 # ---------------------------------------------------------------- stability
 
 
 def test_gd_convex_bound():
-    assert stability_bound(*q("gd", T=100, n=500)) == pytest.approx(0.04)
+    assert bound_at_T(*q("gd", T=100, n=500)) == pytest.approx(0.04)
 
 
 def test_nag_convex_bound():
-    assert stability_bound(*q("nag", T=10, n=500)) == pytest.approx(0.08)
+    assert bound_at_T(*q("nag", T=10, n=500)) == pytest.approx(0.08)
 
 
 def test_hb_convex_bound():
     # 4 * 0.1 * 10 / ((1 - sqrt(0.8)) * 500), evaluated exactly
     expect = 4.0 * 0.1 * 10 / ((1 - math.sqrt(0.8)) * 500)
-    got = stability_bound(*q("hb", T=10, n=500, gamma=0.8))
+    got = bound_at_T(*q("hb", T=10, n=500, gamma=0.8))
     assert got == pytest.approx(expect, abs=1e-12)
     assert got == pytest.approx(0.0757771, abs=1e-6)
 
 
 def test_sgd_power_bound():
-    got = stability_bound(*q("sgd", schedule=power(0.1, 0.5), T=100, n=500))
+    got = bound_at_T(*q("sgd", schedule=power(0.1, 0.5), T=100, n=500))
     assert got == pytest.approx(2 * 0.1 * 1 * 10 / 500)
 
 
 def test_gd_strongly_convex_limit():
     sc = LossConstants(L=1.0, beta=2.0, alpha=1.0, R=1.0)
-    got = stability_bound(*q("gd", setting=STRONGLY_CONVEX, constants=sc,
-                            schedule=fixed(0.5), T=100000, n=100))
+    got = bound_at_T(*q("gd", setting=STRONGLY_CONVEX, constants=sc,
+                       schedule=fixed(0.5), T=100000, n=100))
     assert got == pytest.approx(4.0 / 100)
 
 
 def test_sgld_bound_example():
-    got = stability_bound(*q("sgld", schedule=power(0.5, 1.0), T=10, n=100, tau=1.0))
+    got = bound_at_T(*q("sgld", schedule=power(0.5, 1.0), T=10, n=100, tau=1.0))
     # k0 = 1; sum_{t=2}^{10} 0.5/t = 0.5 (H_10 - 1)
     tail = 0.5 * (sum(1.0 / t for t in range(1, 11)) - 1.0)
     assert got == pytest.approx((1.0 / 100) * (1 + math.sqrt(tail)), abs=1e-12)
@@ -91,15 +95,15 @@ def test_sgld_burn_in():
 
 def test_no_bound_pairs_raise():
     with pytest.raises(NoBoundError):
-        stability_bound(*q("hb", setting=STRONGLY_CONVEX, constants=SC,
-                          schedule=fixed(0.1), gamma=0.5))
+        bound_at_T(*q("hb", setting=STRONGLY_CONVEX, constants=SC,
+                     schedule=fixed(0.1), gamma=0.5))
     with pytest.raises(NoBoundError):
-        stability_bound(*q("nag", schedule=power(0.1, 0.5)))
+        bound_at_T(*q("nag", schedule=power(0.1, 0.5)))
     with pytest.raises(NoBoundError):
-        stability_bound(*q("sgld", schedule=fixed(0.1), tau=1.0))
+        bound_at_T(*q("sgld", schedule=fixed(0.1), tau=1.0))
     with pytest.raises(NoBoundError):  # raised even at T = 0
-        stability_bound(*q("hb", setting=STRONGLY_CONVEX, constants=SC,
-                          schedule=fixed(0.1), gamma=0.5, T=0))
+        bound_at_T(*q("hb", setting=STRONGLY_CONVEX, constants=SC,
+                     schedule=fixed(0.1), gamma=0.5, T=0))
 
 
 @pytest.mark.parametrize("query", [
@@ -114,20 +118,20 @@ def test_no_bound_pairs_raise():
     q("nag_sc", setting=STRONGLY_CONVEX, constants=SC, schedule=fixed(0.5), kappa=2.0),
 ], ids=lambda v: f"{v[0].method}-{v[1]}-{'power' if v[0].schedule.alpha else 'fixed'}")
 def test_zero_at_T0_and_nondecreasing_and_inverse_n(query):
-    assert stability_bound(*at(query, T=0)) == 0.0
-    vals = [stability_bound(*at(query, T=T))
+    assert bound_at_T(*at(query, T=0)) == 0.0
+    vals = [bound_at_T(*at(query, T=T))
             for T in (0, 1, 2, 5, 10, 50, 100, 1000)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[1] > 0
     config, setting, constants, n = query
-    one = stability_bound(config, setting, constants, n)
-    half = stability_bound(config, setting, constants, 2 * n)
+    one = bound_at_T(config, setting, constants, n)
+    half = bound_at_T(config, setting, constants, 2 * n)
     assert half == pytest.approx(one / 2, rel=1e-15)
 
 
 def test_nag_to_gd_ratio_is_2T():
     for T in (1, 3, 10, 200):
-        ratio = stability_bound(*q("nag", T=T)) / stability_bound(*q("gd", T=T))
+        ratio = bound_at_T(*q("nag", T=T)) / bound_at_T(*q("gd", T=T))
         assert ratio == pytest.approx(2.0 * T, rel=1e-12)
 
 
@@ -135,15 +139,13 @@ def test_strongly_convex_bounds_monotone_to_limit():
     for method, limit in (("gd", 4.0), ("sgd", 2.0), ("nag_sc", 4.0)):
         base = q(method, setting=STRONGLY_CONVEX, constants=SC, schedule=fixed(0.5),
                  n=100, kappa=2.0)
-        vals = np.array([stability_bound(*at(base, T=T))
-                         for T in range(0, 200)])
+        vals = np.array([bound_at_T(*at(base, T=T)) for T in range(0, 200)])
         diffs = np.diff(vals)
         assert np.all(diffs >= 0)
         # strictly increasing until the geometric term underflows the limit
         assert np.all(diffs[:20] > 0)
         assert np.all(vals <= limit / 100 + 1e-15)
-        assert stability_bound(*at(base, T=100000)) == pytest.approx(
-            limit / 100)
+        assert bound_at_T(*at(base, T=100000)) == pytest.approx(limit / 100)
 
 
 def test_doubling_exponents_for_power_law_methods():
@@ -152,8 +154,8 @@ def test_doubling_exponents_for_power_law_methods():
              (q("sgd", schedule=power(0.1, 0.3)), 0.7)]
     for base, exponent in cases:
         for T in (1, 4, 32, 256):
-            lhs = math.log(stability_bound(*at(base, T=2 * T))) \
-                - math.log(stability_bound(*at(base, T=T)))
+            lhs = math.log(bound_at_T(*at(base, T=2 * T))) \
+                - math.log(bound_at_T(*at(base, T=T)))
             assert lhs == pytest.approx(exponent * math.log(2), abs=1e-12)
 
 
@@ -181,27 +183,48 @@ def _raises_no_bound(call) -> bool:
     return False
 
 
+# The step-size exponents a in {0, 0.5, 1} at which each reader returns a value (it
+# raises NoBoundError at the others), per (method, setting): the stability curve, its
+# table form, the table exponent and the convergence lower bound.  table_exponent takes
+# no setting (it reads the convex row), so it has no strongly convex column (None).
+ANY, FIXED, HARMONIC, NONE = {0.0, 0.5, 1.0}, {0.0}, {1.0}, set()
+DOMAINS = {
+    ("gd", CONVEX): (ANY, ANY, ANY, FIXED),
+    ("sgd", CONVEX): (ANY, ANY, ANY, NONE),
+    ("nag", CONVEX): (FIXED, FIXED, FIXED, FIXED),
+    ("nag_sc", CONVEX): (NONE, NONE, NONE, NONE),
+    ("hb", CONVEX): (FIXED, FIXED, FIXED, NONE),
+    ("sgld", CONVEX): (HARMONIC, HARMONIC, HARMONIC, NONE),
+    ("gd", STRONGLY_CONVEX): (FIXED, FIXED, None, FIXED),
+    ("sgd", STRONGLY_CONVEX): (FIXED, FIXED, None, NONE),
+    ("nag", STRONGLY_CONVEX): (NONE, NONE, None, FIXED),
+    ("nag_sc", STRONGLY_CONVEX): (FIXED, FIXED, None, FIXED),
+    ("hb", STRONGLY_CONVEX): (NONE, NONE, None, NONE),
+    ("sgld", STRONGLY_CONVEX): (NONE, NONE, None, NONE),
+}
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("method", METHODS)
 def test_bound_readers_share_their_domains(method, alpha):
-    # the three convex readers raise together: for nag_sc, nag or hb on a
-    # decreasing step and sgld off eta0 / t; the strongly convex curve and table
-    # form raise together too; every convergence lower bound needs a fixed step
+    # the truth table above, in both settings; every convergence lower bound needs a
+    # fixed step, and says so
     schedule = fixed(0.1) if alpha == 0 else power(0.1, alpha)
     kw = dict(schedule=schedule, gamma=0.5 if method == "hb" else 0.0,
               tau=1.0 if method == "sgld" else None,
               kappa=SC.beta / SC.alpha if method == "nag_sc" else None)
-    convex, sc = q(method, **kw), q(method, setting=STRONGLY_CONVEX, constants=SC, **kw)
-    readers = [lambda: stability_bound_curve(*convex, [1, 16]),
-               lambda: stability_bound_table_form(*convex, [1, 16]),
-               lambda: table_exponent(convex[0])]
-    no_row = method == "nag_sc" or (method in ("nag", "hb") and alpha != 0) or (
-        method == "sgld" and alpha != 1)
-    assert [_raises_no_bound(r) for r in readers] == [no_row] * 3
-    assert _raises_no_bound(lambda: stability_bound_table_form(*sc, [1, 16])) \
-        == _raises_no_bound(lambda: stability_bound_curve(*sc, [1, 16]))
-    if alpha != 0:
-        for query in (convex, sc):
+    for setting, constants in ((CONVEX, C_CONVEX), (STRONGLY_CONVEX, SC)):
+        query = q(method, setting=setting, constants=constants, **kw)
+        readers = [lambda: stability_bound_curve(*query, [1, 16]),
+                   lambda: stability_bound_table_form(*query, [1, 16]),
+                   lambda: table_exponent(query[0]),
+                   lambda: convergence_lower_bound(*query)]
+        domains = DOMAINS[method, setting]
+        got = [None if domain is None else not _raises_no_bound(read)
+               for domain, read in zip(domains, readers)]
+        assert got == [None if domain is None else alpha in domain for domain in domains], \
+            setting
+        if alpha != 0:
             with pytest.raises(NoBoundError, match="fixed step"):
                 convergence_lower_bound(*query)
 
@@ -210,7 +233,7 @@ def test_nag_sc_bounds_need_the_loss_kappa():
     # the bounds use kappa = beta/alpha = 2 of SC; the run's momentum uses config.kappa
     args = dict(setting=STRONGLY_CONVEX, constants=SC, schedule=fixed(0.5), T=20, n=50)
     ok = q("nag_sc", kappa=2.0 * (1 + 1e-10), **args)
-    assert stability_bound(*ok) == stability_bound(*q("nag_sc", kappa=2.0, **args))
+    assert bound_at_T(*ok) == bound_at_T(*q("nag_sc", kappa=2.0, **args))
     assert convergence_lower_bound(*ok) == convergence_lower_bound(*q("nag", **args))
     bad = q("nag_sc", kappa=4.0, **args)
     with pytest.raises(NoBoundError, match="kappa"):
@@ -224,7 +247,7 @@ def test_nag_sc_bounds_need_the_loss_kappa():
     (STRONGLY_CONVEX, C_CONVEX, 10)])
 def test_every_bound_rejects_a_bad_setting_or_n(setting, constants, n):
     gd = OptimizerConfig(method="gd", schedule=fixed(0.1), T=10)
-    for bound in (stability_bound, convergence_lower_bound):
+    for bound in (bound_at_T, convergence_lower_bound):
         with pytest.raises(ValidationError):
             bound(gd, setting, constants, n)
     for curve in (stability_bound_curve, stability_bound_table_form):
@@ -333,14 +356,73 @@ def test_early_stopping_floor_and_validation():
 # evaluated when a schedule had a kind
 
 
-@pytest.mark.parametrize("method", ["gd", "sgd"])
+@pytest.mark.parametrize("method", ["gd", "sgd", "nag", "hb"])
 @pytest.mark.parametrize("eta0, L, n", [(0.1, 1.0, 500), (0.3, 0.5, 77), (1 / 3, 1.7, 1000)])
 def test_convex_curve_at_alpha_0_is_the_fixed_step_form_bitwise(method, eta0, L, n):
     T = np.arange(5001, dtype=float)
     constants = LossConstants(L=L, beta=0.25, alpha=0.0, R=1.0)
-    got = stability_bound_curve(*q(method, constants=constants, schedule=fixed(eta0), n=n), T)
-    assert np.array_equal(got, np.where(T == 0, 0.0, 2.0 * eta0 * L * L * T / n))
-    assert table_exponent(q(method, schedule=fixed(eta0))[0]) == 1.0
+    gamma = 0.8 if method == "hb" else 0.0
+    query = q(method, constants=constants, schedule=fixed(eta0), n=n, gamma=gamma)
+    form = {"gd": lambda: 2.0 * eta0 * L * L * T / n,
+            "sgd": lambda: 2.0 * eta0 * L * L * T / n,
+            "nag": lambda: 4.0 * eta0 * L * L * T * T / n,
+            "hb": lambda: 4.0 * eta0 * L * L * T / ((1.0 - math.sqrt(gamma)) * n)}[method]()
+    assert np.array_equal(stability_bound_curve(*query, T), np.where(T == 0, 0.0, form))
+    assert table_exponent(query[0]) == (2.0 if method == "nag" else 1.0)
+
+
+@pytest.mark.parametrize("eta0, tau, L, n, k0", [
+    (0.5, 1.0, 1.0, 100, 1), (3.7, 1.0, 1.0, 100, 4), (1.85, 2.0, 0.9, 77, 3)])
+def test_sgld_curve_is_its_written_form_bitwise(eta0, tau, L, n, k0):
+    # eta_t = eta0 / t; the harmonic tail sum_{k0 < t <= T} 1/t accumulated in order
+    constants = LossConstants(L=L, beta=0.25, alpha=0.0, R=1.0)
+    assert sgld_burn_in(eta0, tau, L) == k0
+    expect, harmonic = [0.0], 0.0
+    for t in range(1, 5001):
+        harmonic += 1.0 / t if t > k0 else 0.0
+        expect.append((L / n) * (min(k0, t) + L * math.sqrt(tau * (eta0 * harmonic))))
+    query = q("sgld", constants=constants, schedule=power(eta0, 1.0), n=n, tau=tau)
+    assert stability_bound_curve(*query, np.arange(5001)).tolist() == expect
+
+
+@pytest.mark.parametrize("eta, T, R", [(0.1, 10, 1.0), (1 / 3, 777, 2.5), (3.9, 5000, 0.3)])
+def test_convex_convergence_bounds_are_their_written_forms_bitwise(eta, T, R):
+    constants = LossConstants(L=1.0, beta=0.25, alpha=0.0, R=R)
+    query = lambda m: q(m, constants=constants, schedule=fixed(eta), T=T)
+    assert convergence_lower_bound(*query("gd")) == R * R / (2.0 * C2 * eta * T)
+    assert convergence_lower_bound(*query("nag")) == R * R / (4.0 * C2 * eta * T * T)
+
+
+# each bound holds only in its proof's step-size range, which is the range the step
+# engine accepts: eta0 <= 1/beta for gd, sgd, nag and nag_sc (C_CONVEX: 4, SC: 0.5)
+# and eta0 < (1 - gamma)/beta for hb (gamma = 0.5: 2); sgld's bound has no such range
+@pytest.mark.parametrize("method, setting, inside, over", [
+    ("gd", CONVEX, 4.0, 4.0 * (1 + 1e-9)),
+    ("sgd", CONVEX, 4.0, 4.0 * (1 + 1e-9)),
+    ("nag", CONVEX, 4.0, 4.0 * (1 + 1e-9)),
+    ("hb", CONVEX, 2.0 * (1 - 1e-9), 2.0),
+    ("gd", STRONGLY_CONVEX, 0.5, 0.5 * (1 + 1e-9)),
+    ("sgd", STRONGLY_CONVEX, 0.5, 0.5 * (1 + 1e-9)),
+    ("nag", STRONGLY_CONVEX, 0.5, 0.5 * (1 + 1e-9)),
+    ("nag_sc", STRONGLY_CONVEX, 0.5, 0.5 * (1 + 1e-9)),
+])
+def test_every_bound_rejects_a_step_past_its_limit(method, setting, inside, over):
+    kw = dict(setting=setting, constants=C_CONVEX if setting == CONVEX else SC, T=1000,
+              gamma=0.5 if method == "hb" else 0.0, kappa=2.0 if method == "nag_sc" else None)
+    readers = (lambda *query: stability_bound_curve(*query, [1, 2, 1000]),
+               lambda *query: stability_bound_table_form(*query, [1, 2, 1000]),
+               convergence_lower_bound)
+    values = 0
+    for read in readers:
+        with pytest.raises(ValidationError, match=f"{method} needs eta"):
+            read(*q(method, schedule=fixed(over), **kw))
+        try:
+            value = read(*q(method, schedule=fixed(inside), **kw))
+        except NoBoundError:  # the row lacks this piece
+            continue
+        assert np.all(np.isfinite(value))
+        values += 1
+    assert values >= 1
 
 
 @pytest.mark.parametrize("kappa", [1.5, 4.0, 100.0])
@@ -367,7 +449,7 @@ def test_strongly_convex_forms_keep_their_contraction_bits(kappa, scale, T):
     query = lambda m: q(m, setting=STRONGLY_CONVEX, constants=sc, schedule=fixed(eta),
                         T=T, n=n, kappa=kappa)
     for method, expect in stability.items():
-        assert stability_bound(*query(method)) == float(expect[0]), method
+        assert bound_at_T(*query(method)) == float(expect[0]), method
     for method, expect in convergence.items():
         assert convergence_lower_bound(*query(method)) == expect, method
 

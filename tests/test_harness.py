@@ -719,11 +719,14 @@ def test_cli_bounds_subcommand(tmp_path):
     ("--gamma", "1", "heavy ball needs 0 <= gamma < 1"),
     ("--gamma", "1.5", "heavy ball needs 0 <= gamma < 1"),
     ("--tau", "0", "sgld needs temperature tau > 0"),
+    # a bound holds only in its proof's step-size range, the one the step engine takes
+    ("--eta0", "5", "gd needs eta <= 1/beta = 4, got 5"),
+    ("--eta0", "3.9 --gamma 0.5", "hb needs eta < (1-gamma)/beta = 2, got 3.9"),
 ])
 def test_cli_bounds_bad_row_config_exits_1_writing_nothing(tmp_path, capsys, flag, value,
                                                            message):
     out = tmp_path / "bt"
-    assert cli_main(["bounds", flag, value, "--out", str(out)]) == 1
+    assert cli_main(["bounds", flag, *value.split(), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not (out / "report.json").exists()
 

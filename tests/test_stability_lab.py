@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from optstab.bounds import (
     CONVEX,
     STRONGLY_CONVEX,
-    stability_bound,
     stability_bound_curve,
 )
 from optstab.losses import (
@@ -709,6 +708,6 @@ def test_generalization_gap_under_stability_bound_on_average():
         cfg = OptimizerConfig(method="gd", schedule=fixed(eta), T=T)
         (rc,), _ = risk_curves([cfg], spec, train, test, seed=seed)
         gaps.append(rc.gen_gap[-1])
-    bound = stability_bound(cfg, CONVEX, loss_constants(spec), n)
+    bound = stability_bound_curve(cfg, CONVEX, loss_constants(spec), n, [T])[0]
     stderr = np.std(gaps, ddof=1) / math.sqrt(len(gaps))
     assert np.mean(gaps) <= bound + 3 * stderr
