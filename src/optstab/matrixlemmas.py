@@ -26,12 +26,17 @@ P_s's four entries and advances them by a two-row recurrence: the new bottom
 row is the old top row, the new top row is p (top row) + q (bottom row).
 Each draw has a horizon, its last step, and the draws come in non-increasing
 horizon order: those still advancing at step s are a leading prefix, and those
-checked at s one slice of it.  The single checks and the hb and nag_sc searches
-check each draw at its horizon only, the other sweeps at every step 1 ... horizon.
-A check compares a measured quantity (the spectral norm, or |P_s[0, 0]| = |a_s|
-for the scalar recursion) with the lemma's envelope, and fails above bound + TOL
-min(bound, 1), so a vanishing product still fails a vanishing envelope.  Each
-sweep allocates its state and scratch arrays once and runs every step in place.
+checked at s one slice of it.  The single nag_sc check and the hb and nag_sc
+searches check each draw at its horizon only, the other sweeps at every step
+1 ... horizon.  A check compares a measured quantity (the spectral norm, or
+|P_s[0, 0]| = |a_s| for the scalar recursion) with the lemma's envelope, and fails
+above bound + TOL min(bound, 1), so a vanishing product still fails a vanishing
+envelope, or on a nan value.  Each sweep allocates its state and scratch arrays
+once and runs every step in place.  The nag_convex sweep, whose envelope is one
+scalar a step, screens its draws by the bracket F/sqrt(2) <= sigma_max <= F on
+the Frobenius norm: a step computes the exact norm only of the draws whose F^2
+reaches half the step's largest or the squared bound, the few that can set its
+worst ratio or fail, and its results are those of the unscreened sweep.
 
 Results are max reductions, so ``nag_sweep``, the largest sweep, splits its
 draws into contiguous shards [a, b), one per CPU this process may run on (each
@@ -122,7 +127,7 @@ class SweepResult:
 
 
 def _sweep(top, measure, envelope, shape: Tuple[int, ...], horizons, at_horizon=False,
-           free=None):
+           free=None, screen=False):
     """Check measure(P_s) against envelope(s) along P_s = H_s ... H_1, P_0 = I.
 
     Axis 0 of ``shape`` indexes draws.  ``top(s)`` gives the per-draw top row
@@ -134,12 +139,23 @@ def _sweep(top, measure, envelope, shape: Tuple[int, ...], horizons, at_horizon=
     as views).  Each draw is checked at its horizon only if ``at_horizon``, else
     at every step 1 ... horizon.  ``measure(u, v, u1, v1, scratch)`` gives one
     value per checked draw, ``envelope(s)`` a scalar or per-draw bound >= 0.  A
-    check fails when value > bound + TOL min(bound, 1); a zero bound gives ratio
-    0 to a value of exactly 0, else inf.  ``free``, if given, is the sweep's
-    (3, *shape) scratch; p and q may live in free[1] and free[2], which each step
-    overwrites only after its advance.  Returns the worst ratio (first in step,
-    then draw order), its check as (draw, step, value, bound), every violation
-    as (draw, step, ratio), and the number of checks made.
+    check fails when value > bound + TOL min(bound, 1), or when the value or the
+    bound is nan (ratio nan, which never sets the worst ratio); a zero bound
+    gives ratio 0 to a value of exactly 0, else inf.  ``free``, if given, is the
+    sweep's (3, *shape) scratch; p and q may live in free[1] and free[2], which
+    each step overwrites only after its advance.
+
+    ``screen`` is for ``measure`` the spectral norm and a scalar envelope below
+    1e77: F/sqrt(2) <= sigma_max <= F with F^2 = u^2 + v^2 + u1^2 + v1^2, so only
+    a draw with F^2 >= (the step's largest F^2) / 2 can set its worst ratio, and
+    only one with F^2 > bound^2 can fail.  A step measures only the draws with
+    F^2 >= min(max F^2 / 2, bound^2) (1 - 64 eps), a margin over the rounding of
+    F^2, the closed form and the ratio (all of them if an F^2 is inf or nan); the
+    others are checked by that bracket.  The results are the unscreened bits.
+
+    Returns the worst ratio (first in step, then draw order), its check as
+    (draw, step, value, bound), every violation as (draw, step, ratio), and the
+    number of checks made.
     """
     u, v, u1, v1 = np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
     free = np.empty((3, *shape)) if free is None else free
@@ -165,28 +181,34 @@ def _sweep(top, measure, envelope, shape: Tuple[int, ...], horizons, at_horizon=
         if lo == hi:
             continue
         env = np.asarray(envelope(s))
-        bound = np.broadcast_to(env, n)[lo:hi]
+        rows, draws = slice(lo, hi), range(lo, hi)
+        if screen:
+            fro2 = np.multiply(u[rows], u[rows], out=free[0, :hi - lo])
+            for x in (v, u1, v1):
+                fro2 += np.multiply(x[rows], x[rows], out=free[1, :hi - lo])
+            top2 = fro2.max()
+            if top2 < np.inf:  # else (an inf or nan F^2) every draw is measured
+                cut = min(top2 / 2.0, float(env) ** 2) * (1.0 - 64 * np.finfo(float).eps)
+                rows = draws = lo + np.flatnonzero(fro2 >= cut)
+        bound = np.broadcast_to(env, n)[rows]
         # scratch from the leading rows: a few checks a step touch few of its pages
-        norm = measure(u[lo:hi], v[lo:hi], u1[lo:hi], v1[lo:hi], free[:, :hi - lo])
+        norm = measure(u[rows], v[rows], u1[rows], v1[rows], free[:, :len(draws)])
         if env.min() > 0:  # the masked divide's bits, without its prefill
-            out = free[2, :hi - lo]
+            out = free[2, :len(draws)]
             ratio = np.divide(norm, bound, out=out if norm.shape == out.shape else None)
         else:
             ratio = np.divide(norm, bound, out=np.where(norm == 0, 0.0, np.inf),
                               where=bound > 0)
-        j = int(np.argmax(ratio))
+        j = int(np.argmax(ratio))  # the first nan, if any
+        failed = not ratio[j] < 1.0  # a violation has ratio >= 1 (or nan)
+        if np.isnan(ratio[j]):
+            j = int(np.argmax(np.where(np.isnan(ratio), -np.inf, ratio)))
         if ratio[j] > worst:
-            worst, at = float(ratio[j]), (lo + j, s, float(norm[j]), float(bound[j]))
-        if not ratio[j] < 1.0:  # a violation has ratio >= 1 (or nan)
-            violations += [(lo + i, s, float(ratio[i])) for i in
-                           np.flatnonzero(norm > bound + TOL * np.minimum(bound, 1.0))]
+            worst, at = float(ratio[j]), (int(draws[j]), s, float(norm[j]), float(bound[j]))
+        if failed:
+            violations += [(int(draws[i]), s, float(ratio[i])) for i in
+                           np.flatnonzero(~(norm <= bound + TOL * np.minimum(bound, 1.0)))]
     return worst, at, violations, int(checks)
-
-
-def _check(lemma: str, scan, t: int, params: dict) -> LemmaCheck:
-    _, (_, _, norm, bound), violations, _ = scan
-    return LemmaCheck(lemma=lemma, norm=norm, bound=bound, ok=not violations, t=t,
-                      params=params)
 
 
 def _result(lemma: str, scan, describe) -> SweepResult:
@@ -208,21 +230,7 @@ def _nag_scan(hs: np.ndarray, gamma, horizons, at_horizon=False):
         np.multiply(np.subtract(1.0, g, out=p), hs, out=p)
         return p, np.multiply(g, hs, out=g)
     return _sweep(top, _batch_spectral_norm, lambda s: 2.0 * (s + 1), hs.shape,
-                  horizons, at_horizon, free)
-
-
-def nag_lemma_check(h: float, gammas: Sequence[float]) -> LemmaCheck:
-    """Check ||H_t ... H_1|| <= 2 (t + 1) for a vanishing-momentum product."""
-    gammas = np.asarray(gammas, dtype=float)
-    t = len(gammas)
-    if t < 1:
-        raise ValidationError("need at least one factor")
-    if not 0.0 <= h <= 1.0:
-        raise ValidationError("nag_convex needs 0 <= h <= 1")
-    if np.any(np.abs(gammas) >= 1.0):
-        raise ValidationError("nag_convex needs -1 < gamma_i < 1")
-    scan = _nag_scan(np.array([h]), lambda s, g: g.fill(gammas[s - 1]), t, True)
-    return _check("nag_convex", scan, t, {"h": h})
+                  horizons, at_horizon, free, screen=True)
 
 
 def _hb_scan(G, A, horizons, at_horizon=False):
@@ -231,18 +239,6 @@ def _hb_scan(G, A, horizons, at_horizon=False):
     top, bound = (1.0 + G - A, -G), 2.0 / (1.0 - np.sqrt(G))
     return _sweep(lambda s: top, _batch_spectral_norm, lambda s: bound, G.shape,
                   horizons, at_horizon)
-
-
-def hb_lemma_check(gamma: float, a: float, t: int) -> LemmaCheck:
-    """Check ||H^t|| <= 2 / (1 - sqrt(gamma)) for the fixed-momentum matrix."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValidationError("hb needs 0 <= gamma < 1")
-    if not 0.0 <= a <= 1.0 - gamma:
-        raise ValidationError("hb needs 0 <= a <= 1 - gamma")
-    if t < 0:
-        raise ValidationError("t must be >= 0")
-    scan = _hb_scan([gamma], [a], t, True)
-    return _check("hb", scan, t, {"gamma": gamma, "a": a})
 
 
 def _companion_radius(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -304,11 +300,12 @@ def scnag_lemma_check(kappa: float, alpha: float, beta: float, eta: float, t: in
     if t < 0:
         raise ValidationError("t must be >= 0")
     (gamma,), top, (rho,) = _scnag_grid([(kappa, alpha, beta, eta)], h_samples)
-    scan = _scnag_scan(top, lambda s: _scnag_bound(rho, s), t, True)
+    _, (_, _, norm, bound), violations, _ = _scnag_scan(
+        top, lambda s: _scnag_bound(rho, s), t, True)
     nominal = 2.0 * (1 + t) * (gamma * (1.0 - alpha * eta)) ** (t / 2.0)
-    return _check("nag_sc", scan, t,
-                  {"kappa": kappa, "alpha": alpha, "beta": beta, "eta": eta,
-                   "gamma": gamma, "rho": rho, "bound_nominal": nominal})
+    return LemmaCheck("nag_sc", norm, bound, not violations, t,
+                      {"kappa": kappa, "alpha": alpha, "beta": beta, "eta": eta,
+                       "gamma": gamma, "rho": rho, "bound_nominal": nominal})
 
 
 def recursion_u(h: float, t: int) -> np.ndarray:

@@ -10,13 +10,13 @@ from optstab.matrixlemmas import (
     _companion_radius,
     _scnag_bound,
     _scnag_grid,
+    _hb_scan,
+    _nag_scan,
     _recursion_scan,
     _sweep,
     _uniform_pm1,
     adversarial_max,
-    hb_lemma_check,
     hb_sweep,
-    nag_lemma_check,
     nag_sweep,
     recursion_u,
     recursion_u_sweep,
@@ -94,66 +94,68 @@ def test_spectral_norm_submultiplicative():
         assert spectral_norm(A @ B) <= spectral_norm(A) * spectral_norm(B) + 1e-12
 
 
-# -------------------------------------------------------- vanishing momentum
+# ------------------------------------------------- one-draw product checks
+
+
+def _one_draw(scan):
+    """(norm, bound, ok) of a one-draw scan checked at its horizon only."""
+    _, (_, _, norm, bound), violations, checks = scan
+    assert checks == 1
+    return norm, bound, not violations
+
+
+def _nag_check(h, gammas):
+    """||H_t ... H_1|| against 2 (t + 1), one draw h with the given gammas."""
+    gammas = np.asarray(gammas, dtype=float)
+    return _one_draw(_nag_scan(np.array([h]), lambda s, g: g.fill(gammas[s - 1]),
+                               len(gammas), True))
+
+
+def _hb_check(gamma, a, t):
+    """||H^t|| against 2 / (1 - sqrt(gamma)), one draw (gamma, a)."""
+    return _one_draw(_hb_scan([gamma], [a], t, True))
 
 
 def test_nag_check_single_factor():
-    res = nag_lemma_check(1.0, [0.0])
-    assert res.norm == pytest.approx(math.sqrt(2), abs=1e-12)
-    assert res.bound == 4.0 and res.ok
+    norm, bound, ok = _nag_check(1.0, [0.0])
+    assert norm == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert bound == 4.0 and ok
 
 
 def test_nag_check_h_zero_stays_small():
     rng = np.random.Generator(np.random.Philox(3))
-    res = nag_lemma_check(0.0, rng.uniform(-0.99, 0.99, size=37))
-    assert res.norm <= 1.0 + 1e-12 and res.ok
+    norm, _, ok = _nag_check(0.0, rng.uniform(-0.99, 0.99, size=37))
+    assert norm <= 1.0 + 1e-12 and ok
 
 
 def test_nag_check_extreme_momentum_top_entry():
     # at h = 1, gamma = -1 the top-left entry follows a_{i+1} = 2a_i - a_{i-1},
     # reaching 4 after three factors
-    res = nag_lemma_check(1.0, [-0.999999999, -0.999999999, -0.999999999])
+    norm, bound, _ = _nag_check(1.0, [-0.999999999, -0.999999999, -0.999999999])
     P = np.eye(2)
     H = np.array([[2.0, -1.0], [1.0, 0.0]])
     for _ in range(3):
         P = H @ P
     assert P[0, 0] == pytest.approx(4.0)
-    assert res.norm <= res.bound and res.bound == 8.0
-
-
-def test_nag_check_range_validation():
-    with pytest.raises(ValidationError):
-        nag_lemma_check(1.5, [0.0])
-    with pytest.raises(ValidationError):
-        nag_lemma_check(0.5, [1.0])
-
-
-# ------------------------------------------------------------- heavy ball
+    assert norm <= bound and bound == 8.0
 
 
 def test_hb_check_gamma_zero():
-    res = hb_lemma_check(0.0, 0.5, 1)
-    assert res.norm == pytest.approx(math.sqrt(1.25), abs=1e-12)
-    assert res.bound == 2.0 and res.ok
+    norm, bound, ok = _hb_check(0.0, 0.5, 1)
+    assert norm == pytest.approx(math.sqrt(1.25), abs=1e-12)
+    assert bound == 2.0 and ok
 
 
 def test_hb_bound_value():
-    res = hb_lemma_check(0.81, 0.0, 5)
-    assert res.bound == pytest.approx(2.0 / (1.0 - 0.9), abs=1e-12)
+    _, bound, _ = _hb_check(0.81, 0.0, 5)
+    assert bound == pytest.approx(2.0 / (1.0 - 0.9), abs=1e-12)
 
 
 def test_hb_admissible_powers_up_to_200():
     for gamma in (0.0, 0.3, 0.6, 0.9):
         for a in (0.0, (1 - gamma) / 2, 1 - gamma):
             for t in (1, 50, 200):
-                assert hb_lemma_check(gamma, a, t).ok
-
-
-def test_hb_range_validation():
-    with pytest.raises(ValidationError):
-        hb_lemma_check(1.0, 0.0, 1)
-    with pytest.raises(ValidationError):
-        hb_lemma_check(0.5, 0.6, 1)
+                assert _hb_check(gamma, a, t)[2]
 
 
 # ---------------------------------------------- strongly convex fixed momentum
@@ -362,14 +364,14 @@ def test_lemma_checks_match_matrix_power_reference():
         for g in gammas:
             P = np.array([[(1.0 - g) * h, g * h], [1.0, 0.0]]) @ P
         ref = np.linalg.norm(P, 2)
-        assert nag_lemma_check(h, gammas).norm == pytest.approx(ref, rel=1e-10)
+        assert _nag_check(h, gammas)[0] == pytest.approx(ref, rel=1e-10)
 
         gamma = rng.uniform(0.0, 0.999)
         a = rng.uniform(0.0, 1.0 - gamma)
         t = int(rng.integers(0, 65))
         H = np.array([[1.0 + gamma - a, -gamma], [1.0, 0.0]])
         ref = np.linalg.norm(np.linalg.matrix_power(H, t), 2)
-        assert hb_lemma_check(gamma, a, t).norm == pytest.approx(ref, rel=1e-10)
+        assert _hb_check(gamma, a, t)[0] == pytest.approx(ref, rel=1e-10)
 
         kappa = float(np.exp(rng.uniform(0.0, np.log(100.0))))
         t = int(rng.integers(0, 65))
@@ -516,3 +518,36 @@ def test_sweep_counterexamples_match_stacked_matmul_reference():
                 assert [v[:2] for v in violations] == [v[:2] for v in ref_violations]
                 assert [v[2] for v in violations] == pytest.approx(
                     [v[2] for v in ref_violations], rel=1e-12, abs=0)
+
+
+def test_a_nan_value_is_a_counterexample_and_the_finite_worst_stays():
+    # draw 1's value is nan at every step: each of its checks fails with ratio
+    # nan, and the worst ratio is the one the other two draws give without it
+    def nan_at_draw_1(*P):
+        value = _batch_spectral_norm(*P)
+        value[1] = math.nan
+        return value
+
+    p = np.array([0.5, 0.9, 0.7])
+    top = lambda s: (p, np.zeros(3))
+    worst, at, violations, checks = _sweep(top, nan_at_draw_1, lambda s: 4.0, (3,), 5)
+    finite = _sweep(lambda s: (p[[0, 2]], np.zeros(2)), _batch_spectral_norm,
+                    lambda s: 4.0, (2,), 5)
+    assert finite[1][0] == 1 and (worst, at) == (finite[0], (2, *finite[1][1:]))
+    assert [v[:2] for v in violations] == [(1, s) for s in range(1, 6)]
+    assert all(math.isnan(v[2]) for v in violations) and checks == 15 == finite[3] + 5
+
+
+@pytest.mark.parametrize("bad, witness", [(math.nan, 2), (math.inf, 2), (1e200, 1)])
+def test_the_screen_measures_every_non_finite_draw(bad, witness):
+    # a non-finite (or overflowing) F^2 measures the whole step: the nan or inf
+    # value is a counterexample, and the worst ratio is the unscreened sweep's,
+    # the finite draws' (an inf value's at 1e200: ratio inf)
+    p = np.array([0.5, bad, 0.7, 0.2])
+    top = lambda s: (p, np.full(4, 0.1))
+    with np.errstate(all="ignore"):
+        scans = [_sweep(top, _batch_spectral_norm, lambda s: 2.0 * (s + 1), (4,), 6,
+                        screen=screen) for screen in (False, True)]
+    assert repr(scans[0]) == repr(scans[1])  # repr: a nan ratio is unequal to itself
+    worst, (draw, _, _, _), violations, _ = scans[1]
+    assert {v[0] for v in violations} == {1} and draw == witness

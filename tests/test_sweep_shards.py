@@ -24,6 +24,12 @@ def _scale_envelopes(monkeypatch, scale):
     monkeypatch.setattr(ML, "_sweep", scaled)
 
 
+def _unscreened(monkeypatch):
+    sweep = ML._sweep
+    monkeypatch.setattr(ML, "_sweep", lambda *args, **kwargs: sweep(
+        *args, **{**kwargs, "screen": False}))
+
+
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_positioned_stream_reads_the_plain_stream_from_p(seed):
     plain = np.random.Generator(np.random.Philox(seed)).random(10)
@@ -232,3 +238,26 @@ def test_search_counterexamples_come_in_step_horizon_stream_order(monkeypatch, l
         assert len({k[0] for k in keys}) > 1 and keys == sorted(keys), (lemma, seed)
         if step == "t":  # hb and nag_sc check each draw at its horizon only
             assert all(s == -t for s, t, _ in keys)
+
+
+@pytest.mark.parametrize("draws", [3, 2001, 40_001])
+def test_screened_sweep_equals_unscreened_bitwise(monkeypatch, draws):
+    # the bracket screen measures only the draws that can set a step's worst ratio
+    # or fail: the results (worst ratio, witness, violations in order, checks) are
+    # the unscreened sweep's, also with the envelope cut to 0.99, 0.8 and 0.6 of
+    # the worst ratio, so that there are violations (at 0.6, some with F^2 below
+    # half the step's largest: only the bound^2 side of the screen keeps them);
+    # seeds 0-11 run every pair of t_max in (4, 16, 64) and 1 to 3 shards
+    for seed in range(12):
+        t_max, k = (4, 16, 64)[seed % 3], seed // 3 % 3 + 1
+        _shards(monkeypatch, k)
+        worst = None
+        for scale in (None, 0.99, 0.8, 0.6):
+            with monkeypatch.context() as m:
+                if scale is not None:
+                    _scale_envelopes(m, scale * worst)
+                screened = ML.nag_sweep(draws, t_max, seed)
+                _unscreened(m)
+                assert screened == ML.nag_sweep(draws, t_max, seed), (seed, scale)
+            worst = worst or screened.max_ratio
+            assert screened.ok == (scale is None), (seed, scale)
