@@ -7,7 +7,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..losses import Dataset, ValidationError, _residual, normalize_rows
+from ..losses import Dataset, ValidationError, _residual, _unit_rows, normalize_rows
 from ..streams import stream
 
 log = logging.getLogger(__name__)
@@ -61,15 +61,15 @@ def gen_synthetic(d: int, n: int, seed: int = 0) -> Tuple[Dataset, np.ndarray]:
     """Synthetic logistic data: unit-norm Gaussian rows, labels Bernoulli(r(theta*, x)).
 
     theta* is the all-ones vector; rows are standard normal draws rescaled to
-    unit norm; the Bernoulli parameter is the logistic link at x.theta*, read
-    from the loss's one residual form at y = 0 (s = 1), sigma(u).
-    Deterministic for a fixed seed (its "rows" and "labels" streams); the
-    first m rows of a draw are the draw of m rows.
+    unit norm in place, one gradient row block at a time (``losses._unit_rows``),
+    so the draw is the only design-sized array; the Bernoulli parameter is the
+    logistic link at x.theta*, read from the loss's one residual form at y = 0
+    (s = 1), sigma(u).  Deterministic for a fixed seed (its "rows" and "labels"
+    streams); the first m rows of a draw are the draw of m rows.
     """
     if d < 1 or n < 1:
         raise ValidationError("need d >= 1 and n >= 1")
-    X = stream(seed, "rows").standard_normal((n, d))
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    X = _unit_rows(stream(seed, "rows").standard_normal((n, d)))
     theta_star = np.ones(d)
     p = _residual(X @ -theta_star)
     u = stream(seed, "labels").uniform(size=n)

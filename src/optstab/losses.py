@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -423,7 +423,8 @@ def _logistic_constants(spec: LossSpec, data: Optional[Dataset]):
     if data is not None:
         if data.kind != "labeled":
             raise ValidationError("logistic constants need labeled data")
-        if np.linalg.norm(data.X, axis=-1).max() > 1.0 + 1e-9:
+        X = data.X.reshape(-1, data.dim)  # every member's rows
+        if np.max([norms.max() for _, norms in _row_norms(X)]) > 1.0 + 1e-9:
             raise ValidationError(
                 "logistic design must have unit-norm rows; run normalize_rows first")
     return 1.0, 0.25, 0.0
@@ -504,12 +505,18 @@ _RISK_ROWS = 64
 
 
 def empirical_risk_batch(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
-    """Empirical risk of each vector of a block (..., m, d), _RISK_ROWS vectors
-    at a time, so a long trace never holds its m x n values matrix at once."""
+    """Empirical risk of each vector of a block (..., m, d) against the single
+    sample ``data``: one leading index and _RISK_ROWS vectors at a time, so
+    neither a long trace nor a stack of them holds more than one (_RISK_ROWS, n)
+    values block.  A stacked product is one product per leading index, so the
+    risks are those of one values matrix over the whole block."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    return np.concatenate([loss_values_matrix(spec, thetas[..., i:i + _RISK_ROWS, :], data)
-                           .mean(axis=-1) for i in range(0, thetas.shape[-2], _RISK_ROWS)],
-                          axis=-1)
+    risks = np.empty(thetas.shape[:-1])
+    for idx in np.ndindex(thetas.shape[:-2]):
+        for i in range(0, thetas.shape[-2], _RISK_ROWS):
+            risks[idx][i:i + _RISK_ROWS] = loss_values_matrix(
+                spec, thetas[idx][i:i + _RISK_ROWS], data).mean(axis=-1)
+    return risks
 
 
 def sample_grad(spec: LossSpec, theta, data: Dataset, i) -> np.ndarray:
@@ -556,12 +563,29 @@ def loss_constants(spec: LossSpec, data: Optional[Dataset] = None) -> LossConsta
 
 
 def normalize_rows(X) -> np.ndarray:
-    """Rescale every row of X to unit Euclidean norm."""
-    X = np.asarray(X, dtype=float)
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise ValidationError("cannot normalize a zero row")
-    return X / norms
+    """A copy of X with every row rescaled to unit Euclidean norm (norms over
+    axis 1), by ``_unit_rows``."""
+    return _unit_rows(np.array(X, dtype=float))
+
+
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    """Divide every row of a float array X by its Euclidean norm over axis 1, in
+    place, one gradient row block at a time (``_row_norms``)."""
+    for rows, norms in _row_norms(X):
+        if np.any(norms == 0):
+            raise ValidationError("cannot normalize a zero row")
+        X[rows] /= norms
+    return X
+
+
+def _row_norms(X: np.ndarray) -> Iterator[tuple]:
+    """(rows, norms) per gradient row block (``_block_rows``) of X (n, ...): the
+    block's slice and its Euclidean norms over axis 1 (kept), so the squares summed
+    for them never span the whole design.  Each norm is its own reduction over its
+    row, so they are the bytes of ``norm(X, axis=1)``."""
+    step = _block_rows(X)
+    for i in range(0, X.shape[0], step):
+        yield slice(i, i + step), np.linalg.norm(X[i:i + step], axis=1, keepdims=True)
 
 
 def lecam_convex_kinks(spec: LossSpec, s: int) -> tuple:

@@ -23,12 +23,16 @@ member)``, where the seed is the batch's argument, not the config's, so every
 iterate is a deterministic function of (config, seed, member, loss, sample,
 theta0).  Members with the same index share identical streams, which is what
 couples a perturbed pair; a member's columns share them too (sgld scales the
-noise per column).  The noise covers the coordinates the loss reads: theta[0]
-of a symbol family, so its path does not depend on theta0's dimension.
+noise per column).  The streams are drawn one block of ``_DRAW_STEPS`` steps
+at a time, as the run reaches it, each distinct member's once; a draw continues
+its generator's stream, so the blocks are the draw of the whole horizon.  The
+noise covers the coordinates the loss reads: theta[0] of a symbol family, so
+its path does not depend on theta0's dimension.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -197,6 +201,28 @@ def _coefficients(config: OptimizerConfig, etas: np.ndarray):
     return a, b, c
 
 
+# Steps per draw of a batch's index and noise streams: a run holds one block of them
+_DRAW_STEPS = 64
+
+
+def _stream_draws(seed: int, members: Sequence[int], n: int, width: int,
+                  T: int) -> Iterator[tuple]:
+    """Per step t < T, the members' (B,) sgd indices in [0, n) and, for width > 0,
+    their (B, width) sgld noise, else None; drawn _DRAW_STEPS steps at a time from
+    each distinct member's streams once, which every member of its index reads."""
+    ids, member_of = np.unique(members, return_inverse=True)
+    index = [stream(seed, "sgd_index", int(m)) for m in ids]
+    noise = [stream(seed, "sgld_noise", int(m)) for m in ids] if width else []
+    for t in range(0, T, _DRAW_STEPS):
+        S = min(_DRAW_STEPS, T - t)
+        # np.take, not [:, member_of], keeps each step's slice C-contiguous
+        rows = np.take(np.stack([g.integers(0, n, size=S) for g in index], axis=1),
+                       member_of, axis=1)
+        xi = (np.take(np.stack([g.standard_normal((S, width)) for g in noise], axis=1),
+                      member_of, axis=1) if noise else itertools.repeat(None))
+        yield from zip(rows, xi)
+
+
 def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dataset,
                    seed: int, members: Sequence[int], theta0=None) -> Iterator[np.ndarray]:
     """Yield the (B, k, d) states theta_0..theta_T of B members by k configs.
@@ -229,27 +255,23 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
                zip(*(_coefficients(cfg, etas[:, j]) for j, cfg in enumerate(configs))))
     etas, keep = etas[..., None], 1.0 - a
 
-    rows = noise = None
+    draws = itertools.repeat((None, None))
     if configs[0].sampled:
         # sgd (indices only) and sgld (both) of one member read the same indices
-        rows = np.stack([stream(seed, "sgd_index", m).integers(0, n, size=T)
-                         for m in members], axis=1)
-        if any(cfg.method == "sgld" for cfg in configs):
-            width = 1 if spec.variant == "symbol" else d  # the coordinates it reads
-            noise = np.empty((T, B, width))
-            for i, m in enumerate(members):
-                noise[:, i] = stream(seed, "sgld_noise", m).standard_normal((T, width))
+        noisy = any(cfg.method == "sgld" for cfg in configs)
+        width = 1 if spec.variant == "symbol" else d  # the coordinates the noise reads
+        draws = _stream_draws(seed, members, n, width if noisy else 0, T)
 
     # inputs checked above, rows drawn in [0, n), iterates checked below: no per-step checks
     prev = older = np.broadcast_to(theta, (B, k, d))
     yield prev
-    for t in range(T):
+    for t, (rows, noise) in zip(range(T), draws):
         look = keep[t] * prev + a[t] * older
         # odd steps walk a blocked design backward, from the rows still in cache
-        grad = _block_grad(spec, look, data, None if rows is None else rows[t], t % 2 == 1)
+        grad = _block_grad(spec, look, data, rows, t % 2 == 1)
         theta = look - etas[t] * grad + b[t] * (prev - older)
         if noise is not None:
-            theta[..., :noise.shape[-1]] += c[t] * noise[t, :, None]
+            theta[..., :noise.shape[-1]] += c[t] * noise[:, None]
         if not np.isfinite(theta).all():
             j = int(np.argmin(np.isfinite(theta).all(axis=(0, 2))))
             raise FloatingPointError(f"{configs[j].method}: iterate {t + 1} is not finite")

@@ -332,7 +332,8 @@ def risk_curves(configs: Sequence[OptimizerConfig], spec: LossSpec, train: Datas
     column, its trace not stored; gd has no momentum, so from its state at T it
     resumes alone.  Otherwise the reference runs alone.  Both risks are taken
     as the batch advances, on each block of _RISK_ROWS states (the blocks
-    ``empirical_risk_batch`` takes of a whole trace), so no trace is stored."""
+    ``empirical_risk_batch`` takes of a whole trace, one column at a time), so no
+    trace is stored and one (_RISK_ROWS, n) values block is held at a time."""
     k, T = len(configs), configs[0].T
     joined = 0 < ref_budget and T <= ref_budget and not configs[0].sampled
     columns = [*configs, _reference_config(spec, train, T)] if joined else configs

@@ -23,7 +23,9 @@ from optstab.losses import (
     loss_values_matrix,
     normalize_rows,
     _EXP_CAP,
+    _RISK_ROWS,
     _block_grad,
+    _block_rows,
     _logistic_values,
     _residual,
     sample_grad,
@@ -665,6 +667,19 @@ def test_logistic_constants_reject_unnormalized_design():
     loss_constants(logistic_spec(), ok)
 
 
+@pytest.mark.parametrize("shape", [(1001, 200), (3, 500, 200)])
+def test_logistic_constants_check_every_row_block(shape):
+    # the norm check reads one gradient row block of rows at a time, over every
+    # member of a stack: a long row in the last, partial block is found
+    rng = np.random.Generator(np.random.Philox(8))
+    X = normalize_rows(rng.standard_normal((int(np.prod(shape[:-1])), shape[-1])))
+    y = rng.integers(0, 2, size=shape[:-1])
+    loss_constants(logistic_spec(), Dataset.from_labeled(X.reshape(shape), y))
+    X[-1] *= 1.0 + 1e-8
+    with pytest.raises(ValidationError, match="unit-norm"):
+        loss_constants(logistic_spec(), Dataset.from_labeled(X.reshape(shape), y))
+
+
 def test_quadratic_constants():
     from optstab.losses import quadratic_spec
 
@@ -710,6 +725,19 @@ def test_normalize_rows_random_matrix():
 def test_normalize_rows_zero_row_rejected():
     with pytest.raises(ValidationError):
         normalize_rows(np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("d", [1, 200])
+@pytest.mark.parametrize("blocks", [0.5, 1, 2.5])
+def test_blocked_normalization_equals_one_division_bitwise(d, blocks):
+    # below one gradient row block, exactly one, and not a multiple of the block;
+    # the input is left as it was
+    n = max(1, int(blocks * _block_rows(np.empty((1, d)))))
+    X = np.random.Generator(np.random.Philox(d)).standard_normal((n, d))
+    before = X.copy()
+    np.testing.assert_array_equal(normalize_rows(X),
+                                  X / np.linalg.norm(X, axis=1, keepdims=True))
+    np.testing.assert_array_equal(X, before)
 
 
 # ---------------------------------------------------------------- invariants
@@ -933,6 +961,42 @@ def test_param_vector_validation():
         as_param_vector([np.nan, 1.0])
     with pytest.raises(ValidationError):
         as_param_vector(np.zeros((2, 2)))
+
+
+_RISK_DESIGNS = {}
+
+
+def _risk_design(n, d):
+    """A labeled (n, d) design, built once per shape."""
+    if (n, d) not in _RISK_DESIGNS:
+        rng = np.random.Generator(np.random.Philox(n + d))
+        _RISK_DESIGNS[n, d] = Dataset.from_labeled(normalize_rows(
+            rng.standard_normal((n, d))), rng.integers(0, 2, size=n))
+    return _RISK_DESIGNS[n, d]
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from([1, 2, 3, 41, 64, 65, 130]),
+       lead=st.sampled_from([(3,), (2, 2), (1,)]),
+       shape=st.sampled_from([(300, 20), (900, 200)]), seed=st.integers(0, 2 ** 32 - 1))
+def test_empirical_risk_batch_of_a_stack_equals_one_call_per_leading_index(m, lead,
+                                                                          shape, seed):
+    # (300, 20) is one gradient row block, (900, 200) two and a part; the risks of
+    # a stack equal one call per leading index and, _RISK_ROWS vectors at a time,
+    # the row means of the stack's one values matrix
+    data = _risk_design(*shape)
+    thetas = 0.3 * np.random.Generator(np.random.Philox(seed)).standard_normal(
+        lead + (m, shape[1]))
+    risks = empirical_risk_batch(logistic_spec(), thetas, data)
+    assert risks.shape == lead + (m,)
+    for idx in np.ndindex(lead):
+        np.testing.assert_array_equal(risks[idx],
+                                      empirical_risk_batch(logistic_spec(), thetas[idx], data))
+    for i in range(0, m, _RISK_ROWS):
+        block = thetas[..., i:i + _RISK_ROWS, :]
+        np.testing.assert_array_equal(
+            risks[..., i:i + _RISK_ROWS],
+            loss_values_matrix(logistic_spec(), block, data).mean(axis=-1))
 
 
 @pytest.mark.parametrize("m", [64, 200, 1001])

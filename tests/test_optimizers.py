@@ -20,9 +20,11 @@ from optstab.losses import (
     sample_grad,
 )
 from optstab.optimizers import (
+    _DRAW_STEPS,
     OptimizerConfig,
     StepSchedule,
     _step_sizes,
+    _stream_draws,
     batch_iterates,
     fixed,
     nag_momentum_sequence,
@@ -504,3 +506,39 @@ def test_batch_states_match_a_per_vector_reference(family, sampled, stacked, n, 
     for j, ref in enumerate(refs):
         np.testing.assert_allclose(batch[:, :, j], ref, rtol=1e-13,
                                    atol=1e-13 * np.abs(ref).max(), err_msg=configs[j].method)
+
+
+S = _DRAW_STEPS
+
+
+@pytest.mark.parametrize("T", [1, S - 1, S, S + 1, 2 * S + 1])
+@pytest.mark.parametrize("n", [1, 7, 501, 2 ** 31 + 5])
+def test_streamed_draws_join_into_the_one_shot_draws(T, n):
+    # drawn one step block at a time, each distinct member's streams once: the
+    # blocks join into each member's whole-horizon draw, bit for bit
+    members, width, seed = [3, 0, 3, 5, 0], 3, 11
+    steps = list(_stream_draws(seed, members, n, width, T))
+    assert len(steps) == T
+    rows = np.stack([r for r, _ in steps])
+    noise = np.stack([z for _, z in steps])
+    np.testing.assert_array_equal(
+        rows, np.stack([stream(seed, "sgd_index", m).integers(0, n, size=T)
+                        for m in members], axis=1))
+    np.testing.assert_array_equal(
+        noise, np.stack([stream(seed, "sgld_noise", m).standard_normal((T, width))
+                         for m in members], axis=1))
+    assert all(z is None for _, z in _stream_draws(seed, members, n, 0, T))
+
+
+@pytest.mark.parametrize("method", SAMPLED_METHODS)
+def test_sampled_batch_across_step_blocks_matches_the_per_vector_reference(method):
+    # a horizon of 2S + 1 steps crosses two step blocks of draws; members repeat
+    # as in a coupled pair batch, each index's streams drawn once
+    rng = np.random.Generator(np.random.Philox(29))
+    members, T = [0, 1, 2, 0, 1, 2], 2 * S + 1
+    spec, data = _family_case("logistic", rng, 7, 3, len(members), True)
+    cfg = OptimizerConfig(method=method, schedule=power(2.0, 0.5), T=T, tau=3.0)
+    theta0 = rng.standard_normal(3)
+    batch = np.stack(list(batch_iterates([cfg], spec, data, 5, members, theta0=theta0)))
+    np.testing.assert_array_equal(batch[:, :, 0],
+                                  _reference_states(cfg, spec, data, 5, members, theta0))
