@@ -563,9 +563,12 @@ def loss_constants(spec: LossSpec, data: Optional[Dataset] = None) -> LossConsta
 
 
 def normalize_rows(X) -> np.ndarray:
-    """A copy of X with every row rescaled to unit Euclidean norm (norms over
-    axis 1), by ``_unit_rows``."""
-    return _unit_rows(np.array(X, dtype=float))
+    """A copy of X (..., d) with every row rescaled to unit Euclidean norm (norms
+    over the last axis), by ``_unit_rows`` on its (-1, d) view, so a stack's rows
+    are those of its members normalized one by one."""
+    X = np.array(X, dtype=float)
+    _unit_rows(X.reshape(-1, X.shape[-1]))
+    return X
 
 
 def _unit_rows(X: np.ndarray) -> np.ndarray:

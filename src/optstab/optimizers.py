@@ -13,7 +13,11 @@ full empirical-risk gradient or a single sampled row's.  ``batch_iterates``
 runs B members of k configs of one gradient kind as one (B, k, d) state
 under (T, k) coefficient columns, each member on the shared sample or on its
 own sample of a stack; ``run`` records the trace of its one-config,
-one-member case.  theta_0 is the zero vector of the sample's dimension
+one-member case.  A batch steps the lookahead only if some column's a_t is
+nonzero (nag, nag_sc) and the momentum only if some b_t is (hb with gamma > 0),
+otherwise theta_t = theta_{t-1} - eta_t g_t (+ the sgld noise): a skipped term
+adds zeros, so the iterates are those of the whole law up to the sign of an
+exact zero.  theta_0 is the zero vector of the sample's dimension
 unless given (the symbol families read only theta[0]).  A batch checks its
 inputs once, before theta_0, then calls the unchecked ``losses._block_grad``.
 
@@ -23,11 +27,13 @@ member)``, where the seed is the batch's argument, not the config's, so every
 iterate is a deterministic function of (config, seed, member, loss, sample,
 theta0).  Members with the same index share identical streams, which is what
 couples a perturbed pair; a member's columns share them too (sgld scales the
-noise per column).  The streams are drawn one block of ``_DRAW_STEPS`` steps
-at a time, as the run reaches it, each distinct member's once; a draw continues
-its generator's stream, so the blocks are the draw of the whole horizon.  The
-noise covers the coordinates the loss reads: theta[0] of a symbol family, so
-its path does not depend on theta0's dimension.
+noise per column).  The streams are drawn one block at a time, as the run
+reaches it, each distinct member's once: noise ``_DRAW_STEPS`` (64) steps and
+indices ``_DRAW_STEPS`` x width steps a block (640 at d = 10), so an index block
+holds the bytes of a noise block; a draw continues its generator's stream, so
+the blocks are the draw of the whole horizon.  The noise covers the coordinates
+the loss reads, its width: theta[0] of a symbol family, so its path does not
+depend on theta0's dimension, else all d.
 """
 
 from __future__ import annotations
@@ -201,26 +207,32 @@ def _coefficients(config: OptimizerConfig, etas: np.ndarray):
     return a, b, c
 
 
-# Steps per draw of a batch's index and noise streams: a run holds one block of them
+# Steps per draw of a batch's sgld noise; its sgd indices are drawn _DRAW_STEPS x width
+# steps at a time, so an index block holds the bytes of a noise block: one
+# Generator.integers call costs about 9 us whatever its size
 _DRAW_STEPS = 64
 
 
-def _stream_draws(seed: int, members: Sequence[int], n: int, width: int,
-                  T: int) -> Iterator[tuple]:
-    """Per step t < T, the members' (B,) sgd indices in [0, n) and, for width > 0,
-    their (B, width) sgld noise, else None; drawn _DRAW_STEPS steps at a time from
-    each distinct member's streams once, which every member of its index reads."""
+def _stream_draws(seed: int, members: Sequence[int], n: int, width: int, T: int,
+                  noisy: bool) -> Iterator[tuple]:
+    """Per step t < T, the members' (B,) sgd indices in [0, n) and, if noisy, their
+    (B, width) sgld noise, else None; indices drawn _DRAW_STEPS x width steps and
+    noise _DRAW_STEPS steps at a time, from each distinct member's streams once,
+    which every member of its index reads."""
     ids, member_of = np.unique(members, return_inverse=True)
-    index = [stream(seed, "sgd_index", int(m)) for m in ids]
-    noise = [stream(seed, "sgld_noise", int(m)) for m in ids] if width else []
-    for t in range(0, T, _DRAW_STEPS):
-        S = min(_DRAW_STEPS, T - t)
-        # np.take, not [:, member_of], keeps each step's slice C-contiguous
-        rows = np.take(np.stack([g.integers(0, n, size=S) for g in index], axis=1),
-                       member_of, axis=1)
-        xi = (np.take(np.stack([g.standard_normal((S, width)) for g in noise], axis=1),
-                      member_of, axis=1) if noise else itertools.repeat(None))
-        yield from zip(rows, xi)
+
+    def blocks(name, steps, draw):
+        gens = [stream(seed, name, int(m)) for m in ids]
+        for t in range(0, T, steps):
+            S = min(steps, T - t)
+            # np.take, not [:, member_of], keeps each step's slice C-contiguous
+            yield from np.take(np.stack([draw(g, S) for g in gens], axis=1), member_of,
+                               axis=1)
+
+    rows = blocks("sgd_index", _DRAW_STEPS * width, lambda g, S: g.integers(0, n, size=S))
+    xi = (blocks("sgld_noise", _DRAW_STEPS, lambda g, S: g.standard_normal((S, width)))
+          if noisy else itertools.repeat(None))
+    return zip(rows, xi)
 
 
 def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dataset,
@@ -255,21 +267,26 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
                zip(*(_coefficients(cfg, etas[:, j]) for j, cfg in enumerate(configs))))
     etas, keep = etas[..., None], 1.0 - a
 
+    # a term whose coefficients are all zero adds only zeros: step the live ones
+    lookahead, momentum, noisy = (bool(x.any()) for x in (a, b, c))
     draws = itertools.repeat((None, None))
     if configs[0].sampled:
         # sgd (indices only) and sgld (both) of one member read the same indices
-        noisy = any(cfg.method == "sgld" for cfg in configs)
         width = 1 if spec.variant == "symbol" else d  # the coordinates the noise reads
-        draws = _stream_draws(seed, members, n, width if noisy else 0, T)
+        draws = _stream_draws(seed, members, n, width, T, noisy)
 
     # inputs checked above, rows drawn in [0, n), iterates checked below: no per-step checks
-    prev = older = np.broadcast_to(theta, (B, k, d))
+    # theta_0 C-contiguous, as a lookahead would leave it: a step without one passes
+    # it to the gradient as it is
+    prev = older = np.tile(theta, (B, k, 1))
     yield prev
     for t, (rows, noise) in zip(range(T), draws):
-        look = keep[t] * prev + a[t] * older
+        look = keep[t] * prev + a[t] * older if lookahead else prev
         # odd steps walk a blocked design backward, from the rows still in cache
         grad = _block_grad(spec, look, data, rows, t % 2 == 1)
-        theta = look - etas[t] * grad + b[t] * (prev - older)
+        theta = look - etas[t] * grad
+        if momentum:
+            theta += b[t] * (prev - older)
         if noise is not None:
             theta[..., :noise.shape[-1]] += c[t] * noise[:, None]
         if not np.isfinite(theta).all():

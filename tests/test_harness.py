@@ -117,15 +117,17 @@ def test_gen_synthetic_rows_unit_norm_and_deterministic():
     np.testing.assert_array_equal(theta_a, np.ones(6))
 
 
-@pytest.mark.parametrize("d, n", [(1, 5), (10, 600), (200, 1001)])
+@pytest.mark.parametrize("d, n", [(1, 5), (3, 7), (10, 600), (200, 1001)])
 def test_gen_synthetic_rows_are_the_draw_over_its_row_norms_bitwise(d, n):
-    # normalized in place one gradient row block at a time (1001 rows at d = 200
-    # are two blocks and a part), the rows are those of one division
+    # drawn into a 64-byte-aligned buffer and normalized in place one gradient row
+    # block at a time (1001 rows at d = 200 are two blocks and a part), the rows
+    # are those of one division of the plain draw
     from optstab.streams import stream
 
     Z = stream(4, "rows").standard_normal((n, d))
-    np.testing.assert_array_equal(gen_synthetic(d, n, seed=4)[0].X,
-                                  Z / np.linalg.norm(Z, axis=1, keepdims=True))
+    X = gen_synthetic(d, n, seed=4)[0].X
+    assert X.ctypes.data % 64 == 0 and X.flags.c_contiguous
+    np.testing.assert_array_equal(X, Z / np.linalg.norm(Z, axis=1, keepdims=True))
 
 
 def test_gen_synthetic_label_frequency_concentrates():

@@ -23,6 +23,7 @@ from optstab.optimizers import (
     _DRAW_STEPS,
     OptimizerConfig,
     StepSchedule,
+    _coefficients,
     _step_sizes,
     _stream_draws,
     batch_iterates,
@@ -509,15 +510,17 @@ def test_batch_states_match_a_per_vector_reference(family, sampled, stacked, n, 
 
 
 S = _DRAW_STEPS
+W = 3  # the noise width of the draws test: its index blocks hold W * S steps
 
 
-@pytest.mark.parametrize("T", [1, S - 1, S, S + 1, 2 * S + 1])
+@pytest.mark.parametrize("T", [1, S - 1, S, S + 1, 2 * S + 1, W * S - 1, W * S, W * S + 1,
+                               2 * W * S + 1])
 @pytest.mark.parametrize("n", [1, 7, 501, 2 ** 31 + 5])
 def test_streamed_draws_join_into_the_one_shot_draws(T, n):
-    # drawn one step block at a time, each distinct member's streams once: the
-    # blocks join into each member's whole-horizon draw, bit for bit
-    members, width, seed = [3, 0, 3, 5, 0], 3, 11
-    steps = list(_stream_draws(seed, members, n, width, T))
+    # indices drawn W * S and noise S steps at a time, each distinct member's
+    # streams once: the blocks join into each member's whole-horizon draw, bit for bit
+    members, seed = [3, 0, 3, 5, 0], 11
+    steps = list(_stream_draws(seed, members, n, W, T, True))
     assert len(steps) == T
     rows = np.stack([r for r, _ in steps])
     noise = np.stack([z for _, z in steps])
@@ -525,9 +528,60 @@ def test_streamed_draws_join_into_the_one_shot_draws(T, n):
         rows, np.stack([stream(seed, "sgd_index", m).integers(0, n, size=T)
                         for m in members], axis=1))
     np.testing.assert_array_equal(
-        noise, np.stack([stream(seed, "sgld_noise", m).standard_normal((T, width))
+        noise, np.stack([stream(seed, "sgld_noise", m).standard_normal((T, W))
                          for m in members], axis=1))
-    assert all(z is None for _, z in _stream_draws(seed, members, n, 0, T))
+    quiet = list(_stream_draws(seed, members, n, W, T, False))
+    assert all(z is None for _, z in quiet)
+    np.testing.assert_array_equal(np.stack([r for r, _ in quiet]), rows)
+
+
+def _all_terms_states(configs, spec, data, seed, members, theta0):
+    """theta_0..theta_T (T+1, B, k, d) of a batch, each step applying all four terms
+    of the law (lookahead, gradient, momentum, noise) to the whole (B, k, d) state."""
+    B, k, T, d = len(members), len(configs), configs[0].T, len(theta0)
+    etas = np.stack([_step_sizes(cfg.schedule, T) for cfg in configs], axis=1)
+    a, b, c = (np.stack(column, axis=1)[..., None] for column in
+               zip(*(_coefficients(cfg, etas[:, j]) for j, cfg in enumerate(configs))))
+    rows = np.stack([stream(seed, "sgd_index", m).integers(0, data.n, size=T)
+                     for m in members], axis=1)
+    noise = np.stack([stream(seed, "sgld_noise", m).standard_normal((T, d))
+                      for m in members], axis=1)
+    prev = older = np.tile(theta0, (B, k, 1))
+    states = [prev]
+    for t in range(T):
+        look = (1.0 - a[t]) * prev + a[t] * older
+        grad = losses._block_grad(spec, look, data, rows[t] if configs[0].sampled else None,
+                                  t % 2 == 1)
+        theta = (look - etas[t][:, None] * grad + b[t] * (prev - older)
+                 + c[t] * noise[t][:, None])
+        older, prev = prev, theta
+        states.append(theta)
+    return np.stack(states)
+
+
+def _cfg(method, T=5, gamma=0.5):
+    return OptimizerConfig(method=method, schedule=fixed(1.0), T=T, gamma=gamma, kappa=4.0,
+                           tau=3.0)
+
+
+@pytest.mark.parametrize("configs", [
+    [_cfg("gd")], [_cfg("sgd"), _cfg("sgld")], [_cfg("gd"), _cfg("hb")],
+    [_cfg("hb", gamma=0.0)], [_cfg("nag", T=1)], [_cfg("nag")], [_cfg("nag_sc")],
+    [_cfg("gd"), _cfg("nag"), _cfg("hb")]],
+    ids=["gd", "sgd+sgld", "gd+hb", "hb-gamma0", "nag-T1", "nag-T5", "nag_sc", "gd+nag+hb"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stack"])
+def test_batch_skipping_dead_terms_equals_the_all_terms_law(configs, stacked):
+    # a batch steps only the terms some column's coefficients keep live; the
+    # terms it skips add zeros, so every state equals the all-terms law's
+    rng = np.random.Generator(np.random.Philox(41))
+    members = [0, 1, 0]
+    spec, data = _family_case("logistic", rng, 7, 3, len(members), stacked)
+    theta0 = rng.standard_normal(3)
+    got = list(batch_iterates(configs, spec, data, 9, members, theta0=theta0))
+    ref = _all_terms_states(configs, spec, data, 9, members, theta0)
+    assert len(got) == len(ref)
+    for t, (state, expect) in enumerate(zip(got, ref)):
+        assert np.array_equal(state, expect), t
 
 
 @pytest.mark.parametrize("method", SAMPLED_METHODS)
