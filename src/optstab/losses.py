@@ -566,7 +566,7 @@ def normalize_rows(X) -> np.ndarray:
     """A copy of X (..., d) with every row rescaled to unit Euclidean norm (norms
     over the last axis), by ``_unit_rows`` on its (-1, d) view, so a stack's rows
     are those of its members normalized one by one."""
-    X = np.array(X, dtype=float)
+    X = np.array(X, dtype=float, order="C")  # so the (-1, d) reshape is a view
     _unit_rows(X.reshape(-1, X.shape[-1]))
     return X
 

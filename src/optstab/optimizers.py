@@ -29,11 +29,10 @@ theta0).  Members with the same index share identical streams, which is what
 couples a perturbed pair; a member's columns share them too (sgld scales the
 noise per column).  The streams are drawn one block at a time, as the run
 reaches it, each distinct member's once: noise ``_DRAW_STEPS`` (64) steps and
-indices ``_DRAW_STEPS`` x width steps a block (640 at d = 10), so an index block
-holds the bytes of a noise block; a draw continues its generator's stream, so
-the blocks are the draw of the whole horizon.  The noise covers the coordinates
-the loss reads, its width: theta[0] of a symbol family, so its path does not
-depend on theta0's dimension, else all d.
+indices ``_INDEX_STEPS`` (1024) steps a block, whatever the dimension; a draw
+continues its generator's stream, so the blocks are the draw of the whole
+horizon.  The noise covers the coordinates the loss reads: theta[0] of a symbol
+family, so its path does not depend on theta0's dimension.
 """
 
 from __future__ import annotations
@@ -207,18 +206,19 @@ def _coefficients(config: OptimizerConfig, etas: np.ndarray):
     return a, b, c
 
 
-# Steps per draw of a batch's sgld noise; its sgd indices are drawn _DRAW_STEPS x width
-# steps at a time, so an index block holds the bytes of a noise block: one
-# Generator.integers call costs about 9 us whatever its size
+# Steps per draw of a batch's sgld noise, and of its sgd indices: a run holds one
+# block of each.  An index costs 8 bytes per member and step, and one
+# Generator.integers call about 9 us whatever its size, so indices come in longer blocks
 _DRAW_STEPS = 64
+_INDEX_STEPS = 1024
 
 
-def _stream_draws(seed: int, members: Sequence[int], n: int, width: int, T: int,
-                  noisy: bool) -> Iterator[tuple]:
-    """Per step t < T, the members' (B,) sgd indices in [0, n) and, if noisy, their
-    (B, width) sgld noise, else None; indices drawn _DRAW_STEPS x width steps and
-    noise _DRAW_STEPS steps at a time, from each distinct member's streams once,
-    which every member of its index reads."""
+def _stream_draws(seed: int, members: Sequence[int], n: int, width: int,
+                  T: int) -> Iterator[tuple]:
+    """Per step t < T, the members' (B,) sgd indices in [0, n) and, for width > 0,
+    their (B, width) sgld noise, else None; indices drawn _INDEX_STEPS and noise
+    _DRAW_STEPS steps at a time, from each distinct member's streams once, which
+    every member of its index reads."""
     ids, member_of = np.unique(members, return_inverse=True)
 
     def blocks(name, steps, draw):
@@ -229,9 +229,9 @@ def _stream_draws(seed: int, members: Sequence[int], n: int, width: int, T: int,
             yield from np.take(np.stack([draw(g, S) for g in gens], axis=1), member_of,
                                axis=1)
 
-    rows = blocks("sgd_index", _DRAW_STEPS * width, lambda g, S: g.integers(0, n, size=S))
+    rows = blocks("sgd_index", _INDEX_STEPS, lambda g, S: g.integers(0, n, size=S))
     xi = (blocks("sgld_noise", _DRAW_STEPS, lambda g, S: g.standard_normal((S, width)))
-          if noisy else itertools.repeat(None))
+          if width else itertools.repeat(None))
     return zip(rows, xi)
 
 
@@ -273,7 +273,7 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
     if configs[0].sampled:
         # sgd (indices only) and sgld (both) of one member read the same indices
         width = 1 if spec.variant == "symbol" else d  # the coordinates the noise reads
-        draws = _stream_draws(seed, members, n, width, T, noisy)
+        draws = _stream_draws(seed, members, n, width if noisy else 0, T)
 
     # inputs checked above, rows drawn in [0, n), iterates checked below: no per-step checks
     # theta_0 C-contiguous, as a lookahead would leave it: a step without one passes

@@ -741,10 +741,16 @@ def test_blocked_normalization_equals_one_division_bitwise(d, blocks):
 
 
 @pytest.mark.parametrize("shape", [(4, 6, 3), (2, 2, 5, 1), (3, 1000, 200)])
-def test_normalize_rows_of_a_stack_normalizes_each_members_rows(shape):
+@pytest.mark.parametrize("layout", ["C", "transposed", "F"])
+def test_normalize_rows_of_a_stack_normalizes_each_members_rows(shape, layout):
     # norms over the last axis: every row of every member has unit norm, and each
-    # member is the 2-D normalization of its own rows, bit for bit
-    X = np.random.Generator(np.random.Philox(7)).standard_normal(shape)
+    # member is the 2-D normalization of its own rows, bit for bit, whatever the
+    # stack's memory layout
+    rng = np.random.Generator(np.random.Philox(7))
+    if layout == "transposed":
+        X = rng.standard_normal((shape[1], shape[0]) + shape[2:]).swapaxes(0, 1)
+    else:
+        X = np.array(rng.standard_normal(shape), order=layout)
     got = normalize_rows(X)
     np.testing.assert_allclose(np.linalg.norm(got, axis=-1), 1.0, atol=1e-14)
     for idx in np.ndindex(shape[:-2]):

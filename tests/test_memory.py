@@ -14,23 +14,27 @@ from optstab.losses import (
     logistic_spec,
     loss_constants,
 )
-from optstab.optimizers import _DRAW_STEPS, OptimizerConfig, batch_iterates, fixed
+from optstab.optimizers import (
+    _DRAW_STEPS,
+    _INDEX_STEPS,
+    OptimizerConfig,
+    batch_iterates,
+    fixed,
+)
 from optstab.stability_lab import risk_curves
 
 
-def _peak_bytes(fn, setup=lambda: None) -> int:
-    """Peak bytes allocated while fn(setup()) runs, its result included, measured
-    on a second call, so that lazy imports and first-call caches are not counted;
-    what setup() allocates is not counted either."""
-    fn(setup())
+def _peak_bytes(fn) -> int:
+    """Peak bytes allocated while fn() runs, its result included, measured on a
+    second call, so that lazy imports and first-call caches are not counted."""
+    fn()
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
-        arg = setup()
         tracemalloc.clear_traces()
         tracemalloc.reset_peak()
-        fn(arg)
+        fn()
         return tracemalloc.get_traced_memory()[1]
     finally:
         if not tracing:
@@ -41,7 +45,7 @@ def test_gen_synthetic_holds_one_design():
     # the row norms take one gradient row block at a time: no squared copy of the
     # whole (4000, 200) design
     d, n = 200, 4000
-    assert _peak_bytes(lambda _: gen_synthetic(d, n, seed=0)) < 1.25 * n * d * 8
+    assert _peak_bytes(lambda: gen_synthetic(d, n, seed=0)) < 1.25 * n * d * 8
 
 
 def test_logistic_constants_check_holds_one_row_block():
@@ -50,7 +54,7 @@ def test_logistic_constants_check_holds_one_row_block():
     data = gen_synthetic(200, 2000, seed=1)[0]
     stack = Dataset.stack([data] * 3)
     for sample in (data, stack):
-        assert _peak_bytes(lambda _: loss_constants(logistic_spec(), sample)) < (
+        assert _peak_bytes(lambda: loss_constants(logistic_spec(), sample)) < (
             2 * _GRAD_BLOCK_BYTES)
 
 
@@ -62,30 +66,25 @@ def test_risk_run_holds_one_values_block():
     test, _ = gen_synthetic(d, n, seed=2)
     configs = [OptimizerConfig(method=m, schedule=fixed(1.0), T=2 * _RISK_ROWS, gamma=0.5)
                for m in ("gd", "nag", "hb")]
-    peak = _peak_bytes(lambda _: risk_curves(configs, logistic_spec(), train, test))
+    peak = _peak_bytes(lambda: risk_curves(configs, logistic_spec(), train, test))
     assert peak < n * d * 8 + 2 * _RISK_ROWS * n * 8
 
 
 def test_sgld_batch_draws_one_step_block():
     # the noise of B members comes _DRAW_STEPS steps at a time and their indices
-    # _DRAW_STEPS x d steps at a time (the bytes of one noise block); over the steps
-    # after theta_0, a horizon that replaces a full block of each by a full block and
-    # one four times as long peak less than one noise block plus one index block
-    # apart (the run's (T, 1) coefficient columns, built before theta_0, are not
-    # counted)
-    n, d, B = 500, 20, 16
-    T = 2 * _DRAW_STEPS * d + 1
+    # _INDEX_STEPS steps at a time: over the whole run, setup included, a horizon
+    # that crosses full blocks of both and one four times as long peak less than
+    # one noise block plus one index block apart.  B is large enough that these
+    # blocks dwarf what grows with T outside the draws (the (T, 1) coefficient
+    # columns and the schedule's T step sizes, about 50 bytes a step)
+    n, d, B = 500, 20, 64
+    T = 2 * _INDEX_STEPS + 1
     data = gen_synthetic(d, n, seed=3)[0]
 
     def peak(T):
         cfg = OptimizerConfig(method="sgld", schedule=fixed(0.5), T=T, tau=100.0)
+        return _peak_bytes(lambda: deque(batch_iterates(
+            [cfg], logistic_spec(), data, 0, list(range(B))), maxlen=0))
 
-        def started():
-            states = batch_iterates([cfg], logistic_spec(), data, 0, list(range(B)))
-            next(states)
-            return states
-
-        return _peak_bytes(lambda states: deque(states, maxlen=0), started)
-
-    noise_block = index_block = _DRAW_STEPS * B * d * 8
+    noise_block, index_block = _DRAW_STEPS * B * d * 8, _INDEX_STEPS * B * 8
     assert abs(peak(4 * T) - peak(T)) < noise_block + index_block

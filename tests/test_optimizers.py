@@ -21,6 +21,7 @@ from optstab.losses import (
 )
 from optstab.optimizers import (
     _DRAW_STEPS,
+    _INDEX_STEPS,
     OptimizerConfig,
     StepSchedule,
     _coefficients,
@@ -509,18 +510,16 @@ def test_batch_states_match_a_per_vector_reference(family, sampled, stacked, n, 
                                    atol=1e-13 * np.abs(ref).max(), err_msg=configs[j].method)
 
 
-S = _DRAW_STEPS
-W = 3  # the noise width of the draws test: its index blocks hold W * S steps
+S, I = _DRAW_STEPS, _INDEX_STEPS
 
 
-@pytest.mark.parametrize("T", [1, S - 1, S, S + 1, 2 * S + 1, W * S - 1, W * S, W * S + 1,
-                               2 * W * S + 1])
+@pytest.mark.parametrize("T", [1, S - 1, S, S + 1, 2 * S + 1, I - 1, I, I + 1, 2 * I + 1])
 @pytest.mark.parametrize("n", [1, 7, 501, 2 ** 31 + 5])
 def test_streamed_draws_join_into_the_one_shot_draws(T, n):
-    # indices drawn W * S and noise S steps at a time, each distinct member's
-    # streams once: the blocks join into each member's whole-horizon draw, bit for bit
-    members, seed = [3, 0, 3, 5, 0], 11
-    steps = list(_stream_draws(seed, members, n, W, T, True))
+    # indices drawn I and noise S steps at a time, each distinct member's streams
+    # once: the blocks join into each member's whole-horizon draw, bit for bit
+    members, width, seed = [3, 0, 3, 5, 0], 3, 11
+    steps = list(_stream_draws(seed, members, n, width, T))
     assert len(steps) == T
     rows = np.stack([r for r, _ in steps])
     noise = np.stack([z for _, z in steps])
@@ -528,9 +527,9 @@ def test_streamed_draws_join_into_the_one_shot_draws(T, n):
         rows, np.stack([stream(seed, "sgd_index", m).integers(0, n, size=T)
                         for m in members], axis=1))
     np.testing.assert_array_equal(
-        noise, np.stack([stream(seed, "sgld_noise", m).standard_normal((T, W))
+        noise, np.stack([stream(seed, "sgld_noise", m).standard_normal((T, width))
                          for m in members], axis=1))
-    quiet = list(_stream_draws(seed, members, n, W, T, False))
+    quiet = list(_stream_draws(seed, members, n, 0, T))
     assert all(z is None for _, z in quiet)
     np.testing.assert_array_equal(np.stack([r for r, _ in quiet]), rows)
 
