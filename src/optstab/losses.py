@@ -45,6 +45,12 @@ cancellation at y = 1, u >> 1, and no overflow warning.
 The public functions are validated wrappers around the table; the
 gradient ones pass each vector of a stack (..., d) as a block k = 1 to
 ``_block_grad``, the unchecked entry the optimizer engine calls each step.
+A coupled batch is one sample S plus per-member swaps (k_m, z_m)
+(``_swap_rows``): its members read one extended design [S; z], each its own
+n rows of it, so a perturbed member costs one row, not a copy of S.  Its full
+gradient weighs each member's row gradients by 1/n (0 off its rows), and
+takes all members' margins in one product, a group of members per product
+under ``_PRODUCT_MACS``, so that its bytes do not depend on the thread count.
 
 All evaluation is pure and re-entrant; specs and datasets are immutable
 once constructed and safe to share across workers.
@@ -333,9 +339,9 @@ class _Family:
 
     variant: str         # data it consumes: "labeled", "symbol" or "any"
     values: Callable     # (spec, thetas (..., k, d), data) -> (..., k, n) losses
-    grad: Callable       # (spec, thetas (..., k, d), data, rows, reverse) -> (..., k, d)
-    #                      mean gradients over all rows (rows None) or one row per
-    #                      member; reverse walks row blocks backward, same bytes
+    grad: Callable       # (spec, thetas (..., k, d), data, rows, reverse, weights) ->
+    #                      (..., k, d) mean gradients over all rows (rows None) or one
+    #                      row per member; see _block_grad for reverse and weights
     constants: Callable  # (spec, data or None) -> (L, beta, alpha)
 
 
@@ -349,6 +355,11 @@ _GRAD_BLOCK_BYTES = 640_000
 # (2000, 200) design, theta @ Xb^T / Xb @ theta^T, at k = 1..6: 0.32/0.33,
 # 0.36/0.33, 0.53/0.60, 0.79/0.53, 0.95/0.72, 0.88/0.67; at d = 10 a tie.
 _ROWS_FIRST_K = 4
+# Multiply-adds per product of a shared design's full gradient, whose members are
+# taken a group at a time to stay under it: on OpenBLAS 0.3.31 every margins and
+# contraction product up to 960,000 multiply-adds gave the same bytes at 1 and 2
+# threads, and some from 1,024,000 did not (a threaded product, split otherwise)
+_PRODUCT_MACS = 640_000
 # Cap on -s u before exp: exp(709) is finite, and a capped residual is within
 # 1.3e-308 of the exact one.
 _EXP_CAP = 709.0
@@ -359,19 +370,24 @@ def _block_rows(X: np.ndarray) -> int:
     return max(1, _GRAD_BLOCK_BYTES // (X.shape[-1] * X.itemsize))
 
 
-def _residual(W: np.ndarray, s: Optional[np.ndarray] = None) -> np.ndarray:
+def _residual(W: np.ndarray, s: Optional[np.ndarray] = None,
+              weights: Optional[np.ndarray] = None) -> np.ndarray:
     """The logistic residual sigma(u) - y = s sigma(s u) = s / (1 + exp(-s u))
     (s = 1 - 2y, exact for y in {0, 1}), in place on a block W of negated
     margins.  Given s, W holds -u and is signed here; without it W holds -s u
     and the result is sigma(s u), whose sign a signed operand supplies.  No
     label subtraction, so no cancellation at y = 1, u >> 1, and no overflow
-    warning, as -s u is capped at _EXP_CAP."""
+    warning, as -s u is capped at _EXP_CAP.  Row weights (B, 1, m) of the B
+    members whose vectors fill W (B k, m) scale their residuals, in the divide."""
     if s is not None:
         W *= s
     np.minimum(W, _EXP_CAP, out=W)
     np.exp(W, out=W)
     W += 1.0
-    return np.divide(1.0 if s is None else s, W, out=W)
+    if weights is None:
+        return np.divide(1.0 if s is None else s, W, out=W)
+    V = W.reshape(weights.shape[0], -1, W.shape[-1])  # each member's rows of W
+    return np.divide(weights if s is None else s * weights, V, out=V).reshape(W.shape)
 
 
 def _logistic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
@@ -393,18 +409,27 @@ def _logistic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.nd
 
 
 def _logistic_grad(spec: LossSpec, thetas: np.ndarray, data: Dataset, rows,
-                   reverse: bool) -> np.ndarray:
+                   reverse: bool, weights: Optional[np.ndarray]) -> np.ndarray:
     neg = -thetas  # margins of -theta are exactly -u
     if rows is not None:  # each member's one row x, signed once: s x
         sx = _rows(data.X, rows, 1) * _rows(data._signs, rows)[..., None]
         return _residual(neg @ sx.swapaxes(-1, -2)) @ sx
     X = data.X
     n, step = X.shape[-2], _block_rows(X)
+    shape = neg.shape
+    if weights is not None:  # members' vectors in one product on the shared design
+        per = max(1, _PRODUCT_MACS // (shape[-2] * min(n, step) * shape[-1]))
+        if len(weights) > per:  # a group of members per product
+            return np.concatenate([_logistic_grad(spec, thetas[b:b + per], data, None,
+                                                  reverse, weights[b:b + per])
+                                   for b in range(0, len(weights), per)])
+        neg = neg.reshape(-1, shape[-1])
     if n <= step:  # one block: margins and contraction on the signed copies
-        return _residual(neg @ data._signed_cols) @ data._signed_rows / n
+        g = _residual(neg @ data._signed_cols, None, weights) @ data._signed_rows
+        return (g / n if weights is None else g).reshape(shape)
     s = data._signs[..., None, :]
     starts = range(0, n, step)
-    rows_first = thetas.shape[-2] >= _ROWS_FIRST_K
+    rows_first = neg.shape[-2] >= _ROWS_FIRST_K
     neg_t = np.ascontiguousarray(neg.swapaxes(-1, -2)) if rows_first else None
     parts = {}  # kept per block and summed in block order: the same bytes either way
     for i in (reversed(starts) if reverse else starts):
@@ -415,8 +440,10 @@ def _logistic_grad(spec: LossSpec, thetas: np.ndarray, data: Dataset, rows,
         Xb = X[..., i:i + step, :]
         W = (np.ascontiguousarray((Xb @ neg_t).swapaxes(-1, -2)) if rows_first
              else neg @ Xb.swapaxes(-1, -2))
-        parts[i] = _residual(W, s[..., i:i + step]) @ Xb
-    return sum((parts[i] for i in starts[1:]), parts[0]) / n
+        w = None if weights is None else weights[..., i:i + step]
+        parts[i] = _residual(W, s[..., i:i + step], w) @ Xb
+    g = sum((parts[i] for i in starts[1:]), parts[0])
+    return (g / n if weights is None else g).reshape(shape)
 
 
 def _logistic_constants(spec: LossSpec, data: Optional[Dataset]):
@@ -441,13 +468,14 @@ def _quadratic_constants(spec: LossSpec, data: Optional[Dataset]):
     return beta * spec.domain_radius, beta, float(max(eig[0], 0.0))
 
 
-def _symbol_family(value, mean_slope, constants) -> _Family:
+def _symbol_family(value, slope, constants) -> _Family:
     """A family reading only theta[0] and the symbols s: ``value(spec, t0, s)``
-    broadcasts losses, ``mean_slope(spec, t0, s)`` averages d l / d theta[0]
-    over the last axis of s."""
-    def grad(spec, thetas, data, rows, reverse):
+    broadcasts losses, ``slope(spec, t0, s)`` the slopes d l / d theta[0], whose
+    mean over the last axis of s, or sum under row weights, is the gradient."""
+    def grad(spec, thetas, data, rows, reverse, weights):
         g = np.zeros_like(thetas)
-        g[..., 0] = mean_slope(spec, thetas[..., 0:1], _rows(data.s, rows)[..., None, :])
+        slopes = slope(spec, thetas[..., 0:1], _rows(data.s, rows)[..., None, :])
+        g[..., 0] = slopes.mean(axis=-1) if weights is None else (slopes * weights).sum(-1)
         return g
     return _Family("symbol",
                    lambda spec, thetas, data: value(spec, thetas[..., 0:1], data.s),
@@ -457,22 +485,21 @@ def _symbol_family(value, mean_slope, constants) -> _Family:
 _KERNELS = {
     "logistic": _Family("labeled", _logistic_values, _logistic_grad, _logistic_constants),
     "quadratic": _Family("any", _quadratic_values,
-                         lambda spec, thetas, data, rows, reverse:
+                         lambda spec, thetas, data, rows, reverse, weights:
                          (spec.A @ thetas[..., None])[..., 0] - spec.b,
                          _quadratic_constants),
     "linear_worstcase": _symbol_family(
         lambda spec, t0, s: spec.L * t0 * s,
-        lambda spec, t0, s: spec.L * s.mean(axis=-1),
+        lambda spec, t0, s: spec.L * s,
         lambda spec, data: (spec.L, 0.0, 0.0)),
     "lecam_convex": _symbol_family(
         lambda spec, t0, s: _lecam_convex_piece(t0 - spec.r * s, spec.beta, spec.r),
-        lambda spec, t0, s: _lecam_convex_slope(t0 - spec.r * s, spec.beta,
-                                                spec.r).mean(axis=-1),
+        lambda spec, t0, s: _lecam_convex_slope(t0 - spec.r * s, spec.beta, spec.r),
         # gradient magnitude peaks at the quadratic-piece boundary |u| = r/2
         lambda spec, data: (0.5 * spec.beta * spec.r, spec.beta, 0.0)),
     "lecam_strongly_convex": _symbol_family(
         lambda spec, t0, s: 0.5 * spec.beta * (t0 - spec.r * s) ** 2,
-        lambda spec, t0, s: spec.beta * (t0 - spec.r * s).mean(axis=-1),
+        lambda spec, t0, s: spec.beta * (t0 - spec.r * s),
         # |grad| = beta*|theta[0] - s*r| <= beta*(R/2 + r)
         lambda spec, data: (spec.beta * (spec.domain_radius / 2 + spec.r), spec.beta,
                             spec.beta)),
@@ -537,14 +564,42 @@ def sample_grad(spec: LossSpec, theta, data: Dataset, i) -> np.ndarray:
 
 
 def _block_grad(spec: LossSpec, thetas: np.ndarray, data: Dataset, rows,
-                reverse: bool = False) -> np.ndarray:
+                reverse: bool = False, weights: Optional[np.ndarray] = None) -> np.ndarray:
     """Unchecked gradient at blocks (..., k, d) of k vectors against samples
     (...): of the empirical risk for rows None, else of row rows[...] of each
     block's sample (callers check data, dimension, finiteness and rows).
-    ``reverse`` walks a blocked design's rows backward, bit for bit equal."""
+    ``reverse`` walks a blocked design's rows backward, bit for bit equal.
+    Given row weights (B, 1, n) of B blocks on one sample (``_swap_rows``), a
+    full gradient is each block's weighted sum of the row gradients instead."""
     if rows is not None:
         rows = _member_grid(data.stack_shape) + (rows,)
-    return _KERNELS[spec.family].grad(spec, thetas, data, rows, reverse)
+    return _KERNELS[spec.family].grad(spec, thetas, data, rows, reverse, weights)
+
+
+def _swap_rows(data: Dataset, ks, z: Dataset, B: int, full: bool) -> tuple:
+    """B members on one sample S = ``data``, member m's sample S with row ks[m]
+    replaced by the next row of z (ks[m] = -1: S itself): the extended sample
+    [S; z] they all read, (ks, into) with into[m] the row of it standing for
+    row ks[m] in m's sample, and for ``full`` gradients the row weights
+    (B, 1, n + z.n), 1/n on m's rows (else None).  Checks the swaps."""
+    k = np.asarray(ks)
+    swapped = k >= 0
+    if (data.stack_shape or k.shape != (B,) or k.dtype.kind not in "iu"
+            or np.any((k < -1) | (k >= data.n))):
+        raise ValidationError("swaps need one sample and one row in [-1, n) per member")
+    if z.kind != data.kind or z.stack_shape or z.dim != data.dim or z.n != swapped.sum():
+        raise ValidationError(f"swaps need one {data.kind} point of the sample's "
+                              "dimension per swapping member")
+    into = k.copy()
+    into[swapped] = data.n + np.arange(z.n)
+    weights = None
+    if full:
+        weights = np.zeros((len(k), 1, data.n + z.n))
+        weights[:, 0, :data.n] = 1.0 / data.n
+        weights[swapped, 0, k[swapped]] = 0.0
+        weights[swapped, 0, into[swapped]] = 1.0 / data.n
+    ext = Dataset(*(np.concatenate(a) for a in zip(data._arrays, z._arrays)))
+    return ext, (k, into), weights
 
 
 def loss_constants(spec: LossSpec, data: Optional[Dataset] = None) -> LossConstants:

@@ -11,8 +11,10 @@ Every method is one coefficient schedule of the same step (see
 ``_coefficients``), differing otherwise only in whether the gradient is the
 full empirical-risk gradient or a single sampled row's.  ``batch_iterates``
 runs B members of k configs of one gradient kind as one (B, k, d) state
-under (T, k) coefficient columns, each member on the shared sample or on its
-own sample of a stack; ``run`` records the trace of its one-config,
+under (T, k) coefficient columns, each member on the shared sample, on its
+own sample of a stack, or, in a coupled batch, on the shared sample with its
+own row swapped for a point (one sample plus per-member swaps (k, z), whose
+extended design all members read); ``run`` records the trace of its one-config,
 one-member case.  A batch steps the lookahead only if some column's a_t is
 nonzero (nag, nag_sc) and the momentum only if some b_t is (hb with gamma > 0),
 otherwise theta_t = theta_{t-1} - eta_t g_t (+ the sgld noise): a skipped term
@@ -50,6 +52,7 @@ from .losses import (
     ValidationError,
     _block_grad,
     _check_dataset,
+    _swap_rows,
     as_param_vector,
     empirical_risk_batch,
     loss_constants,
@@ -214,41 +217,49 @@ _INDEX_STEPS = 1024
 
 
 def _stream_draws(seed: int, members: Sequence[int], n: int, width: int,
-                  T: int) -> Iterator[tuple]:
+                  T: int, swaps: Optional[tuple] = None) -> Iterator[tuple]:
     """Per step t < T, the members' (B,) sgd indices in [0, n) and, for width > 0,
     their (B, width) sgld noise, else None; indices drawn _INDEX_STEPS and noise
     _DRAW_STEPS steps at a time, from each distinct member's streams once, which
-    every member of its index reads."""
+    every member of its index reads.  Given swaps (ks, into), (B,) each, member m's
+    index ks[m] is read as into[m]."""
     ids, member_of = np.unique(members, return_inverse=True)
 
-    def blocks(name, steps, draw):
+    def blocks(name, steps, draw, remap=None):
         gens = [stream(seed, name, int(m)) for m in ids]
         for t in range(0, T, steps):
             S = min(steps, T - t)
             # np.take, not [:, member_of], keeps each step's slice C-contiguous
-            yield from np.take(np.stack([draw(g, S) for g in gens], axis=1), member_of,
-                               axis=1)
+            block = np.take(np.stack([draw(g, S) for g in gens], axis=1), member_of, axis=1)
+            yield from block if remap is None else np.where(block == remap[0], remap[1], block)
 
-    rows = blocks("sgd_index", _INDEX_STEPS, lambda g, S: g.integers(0, n, size=S))
+    rows = blocks("sgd_index", _INDEX_STEPS, lambda g, S: g.integers(0, n, size=S), swaps)
     xi = (blocks("sgld_noise", _DRAW_STEPS, lambda g, S: g.standard_normal((S, width)))
           if width else itertools.repeat(None))
     return zip(rows, xi)
 
 
 def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dataset,
-                   seed: int, members: Sequence[int], theta0=None) -> Iterator[np.ndarray]:
+                   seed: int, members: Sequence[int], theta0=None,
+                   swaps: Optional[tuple] = None) -> Iterator[np.ndarray]:
     """Yield the (B, k, d) states theta_0..theta_T of B members by k configs.
 
     The configs share their gradient kind and T.  Member b runs ``configs[j]``
     in column j on ``data``, or on sample b of a stack of B samples
-    (``Dataset.stack``).  Its index and noise streams, ``stream(seed,
+    (``Dataset.stack``), or, given ``swaps`` = (ks, z), on the one sample ``data``
+    with its row ks[b] replaced by the next row of the sample z (ks[b] = -1: no
+    swap; z holds one row per swapping member, in member order).  A swapped
+    batch's full gradients take all B k vectors' margins in one product on the
+    extended design [data; z] (``losses._swap_rows``), and its sampled rows are
+    read from that design.  Its index and noise streams, ``stream(seed,
     "sgd_index", members[b])`` and ``stream(seed, "sgld_noise", members[b])``
     (over theta[0] alone for a symbol family), serve all its columns; members
     with equal indices share them, which couples them.  Members whose indices and
-    samples agree follow exactly equal iterates.  theta0 defaults to the
-    zero vector of the sample's dimension (the symbol families read only
-    theta[0]).  Data of the wrong kind or dimension raise ValidationError
-    before theta_0; the first iterate that is not finite raises
+    samples agree follow exactly equal iterates, except in one product of a
+    swapped full-gradient batch, whose rows need not round alike.  theta0
+    defaults to the zero vector of the sample's dimension (the symbol families
+    read only theta[0]).  Data or swaps of the wrong kind or dimension raise
+    ValidationError before theta_0; the first iterate that is not finite raises
     FloatingPointError naming its method and step.
     """
     B, k = len(members), len(configs)
@@ -257,11 +268,14 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
     if data.stack_shape not in ((), (B,)):
         raise ValidationError("need one sample, or one sample per member")
     theta = np.zeros(data.dim) if theta0 is None else as_param_vector(theta0).copy()
+    T, n, d = configs[0].T, data.n, theta.shape[0]
+    weights = None
+    if swaps is not None:
+        data, swaps, weights = _swap_rows(data, *swaps, B, not configs[0].sampled)
     _check_dataset(spec, theta, data)
-    constants = loss_constants(spec, data)
+    constants = loss_constants(spec, data)  # a swapped batch's rows of z included
     for config in configs:
         validate_config(config, constants)
-    T, n, d = configs[0].T, data.n, theta.shape[0]
     etas = np.stack([_step_sizes(cfg.schedule, T) for cfg in configs], axis=1)
     a, b, c = (np.stack(column, axis=1)[..., None] for column in
                zip(*(_coefficients(cfg, etas[:, j]) for j, cfg in enumerate(configs))))
@@ -273,7 +287,7 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
     if configs[0].sampled:
         # sgd (indices only) and sgld (both) of one member read the same indices
         width = 1 if spec.variant == "symbol" else d  # the coordinates the noise reads
-        draws = _stream_draws(seed, members, n, width if noisy else 0, T)
+        draws = _stream_draws(seed, members, n, width if noisy else 0, T, swaps)
 
     # inputs checked above, rows drawn in [0, n), iterates checked below: no per-step checks
     # theta_0 C-contiguous, as a lookahead would leave it: a step without one passes
@@ -283,7 +297,7 @@ def batch_iterates(configs: Sequence[OptimizerConfig], spec: LossSpec, data: Dat
     for t, (rows, noise) in zip(range(T), draws):
         look = keep[t] * prev + a[t] * older if lookahead else prev
         # odd steps walk a blocked design backward, from the rows still in cache
-        grad = _block_grad(spec, look, data, rows, t % 2 == 1)
+        grad = _block_grad(spec, look, data, rows, t % 2 == 1, weights)
         theta = look - etas[t] * grad
         if momentum:
             theta += b[t] * (prev - older)

@@ -1,7 +1,7 @@
 """Empirical stability measurement on coupled perturbed pairs.
 
-A perturbed pair is a base sample S and its perturbed copy
-S' = ``S.replace(k, z)``, which differ in exactly one point.  Both runs
+A perturbed pair is a base sample S and its perturbed copy S', S with row
+k replaced by a point z, which differ in exactly one point.  Both runs
 start from the same theta0 and, for randomized methods, share the index and
 noise streams (one member index under the batch's seed), so the measured
 gaps isolate the data perturbation.  Two series are recorded per pair:
@@ -12,13 +12,15 @@ gaps isolate the data perturbation.  Two series are recorded per pair:
 
 Every pair of every config of a batch runs as one state: the base and the
 perturbed runs of all repeats, each with k config columns, advanced by
-``optimizers.batch_iterates`` (deterministic methods' base runs coincide, so
-they need only one).  Both gap series are computed as the run progresses
-over blocks of a few consecutive states (``_GAP_STEPS``), one norm and one
-holdout evaluation per block, so no iterate trace is stored; each step's
-products keep the shape they have step by step, so the gaps do not depend
-on the block length.  A single base run's holdout losses are evaluated once
-per step and compared with every perturbed run's.
+``optimizers.batch_iterates`` on the one sample S plus per-member swaps
+(k, z), so a perturbed run costs one row, not a copy of S (deterministic
+methods' base runs coincide, so they need only one).  Both gap series are
+computed as the run progresses over blocks of a few consecutive states
+(``_GAP_STEPS``), one norm and one holdout evaluation per block, so no
+iterate trace is stored; each step's products keep the shape they have step
+by step, so the gaps do not depend on the block length.  A single base run's
+holdout losses are evaluated once per step and compared with every perturbed
+run's.
 Repeat i draws the perturbed index and replacement point from the seed's
 "perturbation" stream at i and runs its pair as member i, and repeats are
 averaged elementwise with standard errors; per-repeat gap series are
@@ -52,8 +54,10 @@ from .losses import (
 from .optimizers import OptimizerConfig, batch_iterates, fixed
 from .streams import stream
 
-# States per block of _coupled_gaps: one norm and one holdout evaluation per block
-_GAP_STEPS = 16
+# States per block of _coupled_gaps: one norm and one holdout evaluation per block.
+# At 16, the blocks' holdout values (0.4-2 MB) made glibc return and refault heap
+# pages each block: 29,900 minor faults per 5-method, 10-repeat run, 240 at 8
+_GAP_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -92,38 +96,40 @@ def estimate_sup_loss_gap(theta, theta_p, spec: LossSpec, holdout: Dataset):
 
 
 def _coupled_gaps(configs: Sequence[OptimizerConfig], spec: LossSpec, base: Dataset,
-                  perturbed: Sequence[Dataset], seed: int, holdout: Dataset,
+                  ks: Sequence[int], z: Dataset, seed: int, holdout: Dataset,
                   theta0) -> Tuple[np.ndarray, np.ndarray]:
     """(param_gap, sup_loss_gap), each (k, P, T+1), of the P coupled pairs
-    (base, perturbed[i]) of each of k configs run as one batch under
-    ``seed``: the base runs, then the P perturbed runs.  Both runs of pair i
-    are member i.  Deterministic methods' base runs coincide whatever their
-    streams, so one base run stands for all of them.
+    (base, base with row ks[i] replaced by row i of z) of each of k configs run
+    as one batch under ``seed`` on the one sample ``base`` plus the swaps: the
+    base runs, then the P perturbed runs.  Both runs of pair i are member i.
+    Deterministic methods' base runs coincide whatever their streams, so one
+    base run stands for all of them.  A pair whose z row equals row ks[i] runs
+    no member of its own (one product need not round equal members alike);
+    its gaps are exactly 0.
     """
-    P = len(perturbed)
-    B = P if configs[0].sampled else 1
-    param_gap, sup_gap = np.empty((2, len(configs), P, configs[0].T + 1))
-    samples = Dataset.stack([base] * B + list(perturbed))
-    states = batch_iterates(configs, spec, samples, seed, [*range(B), *range(P)], theta0)
-    t = 0
+    ks = np.asarray(ks)
+    same = np.logical_and.reduce([(a == b[ks]).reshape(len(ks), -1).all(axis=1)
+                                  for a, b in zip(z._arrays, base._arrays)])
+    live = np.flatnonzero(~same)
+    runs = live if configs[0].sampled and live.size else [0]
+    gaps = np.zeros((2, len(configs), len(ks), configs[0].T + 1))
+    swaps = ([-1] * len(runs) + list(ks[live]), z.take(live)) if live.size else None
+    states = batch_iterates(configs, spec, base, seed, [*runs, *live], theta0, swaps)
+    if not live.size:  # every pair swaps a row for itself: no gap to take
+        next(states)  # the batch still checks its inputs
+        return gaps[0], gaps[1]
+    B, t = len(runs), 0
     while block := list(itertools.islice(states, _GAP_STEPS)):
         # (steps, k, members, d), method-major, so each method's members of a
         # step share products shaped as when taken step by step
         block = np.stack(block).swapaxes(1, 2)
         theta, theta_p = block[:, :, :B], block[:, :, B:]
         steps = slice(t, t + len(block))
-        param_gap[..., steps] = np.moveaxis(np.linalg.norm(theta - theta_p, axis=-1), 0, -1)
-        sup_gap[..., steps] = np.moveaxis(
+        gaps[0][:, live, steps] = np.moveaxis(np.linalg.norm(theta - theta_p, axis=-1), 0, -1)
+        gaps[1][:, live, steps] = np.moveaxis(
             estimate_sup_loss_gap(theta, theta_p, spec, holdout), 0, -1)
         t += len(block)
-    return param_gap, sup_gap
-
-
-def run_pair(config: OptimizerConfig, spec: LossSpec, base: Dataset, perturbed: Dataset,
-             holdout: Dataset, theta0=None, *, seed: int = 0) -> StabilityTrace:
-    """Run the method on a sample and its perturbed copy under identical streams."""
-    pg, sg = _coupled_gaps([config], spec, base, [perturbed], seed, holdout, theta0)
-    return StabilityTrace(param_gap=pg[0, 0], sup_loss_gap=sg[0, 0])
+    return gaps[0], gaps[1]
 
 
 @dataclass(frozen=True)
@@ -172,14 +178,13 @@ def repeat_and_average(configs: Sequence[OptimizerConfig], spec: LossSpec,
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
-    perturbed, records = [], []
+    ks, zs, records = [], [], []
     for i in range(reps):
         rng = stream(seed, "perturbation", i)
-        k = int(rng.integers(0, sample.n))
-        z_new = pool.point(int(rng.integers(0, pool.n)))
-        perturbed.append(sample.replace(k, z_new))
-        records.append({"repeat": i, "k": k, "z": _describe_point(z_new)})
-    pg, sg = _coupled_gaps(configs, spec, sample, perturbed, seed, pool, theta0)
+        ks.append(int(rng.integers(0, sample.n)))
+        zs.append(int(rng.integers(0, pool.n)))
+        records.append({"repeat": i, "k": ks[-1], "z": _describe_point(pool.point(zs[-1]))})
+    pg, sg = _coupled_gaps(configs, spec, sample, ks, pool.take(zs), seed, pool, theta0)
     return AveragedStability(*_mean_stderr(pg), *_mean_stderr(sg), StabilityTrace(pg, sg),
                              records)
 

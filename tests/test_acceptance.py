@@ -26,15 +26,22 @@ from optstab.losses import (
 )
 from optstab.optimizers import OptimizerConfig, fixed, power, run
 from optstab.stability_lab import (
+    _coupled_gaps,
     fit_loglog_slope,
     repeat_and_average,
     risk_curves,
-    run_pair,
 )
 from optstab.harness.data import gen_synthetic, split_sample
 
 SEED = 7
 LOGISTIC = logistic_spec()
+SYMBOL_HOLDOUT = Dataset.from_symbols(np.array([1.0, -1.0]))
+
+
+def flip_gap(cfg, spec, data, k, theta0=None):
+    """Parameter-gap series of the coupled pair (S, S with symbol k flipped)."""
+    z = Dataset.from_symbols([-int(data.s[k])])
+    return _coupled_gaps([cfg], spec, data, [k], z, 0, SYMBOL_HOLDOUT, theta0)[0][0, 0]
 
 
 def report(num, ok, detail):
@@ -101,11 +108,8 @@ def test_criterion_02_nag_stability_slope(nag_experiment):
     spec = lecam_strongly_convex_spec(beta=1.0, r=1.0, domain_radius=2.0)
     rng = np.random.Generator(np.random.Philox(42))
     data = Dataset.from_symbols(np.where(rng.uniform(size=100) < 0.5, 1.0, -1.0))
-    perturbed = data.replace(3, Dataset.from_symbols([-int(data.s[3])]))
     cfg = OptimizerConfig(method="nag", schedule=fixed(1e-8), T=1000)
-    trace = run_pair(cfg, spec, data, perturbed, Dataset.from_symbols(np.array([1.0, -1.0])),
-                     theta0=np.zeros(2))
-    quad_fit = fit_loglog_slope(trace.param_gap, window=(10, 1000))
+    quad_fit = fit_loglog_slope(flip_gap(cfg, spec, data, 3, np.zeros(2)), window=(10, 1000))
 
     log_fit = fit_loglog_slope(nag_experiment, window=(10, 1000))
     ok = 1.8 <= quad_fit.exponent <= 2.2 and 1.8 <= log_fit.exponent <= 2.2
@@ -132,13 +136,12 @@ def test_criterion_04_hb_slope(hb_experiment):
 def test_criterion_05_linear_loss_tightness():
     spec = linear_worstcase_spec(L=1.0)
     data = Dataset.from_symbols(np.ones(10))
-    perturbed = data.replace(0, Dataset.from_symbols([-1]))
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=50)
-    trace = run_pair(cfg, spec, data, perturbed, Dataset.from_symbols(np.array([1.0, -1.0])))
+    param_gap = flip_gap(cfg, spec, data, 0)
     worst = 0.0
     for T in (1, 5, 50):
         expect = 2 * 0.1 * 1.0 * T / 10
-        worst = max(worst, abs(trace.param_gap[T] - expect) / expect)
+        worst = max(worst, abs(param_gap[T] - expect) / expect)
     ok = worst <= 1e-12
     report(5, ok, f"linear-loss gap vs 2 eta L T / n, worst rel err {worst:.2e}")
 
@@ -223,13 +226,10 @@ def test_criterion_10_strongly_convex_stability_envelope():
     c = loss_constants(spec)
     rng = np.random.Generator(np.random.Philox(SEED + 10))
     data = Dataset.from_symbols(np.where(rng.uniform(size=50) < 0.5, 1.0, -1.0))
-    perturbed = data.replace(5, Dataset.from_symbols([-int(data.s[5])]))
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.5), T=500)
-    trace = run_pair(cfg, spec, data, perturbed, Dataset.from_symbols(np.array([1.0, -1.0])),
-                     theta0=np.zeros(2))
     ts = np.arange(501)
     envelope = B.stability_bound_curve(cfg, B.STRONGLY_CONVEX, c, 50, ts) / c.L
-    slack = float(np.max(trace.param_gap - envelope))
+    slack = float(np.max(flip_gap(cfg, spec, data, 5, np.zeros(2)) - envelope))
     ok = slack <= 1e-9
     report(10, ok, f"ridge-type quadratic gap under the geometric envelope, "
                    f"max slack {slack:.2e}")

@@ -22,12 +22,14 @@ from optstab.losses import (
     loss_constants,
     loss_values_matrix,
     normalize_rows,
+    quadratic_spec,
     _EXP_CAP,
     _RISK_ROWS,
     _block_grad,
     _block_rows,
     _logistic_values,
     _residual,
+    _swap_rows,
     sample_grad,
 )
 
@@ -309,7 +311,8 @@ def test_row_blocked_gradient_matches_one_block_contraction(monkeypatch, k):
     thetas = 2.0 * rng.standard_normal((3, k, d))
     calls = []
     monkeypatch.setattr(losses, "_residual",
-                        lambda W, s=None: calls.append(W.shape) or _residual(W, s))
+                        lambda W, s=None, weights=None:
+                        calls.append(W.shape) or _residual(W, s, weights))
     monkeypatch.setattr(losses, "_GRAD_BLOCK_BYTES", 5 * d * X.itemsize)
     for data, whole in ((Dataset.from_labeled(X[0], y[0]), _unsigned_grad(thetas, X[0], y[0])),
                         (stacked, _unsigned_grad(thetas, X, y))):
@@ -534,6 +537,109 @@ def test_sampled_gradients_gather_each_members_row():
         np.testing.assert_array_equal(
             got[a], [sample_grad(logistic_spec(), t, z, i)
                      for t, z, i in zip(thetas[a], samples, rows[a])])
+
+
+def _swap_case(family, rng, n, d, P):
+    """(spec, sample, P replacement points as one P-row sample, L) of a family;
+    every per-sample gradient at |theta| <= 1 has norm at most L."""
+    if family in ("logistic", "quadratic"):
+        data = Dataset.from_labeled(normalize_rows(rng.standard_normal((n + P, d))),
+                                    rng.integers(0, 2, size=n + P))
+        M = rng.standard_normal((d, d))
+        spec = (logistic_spec() if family == "logistic" else
+                quadratic_spec(M @ M.T / d, rng.standard_normal(d)))
+    else:
+        data = Dataset.from_symbols(rng.choice([-1.0, 1.0], size=n + P))
+        spec = (linear_worstcase_spec(L=1.5) if family == "linear_worstcase" else
+                lecam_strongly_convex_spec(beta=2.0, r=0.7))
+    L = loss_constants(spec).L if family != "quadratic" else (
+        np.linalg.norm(spec.A, 2) + np.linalg.norm(spec.b))
+    return spec, data.take(np.arange(n)), data.take(np.arange(n, n + P)), L
+
+
+@pytest.mark.parametrize("family, block", [
+    ("logistic", None), ("logistic", 5), ("linear_worstcase", None),
+    ("lecam_strongly_convex", None), ("quadratic", None)],
+    ids=["logistic", "logistic-blocked", "linear_worstcase", "lecam_strongly_convex",
+         "quadratic"])
+def test_swapped_gradients_equal_the_stacked_samples(monkeypatch, family, block):
+    # B = 6 members on one sample plus swaps (k_m, z_m), k_m = -1 for none,
+    # against each member on its own copy S.replace(k_m, z_m) of a stack: full
+    # gradients (every vector in one product) within a few ulps of the
+    # per-sample gradient scale L, sampled rows bitwise (the same signed rows)
+    from optstab import losses
+
+    if block:  # blocks of 5 rows over n = 23, the extended design's last one partial
+        monkeypatch.setattr(losses, "_GRAD_BLOCK_BYTES", block * 3 * 8)
+    rng = np.random.Generator(np.random.Philox(33))
+    spec, data, z, L = _swap_case(family, rng, 23, 3, 4)
+    k = np.array([-1, 4, 0, -1, 22, 4])
+    picks = [0, 1, 2, 3]
+    stack = Dataset.stack([data if km < 0 else data.replace(int(km), z.point(picks.pop(0)))
+                           for km in k])
+    thetas = rng.uniform(-1.0, 1.0, (6, 3, 3)) / np.sqrt(3)
+    for full in (True, False):
+        ext, (_, into), weights = _swap_rows(data, k, z, 6, full)
+        assert ext.n == 27 and (weights is None) != full
+        if full:
+            got, want = _block_grad(spec, thetas, ext, None, False, weights), _block_grad(
+                spec, thetas, stack, None)
+            assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * L
+            np.testing.assert_array_equal(_block_grad(spec, thetas, ext, None, True, weights),
+                                          got)
+        else:
+            for rows in (np.array([4, 4, 0, 22, 22, 7]), rng.integers(0, 23, size=6)):
+                np.testing.assert_array_equal(
+                    _block_grad(spec, thetas, ext, np.where(rows == k, into, rows)),
+                    _block_grad(spec, thetas, stack, rows))
+
+
+def test_shared_design_gradient_bytes_do_not_depend_on_the_blas_thread_count():
+    # 51 members of a swapped batch on a (2000, 200) design: one product of all 51
+    # vectors against a 400-row block runs threaded and rounds apart at 1 and 2
+    # OpenBLAS threads; a group of members per product (_PRODUCT_MACS) does not
+    import os
+    import subprocess
+    import sys
+
+    import optstab
+
+    script = """if True:
+        import hashlib, numpy as np
+        from optstab.losses import (Dataset, _block_grad, _swap_rows, logistic_spec,
+                                    normalize_rows)
+        rng = np.random.Generator(np.random.Philox(35))
+        data = Dataset.from_labeled(normalize_rows(rng.standard_normal((2050, 200))),
+                                    rng.integers(0, 2, size=2050))
+        ext, _, w = _swap_rows(data.take(range(2000)), [-1, *range(50)],
+                               data.take(range(2000, 2050)), 51, True)
+        thetas = rng.standard_normal((51, 1, 200)) / 20
+        for reverse in (False, True):
+            g = _block_grad(logistic_spec(), thetas, ext, None, reverse, w)
+            print(hashlib.sha256(g.tobytes()).hexdigest())
+    """
+    src = os.path.dirname(os.path.dirname(optstab.__file__))
+    out = [subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src,
+                                          "OPENBLAS_NUM_THREADS": str(threads)}).stdout
+           for threads in (1, 2)]
+    assert len(set(out[0].split())) == 1 and out[0] == out[1]
+
+
+@pytest.mark.parametrize("k, z", [
+    ([0, 23], "one"), ([0, -2], "two"), ([0.0, 1.0], "two"), ([[0, 1]], "two"),
+    ([0, 1, 2], "two"), ([0, -1], "two"), ([0, 1], "symbol"), ([0, 1], "wide")])
+def test_swaps_are_checked(k, z):
+    rng = np.random.Generator(np.random.Philox(34))
+    data = Dataset.from_labeled(normalize_rows(rng.standard_normal((23, 3))),
+                                rng.integers(0, 2, size=23))
+    z = {"one": data.take([0]), "two": data.take([0, 1]),
+         "symbol": Dataset.from_symbols([1.0, -1.0]),
+         "wide": Dataset.from_labeled(np.eye(4)[:2], [0, 1])}[z]
+    with pytest.raises(ValidationError, match="swaps need"):
+        _swap_rows(data, k, z, 2, True)
+    with pytest.raises(ValidationError, match="swaps need"):
+        _swap_rows(Dataset.stack([data, data]), [0, 1], data.take([0, 1]), 2, True)
 
 
 def test_empty_dataset_rejected():

@@ -1,7 +1,8 @@
 """Peak memory of the paths that hold one block at a time, measured by tracemalloc
 (numpy reports its array buffers to it): data generation, the logistic unit-norm
 check, risk values and the optimizer's stream draws must not allocate temporaries
-that grow with the whole design or the whole horizon."""
+that grow with the whole design or the whole horizon; a coupled batch's perturbed
+members cost a few rows each, not a copy of the design."""
 
 import tracemalloc
 from collections import deque
@@ -21,7 +22,7 @@ from optstab.optimizers import (
     batch_iterates,
     fixed,
 )
-from optstab.stability_lab import risk_curves
+from optstab.stability_lab import _coupled_gaps, risk_curves
 
 
 def _peak_bytes(fn) -> int:
@@ -88,3 +89,24 @@ def test_sgld_batch_draws_one_step_block():
 
     noise_block, index_block = _DRAW_STEPS * B * d * 8, _INDEX_STEPS * B * 8
     assert abs(peak(4 * T) - peak(T)) < noise_block + index_block
+
+
+def test_coupled_pairs_cost_rows_not_designs():
+    # P = 4 and P = 16 pairs on one (2000, 50) design (800 KB, two gradient row
+    # blocks), with an 8-point holdout and T = 3: the 12 more perturbed members (and,
+    # for sgd, 12 more base members) cost their swapped rows, their rows of the
+    # margins and residuals and gd's row weights (n values each), under half a
+    # design all told, not a copy of the design each
+    n, d = 2000, 50
+    data = gen_synthetic(d, n + 16, seed=4)[0]
+    sample, pool = data.take(range(n)), data.take(range(n, n + 16))
+    holdout = pool.take(range(8))
+
+    def peak(method, P):
+        cfg = OptimizerConfig(method=method, schedule=fixed(0.5), T=3)
+        ks = list(range(0, 3 * P, 3))
+        return _peak_bytes(lambda: _coupled_gaps([cfg], logistic_spec(), sample, ks,
+                                                 pool.take(range(P)), 0, holdout, None))
+
+    for method in ("gd", "sgd"):
+        assert peak(method, 16) - peak(method, 4) < n * d * 8 / 2, method

@@ -373,8 +373,8 @@ def test_drawn_rows_lie_in_range(monkeypatch):
     family = losses._KERNELS["logistic"]
     seen = []
     monkeypatch.setitem(losses._KERNELS, "logistic", dataclasses.replace(
-        family, grad=lambda spec, thetas, data, rows, reverse:
-        seen.append(rows) or family.grad(spec, thetas, data, rows, reverse)))
+        family, grad=lambda spec, thetas, data, rows, reverse, weights:
+        seen.append(rows) or family.grad(spec, thetas, data, rows, reverse, weights)))
     rng = np.random.Generator(np.random.Philox(41))
     configs = [OptimizerConfig(method="sgd", schedule=fixed(0.5), T=200),
                OptimizerConfig(method="sgld", schedule=fixed(0.5), T=200, tau=4.0)]
@@ -411,9 +411,10 @@ def test_alternating_block_walk_matches_a_forward_only_loop(monkeypatch):
     block_grad, walks = optimizers._block_grad, []
 
     def states(data, forward_only):
-        def spy(spec, thetas, data, rows, reverse):
+        def spy(spec, thetas, data, rows, reverse, weights):
             walks.append(reverse)
-            return block_grad(spec, thetas, data, rows, reverse and not forward_only)
+            return block_grad(spec, thetas, data, rows, reverse and not forward_only,
+                              weights)
         monkeypatch.setattr(optimizers, "_block_grad", spy)
         walks.clear()
         return np.stack(list(batch_iterates(configs, logistic_spec(), data, 3, [0, 1, 2],

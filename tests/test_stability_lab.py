@@ -21,6 +21,7 @@ from optstab.losses import (
     loss_constants,
     loss_values_matrix,
     normalize_rows,
+    quadratic_spec,
     sample_grad,
 )
 from optstab.optimizers import (
@@ -35,6 +36,7 @@ from optstab.optimizers import (
     step_size,
 )
 from optstab.stability_lab import (
+    StabilityTrace,
     _GAP_STEPS,
     _coupled_gaps,
     _log_grid,
@@ -45,7 +47,6 @@ from optstab.stability_lab import (
     reference_risk,
     repeat_and_average,
     risk_curves,
-    run_pair,
 )
 from optstab.streams import stream
 
@@ -57,6 +58,13 @@ def logistic_fixture(n=40, d=4, seed=0):
     X = normalize_rows(rng.standard_normal((n, d)))
     y = rng.integers(0, 2, n).astype(float)
     return Dataset.from_labeled(X, y)
+
+
+def run_pair(cfg, spec, data, k, z, holdout, theta0=None, seed=0):
+    """Gap series of the one coupled pair (data, data with row k replaced by the
+    one-point sample z)."""
+    pg, sg = _coupled_gaps([cfg], spec, data, [k], z, seed, holdout, theta0)
+    return StabilityTrace(param_gap=pg[0, 0], sup_loss_gap=sg[0, 0])
 
 
 # ---------------------------------------------------------------- pairs
@@ -72,13 +80,12 @@ def test_make_pair_differs_only_at_k():
 
 def test_identity_perturbation_keeps_gaps_zero_for_every_method():
     data = logistic_fixture()
-    perturbed = data.replace(2, data.point(2))
     spec = logistic_spec()
     holdout = logistic_fixture(n=10, seed=99)
     for method, kw in [("gd", {}), ("sgd", {}), ("nag", {}), ("hb", {"gamma": 0.5}),
                        ("sgld", {"tau": 1.0})]:
         cfg = OptimizerConfig(method=method, schedule=fixed(0.1), T=25, **kw)
-        trace = run_pair(cfg, spec, data, perturbed, holdout, seed=4)
+        trace = run_pair(cfg, spec, data, 2, data.point(2), holdout, seed=4)
         np.testing.assert_array_equal(trace.param_gap, 0.0)
         np.testing.assert_array_equal(trace.sup_loss_gap, 0.0)
 
@@ -90,10 +97,10 @@ def test_identity_perturbation_keeps_gaps_zero_over_row_blocks(monkeypatch):
 
     monkeypatch.setattr(losses, "_GRAD_BLOCK_BYTES", 7 * 4 * 8)
     data = logistic_fixture()
-    perturbed = [data.replace(k, data.point(k)) for k in (0, 13, 39)]
+    ks = [0, 13, 39]
     configs = [OptimizerConfig(method=m, schedule=fixed(0.1), T=25, gamma=0.5)
                for m in ("gd", "nag", "hb")]
-    param_gap, sup_gap = _coupled_gaps(configs, logistic_spec(), data, perturbed, 4,
+    param_gap, sup_gap = _coupled_gaps(configs, logistic_spec(), data, ks, data.take(ks), 4,
                                        logistic_fixture(n=10, seed=99), None)
     assert param_gap.shape == (3, 3, 26)
     np.testing.assert_array_equal(param_gap, 0.0)
@@ -111,18 +118,17 @@ def test_pair_index_out_of_range():
 
 def test_param_gap_zero_at_start():
     data = logistic_fixture()
-    perturbed = data.replace(0, logistic_fixture(seed=5).point(0))
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=10)
-    trace = run_pair(cfg, logistic_spec(), data, perturbed, logistic_fixture(n=8, seed=9))
+    trace = run_pair(cfg, logistic_spec(), data, 0, logistic_fixture(seed=5).point(0),
+                     logistic_fixture(n=8, seed=9))
     assert trace.param_gap[0] == 0.0
 
 
 def test_linear_loss_gap_is_exactly_tight():
     spec = linear_worstcase_spec(L=1.0)
     data = Dataset.from_symbols(np.ones(10))
-    perturbed = data.replace(0, Dataset.from_symbols([-1]))
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=50)
-    trace = run_pair(cfg, spec, data, perturbed, SYMBOL_HOLDOUT)
+    trace = run_pair(cfg, spec, data, 0, Dataset.from_symbols([-1]), SYMBOL_HOLDOUT)
     for T in (1, 5, 50):
         expect = 2 * 0.1 * 1.0 * T / 10
         assert abs(trace.param_gap[T] - expect) <= 1e-12 * expect
@@ -131,9 +137,8 @@ def test_linear_loss_gap_is_exactly_tight():
 def test_gd_gap_dominated_by_linear_envelope():
     data = logistic_fixture(n=50, seed=3)
     pool = logistic_fixture(n=10, seed=7)
-    perturbed = data.replace(4, pool.point(0))
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.1), T=200)
-    trace = run_pair(cfg, logistic_spec(), data, perturbed, pool)
+    trace = run_pair(cfg, logistic_spec(), data, 4, pool.point(0), pool)
     ts = np.arange(201)
     c = loss_constants(logistic_spec())
     envelope = stability_bound_curve(cfg, CONVEX, c, 50, ts) / c.L
@@ -143,9 +148,8 @@ def test_gd_gap_dominated_by_linear_envelope():
 def test_lipschitz_domination_of_sup_gap():
     data = logistic_fixture(n=30, seed=11)
     pool = logistic_fixture(n=20, seed=13)
-    perturbed = data.replace(1, pool.point(3))
     cfg = OptimizerConfig(method="nag", schedule=fixed(0.2), T=100)
-    trace = run_pair(cfg, logistic_spec(), data, perturbed, pool, seed=2)
+    trace = run_pair(cfg, logistic_spec(), data, 1, pool.point(3), pool, seed=2)
     assert np.all(trace.sup_loss_gap <= 1.0 * trace.param_gap)
 
 
@@ -154,9 +158,9 @@ def test_strongly_convex_gap_envelope():
     c = loss_constants(spec)
     rng = np.random.Generator(np.random.Philox(17))
     data = Dataset.from_symbols(np.where(rng.uniform(size=50) < 0.5, 1.0, -1.0))
-    perturbed = data.replace(5, Dataset.from_symbols([-int(data.s[5])]))
     cfg = OptimizerConfig(method="gd", schedule=fixed(0.5), T=500)
-    trace = run_pair(cfg, spec, data, perturbed, SYMBOL_HOLDOUT, theta0=np.zeros(2))
+    trace = run_pair(cfg, spec, data, 5, Dataset.from_symbols([-int(data.s[5])]),
+                     SYMBOL_HOLDOUT, theta0=np.zeros(2))
     ts = np.arange(501)
     envelope = stability_bound_curve(cfg, STRONGLY_CONVEX, c, 50, ts) / c.L
     assert np.all(trace.param_gap <= envelope + 1e-9)
@@ -432,14 +436,15 @@ def test_method_batch_matches_one_config_batches(methods, etas, family, reps, T,
     configs = [_config(m, eta, kind, T, beta)
                for m, eta in zip(_one_kind(methods), etas)]
     rng = np.random.Generator(np.random.Philox(data_seed))
-    perturbed = [sample.replace(int(rng.integers(0, n)),
-                                pool.point(int(rng.integers(0, pool.n))))
-                 for _ in range(reps)]
+    ks, zs = zip(*((int(rng.integers(0, n)), int(rng.integers(0, pool.n)))
+                   for _ in range(reps)))
+    z = pool.take(list(zs))
+    perturbed = [sample.replace(k, pool.point(i)) for k, i in zip(ks, zs)]
     members = [*range(reps), *range(reps)]
     samples = Dataset.stack([sample] * reps + perturbed)
     states = np.array(list(batch_iterates(configs, spec, samples, seed, members,
                                           theta0=theta0)))
-    gaps = _coupled_gaps(configs, spec, sample, perturbed, seed, pool, theta0)
+    gaps = _coupled_gaps(configs, spec, sample, ks, z, seed, pool, theta0)
     for j, cfg in enumerate(configs):
         alone = np.array(list(batch_iterates([cfg], spec, samples, seed, members,
                                              theta0=theta0)))[:, :, 0]
@@ -449,23 +454,26 @@ def test_method_batch_matches_one_config_batches(methods, etas, family, reps, T,
         # per pair and step: max(||theta_t||, ||theta'_t||)
         scale = np.maximum(norms[:, :reps], norms[:, reps:]).T
         for got, want in zip((g[j] for g in gaps),
-                             _coupled_gaps([cfg], spec, sample, perturbed, seed, pool,
-                                           theta0)):
+                             _coupled_gaps([cfg], spec, sample, ks, z, seed, pool, theta0)):
             assert np.all(np.abs(got - want[0]) <= 1e-12 * scale)
 
 
-def _stepwise_gaps(configs, spec, base, perturbed, seed, holdout, theta0):
+def _stepwise_gaps(configs, spec, base, k, z, seed, holdout, theta0):
     """_coupled_gaps one state at a time, as each state is yielded: the
-    reference for its blocks of states."""
-    P = len(perturbed)
-    B = P if configs[0].sampled else 1
-    param_gap, sup_gap = np.empty((2, len(configs), P, configs[0].T + 1))
-    samples = Dataset.stack([base] * B + perturbed)
-    for t, state in enumerate(batch_iterates(configs, spec, samples, seed,
-                                             [*range(B), *range(P)], theta0=theta0)):
+    reference for its blocks of states.  As there, one batch on the one sample
+    plus the swaps, and a pair whose z row equals row k[i] runs no member."""
+    P = len(k)
+    live = [i for i in range(P) if not all(np.array_equal(a[i], b[k[i]])
+                                           for a, b in zip(z._arrays, base._arrays))]
+    runs = live if configs[0].sampled else [0]
+    B = len(runs)
+    param_gap, sup_gap = np.zeros((2, len(configs), P, configs[0].T + 1))
+    swaps = ([-1] * B + [k[i] for i in live], z.take(live))
+    for t, state in enumerate(batch_iterates(configs, spec, base, seed, [*runs, *live],
+                                             theta0=theta0, swaps=swaps)):
         theta, theta_p = state[:B].swapaxes(0, 1), state[B:].swapaxes(0, 1)
-        param_gap[..., t] = np.linalg.norm(theta - theta_p, axis=-1)
-        sup_gap[..., t] = estimate_sup_loss_gap(theta, theta_p, spec, holdout)
+        param_gap[:, live, t] = np.linalg.norm(theta - theta_p, axis=-1)
+        sup_gap[:, live, t] = estimate_sup_loss_gap(theta, theta_p, spec, holdout)
     return param_gap, sup_gap
 
 
@@ -478,16 +486,83 @@ def test_blocked_gaps_match_per_step_reference_bitwise(methods, family):
     assert (T + 1) % _GAP_STEPS
     spec, sample, pool, theta0, beta = _family_case(family, 17, 12)
     configs = [_config(m, 0.5, "fixed", T, beta) for m in methods]
-    perturbed = [sample.replace(2 * i, pool.point(i % pool.n)) for i in range(P)]
-    got = _coupled_gaps(configs, spec, sample, perturbed, 3, pool, theta0)
-    want = _stepwise_gaps(configs, spec, sample, perturbed, 3, pool, theta0)
+    ks, z = [2 * i for i in range(P)], pool.take([i % pool.n for i in range(P)])
+    got = _coupled_gaps(configs, spec, sample, ks, z, 3, pool, theta0)
+    want = _stepwise_gaps(configs, spec, sample, ks, z, 3, pool, theta0)
     for g, w in zip(got, want):
         assert g.shape == (len(methods), P, T + 1)
         assert np.any(w[..., -1] > 0)
         _assert_bitwise_equal(g, w)
-    same = [sample.replace(2 * i, sample.point(2 * i)) for i in range(P)]
-    for g in _coupled_gaps(configs, spec, sample, same, 3, pool, theta0):
+    for g in _coupled_gaps(configs, spec, sample, ks, sample.take(ks), 3, pool, theta0):
         _assert_bitwise_equal(g, np.zeros_like(g))
+
+
+def _stacked_gaps(configs, spec, base, k, z, seed, holdout, theta0):
+    """The gap series of the P pairs as one batch on a Dataset.stack of copies of
+    the sample (B base copies, then each pair's base.replace(k[i], z_i)), one state
+    at a time; and the largest iterate norm of the run."""
+    P = len(k)
+    B = P if configs[0].sampled else 1
+    samples = Dataset.stack([base] * B + [base.replace(k[i], z.point(i)) for i in range(P)])
+    gaps, scale = np.empty((2, len(configs), P, configs[0].T + 1)), 0.0
+    for t, state in enumerate(batch_iterates(configs, spec, samples, seed,
+                                             [*range(B), *range(P)], theta0=theta0)):
+        theta, theta_p = state[:B].swapaxes(0, 1), state[B:].swapaxes(0, 1)
+        gaps[0][..., t] = np.linalg.norm(theta - theta_p, axis=-1)
+        gaps[1][..., t] = estimate_sup_loss_gap(theta, theta_p, spec, holdout)
+        scale = max(scale, np.linalg.norm(state, axis=-1).max())
+    return gaps, scale
+
+
+@pytest.mark.parametrize("methods", [("gd", "nag", "hb"), ("sgd", "sgld")])
+@pytest.mark.parametrize("family", ["logistic", "logistic-blocked", "linear_worstcase",
+                                    "lecam_strongly_convex", "quadratic"])
+def test_shared_design_gaps_equal_the_stacked_form(monkeypatch, family, methods):
+    # the pairs run on the one sample plus per-member swaps, against each perturbed
+    # run on its own copy of the sample: sgd and sgld bitwise (the same rows), gd,
+    # nag and hb within 1e-13 of the iterates' scale (every member's margins in
+    # one product); pairs that swap a row for itself read exactly 0
+    from optstab import losses
+
+    if family == "logistic-blocked":  # blocks of 5 rows over n = 12 and the 4 swaps
+        monkeypatch.setattr(losses, "_GRAD_BLOCK_BYTES", 5 * 3 * 8)
+    T, P = 37, 6
+    spec, sample, pool, theta0, beta = _family_case(family.split("-")[0].replace(
+        "quadratic", "logistic"), 19, 12)
+    if family == "quadratic":
+        spec, beta = quadratic_spec(np.diag([1.0, 0.5, 0.25]), [0.3, -0.2, 0.1]), 1.0
+    configs = [_config(m, 0.5, "fixed", T, beta) for m in methods]
+    ks, live = [2 * i for i in range(P)], [0, 2, 3, 4, 5]
+    # pair 1 swaps its row for itself; the others swap in a pool row or a flipped symbol
+    if sample.kind == "labeled":
+        X, y = pool.X[np.arange(P) % pool.n], pool.y[np.arange(P) % pool.n]
+        X[1], y[1] = sample.X[ks[1]], sample.y[ks[1]]
+        z = Dataset.from_labeled(X, y)
+    else:
+        z = Dataset.from_symbols(np.where(np.arange(P) == 1, 1, -1) * sample.s[ks])
+    got = _coupled_gaps(configs, spec, sample, ks, z, 3, pool, theta0)
+    want, scale = _stacked_gaps(configs, spec, sample, ks, z, 3, pool, theta0)
+    for g, w in zip(got, want):
+        assert g.shape == (len(methods), P, T + 1)
+        assert (family == "quadratic") == (not np.any(w[:, live, -1] > 0))
+        if methods[0] == "sgd":
+            _assert_bitwise_equal(g[:, live], w[:, live])
+        else:
+            assert np.abs(g - w)[:, live].max() <= 1e-13 * scale
+        np.testing.assert_array_equal(np.delete(g, live, axis=1), 0.0)
+    for g in _coupled_gaps(configs, spec, sample, ks, sample.take(ks), 3, pool, theta0):
+        _assert_bitwise_equal(g, np.zeros_like(g))
+
+
+@pytest.mark.parametrize("method", ["gd", "sgd"])
+def test_a_replacement_point_off_the_unit_sphere_is_rejected(method):
+    # the logistic constants hold on unit rows only: a pool row of norm 2 that a
+    # repeat swaps in fails the check, as it would as a row of the sample
+    data = logistic_fixture(n=20)
+    pool = Dataset.from_labeled(2.0 * logistic_fixture(n=3, seed=1).X, [0.0, 1.0, 1.0])
+    cfg = OptimizerConfig(method=method, schedule=fixed(0.1), T=5)
+    with pytest.raises(ValidationError, match="unit-norm rows"):
+        repeat_and_average([cfg], logistic_spec(), data, pool, reps=3)
 
 
 # ---------------------------------------------------------------- slope fit
