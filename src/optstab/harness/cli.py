@@ -16,9 +16,9 @@ before the subcommand set logging only, not the config: ``--log-level``
 (debug, info, warning or error; default info) for optstab's loggers, and
 ``--debug``, which logs a runtime error's traceback.
 
-Exit codes: 0 success, 1 a bad config key or value (file or flag) or another
-validation error, 2 runtime error, 3 audit completed but failed its
-acceptance checks (lemmas/lecam/bounds).
+Exit codes: 0 success, 1 a bad config key or value (file or flag, an unknown
+flag included) or another validation error, 2 runtime error, 3 audit
+completed but failed its acceptance checks (lemmas/lecam/bounds).
 """
 
 from __future__ import annotations
@@ -73,10 +73,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _parser().parse_args(argv)
+    args, unknown = _parser().parse_known_args(argv)
     logging.basicConfig(format="%(levelname)s %(message)s")
     logging.getLogger("optstab").setLevel(args.log_level)
     try:
+        if unknown:
+            raise ValidationError(f"unrecognized arguments: {' '.join(unknown)}")
         if args.command == "earlystop":
             T = early_stopping_T(args.n, args.eta, args.lipschitz, args.radius)
             print(T)

@@ -21,10 +21,8 @@ a method other than sgld.
 experiment     stability_scaling | risk_decomposition | lecam_audit |
                lemma_audit | bounds_table  (the CLI's subcommand)
 methods    sr  comma list of gd, sgd, nag, nag_sc, hb, sgld, each at most once
-data_path  s   breast-cancer style CSV: S is drawn from its rows and the pool
-               is the rest, so d and holdout are unread (else S is generated)
 n          srb size of S
-d, T       sr  dimension, iteration horizon
+d, T       sr  dimension of the generated rows, iteration horizon
 holdout    s   held-out pool size (replacement draws and sup-gap estimation)
 reps       s   independent perturbation repeats
 seed           master seed (>= 0) of every random stream (optstab.streams)
@@ -44,8 +42,8 @@ from ..losses import ValidationError
 
 # the keys each experiment reads besides experiment, seed and out
 _READS = {
-    "stability_scaling": frozenset("methods data_path n d T holdout reps eta0 schedule "
-                                   "alpha gamma tau kappa".split()),
+    "stability_scaling": frozenset("methods n d T holdout reps eta0 schedule alpha "
+                                   "gamma tau kappa".split()),
     "risk_decomposition": frozenset("methods n d T eta0 schedule alpha gamma tau kappa "
                                     "n_test ref_budget".split()),
     "lecam_audit": frozenset(),
@@ -61,7 +59,6 @@ METHOD_KEYS = {"hb": "gamma", "nag_sc": "kappa", "sgld": "tau"}
 class ExperimentConfig:
     experiment: str = "stability_scaling"
     methods: Tuple[str, ...] = ("gd",)
-    data_path: Optional[str] = None
     n: int = 500
     d: int = 10
     T: int = 1000
@@ -94,8 +91,6 @@ class ExperimentConfig:
                                       f"'{getattr(self, key)}' (need >= 0)")
         # an unread key at its default changes neither the run nor the hash
         reads, context = _READS[self.experiment] | {"experiment", "seed", "out"}, ""
-        if self.data_path:
-            reads -= {"d", "holdout"}
         if "methods" in reads:  # a method reads its own key; sgld runs eta0 / t
             context = f" (methods {','.join(self.methods)}, schedule {self.schedule})"
             reads -= {key for m, key in METHOD_KEYS.items() if m not in self.methods}

@@ -21,7 +21,7 @@ from ..stability_lab import (
     risk_curves,
 )
 from .config import METHOD_KEYS, ExperimentConfig, config_hash
-from .data import gen_synthetic, load_breast_cancer, split_sample
+from .data import gen_synthetic, split_sample
 from .reports import Report, package_versions
 
 log = logging.getLogger(__name__)
@@ -60,10 +60,7 @@ def _new_report(cfg: ExperimentConfig) -> Report:
 
 def _logistic_data(cfg: ExperimentConfig):
     """The fixed sample S of n points plus the held-out pool used for perturbations."""
-    if cfg.data_path:
-        full = load_breast_cancer(cfg.data_path)
-    else:
-        full, _ = gen_synthetic(cfg.d, cfg.n + cfg.holdout, seed=cfg.seed)
+    full, _ = gen_synthetic(cfg.d, cfg.n + cfg.holdout, seed=cfg.seed)
     return split_sample(full, cfg.n, seed=cfg.seed)
 
 

@@ -45,6 +45,7 @@ import numpy as np
 from .losses import (
     Dataset,
     LossSpec,
+    _PRODUCT_MACS,
     _RISK_ROWS,
     ValidationError,
     empirical_risk_batch,
@@ -78,14 +79,22 @@ def estimate_sup_loss_gap(theta, theta_p, spec: LossSpec, holdout: Dataset):
     Given batches (..., m, d) theta_p and theta of m rows or of one row
     shared by all of them, returns the (..., m) row-wise gaps.  Two m-row
     batches are evaluated as a stack, each by its own matrix product, so row
-    i of both takes the same rounding; a shared row is evaluated once, in
-    one product with theta_p.  Equal parameters give a gap of exactly 0;
-    this is set explicitly, since the rows of one BLAS matrix product need
-    not round alike (some row positions take a different kernel).
+    i of both takes the same rounding; a shared row is evaluated in one product
+    with theta_p.  Rows are taken a group at a time (the shared row in each), so
+    that no product exceeds ``losses._PRODUCT_MACS`` multiply-adds and its bytes
+    do not depend on the BLAS thread count.  Equal parameters give a gap of
+    exactly 0; this is set explicitly, since the rows of one BLAS matrix product
+    need not round alike (some row positions take a different kernel).
     """
     batched = np.ndim(theta_p) >= 2
     theta, theta_p = np.atleast_2d(theta), np.atleast_2d(theta_p)
-    if theta.shape == theta_p.shape:
+    shared, m = theta.shape != theta_p.shape, theta_p.shape[-2]
+    per = max(1, _PRODUCT_MACS // (theta_p.shape[-1] * holdout.n) - shared)
+    if m > per:
+        return np.concatenate([estimate_sup_loss_gap(
+            theta if shared else theta[..., b:b + per, :], theta_p[..., b:b + per, :], spec,
+            holdout) for b in range(0, m, per)], axis=-1)
+    if not shared:
         values, values_p = loss_values_matrix(spec, np.stack([theta, theta_p]), holdout)
     else:
         both = loss_values_matrix(spec, np.concatenate([theta, theta_p], axis=-2), holdout)

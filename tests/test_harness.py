@@ -18,21 +18,13 @@ from optstab.harness.config import (
     parse_config_text,
     parse_value,
 )
-from optstab.harness.data import gen_synthetic, load_breast_cancer, split_sample
+from optstab.harness.data import gen_synthetic, split_sample
 from optstab.bounds import CONVEX, stability_bound_curve
 from optstab.harness.experiments import _logistic_data, _optimizer_config, run_experiment
 from optstab.harness.reports import Report, Series, write_report, write_series_csv
 from optstab.harness.cli import main as cli_main
 from optstab.losses import ValidationError, logistic_spec, loss_constants
 from optstab.optimizers import METHODS
-
-BC_FIXTURE = """\
-1000025,5,1,1,1,2,1,3,1,1,2
-1002945,5,4,4,5,7,10,3,2,1,2
-1015425,3,1,1,1,2,2,?,1,1,2
-1016277,6,8,8,1,3,4,3,7,1,4
-1017023,4,1,1,3,2,1,3,1,1,2
-"""
 
 
 # ---------------------------------------------------------------- config
@@ -86,26 +78,6 @@ def test_load_config_file(tmp_path):
 
 
 # ---------------------------------------------------------------- data
-
-
-def test_breast_cancer_fixture_drops_missing(tmp_path):
-    path = tmp_path / "bc.csv"
-    path.write_text(BC_FIXTURE)
-    data = load_breast_cancer(str(path))
-    assert data.n == 4  # the '?' row is dropped
-    np.testing.assert_allclose(np.linalg.norm(data.X, axis=1), 1.0, atol=1e-12)
-    # class 4 maps to label 1
-    np.testing.assert_array_equal(data.y, [0.0, 0.0, 1.0, 0.0])
-
-
-def test_breast_cancer_rejects_bad_rows(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1,2,3\n")
-    with pytest.raises(ValidationError):
-        load_breast_cancer(str(path))
-    path.write_text("1,5,1,1,1,2,1,3,1,1,7\n")
-    with pytest.raises(ValidationError):
-        load_breast_cancer(str(path))
 
 
 def test_gen_synthetic_rows_unit_norm_and_deterministic():
@@ -408,44 +380,6 @@ def test_cli_bad_value_exits_1_from_file_and_flag(tmp_path, monkeypatch, capsys,
     assert f"{value!r}" in errors[0]
 
 
-def _bc_file(path, rows=100, seed=5):
-    """A seeded breast-cancer style CSV of ``rows`` rows, every tenth with a '?'."""
-    rng = np.random.default_rng(seed)
-    lines = []
-    for i in range(rows):
-        feats = [str(v) for v in rng.integers(1, 11, size=9)]
-        if i % 10 == 7:
-            feats[5] = "?"
-        lines.append(",".join([str(1000 + i), *feats, rng.choice(["2", "4"])]))
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
-def test_cli_stability_draws_its_sample_from_the_data_file(tmp_path):
-    # S is n rows of the file and every replacement point is another file row
-    path = _bc_file(tmp_path / "bc.csv")
-    out = str(tmp_path / "run")
-    assert cli_main(["stability", "--data-path", path, "--n", "80", "--methods", "gd,sgd",
-                     "--T", "30", "--reps", "4", "--out", out]) == 0
-    with open(os.path.join(out, "report.json")) as fh:
-        records = json.load(fh)["records"]
-    assert records["n"] == 80
-    data = load_breast_cancer(path)
-    assert data.n == 90
-    rows = {(tuple(x), y) for x, y in zip(data.X.tolist(), data.y.tolist())}
-    for m in ("gd", "sgd"):
-        assert len(records["perturbations"][m]) == 4
-        for rec in records["perturbations"][m]:
-            assert (tuple(rec["z"]["x"]), rec["z"]["y"]) in rows
-
-
-@pytest.mark.parametrize("command", ["risk", "lecam", "lemmas", "bounds"])
-def test_cli_data_path_outside_stability_exits_1_by_name(tmp_path, capsys, command):
-    path = _bc_file(tmp_path / "bc.csv")
-    assert cli_main([command, "--data-path", path, "--out", str(tmp_path / "x")]) == 1
-    assert "config key 'data_path'" in capsys.readouterr().err
-
-
 class _ReadRecorder:
     """Stands in for a config and records the name of every attribute read."""
 
@@ -457,12 +391,20 @@ class _ReadRecorder:
         return getattr(self._cfg, name)
 
 
+@pytest.mark.parametrize("command", ["risk", "lecam", "lemmas", "bounds"])
+def test_cli_data_path_outside_stability_exits_1_by_name(tmp_path, capsys, command):
+    # the removed data-file key is an unrecognized flag in every subcommand
+    out = tmp_path / "x"
+    assert cli_main([command, "--data-path", "bc.csv", "--out", str(out)]) == 1
+    assert "unrecognized arguments: --data-path bc.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _RUN_KEYS = dict(methods=METHODS, n=40, T=30, schedule="power")
 
 
 @pytest.mark.parametrize("experiment, keys, unread", [
     ("stability_scaling", dict(_RUN_KEYS, reps=2), set()),
-    ("stability_scaling", dict(_RUN_KEYS, reps=2, data_path=True), {"d", "holdout"}),
     ("risk_decomposition", dict(_RUN_KEYS, n_test=40, ref_budget=40), set()),
     ("lecam_audit", {}, set()),
     ("lemma_audit", {}, set()),
@@ -476,23 +418,21 @@ _RUN_KEYS = dict(methods=METHODS, n=40, T=30, schedule="power")
      {"gamma", "kappa", "schedule", "alpha"}),
     ("risk_decomposition", dict(methods=("sgd", "sgld"), n=40, T=30, n_test=40,
                                 schedule="power"), {"gamma", "kappa"}),
-], ids=["stability", "stability-file", "risk", "lecam", "lemmas", "bounds", "stability-gd",
+], ids=["stability", "risk", "lecam", "lemmas", "bounds", "stability-gd",
         "stability-hb-nag_sc", "risk-sgld", "risk-sgd-sgld"])
-def test_each_experiment_reads_exactly_its_table_of_keys(tmp_path, monkeypatch,
-                                                         experiment, keys, unread):
+def test_each_experiment_reads_exactly_its_table_of_keys(monkeypatch, experiment, keys,
+                                                         unread):
     # the experiment reads every key of its table but those the methods and
     # schedule leave unread; the hash (which reads every key) is stubbed out
     from optstab.harness import experiments
 
     monkeypatch.setattr(experiments, "config_hash", lambda cfg: "0" * 16)
-    if keys.get("data_path"):
-        keys["data_path"] = _bc_file(tmp_path / "bc.csv")
     proxy = _ReadRecorder(ExperimentConfig(experiment=experiment, **keys))
     run_experiment(proxy)
     assert proxy.reads == _READS[experiment] - unread | {"experiment", "seed"}
 
 
-_OFF_DEFAULT = dict(methods="sgd", data_path="bc.csv", n="77", d="20", T="50",
+_OFF_DEFAULT = dict(methods="sgd", n="77", d="20", T="50",
                     holdout="30", reps="3", eta0="0.3", schedule="power", alpha="0.3",
                     gamma="0.5", tau="2.5", kappa="9", n_test="10", ref_budget="100")
 _UNREAD = [(e, f.name) for e in EXPERIMENTS for f in fields(ExperimentConfig)
@@ -535,15 +475,6 @@ def test_cli_key_no_selected_method_reads_exits_1_by_name(tmp_path, capsys, argv
                   "schedule": "power", key: parse_value(key, _OFF_DEFAULT[key])})
 
 
-@pytest.mark.parametrize("flag", ["--d", "--holdout"])
-def test_cli_stability_from_a_file_rejects_d_and_holdout(tmp_path, capsys, flag):
-    path = _bc_file(tmp_path / "bc.csv")
-    out = tmp_path / "x"
-    assert cli_main(["stability", "--data-path", path, flag, "20", "--out", str(out)]) == 1
-    assert f"config key '{flag[2:]}'" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
-
-
 def test_cli_unread_key_at_its_default_is_accepted(tmp_path):
     # reps = 50 is the default: the bounds table runs, and its hash is the default run's
     out = tmp_path / "x"
@@ -553,12 +484,19 @@ def test_cli_unread_key_at_its_default_is_accepted(tmp_path):
         ExperimentConfig(experiment="bounds_table")
 
 
-@pytest.mark.parametrize("line", ["source = file", "subsample = 300"])
+@pytest.mark.parametrize("line", ["source = file", "subsample = 300", "data_path = bc.csv"])
 def test_cli_removed_data_keys_exit_1_as_unknown(tmp_path, capsys, line):
+    key, value = line.split(" = ")
     cfgfile = tmp_path / "old.cfg"
     cfgfile.write_text(line + "\n")
-    assert cli_main(["stability", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
-    assert f"unknown config keys: [{line.split()[0]!r}]" in capsys.readouterr().err
+    out = tmp_path / "x"
+    assert cli_main(["stability", "--config", str(cfgfile), "--out", str(out)]) == 1
+    assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+    # its flag is an unrecognized argument: exit 1 like a bad key, not argparse's 2
+    flag = "--" + key.replace("_", "-")
+    assert cli_main(["stability", flag, value, "--out", str(out)]) == 1
+    assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["stability", "risk"])
@@ -625,8 +563,8 @@ def test_cli_flags_are_the_config_fields():
     expected = {"--config"} | {
         "--" + f.name.replace("_", "-") for f in fields(ExperimentConfig)
         if f.name != "experiment"}
-    assert {"--n-test", "--ref-budget", "--data-path", "--T"} <= expected
-    assert len(expected) == 18
+    assert {"--n-test", "--ref-budget", "--T"} <= expected
+    assert len(expected) == 17
     for name in cli._SUBCOMMAND_EXPERIMENT:
         flags = {opt for action in subcommands[name]._actions
                  for opt in action.option_strings} - {"-h", "--help"}

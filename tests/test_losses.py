@@ -597,7 +597,9 @@ def test_swapped_gradients_equal_the_stacked_samples(monkeypatch, family, block)
 def test_shared_design_gradient_bytes_do_not_depend_on_the_blas_thread_count():
     # 51 members of a swapped batch on a (2000, 200) design: one product of all 51
     # vectors against a 400-row block runs threaded and rounds apart at 1 and 2
-    # OpenBLAS threads; a group of members per product (_PRODUCT_MACS) does not
+    # OpenBLAS threads; a group of members per product (_PRODUCT_MACS) does not.
+    # The same holds for a sup-gap pass of 8 steps, one base and 50 perturbed
+    # members each, on a 100-point holdout: one (51, 200) @ (200, 100) product a step
     import os
     import subprocess
     import sys
@@ -617,13 +619,19 @@ def test_shared_design_gradient_bytes_do_not_depend_on_the_blas_thread_count():
         for reverse in (False, True):
             g = _block_grad(logistic_spec(), thetas, ext, None, reverse, w)
             print(hashlib.sha256(g.tobytes()).hexdigest())
+        from optstab.stability_lab import estimate_sup_loss_gap
+        base = rng.standard_normal((8, 1, 1, 200)) / 20
+        perturbed = base + rng.standard_normal((8, 1, 50, 200)) / 200
+        gaps = estimate_sup_loss_gap(base, perturbed, logistic_spec(), data.take(range(100)))
+        print(hashlib.sha256(gaps.tobytes()).hexdigest())
     """
     src = os.path.dirname(os.path.dirname(optstab.__file__))
     out = [subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src,
                                           "OPENBLAS_NUM_THREADS": str(threads)}).stdout
            for threads in (1, 2)]
-    assert len(set(out[0].split())) == 1 and out[0] == out[1]
+    lines = [o.split() for o in out]  # gradient forward, reverse; sup gaps
+    assert len(lines[0]) == 3 and lines[0][0] == lines[0][1] and lines[0] == lines[1]
 
 
 @pytest.mark.parametrize("k, z", [
