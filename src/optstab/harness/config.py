@@ -23,12 +23,12 @@ experiment     stability_scaling | risk_decomposition | lecam_audit |
 methods    sr  comma list of gd, sgd, nag, nag_sc, hb, sgld, each at most once
 n          srb size of S
 d, T       sr  dimension of the generated rows, iteration horizon
-holdout    s   held-out pool size (replacement draws and sup-gap estimation)
+holdout    s   held-out pool size (>= 1; replacement draws and sup-gap estimation)
 reps       s   independent perturbation repeats
 seed           master seed (>= 0) of every random stream (optstab.streams)
 eta0       srb base step size;  schedule (sr) fixed | power;  alpha (srb) its exponent
 gamma, tau srb heavy ball momentum, sgld temperature;  kappa (sr) nag_sc's
-n_test     r   test-set size;  ref_budget (r) reference-minimizer budget in steps
+n_test     r   test-set size (>= 1);  ref_budget (r) reference-minimizer budget in steps
 out            output directory
 """
 
@@ -85,10 +85,10 @@ class ExperimentConfig:
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:  # it would run once but hash as listed
             raise ValidationError(f"config key 'methods': {','.join(repeated)} repeated")
-        for key in ("seed", "ref_budget"):
-            if getattr(self, key) < 0:
+        for key, least in (("seed", 0), ("ref_budget", 0), ("holdout", 1), ("n_test", 1)):
+            if getattr(self, key) < least:
                 raise ValidationError(f"config key {key!r}: bad value "
-                                      f"'{getattr(self, key)}' (need >= 0)")
+                                      f"'{getattr(self, key)}' (need >= {least})")
         # an unread key at its default changes neither the run nor the hash
         reads, context = _READS[self.experiment] | {"experiment", "seed", "out"}, ""
         if "methods" in reads:  # a method reads its own key; sgld runs eta0 / t

@@ -338,7 +338,7 @@ class _Family:
     """One loss family's math, batched over parameters and data rows."""
 
     variant: str         # data it consumes: "labeled", "symbol" or "any"
-    values: Callable     # (spec, thetas (..., k, d), data) -> (..., k, n) losses
+    values: Callable     # (spec, thetas (..., k, d), data, out, scratch) -> (..., k, n)
     grad: Callable       # (spec, thetas (..., k, d), data, rows, reverse, weights) ->
     #                      (..., k, d) mean gradients over all rows (rows None) or one
     #                      row per member; see _block_grad for reverse and weights
@@ -390,16 +390,18 @@ def _residual(W: np.ndarray, s: Optional[np.ndarray] = None,
     return np.divide(weights if s is None else s * weights, V, out=V).reshape(W.shape)
 
 
-def _logistic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
+def _logistic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset, out=None,
+                     scratch=None) -> np.ndarray:
     """Softplus of the signed margin v = s u (s = 1 - 2y; exact for y in {0, 1}),
-    max(v, 0) + log1p(exp(-|v|)): no cancellation at y = 1, u >> 1.  A one-block
-    design's v is one product on its signed d-major copy."""
+    max(v, 0) + log1p(exp(-|v|)): no cancellation at y = 1, u >> 1, in place in
+    ``out`` with log1p(exp(-|v|)) in ``scratch`` (each allocated if None).  A
+    one-block design's v is one product on its signed d-major copy."""
     if data.n <= _block_rows(data.X):
-        V = thetas @ data._signed_cols
+        V = np.matmul(thetas, data._signed_cols, out=out)
     else:
-        V = thetas @ data.X.swapaxes(-1, -2)
+        V = np.matmul(thetas, data.X.swapaxes(-1, -2), out=out)
         V *= data._signs[..., None, :]
-    e = np.abs(V)
+    e = np.abs(V, out=scratch)
     np.negative(e, out=e)
     np.exp(e, out=e)
     np.log1p(e, out=e)
@@ -457,7 +459,7 @@ def _logistic_constants(spec: LossSpec, data: Optional[Dataset]):
     return 1.0, 0.25, 0.0
 
 
-def _quadratic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
+def _quadratic_values(spec: LossSpec, thetas: np.ndarray, data: Dataset, *_) -> np.ndarray:
     v = 0.5 * np.einsum("...i,ij,...j->...", thetas, spec.A, thetas) - thetas @ spec.b
     return np.broadcast_to(v[..., None], v.shape + (data.n,))
 
@@ -478,7 +480,7 @@ def _symbol_family(value, slope, constants) -> _Family:
         g[..., 0] = slopes.mean(axis=-1) if weights is None else (slopes * weights).sum(-1)
         return g
     return _Family("symbol",
-                   lambda spec, thetas, data: value(spec, thetas[..., 0:1], data.s),
+                   lambda spec, thetas, data, *_: value(spec, thetas[..., 0:1], data.s),
                    grad, constants)
 
 
@@ -507,17 +509,26 @@ _KERNELS = {
 FAMILIES = tuple(_KERNELS)
 
 
-def loss_values_matrix(spec: LossSpec, thetas: np.ndarray, data: Dataset) -> np.ndarray:
+def loss_values_matrix(spec: LossSpec, thetas: np.ndarray, data: Dataset, out=None,
+                       scratch=None) -> np.ndarray:
     """Per-sample losses for a batch of parameter vectors: (k, n) matrix.
 
     Row i holds l(thetas[i]; z_j) for every point z_j of the dataset.  A
     stack (..., k, d) of batches gives (..., k, n), each batch evaluated by
     its own matrix product.  This is the vectorized engine behind empirical
-    risks and sup-loss gaps; ``data`` is a single sample.
+    risks and sup-loss gaps; ``data`` is a single sample.  Given ``out``, a
+    float buffer (..., k, n) the caller owns, the losses are written there and
+    it is returned, with the same bytes: the logistic family computes them in
+    place there, taking its softplus term in ``scratch`` (a second such buffer,
+    allocated if None); the other families' results are copied into it.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     _check_dataset(spec, thetas, data)
-    return _KERNELS[spec.family].values(spec, thetas, data)
+    values = _KERNELS[spec.family].values(spec, thetas, data, out, scratch)
+    if out is None or values is out:
+        return values
+    np.copyto(out, values)
+    return out
 
 
 def empirical_risk(spec: LossSpec, theta, data: Dataset) -> float:

@@ -15,12 +15,12 @@ perturbed runs of all repeats, each with k config columns, advanced by
 ``optimizers.batch_iterates`` on the one sample S plus per-member swaps
 (k, z), so a perturbed run costs one row, not a copy of S (deterministic
 methods' base runs coincide, so they need only one).  Both gap series are
-computed as the run progresses over blocks of a few consecutive states
-(``_GAP_STEPS``), one norm and one holdout evaluation per block, so no
-iterate trace is stored; each step's products keep the shape they have step
-by step, so the gaps do not depend on the block length.  A single base run's
-holdout losses are evaluated once per step and compared with every perturbed
-run's.
+computed as the run progresses over blocks of 8 consecutive states
+(``_GAP_STEPS``), so no iterate trace is stored: each state is copied into one
+block allocated once per batch (``_GapBlock``), laid out as the holdout
+products take its rows, and evaluated in buffers allocated with it.  Each
+step's products keep their step-by-step shape, so the gaps do not depend on
+the block length; a single base run shares one with the perturbed runs.
 Repeat i draws the perturbed index and replacement point from the seed's
 "perturbation" stream at i and runs its pair as member i, and repeats are
 averaged elementwise with standard errors; per-repeat gap series are
@@ -34,7 +34,6 @@ reference serves every method (riding in their full-gradient batch if it can).
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -55,9 +54,8 @@ from .losses import (
 from .optimizers import OptimizerConfig, batch_iterates, fixed
 from .streams import stream
 
-# States per block of _coupled_gaps: one norm and one holdout evaluation per block.
-# At 16, the blocks' holdout values (0.4-2 MB) made glibc return and refault heap
-# pages each block: 29,900 minor faults per 5-method, 10-repeat run, 240 at 8
+# States per block of _coupled_gaps (buffers allocated once per batch): 8, 16 and 32 ran
+# a 5-method, 10-repeat pass within 3 % of one another, 64 about 5 % slower
 _GAP_STEPS = 8
 
 
@@ -73,34 +71,77 @@ class StabilityTrace:
         return self.param_gap.shape[-1] - 1
 
 
+class _GapBlock:
+    """The gap pass's buffers, allocated once.  ``rows`` (steps, ..., B + m, d)
+    holds each state's B base rows (B = m, or one row shared by the m perturbed
+    rows), then its m perturbed rows, as the holdout products take them: a shared
+    row in one product with the perturbed rows per step and leading index, else
+    each side in its own, so row i of both rounds alike.  A product takes a group
+    of rows (a shared row staged with each) under ``losses._PRODUCT_MACS``
+    multiply-adds, so its bytes do not depend on the BLAS thread count."""
+
+    def __init__(self, lead: tuple, B: int, m: int, d: int, h: int):
+        self.B, self.m, self.shared = B, m, B < m
+        self.per = max(1, _PRODUCT_MACS // (d * h) - self.shared)
+        self.rows = np.empty((*lead, B + m, d))
+        grouped = self.shared and m > self.per
+        self.stage = np.empty((*lead, 1 + self.per, d)) if grouped else None
+        self.values, self.scratch = (  # (..., rows, h), or (..., side, m, h) views
+            np.empty((2, *lead, 1 + min(m, self.per), h)) if self.shared
+            else np.moveaxis(np.empty((2, 2, *lead, m, h)), 1, -3))
+        self.diff, self.delta = np.empty((*lead, m, h)), np.empty((*lead, m, d))
+        self.moved, self.gaps = np.empty((*lead, m), bool), np.empty((2, *lead, m))
+        self.arg = np.empty(math.prod(lead) * m, np.intp)  # each row's argmax over h
+        self.offsets = np.arange(0, self.arg.size * h, h)  # and the row's flat offset
+
+    def evaluate(self, spec: LossSpec, holdout: Dataset, s: int) -> np.ndarray:
+        """(param_gap, sup_loss_gap), (2, s, ..., m), of the first s steps' rows:
+        ||theta - theta'||_2 and max over the holdout of |l(theta; z) - l(theta'; z)|,
+        exactly 0 for equal finite parameters (theta - theta' = 0), as rows of one
+        BLAS product need not round alike: some row positions take another kernel."""
+        B, m, per = self.B, self.m, self.per
+        rows, values, diff = self.rows[:s], self.values[:s], self.diff[:s]
+        gaps = self.gaps[:, :s]
+        theta, theta_p = rows[..., :B, :], rows[..., B:, :]
+        delta = np.subtract(theta, theta_p, out=self.delta[:s])
+        moved = np.logical_or.reduce(delta, axis=-1, out=self.moved[:s])
+        np.sqrt(np.add.reduce(np.multiply(delta, delta, out=delta), axis=-1, out=gaps[0]),
+                out=gaps[0])
+        products = (rows if self.stage is None else self.stage[:s]) if self.shared else (
+            rows.reshape(*rows.shape[:-2], 2, m, rows.shape[-1]))
+        for b in range(0, m, per):
+            g = min(per, m - b)
+            cut = (..., slice(0, 1 + g) if self.shared else slice(b, b + g), slice(None))
+            if self.stage is not None:  # the shared row, then the group's rows
+                products[..., :1, :] = theta
+                products[..., 1:1 + g, :] = theta_p[..., b:b + g, :]
+            v = loss_values_matrix(spec, products[cut], holdout, values[cut],
+                                   self.scratch[:s][cut])
+            if self.shared:
+                np.subtract(v[..., :1, :], v[..., 1:, :], out=diff[..., b:b + g, :])
+        if not self.shared:
+            np.subtract(values[..., 0, :, :], values[..., 1, :, :], out=diff)
+        # each row's max is its entry at its argmax, found faster than by a max-reduce
+        flat = np.abs(diff, out=diff).reshape(-1)
+        arg = np.argmax(flat.reshape(-1, diff.shape[-1]), axis=-1, out=self.arg[:moved.size])
+        arg += self.offsets[:arg.size]
+        np.take(flat, arg, out=gaps[1].reshape(-1), mode="clip")
+        return np.multiply(gaps, moved, out=gaps)  # 0 for rows that did not move
+
+
 def estimate_sup_loss_gap(theta, theta_p, spec: LossSpec, holdout: Dataset):
     """max over holdout points of |l(theta; z) - l(theta'; z)|.
 
-    Given batches (..., m, d) theta_p and theta of m rows or of one row
-    shared by all of them, returns the (..., m) row-wise gaps.  Two m-row
-    batches are evaluated as a stack, each by its own matrix product, so row
-    i of both takes the same rounding; a shared row is evaluated in one product
-    with theta_p.  Rows are taken a group at a time (the shared row in each), so
-    that no product exceeds ``losses._PRODUCT_MACS`` multiply-adds and its bytes
-    do not depend on the BLAS thread count.  Equal parameters give a gap of
-    exactly 0; this is set explicitly, since the rows of one BLAS matrix product
-    need not round alike (some row positions take a different kernel).
+    Given batches (..., m, d) theta_p and theta of m rows or of one row shared
+    by all of them, returns the (..., m) row-wise gaps (exactly 0 for equal finite
+    parameters), evaluated as a ``_GapBlock`` of one step.
     """
     batched = np.ndim(theta_p) >= 2
     theta, theta_p = np.atleast_2d(theta), np.atleast_2d(theta_p)
-    shared, m = theta.shape != theta_p.shape, theta_p.shape[-2]
-    per = max(1, _PRODUCT_MACS // (theta_p.shape[-1] * holdout.n) - shared)
-    if m > per:
-        return np.concatenate([estimate_sup_loss_gap(
-            theta if shared else theta[..., b:b + per, :], theta_p[..., b:b + per, :], spec,
-            holdout) for b in range(0, m, per)], axis=-1)
-    if not shared:
-        values, values_p = loss_values_matrix(spec, np.stack([theta, theta_p]), holdout)
-    else:
-        both = loss_values_matrix(spec, np.concatenate([theta, theta_p], axis=-2), holdout)
-        values, values_p = np.split(both, [theta.shape[-2]], axis=-2)
-    gaps = np.abs(values - values_p).max(axis=-1)
-    gaps[(theta == theta_p).all(axis=-1)] = 0.0
+    B, (*lead, m, d) = theta.shape[-2], theta_p.shape
+    block = _GapBlock((1, *lead), B, m, d, holdout.n)
+    block.rows[0, ..., :B, :], block.rows[0, ..., B:, :] = theta, theta_p
+    gaps = block.evaluate(spec, holdout, 1)[1, 0]
     return gaps if batched else float(gaps[0])
 
 
@@ -114,30 +155,28 @@ def _coupled_gaps(configs: Sequence[OptimizerConfig], spec: LossSpec, base: Data
     Deterministic methods' base runs coincide whatever their streams, so one
     base run stands for all of them.  A pair whose z row equals row ks[i] runs
     no member of its own (one product need not round equal members alike);
-    its gaps are exactly 0.
+    its gaps are exactly 0.  Each state is copied into a ``_GapBlock`` of
+    _GAP_STEPS states by k configs, whose gaps are taken when it is full.
     """
     ks = np.asarray(ks)
     same = np.logical_and.reduce([(a == b[ks]).reshape(len(ks), -1).all(axis=1)
                                   for a, b in zip(z._arrays, base._arrays)])
     live = np.flatnonzero(~same)
-    runs = live if configs[0].sampled and live.size else [0]
-    gaps = np.zeros((2, len(configs), len(ks), configs[0].T + 1))
+    runs, T = live if configs[0].sampled and live.size else [0], configs[0].T
+    gaps = np.zeros((2, len(configs), len(ks), T + 1))
     swaps = ([-1] * len(runs) + list(ks[live]), z.take(live)) if live.size else None
     states = batch_iterates(configs, spec, base, seed, [*runs, *live], theta0, swaps)
     if not live.size:  # every pair swaps a row for itself: no gap to take
         next(states)  # the batch still checks its inputs
         return gaps[0], gaps[1]
-    B, t = len(runs), 0
-    while block := list(itertools.islice(states, _GAP_STEPS)):
-        # (steps, k, members, d), method-major, so each method's members of a
-        # step share products shaped as when taken step by step
-        block = np.stack(block).swapaxes(1, 2)
-        theta, theta_p = block[:, :, :B], block[:, :, B:]
-        steps = slice(t, t + len(block))
-        gaps[0][:, live, steps] = np.moveaxis(np.linalg.norm(theta - theta_p, axis=-1), 0, -1)
-        gaps[1][:, live, steps] = np.moveaxis(
-            estimate_sup_loss_gap(theta, theta_p, spec, holdout), 0, -1)
-        t += len(block)
+    d = base.dim if theta0 is None else np.size(theta0)  # symbol families read theta[0]
+    block = _GapBlock((_GAP_STEPS, len(configs)), len(runs), live.size, d, holdout.n)
+    for t, state in enumerate(states):
+        j = t % _GAP_STEPS
+        block.rows[j] = state.swapaxes(0, 1)  # (k, members, d): each config's rows
+        if j == _GAP_STEPS - 1 or t == T:
+            gaps[:, :, live, t - j:t + 1] = np.transpose(
+                block.evaluate(spec, holdout, j + 1), (0, 2, 3, 1))
     return gaps[0], gaps[1]
 
 

@@ -293,6 +293,17 @@ def test_negative_ref_budget_is_rejected_by_name():
         build_config({"experiment": "risk_decomposition", "ref_budget": -5})
 
 
+@pytest.mark.parametrize("argv, key", [(["stability", "--holdout", "0"], "holdout"),
+                                       (["risk", "--n-test", "0"], "n_test")])
+def test_cli_empty_pool_or_test_set_exits_1_by_name(tmp_path, capsys, argv, key):
+    # a holdout pool or test set of no points is a config error naming its key,
+    # raised before any data is drawn or any file written
+    out = tmp_path / "x"
+    assert cli_main(argv + ["--out", str(out)]) == 1
+    assert f"config key {key!r}: bad value '0' (need >= 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("methods, T, budget", [
     (("gd", "nag"), 40, 25),  # budget < T: the reference runs alone
     (("gd", "nag"), 40, 40),  # it rides for T steps and resumes for none
@@ -639,9 +650,13 @@ def test_stability_lipschitz_violation_exits_2(tmp_path, monkeypatch, capsys):
 
     from optstab import stability_lab
 
-    estimate = stability_lab.estimate_sup_loss_gap
-    monkeypatch.setattr(stability_lab, "estimate_sup_loss_gap",
-                        lambda *args: 2.0 * estimate(*args))
+    coupled = stability_lab._coupled_gaps
+
+    def doubled_sup_gaps(*args):
+        param_gap, sup_gap = coupled(*args)
+        return param_gap, 2.0 * sup_gap
+
+    monkeypatch.setattr(stability_lab, "_coupled_gaps", doubled_sup_gaps)
     keys = {"methods": ("gd", "sgd"), "n": 40, "d": 2, "T": 60, "reps": 2,
             "holdout": 20, "eta0": 1.0}
     with pytest.raises(RuntimeError, match=r"^gd: sup-loss gap .* at repeat \d+, t = \d+$"):

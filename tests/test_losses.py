@@ -438,6 +438,42 @@ def test_signed_kernels_equal_the_unsigned_forms_bitwise(members, n, d, k, label
     _assert_bitwise_equal(data.X, X)
 
 
+@pytest.mark.parametrize("family", ["logistic", "logistic-blocked", "quadratic",
+                                    "linear_worstcase", "lecam_convex",
+                                    "lecam_strongly_convex"])
+def test_values_into_a_caller_buffer_equal_the_allocating_call_bitwise(monkeypatch, family):
+    # given a buffer, loss_values_matrix fills and returns it with the bytes of the
+    # allocating call: the logistic softplus in place there (its scratch the
+    # caller's or its own), on the one-block and the blocked path; the other
+    # families copy their result into it
+    from optstab import losses
+
+    rng = np.random.Generator(np.random.Philox(41))
+    thetas = rng.standard_normal((4, 2, 3, 5))  # a stack (..., k, d)
+    labeled = Dataset.from_labeled(normalize_rows(rng.standard_normal((30, 5))),
+                                   rng.integers(0, 2, 30))
+    symbols = Dataset.from_symbols(np.where(rng.uniform(size=30) < 0.5, 1.0, -1.0))
+    spec, data = {
+        "logistic": (logistic_spec(), labeled),
+        "logistic-blocked": (logistic_spec(), labeled),
+        "quadratic": (quadratic_spec(np.diag([1.0, 0.5, 0.25, 0.1, 0.0]),
+                                     rng.standard_normal(5)), labeled),
+        "linear_worstcase": (linear_worstcase_spec(L=1.5), symbols),
+        "lecam_convex": (lecam_convex_spec(beta=1.0, r=0.5), symbols),
+        "lecam_strongly_convex": (lecam_strongly_convex_spec(beta=1.0, r=0.5), symbols),
+    }[family]
+    if family == "logistic-blocked":  # blocks of 7 rows over n = 30
+        monkeypatch.setattr(losses, "_GRAD_BLOCK_BYTES", 7 * 5 * 8)
+        assert _block_rows(labeled.X) == 7
+    want = loss_values_matrix(spec, thetas, data)
+    assert want.shape == (4, 2, 3, 30)
+    out, scratch, alone = np.full((3,) + want.shape, np.nan)
+    assert loss_values_matrix(spec, thetas, data, out, scratch) is out
+    assert loss_values_matrix(spec, thetas, data, alone) is alone
+    for got in (out, alone):
+        _assert_bitwise_equal(got, want)
+
+
 def test_one_block_operands_are_cached_read_only_and_multi_block_designs_copy_nothing():
     # the signs and the signed design s X, d-major and row-major, are built once per
     # Dataset, on the first gradient, and shared by every later one; a design of

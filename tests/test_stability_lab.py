@@ -477,24 +477,54 @@ def _stepwise_gaps(configs, spec, base, k, z, seed, holdout, theta0):
     return param_gap, sup_gap
 
 
-@pytest.mark.parametrize("methods", [("gd", "nag", "hb"), ("sgd", "sgld")])
-@pytest.mark.parametrize("family", ["logistic", "linear_worstcase"])
-def test_blocked_gaps_match_per_step_reference_bitwise(methods, family):
+_BLOCK_METHODS = [("gd", "nag", "hb"), ("sgd", "sgld")]
+# (family, methods, layout): "pairs", P = 5; "one-pair", one deterministic pair,
+# whose base and perturbed rows take a product each, not one with a shared row;
+# "grouped", P = 5 under a lowered _PRODUCT_MACS: the shared row and 2 perturbed
+# rows a product, or 3 rows of each side
+_BLOCK_CASES = [pytest.param(family, methods, "pairs", id=f"{family}-methods{i}")
+                for family in ("logistic", "linear_worstcase", "quadratic")
+                for i, methods in enumerate(_BLOCK_METHODS)] + [
+    pytest.param(family, _BLOCK_METHODS[0], "one-pair", id=f"{family}-one-pair")
+    for family in ("logistic", "linear_worstcase", "quadratic")] + [
+    pytest.param(family, methods, "grouped", id=f"{family}-grouped-methods{i}")
+    for family in ("logistic", "linear_worstcase", "quadratic")
+    for i, methods in enumerate(_BLOCK_METHODS)]
+
+
+@pytest.mark.parametrize("family, methods, layout", _BLOCK_CASES)
+def test_blocked_gaps_match_per_step_reference_bitwise(monkeypatch, family, methods, layout):
     # one shared base run (gd, nag, hb) or one base run per pair (sgd, sgld);
     # T + 1 = 38 states end on a partial block
-    T, P = 37, 5
+    from optstab import stability_lab
+
+    T, P = 37, 1 if layout == "one-pair" else 5
     assert (T + 1) % _GAP_STEPS
-    spec, sample, pool, theta0, beta = _family_case(family, 17, 12)
+    spec, sample, pool, theta0, beta = _family_case(family.replace("quadratic", "logistic"),
+                                                    17, 12)
+    if family == "quadratic":  # sample independent: every pair's gaps are exactly 0
+        spec, beta = quadratic_spec(np.diag([1.0, 0.5, 0.25]), [0.3, -0.2, 0.1]), 1.0
+    if layout == "grouped":
+        monkeypatch.setattr(stability_lab, "_PRODUCT_MACS", 3 * theta0.size * pool.n)
+        block = stability_lab._GapBlock((1,), 1, P, theta0.size, pool.n)
+        assert block.per == 2 and block.stage is not None
     configs = [_config(m, 0.5, "fixed", T, beta) for m in methods]
     ks, z = [2 * i for i in range(P)], pool.take([i % pool.n for i in range(P)])
+    if layout == "one-pair":  # the first row that differs from z's, so the pair runs
+        ks = [next(k for k in range(sample.n) if not np.array_equal(sample._arrays[0][k],
+                                                                    z._arrays[0][0]))]
     got = _coupled_gaps(configs, spec, sample, ks, z, 3, pool, theta0)
     want = _stepwise_gaps(configs, spec, sample, ks, z, 3, pool, theta0)
     for g, w in zip(got, want):
         assert g.shape == (len(methods), P, T + 1)
-        assert np.any(w[..., -1] > 0)
+        assert np.any(w[..., -1] > 0) == (family != "quadratic")
         _assert_bitwise_equal(g, w)
     for g in _coupled_gaps(configs, spec, sample, ks, sample.take(ks), 3, pool, theta0):
         _assert_bitwise_equal(g, np.zeros_like(g))
+    if layout == "grouped":  # the gaps of one product per step, up to its rounding
+        monkeypatch.undo()
+        for g, w in zip(got, _coupled_gaps(configs, spec, sample, ks, z, 3, pool, theta0)):
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-15)
 
 
 def _stacked_gaps(configs, spec, base, k, z, seed, holdout, theta0):
