@@ -21,10 +21,10 @@ a method other than sgld.
 experiment     stability_scaling | risk_decomposition | lecam_audit |
                lemma_audit | bounds_table  (the CLI's subcommand)
 methods    sr  comma list of gd, sgd, nag, nag_sc, hb, sgld, each at most once
-n          srb size of S
-d, T       sr  dimension of the generated rows, iteration horizon
+n          srb size of S (>= 1)
+d, T       sr  dimension of the generated rows (>= 1), iteration horizon (>= 0)
 holdout    s   held-out pool size (>= 1; replacement draws and sup-gap estimation)
-reps       s   independent perturbation repeats
+reps       s   independent perturbation repeats (>= 1)
 seed           master seed (>= 0) of every random stream (optstab.streams)
 eta0       srb base step size;  schedule (sr) fixed | power;  alpha (srb) its exponent
 gamma, tau srb heavy ball momentum, sgld temperature;  kappa (sr) nag_sc's
@@ -85,7 +85,8 @@ class ExperimentConfig:
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:  # it would run once but hash as listed
             raise ValidationError(f"config key 'methods': {','.join(repeated)} repeated")
-        for key, least in (("seed", 0), ("ref_budget", 0), ("holdout", 1), ("n_test", 1)):
+        for key, least in (("seed", 0), ("ref_budget", 0), ("T", 0), ("n", 1), ("d", 1),
+                           ("holdout", 1), ("reps", 1), ("n_test", 1)):
             if getattr(self, key) < least:
                 raise ValidationError(f"config key {key!r}: bad value "
                                       f"'{getattr(self, key)}' (need >= {least})")

@@ -13,22 +13,21 @@ Three product families are audited, plus one scalar recursion:
   H^t is a degree-t root sum bounded by (t+1) rho^t, and the bottom row lags
   it by exactly one factor of rho.  The tighter-looking 2 (1+t) (g (1-alpha
   eta))^(t/2) envelope fails on that lagging row (see tests for a concrete
-  violation), so the ``ok`` verdict uses the certified form and the other is
-  reported alongside for reference.
+  violation), so the checks use the certified form.
 * ``recursion_u`` a_{i+1} = 2 h a_i - h a_{i-1}, a_0 = 1, a_1 = 2h; for
   0 <= h <= 1 both characteristic roots have modulus sqrt(h), giving
   |a_i| <= i + 1.  (At h = 1 the sequence is exactly i + 1.)
 
-Every check, sweep and adversarial search runs through one batched sweep
+Every grid sweep and adversarial search runs through one batched sweep
 over P_s = H_s P_{s-1} (analysis order) for a whole batch of parameter draws.
 Each factor is a companion matrix H_s = [[p, q], [1, 0]], so the sweep keeps
 P_s's four entries and advances them by a two-row recurrence: the new bottom
 row is the old top row, the new top row is p (top row) + q (bottom row).
 Each draw has a horizon, its last step, and the draws come in non-increasing
 horizon order: those still advancing at step s are a leading prefix, and those
-checked at s one slice of it.  The single nag_sc check and the hb and nag_sc
-searches check each draw at its horizon only, the other sweeps at every step
-1 ... horizon.  A check compares a measured quantity (the spectral norm, or
+checked at s one slice of it.  The hb and nag_sc searches check each draw at
+its horizon only, the other sweeps at every step 1 ... horizon.  A check
+compares a measured quantity (the spectral norm, in closed form, or
 |P_s[0, 0]| = |a_s| for the scalar recursion) with the lemma's envelope, and fails
 above bound + TOL min(bound, 1), so a vanishing product still fails a vanishing
 envelope, or on a nan value.  Each sweep allocates its state and scratch arrays
@@ -58,7 +57,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -68,14 +67,6 @@ from .optimizers import sc_momentum
 
 LEMMAS = ("nag_convex", "hb", "nag_sc", "recursion_u")
 TOL = 1e-9
-
-
-def spectral_norm(M) -> float:
-    """Largest singular value of a 2x2 matrix, in closed form."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (2, 2):
-        raise ValidationError("spectral_norm expects a 2x2 matrix")
-    return float(_batch_spectral_norm(*M.ravel()))
 
 
 def _batch_spectral_norm(u, v, u1, v1, out=None) -> np.ndarray:
@@ -97,18 +88,6 @@ def _batch_spectral_norm(u, v, u1, v1, out=None) -> np.ndarray:
     det += fro2
     det /= 2.0
     return np.sqrt(np.maximum(det, 0.0, out=det), out=det)
-
-
-@dataclass(frozen=True)
-class LemmaCheck:
-    """Outcome of one envelope check: measured norm vs. claimed bound."""
-
-    lemma: str
-    norm: float
-    bound: float
-    ok: bool
-    t: int
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -261,9 +240,9 @@ def _scnag_bound(rho, t):
 
 def _scnag_grid(problems, h_samples: int):
     """Per row (kappa, alpha, beta, eta) of ``problems`` (an (m, 4) array or a
-    list of tuples): the momentum g = ``sc_momentum(kappa)``, the top rows
-    (p, q) of H = [[(1 + g) h, -g h], [1, 0]] at ``h_samples`` + 2 equispaced
-    h in [1 - beta eta, 1 - alpha eta], and the largest radius rho."""
+    list of tuples): the top rows (p, q) of H = [[(1 + g) h, -g h], [1, 0]], with
+    g = ``sc_momentum(kappa)``, at ``h_samples`` + 2 equispaced h in
+    [1 - beta eta, 1 - alpha eta], and the largest radius rho."""
     kappa, alpha, beta, eta = np.asarray(problems, dtype=float).T[..., None]
     g = sc_momentum(kappa)
     lo, hi = scnag_h_range(alpha, beta, eta)
@@ -273,39 +252,13 @@ def _scnag_grid(problems, h_samples: int):
     hs = lo + np.arange(h_samples + 2) * ((hi - lo) / (h_samples + 1))
     hs[:, -1:] = hi
     rho = _companion_radius((1.0 + g) * hs, g * hs).max(axis=1)
-    return g[:, 0].tolist(), ((1.0 + g) * hs, -g * hs), rho.tolist()
+    return ((1.0 + g) * hs, -g * hs), rho.tolist()
 
 
 def _scnag_scan(top, envelope, horizons, at_horizon=False):
     """Powers of each draw's fixed H; the value is the worst norm over its h grid."""
     return _sweep(lambda s: top, lambda *P: _batch_spectral_norm(*P).max(axis=1),
                   envelope, top[0].shape, horizons, at_horizon)
-
-
-def scnag_lemma_check(kappa: float, alpha: float, beta: float, eta: float, t: int,
-                      h_samples: int = 64) -> LemmaCheck:
-    """Check the fixed-momentum strongly convex product envelope.
-
-    Samples h at ``h_samples`` equispaced interior points of
-    [1 - beta eta, 1 - alpha eta] plus both endpoints, forms H^t per sample,
-    and compares the largest norm against the certified envelope
-    2 (1 + t) rho^(t-1) (rho the largest sampled spectral radius; the t = 0
-    product is the identity with bound 2).  The record's params carry
-    ``bound_nominal`` = 2 (1 + t) (g (1 - alpha eta))^(t/2) for reference.
-    """
-    if alpha <= 0 or beta <= 0 or abs(beta - kappa * alpha) > 1e-9 * beta:
-        raise ValidationError("need alpha > 0 and beta = kappa * alpha")
-    if not 0 < eta <= 1.0 / beta + 1e-12:
-        raise ValidationError("need 0 < eta <= 1/beta")
-    if t < 0:
-        raise ValidationError("t must be >= 0")
-    (gamma,), top, (rho,) = _scnag_grid([(kappa, alpha, beta, eta)], h_samples)
-    _, (_, _, norm, bound), violations, _ = _scnag_scan(
-        top, lambda s: _scnag_bound(rho, s), t, True)
-    nominal = 2.0 * (1 + t) * (gamma * (1.0 - alpha * eta)) ** (t / 2.0)
-    return LemmaCheck("nag_sc", norm, bound, not violations, t,
-                      {"kappa": kappa, "alpha": alpha, "beta": beta, "eta": eta,
-                       "gamma": gamma, "rho": rho, "bound_nominal": nominal})
 
 
 def recursion_u(h: float, t: int) -> np.ndarray:
@@ -434,11 +387,11 @@ def scnag_sweep(kappas: Sequence[float], h_samples: int, t_max: int,
                 alpha: float = 1.0) -> SweepResult:
     """Check every kappa at eta = 1/beta for all 1 <= t <= t_max.
 
-    Powers are accumulated incrementally, so the verdicts match calling
-    ``scnag_lemma_check`` at each t individually.
+    Powers are accumulated incrementally, so each t's verdict is that of H^t
+    checked at its horizon t alone.
     """
-    _, top, rho = _scnag_grid([(k, alpha, k * alpha, 1.0 / (k * alpha)) for k in kappas],
-                              h_samples)
+    top, rho = _scnag_grid([(k, alpha, k * alpha, 1.0 / (k * alpha)) for k in kappas],
+                           h_samples)
     scan = _scnag_scan(top, lambda s: [_scnag_bound(r, s) for r in rho], t_max)
     return _result("nag_sc", scan, lambda j, s: {"kappa": kappas[j], "t": s})
 
@@ -484,7 +437,7 @@ def adversarial_max(lemma: str, budget: int, seed: int = 0,
         scan = _hb_scan(draws["gamma"], draws["a"], T, at_horizon=True)
     elif lemma == "nag_sc":
         K = draws["kappa"]
-        _, top, rho = _scnag_grid(np.stack([K, np.ones(budget), K, 1.0 / K], axis=1), 16)
+        top, rho = _scnag_grid(np.stack([K, np.ones(budget), K, 1.0 / K], axis=1), 16)
         bounds = _scnag_bound(np.array(rho), T)
         scan = _scnag_scan(top, lambda s: bounds, T, at_horizon=True)
     else:

@@ -177,10 +177,6 @@ class IterateTrace:
     risks: np.ndarray        # (T+1,)
     step_sizes: np.ndarray   # (T,)
 
-    @property
-    def T(self) -> int:
-        return self.thetas.shape[0] - 1
-
 
 def _step_sizes(schedule: StepSchedule, T: int) -> np.ndarray:
     return np.array([step_size(schedule, t) for t in range(1, T + 1)])

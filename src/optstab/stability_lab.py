@@ -66,10 +66,6 @@ class StabilityTrace:
     param_gap: np.ndarray
     sup_loss_gap: np.ndarray
 
-    @property
-    def T(self) -> int:
-        return self.param_gap.shape[-1] - 1
-
 
 class _GapBlock:
     """The gap pass's buffers, allocated once.  ``rows`` (steps, ..., B + m, d)
@@ -127,22 +123,6 @@ class _GapBlock:
         arg += self.offsets[:arg.size]
         np.take(flat, arg, out=gaps[1].reshape(-1), mode="clip")
         return np.multiply(gaps, moved, out=gaps)  # 0 for rows that did not move
-
-
-def estimate_sup_loss_gap(theta, theta_p, spec: LossSpec, holdout: Dataset):
-    """max over holdout points of |l(theta; z) - l(theta'; z)|.
-
-    Given batches (..., m, d) theta_p and theta of m rows or of one row shared
-    by all of them, returns the (..., m) row-wise gaps (exactly 0 for equal finite
-    parameters), evaluated as a ``_GapBlock`` of one step.
-    """
-    batched = np.ndim(theta_p) >= 2
-    theta, theta_p = np.atleast_2d(theta), np.atleast_2d(theta_p)
-    B, (*lead, m, d) = theta.shape[-2], theta_p.shape
-    block = _GapBlock((1, *lead), B, m, d, holdout.n)
-    block.rows[0, ..., :B, :], block.rows[0, ..., B:, :] = theta, theta_p
-    gaps = block.evaluate(spec, holdout, 1)[1, 0]
-    return gaps if batched else float(gaps[0])
 
 
 def _coupled_gaps(configs: Sequence[OptimizerConfig], spec: LossSpec, base: Dataset,

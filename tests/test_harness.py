@@ -293,14 +293,20 @@ def test_negative_ref_budget_is_rejected_by_name():
         build_config({"experiment": "risk_decomposition", "ref_budget": -5})
 
 
-@pytest.mark.parametrize("argv, key", [(["stability", "--holdout", "0"], "holdout"),
-                                       (["risk", "--n-test", "0"], "n_test")])
+@pytest.mark.parametrize("argv, key", [
+    (["stability", "--holdout", "0"], "holdout"), (["risk", "--n-test", "0"], "n_test"),
+    (["stability", "--n", "0"], "n"), (["risk", "--d", "0"], "d"),
+    (["stability", "--reps", "0"], "reps"), (["risk", "--T", "-1"], "T"),
+    (["bounds", "--n", "0"], "n")])
 def test_cli_empty_pool_or_test_set_exits_1_by_name(tmp_path, capsys, argv, key):
-    # a holdout pool or test set of no points is a config error naming its key,
-    # raised before any data is drawn or any file written
+    # a holdout pool, test set, sample, dimension or repeat count of no points, or
+    # a negative horizon, is a config error naming its key, raised before any data
+    # is drawn or any file written
     out = tmp_path / "x"
     assert cli_main(argv + ["--out", str(out)]) == 1
-    assert f"config key {key!r}: bad value '0' (need >= 1)" in capsys.readouterr().err
+    least = 0 if key == "T" else 1
+    assert (f"config key {key!r}: bad value '{argv[-1]}' (need >= {least})"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

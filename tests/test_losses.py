@@ -655,10 +655,12 @@ def test_shared_design_gradient_bytes_do_not_depend_on_the_blas_thread_count():
         for reverse in (False, True):
             g = _block_grad(logistic_spec(), thetas, ext, None, reverse, w)
             print(hashlib.sha256(g.tobytes()).hexdigest())
-        from optstab.stability_lab import estimate_sup_loss_gap
-        base = rng.standard_normal((8, 1, 1, 200)) / 20
-        perturbed = base + rng.standard_normal((8, 1, 50, 200)) / 200
-        gaps = estimate_sup_loss_gap(base, perturbed, logistic_spec(), data.take(range(100)))
+        from optstab.stability_lab import _GapBlock
+        block = _GapBlock((8, 1), 1, 50, 200, 100)  # 8 steps of one config
+        block.rows[..., :1, :] = rng.standard_normal((8, 1, 1, 200)) / 20
+        block.rows[..., 1:, :] = (block.rows[..., :1, :]
+                                  + rng.standard_normal((8, 1, 50, 200)) / 200)
+        gaps = block.evaluate(logistic_spec(), data.take(range(100)), 8)[1]
         print(hashlib.sha256(gaps.tobytes()).hexdigest())
     """
     src = os.path.dirname(os.path.dirname(optstab.__file__))

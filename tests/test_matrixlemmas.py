@@ -10,6 +10,7 @@ from optstab.matrixlemmas import (
     _companion_radius,
     _scnag_bound,
     _scnag_grid,
+    _scnag_scan,
     _hb_scan,
     _nag_scan,
     _recursion_scan,
@@ -21,25 +22,24 @@ from optstab.matrixlemmas import (
     recursion_u,
     recursion_u_sweep,
     scnag_h_range,
-    scnag_lemma_check,
     scnag_sweep,
-    spectral_norm,
 )
+from optstab.optimizers import sc_momentum
 
 
 # ------------------------------------------------------------ spectral norm
 
 
 def test_spectral_norm_identity():
-    assert spectral_norm(np.eye(2)) == pytest.approx(1.0)
+    assert _batch_spectral_norm(1.0, 0.0, 0.0, 1.0) == pytest.approx(1.0)
 
 
 def test_spectral_norm_diagonal():
-    assert spectral_norm(np.diag([3.0, 4.0])) == pytest.approx(4.0)
+    assert _batch_spectral_norm(3.0, 0.0, 0.0, 4.0) == pytest.approx(4.0)
 
 
 def test_spectral_norm_shear_is_golden_ratio():
-    got = spectral_norm(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    got = _batch_spectral_norm(1.0, 1.0, 0.0, 1.0)
     assert got == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
 
 
@@ -53,7 +53,8 @@ def test_spectral_norm_agrees_with_power_iteration():
             v = MtM @ v
             v /= np.linalg.norm(v)
         sigma = math.sqrt(v @ MtM @ v)
-        assert spectral_norm(M) == pytest.approx(sigma, abs=1e-10 * max(1, sigma))
+        assert _batch_spectral_norm(*M.ravel()) == pytest.approx(sigma,
+                                                               abs=1e-10 * max(1, sigma))
 
 
 def _expression_spectral_norm(u, v, u1, v1):
@@ -73,7 +74,7 @@ def test_batch_spectral_norm_in_place_equals_expression_form_bitwise(scale):
     np.testing.assert_array_equal(_batch_spectral_norm(*entries),
                                   _expression_spectral_norm(*entries))
     for M in entries[:, :5].T:
-        assert spectral_norm(M.reshape(2, 2)) == _expression_spectral_norm(*M)
+        assert _batch_spectral_norm(*M) == _expression_spectral_norm(*M)
 
 
 def test_batch_spectral_norm_into_caller_buffers_bitwise():
@@ -91,7 +92,9 @@ def test_spectral_norm_submultiplicative():
     for _ in range(100):
         A = rng.standard_normal((2, 2))
         B = rng.standard_normal((2, 2))
-        assert spectral_norm(A @ B) <= spectral_norm(A) * spectral_norm(B) + 1e-12
+        assert (_batch_spectral_norm(*(A @ B).ravel())
+                <= _batch_spectral_norm(*A.ravel()) * _batch_spectral_norm(*B.ravel())
+                + 1e-12)
 
 
 # ------------------------------------------------- one-draw product checks
@@ -114,6 +117,17 @@ def _nag_check(h, gammas):
 def _hb_check(gamma, a, t):
     """||H^t|| against 2 / (1 - sqrt(gamma)), one draw (gamma, a)."""
     return _one_draw(_hb_scan([gamma], [a], t, True))
+
+
+def _scnag_check(kappa, alpha, beta, eta, t, h_samples=64):
+    """The worst ||H^t|| over the problem's h grid against 2 (1 + t) rho^(t-1)."""
+    top, (rho,) = _scnag_grid([(kappa, alpha, beta, eta)], h_samples)
+    return _one_draw(_scnag_scan(top, lambda s: _scnag_bound(rho, s), t, True))
+
+
+def _scnag_nominal(kappa, alpha, eta, t):
+    """The tighter-looking envelope 2 (1 + t) (g (1 - alpha eta))^(t/2)."""
+    return 2.0 * (1 + t) * (sc_momentum(kappa) * (1.0 - alpha * eta)) ** (t / 2.0)
 
 
 def test_nag_check_single_factor():
@@ -168,8 +182,8 @@ def test_scnag_grid_equals_per_row_linspace_bitwise():
     kappas = [1.0, 2.5, 4.0, 100.0] + np.exp(rng.uniform(0.0, np.log(100.0), 60)).tolist()
     problems = [(k, 1.0, k, 1.0 / k) for k in kappas] + [(1.0, 0.3, 0.3, 1.7)]
     for h_samples in (0, 16, 64):
-        gammas, (p, q), rho = _scnag_grid(problems, h_samples)
-        g = np.array(gammas)[:, None]
+        (p, q), rho = _scnag_grid(problems, h_samples)
+        g = sc_momentum(np.array([k for k, *_ in problems]))[:, None]
         hs = np.array([np.linspace(*scnag_h_range(a, b, e), h_samples + 2)
                        for _, a, b, e in problems])
         np.testing.assert_array_equal(p, (1.0 + g) * hs)
@@ -192,23 +206,22 @@ def test_companion_radius_is_the_largest_root_modulus():
 
 
 def test_scnag_reported_nominal_envelope_arithmetic():
-    res = scnag_lemma_check(4.0, 1.0, 4.0, 0.25, 2)
     # 2 * 3 * (gamma (1 - alpha eta))^(t/2) = 2 * 3 * (1/3 * 3/4)^1
-    assert res.params["bound_nominal"] == pytest.approx(1.5, abs=1e-12)
-    assert res.ok
+    assert _scnag_nominal(4.0, 1.0, 0.25, 2) == pytest.approx(1.5, abs=1e-12)
+    assert _scnag_check(4.0, 1.0, 4.0, 0.25, 2)[2]
 
 
 def test_scnag_identity_at_t0():
-    res = scnag_lemma_check(4.0, 1.0, 4.0, 0.25, 0)
-    assert res.norm == pytest.approx(1.0) and res.bound == 2.0 and res.ok
+    norm, bound, ok = _scnag_check(4.0, 1.0, 4.0, 0.25, 0)
+    assert norm == pytest.approx(1.0) and bound == 2.0 and ok
 
 
 def test_scnag_envelope_is_one_elementwise_form():
     # the scalar path keeps the bits of 2.0 if t == 0 else 2.0 (1 + t) rho^(t-1)
     # (Python pow), the array path those of 2.0 (1 + T) rho^(T - 1) over T >= 1
     # (numpy pow); rho = 0 (kappa = 1) takes no negative power at t = 0
-    _, _, rhos = _scnag_grid([(k, 1.0, k, 1.0 / k) for k in (1.0, 1.5, 2.0, 4.0, 16.0,
-                                                              100.0)], 16)
+    _, rhos = _scnag_grid([(k, 1.0, k, 1.0 / k) for k in (1.0, 1.5, 2.0, 4.0, 16.0,
+                                                           100.0)], 16)
     assert rhos[0] == 0.0
     with np.errstate(all="raise"):
         for rho in rhos + [0.3, 0.999]:
@@ -226,30 +239,21 @@ def test_scnag_kappa_one_closed_form():
     eta = 0.5
     h = 1.0 - eta
     for t in (1, 3, 10, 60):
-        res = scnag_lemma_check(1.0, 1.0, 1.0, eta, t)
+        norm, _, ok = _scnag_check(1.0, 1.0, 1.0, eta, t)
         expect = h ** (t - 1) * math.sqrt(h * h + 1.0)
-        assert res.norm == pytest.approx(expect, rel=1e-10)
-        assert res.ok
+        assert norm == pytest.approx(expect, rel=1e-10)
+        assert ok
         # decay envelope quoted for this case
-        assert res.norm <= 2.0 * (1 + t) * h ** (t / 2.0)
+        assert norm <= 2.0 * (1 + t) * h ** (t / 2.0)
 
 
 def test_scnag_nominal_envelope_has_counterexample_but_certified_holds():
     # at kappa = 4, eta = 1/beta, the admissible h reaches the double root
     # h = 3/4 where H^t = (1+t) rho^t on top but t rho^(t-1) below; by t = 5
     # the product norm exceeds 2 (1+t) rho^t while 2 (1+t) rho^(t-1) holds
-    res = scnag_lemma_check(4.0, 1.0, 4.0, 0.25, 5)
-    assert res.norm > res.params["bound_nominal"] + 1e-9
-    assert res.norm <= res.bound + 1e-9 and res.ok
-
-
-def test_scnag_validation():
-    with pytest.raises(ValidationError, match="kappa must be >= 1"):  # sc_momentum's
-        scnag_lemma_check(0.5, 1.0, 0.5, 0.1, 1)
-    with pytest.raises(ValidationError):
-        scnag_lemma_check(4.0, 1.0, 2.0, 0.1, 1)  # beta != kappa * alpha
-    with pytest.raises(ValidationError):
-        scnag_lemma_check(4.0, 1.0, 4.0, 0.3, 1)  # eta > 1/beta
+    norm, bound, ok = _scnag_check(4.0, 1.0, 4.0, 0.25, 5)
+    assert norm > _scnag_nominal(4.0, 1.0, 0.25, 5) + 1e-9
+    assert norm <= bound + 1e-9 and ok
 
 
 # ------------------------------------------------------------- recursion_u
@@ -375,12 +379,12 @@ def test_lemma_checks_match_matrix_power_reference():
 
         kappa = float(np.exp(rng.uniform(0.0, np.log(100.0))))
         t = int(rng.integers(0, 65))
-        res = scnag_lemma_check(kappa, 1.0, kappa, 1.0 / kappa, t, h_samples=6)
-        g = res.params["gamma"]
+        norm = _scnag_check(kappa, 1.0, kappa, 1.0 / kappa, t, h_samples=6)[0]
+        g = sc_momentum(kappa)
         ref = max(np.linalg.norm(np.linalg.matrix_power(
             np.array([[(1.0 + g) * h, -g * h], [1.0, 0.0]]), t), 2)
             for h in np.linspace(0.0, 1.0 - 1.0 / kappa, 8))
-        assert res.norm == pytest.approx(ref, rel=1e-10)
+        assert norm == pytest.approx(ref, rel=1e-10)
 
 
 def _adversarial_reference(lemma, budget, t_max, seed):
@@ -398,9 +402,9 @@ def _adversarial_reference(lemma, budget, t_max, seed):
     elif lemma == "nag_sc":
         kappas = np.exp(rng.uniform(0.0, np.log(100.0), budget))
         ts = rng.integers(1, t_max + 1, budget)
-        checks = [scnag_lemma_check(float(k), 1.0, float(k), 1.0 / k, int(t), h_samples=16)
+        checks = [_scnag_check(float(k), 1.0, float(k), 1.0 / k, int(t), h_samples=16)
                   for k, t in zip(kappas, ts)]
-        ratios = [check.norm / check.bound for check in checks]
+        ratios = [norm / bound for norm, bound, _ in checks]
         witness = lambda j: {"kappa": kappas[j], "t": ts[j]}
     else:  # recursion_u: every a_i with 1 <= i <= t against i + 1
         hs = rng.uniform(0.0, 1.0, budget)

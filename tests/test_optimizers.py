@@ -127,8 +127,9 @@ def test_sc_momentum_is_elementwise():
     kappas = np.array([[1.0, 2.0], [9.0, 100.0]])
     np.testing.assert_array_equal(sc_momentum(kappas),
                                   [[sc_momentum(k) for k in row] for row in kappas])
-    with pytest.raises(ValidationError, match="kappa must be >= 1"):
-        sc_momentum(np.array([4.0, 0.5]))
+    for kappa in (0.5, np.array([4.0, 0.5])):  # a scalar, or any entry of an array
+        with pytest.raises(ValidationError, match="kappa must be >= 1"):
+            sc_momentum(kappa)
 
 
 # ---------------------------------------------------------------- runs

@@ -38,10 +38,10 @@ from optstab.optimizers import (
 from optstab.stability_lab import (
     StabilityTrace,
     _GAP_STEPS,
+    _GapBlock,
     _coupled_gaps,
     _log_grid,
     detect_saturation,
-    estimate_sup_loss_gap,
     fit_loglog_slope,
     fit_power_law,
     reference_risk,
@@ -65,6 +65,17 @@ def run_pair(cfg, spec, data, k, z, holdout, theta0=None, seed=0):
     one-point sample z)."""
     pg, sg = _coupled_gaps([cfg], spec, data, [k], z, seed, holdout, theta0)
     return StabilityTrace(param_gap=pg[0, 0], sup_loss_gap=sg[0, 0])
+
+
+def _sup_gap(theta, theta_p, spec, holdout):
+    """max over the holdout of |l(theta; z) - l(theta'; z)|, (..., m), for rows theta_p
+    (..., m, d) against m rows theta or one row shared by them: one step of a
+    ``_GapBlock``, evaluated as ``_coupled_gaps`` evaluates its blocks."""
+    theta, theta_p = np.atleast_2d(theta), np.atleast_2d(theta_p)
+    B, (*lead, m, d) = theta.shape[-2], theta_p.shape
+    block = _GapBlock((1, *lead), B, m, d, holdout.n)
+    block.rows[0, ..., :B, :], block.rows[0, ..., B:, :] = theta, theta_p
+    return block.evaluate(spec, holdout, 1)[1, 0]
 
 
 # ---------------------------------------------------------------- pairs
@@ -172,12 +183,12 @@ def test_strongly_convex_gap_envelope():
 def test_sup_gap_zero_for_equal_parameters():
     holdout = logistic_fixture(n=5, seed=21)
     theta = np.array([0.2, -0.1, 0.4, 0.0])
-    assert estimate_sup_loss_gap(theta, theta, logistic_spec(), holdout) == 0.0
+    assert _sup_gap(theta, theta, logistic_spec(), holdout) == 0.0
 
 
 def test_sup_gap_linear_loss_independent_of_z():
     spec = linear_worstcase_spec(L=1.0)
-    got = estimate_sup_loss_gap([0.3, 0.0], [0.2, 0.0], spec, SYMBOL_HOLDOUT)
+    got = _sup_gap([0.3, 0.0], [0.2, 0.0], spec, SYMBOL_HOLDOUT)
     assert got == pytest.approx(0.1, abs=1e-15)
 
 
@@ -187,7 +198,7 @@ def test_sup_gap_bounded_by_lipschitz_for_logistic():
     for _ in range(20):
         a = rng.standard_normal(4)
         b = rng.standard_normal(4)
-        gap = estimate_sup_loss_gap(a, b, logistic_spec(), holdout)
+        gap = _sup_gap(a, b, logistic_spec(), holdout)
         assert gap <= np.linalg.norm(a - b) + 1e-12
 
 
@@ -206,10 +217,9 @@ def test_sup_gap_shared_base_row_matches_broadcast_form_bitwise(method):
         base = np.broadcast_to(state[:1], (P, state.shape[1]))
         expected = np.abs(loss_values_matrix(spec, base, pool)
                           - loss_values_matrix(spec, state[1:], pool)).max(axis=1)
-        got = estimate_sup_loss_gap(state[:1], state[1:], spec, pool)
+        got = _sup_gap(state[:1], state[1:], spec, pool)
         np.testing.assert_array_equal(got, expected)
-        np.testing.assert_array_equal(
-            estimate_sup_loss_gap(base, state[1:], spec, pool), expected)
+        np.testing.assert_array_equal(_sup_gap(base, state[1:], spec, pool), expected)
 
 
 @pytest.mark.parametrize("method", ["gd", "sgd"])
@@ -224,6 +234,29 @@ def test_identity_perturbation_gap_is_exactly_zero_for_wide_batches(method):
         avg = repeat_and_average([cfg], logistic_spec(), sample, sample, reps=reps,
                                  theta0=0.3 * rng.standard_normal(10), seed=1)
         np.testing.assert_array_equal(avg.repeats.sup_loss_gap, 0.0)
+
+
+def test_rows_that_did_not_move_read_exactly_0_where_products_round_by_row(monkeypatch):
+    # a values kernel that moves row i of each product by i ulps, as a BLAS product
+    # may round equal rows apart by position: at t = 0 every member is theta0, so
+    # both series read exactly 0 (without the moved-row mask the sup-loss gaps read
+    # 1, 2 and 3 ulps of the loss); from t = 1 on the three gd pairs differ
+    from optstab import stability_lab
+
+    values = stability_lab.loss_values_matrix
+
+    def by_row(spec, thetas, data, out=None, scratch=None):
+        v = values(spec, thetas, data, out, scratch)
+        v += np.arange(v.shape[-2])[:, None] * np.spacing(v)
+        return v
+
+    monkeypatch.setattr(stability_lab, "loss_values_matrix", by_row)
+    spec, sample, pool, theta0, _ = _family_case("logistic", 17, 12)
+    cfg = OptimizerConfig(method="gd", schedule=fixed(0.5), T=3)
+    for g in _coupled_gaps([cfg], spec, sample, [0, 1, 2], pool.take([0, 1, 2]), 0, pool,
+                           theta0):
+        assert g[..., 0].tolist() == [[0.0, 0.0, 0.0]]
+        assert np.all(g[..., 1:] > 0)
 
 
 def test_sup_gap_requires_nonempty_holdout():
@@ -473,7 +506,7 @@ def _stepwise_gaps(configs, spec, base, k, z, seed, holdout, theta0):
                                              theta0=theta0, swaps=swaps)):
         theta, theta_p = state[:B].swapaxes(0, 1), state[B:].swapaxes(0, 1)
         param_gap[:, live, t] = np.linalg.norm(theta - theta_p, axis=-1)
-        sup_gap[:, live, t] = estimate_sup_loss_gap(theta, theta_p, spec, holdout)
+        sup_gap[:, live, t] = _sup_gap(theta, theta_p, spec, holdout)
     return param_gap, sup_gap
 
 
@@ -539,7 +572,7 @@ def _stacked_gaps(configs, spec, base, k, z, seed, holdout, theta0):
                                              [*range(B), *range(P)], theta0=theta0)):
         theta, theta_p = state[:B].swapaxes(0, 1), state[B:].swapaxes(0, 1)
         gaps[0][..., t] = np.linalg.norm(theta - theta_p, axis=-1)
-        gaps[1][..., t] = estimate_sup_loss_gap(theta, theta_p, spec, holdout)
+        gaps[1][..., t] = _sup_gap(theta, theta_p, spec, holdout)
         scale = max(scale, np.linalg.norm(state, axis=-1).max())
     return gaps, scale
 

@@ -203,11 +203,17 @@ def test_a_zero_envelope_passes_exact_zero_products_only(monkeypatch):
 
 def test_a_single_check_fails_just_below_a_small_bound(monkeypatch):
     # norm 2.8e-7 against its bound 3.1e-7: a cut 1e-6 below their ratio fails
-    check = lambda: ML.scnag_lemma_check(100.0, 1.0, 100.0, 0.01, 200)
-    clean = check()
-    assert clean.ok and clean.norm < 1e-6
-    _scale_envelopes(monkeypatch, JUST_BELOW * clean.norm / clean.bound)
-    assert not check().ok
+    top, (rho,) = ML._scnag_grid([(100.0, 1.0, 100.0, 0.01)], 64)
+
+    def check():  # (norm, bound, violations) of H^200 at its horizon alone
+        _, (_, _, norm, bound), violations, _ = ML._scnag_scan(
+            top, lambda s: ML._scnag_bound(rho, s), 200, True)
+        return norm, bound, violations
+
+    norm, bound, violations = check()
+    assert not violations and norm < 1e-6
+    _scale_envelopes(monkeypatch, JUST_BELOW * norm / bound)
+    assert check()[2]
 
 
 def _replay(lemma, seed, budget, t_max=64):
