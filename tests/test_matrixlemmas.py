@@ -247,6 +247,16 @@ def test_scnag_kappa_one_closed_form():
         assert norm <= 2.0 * (1 + t) * h ** (t / 2.0)
 
 
+def test_scnag_validation():
+    # the sweep reads each kappa's momentum from sc_momentum, which rejects
+    # kappa < 1 whether it is the only kappa or one of several
+    for kappas in ([0.5], [4.0, 0.5]):
+        with pytest.raises(ValidationError, match="kappa must be >= 1"):
+            scnag_sweep(kappas, 8, 4)
+    with pytest.raises(ValidationError, match="kappa must be >= 1"):
+        _scnag_check(0.5, 1.0, 0.5, 0.1, 1)
+
+
 def test_scnag_nominal_envelope_has_counterexample_but_certified_holds():
     # at kappa = 4, eta = 1/beta, the admissible h reaches the double root
     # h = 3/4 where H^t = (1+t) rho^t on top but t rho^(t-1) below; by t = 5
