@@ -16,8 +16,8 @@ before the subcommand set logging only, not the config: ``--log-level``
 (debug, info, warning or error; default info) for optstab's loggers, and
 ``--debug``, which logs a runtime error's traceback.
 
-Exit codes: 0 success, 1 a bad config key or value (file or flag, an unknown
-flag included) or another validation error, 2 runtime error, 3 audit
+Exit codes: 0 success, 1 a bad config file, key or value (file or flag, an
+unknown flag included) or another validation error, 2 runtime error, 3 audit
 completed but failed its acceptance checks (lemmas/lecam/bounds).
 """
 

@@ -1,12 +1,12 @@
 """Flat key-value experiment configuration with a stable content hash.
 
-Grammar: one ``key = value`` pair per line; blank lines and ``#`` comments
-are ignored.  :class:`ExperimentConfig`'s fields are the schema: a value is
-typed like its field's default.  Every key but ``experiment`` is also a CLI
-flag ``--key-with-dashes`` that overrides the file.  The canonical
-serialization (sorted keys, repr-formatted values) is hashed with SHA-256
-and embedded in every output file, so any report can be traced back to the
-exact configuration that produced it.
+Grammar: one ``key = value`` pair per line, each key at most once; blank lines
+and ``#`` comments are ignored.  :class:`ExperimentConfig`'s fields are the
+schema: a value is typed like its field's default.  Every key but ``experiment``
+(the subcommand's) is also a CLI flag ``--key-with-dashes`` that overrides the
+file.  The canonical serialization (sorted keys, repr-formatted values) is
+hashed with SHA-256 and embedded in every output file, so any report can be
+traced back to the exact configuration that produced it.
 
 Keys
 ----
@@ -118,6 +118,8 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValidationError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:  # else its last value would win unseen
+            raise ValidationError(f"config line {lineno}: key {key!r} repeated")
         out[key] = parse_value(key, value)
     return out
 
@@ -139,9 +141,13 @@ def parse_value(key: str, value: str):
 
 def build_config(file_values: Optional[dict] = None,
                  overrides: Optional[dict] = None) -> ExperimentConfig:
-    """Merge file keys and CLI overrides (overrides win) into a config."""
+    """Merge file keys and CLI overrides (overrides win, but not over the file's
+    experiment) into a config."""
     merged = dict(file_values or {})
     for key, value in (overrides or {}).items():
+        if key == "experiment" and merged.get(key, value) != value:
+            raise ValidationError(f"config key 'experiment': the file runs {merged[key]!r}, "
+                                  f"the subcommand {value!r}")
         if value is not None:
             merged[key] = value
     known = {f.name for f in fields(ExperimentConfig)}
@@ -152,8 +158,13 @@ def build_config(file_values: Optional[dict] = None,
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_config(parse_config_text(fh.read()), overrides)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # bad config input, not a runtime error
+        why = getattr(exc, "strerror", None) or exc  # an OSError without its path
+        raise ValidationError(f"config file {path!r}: {why}") from exc
+    return build_config(parse_config_text(text), overrides)
 
 
 def canonical_text(config: ExperimentConfig) -> str:

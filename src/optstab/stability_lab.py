@@ -16,11 +16,11 @@ perturbed runs of all repeats, each with k config columns, advanced by
 (k, z), so a perturbed run costs one row, not a copy of S (deterministic
 methods' base runs coincide, so they need only one).  Both gap series are
 computed as the run progresses over blocks of 8 consecutive states
-(``_GAP_STEPS``), so no iterate trace is stored: each state is copied into one
-block allocated once per batch (``_GapBlock``), laid out as the holdout
-products take its rows, and evaluated in buffers allocated with it.  Each
-step's products keep their step-by-step shape, so the gaps do not depend on
-the block length; a single base run shares one with the perturbed runs.
+(``_GAP_STEPS``), so no iterate trace is stored: each state's base rows, then
+its perturbed rows, are copied into one block allocated once per batch
+(``_GapBlock``) and evaluated in buffers allocated with it.  Each step's
+products keep their step-by-step shape, so the gaps do not depend on the
+block length.
 Repeat i draws the perturbed index and replacement point from the seed's
 "perturbation" stream at i and runs its pair as member i, and repeats are
 averaged elementwise with standard errors; per-repeat gap series are
@@ -69,22 +69,15 @@ class StabilityTrace:
 
 class _GapBlock:
     """The gap pass's buffers, allocated once.  ``rows`` (steps, ..., B + m, d)
-    holds each state's B base rows (B = m, or one row shared by the m perturbed
-    rows), then its m perturbed rows, as the holdout products take them: a shared
-    row in one product with the perturbed rows per step and leading index, else
-    each side in its own, so row i of both rounds alike.  A product takes a group
-    of rows (a shared row staged with each) under ``losses._PRODUCT_MACS``
-    multiply-adds, so its bytes do not depend on the BLAS thread count."""
+    holds each state's B base rows (B = m, or one row for all m perturbed rows),
+    then its m perturbed rows.  The holdout products take consecutive groups of
+    rows under ``losses._PRODUCT_MACS`` multiply-adds, so their bytes do not
+    depend on the BLAS thread count."""
 
     def __init__(self, lead: tuple, B: int, m: int, d: int, h: int):
-        self.B, self.m, self.shared = B, m, B < m
-        self.per = max(1, _PRODUCT_MACS // (d * h) - self.shared)
+        self.B, self.per = B, max(1, _PRODUCT_MACS // (d * h))
         self.rows = np.empty((*lead, B + m, d))
-        grouped = self.shared and m > self.per
-        self.stage = np.empty((*lead, 1 + self.per, d)) if grouped else None
-        self.values, self.scratch = (  # (..., rows, h), or (..., side, m, h) views
-            np.empty((2, *lead, 1 + min(m, self.per), h)) if self.shared
-            else np.moveaxis(np.empty((2, 2, *lead, m, h)), 1, -3))
+        self.values, self.scratch = np.empty((2, *lead, B + m, h))  # each row's losses
         self.diff, self.delta = np.empty((*lead, m, h)), np.empty((*lead, m, d))
         self.moved, self.gaps = np.empty((*lead, m), bool), np.empty((2, *lead, m))
         self.arg = np.empty(math.prod(lead) * m, np.intp)  # each row's argmax over h
@@ -95,28 +88,16 @@ class _GapBlock:
         ||theta - theta'||_2 and max over the holdout of |l(theta; z) - l(theta'; z)|,
         exactly 0 for equal finite parameters (theta - theta' = 0), as rows of one
         BLAS product need not round alike: some row positions take another kernel."""
-        B, m, per = self.B, self.m, self.per
-        rows, values, diff = self.rows[:s], self.values[:s], self.diff[:s]
+        B, rows, values, diff = self.B, self.rows[:s], self.values[:s], self.diff[:s]
         gaps = self.gaps[:, :s]
-        theta, theta_p = rows[..., :B, :], rows[..., B:, :]
-        delta = np.subtract(theta, theta_p, out=self.delta[:s])
+        delta = np.subtract(rows[..., :B, :], rows[..., B:, :], out=self.delta[:s])
         moved = np.logical_or.reduce(delta, axis=-1, out=self.moved[:s])
         np.sqrt(np.add.reduce(np.multiply(delta, delta, out=delta), axis=-1, out=gaps[0]),
                 out=gaps[0])
-        products = (rows if self.stage is None else self.stage[:s]) if self.shared else (
-            rows.reshape(*rows.shape[:-2], 2, m, rows.shape[-1]))
-        for b in range(0, m, per):
-            g = min(per, m - b)
-            cut = (..., slice(0, 1 + g) if self.shared else slice(b, b + g), slice(None))
-            if self.stage is not None:  # the shared row, then the group's rows
-                products[..., :1, :] = theta
-                products[..., 1:1 + g, :] = theta_p[..., b:b + g, :]
-            v = loss_values_matrix(spec, products[cut], holdout, values[cut],
-                                   self.scratch[:s][cut])
-            if self.shared:
-                np.subtract(v[..., :1, :], v[..., 1:, :], out=diff[..., b:b + g, :])
-        if not self.shared:
-            np.subtract(values[..., 0, :, :], values[..., 1, :, :], out=diff)
+        for b in range(0, rows.shape[-2], self.per):
+            cut = (..., slice(b, b + self.per), slice(None))
+            loss_values_matrix(spec, rows[cut], holdout, values[cut], self.scratch[:s][cut])
+        np.subtract(values[..., :B, :], values[..., B:, :], out=diff)
         # each row's max is its entry at its argmax, found faster than by a max-reduce
         flat = np.abs(diff, out=diff).reshape(-1)
         arg = np.argmax(flat.reshape(-1, diff.shape[-1]), axis=-1, out=self.arg[:moved.size])

@@ -719,6 +719,25 @@ def test_cli_stability_with_config_file(tmp_path):
     assert set(summary["series"]) == {"gd_param_gap", "gd_sup_loss_gap", "gd_bound"}
 
 
+@pytest.mark.parametrize("text, message", [
+    ("experiment = risk_decomposition\nT = 20\n", "config key 'experiment': the file "
+     "runs 'risk_decomposition', the subcommand 'stability_scaling'"),
+    ("T = 20\nT = 30\n", "config line 2: key 'T' repeated"),
+    (None, "exp.cfg': No such file or directory"),
+    (b"T = 20\n\xff\n", "exp.cfg': 'utf-8' codec can't decode byte 0xff")],
+    ids=["experiment", "repeated", "missing", "undecodable"])
+def test_cli_bad_config_file_exits_1_writing_nothing(tmp_path, capsys, text, message):
+    # a file's experiment is not overridden by the subcommand, a repeated key does not
+    # take its last value, and an unreadable file is bad config input, not a runtime error
+    cfgfile, out = tmp_path / "exp.cfg", tmp_path / "run"
+    if text is not None:
+        cfgfile.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert cli_main(["stability", "--config", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config ") and message in err
+    assert not (out / "report.json").exists()
+
+
 def test_cli_end_to_end_determinism(tmp_path):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     c1 = cli_main(["lecam", "--out", out1])

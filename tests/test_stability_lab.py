@@ -224,9 +224,9 @@ def test_sup_gap_shared_base_row_matches_broadcast_form_bitwise(method):
 
 @pytest.mark.parametrize("method", ["gd", "sgd"])
 def test_identity_perturbation_gap_is_exactly_zero_for_wide_batches(method):
-    # d = 10 and a one-point holdout: gd's shared base row and its perturbed
-    # rows go through one matrix-vector product whose rows do not all round
-    # alike; sgd's two k-row batches go through one product each
+    # d = 10 and a one-point sample that is its own pool: every pair swaps its row
+    # for itself, so it runs no member of its own (in one matrix-vector product the
+    # base and perturbed rows need not round alike) and reads exactly 0
     rng = np.random.Generator(np.random.Philox(5))
     sample = Dataset.from_labeled(normalize_rows(rng.standard_normal((1, 10))), [1.0])
     cfg = OptimizerConfig(method=method, schedule=fixed(0.5), T=50)
@@ -236,11 +236,14 @@ def test_identity_perturbation_gap_is_exactly_zero_for_wide_batches(method):
         np.testing.assert_array_equal(avg.repeats.sup_loss_gap, 0.0)
 
 
-def test_rows_that_did_not_move_read_exactly_0_where_products_round_by_row(monkeypatch):
+@pytest.mark.parametrize("method, P", [("gd", 3), ("sgd", 3), ("gd", 1)])
+def test_rows_that_did_not_move_read_exactly_0_where_products_round_by_row(monkeypatch,
+                                                                           method, P):
     # a values kernel that moves row i of each product by i ulps, as a BLAS product
-    # may round equal rows apart by position: at t = 0 every member is theta0, so
-    # both series read exactly 0 (without the moved-row mask the sup-loss gaps read
-    # 1, 2 and 3 ulps of the loss); from t = 1 on the three gd pairs differ
+    # may round equal rows apart by position: base row i and perturbed row i sit at
+    # different positions of one product, so a pair whose runs are equal (every pair
+    # at t = 0, an sgd pair until it draws its replaced row) reads exactly 0 in both
+    # series only by the moved-row mask; every other entry reads more than 0
     from optstab import stability_lab
 
     values = stability_lab.loss_values_matrix
@@ -252,11 +255,12 @@ def test_rows_that_did_not_move_read_exactly_0_where_products_round_by_row(monke
 
     monkeypatch.setattr(stability_lab, "loss_values_matrix", by_row)
     spec, sample, pool, theta0, _ = _family_case("logistic", 17, 12)
-    cfg = OptimizerConfig(method="gd", schedule=fixed(0.5), T=3)
-    for g in _coupled_gaps([cfg], spec, sample, [0, 1, 2], pool.take([0, 1, 2]), 0, pool,
-                           theta0):
-        assert g[..., 0].tolist() == [[0.0, 0.0, 0.0]]
-        assert np.all(g[..., 1:] > 0)
+    cfg = OptimizerConfig(method=method, schedule=fixed(0.5), T=20)
+    ks = list(range(P))
+    pg, sg = _coupled_gaps([cfg], spec, sample, ks, pool.take(ks), 0, pool, theta0)
+    still = pg == 0
+    assert still[..., 0].all() and still[..., 1:].sum() == (37 if method == "sgd" else 0)
+    assert np.all(sg[still] == 0) and np.all(pg[~still] > 0) and np.all(sg[~still] > 0)
 
 
 def test_sup_gap_requires_nonempty_holdout():
@@ -512,9 +516,9 @@ def _stepwise_gaps(configs, spec, base, k, z, seed, holdout, theta0):
 
 _BLOCK_METHODS = [("gd", "nag", "hb"), ("sgd", "sgld")]
 # (family, methods, layout): "pairs", P = 5; "one-pair", one deterministic pair,
-# whose base and perturbed rows take a product each, not one with a shared row;
-# "grouped", P = 5 under a lowered _PRODUCT_MACS: the shared row and 2 perturbed
-# rows a product, or 3 rows of each side
+# whose base and perturbed rows take one two-row product; "grouped", P = 5 under a
+# lowered _PRODUCT_MACS: each state's base rows, then its perturbed rows, 3 rows a
+# product (gd's 6 rows in 2 products, sgd's 10 in 4)
 _BLOCK_CASES = [pytest.param(family, methods, "pairs", id=f"{family}-methods{i}")
                 for family in ("logistic", "linear_worstcase", "quadratic")
                 for i, methods in enumerate(_BLOCK_METHODS)] + [
@@ -540,7 +544,7 @@ def test_blocked_gaps_match_per_step_reference_bitwise(monkeypatch, family, meth
     if layout == "grouped":
         monkeypatch.setattr(stability_lab, "_PRODUCT_MACS", 3 * theta0.size * pool.n)
         block = stability_lab._GapBlock((1,), 1, P, theta0.size, pool.n)
-        assert block.per == 2 and block.stage is not None
+        assert block.per == 3
     configs = [_config(m, 0.5, "fixed", T, beta) for m in methods]
     ks, z = [2 * i for i in range(P)], pool.take([i % pool.n for i in range(P)])
     if layout == "one-pair":  # the first row that differs from z's, so the pair runs
