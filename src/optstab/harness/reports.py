@@ -1,9 +1,8 @@
-"""Report assembly and byte-stable emission of series files and plot scripts.
+"""Report assembly and byte-stable emission of series CSVs and report.json.
 
-Every emitted file carries the generating config hash: series CSVs in a
-leading comment line, the JSON summary in its ``config_hash`` field, and the
-plot script in its header.  Floats are written with ``repr`` (shortest
-round-trip), so a fixed report serializes to identical bytes.
+Both carry the generating config hash: a CSV in a leading comment line, the
+JSON summary in its ``config_hash`` field.  Floats are written with ``repr``
+(shortest round-trip), so a fixed report serializes to identical bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from ..losses import ValidationError
 
 @dataclass(frozen=True)
 class Series:
-    """One plotted curve: value (and optional stderr) per iteration index."""
+    """One curve: value (and optional stderr) per iteration index."""
 
     name: str
     t: np.ndarray
@@ -71,59 +70,6 @@ def write_series_csv(series: Series, path: str, config_hash: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-_PLOT_TEMPLATE = """\
-# auto-generated plot script (config={config_hash})
-# renders every series CSV next to this file; stability curves use log-log axes
-import csv
-import os
-
-import matplotlib.pyplot as plt
-
-HERE = os.path.dirname(os.path.abspath(__file__))
-SERIES = {series_names}
-LOG_LOG = {log_log}
-
-
-def read(name):
-    ts, vs, es = [], [], []
-    with open(os.path.join(HERE, name + ".csv")) as fh:
-        for row in csv.reader(line for line in fh if not line.startswith("#")):
-            if row[0] == "t":
-                continue
-            ts.append(int(row[0])); vs.append(float(row[1])); es.append(float(row[2]))
-    return ts, vs, es
-
-
-fig, ax = plt.subplots(figsize=(7, 5))
-for name in SERIES:
-    ts, vs, es = read(name)
-    pts = [(t, v) for t, v in zip(ts, vs) if not LOG_LOG or (t > 0 and v > 0)]
-    ax.plot([p[0] for p in pts], [p[1] for p in pts], label=name)
-if LOG_LOG:
-    ax.set_xscale("log")
-    ax.set_yscale("log")
-ax.set_xlabel("iteration t")
-ax.set_ylabel("value")
-ax.legend(fontsize=7)
-fig.tight_layout()
-fig.savefig(os.path.join(HERE, "{experiment}.png"), dpi=150)
-print("wrote", os.path.join(HERE, "{experiment}.png"))
-"""
-
-
-def write_plot_script(report: Report, out_dir: str) -> str:
-    names = sorted(s.name for s in report.series)
-    log_log = report.experiment == "stability_scaling"
-    text = _PLOT_TEMPLATE.format(config_hash=report.config_hash,
-                                 series_names=repr(names),
-                                 log_log=repr(log_log),
-                                 experiment=report.experiment)
-    path = os.path.join(out_dir, "plot_series.py")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
-
-
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return [float(v) for v in obj]
@@ -133,7 +79,7 @@ def _json_default(obj):
 
 
 def write_report(report: Report, out_dir: str) -> List[str]:
-    """Write report.json, one CSV per series, and the plot script."""
+    """Write one CSV per series, then report.json; return their paths in that order."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for series in report.series:
@@ -154,4 +100,4 @@ def write_report(report: Report, out_dir: str) -> List[str]:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
-    return [*written, path, write_plot_script(report, out_dir)]
+    return [*written, path]

@@ -21,7 +21,7 @@ from optstab.harness.config import (
 from optstab.harness.data import gen_synthetic, split_sample
 from optstab.bounds import CONVEX, stability_bound_curve
 from optstab.harness.experiments import _logistic_data, _optimizer_config, run_experiment
-from optstab.harness.reports import Report, Series, write_report, write_series_csv
+from optstab.harness.reports import Series, write_report, write_series_csv
 from optstab.harness.cli import main as cli_main
 from optstab.losses import ValidationError, logistic_spec, loss_constants
 from optstab.optimizers import METHODS
@@ -158,15 +158,26 @@ def test_emitted_files_are_byte_stable(tmp_path):
         assert b1 == b2, name
 
 
-def test_plot_script_uses_loglog_for_stability(tmp_path):
-    report = Report(experiment="stability_scaling", config_hash="ff", seed=0,
-                    versions={})
-    report.add_series("gd_param_gap", np.arange(3), np.arange(3) + 1.0)
-    files = write_report(report, str(tmp_path))
-    script = [f for f in files if f.endswith(".py")][0]
-    text = open(script).read()
-    assert 'ax.set_xscale("log")' in text and 'ax.set_yscale("log")' in text
-    assert "gd_param_gap" in text
+@pytest.mark.parametrize("keys", [
+    {"experiment": "stability_scaling", "methods": ("gd", "sgd"), "n": 40, "d": 3, "T": 30,
+     "reps": 2, "holdout": 10},
+    {"experiment": "risk_decomposition", "methods": ("gd", "sgd"), "n": 40, "d": 3, "T": 30,
+     "n_test": 20, "ref_budget": 30},
+    {"experiment": "lecam_audit"},
+    {"experiment": "lemma_audit"},
+    {"experiment": "bounds_table"},
+], ids=lambda keys: keys["experiment"])
+def test_report_writes_exactly_its_data_files(tmp_path, keys):
+    # an output directory holds report.json and one CSV per series it lists, no more
+    report = run_experiment(build_config(keys))
+    out = str(tmp_path / "out")
+    files = write_report(report, out)
+    with open(os.path.join(out, "report.json")) as fh:
+        listed = json.load(fh)["series"]
+    assert listed == sorted(s.name for s in report.series)
+    assert sorted(os.listdir(out)) == sorted(["report.json", *(f"{n}.csv" for n in listed)])
+    assert files == [os.path.join(out, f"{s.name}.csv") for s in report.series] + [
+        os.path.join(out, "report.json")]
 
 
 # ---------------------------------------------------------------- experiments
@@ -683,7 +694,6 @@ def test_cli_bounds_subcommand(tmp_path):
         code = cli_main(["bounds", "--out", out])
     assert code == 0
     assert os.path.exists(os.path.join(out, "report.json"))
-    assert os.path.exists(os.path.join(out, "plot_series.py"))
     assert "audit PASS" in buf.getvalue()
 
 

@@ -223,17 +223,37 @@ def test_sup_gap_shared_base_row_matches_broadcast_form_bitwise(method):
 
 
 @pytest.mark.parametrize("method", ["gd", "sgd"])
-def test_identity_perturbation_gap_is_exactly_zero_for_wide_batches(method):
-    # d = 10 and a one-point sample that is its own pool: every pair swaps its row
-    # for itself, so it runs no member of its own (in one matrix-vector product the
-    # base and perturbed rows need not round alike) and reads exactly 0
+def test_identity_perturbation_gap_is_exactly_zero_for_wide_batches(monkeypatch, method):
+    # d = 10, a one-point sample and a pool of that point plus one other: a pair
+    # that swaps the row for itself runs no member of its own (in one product the
+    # base and perturbed rows need not round alike) and reads exactly 0 beside the
+    # live pairs, whose gaps go through the holdout products
+    from optstab import stability_lab
+
+    calls = []
+    evaluate = _GapBlock.evaluate
+
+    def counted(self, *args):
+        calls.append(1)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(stability_lab._GapBlock, "evaluate", counted)
     rng = np.random.Generator(np.random.Philox(5))
-    sample = Dataset.from_labeled(normalize_rows(rng.standard_normal((1, 10))), [1.0])
+    X = normalize_rows(rng.standard_normal((2, 10)))
+    sample = Dataset.from_labeled(X[:1], [1.0])
+    pool = Dataset.from_labeled(X, [1.0, 0.0])
     cfg = OptimizerConfig(method=method, schedule=fixed(0.5), T=50)
     for reps in (6, 10, 15, 20):
-        avg = repeat_and_average([cfg], logistic_spec(), sample, sample, reps=reps,
+        calls.clear()
+        avg = repeat_and_average([cfg], logistic_spec(), sample, pool, reps=reps,
                                  theta0=0.3 * rng.standard_normal(10), seed=1)
-        np.testing.assert_array_equal(avg.repeats.sup_loss_gap, 0.0)
+        assert len(calls) == math.ceil((cfg.T + 1) / _GAP_STEPS)
+        same = np.array([p["z"]["y"] == 1 for p in avg.perturbations])
+        assert same.any() and not same.all()
+        for gap in (avg.repeats.param_gap, avg.repeats.sup_loss_gap):
+            np.testing.assert_array_equal(gap[:, same], 0.0)
+            np.testing.assert_array_equal(gap[:, ~same, 0], 0.0)
+            assert np.all(gap[:, ~same, 1:] > 0)
 
 
 @pytest.mark.parametrize("method, P", [("gd", 3), ("sgd", 3), ("gd", 1)])
