@@ -35,15 +35,6 @@ def _optimizer_config(cfg: ExperimentConfig, method: str) -> OptimizerConfig:
     return OptimizerConfig(method=method, schedule=schedule, T=cfg.T, **own)
 
 
-def _batches(opt_cfgs: dict):
-    """The methods' configs as at most two batches, the deterministic and the
-    stochastic ones, each a dict in method order."""
-    for sampled in (False, True):
-        batch = {m: oc for m, oc in opt_cfgs.items() if oc.sampled == sampled}
-        if batch:
-            yield batch
-
-
 def _bound_slack(bound: np.ndarray, gap: np.ndarray, stderr: np.ndarray) -> dict:
     """Smallest bound - mean gap over t >= 1 (both are 0 at t = 0), the t where
     it occurs, the gap's stderr there, and the number of t where the mean gap
@@ -66,7 +57,7 @@ def _logistic_data(cfg: ExperimentConfig):
 
 def _stability_scaling(cfg: ExperimentConfig) -> Report:
     spec = logistic_spec()
-    opt_cfgs = {m: _optimizer_config(cfg, m) for m in cfg.methods}
+    opt_cfgs = [_optimizer_config(cfg, m) for m in cfg.methods]
     sample, pool = _logistic_data(cfg)
     constants = loss_constants(spec, sample)
     report = _new_report(cfg)
@@ -75,19 +66,15 @@ def _stability_scaling(cfg: ExperimentConfig) -> Report:
     report.records["bound_slack"] = {}
     ts = np.arange(cfg.T + 1)
 
+    avg = repeat_and_average(opt_cfgs, spec, sample, pool, reps=cfg.reps, seed=cfg.seed)
     # logistic loss on unit-norm rows is L-Lipschitz at every theta
-    L, averaged = loss_constants(spec, pool).L, {}
-    for batch in _batches(opt_cfgs):
-        avg = repeat_and_average(list(batch.values()), spec, sample, pool, reps=cfg.reps,
-                                 seed=cfg.seed)
-        over = np.argwhere(avg.repeats.sup_loss_gap > L * avg.repeats.param_gap + 1e-12)
-        if over.size:
-            j, i, t = over[0]
-            raise RuntimeError(f"{list(batch)[j]}: sup-loss gap exceeds L * param gap at "
-                               f"repeat {i}, t = {t}")
-        averaged.update((m, (avg, j)) for j, m in enumerate(batch))
-    for m, oc in opt_cfgs.items():
-        avg, j = averaged[m]
+    L = loss_constants(spec, pool).L
+    over = np.argwhere(avg.repeats.sup_loss_gap > L * avg.repeats.param_gap + 1e-12)
+    if over.size:
+        j, i, t = over[0]
+        raise RuntimeError(f"{cfg.methods[j]}: sup-loss gap exceeds L * param gap at "
+                           f"repeat {i}, t = {t}")
+    for j, (m, oc) in enumerate(zip(cfg.methods, opt_cfgs)):
         report.add_series(f"{m}_param_gap", ts, avg.param_gap[j], avg.param_gap_stderr[j])
         report.add_series(f"{m}_sup_loss_gap", ts, avg.sup_loss_gap[j],
                           avg.sup_loss_gap_stderr[j])
@@ -113,7 +100,6 @@ def _stability_scaling(cfg: ExperimentConfig) -> Report:
 
 def _risk_decomposition(cfg: ExperimentConfig) -> Report:
     spec = logistic_spec()
-    opt_cfgs = {m: _optimizer_config(cfg, m) for m in cfg.methods}
     # the test rows continue the train rows' streams: the first n rows are
     # gen_synthetic(d, n, seed)
     full, _ = gen_synthetic(cfg.d, cfg.n + cfg.n_test, seed=cfg.seed)
@@ -121,23 +107,18 @@ def _risk_decomposition(cfg: ExperimentConfig) -> Report:
     test = Dataset.from_labeled(full.X[cfg.n:], full.y[cfg.n:])
     report = _new_report(cfg)
     ts = np.arange(cfg.T + 1)
-    # the reference depends on neither method nor seed: the first batch runs it
-    first, *rest = _batches(opt_cfgs)
-    curves, ref_risk = risk_curves(list(first.values()), spec, train, test, cfg.ref_budget,
-                                   seed=cfg.seed)
-    curves_of = dict(zip(first, curves))
-    for batch in rest:
-        curves_of.update(zip(batch, risk_curves(list(batch.values()), spec, train, test,
-                                                seed=cfg.seed)[0]))
-    for m in opt_cfgs:
-        curves = curves_of[m]
-        report.add_series(f"{m}_train_risk", ts, curves.train)
-        report.add_series(f"{m}_test_risk", ts, curves.test)
-        report.add_series(f"{m}_gen_gap", ts, curves.gen_gap)
+    # the reference depends on neither method nor seed: it rides in the full-gradient
+    # batch of risk_curves when it can
+    curves, ref_risk = risk_curves([_optimizer_config(cfg, m) for m in cfg.methods], spec,
+                                   train, test, cfg.ref_budget, seed=cfg.seed)
+    for m, rc in zip(cfg.methods, curves):
+        report.add_series(f"{m}_train_risk", ts, rc.train)
+        report.add_series(f"{m}_test_risk", ts, rc.test)
+        report.add_series(f"{m}_gen_gap", ts, rc.gen_gap)
         if ref_risk is not None:
-            report.add_series(f"{m}_opt_error", ts, curves.train - ref_risk)
+            report.add_series(f"{m}_opt_error", ts, rc.train - ref_risk)
             report.records[f"{m}_reference_risk"] = ref_risk
-        report.records[f"{m}_final_gen_gap"] = float(curves.gen_gap[-1])
+        report.records[f"{m}_final_gen_gap"] = float(rc.gen_gap[-1])
     return report
 
 

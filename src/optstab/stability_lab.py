@@ -10,16 +10,16 @@ gaps isolate the data perturbation.  Two series are recorded per pair:
 * ``sup_loss_gap[t]``  = max over a holdout set of |l(theta_t; z) - l(theta'_t; z)|,
   a finite-sample lower estimate of the defining supremum.
 
-Every pair of every config of a batch runs as one state: the base and the
-perturbed runs of all repeats, each with k config columns, advanced by
-``optimizers.batch_iterates`` on the one sample S plus per-member swaps
-(k, z), so a perturbed run costs one row, not a copy of S (deterministic
-methods' base runs coincide, so they need only one).  Both gap series are
-computed as the run progresses over blocks of 8 consecutive states
-(``_GAP_STEPS``), so no iterate trace is stored: each state's base rows, then
-its perturbed rows, are copied into one block allocated once per batch
-(``_GapBlock``) and evaluated in buffers allocated with it.  Each step's
-products keep their step-by-step shape, so the gaps do not depend on the
+The lab runs its configs as one batch per gradient kind (``_kinds``), the full-gradient
+kind first and config order kept within a kind.  All pairs of a kind's configs run as
+one state: the base and perturbed runs of all repeats, each with the kind's config
+columns, advanced by ``optimizers.batch_iterates`` on the one sample S plus per-member
+swaps (k, z), so a perturbed run costs one row, not a copy of S (deterministic methods'
+base runs coincide, so they need only one).  Both gap series are computed as the run
+progresses over blocks of 8 consecutive states (``_GAP_STEPS``), so no iterate trace is
+stored: each state's base rows, then its perturbed rows, are copied into one block
+allocated once per kind (``_GapBlock``) and evaluated in buffers allocated with it.
+Each step's products keep their step-by-step shape, so the gaps do not depend on the
 block length.
 Repeat i draws the perturbed index and replacement point from the seed's
 "perturbation" stream at i and runs its pair as member i, and repeats are
@@ -29,7 +29,7 @@ retained for audit.
 The risk decomposition measures the optimization error against an empirical
 minimum from one long full-gradient run (:func:`reference_risk`), which
 depends only on the loss, the training sample and the budget, so one
-reference serves every method (riding in their full-gradient batch if it can).
+reference serves every method (riding in the full-gradient batch if it can).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .losses import (
 from .optimizers import OptimizerConfig, batch_iterates, fixed
 from .streams import stream
 
-# States per block of _coupled_gaps (buffers allocated once per batch): 8, 16 and 32 ran
+# States per block of _coupled_gaps (buffers allocated once per kind): 8, 16 and 32 ran
 # a 5-method, 10-repeat pass within 3 % of one another, 64 about 5 % slower
 _GAP_STEPS = 8
 
@@ -106,38 +106,49 @@ class _GapBlock:
         return np.multiply(gaps, moved, out=gaps)  # 0 for rows that did not move
 
 
+def _kinds(configs: Sequence[OptimizerConfig]) -> List[Tuple[List[int], list]]:
+    """Each gradient kind's (config indices, configs), the full-gradient kind first and
+    config order kept within a kind: the batches of ``optimizers.batch_iterates``."""
+    if not configs or len({cfg.T for cfg in configs}) != 1:
+        raise ValidationError("need at least one config, all of one T")
+    cols = [[j for j, cfg in enumerate(configs) if cfg.sampled == s] for s in (False, True)]
+    return [(js, [configs[j] for j in js]) for js in cols if js]
+
+
 def _coupled_gaps(configs: Sequence[OptimizerConfig], spec: LossSpec, base: Dataset,
                   ks: Sequence[int], z: Dataset, seed: int, holdout: Dataset,
                   theta0) -> Tuple[np.ndarray, np.ndarray]:
     """(param_gap, sup_loss_gap), each (k, P, T+1), of the P coupled pairs
     (base, base with row ks[i] replaced by row i of z) of each of k configs run
-    as one batch under ``seed`` on the one sample ``base`` plus the swaps: the
-    base runs, then the P perturbed runs.  Both runs of pair i are member i.
-    Deterministic methods' base runs coincide whatever their streams, so one
-    base run stands for all of them.  A pair whose z row equals row ks[i] runs
-    no member of its own (one product need not round equal members alike);
-    its gaps are exactly 0.  Each state is copied into a ``_GapBlock`` of
-    _GAP_STEPS states by k configs, whose gaps are taken when it is full.
+    under ``seed``, one batch per gradient kind (``_kinds``), on the one sample
+    ``base`` plus the swaps: the base runs, then the P perturbed runs.  Both runs
+    of pair i are member i.  Deterministic methods' base runs coincide whatever
+    their streams, so one base run stands for all of them.  A pair whose z row
+    equals row ks[i] runs no member of its own (one product need not round equal
+    members alike); its gaps are exactly 0.  Each state is copied into a
+    ``_GapBlock`` of _GAP_STEPS states by a kind's configs, taken when it is full.
     """
-    ks = np.asarray(ks)
+    kinds, ks = _kinds(configs), np.asarray(ks)
     same = np.logical_and.reduce([(a == b[ks]).reshape(len(ks), -1).all(axis=1)
                                   for a, b in zip(z._arrays, base._arrays)])
     live = np.flatnonzero(~same)
-    runs, T = live if configs[0].sampled and live.size else [0], configs[0].T
+    T, swapped = configs[0].T, (list(ks[live]), z.take(live)) if live.size else None
     gaps = np.zeros((2, len(configs), len(ks), T + 1))
-    swaps = ([-1] * len(runs) + list(ks[live]), z.take(live)) if live.size else None
-    states = batch_iterates(configs, spec, base, seed, [*runs, *live], theta0, swaps)
-    if not live.size:  # every pair swaps a row for itself: no gap to take
-        next(states)  # the batch still checks its inputs
-        return gaps[0], gaps[1]
     d = base.dim if theta0 is None else np.size(theta0)  # symbol families read theta[0]
-    block = _GapBlock((_GAP_STEPS, len(configs)), len(runs), live.size, d, holdout.n)
-    for t, state in enumerate(states):
-        j = t % _GAP_STEPS
-        block.rows[j] = state.swapaxes(0, 1)  # (k, members, d): each config's rows
-        if j == _GAP_STEPS - 1 or t == T:
-            gaps[:, :, live, t - j:t + 1] = np.transpose(
-                block.evaluate(spec, holdout, j + 1), (0, 2, 3, 1))
+    for js, kind in kinds:
+        runs = live if kind[0].sampled and live.size else [0]
+        swaps = ([-1] * len(runs) + swapped[0], swapped[1]) if swapped else None
+        states = batch_iterates(kind, spec, base, seed, [*runs, *live], theta0, swaps)
+        if not live.size:  # every pair swaps a row for itself: no gap to take
+            next(states)  # the batch still checks its inputs
+            continue
+        block = _GapBlock((_GAP_STEPS, len(kind)), len(runs), live.size, d, holdout.n)
+        for t, state in enumerate(states):
+            j = t % _GAP_STEPS
+            block.rows[j] = state.swapaxes(0, 1)  # (k, members, d): each config's rows
+            if j == _GAP_STEPS - 1 or t == T:
+                gaps[:, np.array(js)[:, None], live, t - j:t + 1] = np.transpose(
+                    block.evaluate(spec, holdout, j + 1), (0, 2, 3, 1))
     return gaps[0], gaps[1]
 
 
@@ -183,7 +194,7 @@ def repeat_and_average(configs: Sequence[OptimizerConfig], spec: LossSpec,
     from the held-out pool (which also serves as the sup-gap holdout), both
     from ``stream(seed, "perturbation", i)``, and runs both sides of its pair
     as member i, so repeats are decoupled while the two runs inside a repeat
-    stay coupled.  All runs advance as one batch.
+    stay coupled.  The draws serve all configs; each gradient kind runs as one batch.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
@@ -313,6 +324,8 @@ class RiskCurves:
 
 
 def _reference_config(spec: LossSpec, train: Dataset, T: int) -> OptimizerConfig:
+    if T < 0:
+        raise ValidationError("the reference budget must be >= 0")
     beta = loss_constants(spec, train).beta
     if beta <= 0:
         raise ValidationError("reference run needs beta > 0")
@@ -323,8 +336,9 @@ def reference_risk(spec: LossSpec, train: Dataset, budget: int, theta0=None) -> 
     """Approximate empirical minimum of ``train``: the empirical risk after
     ``budget`` full-gradient steps at eta = 1/beta from theta0 (default 0).
 
-    A loss with beta = 0 has no 1/beta step and raises ValidationError.
-    Only the last two states of the run are kept (theta0 twice at budget 0).
+    A negative budget, or a loss with beta = 0 (no 1/beta step), raises
+    ValidationError.  Only the last two states of the run are kept (theta0 twice
+    at budget 0).
     """
     ref_cfg = _reference_config(spec, train, budget)
     # only the last iterate's risk is read; it is evaluated in a batch of
@@ -339,26 +353,28 @@ def reference_risk(spec: LossSpec, train: Dataset, budget: int, theta0=None) -> 
 def risk_curves(configs: Sequence[OptimizerConfig], spec: LossSpec, train: Dataset,
                 test: Dataset, ref_budget: int = 0, *,
                 seed: int = 0) -> Tuple[List[RiskCurves], Optional[float]]:
-    """Train/test risk along each config's run from 0, run as one batch under
-    ``seed``, and with ``ref_budget`` ``reference_risk(spec, train,
-    ref_budget)`` (optimization error: ``train - reference``), else None.  A
-    full-gradient batch with T <= ref_budget runs the reference as one more
+    """Train/test risk along each config's run from 0, one batch per gradient kind
+    (``_kinds``) under ``seed``, and with ``ref_budget`` ``reference_risk(spec,
+    train, ref_budget)`` (optimization error: ``train - reference``), else None.
+    With T <= ref_budget the full-gradient batch runs the reference as one more
     column, its trace not stored; gd has no momentum, so from its state at T it
-    resumes alone.  Otherwise the reference runs alone.  Both risks are taken
-    as the batch advances, on each block of _RISK_ROWS states (the blocks
+    resumes alone.  Otherwise the reference runs alone.  Both risks are taken as
+    each batch advances, on each block of _RISK_ROWS states (the blocks
     ``empirical_risk_batch`` takes of a whole trace, one column at a time), so no
     trace is stored and one (_RISK_ROWS, n) values block is held at a time."""
-    k, T = len(configs), configs[0].T
-    joined = 0 < ref_budget and T <= ref_budget and not configs[0].sampled
-    columns = [*configs, _reference_config(spec, train, T)] if joined else configs
-    risks = np.empty((2, k, T + 1))
-    block = np.empty((k, _RISK_ROWS, train.dim))
-    for t, state in enumerate(batch_iterates(columns, spec, train, seed, [0])):
-        j = t % _RISK_ROWS
-        block[:, j] = state[0, :k]
-        if j == _RISK_ROWS - 1 or t == T:
-            for risk, data in zip(risks, (train, test)):
-                risk[:, t - j:t + 1] = empirical_risk_batch(spec, block[:, :j + 1], data)
-    start, done = (state[0, k], T) if joined else (None, 0)
+    kinds, T = _kinds(configs), configs[0].T
+    risks, start, done = np.empty((2, len(configs), T + 1)), None, 0
+    for js, kind in kinds:
+        k, joined = len(kind), 0 < ref_budget and T <= ref_budget and not kind[0].sampled
+        columns = [*kind, _reference_config(spec, train, T)] if joined else kind
+        block = np.empty((k, _RISK_ROWS, train.dim))
+        for t, state in enumerate(batch_iterates(columns, spec, train, seed, [0])):
+            j = t % _RISK_ROWS
+            block[:, j] = state[0, :k]
+            if j == _RISK_ROWS - 1 or t == T:
+                for risk, data in zip(risks, (train, test)):
+                    risk[js, t - j:t + 1] = empirical_risk_batch(spec, block[:, :j + 1], data)
+        if joined:
+            start, done = state[0, k], T
     ref = reference_risk(spec, train, ref_budget - done, start) if ref_budget else None
     return [RiskCurves(train=a, test=b, gen_gap=b - a) for a, b in zip(*risks)], ref

@@ -662,7 +662,8 @@ def test_cli_debug_logs_runtime_error_traceback(tmp_path, monkeypatch, capsys, c
 
 def test_stability_lipschitz_violation_exits_2(tmp_path, monkeypatch, capsys):
     # a gap estimate doubled past L * param gap must stop the experiment with
-    # a RuntimeError naming the method, the repeat and the step
+    # a RuntimeError naming the method, the repeat and the step: the first
+    # exceedance in method order, whichever gradient kind comes first
     import re
 
     from optstab import stability_lab
@@ -674,14 +675,16 @@ def test_stability_lipschitz_violation_exits_2(tmp_path, monkeypatch, capsys):
         return param_gap, 2.0 * sup_gap
 
     monkeypatch.setattr(stability_lab, "_coupled_gaps", doubled_sup_gaps)
-    keys = {"methods": ("gd", "sgd"), "n": 40, "d": 2, "T": 60, "reps": 2,
-            "holdout": 20, "eta0": 1.0}
-    with pytest.raises(RuntimeError, match=r"^gd: sup-loss gap .* at repeat \d+, t = \d+$"):
-        run_experiment(build_config(dict(keys, experiment="stability_scaling")))
-    flags = ["--methods", "gd,sgd", "--n", "40", "--d", "2", "--T", "60", "--reps", "2",
-             "--holdout", "20", "--eta0", "1.0", "--out", str(tmp_path)]
-    assert cli_main(["stability"] + flags) == 2
-    assert re.search(r"gd: sup-loss gap .* at repeat \d+, t = \d+", capsys.readouterr().err)
+    for methods in (("gd", "sgd"), ("sgd", "gd")):
+        keys = {"methods": methods, "n": 40, "d": 2, "T": 60, "reps": 2, "holdout": 20,
+                "eta0": 1.0}
+        message = rf"{methods[0]}: sup-loss gap .* at repeat \d+, t = \d+$"
+        with pytest.raises(RuntimeError, match="^" + message):
+            run_experiment(build_config(dict(keys, experiment="stability_scaling")))
+        flags = ["--methods", ",".join(methods), "--n", "40", "--d", "2", "--T", "60",
+                 "--reps", "2", "--holdout", "20", "--eta0", "1.0", "--out", str(tmp_path)]
+        assert cli_main(["stability"] + flags) == 2
+        assert re.search("runtime error: " + message, capsys.readouterr().err, re.M)
 
 
 def test_cli_bounds_subcommand(tmp_path):

@@ -321,6 +321,72 @@ def test_repeat_records_and_worker_independence():
         repeat_and_average([cfg], logistic_spec(), data, pool, reps=0, seed=5)
 
 
+def _mixed_kinds():
+    """A 40-point sample, a 10-point pool, and sgd, gd, sgld and nag at T = 30: the
+    two gradient kinds interleaved."""
+    cfgs = {m: OptimizerConfig(method=m, schedule=fixed(0.1), T=30, tau=2.0)
+            for m in ("sgd", "gd", "sgld", "nag")}
+    return logistic_fixture(n=40, d=3, seed=71), logistic_fixture(n=10, d=3, seed=73), cfgs
+
+
+def test_mixed_kind_repeats_equal_their_per_kind_calls_bitwise():
+    # one call over interleaved kinds runs each kind as its own batch, in config
+    # order, on the same perturbations: its rows are those of the per-kind calls
+    def series(avg):
+        return (avg.param_gap, avg.param_gap_stderr, avg.sup_loss_gap,
+                avg.sup_loss_gap_stderr, avg.repeats.param_gap, avg.repeats.sup_loss_gap)
+
+    sample, pool, cfgs = _mixed_kinds()
+    order = ["sgd", "gd", "sgld", "nag"]
+    mixed = repeat_and_average([cfgs[m] for m in order], logistic_spec(), sample, pool,
+                               reps=3, seed=9)
+    rows = {}
+    for kind in (["gd", "nag"], ["sgd", "sgld"]):
+        avg = repeat_and_average([cfgs[m] for m in kind], logistic_spec(), sample, pool,
+                                 reps=3, seed=9)
+        assert avg.perturbations == mixed.perturbations
+        rows.update((m, (avg, j)) for j, m in enumerate(kind))
+    for i, m in enumerate(order):
+        avg, j = rows[m]
+        for got, want in zip(series(mixed), series(avg)):
+            np.testing.assert_array_equal(got[i], want[j])
+
+
+@pytest.mark.parametrize("ref_budget", [0, 20, 30, 50])
+def test_mixed_kind_risk_curves_equal_their_per_kind_calls_bitwise(ref_budget):
+    # budget 0: no reference; 20 < T: it runs alone; 30 and 50 >= T: it rides in
+    # the full-gradient batch, in the mixed call as in the [gd, nag] one
+    train, test, cfgs = _mixed_kinds()
+    order = ["sgd", "gd", "nag"]
+    mixed, ref = risk_curves([cfgs[m] for m in order], logistic_spec(), train, test,
+                             ref_budget, seed=9)
+    full, full_ref = risk_curves([cfgs["gd"], cfgs["nag"]], logistic_spec(), train, test,
+                                 ref_budget, seed=9)
+    (sgd,), _ = risk_curves([cfgs["sgd"]], logistic_spec(), train, test, seed=9)
+    assert ref == full_ref and (ref is None) == (ref_budget == 0)
+    for got, want in zip(mixed, [sgd, *full]):
+        for field in ("train", "test", "gen_gap"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_lab_rejects_no_configs_and_configs_of_two_horizons():
+    sample, pool, cfgs = _mixed_kinds()
+    other = OptimizerConfig(method="sgd", schedule=fixed(0.1), T=20)
+    for configs in ([], [cfgs["gd"], other], [cfgs["sgd"], other]):
+        with pytest.raises(ValidationError, match="at least one config, all of one T"):
+            repeat_and_average(configs, logistic_spec(), sample, pool, reps=2)
+        with pytest.raises(ValidationError, match="at least one config, all of one T"):
+            risk_curves(configs, logistic_spec(), sample, pool)
+
+
+def test_a_negative_reference_budget_is_named():
+    sample, pool, cfgs = _mixed_kinds()
+    with pytest.raises(ValidationError, match="reference budget must be >= 0"):
+        reference_risk(logistic_spec(), sample, -1)
+    with pytest.raises(ValidationError, match="reference budget must be >= 0"):
+        risk_curves([cfgs["gd"]], logistic_spec(), sample, pool, ref_budget=-3)
+
+
 @pytest.mark.parametrize("family", ["logistic", "linear_worstcase"])
 def test_perturbation_records_name_the_drawn_pool_row(family):
     # each record holds the replaced index and the pool row the repeat drew,
