@@ -10,15 +10,16 @@ calculator):
     optstab bounds     [--config FILE] [--key VALUE ...]   bounds_table
     optstab earlystop  --n N --eta ETA [--lipschitz L] [--radius R]
 
-Every config key except ``experiment`` is a ``--key-with-dashes`` flag,
-typed and checked as in a file (:mod:`optstab.harness.config`).  Two options
+Every config key except ``experiment`` is a ``--key-with-dashes`` flag, whose
+text is typed and checked as in a file (:mod:`optstab.harness.config`).  Two options
 before the subcommand set logging only, not the config: ``--log-level``
 (debug, info, warning or error; default info) for optstab's loggers, and
 ``--debug``, which logs a runtime error's traceback.
 
-Exit codes: 0 success, 1 a bad config file, key or value (file or flag, an
-unknown flag included) or another validation error, 2 runtime error, 3 audit
-completed but failed its acceptance checks (lemmas/lecam/bounds).
+Exit codes: 0 success, 1 a usage error (a bad config file, key or value, from
+file or flag, an unknown or malformed flag or a missing subcommand included) or
+another validation error, 2 runtime error, 3 audit completed but failed its
+acceptance checks (lemmas/lecam/bounds).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional
 
 from ..bounds import early_stopping_T
 from ..losses import ValidationError
-from .config import ExperimentConfig, build_config, load_config, parse_value
+from .config import ExperimentConfig, build_config, load_config
 from .experiments import run_experiment
 from .reports import write_report
 
@@ -47,6 +48,13 @@ _AUDITED = {"lecam_audit", "lemma_audit", "bounds_table"}
 _FLAG_KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "experiment"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1, as a bad config value does, not argparse's 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
     for key in _FLAG_KEYS:
@@ -54,9 +62,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="optstab",
-                                     description="stability laboratory for "
-                                                 "first-order optimizers")
+    parser = _Parser(prog="optstab",
+                     description="stability laboratory for first-order optimizers")
     parser.add_argument("--log-level", type=str.upper, default="INFO",
                         choices=("DEBUG", "INFO", "WARNING", "ERROR"))
     parser.add_argument("--debug", action="store_true",
@@ -73,18 +80,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args, unknown = _parser().parse_known_args(argv)
     logging.basicConfig(format="%(levelname)s %(message)s")
-    logging.getLogger("optstab").setLevel(args.log_level)
+    args = argparse.Namespace(debug=False)  # until parsed
     try:
-        if unknown:
-            raise ValidationError(f"unrecognized arguments: {' '.join(unknown)}")
+        args = _parser().parse_args(argv)
+        logging.getLogger("optstab").setLevel(args.log_level)
         if args.command == "earlystop":
             T = early_stopping_T(args.n, args.eta, args.lipschitz, args.radius)
             print(T)
             return 0
-        overrides = {key: parse_value(key, getattr(args, key)) for key in _FLAG_KEYS
-                     if getattr(args, key) is not None}
+        overrides = {key: getattr(args, key) for key in _FLAG_KEYS}  # None: unset
         overrides["experiment"] = _SUBCOMMAND_EXPERIMENT[args.command]
         if args.config:
             cfg = load_config(args.config, overrides)

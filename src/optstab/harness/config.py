@@ -2,11 +2,13 @@
 
 Grammar: one ``key = value`` pair per line, each key at most once; blank lines
 and ``#`` comments are ignored.  :class:`ExperimentConfig`'s fields are the
-schema: a value is typed like its field's default.  Every key but ``experiment``
-(the subcommand's) is also a CLI flag ``--key-with-dashes`` that overrides the
-file.  The canonical serialization (sorted keys, repr-formatted values) is
-hashed with SHA-256 and embedded in every output file, so any report can be
-traced back to the exact configuration that produced it.
+schema: every value, from a file, a flag or Python, is typed like its field's
+default in one place (:func:`parse_value`), so equal configs hash alike; a float
+must be finite.  Every key but ``experiment`` (the subcommand's) is also a CLI
+flag ``--key-with-dashes`` that overrides the file.  The canonical serialization
+(sorted keys, repr-formatted values) is hashed with SHA-256 and embedded in every
+output file, so any report can be traced back to the exact configuration that
+produced it.
 
 Keys
 ----
@@ -35,6 +37,7 @@ out            output directory
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
@@ -76,6 +79,8 @@ class ExperimentConfig:
     out: str = "out"
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, parse_value(f.name, getattr(self, f.name)))
         if self.experiment not in EXPERIMENTS:
             raise ValidationError(f"unknown experiment {self.experiment!r}")
         if self.schedule not in ("fixed", "power"):
@@ -109,7 +114,7 @@ _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse the flat key-value grammar into a typed dict."""
+    """Parse the flat key-value grammar into a dict of each value's text."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -120,23 +125,28 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in out:  # else its last value would win unseen
             raise ValidationError(f"config line {lineno}: key {key!r} repeated")
-        out[key] = parse_value(key, value)
+        out[key] = value
     return out
 
 
-def parse_value(key: str, value: str):
-    """Type a file value or CLI flag like its key's default (tuple: comma list)."""
+def parse_value(key: str, value):
+    """Type a value like its key's default from its text: a file value or flag as
+    written, a Python value as ``str`` gives it, a sequence of method names joined
+    by commas (a tuple key's text is a comma list).  A float must be finite."""
     kind = type(_DEFAULTS.get(key))
     try:
+        text = ",".join(value) if kind is tuple and not isinstance(value, str) else str(value)
         if kind is int:
-            return int(value)
+            return int(text)
         if kind is float:
-            return float(value)
+            if not math.isfinite(float(text)):
+                raise ValueError
+            return float(text)
         if kind is tuple:
-            return tuple(tok.strip() for tok in value.split(",") if tok.strip())
-    except ValueError as exc:
+            return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"config key {key!r}: bad value {value!r}") from exc
-    return value
+    return text
 
 
 def build_config(file_values: Optional[dict] = None,

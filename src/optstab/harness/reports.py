@@ -70,22 +70,9 @@ def write_series_csv(series: Series, path: str, config_hash: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def write_report(report: Report, out_dir: str) -> List[str]:
-    """Write one CSV per series, then report.json; return their paths in that order."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for series in report.series:
-        path = os.path.join(out_dir, f"{series.name}.csv")
-        write_series_csv(series, path, report.config_hash)
-        written.append(path)
+    """Write one CSV per series, then report.json; return their paths in that order.
+    report.json is encoded first, so a report it cannot hold writes no file."""
     summary = {
         "experiment": report.experiment,
         "config_hash": report.config_hash,
@@ -96,8 +83,14 @@ def write_report(report: Report, out_dir: str) -> List[str]:
         "records": report.records,
         "passed": report.passed,
     }
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    for series in report.series:
+        path = os.path.join(out_dir, f"{series.name}.csv")
+        write_series_csv(series, path, report.config_hash)
+        written.append(path)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text)
     return [*written, path]

@@ -16,7 +16,6 @@ from optstab.harness.config import (
     config_hash,
     load_config,
     parse_config_text,
-    parse_value,
 )
 from optstab.harness.data import gen_synthetic, split_sample
 from optstab.bounds import CONVEX, stability_bound_curve
@@ -31,22 +30,22 @@ from optstab.optimizers import METHODS
 
 
 def test_parse_config_text():
-    cfg = parse_config_text("""
+    cfg = build_config(parse_config_text("""
 # comment
 experiment = stability_scaling
 methods = gd, nag
 n = 250
 eta0 = 0.05
-""")
-    assert cfg["methods"] == ("gd", "nag")
-    assert cfg["n"] == 250 and cfg["eta0"] == 0.05
+"""))
+    assert cfg.methods == ("gd", "nag")
+    assert cfg.n == 250 and cfg.eta0 == 0.05
 
 
 def test_parse_rejects_garbage():
     with pytest.raises(ValidationError):
         parse_config_text("just some words\n")
     with pytest.raises(ValidationError):
-        parse_config_text("n = three\n")
+        build_config(parse_config_text("n = three\n"))
 
 
 def test_build_config_overrides_win():
@@ -78,6 +77,75 @@ def test_load_config_file(tmp_path):
 
 
 # ---------------------------------------------------------------- data
+
+
+# a config that reads every float key: gamma (hb), kappa (nag_sc), tau (sgld), alpha (power)
+_READS_EVERY_FLOAT = {"methods": "gd,hb,nag_sc,sgld", "schedule": "power"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["eta0", "alpha", "gamma", "tau", "kappa"])
+def test_non_finite_float_is_rejected_by_name_from_file_flag_and_python(
+        tmp_path, monkeypatch, capsys, key, value):
+    from optstab.harness import cli
+
+    def unreachable(cfg):
+        raise AssertionError(f"ran with {key} = {getattr(cfg, key)}")
+
+    monkeypatch.setattr(cli, "run_experiment", unreachable)
+    for python_value in (float(value), value):
+        with pytest.raises(ValidationError, match=f"config key '{key}': bad value"):
+            build_config(overrides={**_READS_EVERY_FLOAT, key: python_value})
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"{key} = {value}\n")
+    with pytest.raises(ValidationError, match=f"config key '{key}': bad value"):
+        load_config(str(cfgfile), _READS_EVERY_FLOAT)
+    out = tmp_path / "x"
+    flags = ["--methods", _READS_EVERY_FLOAT["methods"], "--schedule", "power"]
+    for argv in (["--config", str(cfgfile)], [f"--{key}={value}"]):
+        assert cli_main(["stability", "--out", str(out)] + flags + argv) == 1
+        assert f"error: config key '{key}': bad value '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("reps", True), ("n", False), ("n", 500.0),
+                                        ("T", 20.0), ("seed", 0.0), ("methods", [1, 2]),
+                                        ("methods", ("gd", None)), ("methods", 3)])
+def test_python_value_of_the_wrong_type_is_rejected_by_name(key, value):
+    with pytest.raises(ValidationError, match=f"config key '{key}': bad value"):
+        build_config(overrides={key: value})
+
+
+@pytest.mark.parametrize("python", [
+    dict(methods=["gd", "sgd"], eta0=1, T=20, reps=2),
+    dict(methods=("gd", "sgd"), eta0=1.0, T=20, reps=2),
+    dict(methods="gd,sgd", eta0=1, T=20, reps=2),
+    dict(methods=["gd", "sgd"], eta0="1", T="20", reps="2"),
+], ids=["list-int", "tuple-float", "comma-string", "text"])
+def test_python_config_hashes_as_its_cli_and_file_twins(tmp_path, monkeypatch, python):
+    from optstab.harness import cli
+
+    seen = []
+
+    def stop(cfg):
+        seen.append(cfg)
+        raise RuntimeError("stop before running")
+
+    monkeypatch.setattr(cli, "run_experiment", stop)
+    assert cli_main(["stability", "--methods", "gd,sgd", "--eta0", "1", "--T", "20",
+                     "--reps", "2"]) == 2
+    cfgfile = tmp_path / "twin.cfg"
+    cfgfile.write_text("methods = gd, sgd\neta0 = 1\nT = 20\nreps = 2\n")
+    cfg = build_config(overrides=python)
+    assert cfg == seen[0] == load_config(str(cfgfile))
+    assert config_hash(cfg) == config_hash(seen[0])
+    assert cfg.methods == ("gd", "sgd") and type(cfg.eta0) is float and cfg.eta0 == 1.0
+
+
+def test_bounds_table_accepts_its_default_methods_as_a_list():
+    assert build_config(overrides=dict(experiment="bounds_table", methods=["gd"])) == \
+        ExperimentConfig(experiment="bounds_table")
+
 
 
 def test_gen_synthetic_rows_unit_norm_and_deterministic():
@@ -178,6 +246,17 @@ def test_report_writes_exactly_its_data_files(tmp_path, keys):
     assert sorted(os.listdir(out)) == sorted(["report.json", *(f"{n}.csv" for n in listed)])
     assert files == [os.path.join(out, f"{s.name}.csv") for s in report.series] + [
         os.path.join(out, "report.json")]
+
+
+def test_report_json_cannot_hold_writes_no_file(tmp_path):
+    from optstab.harness.reports import Report
+
+    report = Report(experiment="demo", config_hash="cafe0123", seed=0, versions={},
+                    records={"methods": {"gd"}})  # a set: JSON has no such value
+    report.add_series("a", np.arange(3), np.zeros(3))
+    with pytest.raises(TypeError):
+        write_report(report, str(tmp_path))
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------- experiments
@@ -408,6 +487,25 @@ def test_cli_bad_value_exits_1_from_file_and_flag(tmp_path, monkeypatch, capsys,
     assert f"{value!r}" in errors[0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--log-level", "loud", "stability"], "argument --log-level: invalid choice"),
+    ([], "the following arguments are required: command"),
+    (["earlystop", "--n", "abc", "--eta", "0.1"], "argument --n: invalid int value"),
+    (["stability", "--T"], "argument --T: expected one argument"),
+], ids=["log-level", "no-subcommand", "earlystop-n", "missing-value"])
+def test_cli_usage_error_exits_1(capsys, argv, message):
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_cli_help_exits_0(capsys):
+    for argv in (["--help"], ["stability", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 0
+        assert "usage: optstab" in capsys.readouterr().out
+
+
 class _ReadRecorder:
     """Stands in for a config and records the name of every attribute read."""
 
@@ -500,7 +598,7 @@ def test_cli_key_no_selected_method_reads_exits_1_by_name(tmp_path, capsys, argv
     assert not (out / "report.json").exists()
     # with a method that reads it, the key is legal
     build_config({"experiment": "stability_scaling", "methods": ("hb", "nag_sc", "sgld"),
-                  "schedule": "power", key: parse_value(key, _OFF_DEFAULT[key])})
+                  "schedule": "power", key: _OFF_DEFAULT[key]})
 
 
 def test_cli_unread_key_at_its_default_is_accepted(tmp_path):
@@ -637,8 +735,7 @@ def test_cli_log_level_filters_optstab_records(tmp_path, caplog,
         caplog.clear()
         assert cli_main(["--log-level", level] + argv) == 0
         assert any("slope fit skipped" in r.getMessage() for r in caplog.records) == warned
-    with pytest.raises(SystemExit):
-        cli_main(["--log-level", "loud"] + argv)
+    assert cli_main(["--log-level", "loud"] + argv) == 1
 
 
 def test_cli_debug_logs_runtime_error_traceback(tmp_path, monkeypatch, capsys, caplog,
