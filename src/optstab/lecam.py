@@ -10,8 +10,9 @@ pure quadratic), and certifies a separation Phi(r): any first coordinate at
 distance >= r from the population minimizer carries excess risk at least
 Phi(r).  Combined with the Bayes error of testing P1^n against P2^n this
 yields the minimax lower bounds evaluated in :mod:`optstab.bounds`.
-``lecam_distributions`` is the one place the weights 1/2 +- delta are
-written: every population risk, minimizer and divergence here reads them.
+The pair is its two weights (P1(-1), P2(-1)) = (1/2 + delta, 1/2 - delta), and
+``lecam_distributions`` is the one place they are written: every population
+risk, minimizer and divergence here reads them, with P(+1) = 1 - P(-1).
 
 Everything here is deterministic and exact up to floating point: minimizers
 are closed forms, and the total variation between the n-fold products is a
@@ -39,25 +40,6 @@ from .losses import (
 _SYMBOLS = Dataset.from_symbols([-1, 1])
 
 
-@dataclass(frozen=True)
-class TwoPointDistribution:
-    """A distribution on {-1, +1} from the n-coupled two-point family."""
-
-    p_minus: float
-    n: int
-    v: int  # identity, 1 or 2
-
-    def __post_init__(self):
-        if self.v not in (1, 2):
-            raise ValidationError("identity v must be 1 or 2")
-        if not 0.0 < self.p_minus < 1.0:
-            raise ValidationError("p_minus must lie in (0, 1)")
-
-    @property
-    def p_plus(self) -> float:
-        return 1.0 - self.p_minus
-
-
 def separation_delta(n: int) -> float:
     """delta = 1 / sqrt(24 n)."""
     if n < 1:
@@ -65,15 +47,15 @@ def separation_delta(n: int) -> float:
     return 1.0 / math.sqrt(24.0 * n)
 
 
-def lecam_distributions(n: int) -> Tuple[TwoPointDistribution, TwoPointDistribution]:
-    """The pair (P1, P2) with P1(-1) = P2(+1) = 1/2 + 1/sqrt(24 n)."""
+def lecam_distributions(n: int) -> Tuple[float, float]:
+    """The pair's weights (P1(-1), P2(-1)) = (1/2 + 1/sqrt(24 n), 1/2 - 1/sqrt(24 n));
+    P_v(+1) = 1 - P_v(-1), so P2(+1) = P1(-1)."""
     d = separation_delta(n)
-    return (TwoPointDistribution(p_minus=0.5 + d, n=n, v=1),
-            TwoPointDistribution(p_minus=0.5 - d, n=n, v=2))
+    return 0.5 + d, 0.5 - d
 
 
-def _identity(v: int, n: int) -> TwoPointDistribution:
-    """P_v, for v = 1 or 2 only (v = 0 must not wrap around to P2)."""
+def _p_minus(v: int, n: int) -> float:
+    """P_v(-1), for v = 1 or 2 only (v = 0 must not wrap around to P2)."""
     if v not in (1, 2):
         raise ValidationError("identity v must be 1 or 2")
     return lecam_distributions(n)[v - 1]
@@ -90,11 +72,11 @@ def _loss_spec(variant: str, beta: float, r: float) -> LossSpec:
 def population_risk(variant: str, v: int, theta1, beta: float, r: float,
                     n: int) -> np.ndarray:
     """E_{Z ~ P_v} l(theta; Z) as a function of the first coordinate (vectorized)."""
-    P = _identity(v, n)
+    p_minus = _p_minus(v, n)
     spec = _loss_spec(variant, beta, r)
     theta1 = np.atleast_1d(np.asarray(theta1, dtype=float))
     vals = loss_values_matrix(spec, theta1[:, None], _SYMBOLS)
-    return P.p_minus * vals[:, 0] + P.p_plus * vals[:, 1]
+    return p_minus * vals[:, 0] + (1.0 - p_minus) * vals[:, 1]
 
 
 def population_minimizer(variant: str, v: int, beta: float, r: float,
@@ -107,13 +89,14 @@ def population_minimizer(variant: str, v: int, beta: float, r: float,
     of the far linear piece (weight 1 - w); it lies in [-r, -r/2] (v = 1;
     mirrored for v = 2).
     """
-    sign = -1.0 if _identity(v, n).v == 1 else 1.0
+    sign = -1.0 if _p_minus(v, n) > 0.5 else 1.0  # toward the likelier center
+    _loss_spec(variant, beta, r)  # checks the variant
     if variant == "strongly_convex":
         theta_star = sign * r / math.sqrt(6.0 * n)
         min_val = 0.5 * beta * (r * r - r * r / (6.0 * n))
         return theta_star, min_val
-    P1 = lecam_distributions(n)[0]
-    theta_star = sign * (r - P1.p_plus * r / (4.0 * P1.p_minus))
+    w = lecam_distributions(n)[0]
+    theta_star = sign * (r - (1.0 - w) * r / (4.0 * w))
     return theta_star, float(population_risk("convex", v, theta_star, beta, r, n)[0])
 
 
@@ -127,11 +110,10 @@ def population_excess_risk(variant: str, v: int, theta1, beta: float, r: float,
 def phi_formula(variant: str, beta: float, r: float, n: int) -> float:
     """The certified separation: beta r^2 / sqrt(96 n) (convex),
     beta r^2 / (12 n) (strongly convex)."""
+    _loss_spec(variant, beta, r)  # checks the variant
     if variant == "convex":
         return beta * r * r / math.sqrt(96.0 * n)
-    if variant == "strongly_convex":
-        return beta * r * r / (12.0 * n)
-    raise ValidationError(f"unknown variant {variant!r}")
+    return beta * r * r / (12.0 * n)
 
 
 @dataclass(frozen=True)
@@ -186,7 +168,7 @@ def tv_kl_product(n: int) -> Tuple[float, float]:
     if n < 1:
         raise ValidationError("exact enumeration needs n >= 1")
     # P1(-1) = P2(+1) = hi, P1(+1) = P2(-1) = lo
-    hi, lo = (P.p_minus for P in lecam_distributions(n))
+    hi, lo = lecam_distributions(n)
     ks = np.arange(n + 1)
     lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)  # lg[i] = log i!
     log_comb = lg[n] - lg[ks] - lg[n - ks]

@@ -25,21 +25,20 @@ from optstab.losses import ValidationError
 
 def test_distribution_pair_at_n6():
     p1, p2 = lecam_distributions(6)
-    assert p1.p_minus == pytest.approx(7 / 12)
-    assert p2.p_minus == pytest.approx(5 / 12)
+    assert p1 == pytest.approx(7 / 12)
+    assert p2 == pytest.approx(5 / 12)
 
 
 def test_distribution_pair_symmetry_and_normalization():
     for n in (1, 3, 10, 500):
-        p1, p2 = lecam_distributions(n)
-        assert p1.p_minus + p1.p_plus == 1.0
-        assert p1.p_minus == pytest.approx(p2.p_plus)
-        assert p1.p_minus > 0.5
+        p1, p2 = lecam_distributions(n)  # P1(-1), P2(-1)
+        assert p1 == pytest.approx(1.0 - p2)
+        assert p1 > 0.5
 
 
 def test_distribution_limit():
     p1, _ = lecam_distributions(10 ** 8)
-    assert p1.p_minus == pytest.approx(0.5, abs=1e-3)
+    assert p1 == pytest.approx(0.5, abs=1e-3)
 
 
 def test_distributions_need_n_at_least_1():
@@ -111,6 +110,18 @@ def test_population_functions_reject_an_identity_other_than_1_or_2(variant, v):
              lambda: population_excess_risk(variant, v, 0.1, 1.0, 1.0, 4))
     for call in calls:
         with pytest.raises(ValidationError, match="identity v must be 1 or 2"):
+            call()
+
+
+def test_every_function_of_a_variant_rejects_an_unknown_one():
+    # the minimizer once answered a bogus variant as the convex one
+    calls = (lambda: population_risk("bogus", 1, 0.1, 1.0, 1.0, 4),
+             lambda: population_minimizer("bogus", 1, 1.0, 1.0, 4),
+             lambda: population_excess_risk("bogus", 1, 0.1, 1.0, 1.0, 4),
+             lambda: phi_formula("bogus", 1.0, 1.0, 4),
+             lambda: phi_certificate("bogus", 4, 1.0, 1.0))
+    for call in calls:
+        with pytest.raises(ValidationError, match="unknown variant 'bogus'"):
             call()
 
 
