@@ -84,8 +84,8 @@ def population_minimizer(variant: str, v: int, beta: float, r: float,
     """(theta1*, minimum value) of the population risk under P_v, in closed form.
 
     Strongly convex: theta1* = -+ r / sqrt(6 n), minimum (beta/2)(r^2 - r^2/(6 n)).
-    Convex: theta1* = -+ (r - (1 - w) r / (4 w)) with w = P1(-1), where the
-    quadratic piece at the nearer center (weight w) balances the slope beta r / 4
+    Convex: theta1* = -+ (r - (1 - w) r / (2 w)) with w = P1(-1), where the
+    quadratic piece at the nearer center (weight w) balances the slope beta r / 2
     of the far linear piece (weight 1 - w); it lies in [-r, -r/2] (v = 1;
     mirrored for v = 2).
     """
@@ -96,7 +96,7 @@ def population_minimizer(variant: str, v: int, beta: float, r: float,
         min_val = 0.5 * beta * (r * r - r * r / (6.0 * n))
         return theta_star, min_val
     w = lecam_distributions(n)[0]
-    theta_star = sign * (r - (1.0 - w) * r / (4.0 * w))
+    theta_star = sign * (r - (1.0 - w) * r / (2.0 * w))
     return theta_star, float(population_risk("convex", v, theta_star, beta, r, n)[0])
 
 

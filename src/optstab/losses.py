@@ -9,8 +9,8 @@ strong convexity alpha, domain diameter R).  Five families are supported:
 * ``quadratic``             -- l(theta; z) = 0.5 theta'A theta - b.theta, sample
                                independent; A symmetric PSD
 * ``linear_worstcase``      -- l(theta; s) = s * L * theta[0] on symbols s in {-1,+1}
-* ``lecam_convex``          -- piecewise quadratic/linear in theta[0], centered at
-                               s*r: (beta/2)u^2 for |u| <= r/2, (beta*r/4)|u| beyond
+* ``lecam_convex``          -- Huber in u = theta[0] - s*r: (beta/2)u^2 for
+                               |u| <= r/2, (beta*r/2)|u| - beta*r^2/8 beyond
 * ``lecam_strongly_convex`` -- pure quadratic (beta/2)(theta[0] - s*r)^2
 
 ``Dataset`` is the only sample type, one design X (n, d): labeled by y, or
@@ -306,15 +306,15 @@ def _check_dataset(spec: LossSpec, theta: np.ndarray, data: Dataset) -> None:
 
 
 def _lecam_convex_piece(u: np.ndarray, beta: float, r: float) -> np.ndarray:
-    """Piecewise value in the offset u = theta[0] - s*r (vectorized)."""
+    """Huber value in the offset u = theta[0] - s*r (vectorized)."""
     au = np.abs(u)
-    return np.where(au <= r / 2, 0.5 * beta * u * u, 0.25 * beta * r * au)
+    return np.where(au <= r / 2, 0.5 * beta * u * u, 0.5 * beta * r * au - 0.125 * beta * r * r)
 
 
 def _lecam_convex_slope(u: np.ndarray, beta: float, r: float) -> np.ndarray:
-    """One-sided slope; at |u| = r/2 the linear-piece slope is used."""
+    """Slope; both pieces give beta r / 2 at |u| = r/2, the linear one's is used."""
     au = np.abs(u)
-    return np.where(au < r / 2, beta * u, 0.25 * beta * r * np.sign(u))
+    return np.where(au < r / 2, beta * u, 0.5 * beta * r * np.sign(u))
 
 
 def _rows(a: np.ndarray, rows, feature_ndim: int = 0) -> np.ndarray:
@@ -497,7 +497,7 @@ _KERNELS = {
     "lecam_convex": _symbol_family(
         lambda spec, t0, s: _lecam_convex_piece(t0 - spec.r * s, spec.beta, spec.r),
         lambda spec, t0, s: _lecam_convex_slope(t0 - spec.r * s, spec.beta, spec.r),
-        # gradient magnitude peaks at the quadratic-piece boundary |u| = r/2
+        # |grad| reaches beta r / 2 at |u| = r/2 and stays there on the linear pieces
         lambda spec, data: (0.5 * spec.beta * spec.r, spec.beta, 0.0)),
     "lecam_strongly_convex": _symbol_family(
         lambda spec, t0, s: 0.5 * spec.beta * (t0 - spec.r * s) ** 2,

@@ -135,13 +135,16 @@ def test_phi_certificate_convex_example():
 
 
 def test_convex_certificate_needs_its_grid():
-    # the piecewise loss is not convex (see test_losses), nor is its population
-    # risk, so the excess at distance r from theta* is not the least beyond r
+    # the population risk is convex, so its least excess beyond r lies at distance r
+    # from theta*, which the grid reads at its first point past theta* + r
     theta_star, _ = population_minimizer("convex", 1, 1.0, 1.0, 16)
     (at_r,) = population_excess_risk("convex", 1, theta_star + 1.0, 1.0, 1.0, 16)
+    grid = np.linspace(-1.0, 1.0, 401)
+    (at_first,) = population_excess_risk("convex", 1, grid[grid >= theta_star + 1.0][0],
+                                         1.0, 1.0, 16)
     cert = phi_certificate("convex", 16, 1.0, 1.0)
-    assert cert.passed and cert.grid_min < at_r
-    assert (round(at_r, 4), round(cert.grid_min, 4)) == (0.0421, 0.0413)
+    assert cert.passed and cert.phi < at_r < cert.grid_min == at_first
+    assert (round(at_r, 5), round(cert.grid_min, 5)) == (0.04867, 0.04880)
 
 
 def test_phi_certificate_sc_example():

@@ -53,9 +53,9 @@ def test_lecam_convex_center_is_zero():
 
 
 def test_lecam_convex_linear_piece_value():
-    # |theta[0] + r| = 1 > r/2, so the linear piece (beta r / 4)|u| applies
+    # |theta[0] + r| = 1 > r/2, so the linear piece (beta r / 2)|u| - beta r^2 / 8 applies
     spec = lecam_convex_spec(beta=1.0, r=1.0)
-    assert empirical_risk(spec, [0.0], Dataset.from_symbols([-1])) == pytest.approx(0.25)
+    assert empirical_risk(spec, [0.0], Dataset.from_symbols([-1])) == pytest.approx(0.375)
 
 
 def test_logistic_at_zero_is_log2():
@@ -160,9 +160,9 @@ def test_lecam_convex_kink_uses_linear_slope():
     spec = lecam_convex_spec(beta=1.0, r=1.0)
     lo, hi = lecam_convex_kinks(spec, -1)  # centered at -1: kinks at -1.5, -0.5
     g = sample_grad(spec, [hi], Dataset.from_symbols([-1]), None)
-    assert g[0] == pytest.approx(0.25)  # beta*r/4 with positive sign
+    assert g[0] == pytest.approx(0.5)  # beta*r/2 with positive sign
     g = sample_grad(spec, [lo], Dataset.from_symbols([-1]), None)
-    assert g[0] == pytest.approx(-0.25)
+    assert g[0] == pytest.approx(-0.5)
 
 
 # ---------------------------------------------------------------- risks
@@ -185,7 +185,7 @@ def test_empirical_risk_linear_worstcase():
 def test_empirical_risk_lecam_symmetric_pair():
     spec = lecam_convex_spec(beta=1.0, r=1.0)
     data = Dataset.from_symbols(np.array([-1.0, 1.0]))
-    assert empirical_risk(spec, [0.0], data) == pytest.approx(0.25)
+    assert empirical_risk(spec, [0.0], data) == pytest.approx(0.375)
 
 
 def test_empirical_risk_grad_is_mean_of_sample_grads():
@@ -933,7 +933,7 @@ def test_lecam_convex_piece_values_agree_at_kinks():
     for s in (-1, 1):
         for kink in lecam_convex_kinks(spec, s):
             quad = 0.5 * beta * (kink - s * r) ** 2
-            lin = 0.25 * beta * r * abs(kink - s * r)
+            lin = 0.5 * beta * r * abs(kink - s * r) - beta * r * r / 8
             assert quad == pytest.approx(beta * r * r / 8)
             assert lin == pytest.approx(beta * r * r / 8)
             assert empirical_risk(spec, [kink], Dataset.from_symbols([s])) == pytest.approx(
@@ -943,11 +943,9 @@ def test_lecam_convex_piece_values_agree_at_kinks():
 @pytest.mark.parametrize("spec", [
     logistic_spec(),
     linear_worstcase_spec(L=1.0),
-    # the quadratic piece's slope beta |u| reaches beta r / 2 at |u| = r / 2, where
-    # the linear piece's slope beta r / 4 takes over: a concave kink, so the loss is
-    # neither convex nor beta-smooth, though loss_constants certifies it beta-smooth
-    pytest.param(lecam_convex_spec(beta=1.0, r=1.0), marks=pytest.mark.xfail(
-        strict=True, reason="concave kinks at |u| = r/2")),
+    # the quadratic piece's slope beta |u| reaches beta r / 2 at |u| = r / 2, where the
+    # linear piece's slope beta r / 2 takes over: no concave kink
+    lecam_convex_spec(beta=1.0, r=1.0),
     lecam_strongly_convex_spec(beta=1.0, r=1.0),
 ], ids=lambda s: s.family)
 def test_per_sample_loss_is_midpoint_convex(spec):
@@ -995,10 +993,8 @@ def test_midpoint_convexity_quadratic():
 
 
 def test_midpoint_convexity_lecam_convex_within_pieces():
-    # convexity holds on each piece; the quadratic-to-linear transition at
-    # |u| = r/2 is value-continuous but drops slope (quad side beta*r/2,
-    # linear side beta*r/4), so segments straddling a kink are excluded here
-    # and the transition itself is pinned by the companion test below.
+    # convexity holds on each piece; segments straddling the quadratic-to-linear
+    # transition at |u| = r/2 are checked by test_per_sample_loss_is_midpoint_convex
     spec = lecam_convex_spec(beta=1.0, r=1.0)
     rng = np.random.Generator(np.random.Philox(13))
     z = Dataset.from_symbols([1])
@@ -1009,16 +1005,6 @@ def test_midpoint_convexity_lecam_convex_within_pieces():
             mid = empirical_risk(spec, [(a + b) / 2], z)
             assert mid <= (empirical_risk(spec, [a], z)
                            + empirical_risk(spec, [b], z)) / 2 + 1e-12
-
-
-def test_lecam_convex_transition_is_not_convex():
-    # documents the designed loss's kink defect: the chord from u=0.4 to
-    # u=0.6 lies below the curve at u=0.5
-    spec = lecam_convex_spec(beta=1.0, r=1.0)
-    z = Dataset.from_symbols([1])
-    a, b = 1.4, 1.6
-    chord = (empirical_risk(spec, [a], z) + empirical_risk(spec, [b], z)) / 2
-    assert empirical_risk(spec, [1.5], z) > chord
 
 
 @pytest.mark.parametrize("spec", [
