@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import re
 import sys
 from dataclasses import fields
 from typing import Optional
@@ -50,6 +51,12 @@ _FLAG_KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "experiment"
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors exit 1, as a bad config value does, not argparse's 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a minus before a float in any form (-inf, -nan, -1e-3) starts a value, not an
+        # option: argparse's own pattern takes -5 and -.5 only; no option looks like one
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise ValidationError(message)

@@ -42,6 +42,7 @@ from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from ..losses import ValidationError
+from ..optimizers import METHODS
 
 # the keys each experiment reads besides experiment, seed and out
 _READS = {
@@ -87,6 +88,9 @@ class ExperimentConfig:
             raise ValidationError(f"unknown schedule {self.schedule!r}")
         if not self.methods:
             raise ValidationError(f"{self.experiment} needs at least one method")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ValidationError(f"config key 'methods': unknown method {m!r}")
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:  # it would run once but hash as listed
             raise ValidationError(f"config key 'methods': {','.join(repeated)} repeated")

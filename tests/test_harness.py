@@ -108,6 +108,40 @@ def test_non_finite_float_is_rejected_by_name_from_file_flag_and_python(
     assert not out.exists()
 
 
+def test_unknown_method_is_rejected_by_key_from_file_flag_and_python(tmp_path, monkeypatch,
+                                                                     capsys):
+    from optstab.harness import cli
+
+    def unreachable(cfg):
+        raise AssertionError(f"ran with methods {cfg.methods}")
+
+    monkeypatch.setattr(cli, "run_experiment", unreachable)
+    want = "config key 'methods': unknown method 'foo'"
+    with pytest.raises(ValidationError, match=want):
+        build_config(overrides=dict(methods=("gd", "foo")))
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("methods = gd,foo\n")
+    with pytest.raises(ValidationError, match=want):
+        load_config(str(cfgfile))
+    out = tmp_path / "x"
+    for argv in (["--config", str(cfgfile)], ["--methods", "gd,foo"]):
+        assert cli_main(["stability", "--out", str(out)] + argv) == 1
+        assert f"error: {want}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-1e-3", "-1.5E+2", "-1"])
+def test_negative_flag_value_reads_alike_after_a_space_or_an_equals_sign(tmp_path, capsys,
+                                                                         value):
+    # argparse alone reads -inf, -nan and -1e-3 after a space as options
+    out, seen = tmp_path / "x", []
+    for argv in (["--eta0", value], [f"--eta0={value}"]):
+        seen.append((cli_main(["stability", "--out", str(out)] + argv),
+                     capsys.readouterr().err))
+    assert seen[0] == seen[1] and seen[0][0] == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("reps", True), ("n", False), ("n", 500.0),
                                         ("T", 20.0), ("seed", 0.0), ("methods", [1, 2]),
                                         ("methods", ("gd", None)), ("methods", 3)])

@@ -114,7 +114,7 @@ def test_population_functions_reject_an_identity_other_than_1_or_2(variant, v):
 
 
 def test_every_function_of_a_variant_rejects_an_unknown_one():
-    # the minimizer once answered a bogus variant as the convex one
+    # each names the variant, none answers it as the convex or strongly convex one
     calls = (lambda: population_risk("bogus", 1, 0.1, 1.0, 1.0, 4),
              lambda: population_minimizer("bogus", 1, 1.0, 1.0, 4),
              lambda: population_excess_risk("bogus", 1, 0.1, 1.0, 1.0, 4),
