@@ -289,11 +289,6 @@ class LossConstants:
         if self.beta == 0 and self.alpha != 0:
             raise ValidationError("alpha must be 0 when beta is 0")
 
-    @property
-    def kappa(self) -> float:
-        """Condition number beta/alpha (inf for non-strongly-convex losses)."""
-        return self.beta / self.alpha if self.alpha > 0 else float("inf")
-
 
 def _check_dataset(spec: LossSpec, theta: np.ndarray, data: Dataset) -> None:
     want = spec.variant

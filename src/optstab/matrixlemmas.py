@@ -383,15 +383,14 @@ def hb_sweep(gammas: Sequence[float], a_points: int, t_max: int) -> SweepResult:
                    lambda j, s: {"gamma": float(G[j]), "a": float(A[j]), "t": s})
 
 
-def scnag_sweep(kappas: Sequence[float], h_samples: int, t_max: int,
-                alpha: float = 1.0) -> SweepResult:
-    """Check every kappa at eta = 1/beta for all 1 <= t <= t_max.
+def scnag_sweep(kappas: Sequence[float], h_samples: int, t_max: int) -> SweepResult:
+    """Check every kappa on (alpha, beta) = (1, kappa) at eta = 1/beta for all
+    1 <= t <= t_max.
 
     Powers are accumulated incrementally, so each t's verdict is that of H^t
     checked at its horizon t alone.
     """
-    top, rho = _scnag_grid([(k, alpha, k * alpha, 1.0 / (k * alpha)) for k in kappas],
-                           h_samples)
+    top, rho = _scnag_grid([(k, 1.0, k, 1.0 / k) for k in kappas], h_samples)
     scan = _scnag_scan(top, lambda s: [_scnag_bound(r, s) for r in rho], t_max)
     return _result("nag_sc", scan, lambda j, s: {"kappa": kappas[j], "t": s})
 
