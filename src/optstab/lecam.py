@@ -5,11 +5,12 @@ The construction places two distributions on the symbol space {-1, +1},
 
     P1(Z = -1) = P2(Z = +1) = 1/2 + delta,   delta = 1 / sqrt(24 n),
 
-pairs them with the designed losses centered at +-r (piecewise convex or
-pure quadratic), and certifies a separation Phi(r): any first coordinate at
-distance >= r from the population minimizer carries excess risk at least
-Phi(r).  Combined with the Bayes error of testing P1^n against P2^n this
-yields the minimax lower bounds evaluated in :mod:`optstab.bounds`.
+pairs them with the designed losses centered at +-r (Huber: quadratic up to
+|u| = r/2, then linear with the same slope; or pure quadratic), and certifies a
+separation Phi(r): any first coordinate at distance >= r from the population
+minimizer carries excess risk at least Phi(r).  Combined with the Bayes error
+of testing P1^n against P2^n this yields the minimax lower bounds evaluated in
+:mod:`optstab.bounds`.
 The pair is its two weights (P1(-1), P2(-1)) = (1/2 + delta, 1/2 - delta), and
 ``lecam_distributions`` is the one place they are written: every population
 risk, minimizer and divergence here reads them, with P(+1) = 1 - P(-1).
