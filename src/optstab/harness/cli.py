@@ -1,25 +1,21 @@
 """Command-line entry point.
 
-Subcommands map one-to-one onto experiments (plus the early-stopping
-calculator):
-
-    optstab stability  [--config FILE] [--key VALUE ...]   stability_scaling
-    optstab risk       [--config FILE] [--key VALUE ...]   risk_decomposition
-    optstab lecam      [--config FILE] [--key VALUE ...]   lecam_audit
-    optstab lemmas     [--config FILE] [--key VALUE ...]   lemma_audit
-    optstab bounds     [--config FILE] [--key VALUE ...]   bounds_table
+    optstab COMMAND    [--config FILE] [--key VALUE ...]
     optstab earlystop  --n N --eta ETA [--lipschitz L] [--radius R]
 
-Every config key except ``experiment`` is a ``--key-with-dashes`` flag, whose
-text is typed and checked as in a file (:mod:`optstab.harness.config`).  Two options
-before the subcommand set logging only, not the config: ``--log-level``
-(debug, info, warning or error; default info) for optstab's loggers, and
-``--debug``, which logs a runtime error's traceback.
+COMMAND runs the experiment whose subcommand it is in ``config.EXPERIMENTS``
+(stability, risk, lecam, lemmas or bounds); earlystop is the early-stopping
+calculator.  Every config key except ``experiment`` is a ``--key-with-dashes``
+flag, whose text is typed and checked as in a file (:mod:`optstab.harness.config`).
+Two options before the subcommand set logging only, not the config:
+``--log-level`` (debug, info, warning or error; default info) for optstab's
+loggers, and ``--debug``, which logs a runtime error's traceback.
 
 Exit codes: 0 success, 1 a usage error (a bad config file, key or value, from
 file or flag, an unknown or malformed flag or a missing subcommand included) or
-another validation error, 2 runtime error, 3 audit completed but failed its
-acceptance checks (lemmas/lecam/bounds).
+another validation error, 2 runtime error, 3 the experiment completed but its
+report failed its acceptance checks (``passed`` is False: only the audits lemmas,
+lecam and bounds set it).
 """
 
 from __future__ import annotations
@@ -33,19 +29,10 @@ from typing import Optional
 
 from ..bounds import early_stopping_T
 from ..losses import ValidationError
-from .config import ExperimentConfig, build_config, load_config
+from .config import EXPERIMENTS, ExperimentConfig, build_config, load_config
 from .experiments import run_experiment
 from .reports import write_report
 
-_SUBCOMMAND_EXPERIMENT = {
-    "stability": "stability_scaling",
-    "risk": "risk_decomposition",
-    "lecam": "lecam_audit",
-    "lemmas": "lemma_audit",
-    "bounds": "bounds_table",
-}
-
-_AUDITED = {"lecam_audit", "lemma_audit", "bounds_table"}
 _FLAG_KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "experiment"]
 
 
@@ -62,7 +49,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, experiment: str) -> None:
+    p.set_defaults(experiment=experiment)
     p.add_argument("--config", help="flat key=value config file")
     for key in _FLAG_KEYS:
         p.add_argument("--" + key.replace("_", "-"), dest=key, help=f"config key {key}")
@@ -76,8 +64,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--debug", action="store_true",
                         help="log the traceback of a runtime error")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMAND_EXPERIMENT:
-        _add_common(sub.add_parser(name))
+    for experiment, (command, _) in EXPERIMENTS.items():
+        _add_common(sub.add_parser(command), experiment)
     es = sub.add_parser("earlystop", help="iteration budget balancing both errors")
     es.add_argument("--n", type=int, required=True)
     es.add_argument("--eta", type=float, required=True)
@@ -96,8 +84,8 @@ def main(argv: Optional[list] = None) -> int:
             T = early_stopping_T(args.n, args.eta, args.lipschitz, args.radius)
             print(T)
             return 0
-        overrides = {key: getattr(args, key) for key in _FLAG_KEYS}  # None: unset
-        overrides["experiment"] = _SUBCOMMAND_EXPERIMENT[args.command]
+        # the subcommand's experiment, and each flag's text (None: unset)
+        overrides = {key: getattr(args, key) for key in ["experiment", *_FLAG_KEYS]}
         if args.config:
             cfg = load_config(args.config, overrides)
         else:
@@ -108,7 +96,7 @@ def main(argv: Optional[list] = None) -> int:
             print(path)
         if report.passed is not None:
             print(f"audit {'PASS' if report.passed else 'FAIL'}")
-            if cfg.experiment in _AUDITED and not report.passed:
+            if not report.passed:
                 return 3
         return 0
     except ValidationError as exc:

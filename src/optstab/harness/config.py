@@ -12,16 +12,16 @@ produced it.
 
 Keys
 ----
-Readers are marked s (stability_scaling), r (risk_decomposition) and b
-(bounds_table); lecam_audit and lemma_audit read none.  A key set off its
+``EXPERIMENTS`` is the one table of experiments: each one's CLI subcommand and
+the keys it reads, marked below s (stability_scaling), r (risk_decomposition)
+and b (bounds_table); lecam_audit and lemma_audit read none.  A key set off its
 default where its experiment does not read it is rejected by name (it would
 change the hash and nothing else); seed and out are legal everywhere, though
 lecam_audit and bounds_table draw nothing and only record seed.  In s and r,
 gamma, kappa and tau need hb, nag_sc and sgld, schedule and alpha (power only)
 a method other than sgld.
 
-experiment     stability_scaling | risk_decomposition | lecam_audit |
-               lemma_audit | bounds_table  (the CLI's subcommand)
+experiment     a key of EXPERIMENTS (the CLI's subcommand sets it)
 methods    sr  comma list of gd, sgd, nag, nag_sc, hb, sgld, each at most once
 n          srb size of S (>= 1)
 d, T       sr  dimension of the generated rows (>= 1), iteration horizon (>= 0)
@@ -44,17 +44,16 @@ from typing import Optional, Tuple
 from ..losses import ValidationError
 from ..optimizers import METHODS
 
-# the keys each experiment reads besides experiment, seed and out
-_READS = {
-    "stability_scaling": frozenset("methods n d T holdout reps eta0 schedule alpha "
-                                   "gamma tau kappa".split()),
-    "risk_decomposition": frozenset("methods n d T eta0 schedule alpha gamma tau kappa "
-                                    "n_test ref_budget".split()),
-    "lecam_audit": frozenset(),
-    "lemma_audit": frozenset(),
-    "bounds_table": frozenset("n eta0 alpha gamma tau".split()),
+# each experiment's CLI subcommand and the keys it reads besides experiment, seed and out
+EXPERIMENTS = {
+    "stability_scaling": ("stability", frozenset("methods n d T holdout reps eta0 schedule "
+                                                 "alpha gamma tau kappa".split())),
+    "risk_decomposition": ("risk", frozenset("methods n d T eta0 schedule alpha gamma tau "
+                                             "kappa n_test ref_budget".split())),
+    "lecam_audit": ("lecam", frozenset()),
+    "lemma_audit": ("lemmas", frozenset()),
+    "bounds_table": ("bounds", frozenset("n eta0 alpha gamma tau".split())),
 }
-EXPERIMENTS = tuple(_READS)
 # the key each method alone reads in stability_scaling and risk_decomposition
 METHOD_KEYS = {"hb": "gamma", "nag_sc": "kappa", "sgld": "tau"}
 
@@ -100,7 +99,7 @@ class ExperimentConfig:
                 raise ValidationError(f"config key {key!r}: bad value "
                                       f"'{getattr(self, key)}' (need >= {least})")
         # an unread key at its default changes neither the run nor the hash
-        reads, context = _READS[self.experiment] | {"experiment", "seed", "out"}, ""
+        reads, context = EXPERIMENTS[self.experiment][1] | {"experiment", "seed", "out"}, ""
         if "methods" in reads:  # a method reads its own key; sgld runs eta0 / t
             context = f" (methods {','.join(self.methods)}, schedule {self.schedule})"
             reads -= {key for m, key in METHOD_KEYS.items() if m not in self.methods}

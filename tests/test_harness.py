@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from optstab.harness.config import (
-    _READS,
     EXPERIMENTS,
     ExperimentConfig,
     build_config,
@@ -589,22 +588,20 @@ def test_each_experiment_reads_exactly_its_table_of_keys(monkeypatch, experiment
     monkeypatch.setattr(experiments, "config_hash", lambda cfg: "0" * 16)
     proxy = _ReadRecorder(ExperimentConfig(experiment=experiment, **keys))
     run_experiment(proxy)
-    assert proxy.reads == _READS[experiment] - unread | {"experiment", "seed"}
+    assert proxy.reads == EXPERIMENTS[experiment][1] - unread | {"experiment", "seed"}
 
 
 _OFF_DEFAULT = dict(methods="sgd", n="77", d="20", T="50",
                     holdout="30", reps="3", eta0="0.3", schedule="power", alpha="0.3",
                     gamma="0.5", tau="2.5", kappa="9", n_test="10", ref_budget="100")
 _UNREAD = [(e, f.name) for e in EXPERIMENTS for f in fields(ExperimentConfig)
-           if f.name not in _READS[e] | {"experiment", "seed", "out"}]
+           if f.name not in EXPERIMENTS[e][1] | {"experiment", "seed", "out"}]
 
 
 @pytest.mark.parametrize("experiment, key", _UNREAD, ids=[f"{e}-{k}" for e, k in _UNREAD])
 def test_cli_unread_key_off_its_default_exits_1_by_name(tmp_path, capsys, experiment,
                                                         key):
-    from optstab.harness.cli import _SUBCOMMAND_EXPERIMENT
-
-    command = {e: c for c, e in _SUBCOMMAND_EXPERIMENT.items()}[experiment]
+    command = EXPERIMENTS[experiment][0]
     cfgfile = tmp_path / "unread.cfg"
     cfgfile.write_text(f"{key} = {_OFF_DEFAULT[key]}\n")
     out = tmp_path / "x"
@@ -725,7 +722,7 @@ def test_cli_flags_are_the_config_fields():
         if f.name != "experiment"}
     assert {"--n-test", "--ref-budget", "--T"} <= expected
     assert len(expected) == 17
-    for name in cli._SUBCOMMAND_EXPERIMENT:
+    for name, _ in EXPERIMENTS.values():
         flags = {opt for action in subcommands[name]._actions
                  for opt in action.option_strings} - {"-h", "--help"}
         assert flags == expected, name
@@ -904,6 +901,36 @@ def test_cli_audit_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "run_experiment", failing)
     code = cli_mod.main(["lemmas", "--out", str(tmp_path / "x")])
     assert code == 3
+
+
+@pytest.mark.parametrize("command", [command for command, _ in EXPERIMENTS.values()])
+def test_cli_failed_report_exits_3_for_every_experiment(tmp_path, monkeypatch, capsys,
+                                                        command):
+    # exit 3 follows the report's passed alone, not a list of audited experiments:
+    # a stability report that fails its checks exits 3 as a failed audit does
+    from optstab.harness import cli
+    from optstab.harness.reports import Report
+
+    def failing(cfg):
+        return Report(experiment=cfg.experiment, config_hash="00", seed=0, versions={},
+                      passed=False)
+
+    monkeypatch.setattr(cli, "run_experiment", failing)
+    assert cli_main([command, "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "audit FAIL"
+
+
+def test_cli_subcommands_are_the_experiment_table_and_earlystop():
+    import argparse
+
+    from optstab.harness import cli
+
+    parser = cli._parser()
+    subcommands = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subcommands) == {c for c, _ in EXPERIMENTS.values()} | {"earlystop"}
+    for experiment, (command, _) in EXPERIMENTS.items():
+        assert parser.parse_args([command]).experiment == experiment
 
 
 def test_risk_decomposition_nag_test_risk_separates():
