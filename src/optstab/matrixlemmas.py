@@ -42,9 +42,10 @@ draws into contiguous shards [a, b), one per CPU this process may run on (each
 at least 20,000 draws), runs each shard's sweep on its own thread (numpy frees
 the GIL inside each array operation) and merges the shards' results into
 exactly the one-shard result: the highest ratio, ties to the earliest (step,
-draw); the violations in (step, draw) order.  Its draws come from one Philox
-stream on the seed's key: h takes the first ``draws`` doubles, and step s's
-gammas the next ``draws`` doubles in draw order.  Each shard reads its own
+draw); the violations in (step, draw) order.  A lemma's draws come from the
+stream ``streams.stream(seed, "lemma_search", i)``, i its position in ``LEMMAS``.
+In nag_sweep's (i = 0), h takes the first ``draws`` doubles, and step s's gammas
+the next ``draws`` doubles in draw order.  Each shard reads its own copy of that
 stream positioned there (double p is counter p // 4 plus p % 4 discarded), so
 the output bytes do not depend on the shard count.  The random searches draw
 each parameter for their whole budget in one array call, then every draw's
@@ -64,6 +65,7 @@ import numpy as np
 
 from .losses import ValidationError
 from .optimizers import sc_momentum
+from .streams import stream
 
 LEMMAS = ("nag_convex", "hb", "nag_sc", "recursion_u")
 TOL = 1e-9
@@ -361,7 +363,7 @@ def nag_sweep(draws: int, t_max: int, seed: int = 0) -> SweepResult:
     """
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
-    key = np.random.Philox(seed).state["state"]["key"]
+    key = stream(seed, "lemma_search", 0).bit_generator.state["state"]["key"]
     hs = _positioned(key, 0).uniform(0.0, 1.0, size=draws)
     k = min(_shard_count(draws), draws)
     shards = [(draws * i // k, draws * (i + 1) // k) for i in range(k)]
@@ -406,8 +408,8 @@ def adversarial_max(lemma: str, budget: int, seed: int = 0,
                     t_max: int = 64) -> SweepResult:
     """Random search for envelope violations within a lemma's hypothesis box.
 
-    One Philox stream on ``seed`` gives each parameter for the whole budget
-    in one array call, parameter by parameter: hb draws gamma ~ U[0, 0.999),
+    ``stream(seed, "lemma_search", LEMMAS.index(lemma))`` gives each parameter
+    for the whole budget in one array call, parameter by parameter: hb draws gamma ~ U[0, 0.999),
     then a ~ U[0, 1 - gamma), then t; nag_sc draws kappa = exp(U[0, log 100)),
     then t; recursion_u draws h ~ U[0, 1), then t; every t ~ U{1..t_max}.
     hb and nag_sc check the product at t, recursion_u every a_i with 1 <= i <= t;
@@ -421,7 +423,7 @@ def adversarial_max(lemma: str, budget: int, seed: int = 0,
         return nag_sweep(budget, t_max, seed=seed)
     if lemma not in LEMMAS:
         raise ValidationError(f"unknown lemma {lemma!r}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = stream(seed, "lemma_search", LEMMAS.index(lemma))
     if lemma == "hb":
         G = rng.uniform(0.0, 0.999, budget)
         draws = {"gamma": G, "a": rng.uniform(0.0, 1.0 - G)}

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-PURPOSES = ("rows", "labels", "split", "perturbation", "sgd_index", "sgld_noise")
+PURPOSES = ("rows", "labels", "split", "perturbation", "sgd_index", "sgld_noise",
+            "lemma_search")
 
 
 def stream(master: int, purpose: str, *index: int) -> np.random.Generator:

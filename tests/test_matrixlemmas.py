@@ -5,6 +5,7 @@ import pytest
 
 from optstab.losses import ValidationError
 from optstab.matrixlemmas import (
+    LEMMAS,
     TOL,
     _batch_spectral_norm,
     _companion_radius,
@@ -25,6 +26,12 @@ from optstab.matrixlemmas import (
     scnag_sweep,
 )
 from optstab.optimizers import sc_momentum
+from optstab.streams import stream
+
+
+def _search_stream(lemma, seed):
+    """The stream a lemma's search draws from."""
+    return stream(seed, "lemma_search", LEMMAS.index(lemma))
 
 
 # ------------------------------------------------------------ spectral norm
@@ -299,9 +306,9 @@ def test_nag_sweep_small_budget_clean():
 
 
 @pytest.mark.parametrize("seed, ratio, witness", [
-    (0, 0.6698761576587976, {"h": 0.9846864182055673, "t": 2, "draw": 8651}),
-    (1, 0.6685752568655342, {"h": 0.9808509964066529, "t": 2, "draw": 16262}),
-])
+    (0, 0.6489972513558899, {"h": 0.9847773680770275, "t": 2, "draw": 9476}),
+    (1, 0.6265096694111757, {"h": 0.9971867876164825, "t": 2, "draw": 4114}),
+], ids=["seed0", "seed1"])
 def test_nag_sweep_pinned_exactly(seed, ratio, witness):
     res = nag_sweep(20_000, 64, seed=seed)
     assert res.max_ratio == ratio and res.witness == witness
@@ -342,7 +349,7 @@ def test_recursion_search_worst_ratio_is_its_largest_h():
     # a_1 = 2h against 2 is the worst ratio over i >= 1 of every draw here, so
     # the search reports the largest h it drew, at i = 1
     for seed in range(12):
-        hs = np.random.Generator(np.random.Philox(seed)).uniform(0.0, 1.0, 4000)
+        hs = _search_stream("recursion_u", seed).uniform(0.0, 1.0, 4000)
         res = adversarial_max("recursion_u", 4000, seed)
         assert res.max_ratio == hs.max() < 1.0 and res.ok
         assert res.witness == {"h": res.max_ratio, "i": 1}
@@ -400,7 +407,7 @@ def test_lemma_checks_match_matrix_power_reference():
 def _adversarial_reference(lemma, budget, t_max, seed):
     """Replays the documented stream: each parameter for the whole budget in one
     array call, then t ~ U{1..t_max}; then each draw's ratio on its own."""
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _search_stream(lemma, seed)
     if lemma == "hb":
         g = rng.uniform(0.0, 0.999, budget)
         a = rng.uniform(0.0, 1.0 - g)
@@ -431,7 +438,7 @@ def _checks(lemma, budget, t_max, seed):
     1 <= i <= t, the sum of its drawn t (replayed from the stream)."""
     if lemma != "recursion_u":
         return budget
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _search_stream(lemma, seed)
     rng.uniform(0.0, 1.0, budget)
     return int(rng.integers(1, t_max + 1, budget).sum())
 
@@ -459,11 +466,11 @@ def test_recursion_sweep_path_matches_scalar_unroll():
 
 def test_adversarial_max_pinned_results():
     # recursion_u reports the largest h it drew, at i = 1
-    h = float(np.random.Generator(np.random.Philox(0)).uniform(0.0, 1.0, 200).max())
+    h = float(_search_stream("recursion_u", 0).uniform(0.0, 1.0, 200).max())
     pins = {
-        "hb": (0.504710289456195,
-               {"gamma": 0.16261113205629324, "a": 0.003424599301407124, "t": 3}),
-        "nag_sc": (0.8867741917582936, {"kappa": 97.26617695311599, "t": 52}),
+        "hb": (0.3966179517609632,
+               {"gamma": 0.7242843751017608, "a": 0.007028533539987745, "t": 11}),
+        "nag_sc": (0.889671307940406, {"kappa": 97.73472127932057, "t": 62}),
         "recursion_u": (h, {"h": h, "i": 1}),
     }
     for lemma, (ratio, witness) in pins.items():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import optstab.matrixlemmas as ML
+from optstab.streams import stream
 
 
 def _shards(monkeypatch, k):
@@ -42,7 +43,7 @@ def test_positioned_stream_reads_the_plain_stream_from_p(seed):
 def test_one_shard_reads_the_documented_stream():
     # h takes the first `draws` doubles, each step's gammas the next `draws`
     draws, t_max, seed = 2001, 24, 4
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = stream(seed, "lemma_search", 0)
     hs = rng.uniform(0.0, 1.0, size=draws)
     gammas = rng.uniform(-1.0, 1.0, size=(t_max, draws))
     worst, (draw, step, _, _), violations, checks = ML._nag_scan(
@@ -218,7 +219,7 @@ def test_a_single_check_fails_just_below_a_small_bound(monkeypatch):
 
 def _replay(lemma, seed, budget, t_max=64):
     """A search's first parameter and its horizons, as its stream gives them."""
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = stream(seed, "lemma_search", ML.LEMMAS.index(lemma))
     if lemma == "hb":
         x = rng.uniform(0.0, 0.999, budget)
         rng.uniform(0.0, 1.0 - x)
