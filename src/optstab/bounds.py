@@ -228,6 +228,9 @@ def tradeoff_check(stab: float, opt: float, mm: float) -> bool:
 
 def early_stopping_T(n: int, eta: float, L: float, R: float) -> int:
     """Iteration budget T ~ sqrt(n / (eta^2 L^2 R^2)) balancing both error terms."""
-    if min(n, eta, L, R) <= 0:
-        raise ValidationError("early_stopping_T needs positive inputs")
-    return max(1, int(round(math.sqrt(n / (eta * eta * L * L * R * R)))))
+    if not all(0 < x < math.inf for x in (n, eta, L, R)):  # nan fails too
+        raise ValidationError("early_stopping_T needs finite positive inputs")
+    try:  # eta^2 L^2 R^2 may round to 0, or the budget to inf
+        return max(1, int(round(math.sqrt(n / (eta * eta * L * L * R * R)))))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError("early_stopping_T: n / (eta L R)^2 is past the float range") from exc

@@ -378,6 +378,8 @@ def nag_sweep(draws: int, t_max: int, seed: int = 0) -> SweepResult:
 
 def hb_sweep(gammas: Sequence[float], a_points: int, t_max: int) -> SweepResult:
     """Grid search over (gamma, a) with every power 1 <= t <= t_max checked."""
+    if not all(0.0 <= g < 1.0 for g in gammas):
+        raise ValidationError(f"hb_sweep needs 0 <= gamma < 1, got {list(gammas)}")
     pairs = [(g, a) for g in gammas for a in np.linspace(0.0, 1.0 - g, a_points)]
     G = np.array([p[0] for p in pairs])
     A = np.array([p[1] for p in pairs])
@@ -392,6 +394,8 @@ def scnag_sweep(kappas: Sequence[float], h_samples: int, t_max: int) -> SweepRes
     Powers are accumulated incrementally, so each t's verdict is that of H^t
     checked at its horizon t alone.
     """
+    if len(kappas) == 0:
+        raise ValidationError("scnag_sweep needs at least one kappa")
     top, rho = _scnag_grid([(k, 1.0, k, 1.0 / k) for k in kappas], h_samples)
     scan = _scnag_scan(top, lambda s: [_scnag_bound(r, s) for r in rho], t_max)
     return _result("nag_sc", scan, lambda j, s: {"kappa": kappas[j], "t": s})
@@ -399,6 +403,8 @@ def scnag_sweep(kappas: Sequence[float], h_samples: int, t_max: int) -> SweepRes
 
 def recursion_u_sweep(h_step: float, t_max: int) -> SweepResult:
     """Unroll the scalar recursion on an h grid and confirm |a_i| <= i + 1."""
+    if not 0.0 < h_step <= 1.0:
+        raise ValidationError(f"recursion_u_sweep needs 0 < h_step <= 1, got {h_step}")
     hs = np.arange(0.0, 1.0 + h_step / 2, h_step)
     return _result("recursion_u", _recursion_scan(hs, t_max),
                    lambda j, s: {"h": float(hs[j]), "i": s})

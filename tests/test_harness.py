@@ -492,6 +492,23 @@ def test_cli_earlystop():
     assert buf.getvalue().strip() == "200"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eta", "nan", "needs finite positive inputs"),
+    ("--lipschitz", "nan", "needs finite positive inputs"),
+    ("--eta", "inf", "needs finite positive inputs"),
+    ("--radius", "inf", "needs finite positive inputs"),
+    # eta^2 underflows to 0: n / (eta L R)^2 is no float
+    ("--eta", "1e-300", "past the float range"),
+], ids=["eta-nan", "lipschitz-nan", "eta-inf", "radius-inf", "eta-1e-300"])
+def test_cli_earlystop_bad_number_exits_1(capsys, flag, value, message):
+    # earlystop reads no config, so early_stopping_T itself rejects these; a nan
+    # exited 2, an inf printed a budget of 1, and 1e-300 divided by zero
+    assert cli_main(["earlystop", "--n", "400", "--eta", "0.1", flag, value]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: early_stopping_T")
+    assert message in out.err
+
+
 def test_cli_validation_error_exit_code(tmp_path):
     code = cli_main(["stability", "--methods", "hb", "--gamma", "0.99",
                      "--eta0", "0.1", "--n", "20", "--d", "3", "--T", "5",

@@ -1024,6 +1024,20 @@ def test_beta_smoothness_sampled(spec):
         assert np.linalg.norm(gu - gv) <= c.beta * np.linalg.norm(u - v) + 1e-12
 
 
+@pytest.mark.parametrize("beta, r", [(1.0, 1.0), (1.5, 0.8), (4.0, 0.25)])
+def test_lecam_convex_slope_is_beta_lipschitz_across_its_kinks(beta, r):
+    # a uniformly sampled pair almost never straddles a kink, so a slope jump there
+    # is checked here: k -/+ eps on either side of each kink, for both symbols
+    spec = lecam_convex_spec(beta=beta, r=r)
+    for s in (-1, 1):
+        z = Dataset.from_symbols([s])
+        for kink in lecam_convex_kinks(spec, s):
+            for eps in (1e-6, 1e-3, r / 8):
+                jump = sample_grad(spec, [kink - eps], z, None) - sample_grad(
+                    spec, [kink + eps], z, None)
+                assert np.linalg.norm(jump) <= beta * 2 * eps + 1e-12, (s, kink, eps)
+
+
 def test_beta_smoothness_lecam_convex_within_pieces():
     spec = lecam_convex_spec(beta=1.0, r=1.0)
     rng = np.random.Generator(np.random.Philox(15))

@@ -355,6 +355,17 @@ def test_recursion_search_worst_ratio_is_its_largest_h():
         assert res.witness == {"h": res.max_ratio, "i": 1}
 
 
+def test_sweeps_reject_inputs_outside_their_lemma():
+    # gamma = 1 is outside the hb lemma (0 <= gamma < 1): its bound 2 / (1 - sqrt(gamma))
+    # divided by zero, and the sweep reported max_ratio 0 and ok
+    with pytest.raises(ValidationError, match="0 <= gamma < 1"):
+        hb_sweep([0.5, 1.0], 5, 10)
+    with pytest.raises(ValidationError, match="0 < h_step <= 1"):
+        recursion_u_sweep(0.0, 10)  # an h grid of step 0
+    with pytest.raises(ValidationError, match="at least one kappa"):
+        scnag_sweep([], 4, 10)
+
+
 def test_adversarial_max_degenerate_budget():
     res = adversarial_max("hb", 1, seed=0)
     assert res.checks == 1 and res.max_ratio <= 1.0 + 1e-9
