@@ -357,7 +357,7 @@ def test_recursion_search_worst_ratio_is_its_largest_h():
 
 def test_sweeps_reject_inputs_outside_their_lemma():
     # gamma = 1 is outside the hb lemma (0 <= gamma < 1): its bound 2 / (1 - sqrt(gamma))
-    # divided by zero, and the sweep reported max_ratio 0 and ok
+    # divides by zero
     with pytest.raises(ValidationError, match="0 <= gamma < 1"):
         hb_sweep([0.5, 1.0], 5, 10)
     with pytest.raises(ValidationError, match="0 < h_step <= 1"):
